@@ -256,6 +256,24 @@ def _moment_matched_start(y: np.ndarray):
     return None
 
 
+# Starts whose objectives lie within this fraction of max(1, |best|) of the
+# best one reached the same optimum; the objective is a mean log-likelihood.
+_TIE_RTOL = 1e-10
+
+
+def _pick_start(runs):
+    """The (z, fval, converged, nit) run a multi-start fit reports.
+
+    That is the first run with the lowest objective, unless another run
+    tied with it (within _TIE_RTOL) met the gradient tolerance: then the
+    first such converged run. Otherwise the converged flag of a fit would
+    follow last-bit differences between starts that found the same optimum.
+    """
+    best = min(runs, key=lambda run: run[1])
+    tol = _TIE_RTOL * max(1.0, abs(best[1]))
+    return next((run for run in runs if run[2] and run[1] <= best[1] + tol), best)
+
+
 def _fit_shifted_family(
     data, cfg: OptimizerConfig, model: str, rng: np.random.Generator | None
 ) -> FitResult:
@@ -337,16 +355,12 @@ def _fit_shifted_family(
         starts.append(starts[1] + jitter * np.array([1.0, 1.0, 2.0]))
 
     bounds = [_LN_ALPHA_BOUNDS, _LN_BETA_BOUNDS, _S_BOUNDS]
-    best = None
-    total_nit = 0
+    runs = []
     for z0 in starts:
         z0 = np.clip(z0, [b[0] for b in bounds], [b[1] for b in bounds])
-        z, fval, converged, nit = _minimize(obj, z0, bounds, cfg)
-        total_nit += nit
-        if best is None or fval < best[1]:
-            best = (z, fval, converged)
-
-    z, _, converged = best
+        runs.append(_minimize(obj, z0, bounds, cfg))
+    z, _, converged, _ = _pick_start(runs)
+    total_nit = sum(run[3] for run in runs)
     alpha = math.exp(float(z[0]))
     beta_y = math.exp(float(z[1]))
     lam = _softplus(float(z[2]))

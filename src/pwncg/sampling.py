@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .distributions import ComplexParams, PoissonTypeParams, PowerParams
-from .special import SeriesConvergenceError
+from .special import SeriesConvergenceError, _log_confluent_terms
 
 __all__ = [
     "RngStream",
@@ -84,35 +84,24 @@ def poisson_type_pmf_table(
 ) -> np.ndarray:
     """Normalized pmf values p(0..N) with the truncation N chosen adaptively.
 
-    Terms follow f(0) = 1, f(k+1) = lam (alpha+k) / (k+1)^2 * f(k) and are
-    accumulated in log domain. N grows until the last term falls below
+    Terms follow f(0) = 1, f(k+1) = lam (alpha+k) / (k+1)^2 * f(k), the
+    terms of the normalizer log_laguerre_neg, and come from the same log-
+    domain series kernel. N is large enough that the last term is below
     tail_tol of the partial sum AND the terms are past their mode; beyond
     the mode the decay is super-geometric, so the discarded tail mass is of
     the same order as the ratio test.
     """
     if p.lam == 0.0:
         return np.ones(1)
-    log_lam = math.log(p.lam)
-    log_tol = math.log(tail_tol)
-    log_f = [0.0]
-    log_term = 0.0
-    acc = 0.0
-    for k in range(max_terms):
-        new = log_term + log_lam + math.log(p.alpha + k) - 2.0 * math.log1p(k)
-        log_f.append(new)
-        if new > acc:
-            acc = new + math.log1p(math.exp(acc - new))
-        else:
-            acc += math.log1p(math.exp(new - acc))
-        decreasing = new < log_term
-        log_term = new
-        if decreasing and log_term - acc < log_tol:
-            probs = np.exp(np.asarray(log_f) - acc)
-            return probs / probs.sum()
-    raise SeriesConvergenceError(
-        f"could not bound the pmf tail below {tail_tol} within {max_terms} "
-        f"terms for lam={p.lam}, alpha={p.alpha}"
-    )
+    summed = _log_confluent_terms(p.alpha, p.lam, tail_tol, max_terms)
+    if summed is None:
+        raise SeriesConvergenceError(
+            f"could not bound the pmf tail below {tail_tol} within {max_terms} "
+            f"terms for lam={p.lam}, alpha={p.alpha}"
+        )
+    log_f, acc = summed
+    probs = np.exp(np.asarray(log_f) - acc)
+    return probs / probs.sum()
 
 
 def sample_poisson_type_truncated(p: PoissonTypeParams, rng: RngStream, size=None):

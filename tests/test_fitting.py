@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from pwncg import fitting
 from pwncg.distributions import PowerParams, log_pdf_gamma
 from pwncg.fitting import (
     OptimizerConfig,
@@ -144,6 +145,55 @@ class TestFitProposed:
             rmse[n] = math.sqrt(np.mean(errs))
         assert 2.0 <= rmse[10**3] / rmse[10**4] <= 5.0
         assert 2.0 <= rmse[10**4] / rmse[10**5] <= 5.0
+
+
+class TestRestartChoice:
+    """Which start a multi-start fit reports, with _minimize stubbed for
+    the three-parameter searches (the gamma start still runs for real)."""
+
+    Z0 = np.array([0.1, 0.2, 0.3])
+    Z1 = np.array([0.4, 0.5, 0.6])
+
+    def _fit(self, monkeypatch, runs, model="proposed"):
+        real = fitting._minimize
+        scripted = iter(runs)
+
+        def stub(obj, z0, bounds, cfg):
+            if len(z0) == 1:
+                return real(obj, z0, bounds, cfg)
+            return next(scripted)
+
+        monkeypatch.setattr(fitting, "_minimize", stub)
+        data = rng_stream(5).gamma(2.0, 1.0, 60)
+        return fit_model(model, data, OptimizerConfig(restarts=2))
+
+    def test_tied_start_that_converged_is_reported(self, monkeypatch):
+        # start 0 stopped on ftol at the same optimum that start 1 reached
+        # with the gradient tolerance met; they differ in the last bit
+        runs = [
+            (self.Z0, -1.583493351263, False, 40),
+            (self.Z1, -1.583493351262, True, 30),
+        ]
+        for model in ("noncentral_gamma", "proposed"):
+            r = self._fit(monkeypatch, runs, model)
+            assert r.converged
+            assert r.params["alpha"] == math.exp(self.Z1[0])
+            assert r.iterations == 70
+
+    def test_lowest_objective_wins_outside_the_tie(self, monkeypatch):
+        runs = [
+            (self.Z0, -1.5834934, False, 40),
+            (self.Z1, -1.5834933, True, 30),
+        ]
+        r = self._fit(monkeypatch, runs)
+        assert not r.converged
+        assert r.params["alpha"] == math.exp(self.Z0[0])
+
+    def test_first_of_equal_unconverged_starts(self, monkeypatch):
+        runs = [(self.Z0, -2.0, False, 5), (self.Z1, -2.0, False, 5)]
+        r = self._fit(monkeypatch, runs)
+        assert not r.converged
+        assert r.params["alpha"] == math.exp(self.Z0[0])
 
 
 class TestNesting:

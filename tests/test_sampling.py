@@ -19,6 +19,7 @@ from pwncg.distributions import (
     log_pmf_poisson_type,
 )
 from pwncg.moments import raw_moment
+from pwncg.special import SeriesConvergenceError
 from pwncg.sampling import (
     MhConfig,
     poisson_type_pmf_table,
@@ -66,6 +67,13 @@ class TestTruncatedSampler:
             probs = poisson_type_pmf_table(p)
             ref = np.exp(log_pmf_poisson_type(np.arange(len(probs)), p))
             np.testing.assert_allclose(probs, ref, rtol=1e-10, atol=1e-300)
+
+    def test_table_tail_budget_exhausted(self):
+        # lam = 2 runs the term recurrence, lam = 40 the numpy window
+        for lam in (2.0, 40.0):
+            p = PoissonTypeParams(lam=lam, alpha=30.0)
+            with pytest.raises(SeriesConvergenceError, match="could not bound the pmf tail"):
+                poisson_type_pmf_table(p, max_terms=20)
 
     def test_poisson_reduction_statistics(self):
         p = PoissonTypeParams(lam=1.0, alpha=1.0)

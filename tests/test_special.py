@@ -5,14 +5,18 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwncg.special import (
+    _IV_SERIES_CUTOFF,
+    _SCALAR_LAM_MAX,
     DEFAULT_SERIES_CONTROL,
     I0_SERIES_CUTOFF,
     SeriesControl,
     SeriesConvergenceError,
-    _log_i0_asymptotic,
-    _log_i0_series,
+    _log_terms_recurrence,
+    _log_terms_window,
     log_bessel_i0,
     log_bessel_i_nu,
     log_gamma,
@@ -22,6 +26,26 @@ from pwncg.special import (
 )
 
 mp.mp.dps = 40
+
+# Oracle property tests: reproducible example streams, no per-example
+# deadline (one mpmath reference at lambda = 5000 takes up to ~0.1 s).
+oracle = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def _ref_log_i0(x: float) -> float:
+    return float(mp.log(mp.besseli(0, mp.mpf(x))))
+
+
+def _ref_log_iv(nu: float, x: float) -> float:
+    return float(mp.log(mp.besseli(mp.mpf(nu), mp.mpf(x))))
+
+
+def _ref_log_laguerre_neg(alpha: float, lam: float) -> float:
+    return float(mp.log(mp.hyp1f1(mp.mpf(alpha), 1, mp.mpf(lam))))
+
+
+# alpha log-uniform over the fit box [1e-3, 1e3]
+alphas = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e)
 
 
 class TestLogGamma:
@@ -86,11 +110,24 @@ class TestLogBesselI0:
             ref = float(mp.log(mp.besseli(0, mp.mpf(x))))
             assert abs(log_bessel_i0(x) - ref) <= 1e-12 * max(1.0, abs(ref))
 
-    def test_branches_agree_at_crossover(self):
-        x = np.array([I0_SERIES_CUTOFF])
-        series = float(_log_i0_series(x)[0])
-        asym = float(_log_i0_asymptotic(x)[0])
-        assert abs(series - asym) <= 1e-9 * abs(series)
+    def test_against_mpmath_across_cutoff(self):
+        # a single kernel on both sides of I0_SERIES_CUTOFF
+        xs = np.linspace(I0_SERIES_CUTOFF - 1.0, I0_SERIES_CUTOFF + 1.0, 41)
+        for x, got in zip(xs, log_bessel_i0(xs)):
+            ref = _ref_log_i0(float(x))
+            assert abs(got - ref) <= 1e-15 * max(1.0, abs(ref)), x
+
+    @oracle
+    @given(st.floats(min_value=0.0, max_value=1e6))
+    def test_property_against_mpmath(self, x):
+        ref = _ref_log_i0(x)
+        assert abs(log_bessel_i0(x) - ref) <= 1e-15 * max(1.0, abs(ref))
+
+    @oracle
+    @given(st.floats(min_value=20.0, max_value=30.0))
+    def test_property_against_mpmath_20_to_30(self, x):
+        ref = _ref_log_i0(x)
+        assert abs(log_bessel_i0(x) - ref) <= 1e-15 * max(1.0, abs(ref))
 
     def test_vectorized_matches_scalar(self):
         # term counts are chosen per batch, so agreement is to rounding,
@@ -133,11 +170,42 @@ class TestLogBesselINu:
         ref = float(mp.log(mp.besseli(400, mp.mpf(30.0))))
         assert math.isclose(log_bessel_i_nu(400.0, 30.0), ref, rel_tol=1e-12)
 
+    @oracle
+    @given(
+        st.floats(min_value=-1.0, max_value=1000.0, exclude_min=True),
+        st.floats(min_value=0.0, max_value=_IV_SERIES_CUTOFF, exclude_min=True, exclude_max=True),
+    )
+    def test_property_series_path_against_mpmath(self, nu, x):
+        ref = _ref_log_iv(nu, x)
+        got = log_bessel_i_nu(nu, x)
+        assert abs(got - ref) <= 5e-12 * max(1.0, abs(ref)), (nu, x)
+
+    def test_series_path_matches_elementwise(self):
+        # the all-series fast path and the masked path give the same values
+        xs = np.array([1e-300, 0.3, 7.0, 29.0])
+        both = log_bessel_i_nu(2.5, np.append(xs, [0.0, 40.0]))
+        np.testing.assert_array_equal(log_bessel_i_nu(2.5, xs), both[:4])
+        assert both[4] == -math.inf
+
+    def test_subnormal_argument(self):
+        # x / 2 underflows to 0 here; the leading series term is exact
+        for nu in (-0.5, 1.0, 30.0):
+            ref = _ref_log_iv(nu, 5e-324)
+            got = log_bessel_i_nu(nu, 5e-324)
+            assert abs(got - ref) <= 1e-14 * abs(ref), nu
+
+    def test_empty_array(self):
+        assert log_bessel_i_nu(1.0, np.array([])).shape == (0,)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             log_bessel_i_nu(-1.0, 1.0)
         with pytest.raises(ValueError):
             log_bessel_i_nu(0.5, -1.0)
+        with pytest.raises(ValueError, match="finite"):
+            log_bessel_i_nu(0.5, np.array([1.0, math.nan]))
+        with pytest.raises(ValueError, match="finite"):
+            log_bessel_i_nu(0.5, np.array([1.0, -math.inf]))
 
 
 class TestLogLaguerreNeg:
@@ -174,6 +242,45 @@ class TestLogLaguerreNeg:
     def test_non_convergence_raises(self):
         with pytest.raises(SeriesConvergenceError):
             log_laguerre_neg(1.0, 500.0, SeriesControl(rel_tol=1e-14, max_terms=10))
+
+    def test_non_convergence_raises_on_both_paths(self):
+        # the term mode is near lam + alpha - 1, so 20 terms fall short
+        for lam in (0.99 * _SCALAR_LAM_MAX, 40.0):
+            with pytest.raises(SeriesConvergenceError, match="within 20 terms"):
+                log_laguerre_neg(30.0, lam, SeriesControl(max_terms=20))
+
+    def test_window_terms_match_recurrence(self):
+        # the numpy pass reorders the additions of the Python recurrence,
+        # which stays the reference for every term both compute; a running
+        # sum of n terms may drift by n rounding steps of its largest value
+        log_tol = math.log(1e-14)
+        for alpha, lam in [(1e-3, 5.0), (0.5, 40.0), (3.0, 700.0), (1e3, 2000.0)]:
+            ref, _ = _log_terms_recurrence(alpha, lam, log_tol, 10_000)
+            got, _ = _log_terms_window(alpha, lam, log_tol, 10_000)
+            assert len(got) >= len(ref)
+            drift = len(ref) * np.finfo(float).eps * max(1.0, max(abs(v) for v in ref))
+            np.testing.assert_allclose(got[: len(ref)], ref, rtol=0.0, atol=drift)
+
+    def test_continuous_across_switch(self):
+        for alpha in (1e-3, 0.5, 3.0, 1e3):
+            for lam in (np.nextafter(_SCALAR_LAM_MAX, 0.0), _SCALAR_LAM_MAX):
+                ref = _ref_log_laguerre_neg(alpha, float(lam))
+                got = log_laguerre_neg(alpha, float(lam))
+                assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (alpha, lam)
+
+    @oracle
+    @given(alphas, st.floats(min_value=0.0, max_value=_SCALAR_LAM_MAX, exclude_max=True))
+    def test_property_recurrence_path_against_mpmath(self, alpha, lam):
+        ref = _ref_log_laguerre_neg(alpha, lam)
+        got = log_laguerre_neg(alpha, lam)
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (alpha, lam)
+
+    @oracle
+    @given(alphas, st.floats(min_value=_SCALAR_LAM_MAX, max_value=5000.0))
+    def test_property_window_path_against_mpmath(self, alpha, lam):
+        ref = _ref_log_laguerre_neg(alpha, lam)
+        got = log_laguerre_neg(alpha, lam)
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (alpha, lam)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
