@@ -15,7 +15,6 @@ from .distributions import (
     PoissonTypeParams,
     PowerParams,
     log_pdf_amplitude,
-    log_pdf_baseline,
     log_pdf_complex,
     log_pdf_exponential,
     log_pdf_gamma,

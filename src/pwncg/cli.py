@@ -24,18 +24,12 @@ from .distributions import (
     complex_density_rows,
     scalar_density_rows,
 )
+from .fitting import MODELS
 from .moments import kurtosis_sweep
 from .sampling import rng_stream, sample_complex, sample_power
 from .spectral import StftConfig, run_experiment, sweep_windows
 
-MODEL_ALIASES = {
-    "exp": "exponential",
-    "exponential": "exponential",
-    "gamma": "gamma",
-    "ncgamma": "noncentral_gamma",
-    "noncentral_gamma": "noncentral_gamma",
-    "proposed": "proposed",
-}
+MODEL_ALIASES = {a: m.name for m in MODELS.values() for a in (m.name, *m.aliases)}
 
 
 def _open_out(path):
@@ -121,6 +115,16 @@ def _collect_wavs(input_path: str) -> list[str]:
     return [str(p)]
 
 
+def _summary_line(report, m: str) -> str:
+    """Average LL, the p-value against the proposed model, and how many of
+    the patch fits did not converge."""
+    line = f"{m:>17s}: avg LL {report.models[m]['avg_ll']:10.3f}"
+    if m in report.tests:
+        line += f"   p vs proposed {report.tests[m]:.3g}"
+    failed = sum(not rec["fits"][m]["converged"] for rec in report.patches)
+    return line + f"   not converged {failed}/{len(report.patches)}"
+
+
 def _cmd_fit_spectra(args) -> int:
     paths = _collect_wavs(args.input)
     models = []
@@ -149,7 +153,7 @@ def _cmd_fit_spectra(args) -> int:
             target.write_text(report.to_json())
             print(f"[{window}]")
             for m in models:
-                print(f"  {m:>17s}: avg LL {report.models[m]['avg_ll']:10.3f}")
+                print(f"  {_summary_line(report, m)}")
             print(f"  report: {target}")
         return 0
 
@@ -159,10 +163,7 @@ def _cmd_fit_spectra(args) -> int:
         with open(args.csv, "w", newline="") as fh:
             csv.writer(fh).writerows(report.csv_rows())
     for m in models:
-        line = f"{m:>17s}: avg LL {report.models[m]['avg_ll']:10.3f}"
-        if m in report.tests:
-            line += f"   p vs proposed {report.tests[m]:.3g}"
-        print(line)
+        print(_summary_line(report, m))
     print(f"report: {args.out}")
     return 0
 

@@ -7,9 +7,9 @@ lam = nu^2/sigma2). Classical special cases (complex normal, Rice,
 Rayleigh, half-normal, Nakagami, gamma, noncentral gamma, noncentral chi)
 are provided alongside for reduction checks and baseline fitting.
 
-All densities are evaluated in log domain at the core; the pdf_* wrappers
-exponentiate for plotting and grid export. Functions are vectorized over
-the variate, with scalar parameters.
+All densities are evaluated in log domain; only the CSV grid exports
+exponentiate. Functions are vectorized over the variate, with scalar
+parameters.
 """
 
 from __future__ import annotations
@@ -46,18 +46,21 @@ __all__ = [
     "log_pdf_rice",
     "log_pdf_nakagami",
     "log_pdf_noncentral_chi",
-    "log_pdf_baseline",
-    "BASELINE_MODELS",
-    "pdf_complex",
-    "pdf_amplitude",
-    "pdf_power",
-    "pmf_poisson_type",
     "complex_density_rows",
     "scalar_density_rows",
 ]
 
 _LOG_PI = math.log(math.pi)
 _LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _check(name: str, value, zero_ok: bool = False) -> None:
+    """Raise unless a scalar parameter is finite and positive, or
+    nonnegative if zero_ok."""
+    if not (math.isfinite(value) and (value >= 0.0 if zero_ok else value > 0.0)):
+        raise ValueError(
+            f"{name} must be {'nonnegative' if zero_ok else 'positive'}, got {value}"
+        )
 
 
 @dataclass(frozen=True)
@@ -75,10 +78,8 @@ class ComplexParams:
         object.__setattr__(self, "mu", mu)
         if not (cmath.isfinite(mu)):
             raise ValueError(f"mu must be finite, got {mu}")
-        if not (math.isfinite(self.sigma2) and self.sigma2 > 0.0):
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        _check("sigma2", self.sigma2)
+        _check("alpha", self.alpha)
 
     @property
     def nu(self) -> float:
@@ -104,12 +105,9 @@ class AmplitudeParams:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.nu) and self.nu >= 0.0):
-            raise ValueError(f"nu must be nonnegative, got {self.nu}")
-        if not (math.isfinite(self.sigma2) and self.sigma2 > 0.0):
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        _check("nu", self.nu, zero_ok=True)
+        _check("sigma2", self.sigma2)
+        _check("alpha", self.alpha)
 
     def power_params(self) -> "PowerParams":
         return PowerParams(
@@ -129,12 +127,9 @@ class PowerParams:
     lam: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not (math.isfinite(self.beta) and self.beta > 0.0):
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if not (math.isfinite(self.lam) and self.lam >= 0.0):
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
+        _check("alpha", self.alpha)
+        _check("beta", self.beta)
+        _check("lam", self.lam, zero_ok=True)
 
     def amplitude_params(self) -> AmplitudeParams:
         sigma2 = 1.0 / self.beta
@@ -155,10 +150,8 @@ class PoissonTypeParams:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lam) and self.lam >= 0.0):
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        _check("lam", self.lam, zero_ok=True)
+        _check("alpha", self.alpha)
 
 
 def _as_float_array(x, name: str):
@@ -166,6 +159,15 @@ def _as_float_array(x, name: str):
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
     return arr
+
+
+def _positive_variate(x, name: str):
+    """The variate as a 1-d float array checked finite and positive, and
+    whether it was given as a scalar."""
+    arr = _as_float_array(x, name)
+    if np.any(arr <= 0.0):
+        raise ValueError(f"{name} must be positive")
+    return np.atleast_1d(arr), arr.ndim == 0
 
 
 def log_pdf_complex(z, p: ComplexParams):
@@ -206,11 +208,7 @@ def log_pdf_complex(z, p: ComplexParams):
 
 def log_pdf_joint_polar(r, theta, p: ComplexParams):
     """Joint log density of (amplitude, phase); includes the Jacobian ln r."""
-    r_arr = _as_float_array(r, "r")
-    scalar = r_arr.ndim == 0
-    r_arr = np.atleast_1d(r_arr)
-    if np.any(r_arr <= 0.0):
-        raise ValueError("r must be positive")
+    r_arr, scalar = _positive_variate(r, "r")
     theta_arr = np.atleast_1d(_as_float_array(theta, "theta"))
     z = r_arr * np.exp(1j * theta_arr)
     out = log_pdf_complex(z, p) + np.log(r_arr)
@@ -224,8 +222,7 @@ def log_pdf_phase_given_r(theta, r, p: ComplexParams):
     kappa = 2 |mu| r / sigma2; mu = 0 gives the uniform circle density.
     """
     r = float(r)
-    if not (math.isfinite(r) and r > 0.0):
-        raise ValueError(f"r must be positive, got {r}")
+    _check("r", r)
     theta_arr = _as_float_array(theta, "theta")
     scalar = theta_arr.ndim == 0
     kappa = 2.0 * abs(p.mu) * r / p.sigma2
@@ -239,11 +236,7 @@ def log_pdf_amplitude(r, p: AmplitudeParams):
     ln 2 + (2 alpha - 1) ln r - (r^2 + nu^2)/sigma2 + ln I0(2 nu r / sigma2)
     - alpha ln sigma2 - ln Gamma(alpha) - ln L_{alpha-1}(-nu^2/sigma2).
     """
-    r_arr = _as_float_array(r, "r")
-    scalar = r_arr.ndim == 0
-    r_arr = np.atleast_1d(r_arr)
-    if np.any(r_arr <= 0.0):
-        raise ValueError("r must be positive")
+    r_arr, scalar = _positive_variate(r, "r")
     lam = p.nu**2 / p.sigma2
     log_norm = (
         math.log(2.0)
@@ -267,11 +260,7 @@ def log_pdf_power(x, p: PowerParams):
               + (alpha - 1) ln x - beta x + ln I0(2 sqrt(beta lam x)),
     where S is the positive-term confluent normalizer.
     """
-    x_arr = _as_float_array(x, "x")
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-    if np.any(x_arr <= 0.0):
-        raise ValueError("x must be positive")
+    x_arr, scalar = _positive_variate(x, "x")
     log_norm = (
         p.alpha * math.log(p.beta)
         - log_gamma(p.alpha)
@@ -320,28 +309,17 @@ def log_pmf_poisson_type(n, p: PoissonTypeParams):
 
 def log_pdf_exponential(x, rate: float):
     """Exponential log density, rate parametrization."""
-    if not (math.isfinite(rate) and rate > 0.0):
-        raise ValueError(f"rate must be positive, got {rate}")
-    x_arr = _as_float_array(x, "x")
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-    if np.any(x_arr <= 0.0):
-        raise ValueError("x must be positive")
+    _check("rate", rate)
+    x_arr, scalar = _positive_variate(x, "x")
     out = math.log(rate) - rate * x_arr
     return float(out[0]) if scalar else out
 
 
 def log_pdf_gamma(x, alpha: float, beta: float):
     """Gamma log density with shape alpha and rate beta."""
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise ValueError(f"beta must be positive, got {beta}")
-    x_arr = _as_float_array(x, "x")
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-    if np.any(x_arr <= 0.0):
-        raise ValueError("x must be positive")
+    _check("alpha", alpha)
+    _check("beta", beta)
+    x_arr, scalar = _positive_variate(x, "x")
     out = (
         alpha * math.log(beta)
         - log_gamma(alpha)
@@ -358,19 +336,12 @@ def log_pdf_noncentral_gamma(x, alpha: float, beta: float, lam: float):
               + (alpha-1)/2 ln x - beta x + ln I_{alpha-1}(2 sqrt(beta lam x)).
     Reduces to the gamma density at lam = 0.
     """
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise ValueError(f"lam must be nonnegative, got {lam}")
+    _check("lam", lam, zero_ok=True)
     if lam == 0.0:
         return log_pdf_gamma(x, alpha, beta)
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise ValueError(f"beta must be positive, got {beta}")
-    x_arr = _as_float_array(x, "x")
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-    if np.any(x_arr <= 0.0):
-        raise ValueError("x must be positive")
+    _check("alpha", alpha)
+    _check("beta", beta)
+    x_arr, scalar = _positive_variate(x, "x")
     half = 0.5 * (alpha - 1.0)
     out = (
         -lam
@@ -385,15 +356,9 @@ def log_pdf_noncentral_gamma(x, alpha: float, beta: float, lam: float):
 
 def log_pdf_rice(r, nu: float, sigma2: float):
     """Rice log density: 2r/sigma2 * exp(-(r^2+nu^2)/sigma2) * I0(2 nu r/sigma2)."""
-    if not (math.isfinite(nu) and nu >= 0.0):
-        raise ValueError(f"nu must be nonnegative, got {nu}")
-    if not (math.isfinite(sigma2) and sigma2 > 0.0):
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
-    r_arr = _as_float_array(r, "r")
-    scalar = r_arr.ndim == 0
-    r_arr = np.atleast_1d(r_arr)
-    if np.any(r_arr <= 0.0):
-        raise ValueError("r must be positive")
+    _check("nu", nu, zero_ok=True)
+    _check("sigma2", sigma2)
+    r_arr, scalar = _positive_variate(r, "r")
     out = (
         math.log(2.0)
         + np.log(r_arr)
@@ -406,15 +371,9 @@ def log_pdf_rice(r, nu: float, sigma2: float):
 
 def log_pdf_nakagami(r, m: float, omega: float):
     """Nakagami-m log density with spread omega = E[r^2]."""
-    if not (math.isfinite(m) and m > 0.0):
-        raise ValueError(f"m must be positive, got {m}")
-    if not (math.isfinite(omega) and omega > 0.0):
-        raise ValueError(f"omega must be positive, got {omega}")
-    r_arr = _as_float_array(r, "r")
-    scalar = r_arr.ndim == 0
-    r_arr = np.atleast_1d(r_arr)
-    if np.any(r_arr <= 0.0):
-        raise ValueError("r must be positive")
+    _check("m", m)
+    _check("omega", omega)
+    r_arr, scalar = _positive_variate(r, "r")
     out = (
         math.log(2.0)
         + m * math.log(m)
@@ -429,15 +388,9 @@ def log_pdf_nakagami(r, m: float, omega: float):
 def log_pdf_noncentral_chi(r, k: float, nu: float):
     """Noncentral chi log density with k degrees of freedom and
     noncentrality nu (unit scale)."""
-    if not (math.isfinite(k) and k > 0.0):
-        raise ValueError(f"k must be positive, got {k}")
-    if not (math.isfinite(nu) and nu > 0.0):
-        raise ValueError(f"nu must be positive, got {nu}")
-    r_arr = _as_float_array(r, "r")
-    scalar = r_arr.ndim == 0
-    r_arr = np.atleast_1d(r_arr)
-    if np.any(r_arr <= 0.0):
-        raise ValueError("r must be positive")
+    _check("k", k)
+    _check("nu", nu)
+    r_arr, scalar = _positive_variate(r, "r")
     out = (
         (1.0 - 0.5 * k) * math.log(nu)
         + 0.5 * k * np.log(r_arr)
@@ -445,53 +398,6 @@ def log_pdf_noncentral_chi(r, k: float, nu: float):
         + log_bessel_i_nu(0.5 * k - 1.0, nu * r_arr)
     )
     return float(out[0]) if scalar else out
-
-
-BASELINE_MODELS = (
-    "exponential",
-    "gamma",
-    "noncentral_gamma",
-    "rice",
-    "nakagami",
-    "noncentral_chi",
-)
-
-
-def log_pdf_baseline(x, model: str, **params):
-    """Dispatch to the named classical log density.
-
-    Model names and their parameters: exponential(rate), gamma(alpha, beta),
-    noncentral_gamma(alpha, beta, lam), rice(nu, sigma2),
-    nakagami(m, omega), noncentral_chi(k, nu).
-    """
-    table = {
-        "exponential": log_pdf_exponential,
-        "gamma": log_pdf_gamma,
-        "noncentral_gamma": log_pdf_noncentral_gamma,
-        "rice": log_pdf_rice,
-        "nakagami": log_pdf_nakagami,
-        "noncentral_chi": log_pdf_noncentral_chi,
-    }
-    if model not in table:
-        raise ValueError(f"unknown baseline model {model!r}; expected one of {BASELINE_MODELS}")
-    return table[model](x, **params)
-
-
-def pdf_complex(z, p: ComplexParams):
-    """Linear-domain wrapper of log_pdf_complex, for plotting and grids."""
-    return np.exp(log_pdf_complex(z, p))
-
-
-def pdf_amplitude(r, p: AmplitudeParams):
-    return np.exp(log_pdf_amplitude(r, p))
-
-
-def pdf_power(x, p: PowerParams):
-    return np.exp(log_pdf_power(x, p))
-
-
-def pmf_poisson_type(n, p: PoissonTypeParams):
-    return np.exp(log_pmf_poisson_type(n, p))
 
 
 def complex_density_rows(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize
@@ -35,6 +36,8 @@ from .special import _log_i0_unchecked, log_bessel_i_nu, log_laguerre_neg
 __all__ = [
     "FitResult",
     "OptimizerConfig",
+    "Model",
+    "MODELS",
     "FIT_MODELS",
     "fit_exponential",
     "fit_gamma",
@@ -43,8 +46,6 @@ __all__ = [
     "fit_model",
     "paired_t_test_one_sided",
 ]
-
-FIT_MODELS = ("exponential", "gamma", "noncentral_gamma", "proposed")
 
 # Parameter box for the transformed search. The alpha ceiling doubles as
 # the degeneracy flag threshold (zero-variance batches push alpha there);
@@ -159,11 +160,11 @@ def _minimize(obj, z0: np.ndarray, bounds, cfg: OptimizerConfig):
 def fit_exponential(data) -> FitResult:
     """Closed-form exponential fit: rate = 1 / sample mean."""
     x = _validate_batch(data)
-    rate = 1.0 / float(np.mean(x))
-    ll = float(np.sum(log_pdf_exponential(x, rate)))
+    params = {"rate": 1.0 / float(np.mean(x))}
+    ll = MODELS["exponential"].log_likelihood(x, params)
     return FitResult(
         model="exponential",
-        params={"rate": rate},
+        params=params,
         log_likelihood=ll,
         avg_log_likelihood=ll / x.size,
         converged=True,
@@ -210,12 +211,12 @@ def fit_gamma(data, cfg: OptimizerConfig = DEFAULT_OPTIMIZER) -> FitResult:
         z, fval, converged = np.zeros(1), obj(np.zeros(1)), True
 
     alpha = math.exp(float(z[0]))
-    beta = alpha / m
-    ll = float(np.sum(log_pdf_gamma(x, alpha, beta)))
+    params = {"alpha": alpha, "beta": alpha / m}
+    ll = MODELS["gamma"].log_likelihood(x, params)
     degenerate = alpha >= _ALPHA_DEGENERATE or float(np.var(y)) == 0.0
     return FitResult(
         model="gamma",
-        params={"alpha": alpha, "beta": beta},
+        params=params,
         log_likelihood=ll,
         avg_log_likelihood=ll / x.size,
         converged=converged,
@@ -297,15 +298,6 @@ def _fit_shifted_family(
                 - b * m1
                 + float(np.mean(_log_i0_unchecked(2.0 * math.sqrt(b * lam) * sqrt_y)))
             )
-
-        def total_ll(params):
-            return float(
-                np.sum(
-                    log_pdf_power(
-                        x, PowerParams(params["alpha"], params["beta"], params["lambda"])
-                    )
-                )
-            )
     else:
         def mean_ll(a, b, lam):
             return (
@@ -316,15 +308,6 @@ def _fit_shifted_family(
                 - b * m1
                 + float(
                     np.mean(log_bessel_i_nu(a - 1.0, 2.0 * math.sqrt(b * lam) * sqrt_y))
-                )
-            )
-
-        def total_ll(params):
-            return float(
-                np.sum(
-                    log_pdf_noncentral_gamma(
-                        x, params["alpha"], params["beta"], params["lambda"]
-                    )
                 )
             )
 
@@ -367,7 +350,7 @@ def _fit_shifted_family(
     if lam < 1e-12:
         lam = 0.0
     params = {"alpha": alpha, "beta": beta_y / m, "lambda": lam}
-    ll = total_ll(params)
+    ll = MODELS[model].log_likelihood(x, params)
     degenerate = alpha >= _ALPHA_DEGENERATE or float(np.var(y)) == 0.0
     return FitResult(
         model=model,
@@ -407,15 +390,56 @@ def fit_model(
     rng: np.random.Generator | None = None,
 ) -> FitResult:
     """Fit the named model; see FIT_MODELS for the choices."""
-    if model == "exponential":
-        return fit_exponential(data)
-    if model == "gamma":
-        return fit_gamma(data, cfg)
-    if model == "noncentral_gamma":
-        return fit_noncentral_gamma(data, cfg, rng)
-    if model == "proposed":
-        return fit_proposed(data, cfg, rng)
-    raise ValueError(f"unknown model {model!r}; expected one of {FIT_MODELS}")
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of {FIT_MODELS}")
+    return MODELS[model].fit(data, cfg, rng)
+
+
+@dataclass(frozen=True)
+class Model:
+    """One compared power model: its name, extra names the CLI accepts, the
+    keys of its fitted parameters, log_likelihood(x, params) = the batch
+    total at given parameters, and fit(data, cfg, rng) -> FitResult. The
+    callables look module functions up when called, so that bindings
+    replaced at run time (a tracer, a test stub) are the ones used."""
+
+    name: str
+    aliases: tuple[str, ...]
+    params: tuple[str, ...]
+    log_likelihood: Callable[[np.ndarray, dict], float]
+    fit: Callable[..., FitResult]
+
+
+MODELS = {
+    m.name: m
+    for m in (
+        Model(
+            "exponential", ("exp",), ("rate",),
+            lambda x, p: float(np.sum(log_pdf_exponential(x, p["rate"]))),
+            lambda data, cfg, rng: fit_exponential(data),
+        ),
+        Model(
+            "gamma", (), ("alpha", "beta"),
+            lambda x, p: float(np.sum(log_pdf_gamma(x, p["alpha"], p["beta"]))),
+            lambda data, cfg, rng: fit_gamma(data, cfg),
+        ),
+        Model(
+            "noncentral_gamma", ("ncgamma",), ("alpha", "beta", "lambda"),
+            lambda x, p: float(
+                np.sum(log_pdf_noncentral_gamma(x, p["alpha"], p["beta"], p["lambda"]))
+            ),
+            lambda data, cfg, rng: fit_noncentral_gamma(data, cfg, rng),
+        ),
+        Model(
+            "proposed", (), ("alpha", "beta", "lambda"),
+            lambda x, p: float(
+                np.sum(log_pdf_power(x, PowerParams(p["alpha"], p["beta"], p["lambda"])))
+            ),
+            lambda data, cfg, rng: fit_proposed(data, cfg, rng),
+        ),
+    )
+}
+FIT_MODELS = tuple(MODELS)
 
 
 def paired_t_test_one_sided(a, b) -> float:

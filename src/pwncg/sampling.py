@@ -33,7 +33,6 @@ __all__ = [
     "poisson_type_pmf_table",
     "sample_poisson_type_truncated",
     "sample_poisson_type_mh",
-    "sample_poisson_type_mh_chain",
     "sample_gamma",
     "sample_von_mises",
     "sample_power",
@@ -183,43 +182,6 @@ def sample_poisson_type_mh(
     else:
         result = draws.reshape(size)
     return (result, stats) if return_stats else result
-
-
-def sample_poisson_type_mh_chain(
-    p: PoissonTypeParams, cfg: MhConfig, rng: RngStream, size: int
-):
-    """Chain-reuse bulk mode: one chain, burn_in discarded, then every
-    thin-th state kept until size draws are collected. Cheaper per draw
-    than fresh chains but the draws are serially dependent."""
-    size = int(size)
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
-    if p.lam == 0.0:
-        return np.zeros(size, dtype=np.int64)
-    lg_fact = _LogGammaTable(1.0)
-    lg_shift = _LogGammaTable(p.alpha)
-    steps = cfg.burn_in + size * cfg.thin
-    props = rng.poisson(p.lam, steps)
-    with np.errstate(divide="ignore"):
-        log_u = np.log(rng.random(steps))
-    state = int(rng.poisson(p.lam))
-    out = np.empty(size, dtype=np.int64)
-    kept = 0
-    lgf = lg_fact.take(props)
-    lgs = lg_shift.take(props)
-    state_f = lg_fact.take(np.array([state]))[0]
-    state_s = lg_shift.take(np.array([state]))[0]
-    for i in range(steps):
-        if log_u[i] < (state_f - state_s) + (lgs[i] - lgf[i]):
-            state = int(props[i])
-            state_f = lgf[i]
-            state_s = lgs[i]
-        if i >= cfg.burn_in and (i - cfg.burn_in) % cfg.thin == cfg.thin - 1:
-            out[kept] = state
-            kept += 1
-            if kept == size:
-                break
-    return out
 
 
 def sample_gamma(shape, rate, rng: RngStream, size=None):

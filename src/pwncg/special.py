@@ -186,22 +186,23 @@ def _log_iv_series_logdomain(nu: float, x: float, max_terms: int = 200_000) -> f
     """Fallback ascending series accumulated fully in log domain.
 
     Used where ive under/overflows, which only happens when nu is large
-    relative to x; there the series converges in a handful of terms.
+    relative to x. The term ratio (x/2)^2 / ((n+1)(n+1+nu)) crosses 1 at
+    the positive root of (n+1)(n+1+nu) = (x/2)^2; the normalizer's window
+    kernel sums the terms down to exp(-40) of the sum.
     """
     log_half_x = math.log(0.5 * x)
-    log_term = nu * log_half_x - float(gammaln(nu + 1.0))
-    acc = log_term
-    for n in range(1, max_terms):
-        log_term += 2.0 * log_half_x - math.log(n) - math.log(n + nu)
-        if log_term > acc:
-            acc = log_term + math.log1p(math.exp(acc - log_term))
-        else:
-            acc += math.log1p(math.exp(log_term - acc))
-        if log_term - acc < -40.0:
-            return acc
-    raise SeriesConvergenceError(
-        f"I_nu series did not converge for nu={nu}, x={x} within {max_terms} terms"
-    )
+
+    def log_ratios(n_end: int) -> np.ndarray:
+        m = np.arange(1.0, n_end + 1.0)
+        return 2.0 * log_half_x - np.log(m) - np.log(m + nu)
+
+    mode = max(0.0, 0.5 * (math.sqrt(nu * nu + x * x) - nu) - 1.0)
+    summed = _log_terms_window(log_ratios, mode, -40.0, max_terms)
+    if summed is None:
+        raise SeriesConvergenceError(
+            f"I_nu series did not converge for nu={nu}, x={x} within {max_terms} terms"
+        )
+    return nu * log_half_x - float(gammaln(nu + 1.0)) + summed[1]
 
 
 def log_bessel_i_nu(nu: float, x):
@@ -292,32 +293,23 @@ def _log_terms_recurrence(alpha: float, lam: float, log_tol: float, max_terms: i
     return None
 
 
-def _log_terms_window(alpha: float, lam: float, log_tol: float, max_terms: int):
-    """All terms up to a window end past the mode in one numpy pass.
+def _log_terms_window(log_ratios, mode: float, log_tol: float, max_terms: int):
+    """Log terms ln t_0 .. ln t_N of a positive series with t_0 = 1, and
+    the log of their sum, in one numpy pass (None past max_terms terms).
 
-    The term ratio lam (alpha + n) / (n + 1)^2 crosses 1 at the mode,
-    the positive root of (n + 1)^2 = lam (alpha + n), near lam + alpha - 1
-    for large lam (DLMF 13.2). Around it ln t_n falls off like a Gaussian
-    of variance at most mode + 1, so the window end sits _WINDOW_WIDTHS
-    of those widths past it, where the terms are ~exp(-40) of the peak.
-    The log terms are one cumulative sum of the log ratios and their sum
-    one log-sum-exp. The window doubles, up to max_terms, in the rare
-    case that its last term is not past the mode and below the tolerance.
+    log_ratios(N) returns ln(t_{n+1} / t_n) for n < N; mode is where that
+    ratio crosses 1. Around it ln t_n falls off like a Gaussian of
+    variance at most mode + 1, so the window end N sits _WINDOW_WIDTHS of
+    those widths past it, where the terms are ~exp(-40) of the peak. The
+    log terms are one cumulative sum of the log ratios and their sum one
+    log-sum-exp. The window doubles, up to max_terms, in the rare case
+    that its last term is not past the mode and below log_tol of the sum.
     """
-    b = lam - 2.0
-    mode = max(0.0, 0.5 * (b + math.sqrt(max(0.0, b * b + 4.0 * (lam * alpha - 1.0)))))
     n_end = min(max_terms, int(mode + _WINDOW_WIDTHS * math.sqrt(mode + 1.0)) + _WINDOW_MARGIN)
-    log_lam = math.log(lam)
     while True:
-        if n_end <= len(_N_TABLE):
-            inc = np.log(alpha + _N_TABLE[:n_end]) - _TWO_LOG1P_N[:n_end]
-        else:
-            n = np.arange(float(n_end))
-            inc = np.log(alpha + n) - 2.0 * np.log1p(n)
-        inc += log_lam
         log_terms = np.empty(n_end + 1)
         log_terms[0] = 0.0
-        np.cumsum(inc, out=log_terms[1:])
+        np.cumsum(log_ratios(n_end), out=log_terms[1:])
         peak = float(log_terms.max())
         acc = peak + math.log(float(np.exp(log_terms - peak).sum()))
         last = float(log_terms[-1])
@@ -341,7 +333,23 @@ def _log_confluent_terms(alpha: float, lam: float, rel_tol: float, max_terms: in
     log_tol = math.log(rel_tol)
     if lam < _SCALAR_LAM_MAX:
         return _log_terms_recurrence(alpha, lam, log_tol, max_terms)
-    return _log_terms_window(alpha, lam, log_tol, max_terms)
+    log_lam = math.log(lam)
+
+    def log_ratios(n_end: int) -> np.ndarray:
+        # ln of lam (alpha + n) / (n + 1)^2
+        if n_end <= len(_N_TABLE):
+            inc = np.log(alpha + _N_TABLE[:n_end]) - _TWO_LOG1P_N[:n_end]
+        else:
+            n = np.arange(float(n_end))
+            inc = np.log(alpha + n) - 2.0 * np.log1p(n)
+        inc += log_lam
+        return inc
+
+    # The ratio crosses 1 at the positive root of (n + 1)^2 = lam (alpha + n),
+    # near lam + alpha - 1 for large lam (DLMF 13.2).
+    b = lam - 2.0
+    mode = max(0.0, 0.5 * (b + math.sqrt(max(0.0, b * b + 4.0 * (lam * alpha - 1.0)))))
+    return _log_terms_window(log_ratios, mode, log_tol, max_terms)
 
 
 def log_laguerre_neg(

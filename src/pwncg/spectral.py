@@ -22,6 +22,7 @@ from . import __version__
 from .fitting import (
     FIT_MODELS,
     DEFAULT_OPTIMIZER,
+    MODELS,
     FitResult,
     OptimizerConfig,
     fit_model,
@@ -47,6 +48,12 @@ WINDOWS = ("hann", "hamming", "rect")
 
 class WavFormatError(ValueError):
     """Raised for WAV content outside the supported RIFF/PCM16/float32 subset."""
+
+
+# WAVE_FORMAT_EXTENSIBLE (format tag 0xFFFE) names its format by a subformat
+# GUID whose first two bytes are the plain format code; the rest of a
+# standard GUID is this.
+_SUBFORMAT_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 
 
 @dataclass(frozen=True)
@@ -123,10 +130,13 @@ class Patch:
 
 
 def load_wav(path) -> LoadedWav:
-    """Minimal RIFF/WAVE reader for PCM 16-bit and IEEE float32 content.
+    """Minimal RIFF/WAVE reader for PCM 16-bit and IEEE float32 content,
+    plain or WAVE_FORMAT_EXTENSIBLE.
 
     Multichannel files keep the first channel only (bit-exact extraction,
-    recorded as a warning). PCM16 samples are scaled by 1/32768.
+    recorded as a warning). A 'data' chunk cut short by the end of the file
+    keeps its whole samples, also with a warning. PCM16 samples are scaled
+    by 1/32768.
     """
     path = str(path)
     with open(path, "rb") as fh:
@@ -138,6 +148,7 @@ def load_wav(path) -> LoadedWav:
 
     fmt = None
     data = None
+    warnings: list[str] = []
     pos = 12
     while pos + 8 <= len(raw):
         chunk_id = raw[pos : pos + 4]
@@ -146,32 +157,44 @@ def load_wav(path) -> LoadedWav:
         if chunk_id == b"fmt ":
             if len(body) < 16:
                 raise WavFormatError(f"{path}: truncated 'fmt ' chunk")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
+            fmt = body
         elif chunk_id == b"data":
-            data = body
+            data, data_size = body, chunk_size
         pos += 8 + chunk_size + (chunk_size & 1)
 
     if fmt is None:
         raise WavFormatError(f"{path}: no 'fmt ' chunk")
     if data is None:
         raise WavFormatError(f"{path}: no 'data' chunk")
-    audio_format, n_channels, sample_rate, _, _, bits = fmt
+    audio_format, n_channels, sample_rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt, 0)
+    if audio_format == 0xFFFE and fmt[26:40] == _SUBFORMAT_GUID_TAIL:
+        (audio_format,) = struct.unpack_from("<H", fmt, 24)
     if n_channels < 1:
         raise WavFormatError(f"{path}: 'fmt ' chunk declares zero channels")
 
     if audio_format == 1 and bits == 16:
-        frames = np.frombuffer(data, dtype="<i2")
-        scale = 1.0 / 32768.0
+        dtype, scale = "<i2", 1.0 / 32768.0
     elif audio_format == 3 and bits == 32:
-        frames = np.frombuffer(data, dtype="<f4")
-        scale = 1.0
+        dtype, scale = "<f4", 1.0
     else:
         raise WavFormatError(
             f"{path}: unsupported 'fmt ' chunk (audio format {audio_format}, "
             f"{bits} bits); only PCM16 and float32 are supported"
         )
+    width = bits // 8
+    whole = len(data) - len(data) % width
+    if len(data) < data_size:
+        warnings.append(
+            f"'data' chunk declares {data_size} bytes but the file ends after "
+            f"{len(data)}; kept {whole // width} whole samples"
+        )
+    elif whole < len(data):
+        raise WavFormatError(
+            f"{path}: 'data' chunk of {len(data)} bytes is not a whole number "
+            f"of {width}-byte samples"
+        )
+    frames = np.frombuffer(data, dtype=dtype, count=whole // width)
 
-    warnings: list[str] = []
     usable = (len(frames) // n_channels) * n_channels
     if usable == 0:
         raise WavFormatError(f"{path}: 'data' chunk holds no complete frames")
@@ -263,8 +286,10 @@ class ExperimentReport:
         return json.dumps(body, indent=indent, sort_keys=True)
 
     def csv_rows(self):
-        """Flat per-patch rows: one line per (patch, model)."""
-        header = [
+        """Flat per-patch rows: one line per (patch, model), with one column
+        per parameter name of the model table, in order of first use."""
+        param_names = list(dict.fromkeys(k for m in MODELS.values() for k in m.params))
+        yield [
             "file",
             "f0",
             "t0",
@@ -274,15 +299,10 @@ class ExperimentReport:
             "avg_ll",
             "converged",
             "degenerate",
-            "rate",
-            "alpha",
-            "beta",
-            "lambda",
+            *param_names,
         ]
-        yield header
         for rec in self.patches:
             for model, fit in rec["fits"].items():
-                params = fit["params"]
                 yield [
                     rec["file"],
                     rec["f0"],
@@ -293,10 +313,7 @@ class ExperimentReport:
                     fit["avg_ll"],
                     fit["converged"],
                     fit["degenerate"],
-                    params.get("rate", ""),
-                    params.get("alpha", ""),
-                    params.get("beta", ""),
-                    params.get("lambda", ""),
+                    *(fit["params"].get(k, "") for k in param_names),
                 ]
 
 
@@ -410,16 +427,9 @@ def run_experiment(
             any_degenerate = False
             for m in models:
                 if fit_scope == "file":
-                    base = file_fits[m]
-                    ll = _loglik_at(m, base.params, values)
-                    fit = FitResult(
-                        model=m,
-                        params=dict(base.params),
-                        log_likelihood=ll,
-                        avg_log_likelihood=ll / values.size,
-                        converged=base.converged,
-                        iterations=base.iterations,
-                        degenerate=base.degenerate,
+                    ll = MODELS[m].log_likelihood(values, file_fits[m].params)
+                    fit = replace(
+                        file_fits[m], log_likelihood=ll, avg_log_likelihood=ll / values.size
                     )
                 else:
                     fit = fit_model(m, values, optimizer, rng)
@@ -498,39 +508,6 @@ def run_experiment(
         tests=tests,
         provenance=provenance,
     )
-
-
-def _loglik_at(model: str, params: dict, values: np.ndarray) -> float:
-    from .distributions import (
-        PowerParams,
-        log_pdf_exponential,
-        log_pdf_gamma,
-        log_pdf_noncentral_gamma,
-        log_pdf_power,
-    )
-
-    if model == "exponential":
-        return float(np.sum(log_pdf_exponential(values, params["rate"])))
-    if model == "gamma":
-        return float(np.sum(log_pdf_gamma(values, params["alpha"], params["beta"])))
-    if model == "noncentral_gamma":
-        return float(
-            np.sum(
-                log_pdf_noncentral_gamma(
-                    values, params["alpha"], params["beta"], params["lambda"]
-                )
-            )
-        )
-    if model == "proposed":
-        return float(
-            np.sum(
-                log_pdf_power(
-                    values,
-                    PowerParams(params["alpha"], params["beta"], params["lambda"]),
-                )
-            )
-        )
-    raise ValueError(f"unknown model {model!r}")
 
 
 def sweep_windows(paths, stft: StftConfig = StftConfig(), windows=WINDOWS, **kwargs):

@@ -5,6 +5,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from helpers import write_wav_pcm16
 from pwncg.cli import main
@@ -115,7 +116,35 @@ class TestFitSpectraCommand:
         assert body["config"]["models"] == ["exponential", "gamma"]
         assert body["files"][0]["n_patches"] == len(body["patches"])
         assert len(list(csv.reader(table.open()))) == 1 + 2 * len(body["patches"])
-        assert "avg LL" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        for m, line in zip(body["config"]["models"], lines):
+            failed = sum(not p["fits"][m]["converged"] for p in body["patches"])
+            assert line.split(":")[0].strip() == m and "avg LL" in line
+            assert line.endswith(f"not converged {failed}/{len(body['patches'])}")
+
+    def test_model_aliases_resolve_and_deduplicate(self, tmp_path):
+        wav = tmp_path / "n.wav"
+        write_wav_pcm16(wav, 0.4 * np.random.default_rng(11).standard_normal(1500), 16000)
+        report = tmp_path / "rep.json"
+        rc = main(
+            [
+                "fit-spectra", "--input", str(wav), "--models", "exp,ncgamma,exponential",
+                "--patch-freq", "43", "--out", str(report),
+            ]
+        )
+        assert rc == 0
+        body = json.loads(report.read_text())
+        assert body["config"]["models"] == ["exponential", "noncentral_gamma"]
+
+    def test_unknown_model_lists_aliases(self, tmp_path):
+        wav = tmp_path / "n.wav"
+        write_wav_pcm16(wav, np.zeros(1500), 16000)
+        with pytest.raises(SystemExit) as exc:
+            main(["fit-spectra", "--input", str(wav), "--models", "exp,weibull"])
+        msg = str(exc.value)
+        assert "unknown model 'weibull'" in msg
+        for alias in ("exp", "exponential", "gamma", "ncgamma", "noncentral_gamma", "proposed"):
+            assert repr(alias) in msg
 
     def test_directory_input(self, tmp_path):
         rng = np.random.default_rng(9)

@@ -16,7 +16,6 @@ from pwncg.distributions import (
     PowerParams,
     complex_density_rows,
     log_pdf_amplitude,
-    log_pdf_baseline,
     log_pdf_complex,
     log_pdf_exponential,
     log_pdf_gamma,
@@ -366,11 +365,6 @@ class TestBaselines:
         for r in (0.4, 1.2, 3.0):
             mix = float(np.sum(probs * chi.pdf(r, 2 * np.arange(len(probs)) + k)))
             assert math.isclose(mix, math.exp(log_pdf_amplitude(r, amp)), rel_tol=1e-9)
-
-    def test_dispatcher(self):
-        assert log_pdf_baseline(1.0, "gamma", alpha=1.0, beta=1.0) == pytest.approx(-1.0)
-        with pytest.raises(ValueError):
-            log_pdf_baseline(1.0, "cauchy")
 
 
 class TestGridExport:

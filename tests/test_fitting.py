@@ -10,6 +10,8 @@ from scipy import stats
 from pwncg import fitting
 from pwncg.distributions import PowerParams, log_pdf_gamma
 from pwncg.fitting import (
+    FIT_MODELS,
+    MODELS,
     OptimizerConfig,
     fit_exponential,
     fit_gamma,
@@ -234,6 +236,14 @@ class TestFitModelDispatch:
             assert fit_model(name, data).model == name
         with pytest.raises(ValueError):
             fit_model("weibull", data)
+
+    def test_table_likelihood_and_params_match_fit(self):
+        data = rng_stream(14).gamma(1.5, 1.0, 60)
+        assert FIT_MODELS == ("exponential", "gamma", "noncentral_gamma", "proposed")
+        for name, model in MODELS.items():
+            fit = fit_model(name, data)
+            assert model.log_likelihood(data, fit.params) == fit.log_likelihood
+            assert tuple(fit.params) == model.params
 
     def test_avg_is_total_over_n(self):
         data = rng_stream(12).gamma(1.0, 1.0, 64)

@@ -27,7 +27,6 @@ from pwncg.sampling import (
     sample_complex,
     sample_gamma,
     sample_poisson_type_mh,
-    sample_poisson_type_mh_chain,
     sample_poisson_type_truncated,
     sample_power,
     sample_von_mises,
@@ -143,15 +142,6 @@ class TestMhSampler:
             )
         )
         assert tv < 0.015
-
-    def test_chain_reuse_mode(self):
-        p = PoissonTypeParams(lam=3.0, alpha=2.0)
-        draws = sample_poisson_type_mh_chain(p, MhConfig(), rng_stream(9), size=50_000)
-        probs = poisson_type_pmf_table(p)
-        k = min(len(probs), 40)
-        emp = np.bincount(draws, minlength=k)[:k] / draws.size
-        tv = 0.5 * np.sum(np.abs(emp - probs[:k]))
-        assert tv < 0.02
 
     def test_degenerate_at_zero(self):
         p = PoissonTypeParams(lam=0.0, alpha=2.0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ive
 
 from pwncg.special import (
     _IV_SERIES_CUTOFF,
@@ -15,8 +16,8 @@ from pwncg.special import (
     I0_SERIES_CUTOFF,
     SeriesControl,
     SeriesConvergenceError,
+    _log_confluent_terms,
     _log_terms_recurrence,
-    _log_terms_window,
     log_bessel_i0,
     log_bessel_i_nu,
     log_gamma,
@@ -46,6 +47,13 @@ def _ref_log_laguerre_neg(alpha: float, lam: float) -> float:
 
 # alpha log-uniform over the fit box [1e-3, 1e3]
 alphas = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e)
+
+# (nu, x) above _IV_SERIES_CUTOFF where scipy's ive underflows to 0: its
+# boundary runs from x = 59 at nu = 400 to x = 623 at nu = 1000, and x is
+# drawn below 30 + (nu - 400)^2 / 700, which stays under it.
+ive_underflow = st.tuples(
+    st.floats(min_value=400.0, max_value=1000.0), st.floats(min_value=0.0, max_value=1.0)
+).map(lambda t: (t[0], _IV_SERIES_CUTOFF + t[1] * (t[0] - 400.0) ** 2 / 700.0))
 
 
 class TestLogGamma:
@@ -180,6 +188,27 @@ class TestLogBesselINu:
         got = log_bessel_i_nu(nu, x)
         assert abs(got - ref) <= 5e-12 * max(1.0, abs(ref)), (nu, x)
 
+    @oracle
+    @given(
+        st.floats(min_value=-1.0, max_value=1000.0, exclude_min=True),
+        st.floats(min_value=_IV_SERIES_CUTOFF, max_value=1e4),
+    )
+    def test_property_above_cutoff_against_mpmath(self, nu, x):
+        ref = _ref_log_iv(nu, x)
+        got = log_bessel_i_nu(nu, x)
+        assert abs(got - ref) <= 5e-12 * max(1.0, abs(ref)), (nu, x)
+
+    @oracle
+    @given(ive_underflow)
+    def test_property_ive_underflow_against_mpmath(self, case):
+        # the log-domain series fallback, which sums the terms with the
+        # confluent normalizer's window kernel
+        nu, x = case
+        assert ive(nu, x) == 0.0
+        ref = _ref_log_iv(nu, x)
+        got = log_bessel_i_nu(nu, x)
+        assert abs(got - ref) <= 5e-12 * max(1.0, abs(ref)), (nu, x)
+
     def test_series_path_matches_elementwise(self):
         # the all-series fast path and the masked path give the same values
         xs = np.array([1e-300, 0.3, 7.0, 29.0])
@@ -250,13 +279,14 @@ class TestLogLaguerreNeg:
                 log_laguerre_neg(30.0, lam, SeriesControl(max_terms=20))
 
     def test_window_terms_match_recurrence(self):
-        # the numpy pass reorders the additions of the Python recurrence,
-        # which stays the reference for every term both compute; a running
-        # sum of n terms may drift by n rounding steps of its largest value
+        # the numpy pass (every lam here is >= _SCALAR_LAM_MAX) reorders the
+        # additions of the Python recurrence, which stays the reference for
+        # every term both compute; a running sum of n terms may drift by n
+        # rounding steps of its largest value
         log_tol = math.log(1e-14)
         for alpha, lam in [(1e-3, 5.0), (0.5, 40.0), (3.0, 700.0), (1e3, 2000.0)]:
             ref, _ = _log_terms_recurrence(alpha, lam, log_tol, 10_000)
-            got, _ = _log_terms_window(alpha, lam, log_tol, 10_000)
+            got, _ = _log_confluent_terms(alpha, lam, 1e-14, 10_000)
             assert len(got) >= len(ref)
             drift = len(ref) * np.finfo(float).eps * max(1.0, max(abs(v) for v in ref))
             np.testing.assert_allclose(got[: len(ref)], ref, rtol=0.0, atol=drift)

@@ -3,6 +3,7 @@ end-to-end experiment report."""
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -21,6 +22,15 @@ from pwncg.spectral import (
 )
 
 SR = 16000
+
+
+def riff(*chunks):
+    """A RIFF/WAVE file from (chunk id, declared size, body) triples."""
+    body = b"".join(cid + struct.pack("<I", size) + data for cid, size, data in chunks)
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+PCM16_FMT = (b"fmt ", 16, struct.pack("<HHIIHH", 1, 1, SR, SR * 2, 2, 16))
 
 
 class TestLoadWav:
@@ -78,6 +88,33 @@ class TestLoadWav:
         path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
         with pytest.raises(WavFormatError, match="fmt.*24 bits"):
             load_wav(path)
+
+    def test_odd_pcm16_data_chunk_names_chunk(self, tmp_path):
+        path = tmp_path / "odd.wav"
+        path.write_bytes(riff(PCM16_FMT, (b"data", 201, b"\x01" * 201 + b"\x00")))
+        with pytest.raises(WavFormatError, match="'data' chunk of 201 bytes"):
+            load_wav(path)
+
+    def test_data_chunk_past_eof_keeps_samples_with_warning(self, tmp_path):
+        samples = np.arange(1, 101, dtype="<i2")
+        path = tmp_path / "cut.wav"
+        path.write_bytes(riff(PCM16_FMT, (b"data", 4000, samples.tobytes() + b"\x07")))
+        wav = load_wav(path)
+        np.testing.assert_array_equal(wav.samples, samples / 32768.0)
+        assert len(wav.warnings) == 1 and "declares 4000 bytes" in wav.warnings[0]
+
+    def test_wave_format_extensible(self, tmp_path):
+        guid_tail = bytes.fromhex("000000001000800000aa00389b71")
+        for code, bits, dtype, scale in ((1, 16, "<i2", 32768.0), (3, 32, "<f4", 1.0)):
+            samples = np.array([1, -2, 3, 4096], dtype=dtype)
+            block = bits // 8
+            fmt = struct.pack("<HHIIHHHHI", 0xFFFE, 1, SR, SR * block, block, bits, 22, bits, 4)
+            fmt += struct.pack("<H", code) + guid_tail
+            path = tmp_path / f"ext{bits}.wav"
+            path.write_bytes(riff((b"fmt ", 40, fmt), (b"data", 4 * block, samples.tobytes())))
+            wav = load_wav(path)
+            assert wav.sample_rate_hz == SR and wav.warnings == ()
+            np.testing.assert_array_equal(wav.samples, samples / scale)
 
     def test_missing_data_chunk(self, tmp_path):
         import struct
