@@ -137,9 +137,6 @@ class PowerParams:
             nu=math.sqrt(self.lam * sigma2), sigma2=sigma2, alpha=self.alpha
         )
 
-    def poisson_type_params(self) -> "PoissonTypeParams":
-        return PoissonTypeParams(lam=self.lam, alpha=self.alpha)
-
 
 @dataclass(frozen=True)
 class PoissonTypeParams:

@@ -121,10 +121,14 @@ def _softplus_inv(lam: float) -> float:
     return math.log(math.expm1(lam))
 
 
-def _central_diff_grad(f, z: np.ndarray, rel_h: float = 1e-5) -> np.ndarray:
+# Central-difference step relative to max(1, |z_i|).
+_REL_H = 1e-5
+
+
+def _central_diff_grad(f, z: np.ndarray) -> np.ndarray:
     g = np.empty_like(z)
     for i in range(z.size):
-        h = rel_h * max(1.0, abs(z[i]))
+        h = _REL_H * max(1.0, abs(z[i]))
         zp = z.copy()
         zm = z.copy()
         zp[i] += h
@@ -152,24 +156,26 @@ def _minimize(obj, z0: np.ndarray, bounds, cfg: OptimizerConfig):
         bounds=bounds,
         options={"maxiter": cfg.max_iters, "ftol": 1e-13, "gtol": cfg.grad_tol},
     )
-    grad = _central_diff_grad(obj, res.x)
-    converged = bool(res.success) and _projected_grad_norm(grad, res.x, bounds) <= cfg.grad_tol
+    # res.jac is _central_diff_grad at res.x, from the optimizer's last evaluation.
+    converged = bool(res.success) and _projected_grad_norm(res.jac, res.x, bounds) <= cfg.grad_tol
     return res.x, float(res.fun), converged, int(res.nit)
+
+
+def _fit_result(model: str, x: np.ndarray, m: float, params, converged, iterations):
+    """The FitResult of a model at fitted params on batch x of mean m. A fit
+    with a shape is degenerate when the shape ran into its bound or the
+    normalized batch x / m has zero variance."""
+    ll = MODELS[model].log_likelihood(x, params)
+    alpha = params.get("alpha")
+    degenerate = alpha is not None and (alpha >= _ALPHA_DEGENERATE or float(np.var(x / m)) == 0.0)
+    return FitResult(model, params, ll, ll / x.size, converged, iterations, degenerate)
 
 
 def fit_exponential(data) -> FitResult:
     """Closed-form exponential fit: rate = 1 / sample mean."""
     x = _validate_batch(data)
-    params = {"rate": 1.0 / float(np.mean(x))}
-    ll = MODELS["exponential"].log_likelihood(x, params)
-    return FitResult(
-        model="exponential",
-        params=params,
-        log_likelihood=ll,
-        avg_log_likelihood=ll / x.size,
-        converged=True,
-        iterations=0,
-    )
+    m = float(np.mean(x))
+    return _fit_result("exponential", x, m, {"rate": 1.0 / m}, True, 0)
 
 
 def _gamma_profile_objective(mlog_y: float):
@@ -211,18 +217,7 @@ def fit_gamma(data, cfg: OptimizerConfig = DEFAULT_OPTIMIZER) -> FitResult:
         z, fval, converged = np.zeros(1), obj(np.zeros(1)), True
 
     alpha = math.exp(float(z[0]))
-    params = {"alpha": alpha, "beta": alpha / m}
-    ll = MODELS["gamma"].log_likelihood(x, params)
-    degenerate = alpha >= _ALPHA_DEGENERATE or float(np.var(y)) == 0.0
-    return FitResult(
-        model="gamma",
-        params=params,
-        log_likelihood=ll,
-        avg_log_likelihood=ll / x.size,
-        converged=converged,
-        iterations=nit,
-        degenerate=degenerate,
-    )
+    return _fit_result("gamma", x, m, {"alpha": alpha, "beta": alpha / m}, converged, nit)
 
 
 def _moment_matched_start(y: np.ndarray):
@@ -275,48 +270,50 @@ def _pick_start(runs):
     return next((run for run in runs if run[2] and run[1] <= best[1] + tol), best)
 
 
+def _noncentral_gamma_mean_ll(a, b, lam, mlog, m1, sqrt_y) -> float:
+    """Mean noncentral-gamma LL of a batch y, from mean(ln y), mean(y) and sqrt(y)."""
+    return (
+        -lam
+        + 0.5 * (a + 1.0) * math.log(b)
+        - 0.5 * (a - 1.0) * math.log(lam)
+        + 0.5 * (a - 1.0) * mlog
+        - b * m1
+        + float(np.mean(log_bessel_i_nu(a - 1.0, 2.0 * math.sqrt(b * lam) * sqrt_y)))
+    )
+
+
+def _proposed_mean_ll(a, b, lam, mlog, m1, sqrt_y) -> float:
+    """Mean log-likelihood of the proposed law, as _noncentral_gamma_mean_ll."""
+    return (
+        a * math.log(b)
+        - float(gammaln(a))
+        - log_laguerre_neg(a, lam)
+        + (a - 1.0) * mlog
+        - b * m1
+        + float(np.mean(_log_i0_unchecked(2.0 * math.sqrt(b * lam) * sqrt_y)))
+    )
+
+
 def _fit_shifted_family(
-    data, cfg: OptimizerConfig, model: str, rng: np.random.Generator | None
+    model: str, data, cfg: OptimizerConfig, rng, mean_ll, extra_start=None
 ) -> FitResult:
+    """Multi-start fit of an (alpha, beta, lam) family by its mean_ll. Starts:
+    the gamma fit with lam at its floor and near 0, extra_start(y) unless it
+    or its value is None, then jitters of the second start drawn from rng."""
     x = _validate_batch(data)
     m = float(np.mean(x))
     y = x / m
 
     # Sufficient statistics of the objective; only the Bessel term needs
     # the full sample vector per evaluation.
-    mlog = float(np.mean(np.log(y)))
-    m1 = float(np.mean(y))
-    sqrt_y = np.sqrt(y)
-
-    if model == "proposed":
-        def mean_ll(a, b, lam):
-            return (
-                a * math.log(b)
-                - float(gammaln(a))
-                - log_laguerre_neg(a, lam)
-                + (a - 1.0) * mlog
-                - b * m1
-                + float(np.mean(_log_i0_unchecked(2.0 * math.sqrt(b * lam) * sqrt_y)))
-            )
-    else:
-        def mean_ll(a, b, lam):
-            return (
-                -lam
-                + 0.5 * (a + 1.0) * math.log(b)
-                - 0.5 * (a - 1.0) * math.log(lam)
-                + 0.5 * (a - 1.0) * mlog
-                - b * m1
-                + float(
-                    np.mean(log_bessel_i_nu(a - 1.0, 2.0 * math.sqrt(b * lam) * sqrt_y))
-                )
-            )
+    stats = (float(np.mean(np.log(y))), float(np.mean(y)), np.sqrt(y))
 
     def obj(z: np.ndarray) -> float:
         a = math.exp(float(z[0]))
         b = math.exp(float(z[1]))
         lam = _softplus(float(z[2]))
         try:
-            val = -mean_ll(a, b, lam)
+            val = -mean_ll(a, b, lam, *stats)
         except (ArithmeticError, FloatingPointError, OverflowError):
             return 1e300
         return val if math.isfinite(val) else 1e300
@@ -328,10 +325,10 @@ def _fit_shifted_family(
         np.array([ln_ag, ln_ag, _S_BOUNDS[0]]),
         np.array([ln_ag, ln_ag, _softplus_inv(0.01)]),
     ]
-    if model == "proposed":
-        mm = _moment_matched_start(y)
-        if mm is not None:
-            starts.append(mm)
+    if extra_start is not None:
+        z0 = extra_start(y)
+        if z0 is not None:
+            starts.append(z0)
     starts = starts[: max(1, cfg.restarts)]
     while len(starts) < cfg.restarts and rng is not None:
         jitter = rng.normal(scale=0.5, size=3)
@@ -343,24 +340,12 @@ def _fit_shifted_family(
         z0 = np.clip(z0, [b[0] for b in bounds], [b[1] for b in bounds])
         runs.append(_minimize(obj, z0, bounds, cfg))
     z, _, converged, _ = _pick_start(runs)
-    total_nit = sum(run[3] for run in runs)
     alpha = math.exp(float(z[0]))
-    beta_y = math.exp(float(z[1]))
     lam = _softplus(float(z[2]))
     if lam < 1e-12:
         lam = 0.0
-    params = {"alpha": alpha, "beta": beta_y / m, "lambda": lam}
-    ll = MODELS[model].log_likelihood(x, params)
-    degenerate = alpha >= _ALPHA_DEGENERATE or float(np.var(y)) == 0.0
-    return FitResult(
-        model=model,
-        params=params,
-        log_likelihood=ll,
-        avg_log_likelihood=ll / x.size,
-        converged=converged,
-        iterations=total_nit,
-        degenerate=degenerate,
-    )
+    params = {"alpha": alpha, "beta": math.exp(float(z[1])) / m, "lambda": lam}
+    return _fit_result(model, x, m, params, converged, sum(run[3] for run in runs))
 
 
 def fit_noncentral_gamma(
@@ -370,7 +355,7 @@ def fit_noncentral_gamma(
 ) -> FitResult:
     """Noncentral-gamma fit over (ln alpha, ln beta, softplus lam),
     initialized from the gamma fit with a small starting noncentrality."""
-    return _fit_shifted_family(data, cfg, "noncentral_gamma", rng)
+    return _fit_shifted_family("noncentral_gamma", data, cfg, rng, _noncentral_gamma_mean_ll)
 
 
 def fit_proposed(
@@ -380,7 +365,9 @@ def fit_proposed(
 ) -> FitResult:
     """Fit of the proposed power distribution with multiple starts: the
     gamma fit with lam near zero, and a moment-matched point."""
-    return _fit_shifted_family(data, cfg, "proposed", rng)
+    return _fit_shifted_family(
+        "proposed", data, cfg, rng, _proposed_mean_ll, _moment_matched_start
+    )
 
 
 def fit_model(

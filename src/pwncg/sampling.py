@@ -55,19 +55,16 @@ def rng_stream(seed: int) -> RngStream:
 @dataclass(frozen=True)
 class MhConfig:
     """Metropolis-Hastings schedule: a draw is the chain state after
-    burn_in + chain_len * thin steps."""
+    burn_in + thin steps."""
 
     burn_in: int = 50
     thin: int = 5
-    chain_len: int = 1
 
     def __post_init__(self) -> None:
         if self.burn_in < 0:
             raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
         if self.thin < 1:
             raise ValueError(f"thin must be >= 1, got {self.thin}")
-        if self.chain_len < 1:
-            raise ValueError(f"chain_len must be >= 1, got {self.chain_len}")
 
 
 @dataclass(frozen=True)
@@ -164,7 +161,7 @@ def sample_poisson_type_mh(
         lg_fact = _LogGammaTable(1.0)
         lg_shift = _LogGammaTable(p.alpha)
         state = rng.poisson(p.lam, m)
-        steps = cfg.burn_in + cfg.chain_len * cfg.thin
+        steps = cfg.burn_in + cfg.thin
         accepted = 0
         for _ in range(steps):
             prop = rng.poisson(p.lam, m)
@@ -235,74 +232,29 @@ def sample_gamma(shape, rate, rng: RngStream, size=None):
 
 
 def sample_von_mises(mean_dir, kappa, rng: RngStream, size=None):
-    """Von Mises draws in [-pi, pi) by wrapped accept-reject.
-
-    kappa = 0 returns uniform angles. kappa may be an array broadcast
-    against the output shape (the composite sampler feeds per-draw
-    concentrations).
-    """
-    out_shape = () if size is None else tuple(np.atleast_1d(size))
-    kap = np.broadcast_to(np.asarray(kappa, dtype=float), out_shape or np.shape(kappa)).copy()
-    scalar = kap.ndim == 0 and size is None
-    kap = np.atleast_1d(kap)
+    """Von Mises draws in [-pi, pi] from numpy's generator (Best-Fisher
+    accept-reject). kappa = 0 returns uniform angles. kappa may be an array
+    broadcast against the output shape (the composite sampler feeds
+    per-draw concentrations)."""
+    kap = np.asarray(kappa, dtype=float)
     if np.any(~np.isfinite(kap)) or np.any(kap < 0.0):
         raise ValueError("kappa must be nonnegative and finite")
-    mu = np.broadcast_to(np.asarray(mean_dir, dtype=float), kap.shape)
-
-    out = np.empty_like(kap)
-    uniform = kap < 1e-12
-    if uniform.any():
-        out[uniform] = rng.uniform(-np.pi, np.pi, int(uniform.sum()))
-
-    todo = ~uniform
-    if todo.any():
-        kk = kap[todo]
-        tau = 1.0 + np.sqrt(1.0 + 4.0 * kk * kk)
-        rho = (tau - np.sqrt(2.0 * tau)) / (2.0 * kk)
-        rr = (1.0 + rho * rho) / (2.0 * rho)
-
-        rr_full = np.empty_like(kap)
-        rr_full[todo] = rr
-        pending = todo.copy()
-        while pending.any():
-            idx = np.flatnonzero(pending)
-            u1 = rng.random(idx.size)
-            u2 = rng.random(idx.size)
-            u3 = rng.random(idx.size)
-            z = np.cos(np.pi * u1)
-            f = (1.0 + rr_full[idx] * z) / (rr_full[idx] + z)
-            c = kap[idx] * (rr_full[idx] - f)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ok = (c * (2.0 - c) - u2 > 0.0) | (np.log(c / u2) + 1.0 - c >= 0.0)
-            sel = idx[ok]
-            out[sel] = np.sign(u3[ok] - 0.5) * np.arccos(np.clip(f[ok], -1.0, 1.0))
-            pending[sel] = False
-
-    out = out + mu
-    out = np.mod(out + np.pi, 2.0 * np.pi) - np.pi
-    if scalar:
-        return float(out[0])
-    return out.reshape(out_shape) if size is not None else out
+    out = rng.vonmises(mean_dir, kap, size=size)
+    return float(out) if np.ndim(out) == 0 else out
 
 
-def _draw_mixing_integers(p: PowerParams, rng, size, method, mh_config):
+def _draw_mixing_integers(p: PowerParams, rng, size, method):
     pt = PoissonTypeParams(lam=p.lam, alpha=p.alpha)
     if method == "mh" and p.alpha > MH_ALPHA_CUTOFF:
         method = "trunc"
     if method == "trunc":
         return sample_poisson_type_truncated(pt, rng, size=size)
     if method == "mh":
-        return sample_poisson_type_mh(pt, mh_config or MhConfig(), rng, size=size)
+        return sample_poisson_type_mh(pt, MhConfig(), rng, size=size)
     raise ValueError(f"unknown method {method!r}; expected 'trunc' or 'mh'")
 
 
-def sample_power(
-    p: PowerParams,
-    rng: RngStream,
-    size=None,
-    method: str = "trunc",
-    mh_config: MhConfig | None = None,
-):
+def sample_power(p: PowerParams, rng: RngStream, size=None, method: str = "trunc"):
     """Draw from the power distribution: mixing integer n, then a
     Gamma(n + alpha, beta) variate.
 
@@ -312,21 +264,15 @@ def sample_power(
     """
     if p.lam == 0.0:
         return sample_gamma(p.alpha, p.beta, rng, size=size)
-    ns = _draw_mixing_integers(p, rng, size, method, mh_config)
+    ns = _draw_mixing_integers(p, rng, size, method)
     return sample_gamma(np.asarray(ns, dtype=float) + p.alpha, p.beta, rng, size=size)
 
 
-def sample_complex(
-    p: ComplexParams,
-    rng: RngStream,
-    size=None,
-    method: str = "trunc",
-    mh_config: MhConfig | None = None,
-):
+def sample_complex(p: ComplexParams, rng: RngStream, size=None, method: str = "trunc"):
     """Draw complex variates: amplitude from the power law, then the phase
     from the conditional von Mises law at that amplitude."""
     pw = p.power_params()
-    x = sample_power(pw, rng, size=size, method=method, mh_config=mh_config)
+    x = sample_power(pw, rng, size=size, method=method)
     r = np.sqrt(x)
     kappa = 2.0 * abs(p.mu) * r / p.sigma2
     theta = sample_von_mises(p.mean_phase, kappa, rng, size=size)

@@ -182,7 +182,11 @@ def _log_iv_series_linear(nu: float, x: np.ndarray) -> np.ndarray:
     return nu * np.log(0.5 * x) - gammaln(nu + 1.0) + np.log1p(terms)
 
 
-def _log_iv_series_logdomain(nu: float, x: float, max_terms: int = 200_000) -> float:
+# Term budget of the log-domain I_nu series.
+_IV_LOGDOMAIN_MAX_TERMS = 200_000
+
+
+def _log_iv_series_logdomain(nu: float, x: float) -> float:
     """Fallback ascending series accumulated fully in log domain.
 
     Used where ive under/overflows, which only happens when nu is large
@@ -197,10 +201,11 @@ def _log_iv_series_logdomain(nu: float, x: float, max_terms: int = 200_000) -> f
         return 2.0 * log_half_x - np.log(m) - np.log(m + nu)
 
     mode = max(0.0, 0.5 * (math.sqrt(nu * nu + x * x) - nu) - 1.0)
-    summed = _log_terms_window(log_ratios, mode, -40.0, max_terms)
+    summed = _log_terms_window(log_ratios, mode, -40.0, _IV_LOGDOMAIN_MAX_TERMS)
     if summed is None:
         raise SeriesConvergenceError(
-            f"I_nu series did not converge for nu={nu}, x={x} within {max_terms} terms"
+            f"I_nu series did not converge for nu={nu}, x={x} "
+            f"within {_IV_LOGDOMAIN_MAX_TERMS} terms"
         )
     return nu * log_half_x - float(gammaln(nu + 1.0)) + summed[1]
 

@@ -19,15 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .fitting import (
-    FIT_MODELS,
-    DEFAULT_OPTIMIZER,
-    MODELS,
-    FitResult,
-    OptimizerConfig,
-    fit_model,
-    paired_t_test_one_sided,
-)
+from .fitting import FIT_MODELS, MODELS, FitResult, fit_model, paired_t_test_one_sided
 
 __all__ = [
     "WavFormatError",
@@ -135,8 +127,8 @@ def load_wav(path) -> LoadedWav:
 
     Multichannel files keep the first channel only (bit-exact extraction,
     recorded as a warning). A 'data' chunk cut short by the end of the file
-    keeps its whole samples, also with a warning. PCM16 samples are scaled
-    by 1/32768.
+    keeps its whole frames, also with a warning; a complete one must hold a
+    whole number of frames. PCM16 samples are scaled by 1/32768.
     """
     path = str(path)
     with open(path, "rb") as fh:
@@ -182,23 +174,21 @@ def load_wav(path) -> LoadedWav:
             f"{bits} bits); only PCM16 and float32 are supported"
         )
     width = bits // 8
-    whole = len(data) - len(data) % width
+    frame_bytes = width * n_channels
+    whole = len(data) - len(data) % frame_bytes
     if len(data) < data_size:
         warnings.append(
             f"'data' chunk declares {data_size} bytes but the file ends after "
-            f"{len(data)}; kept {whole // width} whole samples"
+            f"{len(data)}; kept {whole // frame_bytes} whole frames"
         )
     elif whole < len(data):
+        unit = f"{width}-byte samples" if len(data) % width else f"{n_channels}-channel frames"
         raise WavFormatError(
-            f"{path}: 'data' chunk of {len(data)} bytes is not a whole number "
-            f"of {width}-byte samples"
+            f"{path}: 'data' chunk of {len(data)} bytes is not a whole number of {unit}"
         )
-    frames = np.frombuffer(data, dtype=dtype, count=whole // width)
-
-    usable = (len(frames) // n_channels) * n_channels
-    if usable == 0:
+    if whole == 0:
         raise WavFormatError(f"{path}: 'data' chunk holds no complete frames")
-    frames = frames[:usable].reshape(-1, n_channels)
+    frames = np.frombuffer(data, dtype=dtype, count=whole // width).reshape(-1, n_channels)
     if n_channels > 1:
         warnings.append(f"{n_channels} channels in input; kept channel 0")
     samples = frames[:, 0].astype(np.float64) * scale
@@ -354,7 +344,6 @@ def run_experiment(
     seed: int = 0,
     patch_freq: int = 3,
     patch_time: int = 20,
-    optimizer: OptimizerConfig = DEFAULT_OPTIMIZER,
     fit_scope: str = "patch",
 ) -> ExperimentReport:
     """Fit the requested models over every patch of every readable file.
@@ -363,9 +352,9 @@ def run_experiment(
     before fitting (log densities are undefined at zero power). The
     average metric per model is the mean over patches of the patch-total
     log-likelihood; paired one-sided t-tests compare the proposed model
-    against each baseline on the per-patch vectors. Optimizer restarts
-    draw from a stream seeded by (seed, patch index) so results do not
-    depend on processing order.
+    against each baseline on the per-patch vectors. The models of a patch
+    draw their optimizer restarts, in model order, from one stream seeded
+    by (seed, patch index), so results do not depend on processing order.
 
     fit_scope='patch' fits one parameter set per patch; 'file' fits one
     parameter set per file on the pooled values and evaluates per-patch
@@ -386,11 +375,7 @@ def run_experiment(
     file_infos = []
     failures = []
     patch_records = []
-    per_model_lls: dict[str, list[float]] = {m: [] for m in models}
-    per_model_params: dict[str, dict[str, list[float]]] = {m: {} for m in models}
-    degenerate_patches = 0
-    floored_total = 0
-    patch_index = 0
+    patch_fits: list[dict[str, FitResult]] = []  # parallel to patch_records
 
     for path in paths:
         try:
@@ -404,41 +389,26 @@ def run_experiment(
             failures.append({"path": str(path), "error": "all-zero spectrogram"})
             continue
 
+        first = len(patch_records)
         file_fits = None
-        if fit_scope == "file":
-            pooled = np.maximum(
-                np.concatenate([p.values.ravel() for p in patches]), floor
-            )
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(patch_index,))
-            )
-            file_fits = {m: fit_model(m, pooled, optimizer, rng) for m in models}
-
-        file_floored = 0
         for patch in patches:
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=(len(patch_fits),))
+            )
             values = patch.values.ravel()
             floored = int(np.sum(values < floor))
-            file_floored += floored
             values = np.maximum(values, floor)
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(patch_index,))
-            )
-            fits = {}
-            any_degenerate = False
-            for m in models:
-                if fit_scope == "file":
-                    ll = MODELS[m].log_likelihood(values, file_fits[m].params)
-                    fit = replace(
-                        file_fits[m], log_likelihood=ll, avg_log_likelihood=ll / values.size
-                    )
-                else:
-                    fit = fit_model(m, values, optimizer, rng)
-                fits[m] = fit
-                per_model_lls[m].append(fit.log_likelihood)
-                for k, v in fit.params.items():
-                    per_model_params[m].setdefault(k, []).append(v)
-                any_degenerate = any_degenerate or fit.degenerate
-            degenerate_patches += int(any_degenerate)
+            if fit_scope == "patch":
+                fits = {m: fit_model(m, values, rng=rng) for m in models}
+            else:
+                if file_fits is None:  # fit once per file, with its first patch's stream
+                    pooled = np.maximum(np.concatenate([p.values.ravel() for p in patches]), floor)
+                    file_fits = {m: fit_model(m, pooled, rng=rng) for m in models}
+                fits = {}
+                for m, fit in file_fits.items():
+                    ll = MODELS[m].log_likelihood(values, fit.params)
+                    fits[m] = replace(fit, log_likelihood=ll, avg_log_likelihood=ll / values.size)
+            patch_fits.append(fits)
             patch_records.append(
                 {
                     "file": info["path"],
@@ -448,38 +418,31 @@ def run_experiment(
                     "fits": {m: _fit_record(f) for m, f in fits.items()},
                 }
             )
-            patch_index += 1
-
-        info["floored_values"] = file_floored
-        floored_total += file_floored
+        info["floored_values"] = sum(rec["floored"] for rec in patch_records[first:])
         file_infos.append(info)
 
     if not file_infos:
         detail = "; ".join(f"{f['path']}: {f['error']}" for f in failures)
         raise RuntimeError(f"all input files failed: {detail}")
 
+    lls = {m: np.array([fits[m].log_likelihood for fits in patch_fits]) for m in models}
     model_summaries = {}
     for m in models:
-        lls = np.asarray(per_model_lls[m])
-        summary = {
-            "avg_ll": float(np.mean(lls)),
+        params = {k: [fits[m].params[k] for fits in patch_fits] for k in sorted(MODELS[m].params)}
+        model_summaries[m] = {
+            "avg_ll": float(np.mean(lls[m])),
             "params_summary": {
-                k: {
-                    "mean": float(np.mean(v)),
-                    "median": float(np.median(v)),
-                }
-                for k, v in sorted(per_model_params[m].items())
+                k: {"mean": float(np.mean(v)), "median": float(np.median(v))}
+                for k, v in params.items()
             },
         }
-        model_summaries[m] = summary
 
     tests = {}
     if "proposed" in models:
-        prop = np.asarray(per_model_lls["proposed"])
         for m in models:
-            if m == "proposed" or len(per_model_lls[m]) < 2:
+            if m == "proposed" or len(lls[m]) < 2:
                 continue
-            tests[m] = paired_t_test_one_sided(prop, np.asarray(per_model_lls[m]))
+            tests[m] = paired_t_test_one_sided(lls["proposed"], lls[m])
 
     config = {
         "frame_ms": stft.frame_ms,
@@ -497,8 +460,10 @@ def run_experiment(
         "library_version": __version__,
         "seed": seed,
         "failed_files": failures,
-        "degenerate_patches": degenerate_patches,
-        "floored_values": floored_total,
+        "degenerate_patches": sum(
+            any(f.degenerate for f in fits.values()) for fits in patch_fits
+        ),
+        "floored_values": sum(info["floored_values"] for info in file_infos),
     }
     return ExperimentReport(
         config=config,

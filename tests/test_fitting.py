@@ -10,6 +10,7 @@ from scipy import stats
 from pwncg import fitting
 from pwncg.distributions import PowerParams, log_pdf_gamma
 from pwncg.fitting import (
+    DEFAULT_OPTIMIZER,
     FIT_MODELS,
     MODELS,
     OptimizerConfig,
@@ -196,6 +197,30 @@ class TestRestartChoice:
         r = self._fit(monkeypatch, runs)
         assert not r.converged
         assert r.params["alpha"] == math.exp(self.Z0[0])
+
+
+class TestFinalGradient:
+    def test_lbfgsb_jac_is_central_difference_at_x(self, monkeypatch):
+        # _minimize decides convergence from the optimizer's res.jac; that
+        # must be the central-difference gradient at res.x, bit for bit
+        real = fitting.minimize
+        pairs = []
+
+        def spy(fun, x0, *args, **kwargs):
+            res = real(fun, x0, *args, **kwargs)
+            pairs.append((res.jac, fitting._central_diff_grad(fun, res.x)))
+            return res
+
+        monkeypatch.setattr(fitting, "minimize", spy)
+        rng = rng_stream(15)
+        batches = [random_batch(rng) for _ in range(3)]
+        batches.append(sample_power(PowerParams(1.0, 1.0, 40.0), rng, size=60))
+        for i, batch in enumerate(batches):
+            for m in FIT_MODELS:
+                fit_model(m, batch, rng=rng_stream(i))
+        assert len(pairs) == len(batches) * (1 + 2 * (1 + DEFAULT_OPTIMIZER.restarts))
+        for jac, grad in pairs:
+            np.testing.assert_array_equal(jac, grad)
 
 
 class TestNesting:

@@ -152,8 +152,6 @@ class TestMhSampler:
             MhConfig(burn_in=-1)
         with pytest.raises(ValueError):
             MhConfig(thin=0)
-        with pytest.raises(ValueError):
-            MhConfig(chain_len=0)
 
 
 class TestGammaSampler:

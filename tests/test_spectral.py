@@ -10,6 +10,7 @@ import pytest
 
 from helpers import make_speech_like, write_wav_float32, write_wav_pcm16
 from pwncg.distributions import PowerParams, log_pdf_power
+from pwncg.fitting import fit_model
 from pwncg.spectral import (
     ExperimentReport,
     StftConfig,
@@ -115,6 +116,22 @@ class TestLoadWav:
             wav = load_wav(path)
             assert wav.sample_rate_hz == SR and wav.warnings == ()
             np.testing.assert_array_equal(wav.samples, samples / scale)
+
+    def test_data_chunk_of_partial_frame_names_chunk(self, tmp_path):
+        fmt = (b"fmt ", 16, struct.pack("<HHIIHH", 1, 2, SR, SR * 4, 4, 16))
+        path = tmp_path / "partial.wav"
+        path.write_bytes(riff(fmt, (b"data", 10, np.arange(5, dtype="<i2").tobytes())))
+        with pytest.raises(WavFormatError, match="'data' chunk of 10 bytes.*2-channel frames"):
+            load_wav(path)
+
+    def test_stereo_chunk_past_eof_keeps_whole_frames(self, tmp_path):
+        fmt = (b"fmt ", 16, struct.pack("<HHIIHH", 1, 2, SR, SR * 4, 4, 16))
+        path = tmp_path / "cut2.wav"
+        path.write_bytes(riff(fmt, (b"data", 400, np.arange(1, 6, dtype="<i2").tobytes())))
+        wav = load_wav(path)
+        np.testing.assert_array_equal(wav.samples, np.array([1, 3]) / 32768.0)
+        assert "declares 400 bytes" in wav.warnings[0] and "kept 2 whole frames" in wav.warnings[0]
+        assert "kept channel 0" in wav.warnings[1]
 
     def test_missing_data_chunk(self, tmp_path):
         import struct
@@ -327,6 +344,32 @@ class TestRunExperiment:
         rep = run_experiment([noise_wav], models=("gamma",), seed=1, fit_scope="file")
         params = {tuple(p["fits"]["gamma"]["params"].items()) for p in rep.patches}
         assert len(params) == 1
+
+    def test_patch_fits_share_one_restart_stream_per_patch(self, tmp_path):
+        # patch i counts across files; its models draw in model order from
+        # the stream seeded by (seed, i)
+        stft = StftConfig(frame_ms=2.0, hop_ms=1.0)
+        rng = np.random.default_rng(8)
+        paths = []
+        for k in range(2):
+            paths.append(str(tmp_path / f"n{k}.wav"))
+            write_wav_pcm16(paths[-1], 0.4 * rng.standard_normal(int(0.03 * SR)), SR)
+        models = ("gamma", "noncentral_gamma")
+        rep = run_experiment(paths, stft, models=models, seed=6)
+        i = 0
+        for path in paths:
+            spec = stft_power(load_wav(path).samples, StftConfig(2.0, 1.0, sample_rate_hz=SR))
+            floor = rep.config["floor_eps"] * float(np.mean(spec.values))
+            for patch in tile_patches(spec):
+                values = np.maximum(patch.values.ravel(), floor)
+                stream = np.random.default_rng(np.random.SeedSequence(entropy=6, spawn_key=(i,)))
+                for m in models:
+                    fit = fit_model(m, values, rng=stream)
+                    rec = rep.patches[i]["fits"][m]
+                    assert (rec["ll"], rec["params"]) == (fit.log_likelihood, fit.params)
+                    assert (rec["converged"], rec["degenerate"]) == (fit.converged, fit.degenerate)
+                i += 1
+        assert i == len(rep.patches) == 10
 
     def test_unknown_model_rejected(self, noise_wav):
         with pytest.raises(ValueError, match="unknown model"):
