@@ -29,7 +29,6 @@ from .distributions import (
 )
 from .fitting import (
     FitResult,
-    OptimizerConfig,
     fit_exponential,
     fit_gamma,
     fit_model,
@@ -60,7 +59,6 @@ from .sampling import (
     sample_von_mises,
 )
 from .special import (
-    SeriesControl,
     SeriesConvergenceError,
     log_bessel_i0,
     log_bessel_i_nu,

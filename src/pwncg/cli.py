@@ -24,12 +24,23 @@ from .distributions import (
     complex_density_rows,
     scalar_density_rows,
 )
-from .fitting import MODELS
+from .fitting import FIT_MODELS, MODELS
 from .moments import kurtosis_sweep
 from .sampling import rng_stream, sample_complex, sample_power
-from .spectral import StftConfig, run_experiment, sweep_windows
+from .spectral import WINDOWS, StftConfig, run_experiment, sweep_windows
 
 MODEL_ALIASES = {a: m.name for m in MODELS.values() for a in (m.name, *m.aliases)}
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a size option: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def _open_out(path):
@@ -184,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--mu-im", type=float, default=0.0, help="complex kind only")
     ps.add_argument("--beta", type=float, default=1.0, help="power kind only")
     ps.add_argument("--lam", type=float, default=0.0, help="power kind only")
-    ps.add_argument("--count", type=int, default=1)
+    ps.add_argument("--count", type=_positive_int, default=1)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--method", choices=["trunc", "mh"], default="trunc")
     ps.add_argument("--out", default="-")
@@ -205,14 +216,14 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--im-max", type=float, default=3.0)
     pg.add_argument("--x-min", type=float, default=1e-3)
     pg.add_argument("--x-max", type=float, default=10.0)
-    pg.add_argument("--n", type=int, default=201)
+    pg.add_argument("--n", type=_positive_int, default=201)
     pg.add_argument("--out", default="-")
     pg.set_defaults(func=_cmd_density_grid)
 
     pk = sub.add_parser("kurtosis-sweep", help="export the kurtosis comparison as CSV")
     pk.add_argument("--lambda-min", type=float, default=0.0)
     pk.add_argument("--lambda-max", type=float, default=10.0)
-    pk.add_argument("--steps", type=int, default=101)
+    pk.add_argument("--steps", type=_positive_int, default=101)
     pk.add_argument("--alphas", default="0.5,1,2")
     pk.add_argument("--beta", type=float, default=1.0)
     pk.add_argument("--out", default="-")
@@ -222,10 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--input", required=True, help="WAV file or directory")
     pf.add_argument("--frame-ms", type=float, default=16.0)
     pf.add_argument("--hop-ms", type=float, default=4.0)
-    pf.add_argument("--window", choices=["hann", "hamming", "rect"], default="hann")
-    pf.add_argument("--patch-freq", type=int, default=3)
-    pf.add_argument("--patch-time", type=int, default=20)
-    pf.add_argument("--models", default="exp,gamma,ncgamma,proposed")
+    pf.add_argument("--window", choices=WINDOWS, default="hann")
+    pf.add_argument("--patch-freq", type=_positive_int, default=3)
+    pf.add_argument("--patch-time", type=_positive_int, default=20)
+    pf.add_argument("--models", default=",".join(FIT_MODELS))
     pf.add_argument("--floor-eps", type=float, default=1e-10)
     pf.add_argument("--seed", type=int, default=0)
     pf.add_argument("--fit-scope", choices=["patch", "file"], default="patch")
@@ -234,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument(
         "--sweep",
         action="store_true",
-        help="run once per window (hann, hamming, rect) and write one report each",
+        help=f"run once per window ({', '.join(WINDOWS)}) and write one report each",
     )
     pf.set_defaults(func=_cmd_fit_spectra)
     return parser

@@ -35,7 +35,6 @@ from .special import _log_i0_unchecked, log_bessel_i_nu, log_laguerre_neg
 
 __all__ = [
     "FitResult",
-    "OptimizerConfig",
     "Model",
     "MODELS",
     "FIT_MODELS",
@@ -50,8 +49,8 @@ __all__ = [
 # Parameter box for the transformed search. The alpha ceiling doubles as
 # the degeneracy flag threshold (zero-variance batches push alpha there);
 # the s ceiling caps lam at softplus(5000) = 5000, below which the
-# confluent series always converges within its default term budget for
-# any in-bounds alpha.
+# confluent series always converges within its term budget for any
+# in-bounds alpha.
 _LN_ALPHA_BOUNDS = (math.log(1e-3), math.log(1e3))
 _LN_BETA_BOUNDS = (math.log(1e-8), math.log(1e8))
 _S_BOUNDS = (-40.0, 5000.0)
@@ -66,14 +65,6 @@ class OptimizerConfig:
     grad_tol: float = 1e-7
     max_iters: int = 500
     restarts: int = 3
-
-    def __post_init__(self) -> None:
-        if self.grad_tol <= 0.0:
-            raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
 
 
 DEFAULT_OPTIMIZER = OptimizerConfig()
@@ -147,17 +138,18 @@ def _projected_grad_norm(grad: np.ndarray, z: np.ndarray, bounds) -> float:
     return float(np.max(np.abs(pg)))
 
 
-def _minimize(obj, z0: np.ndarray, bounds, cfg: OptimizerConfig):
+def _minimize(obj, z0: np.ndarray, bounds):
+    tol = DEFAULT_OPTIMIZER.grad_tol
     res = minimize(
         obj,
         z0,
         jac=lambda z: _central_diff_grad(obj, z),
         method="L-BFGS-B",
         bounds=bounds,
-        options={"maxiter": cfg.max_iters, "ftol": 1e-13, "gtol": cfg.grad_tol},
+        options={"maxiter": DEFAULT_OPTIMIZER.max_iters, "ftol": 1e-13, "gtol": tol},
     )
     # res.jac is _central_diff_grad at res.x, from the optimizer's last evaluation.
-    converged = bool(res.success) and _projected_grad_norm(res.jac, res.x, bounds) <= cfg.grad_tol
+    converged = bool(res.success) and _projected_grad_norm(res.jac, res.x, bounds) <= tol
     return res.x, float(res.fun), converged, int(res.nit)
 
 
@@ -188,7 +180,7 @@ def _gamma_profile_objective(mlog_y: float):
     return obj
 
 
-def fit_gamma(data, cfg: OptimizerConfig = DEFAULT_OPTIMIZER) -> FitResult:
+def fit_gamma(data) -> FitResult:
     """Gamma fit by profile likelihood over the shape.
 
     Never raises on hard batches: non-convergence and degeneracy are
@@ -209,7 +201,7 @@ def fit_gamma(data, cfg: OptimizerConfig = DEFAULT_OPTIMIZER) -> FitResult:
     else:
         a0 = 10.0
     bounds = [_LN_ALPHA_BOUNDS]
-    z, fval, converged, nit = _minimize(obj, np.array([math.log(a0)]), bounds, cfg)
+    z, fval, converged, nit = _minimize(obj, np.array([math.log(a0)]), bounds)
 
     # The exponential point (alpha = 1) is kept as a closed-form candidate
     # so the fitted likelihood can never fall below the exponential one.
@@ -294,9 +286,7 @@ def _proposed_mean_ll(a, b, lam, mlog, m1, sqrt_y) -> float:
     )
 
 
-def _fit_shifted_family(
-    model: str, data, cfg: OptimizerConfig, rng, mean_ll, extra_start=None
-) -> FitResult:
+def _fit_shifted_family(model: str, data, rng, mean_ll, extra_start=None) -> FitResult:
     """Multi-start fit of an (alpha, beta, lam) family by its mean_ll. Starts:
     the gamma fit with lam at its floor and near 0, extra_start(y) unless it
     or its value is None, then jitters of the second start drawn from rng."""
@@ -318,7 +308,7 @@ def _fit_shifted_family(
             return 1e300
         return val if math.isfinite(val) else 1e300
 
-    g = fit_gamma(data, cfg)
+    g = fit_gamma(data)
     ln_ag = math.log(g.params["alpha"])
     # beta of the gamma fit on the normalized batch equals its alpha.
     starts = [
@@ -329,8 +319,7 @@ def _fit_shifted_family(
         z0 = extra_start(y)
         if z0 is not None:
             starts.append(z0)
-    starts = starts[: max(1, cfg.restarts)]
-    while len(starts) < cfg.restarts and rng is not None:
+    while len(starts) < DEFAULT_OPTIMIZER.restarts and rng is not None:
         jitter = rng.normal(scale=0.5, size=3)
         starts.append(starts[1] + jitter * np.array([1.0, 1.0, 2.0]))
 
@@ -338,7 +327,7 @@ def _fit_shifted_family(
     runs = []
     for z0 in starts:
         z0 = np.clip(z0, [b[0] for b in bounds], [b[1] for b in bounds])
-        runs.append(_minimize(obj, z0, bounds, cfg))
+        runs.append(_minimize(obj, z0, bounds))
     z, _, converged, _ = _pick_start(runs)
     alpha = math.exp(float(z[0]))
     lam = _softplus(float(z[2]))
@@ -348,45 +337,30 @@ def _fit_shifted_family(
     return _fit_result(model, x, m, params, converged, sum(run[3] for run in runs))
 
 
-def fit_noncentral_gamma(
-    data,
-    cfg: OptimizerConfig = DEFAULT_OPTIMIZER,
-    rng: np.random.Generator | None = None,
-) -> FitResult:
+def fit_noncentral_gamma(data, rng: np.random.Generator | None = None) -> FitResult:
     """Noncentral-gamma fit over (ln alpha, ln beta, softplus lam),
     initialized from the gamma fit with a small starting noncentrality."""
-    return _fit_shifted_family("noncentral_gamma", data, cfg, rng, _noncentral_gamma_mean_ll)
+    return _fit_shifted_family("noncentral_gamma", data, rng, _noncentral_gamma_mean_ll)
 
 
-def fit_proposed(
-    data,
-    cfg: OptimizerConfig = DEFAULT_OPTIMIZER,
-    rng: np.random.Generator | None = None,
-) -> FitResult:
+def fit_proposed(data, rng: np.random.Generator | None = None) -> FitResult:
     """Fit of the proposed power distribution with multiple starts: the
     gamma fit with lam near zero, and a moment-matched point."""
-    return _fit_shifted_family(
-        "proposed", data, cfg, rng, _proposed_mean_ll, _moment_matched_start
-    )
+    return _fit_shifted_family("proposed", data, rng, _proposed_mean_ll, _moment_matched_start)
 
 
-def fit_model(
-    model: str,
-    data,
-    cfg: OptimizerConfig = DEFAULT_OPTIMIZER,
-    rng: np.random.Generator | None = None,
-) -> FitResult:
+def fit_model(model: str, data, rng: np.random.Generator | None = None) -> FitResult:
     """Fit the named model; see FIT_MODELS for the choices."""
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {FIT_MODELS}")
-    return MODELS[model].fit(data, cfg, rng)
+    return MODELS[model].fit(data, rng)
 
 
 @dataclass(frozen=True)
 class Model:
     """One compared power model: its name, extra names the CLI accepts, the
     keys of its fitted parameters, log_likelihood(x, params) = the batch
-    total at given parameters, and fit(data, cfg, rng) -> FitResult. The
+    total at given parameters, and fit(data, rng) -> FitResult. The
     callables look module functions up when called, so that bindings
     replaced at run time (a tracer, a test stub) are the ones used."""
 
@@ -403,26 +377,26 @@ MODELS = {
         Model(
             "exponential", ("exp",), ("rate",),
             lambda x, p: float(np.sum(log_pdf_exponential(x, p["rate"]))),
-            lambda data, cfg, rng: fit_exponential(data),
+            lambda data, rng: fit_exponential(data),
         ),
         Model(
             "gamma", (), ("alpha", "beta"),
             lambda x, p: float(np.sum(log_pdf_gamma(x, p["alpha"], p["beta"]))),
-            lambda data, cfg, rng: fit_gamma(data, cfg),
+            lambda data, rng: fit_gamma(data),
         ),
         Model(
             "noncentral_gamma", ("ncgamma",), ("alpha", "beta", "lambda"),
             lambda x, p: float(
                 np.sum(log_pdf_noncentral_gamma(x, p["alpha"], p["beta"], p["lambda"]))
             ),
-            lambda data, cfg, rng: fit_noncentral_gamma(data, cfg, rng),
+            lambda data, rng: fit_noncentral_gamma(data, rng),
         ),
         Model(
             "proposed", (), ("alpha", "beta", "lambda"),
             lambda x, p: float(
                 np.sum(log_pdf_power(x, PowerParams(p["alpha"], p["beta"], p["lambda"])))
             ),
-            lambda data, cfg, rng: fit_proposed(data, cfg, rng),
+            lambda data, rng: fit_proposed(data, rng),
         ),
     )
 }

@@ -12,12 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .distributions import PowerParams
-from .special import (
-    DEFAULT_SERIES_CONTROL,
-    SeriesControl,
-    log_laguerre_neg,
-    log_pochhammer,
-)
+from .special import log_laguerre_neg, log_pochhammer
 
 __all__ = [
     "MomentReport",
@@ -47,9 +42,7 @@ class MomentReport:
     excess_kurtosis: float
 
 
-def raw_moment(
-    n: int, p: PowerParams, control: SeriesControl = DEFAULT_SERIES_CONTROL
-) -> float:
+def raw_moment(n: int, p: PowerParams) -> float:
     """n-th raw moment of the power distribution.
 
     M_n = (alpha)_n / beta^n * S(alpha + n, lam) / S(alpha, lam),
@@ -61,21 +54,16 @@ def raw_moment(
     log_m = (
         log_pochhammer(p.alpha, n)
         - n * math.log(p.beta)
-        + log_laguerre_neg(p.alpha + n, p.lam, control)
-        - log_laguerre_neg(p.alpha, p.lam, control)
+        + log_laguerre_neg(p.alpha + n, p.lam)
+        - log_laguerre_neg(p.alpha, p.lam)
     )
     return math.exp(log_m)
 
 
-def laguerre_ratio(
-    alpha: float, lam: float, control: SeriesControl = DEFAULT_SERIES_CONTROL
-) -> float:
+def laguerre_ratio(alpha: float, lam: float) -> float:
     """Ratio S(alpha+1, lam) / S(alpha, lam) >= 1, the factor by which the
     noncentrality inflates the gamma mean."""
-    return math.exp(
-        log_laguerre_neg(alpha + 1.0, lam, control)
-        - log_laguerre_neg(alpha, lam, control)
-    )
+    return math.exp(log_laguerre_neg(alpha + 1.0, lam) - log_laguerre_neg(alpha, lam))
 
 
 def mean_variance(p: PowerParams) -> tuple[float, float]:

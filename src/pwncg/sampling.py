@@ -43,6 +43,11 @@ __all__ = [
 # that the composite samplers route "mh" requests to the truncated sampler.
 MH_ALPHA_CUTOFF = 20.0
 
+# Truncation of the pmf table: the last term kept is past the mode and
+# below _PMF_TAIL_TOL of the partial sum, within _PMF_MAX_TERMS terms.
+_PMF_TAIL_TOL = 1e-13
+_PMF_MAX_TERMS = 100_000
+
 RngStream = np.random.Generator
 
 
@@ -75,24 +80,22 @@ class MhStats:
     accepted: int
 
 
-def poisson_type_pmf_table(
-    p: PoissonTypeParams, tail_tol: float = 1e-13, max_terms: int = 100_000
-) -> np.ndarray:
+def poisson_type_pmf_table(p: PoissonTypeParams) -> np.ndarray:
     """Normalized pmf values p(0..N) with the truncation N chosen adaptively.
 
     Terms follow f(0) = 1, f(k+1) = lam (alpha+k) / (k+1)^2 * f(k), the
     terms of the normalizer log_laguerre_neg, and come from the same log-
     domain series kernel. N is large enough that the last term is below
-    tail_tol of the partial sum AND the terms are past their mode; beyond
+    _PMF_TAIL_TOL of the partial sum AND the terms are past their mode; beyond
     the mode the decay is super-geometric, so the discarded tail mass is of
     the same order as the ratio test.
     """
     if p.lam == 0.0:
         return np.ones(1)
-    summed = _log_confluent_terms(p.alpha, p.lam, tail_tol, max_terms)
+    summed = _log_confluent_terms(p.alpha, p.lam, _PMF_TAIL_TOL, _PMF_MAX_TERMS)
     if summed is None:
         raise SeriesConvergenceError(
-            f"could not bound the pmf tail below {tail_tol} within {max_terms} "
+            f"could not bound the pmf tail below {_PMF_TAIL_TOL} within {_PMF_MAX_TERMS} "
             f"terms for lam={p.lam}, alpha={p.alpha}"
         )
     log_f, acc = summed

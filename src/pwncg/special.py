@@ -15,15 +15,12 @@ sums a window of terms around its mode in one numpy pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, i0e, ive
 
 __all__ = [
-    "SeriesControl",
     "SeriesConvergenceError",
-    "DEFAULT_SERIES_CONTROL",
     "I0_SERIES_CUTOFF",
     "log_gamma",
     "log_pochhammer",
@@ -58,29 +55,15 @@ _WINDOW_WIDTHS = 9.0
 _WINDOW_MARGIN = 16
 
 
+# Truncation of the confluent normalizer series: summation stops once a
+# term past the mode is below _REL_TOL of the partial sum, and gives up
+# after _MAX_TERMS terms.
+_REL_TOL = 1e-14
+_MAX_TERMS = 10_000
+
+
 class SeriesConvergenceError(ArithmeticError):
-    """A truncated series failed to meet its tolerance within max_terms."""
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for the hypergeometric-type series.
-
-    rel_tol is the term-to-partial-sum ratio below which summation stops;
-    max_terms caps the series length before giving up.
-    """
-
-    rel_tol: float = 1e-14
-    max_terms: int = 10_000
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.rel_tol < 1.0):
-            raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
-
-
-DEFAULT_SERIES_CONTROL = SeriesControl()
+    """A truncated series failed to meet its tolerance within its term budget."""
 
 
 def log_gamma(x: float) -> float:
@@ -357,9 +340,7 @@ def _log_confluent_terms(alpha: float, lam: float, rel_tol: float, max_terms: in
     return _log_terms_window(log_ratios, mode, log_tol, max_terms)
 
 
-def log_laguerre_neg(
-    alpha: float, lam: float, control: SeriesControl = DEFAULT_SERIES_CONTROL
-) -> float:
+def log_laguerre_neg(alpha: float, lam: float) -> float:
     """ln of the confluent sum  S = sum_n (alpha)_n lam^n / (n!)^2.
 
     This is the normalizer of the power density and of the integer mixing
@@ -373,10 +354,10 @@ def log_laguerre_neg(
     every term up to a window end a few sqrt(mode) past the mode is
     computed in one numpy pass (a cumulative sum of log ratios and one
     log-sum-exp), with no Python loop over the terms.
-    Either way the last term must be past the mode and below rel_tol of
+    Either way the last term must be past the mode and below _REL_TOL of
     the sum; past the mode the decay is super-geometric, which bounds the
     discarded tail at the same order. Raises SeriesConvergenceError when
-    that takes more than control.max_terms terms.
+    that takes more than _MAX_TERMS terms.
     """
     alpha = float(alpha)
     lam = float(lam)
@@ -386,18 +367,16 @@ def log_laguerre_neg(
         raise ValueError(f"log_laguerre_neg requires lam >= 0, got {lam}")
     if lam == 0.0:
         return 0.0
-    summed = _log_confluent_terms(alpha, lam, control.rel_tol, control.max_terms)
+    summed = _log_confluent_terms(alpha, lam, _REL_TOL, _MAX_TERMS)
     if summed is None:
         raise SeriesConvergenceError(
             f"Laguerre series did not converge for alpha={alpha}, lam={lam} "
-            f"within {control.max_terms} terms"
+            f"within {_MAX_TERMS} terms"
         )
     return summed[1]
 
 
-def log_laguerre_pos_arg(
-    alpha: float, lam: float, control: SeriesControl = DEFAULT_SERIES_CONTROL
-) -> float:
+def log_laguerre_pos_arg(alpha: float, lam: float) -> float:
     """ln L_{alpha-1}(-lam), evaluated through Kummer's transformation.
 
     The identity L_{alpha-1}(-lam) = e^{-lam} * L_{-alpha}(lam) turns the
@@ -405,4 +384,4 @@ def log_laguerre_pos_arg(
     form cancels catastrophically for lam beyond ~10 and is never used.
     """
     lam = float(lam)
-    return -lam + log_laguerre_neg(alpha, lam, control)
+    return -lam + log_laguerre_neg(alpha, lam)

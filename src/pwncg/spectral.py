@@ -128,7 +128,8 @@ def load_wav(path) -> LoadedWav:
     Multichannel files keep the first channel only (bit-exact extraction,
     recorded as a warning). A 'data' chunk cut short by the end of the file
     keeps its whole frames, also with a warning; a complete one must hold a
-    whole number of frames. PCM16 samples are scaled by 1/32768.
+    whole number of frames. PCM16 samples are scaled by 1/32768; a float32
+    NaN or infinity in the kept channel is an error.
     """
     path = str(path)
     with open(path, "rb") as fh:
@@ -192,6 +193,9 @@ def load_wav(path) -> LoadedWav:
     if n_channels > 1:
         warnings.append(f"{n_channels} channels in input; kept channel 0")
     samples = frames[:, 0].astype(np.float64) * scale
+    bad = int(np.count_nonzero(~np.isfinite(samples)))
+    if bad:
+        raise WavFormatError(f"{path}: {bad} of {samples.size} samples are NaN or infinite")
     return LoadedWav(
         samples=samples,
         sample_rate_hz=int(sample_rate),
@@ -264,7 +268,7 @@ class ExperimentReport:
     tests: dict[str, float]
     provenance: dict
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         body = {
             "config": self.config,
             "files": self.files,
@@ -273,7 +277,7 @@ class ExperimentReport:
             "tests": self.tests,
             "provenance": self.provenance,
         }
-        return json.dumps(body, indent=indent, sort_keys=True)
+        return json.dumps(body, indent=2, sort_keys=True)
 
     def csv_rows(self):
         """Flat per-patch rows: one line per (patch, model), with one column
@@ -475,13 +479,13 @@ def run_experiment(
     )
 
 
-def sweep_windows(paths, stft: StftConfig = StftConfig(), windows=WINDOWS, **kwargs):
-    """Run the experiment once per window choice; returns {window: report}.
+def sweep_windows(paths, stft: StftConfig = StftConfig(), **kwargs):
+    """Run the experiment once per window of WINDOWS; returns {window: report}.
 
     The analysis settings the underlying corpus experiment left open
     (window above all) shift the absolute likelihood levels, so this sweep
     is the supported way to search for the closest configuration.
     """
     return {
-        w: run_experiment(paths, replace(stft, window=w), **kwargs) for w in windows
+        w: run_experiment(paths, replace(stft, window=w), **kwargs) for w in WINDOWS
     }

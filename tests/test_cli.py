@@ -13,6 +13,23 @@ from pwncg.distributions import ComplexParams, PowerParams, log_pdf_complex, log
 from pwncg.sampling import rng_stream, sample_complex, sample_power
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--alpha", "1", "--count", "-1"],
+        ["density-grid", "--alpha", "1", "--n", "-1"],
+        ["kurtosis-sweep", "--steps", "-1"],
+        ["fit-spectra", "--input", "x.wav", "--patch-freq", "0"],
+        ["fit-spectra", "--input", "x.wav", "--patch-time", "0"],
+    ],
+)
+def test_sizes_below_one_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "expected an integer >= 1" in capsys.readouterr().err
+
+
 class TestSampleCommand:
     def test_power_draws_match_library(self, tmp_path):
         out = tmp_path / "draws.txt"

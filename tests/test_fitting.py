@@ -13,7 +13,6 @@ from pwncg.fitting import (
     DEFAULT_OPTIMIZER,
     FIT_MODELS,
     MODELS,
-    OptimizerConfig,
     fit_exponential,
     fit_gamma,
     fit_model,
@@ -152,7 +151,8 @@ class TestFitProposed:
 
 class TestRestartChoice:
     """Which start a multi-start fit reports, with _minimize stubbed for
-    the three-parameter searches (the gamma start still runs for real)."""
+    the three-parameter searches (the gamma start still runs for real).
+    A start past the scripted ones ends above them and converges nowhere."""
 
     Z0 = np.array([0.1, 0.2, 0.3])
     Z1 = np.array([0.4, 0.5, 0.6])
@@ -161,14 +161,14 @@ class TestRestartChoice:
         real = fitting._minimize
         scripted = iter(runs)
 
-        def stub(obj, z0, bounds, cfg):
+        def stub(obj, z0, bounds):
             if len(z0) == 1:
-                return real(obj, z0, bounds, cfg)
-            return next(scripted)
+                return real(obj, z0, bounds)
+            return next(scripted, (self.Z0, 0.0, False, 0))
 
         monkeypatch.setattr(fitting, "_minimize", stub)
         data = rng_stream(5).gamma(2.0, 1.0, 60)
-        return fit_model(model, data, OptimizerConfig(restarts=2))
+        return fit_model(model, data)
 
     def test_tied_start_that_converged_is_reported(self, monkeypatch):
         # start 0 stopped on ftol at the same optimum that start 1 reached
@@ -274,12 +274,6 @@ class TestFitModelDispatch:
         data = rng_stream(12).gamma(1.0, 1.0, 64)
         r = fit_gamma(data)
         assert math.isclose(r.avg_log_likelihood, r.log_likelihood / 64.0, rel_tol=1e-12)
-
-    def test_optimizer_config_validation(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(grad_tol=0.0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(max_iters=0)
 
 
 class TestPairedTTest:

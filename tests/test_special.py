@@ -12,9 +12,7 @@ from scipy.special import ive
 from pwncg.special import (
     _IV_SERIES_CUTOFF,
     _SCALAR_LAM_MAX,
-    DEFAULT_SERIES_CONTROL,
     I0_SERIES_CUTOFF,
-    SeriesControl,
     SeriesConvergenceError,
     _log_confluent_terms,
     _log_terms_recurrence,
@@ -269,14 +267,14 @@ class TestLogLaguerreNeg:
             assert all(b > c for b, c in zip(vals[1:], vals[:-1]))
 
     def test_non_convergence_raises(self):
-        with pytest.raises(SeriesConvergenceError):
-            log_laguerre_neg(1.0, 500.0, SeriesControl(rel_tol=1e-14, max_terms=10))
+        # the term mode is near lam + alpha - 1, past the 10 000-term budget
+        with pytest.raises(SeriesConvergenceError, match="within 10000 terms"):
+            log_laguerre_neg(1.0, 2e4)
 
     def test_non_convergence_raises_on_both_paths(self):
         # the term mode is near lam + alpha - 1, so 20 terms fall short
         for lam in (0.99 * _SCALAR_LAM_MAX, 40.0):
-            with pytest.raises(SeriesConvergenceError, match="within 20 terms"):
-                log_laguerre_neg(30.0, lam, SeriesControl(max_terms=20))
+            assert _log_confluent_terms(30.0, lam, 1e-14, 20) is None
 
     def test_window_terms_match_recurrence(self):
         # the numpy pass (every lam here is >= _SCALAR_LAM_MAX) reorders the
@@ -351,16 +349,3 @@ class TestLogLaguerrePosArg:
             ref = float(mp.log(mp.hyp1f1(1 - alpha, 1, -lam)))
             assert math.isclose(log_laguerre_pos_arg(alpha, lam), ref, rel_tol=1e-10)
 
-
-class TestSeriesControl:
-    def test_defaults(self):
-        assert DEFAULT_SERIES_CONTROL.rel_tol == 1e-14
-        assert DEFAULT_SERIES_CONTROL.max_terms == 10_000
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SeriesControl(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            SeriesControl(rel_tol=1.5)
-        with pytest.raises(ValueError):
-            SeriesControl(max_terms=0)

@@ -59,6 +59,15 @@ class TestLoadWav:
         wav = load_wav(path)
         np.testing.assert_array_equal(wav.samples, sig.astype(np.float64))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float32_samples_name_file(self, tmp_path, value):
+        sig = np.zeros(4000, dtype=np.float32)
+        sig[[7, 900]] = value
+        path = tmp_path / "bad.wav"
+        write_wav_float32(path, sig, SR)
+        with pytest.raises(WavFormatError, match=r"bad\.wav: 2 of 4000 samples are NaN or infinite"):
+            load_wav(path)
+
     def test_stereo_takes_first_channel_with_warning(self, tmp_path):
         t = np.arange(2000) / SR
         sig = 0.3 * np.sin(2 * np.pi * 200.0 * t)
@@ -310,6 +319,17 @@ class TestRunExperiment:
         rep = run_experiment([str(bad), noise_wav], models=("exponential",), seed=1)
         assert len(rep.provenance["failed_files"]) == 1
         assert len(rep.files) == 1
+
+    def test_non_finite_file_recorded_and_others_fitted(self, noise_wav, tmp_path):
+        sig = np.zeros(int(0.35 * SR), dtype=np.float32)
+        sig[100] = np.nan
+        bad = tmp_path / "nan.wav"
+        write_wav_float32(bad, sig, SR)
+        rep = run_experiment([str(bad), noise_wav], models=("exponential",), seed=1)
+        assert [f["path"] for f in rep.files] == [noise_wav]
+        (failure,) = rep.provenance["failed_files"]
+        assert failure["path"] == str(bad)
+        assert "1 of 5600 samples are NaN or infinite" in failure["error"]
 
     def test_all_files_failing_raises(self, tmp_path):
         bad = tmp_path / "bad.wav"
