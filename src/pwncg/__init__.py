@@ -18,11 +18,8 @@ from .distributions import (
     log_pdf_complex,
     log_pdf_exponential,
     log_pdf_gamma,
-    log_pdf_joint_polar,
     log_pdf_nakagami,
-    log_pdf_noncentral_chi,
     log_pdf_noncentral_gamma,
-    log_pdf_phase_given_r,
     log_pdf_power,
     log_pdf_rice,
     log_pmf_poisson_type,
@@ -37,13 +34,10 @@ from .fitting import (
     paired_t_test_one_sided,
 )
 from .moments import (
-    MomentReport,
     excess_kurtosis,
     kurtosis_sweep,
     laguerre_ratio,
     mean_variance,
-    mgf,
-    moment_report,
     ncgamma_cumulant,
     raw_moment,
 )
@@ -62,10 +56,8 @@ from .special import (
     SeriesConvergenceError,
     log_bessel_i0,
     log_bessel_i_nu,
-    log_gamma,
     log_laguerre_neg,
     log_laguerre_pos_arg,
-    log_pochhammer,
 )
 from .spectral import (
     ExperimentReport,

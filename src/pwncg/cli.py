@@ -43,6 +43,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_floats(text: str) -> list[float]:
+    """argparse type of a list option: comma-separated finite numbers > 0."""
+    try:
+        values = [float(part) for part in text.split(",")]
+    except ValueError:
+        values = [np.nan]
+    if not all(0.0 < v < np.inf for v in values):
+        raise argparse.ArgumentTypeError(f"expected finite numbers > 0, got {text!r}")
+    return values
+
+
 def _open_out(path):
     if path is None or path == "-":
         return sys.stdout, False
@@ -104,12 +115,11 @@ def _cmd_density_grid(args) -> int:
 
 def _cmd_kurtosis_sweep(args) -> int:
     lambdas = np.linspace(args.lambda_min, args.lambda_max, args.steps)
-    alphas = [float(a) for a in args.alphas.split(",")]
     out, close = _open_out(args.out)
     writer = csv.writer(out)
     try:
         writer.writerow(["lambda", "alpha", "gamma2_proposed", "gamma2_ncgamma"])
-        writer.writerows(kurtosis_sweep(lambdas, alphas, beta=args.beta))
+        writer.writerows(kurtosis_sweep(lambdas, args.alphas, beta=args.beta))
     finally:
         if close:
             out.close()
@@ -224,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--lambda-min", type=float, default=0.0)
     pk.add_argument("--lambda-max", type=float, default=10.0)
     pk.add_argument("--steps", type=_positive_int, default=101)
-    pk.add_argument("--alphas", default="0.5,1,2")
+    pk.add_argument("--alphas", type=_positive_floats, default="0.5,1,2")
     pk.add_argument("--beta", type=float, default=1.0)
     pk.add_argument("--out", default="-")
     pk.set_defaults(func=_cmd_kurtosis_sweep)
@@ -252,8 +262,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run one subcommand; a ValueError from parameter validation exits 2."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        parser.exit(2, f"pwncg {args.command}: error: {exc}\n")
 
 
 if __name__ == "__main__":

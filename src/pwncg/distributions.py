@@ -4,8 +4,8 @@ The family is parametrized three equivalent ways depending on the variate:
 on the complex plane (mu, sigma2, alpha), on the amplitude axis
 (nu = |mu|, sigma2, alpha), and on the power axis (alpha, beta = 1/sigma2,
 lam = nu^2/sigma2). Classical special cases (complex normal, Rice,
-Rayleigh, half-normal, Nakagami, gamma, noncentral gamma, noncentral chi)
-are provided alongside for reduction checks and baseline fitting.
+Rayleigh, half-normal, Nakagami, gamma, noncentral gamma) are provided
+alongside for reduction checks and baseline fitting.
 
 All densities are evaluated in log domain; only the CSV grid exports
 exponentiate. Functions are vectorized over the variate, with scalar
@@ -24,7 +24,6 @@ from scipy.special import gammaln
 from .special import (
     log_bessel_i0,
     log_bessel_i_nu,
-    log_gamma,
     log_laguerre_neg,
     log_laguerre_pos_arg,
 )
@@ -35,8 +34,6 @@ __all__ = [
     "PowerParams",
     "PoissonTypeParams",
     "log_pdf_complex",
-    "log_pdf_joint_polar",
-    "log_pdf_phase_given_r",
     "log_pdf_amplitude",
     "log_pdf_power",
     "log_pmf_poisson_type",
@@ -45,13 +42,9 @@ __all__ = [
     "log_pdf_noncentral_gamma",
     "log_pdf_rice",
     "log_pdf_nakagami",
-    "log_pdf_noncentral_chi",
     "complex_density_rows",
     "scalar_density_rows",
 ]
-
-_LOG_PI = math.log(math.pi)
-_LOG_2PI = math.log(2.0 * math.pi)
 
 
 def _check(name: str, value, zero_ok: bool = False) -> None:
@@ -80,10 +73,6 @@ class ComplexParams:
             raise ValueError(f"mu must be finite, got {mu}")
         _check("sigma2", self.sigma2)
         _check("alpha", self.alpha)
-
-    @property
-    def nu(self) -> float:
-        return abs(self.mu)
 
     @property
     def mean_phase(self) -> float:
@@ -151,17 +140,12 @@ class PoissonTypeParams:
         _check("alpha", self.alpha)
 
 
-def _as_float_array(x, name: str):
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    return arr
-
-
 def _positive_variate(x, name: str):
     """The variate as a 1-d float array checked finite and positive, and
     whether it was given as a scalar."""
-    arr = _as_float_array(x, name)
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
     if np.any(arr <= 0.0):
         raise ValueError(f"{name} must be positive")
     return np.atleast_1d(arr), arr.ndim == 0
@@ -189,9 +173,9 @@ def log_pdf_complex(z, p: ComplexParams):
 
     lam = abs(p.mu) ** 2 / p.sigma2
     log_norm = (
-        -_LOG_PI
+        -math.log(math.pi)
         - p.alpha * math.log(p.sigma2)
-        - log_gamma(p.alpha)
+        - gammaln(p.alpha)
         - log_laguerre_pos_arg(p.alpha, lam)
     )
     if p.alpha == 1.0:
@@ -201,30 +185,6 @@ def log_pdf_complex(z, p: ComplexParams):
             radial = (2.0 * p.alpha - 2.0) * np.log(r)
     out = radial - np.abs(arr - p.mu) ** 2 / p.sigma2 + log_norm
     return float(out[0]) if scalar else out
-
-
-def log_pdf_joint_polar(r, theta, p: ComplexParams):
-    """Joint log density of (amplitude, phase); includes the Jacobian ln r."""
-    r_arr, scalar = _positive_variate(r, "r")
-    theta_arr = np.atleast_1d(_as_float_array(theta, "theta"))
-    z = r_arr * np.exp(1j * theta_arr)
-    out = log_pdf_complex(z, p) + np.log(r_arr)
-    return float(out[0]) if scalar else out
-
-
-def log_pdf_phase_given_r(theta, r, p: ComplexParams):
-    """Conditional phase log density given amplitude r > 0.
-
-    This is a von Mises law with mean direction angle(mu) and concentration
-    kappa = 2 |mu| r / sigma2; mu = 0 gives the uniform circle density.
-    """
-    r = float(r)
-    _check("r", r)
-    theta_arr = _as_float_array(theta, "theta")
-    scalar = theta_arr.ndim == 0
-    kappa = 2.0 * abs(p.mu) * r / p.sigma2
-    out = kappa * np.cos(theta_arr - p.mean_phase) - _LOG_2PI - log_bessel_i0(kappa)
-    return float(out) if scalar else out
 
 
 def log_pdf_amplitude(r, p: AmplitudeParams):
@@ -238,7 +198,7 @@ def log_pdf_amplitude(r, p: AmplitudeParams):
     log_norm = (
         math.log(2.0)
         - p.alpha * math.log(p.sigma2)
-        - log_gamma(p.alpha)
+        - gammaln(p.alpha)
         - log_laguerre_pos_arg(p.alpha, lam)
     )
     out = (
@@ -260,7 +220,7 @@ def log_pdf_power(x, p: PowerParams):
     x_arr, scalar = _positive_variate(x, "x")
     log_norm = (
         p.alpha * math.log(p.beta)
-        - log_gamma(p.alpha)
+        - gammaln(p.alpha)
         - log_laguerre_neg(p.alpha, p.lam)
     )
     out = (
@@ -319,7 +279,7 @@ def log_pdf_gamma(x, alpha: float, beta: float):
     x_arr, scalar = _positive_variate(x, "x")
     out = (
         alpha * math.log(beta)
-        - log_gamma(alpha)
+        - gammaln(alpha)
         + (alpha - 1.0) * np.log(x_arr)
         - beta * x_arr
     )
@@ -375,24 +335,9 @@ def log_pdf_nakagami(r, m: float, omega: float):
         math.log(2.0)
         + m * math.log(m)
         - m * math.log(omega)
-        - log_gamma(m)
+        - gammaln(m)
         + (2.0 * m - 1.0) * np.log(r_arr)
         - m * r_arr**2 / omega
-    )
-    return float(out[0]) if scalar else out
-
-
-def log_pdf_noncentral_chi(r, k: float, nu: float):
-    """Noncentral chi log density with k degrees of freedom and
-    noncentrality nu (unit scale)."""
-    _check("k", k)
-    _check("nu", nu)
-    r_arr, scalar = _positive_variate(r, "r")
-    out = (
-        (1.0 - 0.5 * k) * math.log(nu)
-        + 0.5 * k * np.log(r_arr)
-        - 0.5 * (r_arr**2 + nu**2)
-        + log_bessel_i_nu(0.5 * k - 1.0, nu * r_arr)
     )
     return float(out[0]) if scalar else out
 

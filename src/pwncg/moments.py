@@ -1,4 +1,4 @@
-"""Closed-form moments, cumulants, and the MGF of the power distribution.
+"""Closed-form moments and cumulants of the power distribution.
 
 All quantities are assembled in log domain (raw moments and the Laguerre
 ratios are products of fast-growing positive factors) and exponentiated at
@@ -9,37 +9,21 @@ the kurtosis comparison is made against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from scipy.special import gammaln
 
 from .distributions import PowerParams
-from .special import log_laguerre_neg, log_pochhammer
+from .special import log_laguerre_neg
 
 __all__ = [
-    "MomentReport",
     "raw_moment",
     "laguerre_ratio",
     "mean_variance",
-    "mgf",
     "excess_kurtosis",
-    "moment_report",
     "ncgamma_cumulant",
     "ncgamma_excess_kurtosis",
     "kurtosis_sweep",
 ]
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """Raw moments m1..m4, the second and fourth cumulants, and the excess
-    kurtosis kappa4 / kappa2^2."""
-
-    m1: float
-    m2: float
-    m3: float
-    m4: float
-    kappa2: float
-    kappa4: float
-    excess_kurtosis: float
 
 
 def raw_moment(n: int, p: PowerParams) -> float:
@@ -52,7 +36,8 @@ def raw_moment(n: int, p: PowerParams) -> float:
     if n < 1:
         raise ValueError(f"raw_moment requires n >= 1, got {n}")
     log_m = (
-        log_pochhammer(p.alpha, n)
+        gammaln(p.alpha + n)
+        - gammaln(p.alpha)
         - n * math.log(p.beta)
         + log_laguerre_neg(p.alpha + n, p.lam)
         - log_laguerre_neg(p.alpha, p.lam)
@@ -78,47 +63,13 @@ def mean_variance(p: PowerParams) -> tuple[float, float]:
     return mean, m2 - mean * mean
 
 
-def mgf(t: float, p: PowerParams) -> float:
-    """Moment generating function, defined for t < beta.
-
-    M(t) = (beta/(beta-t))^alpha * S(alpha, beta lam/(beta-t)) / S(alpha, lam).
-    """
-    t = float(t)
-    if not math.isfinite(t) or t >= p.beta:
-        raise ValueError(f"mgf requires t < beta = {p.beta}, got t = {t}")
-    log_val = (
-        p.alpha * (math.log(p.beta) - math.log(p.beta - t))
-        + log_laguerre_neg(p.alpha, p.beta * p.lam / (p.beta - t))
-        - log_laguerre_neg(p.alpha, p.lam)
-    )
-    return math.exp(log_val)
-
-
-def moment_report(p: PowerParams) -> MomentReport:
-    """Raw moments up to order four with the derived cumulants."""
+def excess_kurtosis(p: PowerParams) -> float:
+    """Excess kurtosis kappa4 / kappa2^2 of the power distribution, with the
+    cumulants taken from the raw moments m1..m4."""
     m1, m2, m3, m4 = (raw_moment(n, p) for n in (1, 2, 3, 4))
     kappa2 = m2 - m1 * m1
-    kappa4 = (
-        m4
-        - 4.0 * m1 * m3
-        - 3.0 * m2 * m2
-        + 12.0 * m1 * m1 * m2
-        - 6.0 * m1**4
-    )
-    return MomentReport(
-        m1=m1,
-        m2=m2,
-        m3=m3,
-        m4=m4,
-        kappa2=kappa2,
-        kappa4=kappa4,
-        excess_kurtosis=kappa4 / (kappa2 * kappa2),
-    )
-
-
-def excess_kurtosis(p: PowerParams) -> float:
-    """Excess kurtosis kappa4 / kappa2^2 of the power distribution."""
-    return moment_report(p).excess_kurtosis
+    kappa4 = m4 - 4.0 * m1 * m3 - 3.0 * m2 * m2 + 12.0 * m1 * m1 * m2 - 6.0 * m1**4
+    return kappa4 / (kappa2 * kappa2)
 
 
 def ncgamma_cumulant(n: int, p: PowerParams) -> float:

@@ -22,8 +22,6 @@ from scipy.special import gammaln, i0e, ive
 __all__ = [
     "SeriesConvergenceError",
     "I0_SERIES_CUTOFF",
-    "log_gamma",
-    "log_pochhammer",
     "log_bessel_i0",
     "log_bessel_i_nu",
     "log_laguerre_neg",
@@ -64,30 +62,6 @@ _MAX_TERMS = 10_000
 
 class SeriesConvergenceError(ArithmeticError):
     """A truncated series failed to meet its tolerance within its term budget."""
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for finite x > 0."""
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"log_gamma requires finite x > 0, got {x}")
-    return float(gammaln(x))
-
-
-def log_pochhammer(a: float, n: int) -> float:
-    """ln of the rising factorial (a)_n = Gamma(a+n)/Gamma(a).
-
-    Exactly 0.0 for n = 0 (empty product).
-    """
-    a = float(a)
-    if not math.isfinite(a) or a <= 0.0:
-        raise ValueError(f"log_pochhammer requires finite a > 0, got {a}")
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"log_pochhammer requires n >= 0, got {n}")
-    if n == 0:
-        return 0.0
-    return float(gammaln(a + n) - gammaln(a))
 
 
 # Term-count table for the ascending series: _SERIES_QSTAR[k-1] is the

@@ -373,8 +373,8 @@ def run_experiment(
             raise ValueError(f"unknown model {m!r}; expected subset of {FIT_MODELS}")
     if fit_scope not in ("patch", "file"):
         raise ValueError(f"fit_scope must be 'patch' or 'file', got {fit_scope!r}")
-    if floor_eps <= 0.0:
-        raise ValueError(f"floor_eps must be positive, got {floor_eps}")
+    if not (math.isfinite(floor_eps) and floor_eps > 0.0):
+        raise ValueError(f"floor_eps must be positive and finite, got {floor_eps}")
 
     file_infos = []
     failures = []

@@ -13,21 +13,53 @@ from pwncg.distributions import ComplexParams, PowerParams, log_pdf_complex, log
 from pwncg.sampling import rng_stream, sample_complex, sample_power
 
 
+SIZE = "expected an integer >= 1"
+ALPHAS = "argument --alphas: expected finite numbers > 0"
+USAGE_ERRORS = [
+    (["sample", "--alpha", "1", "--count", "-1"], SIZE),
+    (["density-grid", "--alpha", "1", "--n", "-1"], SIZE),
+    (["kurtosis-sweep", "--steps", "-1"], SIZE),
+    (["fit-spectra", "--input", "x.wav", "--patch-freq", "0"], SIZE),
+    (["fit-spectra", "--input", "x.wav", "--patch-time", "0"], SIZE),
+    (["kurtosis-sweep", "--alphas", "1,,2"], ALPHAS),
+    (["kurtosis-sweep", "--alphas", "-1"], ALPHAS),
+    (["kurtosis-sweep", "--alphas", "0"], ALPHAS),
+    (["kurtosis-sweep", "--alphas", "nan"], ALPHAS),
+    (["sample", "--alpha", "-1"], "pwncg sample: error: alpha must be positive"),
+    (["kurtosis-sweep", "--beta", "0"], "pwncg kurtosis-sweep: error: beta must be positive"),
+    (
+        ["kurtosis-sweep", "--lambda-min", "-1"],
+        "pwncg kurtosis-sweep: error: lam must be nonnegative",
+    ),
+    (
+        ["fit-spectra", "--input", "x.wav", "--frame-ms", "0"],
+        "pwncg fit-spectra: error: frame_ms must be positive",
+    ),
+    (
+        ["fit-spectra", "--input", "x.wav", "--hop-ms", "50"],
+        "pwncg fit-spectra: error: hop_ms must not exceed frame_ms",
+    ),
+    (
+        ["fit-spectra", "--input", "x.wav", "--floor-eps", "nan"],
+        "pwncg fit-spectra: error: floor_eps must be positive and finite",
+    ),
+    (
+        ["density-grid", "--kind", "power", "--alpha", "1", "--x-min", "0"],
+        "pwncg density-grid: error: grid must start at a positive value",
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["sample", "--alpha", "1", "--count", "-1"],
-        ["density-grid", "--alpha", "1", "--n", "-1"],
-        ["kurtosis-sweep", "--steps", "-1"],
-        ["fit-spectra", "--input", "x.wav", "--patch-freq", "0"],
-        ["fit-spectra", "--input", "x.wav", "--patch-time", "0"],
-    ],
+    "argv, message", USAGE_ERRORS, ids=[f"argv{i}" for i in range(len(USAGE_ERRORS))]
 )
-def test_sizes_below_one_are_usage_errors(argv, capsys):
+def test_sizes_below_one_are_usage_errors(argv, message, capsys):
+    """Bad sizes, alpha lists and parameters the library rejects exit with
+    code 2 and a one-line error, not a traceback."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "expected an integer >= 1" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 class TestSampleCommand:

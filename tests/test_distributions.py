@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import vonmises
 
 from helpers import complex_normalization
 from pwncg.distributions import (
@@ -19,11 +20,8 @@ from pwncg.distributions import (
     log_pdf_complex,
     log_pdf_exponential,
     log_pdf_gamma,
-    log_pdf_joint_polar,
     log_pdf_nakagami,
-    log_pdf_noncentral_chi,
     log_pdf_noncentral_gamma,
-    log_pdf_phase_given_r,
     log_pdf_power,
     log_pdf_rice,
     log_pmf_poisson_type,
@@ -106,65 +104,18 @@ class TestComplexDensity:
             ComplexParams(mu=complex(math.nan, 0.0), sigma2=1.0, alpha=1.0)
 
 
-class TestJointPolar:
-    def test_jacobian_bookkeeping(self):
-        p = ComplexParams(mu=0.0, sigma2=1.0, alpha=1.0)
-        assert math.isclose(
-            log_pdf_joint_polar(1.0, 0.0, p), -LOG_PI + 0.0 - 1.0, rel_tol=1e-14
-        )
-
-    def test_cosine_extremes_differ_by_four_nu_r(self):
-        nu, sigma2, r = 1.0, 0.8, 1.0
-        phi = 0.6
-        p = ComplexParams(mu=nu * cmath.exp(1j * phi), sigma2=sigma2, alpha=1.7)
-        hi = log_pdf_joint_polar(r, phi, p)
-        lo = log_pdf_joint_polar(r, phi + math.pi, p)
-        assert math.isclose(hi - lo, 4.0 * nu * r / sigma2, rel_tol=1e-12)
-
-    def test_matches_complex_density_plus_log_r(self):
-        rng = np.random.default_rng(5)
-        p = ComplexParams(mu=0.3 + 1.1j, sigma2=0.6, alpha=2.2)
-        for _ in range(25):
-            r = rng.uniform(0.05, 3.0)
-            th = rng.uniform(-math.pi, math.pi)
-            direct = log_pdf_complex(r * cmath.exp(1j * th), p) + math.log(r)
-            assert math.isclose(log_pdf_joint_polar(r, th, p), direct, abs_tol=1e-12)
-
-    def test_rejects_nonpositive_radius(self):
-        p = ComplexParams(mu=0.0, sigma2=1.0, alpha=1.0)
-        with pytest.raises(ValueError):
-            log_pdf_joint_polar(0.0, 0.0, p)
-
-
 class TestPhaseConditional:
-    def test_uniform_when_mean_is_zero(self):
-        p = ComplexParams(mu=0.0, sigma2=1.0, alpha=2.0)
-        for th in np.linspace(-math.pi, math.pi, 9):
-            assert math.isclose(
-                log_pdf_phase_given_r(float(th), 1.0, p), -math.log(2 * math.pi)
-            )
-
-    def test_high_concentration_peak(self):
-        # at the mean direction the log density approaches ln sqrt(kappa/(2 pi))
-        p = ComplexParams(mu=50.0 + 0.0j, sigma2=1.0, alpha=1.0)
-        kappa = 2.0 * 50.0 * 2.0 / 1.0
-        got = log_pdf_phase_given_r(0.0, 2.0, p)
-        assert math.isclose(got, 0.5 * math.log(kappa / (2 * math.pi)), rel_tol=1e-3)
-
-    def test_normalizes_to_one(self):
-        p = ComplexParams(mu=1.3 * cmath.exp(0.4j), sigma2=0.5, alpha=3.0)
-        val, _ = quad(
-            lambda th: math.exp(log_pdf_phase_given_r(th, 0.9, p)), -math.pi, math.pi
-        )
-        assert abs(val - 1.0) < 1e-10
-
     def test_joint_factorizes(self):
-        # p(r, theta) = p(r) p(theta | r)
-        p = ComplexParams(mu=0.8 * cmath.exp(1j * 1.1), sigma2=0.7, alpha=1.6)
+        # p(r, theta) = r p(r e^{i theta}) = p(r) p(theta | r), where the
+        # phase given the amplitude is von Mises about angle(mu) with
+        # concentration 2 |mu| r / sigma2 (the law sample_complex draws from)
+        mu = 0.8 * cmath.exp(1j * 1.1)
+        p = ComplexParams(mu=mu, sigma2=0.7, alpha=1.6)
         amp = p.amplitude_params()
         for r, th in [(0.5, 0.2), (1.4, -2.0), (2.2, 3.0)]:
-            joint = log_pdf_joint_polar(r, th, p)
-            split = log_pdf_amplitude(r, amp) + log_pdf_phase_given_r(th, r, p)
+            joint = log_pdf_complex(r * cmath.exp(1j * th), p) + math.log(r)
+            kappa = 2.0 * abs(mu) * r / p.sigma2
+            split = log_pdf_amplitude(r, amp) + vonmises.logpdf(th, kappa, loc=cmath.phase(mu))
             assert math.isclose(joint, split, rel_tol=1e-12)
 
 
@@ -193,7 +144,9 @@ class TestAmplitudeDensity:
         amp = p.amplitude_params()
         for r in (0.3, 1.0, 2.5):
             integral, _ = quad(
-                lambda th: math.exp(log_pdf_joint_polar(r, th, p)), -math.pi, math.pi
+                lambda th: math.exp(log_pdf_complex(r * cmath.exp(1j * th), p) + math.log(r)),
+                -math.pi,
+                math.pi,
             )
             assert abs(integral - math.exp(log_pdf_amplitude(r, amp))) <= 1e-8
 
@@ -331,28 +284,6 @@ class TestBaselines:
         rs = np.linspace(0.05, 4.0, 100)
         ours = log_pdf_amplitude(rs, AmplitudeParams(nu=0.0, sigma2=omega / m, alpha=m))
         np.testing.assert_allclose(ours, log_pdf_nakagami(rs, m, omega), rtol=0, atol=1e-10)
-
-    def test_noncentral_chi_two_dof_is_rice(self):
-        # k = 2 matches the Rice density at sigma2 = 2 with the same shift
-        rs = np.linspace(0.05, 6.0, 100)
-        np.testing.assert_allclose(
-            log_pdf_noncentral_chi(rs, 2.0, 1.1),
-            log_pdf_rice(rs, 1.1, 2.0),
-            rtol=0,
-            atol=1e-10,
-        )
-
-    def test_noncentral_chi_is_poisson_chi_mixture(self):
-        # mixture of chi densities with Poisson(nu^2/2) mixed dof
-        from scipy.stats import chi, poisson
-
-        k, nu = 3.0, 1.4
-        ws = poisson.pmf(np.arange(120), nu * nu / 2.0)
-        for r in (0.4, 1.2, 3.0):
-            mix = float(np.sum(ws * chi.pdf(r, 2 * np.arange(120) + k)))
-            assert math.isclose(
-                mix, math.exp(log_pdf_noncentral_chi(r, k, nu)), rel_tol=1e-10
-            )
 
     def test_chi_like_amplitude_is_distorted_mixture(self):
         # sigma2 = 2, alpha = k/2 amplitude law equals a chi mixture with the

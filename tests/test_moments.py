@@ -13,8 +13,6 @@ from pwncg.moments import (
     kurtosis_sweep,
     laguerre_ratio,
     mean_variance,
-    mgf,
-    moment_report,
     ncgamma_cumulant,
     ncgamma_excess_kurtosis,
     raw_moment,
@@ -107,28 +105,6 @@ class TestMeanVariance:
                 assert math.isclose(var, alt, rel_tol=1e-6)
 
 
-class TestMgf:
-    def test_one_at_zero(self):
-        assert mgf(0.0, PowerParams(1.7, 2.0, 1.1)) == pytest.approx(1.0, abs=1e-14)
-
-    def test_gamma_mgf(self):
-        p = PowerParams(2.5, 2.0, 0.0)
-        for t in (-1.0, 0.5, 1.5):
-            assert math.isclose(mgf(t, p), (2.0 / (2.0 - t)) ** 2.5, rel_tol=1e-12)
-
-    def test_derivatives_match_moments(self):
-        p = PowerParams(1.3, 2.0, 1.7)
-        h = 1e-5
-        d1 = (mgf(h, p) - mgf(-h, p)) / (2 * h)
-        assert math.isclose(d1, raw_moment(1, p), rel_tol=1e-5)
-        d2 = (mgf(h, p) - 2.0 * mgf(0.0, p) + mgf(-h, p)) / (h * h)
-        assert math.isclose(d2, raw_moment(2, p), rel_tol=1e-5)
-
-    def test_diverges_at_beta(self):
-        with pytest.raises(ValueError):
-            mgf(2.0, PowerParams(1.0, 2.0, 0.0))
-
-
 class TestExcessKurtosis:
     def test_exponential_point(self):
         # the zero-noncentrality, shape-one case has excess kurtosis 6
@@ -166,11 +142,6 @@ class TestExcessKurtosis:
         a = excess_kurtosis(PowerParams(1.4, 1.0, 2.2))
         b = excess_kurtosis(PowerParams(1.4, 7.0, 2.2))
         assert math.isclose(a, b, rel_tol=1e-10)
-
-    def test_report_consistency(self):
-        rep = moment_report(PowerParams(0.8, 1.5, 1.2))
-        assert rep.kappa2 > 0
-        assert math.isclose(rep.excess_kurtosis, rep.kappa4 / rep.kappa2**2, rel_tol=1e-14)
 
 
 class TestNcgammaCumulant:

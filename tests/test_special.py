@@ -18,10 +18,8 @@ from pwncg.special import (
     _log_terms_recurrence,
     log_bessel_i0,
     log_bessel_i_nu,
-    log_gamma,
     log_laguerre_neg,
     log_laguerre_pos_arg,
-    log_pochhammer,
 )
 
 mp.mp.dps = 40
@@ -52,45 +50,6 @@ alphas = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e)
 ive_underflow = st.tuples(
     st.floats(min_value=400.0, max_value=1000.0), st.floats(min_value=0.0, max_value=1.0)
 ).map(lambda t: (t[0], _IV_SERIES_CUTOFF + t[1] * (t[0] - 400.0) ** 2 / 700.0))
-
-
-class TestLogGamma:
-    def test_integer_and_half_integer_values(self):
-        assert log_gamma(1.0) == 0.0
-        assert math.isclose(log_gamma(0.5), math.log(math.sqrt(math.pi)), rel_tol=1e-14)
-        assert math.isclose(log_gamma(4.0), math.log(6.0), rel_tol=1e-14)
-
-    def test_relative_error_over_wide_range(self):
-        for x in np.logspace(-6, 6, 40):
-            ref = float(mp.loggamma(mp.mpf(float(x))))
-            assert abs(log_gamma(float(x)) - ref) <= 1e-12 * max(1.0, abs(ref))
-
-    def test_domain_errors(self):
-        for bad in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                log_gamma(bad)
-
-
-class TestLogPochhammer:
-    def test_empty_product_is_exact_zero(self):
-        assert log_pochhammer(3.7, 0) == 0.0
-
-    def test_small_cases(self):
-        assert math.isclose(log_pochhammer(2.0, 3), math.log(24.0), rel_tol=1e-14)
-        assert math.isclose(log_pochhammer(0.5, 2), math.log(0.75), rel_tol=1e-14)
-
-    def test_recurrence(self):
-        # (a)_{n+1} / (a)_n = a + n
-        for a in (0.3, 1.0, 2.7, 50.0):
-            for n in (0, 1, 5, 40):
-                lhs = log_pochhammer(a, n + 1) - log_pochhammer(a, n)
-                assert abs(lhs - math.log(a + n)) <= 1e-12
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            log_pochhammer(0.0, 2)
-        with pytest.raises(ValueError):
-            log_pochhammer(1.0, -1)
 
 
 class TestLogBesselI0:

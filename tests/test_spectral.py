@@ -395,6 +395,11 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="unknown model"):
             run_experiment([noise_wav], models=("weibull",))
 
+    @pytest.mark.parametrize("floor_eps", [math.nan, math.inf, 0.0])
+    def test_floor_eps_must_be_positive_and_finite(self, noise_wav, floor_eps):
+        with pytest.raises(ValueError, match="floor_eps must be positive and finite"):
+            run_experiment([noise_wav], models=("exponential",), floor_eps=floor_eps)
+
 
 class TestSweepWindows:
     def test_runs_each_window(self, tmp_path):
