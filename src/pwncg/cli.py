@@ -10,6 +10,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
 from pathlib import Path
@@ -54,75 +55,65 @@ def _positive_floats(text: str) -> list[float]:
     return values
 
 
-def _open_out(path):
+@contextlib.contextmanager
+def _output(path):
+    """The output stream: stdout for None or "-", else the file, closed on
+    exit. Commands open it only once their output is computed, so that a
+    parameter error leaves no file behind."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as fh:
+            yield fh
+
+
+def _write_csv(path, header, rows) -> None:
+    with _output(path) as out:
+        writer = csv.writer(out)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _cmd_sample(args) -> int:
     rng = rng_stream(args.seed)
-    out, close = _open_out(args.out)
-    try:
-        if args.kind == "complex":
-            p = ComplexParams(
-                mu=complex(args.mu_re, args.mu_im), sigma2=args.sigma2, alpha=args.alpha
-            )
-            draws = sample_complex(p, rng, size=args.count, method=args.method)
-            for z in draws:
-                out.write(f"{z.real:.17g},{z.imag:.17g}\n")
-        else:
-            p = PowerParams(alpha=args.alpha, beta=args.beta, lam=args.lam)
-            draws = sample_power(p, rng, size=args.count, method=args.method)
-            for x in draws:
-                out.write(f"{x:.17g}\n")
-    finally:
-        if close:
-            out.close()
+    if args.kind == "complex":
+        p = ComplexParams(mu=complex(args.mu_re, args.mu_im), sigma2=args.sigma2, alpha=args.alpha)
+        draws = sample_complex(p, rng, size=args.count, method=args.method)
+        lines = (f"{z.real:.17g},{z.imag:.17g}\n" for z in draws)
+    else:
+        p = PowerParams(alpha=args.alpha, beta=args.beta, lam=args.lam)
+        draws = sample_power(p, rng, size=args.count, method=args.method)
+        lines = (f"{x:.17g}\n" for x in draws)
+    with _output(args.out) as out:
+        out.writelines(lines)
     return 0
 
 
 def _cmd_density_grid(args) -> int:
-    out, close = _open_out(args.out)
-    writer = csv.writer(out)
-    try:
-        if args.kind == "complex":
-            p = ComplexParams(
-                mu=complex(args.mu_re, args.mu_im), sigma2=args.sigma2, alpha=args.alpha
-            )
-            writer.writerow(["re", "im", "density"])
-            rows = complex_density_rows(
-                p,
-                (args.re_min, args.re_max),
-                (args.im_min, args.im_max),
-                args.n,
-                args.n,
-            )
-            writer.writerows(rows)
+    # The row generators validate their parameters on the first row, so
+    # the rows are computed in full before the output is opened.
+    if args.kind == "complex":
+        p = ComplexParams(mu=complex(args.mu_re, args.mu_im), sigma2=args.sigma2, alpha=args.alpha)
+        header = ["re", "im", "density"]
+        rows = complex_density_rows(
+            p, (args.re_min, args.re_max), (args.im_min, args.im_max), args.n, args.n
+        )
+    else:
+        header = ["x", "density"]
+        if args.kind == "amplitude":
+            params = AmplitudeParams(nu=args.nu, sigma2=args.sigma2, alpha=args.alpha)
         else:
-            writer.writerow(["x", "density"])
-            if args.kind == "amplitude":
-                params = AmplitudeParams(nu=args.nu, sigma2=args.sigma2, alpha=args.alpha)
-            else:
-                params = PowerParams(alpha=args.alpha, beta=args.beta, lam=args.lam)
-            rows = scalar_density_rows(args.kind, params, args.x_min, args.x_max, args.n)
-            writer.writerows(rows)
-    finally:
-        if close:
-            out.close()
+            params = PowerParams(alpha=args.alpha, beta=args.beta, lam=args.lam)
+        rows = scalar_density_rows(args.kind, params, args.x_min, args.x_max, args.n)
+    _write_csv(args.out, header, list(rows))
     return 0
 
 
 def _cmd_kurtosis_sweep(args) -> int:
     lambdas = np.linspace(args.lambda_min, args.lambda_max, args.steps)
-    out, close = _open_out(args.out)
-    writer = csv.writer(out)
-    try:
-        writer.writerow(["lambda", "alpha", "gamma2_proposed", "gamma2_ncgamma"])
-        writer.writerows(kurtosis_sweep(lambdas, args.alphas, beta=args.beta))
-    finally:
-        if close:
-            out.close()
+    # Computed in full before the output is opened, as in density-grid.
+    rows = list(kurtosis_sweep(lambdas, args.alphas, beta=args.beta))
+    _write_csv(args.out, ["lambda", "alpha", "gamma2_proposed", "gamma2_ncgamma"], rows)
     return 0
 
 

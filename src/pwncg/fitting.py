@@ -4,9 +4,14 @@ The exponential rate has a closed form. The gamma fit profiles the rate
 out and runs a one-dimensional quasi-Newton search over ln(shape); the
 noncentral-gamma and proposed fits run a bounded three-parameter
 quasi-Newton search over (ln alpha, ln beta, s) with lam = softplus(s),
-so lam = 0 stays reachable. Gradients are central finite differences of
-the mean log-likelihood; working with the per-sample mean keeps the
-gradient tolerance meaningful independently of batch size.
+so lam = 0 stays reachable. Each objective is the negated mean
+log-likelihood; working with the per-sample mean keeps the gradient
+tolerance meaningful independently of batch size. Each objective returns
+its exact gradient from the same evaluation: the series that sum the
+value (the confluent normalizer of the proposed law, the ascending series
+of I_nu) also give its derivatives, as moments of their terms. Only
+d/dnu of ln I_nu at Bessel arguments from special._IV_SERIES_CUTOFF on,
+where scipy's ive gives the value, is a central difference in nu.
 
 Every batch is divided by its mean before optimization and the rate is
 rescaled afterwards; this keeps the noncentrality and the series arguments
@@ -22,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import betainc, gammaln
+from scipy.special import betainc, digamma, gammaln
 
 from .distributions import (
     PowerParams,
@@ -31,7 +36,19 @@ from .distributions import (
     log_pdf_noncentral_gamma,
     log_pdf_power,
 )
-from .special import _log_i0_unchecked, log_bessel_i_nu, log_laguerre_neg
+from .special import (  # noqa: F401  (the value-only kernels: see below)
+    _log_bessel_i_nu_grad,
+    _log_i0_grad,
+    _log_i0_unchecked,
+    _log_laguerre_neg_grad,
+    log_bessel_i_nu,
+    log_laguerre_neg,
+)
+
+# The objectives call the value-and-gradient kernels. The value-only
+# _log_i0_unchecked, log_bessel_i_nu and log_laguerre_neg stay bound here
+# because perfbench reads them: perfbench/tracing.py traces these
+# bindings, and its noncentral_batches workload wraps log_laguerre_neg.
 
 __all__ = [
     "FitResult",
@@ -112,22 +129,6 @@ def _softplus_inv(lam: float) -> float:
     return math.log(math.expm1(lam))
 
 
-# Central-difference step relative to max(1, |z_i|).
-_REL_H = 1e-5
-
-
-def _central_diff_grad(f, z: np.ndarray) -> np.ndarray:
-    g = np.empty_like(z)
-    for i in range(z.size):
-        h = _REL_H * max(1.0, abs(z[i]))
-        zp = z.copy()
-        zm = z.copy()
-        zp[i] += h
-        zm[i] -= h
-        g[i] = (f(zp) - f(zm)) / (2.0 * h)
-    return g
-
-
 def _projected_grad_norm(grad: np.ndarray, z: np.ndarray, bounds) -> float:
     pg = np.array(grad, dtype=float)
     for i, (lo, hi) in enumerate(bounds):
@@ -139,16 +140,29 @@ def _projected_grad_norm(grad: np.ndarray, z: np.ndarray, bounds) -> float:
 
 
 def _minimize(obj, z0: np.ndarray, bounds):
+    """L-BFGS-B on obj(z) -> (value, gradient). scipy asks for the value
+    and the gradient at the same point in separate calls; a one-slot cache
+    keyed on z answers both from one evaluation, and the function handed
+    to minimize returns the float value (perfbench counts penalty values
+    from it)."""
     tol = DEFAULT_OPTIMIZER.grad_tol
+    last = [None, None, None]  # z bytes, value, gradient
+
+    def evaluate(z: np.ndarray):
+        key = z.tobytes()
+        if key != last[0]:
+            last[:] = key, *obj(z)
+        return last
+
     res = minimize(
-        obj,
+        lambda z: evaluate(z)[1],
         z0,
-        jac=lambda z: _central_diff_grad(obj, z),
+        jac=lambda z: evaluate(z)[2],
         method="L-BFGS-B",
         bounds=bounds,
         options={"maxiter": DEFAULT_OPTIMIZER.max_iters, "ftol": 1e-13, "gtol": tol},
     )
-    # res.jac is _central_diff_grad at res.x, from the optimizer's last evaluation.
+    # res.jac is the exact gradient at res.x, from the optimizer's last evaluation.
     converged = bool(res.success) and _projected_grad_norm(res.jac, res.x, bounds) <= tol
     return res.x, float(res.fun), converged, int(res.nit)
 
@@ -172,10 +186,12 @@ def fit_exponential(data) -> FitResult:
 
 def _gamma_profile_objective(mlog_y: float):
     # Mean log-likelihood of the mean-normalized batch with the rate
-    # profiled out (beta = alpha when mean(y) = 1), negated.
-    def obj(z: np.ndarray) -> float:
+    # profiled out (beta = alpha when mean(y) = 1), negated, and its
+    # derivative in ln alpha.
+    def obj(z: np.ndarray):
         a = math.exp(float(z[0]))
-        return -(a * math.log(a) - float(gammaln(a)) + (a - 1.0) * mlog_y - a)
+        value = -(a * math.log(a) - float(gammaln(a)) + (a - 1.0) * mlog_y - a)
+        return value, np.array([-a * (math.log(a) - float(digamma(a)) + mlog_y)])
 
     return obj
 
@@ -205,8 +221,9 @@ def fit_gamma(data) -> FitResult:
 
     # The exponential point (alpha = 1) is kept as a closed-form candidate
     # so the fitted likelihood can never fall below the exponential one.
-    if obj(np.zeros(1)) < fval:
-        z, fval, converged = np.zeros(1), obj(np.zeros(1)), True
+    at_one = obj(np.zeros(1))[0]
+    if at_one < fval:
+        z, fval, converged = np.zeros(1), at_one, True
 
     alpha = math.exp(float(z[0]))
     return _fit_result("gamma", x, m, {"alpha": alpha, "beta": alpha / m}, converged, nit)
@@ -262,53 +279,88 @@ def _pick_start(runs):
     return next((run for run in runs if run[2] and run[1] <= best[1] + tol), best)
 
 
-def _noncentral_gamma_mean_ll(a, b, lam, mlog, m1, sqrt_y) -> float:
-    """Mean noncentral-gamma LL of a batch y, from mean(ln y), mean(y) and sqrt(y)."""
-    return (
+def _noncentral_gamma_mean_ll(a, b, lam, mlog, m1, sqrt_y):
+    """Mean noncentral-gamma LL of a batch y, from mean(ln y), mean(y) and
+    sqrt(y), and its gradient in (ln a, ln b, ln lam)."""
+    log_b = math.log(b)
+    log_lam = math.log(lam)
+    log_i, d_nu, x_dx = _log_bessel_i_nu_grad(a - 1.0, 2.0 * math.sqrt(b * lam) * sqrt_y)
+    value = (
         -lam
-        + 0.5 * (a + 1.0) * math.log(b)
-        - 0.5 * (a - 1.0) * math.log(lam)
+        + 0.5 * (a + 1.0) * log_b
+        - 0.5 * (a - 1.0) * log_lam
         + 0.5 * (a - 1.0) * mlog
         - b * m1
-        + float(np.mean(log_bessel_i_nu(a - 1.0, 2.0 * math.sqrt(b * lam) * sqrt_y)))
+        + float(np.mean(log_i))
+    )
+    # The Bessel argument 2 sqrt(b lam y) moves by half a step in ln b or
+    # ln lam, so each gets half of x d/dx of the Bessel term.
+    half_x_dx = 0.5 * float(np.mean(x_dx))
+    return value, (
+        a * (0.5 * (log_b - log_lam + mlog) + float(np.mean(d_nu))),
+        0.5 * (a + 1.0) - b * m1 + half_x_dx,
+        -lam - 0.5 * (a - 1.0) + half_x_dx,
     )
 
 
-def _proposed_mean_ll(a, b, lam, mlog, m1, sqrt_y) -> float:
-    """Mean log-likelihood of the proposed law, as _noncentral_gamma_mean_ll."""
-    return (
-        a * math.log(b)
+def _proposed_mean_ll(a, b, lam, mlog, m1, sqrt_y):
+    """Mean log-likelihood of the proposed law and its gradient, as
+    _noncentral_gamma_mean_ll."""
+    log_b = math.log(b)
+    log_s, ds_da, lam_ds_dlam = _log_laguerre_neg_grad(a, lam)
+    log_i0, x_dx = _log_i0_grad(2.0 * math.sqrt(b * lam) * sqrt_y)
+    value = (
+        a * log_b
         - float(gammaln(a))
-        - log_laguerre_neg(a, lam)
+        - log_s
         + (a - 1.0) * mlog
         - b * m1
-        + float(np.mean(_log_i0_unchecked(2.0 * math.sqrt(b * lam) * sqrt_y)))
+        + float(np.mean(log_i0))
+    )
+    half_x_dx = 0.5 * float(np.mean(x_dx))
+    return value, (
+        a * (log_b - float(digamma(a)) - ds_da + mlog),
+        a - b * m1 + half_x_dx,
+        -lam_ds_dlam + half_x_dx,
     )
 
 
-def _fit_shifted_family(model: str, data, rng, mean_ll, extra_start=None) -> FitResult:
-    """Multi-start fit of an (alpha, beta, lam) family by its mean_ll. Starts:
-    the gamma fit with lam at its floor and near 0, extra_start(y) unless it
-    or its value is None, then jitters of the second start drawn from rng."""
-    x = _validate_batch(data)
-    m = float(np.mean(x))
-    y = x / m
-
+def _shifted_objective(mean_ll, y: np.ndarray):
+    """obj(z) -> (value, gradient) at z = (ln a, ln b, s), lam = softplus(s):
+    the negated mean_ll of the normalized batch y, or 1e300 with a zero
+    gradient where it raises an ArithmeticError or is not finite."""
     # Sufficient statistics of the objective; only the Bessel term needs
     # the full sample vector per evaluation.
     stats = (float(np.mean(np.log(y))), float(np.mean(y)), np.sqrt(y))
 
-    def obj(z: np.ndarray) -> float:
+    def obj(z: np.ndarray):
         a = math.exp(float(z[0]))
         b = math.exp(float(z[1]))
         lam = _softplus(float(z[2]))
         try:
-            val = -mean_ll(a, b, lam, *stats)
+            val, (ga, gb, glam) = mean_ll(a, b, lam, *stats)
         except (ArithmeticError, FloatingPointError, OverflowError):
-            return 1e300
-        return val if math.isfinite(val) else 1e300
+            return 1e300, np.zeros(3)
+        # dlam/ds = 1 - exp(-lam), so d/ds = (lam d/dlam) (1 - exp(-lam)) / lam.
+        grad = -np.array([ga, gb, glam * -math.expm1(-lam) / lam])
+        if not (math.isfinite(val) and np.isfinite(grad).all()):
+            return 1e300, np.zeros(3)
+        return -val, grad
 
-    g = fit_gamma(data)
+    return obj
+
+
+def _fit_shifted_family(model: str, data, rng, mean_ll, gamma_fit=None, extra_start=None):
+    """Multi-start fit of an (alpha, beta, lam) family by mean_ll(a, b, lam,
+    mean(ln y), mean(y), sqrt(y)) -> (value, gradient in (ln a, ln b,
+    ln lam)). Starts: the gamma fit (gamma_fit if given, else fitted here)
+    with lam at its floor and near 0, extra_start(y) unless it or its value
+    is None, then jitters of the second start drawn from rng."""
+    x = _validate_batch(data)
+    m = float(np.mean(x))
+    y = x / m
+    obj = _shifted_objective(mean_ll, y)
+    g = gamma_fit if gamma_fit is not None else fit_gamma(data)
     ln_ag = math.log(g.params["alpha"])
     # beta of the gamma fit on the normalized batch equals its alpha.
     starts = [
@@ -337,30 +389,48 @@ def _fit_shifted_family(model: str, data, rng, mean_ll, extra_start=None) -> Fit
     return _fit_result(model, x, m, params, converged, sum(run[3] for run in runs))
 
 
-def fit_noncentral_gamma(data, rng: np.random.Generator | None = None) -> FitResult:
+def fit_noncentral_gamma(
+    data, rng: np.random.Generator | None = None, gamma_fit: FitResult | None = None
+) -> FitResult:
     """Noncentral-gamma fit over (ln alpha, ln beta, softplus lam),
-    initialized from the gamma fit with a small starting noncentrality."""
-    return _fit_shifted_family("noncentral_gamma", data, rng, _noncentral_gamma_mean_ll)
+    initialized from the gamma fit with a small starting noncentrality.
+    gamma_fit, if given, must be fit_gamma(data); it is then not refitted."""
+    return _fit_shifted_family(
+        "noncentral_gamma", data, rng, _noncentral_gamma_mean_ll, gamma_fit
+    )
 
 
-def fit_proposed(data, rng: np.random.Generator | None = None) -> FitResult:
+def fit_proposed(
+    data, rng: np.random.Generator | None = None, gamma_fit: FitResult | None = None
+) -> FitResult:
     """Fit of the proposed power distribution with multiple starts: the
-    gamma fit with lam near zero, and a moment-matched point."""
-    return _fit_shifted_family("proposed", data, rng, _proposed_mean_ll, _moment_matched_start)
+    gamma fit with lam near zero, and a moment-matched point. gamma_fit
+    as in fit_noncentral_gamma."""
+    return _fit_shifted_family(
+        "proposed", data, rng, _proposed_mean_ll, gamma_fit, _moment_matched_start
+    )
 
 
-def fit_model(model: str, data, rng: np.random.Generator | None = None) -> FitResult:
-    """Fit the named model; see FIT_MODELS for the choices."""
+def fit_model(
+    model: str,
+    data,
+    rng: np.random.Generator | None = None,
+    gamma_fit: FitResult | None = None,
+) -> FitResult:
+    """Fit the named model; see FIT_MODELS for the choices. gamma_fit, if
+    given, must be the gamma fit of data; the noncentral-gamma and
+    proposed fits then start from it instead of fitting the gamma again."""
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {FIT_MODELS}")
-    return MODELS[model].fit(data, rng)
+    return MODELS[model].fit(data, rng, gamma_fit)
 
 
 @dataclass(frozen=True)
 class Model:
     """One compared power model: its name, extra names the CLI accepts, the
     keys of its fitted parameters, log_likelihood(x, params) = the batch
-    total at given parameters, and fit(data, rng) -> FitResult. The
+    total at given parameters, and fit(data, rng, gamma_fit) -> FitResult
+    (see fit_model). The
     callables look module functions up when called, so that bindings
     replaced at run time (a tracer, a test stub) are the ones used."""
 
@@ -377,26 +447,26 @@ MODELS = {
         Model(
             "exponential", ("exp",), ("rate",),
             lambda x, p: float(np.sum(log_pdf_exponential(x, p["rate"]))),
-            lambda data, rng: fit_exponential(data),
+            lambda data, rng, gamma_fit: fit_exponential(data),
         ),
         Model(
             "gamma", (), ("alpha", "beta"),
             lambda x, p: float(np.sum(log_pdf_gamma(x, p["alpha"], p["beta"]))),
-            lambda data, rng: fit_gamma(data),
+            lambda data, rng, gamma_fit: fit_gamma(data),
         ),
         Model(
             "noncentral_gamma", ("ncgamma",), ("alpha", "beta", "lambda"),
             lambda x, p: float(
                 np.sum(log_pdf_noncentral_gamma(x, p["alpha"], p["beta"], p["lambda"]))
             ),
-            lambda data, rng: fit_noncentral_gamma(data, rng),
+            lambda data, rng, gamma_fit: fit_noncentral_gamma(data, rng, gamma_fit),
         ),
         Model(
             "proposed", (), ("alpha", "beta", "lambda"),
             lambda x, p: float(
                 np.sum(log_pdf_power(x, PowerParams(p["alpha"], p["beta"], p["lambda"])))
             ),
-            lambda data, rng: fit_proposed(data, rng),
+            lambda data, rng, gamma_fit: fit_proposed(data, rng, gamma_fit),
         ),
     )
 }

@@ -340,6 +340,16 @@ def _analyze_file(path, cfg: StftConfig, pf: int, pt: int):
     return spec, patches, info
 
 
+def _fit_models(models, values, rng) -> dict[str, FitResult]:
+    """Fit each model in order, drawing restarts from rng. Once the gamma
+    model is fitted, the later noncentral-gamma and proposed fits start
+    from that fit instead of fitting the gamma again."""
+    fits: dict[str, FitResult] = {}
+    for m in models:
+        fits[m] = fit_model(m, values, rng=rng, gamma_fit=fits.get("gamma"))
+    return fits
+
+
 def run_experiment(
     paths,
     stft: StftConfig = StftConfig(),
@@ -403,11 +413,11 @@ def run_experiment(
             floored = int(np.sum(values < floor))
             values = np.maximum(values, floor)
             if fit_scope == "patch":
-                fits = {m: fit_model(m, values, rng=rng) for m in models}
+                fits = _fit_models(models, values, rng)
             else:
                 if file_fits is None:  # fit once per file, with its first patch's stream
                     pooled = np.maximum(np.concatenate([p.values.ravel() for p in patches]), floor)
-                    file_fits = {m: fit_model(m, pooled, rng=rng) for m in models}
+                    file_fits = _fit_models(models, pooled, rng)
                 fits = {}
                 for m, fit in file_fits.items():
                     ll = MODELS[m].log_likelihood(values, fit.params)

@@ -62,6 +62,24 @@ def test_sizes_below_one_are_usage_errors(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kurtosis-sweep", "--beta", "0"],
+        ["kurtosis-sweep", "--lambda-min", "-1"],
+        ["density-grid", "--kind", "power", "--alpha", "1", "--x-min", "0"],
+        ["density-grid", "--alpha", "-1"],
+        ["sample", "--alpha", "-1"],
+    ],
+)
+def test_parameter_errors_leave_no_output_file(argv, tmp_path):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 class TestSampleCommand:
     def test_power_draws_match_library(self, tmp_path):
         out = tmp_path / "draws.txt"

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from pwncg import fitting
@@ -199,28 +201,90 @@ class TestRestartChoice:
         assert r.params["alpha"] == math.exp(self.Z0[0])
 
 
-class TestFinalGradient:
-    def test_lbfgsb_jac_is_central_difference_at_x(self, monkeypatch):
+def _central_difference(f, z, rel_h=1e-5):
+    """Gradient oracle: central differences of the value of f(z) -> (value, grad)."""
+    g = np.empty(z.size)
+    for i in range(z.size):
+        h = rel_h * max(1.0, abs(z[i]))
+        zp, zm = z.copy(), z.copy()
+        zp[i] += h
+        zm[i] -= h
+        g[i] = (f(zp)[0] - f(zm)[0]) / (2.0 * h)
+    return g
+
+
+LN_ALPHA = st.one_of(
+    st.sampled_from([math.log(1e-3), math.log(1.5e-3), math.log(7e2), math.log(1e3)]),
+    st.floats(math.log(1e-3), math.log(1e3)),
+)
+
+
+class TestExactGradient:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mean_ll=st.sampled_from(
+            [fitting._noncentral_gamma_mean_ll, fitting._proposed_mean_ll]
+        ),
+        ln_a=LN_ALPHA,
+        ln_b=st.floats(-3.0, 9.0),
+        s=st.one_of(st.just(-40.0), st.floats(-40.0, 60.0)),
+        shape=st.floats(0.3, 5.0),
+        seed=st.integers(0, 2**16),
+    )
+    @example(fitting._noncentral_gamma_mean_ll, math.log(1e-3), 4.0, 3.0, 1.0, 0)
+    @example(fitting._noncentral_gamma_mean_ll, math.log(5.0), 6.0, 5.0, 1.0, 0)
+    @example(fitting._noncentral_gamma_mean_ll, math.log(1e3), 8.0, 5.0, 1.0, 0)
+    @example(fitting._proposed_mean_ll, math.log(1e-3), 4.0, -40.0, 1.0, 0)
+    def test_shifted_families_match_central_differences(
+        self, mean_ll, ln_a, ln_b, s, shape, seed
+    ):
+        # lam at the softplus floor (s = -40), alpha at and near its bounds,
+        # Bessel arguments 2 sqrt(b lam y) on both sides of the ive cutoff
+        y = np.random.default_rng(seed).gamma(shape, 1.0, 30)
+        obj = fitting._shifted_objective(mean_ll, y / y.mean())
+        z = np.array([ln_a, ln_b, s])
+        value, grad = obj(z)
+        assert value < 1e300
+        oracle = _central_difference(obj, z)
+        scale = max(1.0, float(np.max(np.abs(oracle))))
+        np.testing.assert_allclose(grad, oracle, rtol=0.0, atol=1e-6 * scale)
+
+    @settings(max_examples=30, deadline=None)
+    @given(ln_a=LN_ALPHA, mlog=st.floats(-5.0, 0.0))
+    def test_gamma_profile_matches_central_differences(self, ln_a, mlog):
+        obj = fitting._gamma_profile_objective(mlog)
+        z = np.array([ln_a])
+        oracle = _central_difference(obj, z)
+        np.testing.assert_allclose(
+            obj(z)[1], oracle, rtol=0.0, atol=1e-6 * max(1.0, abs(oracle[0]))
+        )
+
+    def test_lbfgsb_jac_is_the_exact_gradient_at_x(self, monkeypatch):
         # _minimize decides convergence from the optimizer's res.jac; that
-        # must be the central-difference gradient at res.x, bit for bit
-        real = fitting.minimize
-        pairs = []
+        # must be the objective's own gradient at res.x, bit for bit
+        real_minimize, real_search = fitting.minimize, fitting._minimize
+        objectives, results = [], []
 
-        def spy(fun, x0, *args, **kwargs):
-            res = real(fun, x0, *args, **kwargs)
-            pairs.append((res.jac, fitting._central_diff_grad(fun, res.x)))
-            return res
+        def spy_search(obj, z0, bounds):
+            objectives.append(obj)
+            return real_search(obj, z0, bounds)
 
-        monkeypatch.setattr(fitting, "minimize", spy)
+        def spy_minimize(fun, x0, *args, **kwargs):
+            results.append(real_minimize(fun, x0, *args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(fitting, "_minimize", spy_search)
+        monkeypatch.setattr(fitting, "minimize", spy_minimize)
         rng = rng_stream(15)
         batches = [random_batch(rng) for _ in range(3)]
         batches.append(sample_power(PowerParams(1.0, 1.0, 40.0), rng, size=60))
         for i, batch in enumerate(batches):
             for m in FIT_MODELS:
                 fit_model(m, batch, rng=rng_stream(i))
-        assert len(pairs) == len(batches) * (1 + 2 * (1 + DEFAULT_OPTIMIZER.restarts))
-        for jac, grad in pairs:
-            np.testing.assert_array_equal(jac, grad)
+        assert len(results) == len(batches) * (1 + 2 * (1 + DEFAULT_OPTIMIZER.restarts))
+        assert len(objectives) == len(results)
+        for obj, res in zip(objectives, results):
+            np.testing.assert_array_equal(res.jac, obj(res.x)[1])
 
 
 class TestNesting:
