@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy.special import gammaln
 
 from .distributions import PowerParams
-from .special import log_laguerre_neg
+from .special import _log_laguerre_neg_rows, log_laguerre_neg
 
 __all__ = [
     "raw_moment",
@@ -26,6 +27,22 @@ __all__ = [
 ]
 
 
+def _log_raw_moments(orders, p: PowerParams) -> np.ndarray:
+    """ln M_n for each n of orders,
+
+    ln M_n = ln (alpha)_n - n ln beta + ln S(alpha + n, lam) - ln S(alpha, lam),
+
+    where S is the confluent normalizer series; every S comes from one
+    row-batched call (S = 1 at lam = 0)."""
+    n = np.asarray(orders, dtype=float)
+    shapes = p.alpha + np.concatenate([[0.0], n])
+    if p.lam == 0.0:
+        log_s = np.zeros(shapes.size)
+    else:
+        log_s = _log_laguerre_neg_rows(shapes, np.full(shapes.size, float(p.lam)))
+    return gammaln(p.alpha + n) - gammaln(p.alpha) - n * math.log(p.beta) + log_s[1:] - log_s[0]
+
+
 def raw_moment(n: int, p: PowerParams) -> float:
     """n-th raw moment of the power distribution.
 
@@ -35,14 +52,7 @@ def raw_moment(n: int, p: PowerParams) -> float:
     n = int(n)
     if n < 1:
         raise ValueError(f"raw_moment requires n >= 1, got {n}")
-    log_m = (
-        gammaln(p.alpha + n)
-        - gammaln(p.alpha)
-        - n * math.log(p.beta)
-        + log_laguerre_neg(p.alpha + n, p.lam)
-        - log_laguerre_neg(p.alpha, p.lam)
-    )
-    return math.exp(log_m)
+    return math.exp(float(_log_raw_moments([n], p)[0]))
 
 
 def laguerre_ratio(alpha: float, lam: float) -> float:
@@ -66,7 +76,7 @@ def mean_variance(p: PowerParams) -> tuple[float, float]:
 def excess_kurtosis(p: PowerParams) -> float:
     """Excess kurtosis kappa4 / kappa2^2 of the power distribution, with the
     cumulants taken from the raw moments m1..m4."""
-    m1, m2, m3, m4 = (raw_moment(n, p) for n in (1, 2, 3, 4))
+    m1, m2, m3, m4 = (math.exp(v) for v in _log_raw_moments([1, 2, 3, 4], p).tolist())
     kappa2 = m2 - m1 * m1
     kappa4 = m4 - 4.0 * m1 * m3 - 3.0 * m2 * m2 + 12.0 * m1 * m1 * m2 - 6.0 * m1**4
     return kappa4 / (kappa2 * kappa2)

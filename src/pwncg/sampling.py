@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .distributions import ComplexParams, PoissonTypeParams, PowerParams
-from .special import SeriesConvergenceError, _log_confluent_terms
+from .special import SeriesConvergenceError, _confluent_weights
 
 __all__ = [
     "RngStream",
@@ -84,22 +84,21 @@ def poisson_type_pmf_table(p: PoissonTypeParams) -> np.ndarray:
     """Normalized pmf values p(0..N) with the truncation N chosen adaptively.
 
     Terms follow f(0) = 1, f(k+1) = lam (alpha+k) / (k+1)^2 * f(k), the
-    terms of the normalizer log_laguerre_neg, and come from the same log-
-    domain series kernel. N is large enough that the last term is below
-    _PMF_TAIL_TOL of the partial sum AND the terms are past their mode; beyond
-    the mode the decay is super-geometric, so the discarded tail mass is of
-    the same order as the ratio test.
+    terms of the normalizer log_laguerre_neg, and come from the same window
+    kernel. N is large enough that the last term is below _PMF_TAIL_TOL of
+    the partial sum AND the terms are past their mode; beyond the mode the
+    decay is super-geometric, so the discarded tail mass is of the same
+    order as the ratio test. Terms before the kernel's window, far enough
+    below the mode to be under _PMF_TAIL_TOL of the sum, are 0.
     """
     if p.lam == 0.0:
         return np.ones(1)
-    summed = _log_confluent_terms(p.alpha, p.lam, _PMF_TAIL_TOL, _PMF_MAX_TERMS)
-    if summed is None:
+    probs = _confluent_weights(p.alpha, p.lam, _PMF_TAIL_TOL, _PMF_MAX_TERMS)
+    if probs is None:
         raise SeriesConvergenceError(
             f"could not bound the pmf tail below {_PMF_TAIL_TOL} within {_PMF_MAX_TERMS} "
             f"terms for lam={p.lam}, alpha={p.alpha}"
         )
-    log_f, acc = summed
-    probs = np.exp(np.asarray(log_f) - acc)
     return probs / probs.sum()
 
 

@@ -5,11 +5,18 @@ combine gamma, Bessel, and confluent-hypergeometric factors whose linear
 values overflow or underflow long before the parameter ranges of interest
 are exhausted, so the linear domain is only ever entered at call sites.
 
-The kernels the fits call avoid Python loops over elements and over most
-series terms: ln I0 is ln(i0e(x)) + x at every argument; ln I_nu below
-_IV_SERIES_CUTOFF is one cumulative product over a term count read from a
-table; and the confluent normalizer, from lambda = _SCALAR_LAM_MAX on,
-sums a window of terms around its mode in one numpy pass.
+The kernels avoid Python loops over elements and over series terms: ln I0
+is ln(i0e(x)) + x at every argument; ln I_nu below _IV_SERIES_CUTOFF is
+one cumulative product over a term count read from a table; and the
+confluent normalizer sums a window of terms around its mode in one numpy
+pass.
+
+The value-and-gradient kernels that the fits call are row-batched: they
+take one parameter set per row and return one result per row. A row's
+result never depends on the other rows of its call. Each row chooses its
+own series term count or window length, rows padded to a longer shared
+array get exact zeros there, and sums over terms add the terms in order
+(_sum_terms, _sum_row_terms), whatever the shape of the array.
 """
 
 from __future__ import annotations
@@ -42,16 +49,17 @@ _IV_SERIES_CUTOFF = 30.0
 # Below this x / 2 is subnormal; there ln I_nu is its leading series term.
 _IV_TINY = 2.0 * float(np.finfo(float).tiny)
 
-# The confluent series is summed by the Python term recurrence below this
-# lambda, where it has a few dozen terms, and in one numpy pass over a
-# window of terms from this lambda on; at lambda = 5 both take about 20 us.
-_SCALAR_LAM_MAX = 5.0
-
-# Term window of the numpy pass: from n = 0 to the term mode plus
-# _WINDOW_WIDTHS widths sqrt(mode + 1) plus _WINDOW_MARGIN terms.
+# Term window of the confluent normalizer and of the log-domain I_nu
+# series: from n = 0 to the term mode plus _WINDOW_WIDTHS widths
+# sqrt(mode + 1) plus _WINDOW_MARGIN terms.
 _WINDOW_WIDTHS = 9.0
 _WINDOW_MARGIN = 16
 
+# Largest padded block, in elements, that a row-batched series builds at
+# once (rows x terms for a window, terms x rows x values for the Bessel
+# series); more rows are split into several blocks. 2^14 doubles are
+# 128 KiB.
+_SERIES_BLOCK = 1 << 14
 
 # Truncation of the confluent normalizer series: summation stops once a
 # term past the mode is below _REL_TOL of the partial sum, and gives up
@@ -72,6 +80,12 @@ _SERIES_N = np.arange(1.0, 101.0)
 _SERIES_QSTAR = np.exp((-24.0 * math.log(10.0) + 2.0 * gammaln(_SERIES_N + 1.0)) / _SERIES_N)
 
 
+def _series_counts(q_max):
+    """Term count of the ascending series whose largest q is q_max: the
+    table's count plus a margin of two, at most len(_SERIES_N)."""
+    return np.minimum(np.searchsorted(_SERIES_QSTAR, q_max, side="left") + 3, len(_SERIES_N))
+
+
 def _series_terms(q: np.ndarray, denom: np.ndarray) -> np.ndarray:
     """The terms T_n = prod_{m<=n} (q / denom_m), n = 1 .. k, for positive
     q, as a (k, q.size) array.
@@ -80,11 +94,51 @@ def _series_terms(q: np.ndarray, denom: np.ndarray) -> np.ndarray:
     precomputed threshold table, so the loop over terms happens inside
     numpy (one cumprod) instead of Python.
     """
-    qmax = float(q.max())
-    k = int(np.searchsorted(_SERIES_QSTAR, qmax, side="left")) + 1
-    k = min(k + 2, len(denom))
+    k = int(_series_counts(float(q.max())))
     ratios = q[None, :] / denom[:k, None]
     return np.cumprod(ratios, axis=0)
+
+
+def _row_blocks(lengths: np.ndarray, rows, width: int):
+    """(length, block) pairs that cover rows (an index array, or a slice
+    for all rows): all of them if their padded block (longest length x
+    rows x width) holds at most _SERIES_BLOCK elements, else blocks of
+    consecutive rows in order of length that do, with a block of its own
+    for a row too long for that."""
+    lens = lengths[rows]
+    longest = int(lens.max())
+    if longest * lens.size * width <= _SERIES_BLOCK:
+        yield longest, rows
+        return
+    order = np.argsort(lens, kind="stable")
+    rows, lens = np.arange(lengths.size)[rows][order], lens[order]
+    start = 0
+    while start < rows.size:
+        stop = start + 1
+        while stop < rows.size and int(lens[stop]) * (stop - start + 1) * width <= _SERIES_BLOCK:
+            stop += 1
+        yield int(lens[stop - 1]), rows[start:stop]
+        start = stop
+
+
+def _sum_terms(t: np.ndarray) -> np.ndarray:
+    """t[0] + t[1] + ... in that order, over the leading (term) axis.
+
+    numpy reduces an outer axis of a C-contiguous array by adding whole
+    slices, term after term, for every element alike; only when one
+    element remains would it sum pairwise instead, in an order set by the
+    term count, and a cumulative sum keeps that case in term order. So an
+    element padded with zero terms sums to exactly what its own terms do.
+    """
+    if t[0].size > 1:
+        return np.add.reduce(t, axis=0)
+    return np.cumsum(t, axis=0)[-1]
+
+
+def _sum_row_terms(t: np.ndarray) -> np.ndarray:
+    """t[..., 0] + t[..., 1] + ... in that order, along the last axis: a
+    cumulative sum, which adds in term order whatever the length."""
+    return np.add.accumulate(t, axis=-1)[..., -1]
 
 
 def _checked_range(name: str, arr: np.ndarray) -> tuple[float, float]:
@@ -146,20 +200,30 @@ def _log_iv_series_linear(nu: float, x: np.ndarray) -> np.ndarray:
     return nu * np.log(0.5 * x) - gammaln(nu + 1.0) + np.log1p(terms)
 
 
-def _log_iv_series_grad(nu: float, x: np.ndarray) -> np.ndarray:
-    """_log_iv_series_linear(nu, x) with d/dnu and x d/dx of it, as rows of
-    a (3, x.size) array, from the same terms T_n: T_n carries the factor
-    x^(2n) and d ln T_n / dnu = -H_n, H_n = sum_{m<=n} 1 / (m + nu)."""
-    log_half_x = np.log(0.5 * x)
-    q = 0.25 * x * x
-    t = _series_terms(q, _SERIES_N * (_SERIES_N + nu))
-    terms = t.sum(axis=0)
-    n = _SERIES_N[: len(t)]
-    total = 1.0 + terms
-    out = np.empty((3, x.size))
-    out[0] = nu * log_half_x - gammaln(nu + 1.0) + np.log1p(terms)
-    out[1] = log_half_x - digamma(nu + 1.0) - np.cumsum(1.0 / (n + nu)) @ t / total
-    out[2] = nu + 2.0 * (n @ t) / total
+def _log_iv_series_rows(nu: np.ndarray, x: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """ln I_nu(x) by its ascending series, with d/dnu and x d/dx of it, as
+    a (3, R, n) array, for orders nu (R,) and arguments x (R, n) in
+    (0, _IV_SERIES_CUTOFF); row r sums counts[r] terms T_n.
+
+    T_n carries the factor x^(2n) and d ln T_n / dnu = -H_n with
+    H_n = sum_{m<=n} 1 / (m + nu), so the derivatives are moments of the
+    same terms.
+    """
+    out = np.empty((3,) + x.shape)
+    for size, rows in _row_blocks(counts, slice(None), x.shape[1]):
+        xs = x[rows]
+        nus = nu[rows, None]
+        m = _SERIES_N[:size, None, None]
+        denom = m * (m + nus)
+        denom[m > counts[rows, None]] = np.inf  # terms past a row's count are 0
+        t = np.cumprod(0.25 * xs * xs / denom, axis=0)
+        terms = _sum_terms(t)
+        total = 1.0 + terms
+        log_half_x = np.log(0.5 * xs)
+        h = np.cumsum(1.0 / (m + nus), axis=0)
+        out[0, rows] = nus * log_half_x - gammaln(nus + 1.0) + np.log1p(terms)
+        out[1, rows] = log_half_x - digamma(nus + 1.0) - _sum_terms(h * t) / total
+        out[2, rows] = nus + 2.0 * _sum_terms(m * t) / total
     return out
 
 
@@ -168,36 +232,43 @@ _IV_LOGDOMAIN_MAX_TERMS = 200_000
 
 
 def _log_iv_series_logdomain(nu: float, x: float):
-    """Fallback ascending series accumulated fully in log domain: ln I_nu(x)
-    and, as _log_iv_series_grad, d/dnu and x d/dx of it.
+    """Fallback ascending series for ln I_nu(x) whose sum stays in log
+    domain, with d/dnu and x d/dx of it, as _log_iv_series_rows.
 
     Used where ive under/overflows, which only happens when nu is large
-    relative to x. The term ratio (x/2)^2 / ((n+1)(n+1+nu)) crosses 1 at
-    the positive root of (n+1)(n+1+nu) = (x/2)^2; the normalizer's window
-    kernel sums the terms down to exp(-40) of the sum.
+    relative to x. The terms T_n = (x/2)^(2n) Gamma(nu+1) / (n! Gamma(n+nu+1))
+    have the ratio (x/2)^2 / ((n+1)(n+1+nu)), which crosses 1 at the
+    positive root of (n+1)(n+1+nu) = (x/2)^2; the normalizer's window
+    kernel sums them down to exp(-40) of the sum.
     """
     log_half_x = math.log(0.5 * x)
+    q = 0.25 * x * x
 
-    def log_ratios(n_end: int) -> np.ndarray:
-        m = np.arange(1.0, n_end + 1.0)
-        return 2.0 * log_half_x - np.log(m) - np.log(m + nu)
+    def ratios(n: np.ndarray, rows) -> np.ndarray:
+        return (q / ((n + 1.0) * (n + 1.0 + nu))).reshape(1, -1)
+
+    def log_head(n: np.ndarray, rows) -> np.ndarray:
+        return 2.0 * n * log_half_x - gammaln(n + 1.0) - gammaln(n + 1.0 + nu) + gammaln(nu + 1.0)
 
     mode = max(0.0, 0.5 * (math.sqrt(nu * nu + x * x) - nu) - 1.0)
-    summed = _log_terms_window(log_ratios, mode, -40.0, _IV_LOGDOMAIN_MAX_TERMS)
-    if summed is None:
-        raise SeriesConvergenceError(
-            f"I_nu series did not converge for nu={nu}, x={x} "
-            f"within {_IV_LOGDOMAIN_MAX_TERMS} terms"
+    with np.errstate(over="ignore", invalid="ignore"):  # a failing window may overflow
+        blocks = list(
+            _window_rows(ratios, log_head, np.array([mode]), math.exp(-40.0), _IV_LOGDOMAIN_MAX_TERMS)
         )
-    log_terms, log_sum = summed
-    w = np.exp(log_terms - log_sum)
-    n = np.arange(float(w.size))
-    h = np.zeros(w.size)
-    np.cumsum(1.0 / (n[1:] + nu), out=h[1:])
-    return (
-        nu * log_half_x - float(gammaln(nu + 1.0)) + log_sum,
-        log_half_x - float(digamma(nu + 1.0)) - float(w @ h),
-        nu + 2.0 * float(w @ n),
+    for _, n0, rel, total, log_sum in blocks:
+        n0 = float(n0[0])
+        # H_n = sum_{m<=n} 1 / (m + nu) = digamma(n + nu + 1) - digamma(nu + 1)
+        h0 = float(digamma(n0 + nu + 1.0) - digamma(nu + 1.0))
+        steps = 1.0 / (n0 + nu + 1.0 + _term_index(rel.shape[1]))
+        mean_h, mean_n = _window_moments(rel, n0, total, steps)
+        return (
+            nu * log_half_x - float(gammaln(nu + 1.0)) + float(log_sum[0]),
+            log_half_x - float(digamma(nu + 1.0)) - (h0 + float(mean_h[0])),
+            nu + 2.0 * float(mean_n[0]),
+        )
+    raise SeriesConvergenceError(
+        f"I_nu series did not converge for nu={nu}, x={x} "
+        f"within {_IV_LOGDOMAIN_MAX_TERMS} terms"
     )
 
 
@@ -208,14 +279,15 @@ def _log_iv_series_logdomain(nu: float, x: float):
 _NU_STEP = 1e-3
 
 
-def _log_iv_large_grad(nu: float, x: np.ndarray) -> np.ndarray:
+def _log_iv_large_grad(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     """ln I_nu(x), d/dnu and x d/dx of it for x >= _IV_SERIES_CUTOFF, as
-    rows of a (3, x.size) array. The value is the one log_bessel_i_nu
-    returns; x d/dx ln I_nu = x I_{nu+1} / I_nu + nu, and d/dnu is a
-    central difference in nu (ln I_nu(x) is analytic in nu for x > 0, also
-    below nu = -1). Where one of the ive values is not a finite normal
-    number, the log-domain series gives the derivatives, and also the
-    value if ive(nu, x) itself failed."""
+    rows of a (3, x.size) array, elementwise in 1-D arrays nu and x. The
+    value is the one log_bessel_i_nu returns; x d/dx ln I_nu = x I_{nu+1} /
+    I_nu + nu, and d/dnu is a central difference in nu (ln I_nu(x) is
+    analytic in nu for x > 0, also below nu = -1). Where one of the ive
+    values is not a finite normal number, the log-domain series gives the
+    derivatives, and also the value if ive(nu, x) itself failed; where
+    that series does not converge, all three are NaN."""
     scaled = ive(nu, x)
     above = ive(nu + 1.0, x)
     up = ive(nu + _NU_STEP, x)
@@ -231,34 +303,44 @@ def _log_iv_large_grad(nu: float, x: np.ndarray) -> np.ndarray:
         out[1] = (np.log(up) - np.log(down)) / (2.0 * _NU_STEP)
         out[2] = x * above / scaled + nu
     for i in np.flatnonzero(~exact):
-        vals = _log_iv_series_logdomain(nu, float(x[i]))
+        try:
+            vals = _log_iv_series_logdomain(float(nu[i]), float(x[i]))
+        except SeriesConvergenceError:
+            out[:, i] = np.nan
+            continue
         out[1:, i] = vals[1:]
         if not ok[i]:
             out[0, i] = vals[0]
     return out
 
 
-def _log_bessel_i_nu_grad(nu: float, x: np.ndarray) -> np.ndarray:
-    """log_bessel_i_nu(nu, x) for a nonempty 1-D array of x > 0, unchecked,
-    with d/dnu and x d/dx of it, as rows of a (3, x.size) array."""
-    lo = float(x.min())
-    hi = float(x.max())
-    if lo >= _IV_TINY and hi < _IV_SERIES_CUTOFF:
-        return _log_iv_series_grad(nu, x)
-    out = np.empty((3, x.size))
+def _log_bessel_i_nu_grad(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """log_bessel_i_nu(nu[r], x[r]) for each row r of x > 0 (R, n), unchecked,
+    with d/dnu and x d/dx of it, as a (3, R, n) array; NaN where the
+    log-domain fallback does not converge."""
     tiny = x < _IV_TINY
+    big = x >= _IV_SERIES_CUTOFF
+    small = ~(tiny | big)
+    if small.all():
+        return _log_iv_series_rows(nu, x, _series_counts(0.25 * np.square(x.max(axis=1))))
+    out = np.empty((3,) + x.shape)
+    rows = np.flatnonzero(small.any(axis=1))
+    if rows.size:
+        # Each row's term count comes from its largest series argument;
+        # its other elements get a placeholder argument and are overwritten.
+        xs = np.where(small[rows], x[rows], 1.0)
+        q_max = 0.25 * np.square(np.where(small[rows], xs, 0.0).max(axis=1))
+        out[:, rows] = _log_iv_series_rows(nu[rows], xs, _series_counts(q_max))
+    nu_at = np.broadcast_to(nu[:, None], x.shape)
     if tiny.any():
         # The leading series term alone, as in log_bessel_i_nu.
+        nt = nu_at[tiny]
         log_half_x = np.log(x[tiny]) - math.log(2.0)
-        out[0, tiny] = nu * log_half_x - gammaln(nu + 1.0)
-        out[1, tiny] = log_half_x - digamma(nu + 1.0)
-        out[2, tiny] = nu
-    small = ~tiny & (x < _IV_SERIES_CUTOFF)
-    if small.any():
-        out[:, small] = _log_iv_series_grad(nu, x[small])
-    big = x >= _IV_SERIES_CUTOFF
+        out[0, tiny] = nt * log_half_x - gammaln(nt + 1.0)
+        out[1, tiny] = log_half_x - digamma(nt + 1.0)
+        out[2, tiny] = nt
     if big.any():
-        out[:, big] = _log_iv_large_grad(nu, x[big])
+        out[:, big] = _log_iv_large_grad(nu_at[big], x[big])
     return out
 
 
@@ -272,8 +354,8 @@ def log_bessel_i_nu(nu: float, x):
     log-domain series fallback where that under- or overflows.
 
     The arguments are validated in one min/max pass; when all of them lie
-    in [_IV_TINY, _IV_SERIES_CUTOFF), as in every fit objective call, the
-    series result is returned without any masking.
+    in [_IV_TINY, _IV_SERIES_CUTOFF), the series result is returned without
+    any masking.
     """
     nu = float(nu)
     if not math.isfinite(nu) or nu <= -1.0:
@@ -322,91 +404,138 @@ def log_bessel_i_nu(nu: float, x):
     return float(out[0]) if scalar else out
 
 
-# n and 2 ln(n + 1) for windows of up to 16 384 terms (lambda up to about
-# 15 000); longer windows compute them on the fly.
+# n for windows of up to 16 384 terms; longer windows compute it on the fly.
 _N_TABLE = np.arange(16_384.0)
-_TWO_LOG1P_N = 2.0 * np.log1p(_N_TABLE)
 
 
-def _log_terms_recurrence(alpha: float, lam: float, log_tol: float, max_terms: int):
-    """Term-by-term sum in Python, stopping at the first term past the
-    mode that is below the tolerance; the discarded tail decays
-    super-geometrically from there."""
-    log_lam = math.log(lam)
-    log_terms = [0.0]
-    log_term = 0.0
-    acc = 0.0
-    for n in range(max_terms):
-        new_log_term = log_term + log_lam + math.log(alpha + n) - 2.0 * math.log1p(n)
-        log_terms.append(new_log_term)
-        if new_log_term > acc:
-            acc = new_log_term + math.log1p(math.exp(acc - new_log_term))
-        else:
-            acc += math.log1p(math.exp(new_log_term - acc))
-        decreasing = new_log_term < log_term
-        log_term = new_log_term
-        if decreasing and log_term - acc < log_tol:
-            return log_terms, acc
-    return None
+def _term_index(n_end: int) -> np.ndarray:
+    """0.0, 1.0, ..., n_end - 1 as floats."""
+    return _N_TABLE[:n_end] if n_end <= len(_N_TABLE) else np.arange(float(n_end))
 
 
-def _log_terms_window(log_ratios, mode: float, log_tol: float, max_terms: int):
-    """Log terms ln t_0 .. ln t_N of a positive series with t_0 = 1, and
-    the log of their sum, in one numpy pass (None past max_terms terms).
+def _window_rows(ratios, log_head, mode: np.ndarray, rel_tol: float, max_terms: int):
+    """Sums of positive series, one per row, each over a window of its own
+    terms, in one numpy pass per block of rows.
 
-    log_ratios(N) returns ln(t_{n+1} / t_n) for n < N; mode is where that
-    ratio crosses 1. Around it ln t_n falls off like a Gaussian of
-    variance at most mode + 1, so the window end N sits _WINDOW_WIDTHS of
-    those widths past it, where the terms are ~exp(-40) of the peak. The
-    log terms are one cumulative sum of the log ratios and their sum one
-    log-sum-exp. The window doubles, up to max_terms, in the rare case
-    that its last term is not past the mode and below log_tol of the sum.
+    ratios(n, rows) returns t_{n+1} / t_n of the given rows at term
+    indices n (rows.size, N), log_head(n, rows) returns ln t_n at indices n
+    (rows.size,) with n > 0 (t_0 = 1), and mode[r] is where row r's ratio
+    crosses 1. Around it ln t_n falls off like a Gaussian of variance at
+    most mode + 1, so a row's window runs from _WINDOW_WIDTHS of those
+    widths and _WINDOW_MARGIN terms before the mode (or from n = 0) to as
+    far past it, where the terms are ~exp(-40) of the peak. Within it, the
+    terms over the first one are a cumulative product of the ratios; they
+    stay within ~exp(+-250), so they neither overflow nor lose their sum to
+    underflow.
+
+    Yields (rows, first, rel, total, log_sum) per block of rows (an index
+    array, or a slice for all rows): rel (rows.size, size) holds
+    t_{first[i] + j} / t_{first[i]} for j = 1 .. size in row i, 0 past the
+    row's window end, total = 1 + the sum of rel over j, and log_sum the
+    log of the row's sum. A row whose last term is not past the mode and
+    below rel_tol of the sum is retried with its window end doubled, up to
+    max_terms terms; a row that fails there is never yielded. A row whose
+    first term is not before the mode and below rel_tol of the sum is
+    retried with its window start halved.
     """
-    n_end = min(max_terms, int(mode + _WINDOW_WIDTHS * math.sqrt(mode + 1.0)) + _WINDOW_MARGIN)
+    width = _WINDOW_WIDTHS * np.sqrt(mode + 1.0)
+    last = np.minimum((mode + width).astype(np.int64) + _WINDOW_MARGIN, max_terms)
+    first = np.maximum((mode - width).astype(np.int64) - _WINDOW_MARGIN, 0)
+    np.minimum(first, last - 1, out=first)
+    pending = slice(None)
     while True:
-        log_terms = np.empty(n_end + 1)
-        log_terms[0] = 0.0
-        np.cumsum(log_ratios(n_end), out=log_terms[1:])
-        peak = float(log_terms.max())
-        acc = peak + math.log(float(np.exp(log_terms - peak).sum()))
-        last = float(log_terms[-1])
-        if last < float(log_terms[-2]) and last - acc < log_tol:
-            return log_terms, acc
-        if n_end >= max_terms:
-            return None
-        n_end = min(max_terms, 2 * n_end)
+        retry = []
+        for size, rows in _row_blocks(last - first, pending, 1):
+            n0 = first[rows]
+            end = last[rows] - n0
+            head = bool(n0.any())
+            n = _term_index(size)
+            r = ratios(n0[:, None] + n if head else n, rows)
+            padded = not (end == size).all()
+            if padded:
+                r[n >= end[:, None]] = 0.0  # the terms past a row's end are 0
+            rel = np.multiply.accumulate(r, axis=1)
+            s1 = _sum_row_terms(rel)
+            total = 1.0 + s1
+            log_sum = np.log1p(s1)
+            if head:
+                log_sum += log_head(n0, rows)
+            if padded:
+                at = np.arange(end.size)
+                r_end, rel_end = r[at, end - 1], rel[at, end - 1]
+            else:
+                r_end, rel_end = r[:, -1], rel[:, -1]
+            ok = tail_ok = (r_end < 1.0) & (rel_end < rel_tol * total)
+            if head:
+                head_ok = (n0 == 0) | ((r[:, 0] > 1.0) & (1.0 < rel_tol * total))
+                ok = tail_ok & head_ok
+            if ok.all():
+                yield rows, n0, rel, total, log_sum
+                continue
+            rows = np.arange(last.size)[rows]
+            if ok.any():
+                yield rows[ok], n0[ok], rel[ok], total[ok], log_sum[ok]
+            if head:
+                first[rows[~head_ok]] //= 2
+            grow = ~tail_ok & (n0 + end < max_terms)
+            last[rows[grow]] = np.minimum(max_terms, 2 * (n0 + end)[grow])
+            retry.append(rows[~ok & (tail_ok | grow)])
+        pending = np.concatenate(retry) if retry else np.empty(0, dtype=np.int64)
+        if not pending.size:
+            return
 
 
-def _log_confluent_terms(alpha: float, lam: float, rel_tol: float, max_terms: int):
-    """Log terms ln t_0 .. ln t_N of t_n = (alpha)_n lam^n / (n!)^2, with
-    t_0 = 1, and the log of their sum, for alpha > 0 and lam > 0.
+def _window_moments(rel: np.ndarray, first, total, steps: np.ndarray):
+    """E_w[H_n - H_first] and E_w[n] over the window terms of _window_rows
+    (rel, first, total), with w_n = t_n / sum of the window's terms and
+    H_{n+1} - H_n = steps[..., n - first] for n >= first."""
+    mean_h = _sum_row_terms(rel * np.add.accumulate(steps, axis=-1)) / total
+    mean_n = first + _sum_row_terms(rel * _term_index(rel.shape[1] + 1)[1:]) / total
+    return mean_h, mean_n
 
-    N is large enough that the last term is past the mode and below
-    rel_tol of the sum; returns None if that takes more than max_terms
-    terms after t_0. Below _SCALAR_LAM_MAX the Python recurrence stops at
-    the first such N; from there on the numpy pass sums a window that ends
-    well past it.
-    """
-    log_tol = math.log(rel_tol)
-    if lam < _SCALAR_LAM_MAX:
-        return _log_terms_recurrence(alpha, lam, log_tol, max_terms)
-    log_lam = math.log(lam)
 
-    def log_ratios(n_end: int) -> np.ndarray:
-        # ln of lam (alpha + n) / (n + 1)^2
-        if n_end <= len(_N_TABLE):
-            inc = np.log(alpha + _N_TABLE[:n_end]) - _TWO_LOG1P_N[:n_end]
-        else:
-            n = np.arange(float(n_end))
-            inc = np.log(alpha + n) - 2.0 * np.log1p(n)
-        inc += log_lam
-        return inc
-
-    # The ratio crosses 1 at the positive root of (n + 1)^2 = lam (alpha + n),
-    # near lam + alpha - 1 for large lam (DLMF 13.2).
+def _confluent_mode(alpha, lam):
+    """Where the confluent term ratio lam (alpha + n) / (n + 1)^2 crosses 1:
+    the positive root of (n + 1)^2 = lam (alpha + n), near lam + alpha - 1
+    for large lam (DLMF 13.2)."""
     b = lam - 2.0
-    mode = max(0.0, 0.5 * (b + math.sqrt(max(0.0, b * b + 4.0 * (lam * alpha - 1.0)))))
-    return _log_terms_window(log_ratios, mode, log_tol, max_terms)
+    return np.maximum(0.0, 0.5 * (b + np.sqrt(np.maximum(0.0, b * b + 4.0 * (lam * alpha - 1.0)))))
+
+
+def _confluent_rows(alpha: np.ndarray, lam: np.ndarray, rel_tol: float, max_terms: int):
+    """_window_rows of the confluent series t_n = (alpha)_n lam^n / (n!)^2 at
+    rows of alpha > 0 and lam > 0."""
+
+    def ratios(n: np.ndarray, rows) -> np.ndarray:
+        # lam (alpha + n) / (n + 1)^2
+        return (alpha[rows, None] + n) * lam[rows, None] / np.square(n + 1.0)
+
+    def log_head(n: np.ndarray, rows) -> np.ndarray:
+        a = alpha[rows]
+        return gammaln(a + n) - gammaln(a) + n * np.log(lam[rows]) - 2.0 * gammaln(n + 1.0)
+
+    return _window_rows(ratios, log_head, _confluent_mode(alpha, lam), rel_tol, max_terms)
+
+
+def _confluent_weights(alpha: float, lam: float, rel_tol: float, max_terms: int):
+    """t_n / S for n = 0 .. N, of t_n = (alpha)_n lam^n / (n!)^2 and their
+    sum S over n >= 0, for alpha > 0 and lam > 0; the terms before the
+    window of _window_rows, below rel_tol of S, are 0.
+
+    N ends a window past the term mode; its last term is past the mode and
+    below rel_tol of the sum. Returns None if that takes more than
+    max_terms terms after t_0.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # a failing window may overflow
+        blocks = list(
+            _confluent_rows(np.array([float(alpha)]), np.array([float(lam)]), rel_tol, max_terms)
+        )
+    for _, n0, rel, total, _ in blocks:
+        weights = np.zeros(n0[0] + 1 + rel.shape[1])
+        weights[n0[0]] = 1.0
+        weights[n0[0] + 1 :] = rel[0]
+        return weights / total[0]
+    return None
 
 
 def log_laguerre_neg(alpha: float, lam: float) -> float:
@@ -418,15 +547,14 @@ def log_laguerre_neg(alpha: float, lam: float) -> float:
 
     All terms are positive and follow the recurrence
     t_{n+1} = t_n * lam * (alpha + n) / (n + 1)^2, whose terms peak at the
-    mode near lam + alpha - 1. Below lam = _SCALAR_LAM_MAX the terms are
-    accumulated one at a time with a running log-sum-exp; from there on
-    every term up to a window end a few sqrt(mode) past the mode is
-    computed in one numpy pass (a cumulative sum of log ratios and one
-    log-sum-exp), with no Python loop over the terms.
-    Either way the last term must be past the mode and below _REL_TOL of
-    the sum; past the mode the decay is super-geometric, which bounds the
-    discarded tail at the same order. Raises SeriesConvergenceError when
-    that takes more than _MAX_TERMS terms.
+    mode near lam + alpha - 1. The terms of a window a few sqrt(mode) wide
+    around the mode are computed in one numpy pass (one cumulative product
+    of the ratios from the window's first term, which comes from log-gamma
+    functions), with no Python loop over the terms. The last term must be
+    past the mode and below _REL_TOL of the sum, and the first one before
+    it and as small; away from the mode the decay is super-geometric,
+    which bounds the discarded tails at the same order. Raises
+    SeriesConvergenceError when that takes more than _MAX_TERMS terms.
     """
     alpha = float(alpha)
     lam = float(lam)
@@ -436,35 +564,49 @@ def log_laguerre_neg(alpha: float, lam: float) -> float:
         raise ValueError(f"log_laguerre_neg requires lam >= 0, got {lam}")
     if lam == 0.0:
         return 0.0
-    return _confluent_sum(alpha, lam)[1]
+    return float(_log_laguerre_neg_rows(np.array([alpha]), np.array([lam]))[0])
 
 
-def _confluent_sum(alpha: float, lam: float):
-    """_log_confluent_terms at the normalizer's tolerance and term budget,
-    raising SeriesConvergenceError past the budget."""
-    summed = _log_confluent_terms(alpha, lam, _REL_TOL, _MAX_TERMS)
-    if summed is None:
+def _log_laguerre_neg_rows(alpha: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """log_laguerre_neg(alpha[r], lam[r]) for rows of alpha > 0 and lam > 0,
+    unchecked; raises SeriesConvergenceError if a row's series does not
+    converge within _MAX_TERMS terms."""
+    out = np.full(alpha.size, np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):  # a failing window may overflow
+        for rows, _, _, _, log_sum in _confluent_rows(alpha, lam, _REL_TOL, _MAX_TERMS):
+            out[rows] = log_sum
+    failed = np.isnan(out)
+    if failed.any():
+        i = int(np.flatnonzero(failed)[0])
         raise SeriesConvergenceError(
-            f"Laguerre series did not converge for alpha={alpha}, lam={lam} "
+            f"Laguerre series did not converge for alpha={alpha[i]}, lam={lam[i]} "
             f"within {_MAX_TERMS} terms"
         )
-    return summed
+    return out
 
 
-def _log_laguerre_neg_grad(alpha: float, lam: float):
-    """log_laguerre_neg(alpha, lam) for lam > 0, unchecked, with d/dalpha
-    and lam d/dlam of it.
+def _log_laguerre_neg_grad(alpha: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """log_laguerre_neg(alpha[r], lam[r]) for rows of lam > 0, unchecked,
+    with d/dalpha and lam d/dlam of it, as a (3, R) array; NaN where the
+    series does not converge within _MAX_TERMS terms.
 
     With weights w_n = t_n / S over the same terms, d ln S / d alpha is
-    E_w[sum_{k<n} 1 / (alpha + k)] (the derivative of ln (alpha)_n) and
-    lam d ln S / d lam is E_w[n].
+    E_w[H_n] with H_n = sum_{k<n} 1 / (alpha + k) (the derivative of
+    ln (alpha)_n), and lam d ln S / d lam is E_w[n].
     """
-    log_terms, log_sum = _confluent_sum(alpha, lam)
-    w = np.exp(np.asarray(log_terms) - log_sum)
-    n = _N_TABLE[: w.size] if w.size <= len(_N_TABLE) else np.arange(float(w.size))
-    h = np.zeros(w.size)
-    np.cumsum(1.0 / (alpha + n[:-1]), out=h[1:])
-    return log_sum, float(w @ h), float(w @ n)
+    out = np.full((3, alpha.size), np.nan)
+    for rows, n0, rel, total, log_sum in _confluent_rows(alpha, lam, _REL_TOL, _MAX_TERMS):
+        a = alpha[rows, None]
+        n = _term_index(rel.shape[1])
+        head = n0.any()
+        if head:
+            n = n0[:, None] + n
+        mean_h, mean_n = _window_moments(rel, n0, total, 1.0 / (a + n))
+        if head:
+            # H_first = digamma(alpha + first) - digamma(alpha)
+            mean_h += digamma(a[:, 0] + n0) - digamma(a[:, 0])
+        out[:, rows] = log_sum, mean_h, mean_n
+    return out
 
 
 def log_laguerre_pos_arg(alpha: float, lam: float) -> float:

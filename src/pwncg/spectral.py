@@ -19,7 +19,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .fitting import FIT_MODELS, MODELS, FitResult, fit_model, paired_t_test_one_sided
+from .fitting import (  # noqa: F401  (fit_model: see below)
+    FIT_MODELS,
+    MODELS,
+    FitResult,
+    fit_batches,
+    fit_model,
+    paired_t_test_one_sided,
+)
+
+# run_experiment fits through fit_batches. fit_model stays bound here
+# because perfbench/tracing.py traces this binding.
 
 __all__ = [
     "WavFormatError",
@@ -340,14 +350,35 @@ def _analyze_file(path, cfg: StftConfig, pf: int, pt: int):
     return spec, patches, info
 
 
-def _fit_models(models, values, rng) -> dict[str, FitResult]:
-    """Fit each model in order, drawing restarts from rng. Once the gamma
-    model is fitted, the later noncentral-gamma and proposed fits start
-    from that fit instead of fitting the gamma again."""
-    fits: dict[str, FitResult] = {}
+def _fit_models(models, batches, rngs) -> dict[str, list[FitResult]]:
+    """Fit each model, in order, to every batch in one pass, drawing batch
+    i's restarts from rngs[i]. Once the gamma model is fitted, the later
+    noncentral-gamma and proposed fits start from those fits instead of
+    fitting the gamma again."""
+    fits: dict[str, list[FitResult]] = {}
     for m in models:
-        fits[m] = fit_model(m, values, rng=rng, gamma_fit=fits.get("gamma"))
+        fits[m] = fit_batches(m, batches, rngs, fits.get("gamma"))
     return fits
+
+
+def _fit_counters(fits: list[FitResult]) -> dict:
+    """Deterministic diagnostics of one model's fits: counts of fits, of
+    fits not converged and degenerate, the objective evaluations that
+    returned the penalty value and all of them, L-BFGS-B iterations, and
+    how often each start index was the reported one."""
+    wins = [0] * (1 + max((f.start for f in fits if f.start is not None), default=-1))
+    for f in fits:
+        if f.start is not None:
+            wins[f.start] += 1
+    return {
+        "fits": len(fits),
+        "not_converged": sum(not f.converged for f in fits),
+        "degenerate": sum(f.degenerate for f in fits),
+        "penalty_evaluations": sum(f.penalties for f in fits),
+        "objective_evaluations": sum(f.evaluations for f in fits),
+        "iterations": sum(f.iterations for f in fits),
+        "winning_start": wins,
+    }
 
 
 def run_experiment(
@@ -372,7 +403,14 @@ def run_experiment(
 
     fit_scope='patch' fits one parameter set per patch; 'file' fits one
     parameter set per file on the pooled values and evaluates per-patch
-    likelihoods at those shared parameters.
+    likelihoods at those shared parameters. With 'patch', each model is
+    fitted to all of a file's patches in one pass of the lock-step
+    L-BFGS-B driver (fitting.fit_batches), with every start of every patch
+    as one row. A row's search never depends on the other rows, so each
+    fit equals fit_model on its patch alone with the patch's stream.
+
+    provenance["fit_counters"] holds, per model, the deterministic counts
+    of _fit_counters over the fits made (one per patch, or one per file).
     """
     paths = [str(p) for p in paths]
     if not paths:
@@ -390,6 +428,7 @@ def run_experiment(
     failures = []
     patch_records = []
     patch_fits: list[dict[str, FitResult]] = []  # parallel to patch_records
+    made: dict[str, list[FitResult]] = {m: [] for m in models}  # every fit made
 
     for path in paths:
         try:
@@ -404,31 +443,32 @@ def run_experiment(
             continue
 
         first = len(patch_records)
-        file_fits = None
-        for patch in patches:
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(len(patch_fits),))
-            )
-            values = patch.values.ravel()
-            floored = int(np.sum(values < floor))
-            values = np.maximum(values, floor)
+        rngs = [
+            np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(first + i,)))
+            for i in range(len(patches))
+        ]
+        raw = [patch.values.ravel() for patch in patches]
+        values = [np.maximum(v, floor) for v in raw]
+        # One fit per patch, or one per file with its first patch's stream.
+        batches = values if fit_scope == "patch" else [np.concatenate(values)]
+        fitted = _fit_models(models, batches, rngs[: len(batches)])
+        for m in models:
+            made[m] += fitted[m]
+        for i, patch in enumerate(patches):
             if fit_scope == "patch":
-                fits = _fit_models(models, values, rng)
+                fits = {m: fitted[m][i] for m in models}
             else:
-                if file_fits is None:  # fit once per file, with its first patch's stream
-                    pooled = np.maximum(np.concatenate([p.values.ravel() for p in patches]), floor)
-                    file_fits = _fit_models(models, pooled, rng)
                 fits = {}
-                for m, fit in file_fits.items():
-                    ll = MODELS[m].log_likelihood(values, fit.params)
-                    fits[m] = replace(fit, log_likelihood=ll, avg_log_likelihood=ll / values.size)
+                for m, (fit,) in fitted.items():
+                    ll = MODELS[m].log_likelihood(values[i], fit.params)
+                    fits[m] = replace(fit, log_likelihood=ll, avg_log_likelihood=ll / values[i].size)
             patch_fits.append(fits)
             patch_records.append(
                 {
                     "file": info["path"],
                     "f0": patch.f0,
                     "t0": patch.t0,
-                    "floored": floored,
+                    "floored": int(np.sum(raw[i] < floor)),
                     "fits": {m: _fit_record(f) for m, f in fits.items()},
                 }
             )
@@ -478,6 +518,7 @@ def run_experiment(
             any(f.degenerate for f in fits.values()) for fits in patch_fits
         ),
         "floored_values": sum(info["floored_values"] for info in file_infos),
+        "fit_counters": {m: _fit_counters(made[m]) for m in models},
     }
     return ExperimentReport(
         config=config,

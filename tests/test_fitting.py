@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.optimize import minimize
 
 from pwncg import fitting
 from pwncg.distributions import PowerParams, log_pdf_gamma
@@ -152,23 +153,28 @@ class TestFitProposed:
 
 
 class TestRestartChoice:
-    """Which start a multi-start fit reports, with _minimize stubbed for
-    the three-parameter searches (the gamma start still runs for real).
-    A start past the scripted ones ends above them and converges nowhere."""
+    """Which start a multi-start fit reports, with the L-BFGS-B driver
+    stubbed for the three-parameter searches (the gamma search still runs
+    for real). A start past the scripted ones ends above them and converges
+    nowhere."""
 
     Z0 = np.array([0.1, 0.2, 0.3])
     Z1 = np.array([0.4, 0.5, 0.6])
 
     def _fit(self, monkeypatch, runs, model="proposed"):
-        real = fitting._minimize
+        real = fitting._lbfgsb
         scripted = iter(runs)
 
-        def stub(obj, z0, bounds):
-            if len(z0) == 1:
-                return real(obj, z0, bounds)
-            return next(scripted, (self.Z0, 0.0, False, 0))
+        def stub(objective, z0, bounds):
+            if z0.shape[1] == 1:
+                return real(objective, z0, bounds)
+            out = []
+            for _ in z0:
+                z, fval, converged, nit = next(scripted, (self.Z0, 0.0, False, 0))
+                out.append(fitting._Run(z, fval, np.zeros(3), converged, converged, nit, 0, 0))
+            return out
 
-        monkeypatch.setattr(fitting, "_minimize", stub)
+        monkeypatch.setattr(fitting, "_lbfgsb", stub)
         data = rng_stream(5).gamma(2.0, 1.0, 60)
         return fit_model(model, data)
 
@@ -213,6 +219,18 @@ def _central_difference(f, z, rel_h=1e-5):
     return g
 
 
+def _one_row(mean_ll, y):
+    """obj(z) -> (value, gradient) of the row-batched objective for one
+    normalized batch y at one point z."""
+    stats = (np.array([np.mean(np.log(y))]), np.array([np.mean(y)]), np.sqrt(y)[None])
+
+    def obj(z):
+        value, grad = fitting._shifted_rows(mean_ll, z[None], *stats)
+        return value[0], grad[0]
+
+    return obj
+
+
 LN_ALPHA = st.one_of(
     st.sampled_from([math.log(1e-3), math.log(1.5e-3), math.log(7e2), math.log(1e3)]),
     st.floats(math.log(1e-3), math.log(1e3)),
@@ -241,7 +259,7 @@ class TestExactGradient:
         # lam at the softplus floor (s = -40), alpha at and near its bounds,
         # Bessel arguments 2 sqrt(b lam y) on both sides of the ive cutoff
         y = np.random.default_rng(seed).gamma(shape, 1.0, 30)
-        obj = fitting._shifted_objective(mean_ll, y / y.mean())
+        obj = _one_row(mean_ll, y / y.mean())
         z = np.array([ln_a, ln_b, s])
         value, grad = obj(z)
         assert value < 1e300
@@ -252,7 +270,10 @@ class TestExactGradient:
     @settings(max_examples=30, deadline=None)
     @given(ln_a=LN_ALPHA, mlog=st.floats(-5.0, 0.0))
     def test_gamma_profile_matches_central_differences(self, ln_a, mlog):
-        obj = fitting._gamma_profile_objective(mlog)
+        def obj(z):
+            value, grad = fitting._gamma_rows(z[None], np.array([mlog]))
+            return value[0], grad[0]
+
         z = np.array([ln_a])
         oracle = _central_difference(obj, z)
         np.testing.assert_allclose(
@@ -260,31 +281,126 @@ class TestExactGradient:
         )
 
     def test_lbfgsb_jac_is_the_exact_gradient_at_x(self, monkeypatch):
-        # _minimize decides convergence from the optimizer's res.jac; that
-        # must be the objective's own gradient at res.x, bit for bit
-        real_minimize, real_search = fitting.minimize, fitting._minimize
-        objectives, results = [], []
+        # the driver decides convergence from each row's final gradient; that
+        # must be the objective's own gradient at the row's final x, bit for bit
+        real = fitting._lbfgsb
+        calls = []
 
-        def spy_search(obj, z0, bounds):
-            objectives.append(obj)
-            return real_search(obj, z0, bounds)
+        def spy(objective, z0, bounds):
+            calls.append((objective, real(objective, z0, bounds)))
+            return calls[-1][1]
 
-        def spy_minimize(fun, x0, *args, **kwargs):
-            results.append(real_minimize(fun, x0, *args, **kwargs))
-            return results[-1]
-
-        monkeypatch.setattr(fitting, "_minimize", spy_search)
-        monkeypatch.setattr(fitting, "minimize", spy_minimize)
+        monkeypatch.setattr(fitting, "_lbfgsb", spy)
         rng = rng_stream(15)
         batches = [random_batch(rng) for _ in range(3)]
         batches.append(sample_power(PowerParams(1.0, 1.0, 40.0), rng, size=60))
         for i, batch in enumerate(batches):
             for m in FIT_MODELS:
                 fit_model(m, batch, rng=rng_stream(i))
-        assert len(results) == len(batches) * (1 + 2 * (1 + DEFAULT_OPTIMIZER.restarts))
-        assert len(objectives) == len(results)
-        for obj, res in zip(objectives, results):
-            np.testing.assert_array_equal(res.jac, obj(res.x)[1])
+        rows = [(obj, r, run) for obj, runs in calls for r, run in enumerate(runs)]
+        assert len(rows) == len(batches) * (1 + 2 * (1 + DEFAULT_OPTIMIZER.restarts))
+        for obj, r, run in rows:
+            np.testing.assert_array_equal(run.jac, obj(np.array([r]), run.x[None])[1][0])
+
+
+class TestLockStepDriver:
+    def test_rows_match_scipy_minimize(self):
+        # every row of the driver makes the search scipy's L-BFGS-B makes
+        # alone, bit for bit: x, fun, jac, nit, nfev and success. The driver
+        # calls scipy.optimize._lbfgsb.setulb, a private symbol; this fails
+        # first if a scipy release changes its argument list.
+        rng = rng_stream(16)
+        batches = [random_batch(rng, size=30) for _ in range(3)]
+        batches.append(sample_power(PowerParams(1.0, 1.0, 40.0), rng, size=30))
+        ys = [b / b.mean() for b in batches]
+        stats = (
+            np.array([np.mean(np.log(y)) for y in ys]),
+            np.array([np.mean(y) for y in ys]),
+            np.sqrt(np.stack(ys)),
+        )
+        bounds = [fitting._LN_ALPHA_BOUNDS, fitting._LN_BETA_BOUNDS, fitting._S_BOUNDS]
+        batch = np.repeat(np.arange(len(ys)), 3)
+        z0 = rng.normal(0.0, 1.0, (batch.size, 3)) * np.array([2.0, 2.0, 6.0])
+        z0[0] = [10.0, 0.0, -50.0]  # clipped to the bounds
+        for mean_ll in (fitting._noncentral_gamma_mean_ll, fitting._proposed_mean_ll):
+
+            def objective(rows, z):
+                k = batch[rows]
+                return fitting._shifted_rows(mean_ll, z, *(a[k] for a in stats))
+
+            runs = fitting._lbfgsb(objective, z0, bounds)
+            for r, run in enumerate(runs):
+                res = minimize(
+                    lambda z: objective(np.array([r]), z[None])[0][0],
+                    z0[r],
+                    jac=lambda z: objective(np.array([r]), z[None])[1][0],
+                    method="L-BFGS-B",
+                    bounds=bounds,
+                    options={"maxiter": DEFAULT_OPTIMIZER.max_iters, "ftol": 1e-13,
+                             "gtol": DEFAULT_OPTIMIZER.grad_tol},
+                )
+                np.testing.assert_array_equal(run.x, res.x)
+                np.testing.assert_array_equal(run.jac, res.jac)
+                assert (run.fun, run.nit, run.nfev, run.success) == (
+                    res.fun, res.nit, res.nfev, res.success
+                )
+
+
+# Small batches of positive values, derandomized: each property runs on a
+# fixed set of examples of 8 to 20 values.
+small_batches = st.lists(
+    st.floats(min_value=1e-3, max_value=1e3), min_size=8, max_size=20
+).map(np.array)
+invariant = settings(max_examples=15, deadline=None, derandomize=True)
+
+
+class TestFitInvariants:
+    @invariant
+    @given(batch=small_batches, log2_c=st.integers(-30, 30), seed=st.integers(0, 2**16))
+    def test_scale_equivariance(self, batch, log2_c, seed):
+        # c x gives beta / c and the same alpha and lambda; a power of two
+        # scales the batch and its mean exactly, so the searches are the same
+        c = 2.0**log2_c
+        for m in ("gamma", "noncentral_gamma", "proposed"):
+            f1 = fit_model(m, batch, rng=rng_stream(seed))
+            f2 = fit_model(m, c * batch, rng=rng_stream(seed))
+            assert math.isclose(f2.params["beta"], f1.params["beta"] / c, rel_tol=1e-9)
+            for k in ("alpha", "lambda")[: len(f1.params) - 1]:
+                assert abs(f2.params[k] - f1.params[k]) <= 1e-9 * max(1.0, abs(f1.params[k]))
+
+    @invariant
+    @given(batch=small_batches, seed=st.integers(0, 2**16))
+    def test_nesting(self, batch, seed):
+        ll = {m: fit_model(m, batch, rng=rng_stream(seed)).log_likelihood for m in FIT_MODELS}
+        assert ll["exponential"] <= ll["gamma"] + 1e-9
+        assert ll["gamma"] <= ll["noncentral_gamma"] + 1e-9
+        assert ll["gamma"] <= ll["proposed"] + 1e-9
+
+    @invariant
+    @given(batch=small_batches, seed=st.integers(0, 2**16))
+    def test_same_seed_same_fit(self, batch, seed):
+        for m in FIT_MODELS:
+            assert fit_model(m, batch, rng=rng_stream(seed)) == fit_model(
+                m, batch, rng=rng_stream(seed)
+            )
+
+    @invariant
+    @given(
+        batches=st.lists(small_batches, min_size=2, max_size=5),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_batched_fits_equal_single_fits(self, batches, seed, data):
+        # the lock-step fit of a shuffled list of batches, of mixed lengths,
+        # equals fit_model on each batch alone
+        order = data.draw(st.permutations(range(len(batches))))
+        shuffled = [batches[i] for i in order]
+        for m in FIT_MODELS:
+            together = fitting.fit_batches(
+                m, shuffled, [rng_stream(seed + i) for i in order]
+            )
+            for i, fit in zip(order, together):
+                assert fit == fit_model(m, batches[i], rng=rng_stream(seed + i))
 
 
 class TestNesting:

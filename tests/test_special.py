@@ -11,11 +11,11 @@ from scipy.special import ive
 
 from pwncg.special import (
     _IV_SERIES_CUTOFF,
-    _SCALAR_LAM_MAX,
     I0_SERIES_CUTOFF,
     SeriesConvergenceError,
-    _log_confluent_terms,
-    _log_terms_recurrence,
+    _confluent_weights,
+    _log_bessel_i_nu_grad,
+    _log_laguerre_neg_grad,
     log_bessel_i0,
     log_bessel_i_nu,
     log_laguerre_neg,
@@ -230,40 +230,38 @@ class TestLogLaguerreNeg:
         with pytest.raises(SeriesConvergenceError, match="within 10000 terms"):
             log_laguerre_neg(1.0, 2e4)
 
-    def test_non_convergence_raises_on_both_paths(self):
+    def test_short_term_budget_returns_none(self):
         # the term mode is near lam + alpha - 1, so 20 terms fall short
-        for lam in (0.99 * _SCALAR_LAM_MAX, 40.0):
-            assert _log_confluent_terms(30.0, lam, 1e-14, 20) is None
+        for lam in (4.95, 40.0):
+            assert _confluent_weights(30.0, lam, 1e-14, 20) is None
 
-    def test_window_terms_match_recurrence(self):
-        # the numpy pass (every lam here is >= _SCALAR_LAM_MAX) reorders the
-        # additions of the Python recurrence, which stays the reference for
-        # every term both compute; a running sum of n terms may drift by n
-        # rounding steps of its largest value
-        log_tol = math.log(1e-14)
+    def test_window_terms_match_mpmath(self):
+        # ln t_n = ln (alpha)_n + n ln lam - 2 ln n! of every term in the
+        # window, from the weights t_n / S and ln S; a running product of n
+        # ratios may drift by n rounding steps of its largest log term
         for alpha, lam in [(1e-3, 5.0), (0.5, 40.0), (3.0, 700.0), (1e3, 2000.0)]:
-            ref, _ = _log_terms_recurrence(alpha, lam, log_tol, 10_000)
-            got, _ = _log_confluent_terms(alpha, lam, 1e-14, 10_000)
-            assert len(got) >= len(ref)
-            drift = len(ref) * np.finfo(float).eps * max(1.0, max(abs(v) for v in ref))
-            np.testing.assert_allclose(got[: len(ref)], ref, rtol=0.0, atol=drift)
-
-    def test_continuous_across_switch(self):
-        for alpha in (1e-3, 0.5, 3.0, 1e3):
-            for lam in (np.nextafter(_SCALAR_LAM_MAX, 0.0), _SCALAR_LAM_MAX):
-                ref = _ref_log_laguerre_neg(alpha, float(lam))
-                got = log_laguerre_neg(alpha, float(lam))
-                assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (alpha, lam)
+            weights = _confluent_weights(alpha, lam, 1e-14, 10_000)
+            n = np.flatnonzero(weights)
+            got = np.log(weights[n]) + log_laguerre_neg(alpha, lam)
+            a, x = mp.mpf(alpha), mp.mpf(lam)
+            ref = np.array(
+                [
+                    float(mp.loggamma(a + k) - mp.loggamma(a) + k * mp.log(x) - 2 * mp.loggamma(k + 1))
+                    for k in n
+                ]
+            )
+            drift = n.size * np.finfo(float).eps * max(1.0, float(np.max(np.abs(ref))))
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=drift)
 
     @oracle
-    @given(alphas, st.floats(min_value=0.0, max_value=_SCALAR_LAM_MAX, exclude_max=True))
-    def test_property_recurrence_path_against_mpmath(self, alpha, lam):
+    @given(alphas, st.floats(min_value=0.0, max_value=5.0, exclude_max=True))
+    def test_property_small_lam_against_mpmath(self, alpha, lam):
         ref = _ref_log_laguerre_neg(alpha, lam)
         got = log_laguerre_neg(alpha, lam)
         assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (alpha, lam)
 
     @oracle
-    @given(alphas, st.floats(min_value=_SCALAR_LAM_MAX, max_value=5000.0))
+    @given(alphas, st.floats(min_value=5.0, max_value=5000.0))
     def test_property_window_path_against_mpmath(self, alpha, lam):
         ref = _ref_log_laguerre_neg(alpha, lam)
         got = log_laguerre_neg(alpha, lam)
@@ -307,4 +305,32 @@ class TestLogLaguerrePosArg:
         for alpha, lam in [(0.5, 20.0), (2.0, 35.0), (5.0, 50.0)]:
             ref = float(mp.log(mp.hyp1f1(1 - alpha, 1, -lam)))
             assert math.isclose(log_laguerre_pos_arg(alpha, lam), ref, rel_tol=1e-10)
+
+
+class TestRowBatchedKernels:
+    """A row's value and derivatives never depend on the other rows of the
+    call: each row's window, term count and branch are its own."""
+
+    def test_laguerre_rows_equal_single_rows(self):
+        rng = np.random.default_rng(3)
+        alpha = 10.0 ** rng.uniform(-3.0, 3.0, 40)
+        lam = np.exp(rng.uniform(math.log(1e-18), math.log(5000.0), 40))
+        together = _log_laguerre_neg_grad(alpha, lam)
+        for i in range(alpha.size):
+            alone = _log_laguerre_neg_grad(alpha[i : i + 1], lam[i : i + 1])
+            np.testing.assert_array_equal(together[:, i], alone[:, 0])
+        assert together[0, 7] == log_laguerre_neg(alpha[7], lam[7])
+
+    def test_bessel_rows_equal_single_rows(self):
+        # series, ive, ive-underflow and subnormal arguments, alone and mixed
+        rng = np.random.default_rng(4)
+        nu = rng.uniform(-0.99, 999.0, 30)
+        x = np.exp(rng.uniform(math.log(1e-3), math.log(3000.0), (30, 7)))
+        x[3, 2] = 1e-310
+        x[:10] = np.minimum(x[:10], 29.0)
+        together = _log_bessel_i_nu_grad(nu, x)
+        for i in range(nu.size):
+            alone = _log_bessel_i_nu_grad(nu[i : i + 1], x[i : i + 1])
+            np.testing.assert_array_equal(together[:, i], alone[:, 0])
+        np.testing.assert_allclose(together[0, 5], log_bessel_i_nu(nu[5], x[5]), rtol=1e-13)
 

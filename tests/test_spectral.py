@@ -4,13 +4,14 @@ end-to-end experiment report."""
 import json
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from helpers import make_speech_like, write_wav_float32, write_wav_pcm16
 from pwncg.distributions import PowerParams, log_pdf_power
-from pwncg.fitting import fit_model
+from pwncg.fitting import FIT_MODELS, fit_model
 from pwncg.spectral import (
     ExperimentReport,
     StftConfig,
@@ -347,6 +348,39 @@ class TestRunExperiment:
         rep = run_experiment([str(path)], models=("exponential", "gamma"), seed=3)
         assert rep.provenance["floored_values"] > 0
         assert rep.provenance["degenerate_patches"] > 0
+
+    def test_fit_counters_add_up(self, tmp_path):
+        # leading silence gives degenerate patches; the counters of every
+        # model sum the per-patch flags and the fits' own counts
+        path = tmp_path / "sil.wav"
+        sig = np.zeros(int(0.06 * SR))
+        sig[700:] = 0.4 * np.random.default_rng(4).standard_normal(len(sig) - 700)
+        write_wav_pcm16(path, sig, SR)
+        stft = StftConfig(frame_ms=2.0, hop_ms=1.0)
+        rep = run_experiment([str(path)], stft, seed=3)
+        counters = rep.provenance["fit_counters"]
+        assert json.loads(rep.to_json())["provenance"]["fit_counters"] == counters
+        assert list(counters) == list(FIT_MODELS)
+        assert counters["gamma"]["degenerate"] > 0
+        spec = stft_power(load_wav(path).samples, replace(stft, sample_rate_hz=SR))
+        floor = rep.config["floor_eps"] * float(np.mean(spec.values))
+        fits = {m: [] for m in FIT_MODELS}
+        for i, patch in enumerate(tile_patches(spec)):
+            stream = np.random.default_rng(np.random.SeedSequence(entropy=3, spawn_key=(i,)))
+            values = np.maximum(patch.values.ravel(), floor)
+            for m in FIT_MODELS:
+                fits[m].append(fit_model(m, values, rng=stream))
+        for m, c in counters.items():
+            records = [p["fits"][m] for p in rep.patches]
+            assert c["fits"] == len(records) == len(fits[m])
+            assert c["not_converged"] == sum(not r["converged"] for r in records)
+            assert c["degenerate"] == sum(r["degenerate"] for r in records)
+            assert c["objective_evaluations"] == sum(f.evaluations for f in fits[m])
+            assert c["penalty_evaluations"] == sum(f.penalties for f in fits[m])
+            assert c["iterations"] == sum(f.iterations for f in fits[m])
+            starts = [f.start for f in fits[m] if f.start is not None]
+            assert c["winning_start"] == [starts.count(k) for k in range(len(c["winning_start"]))]
+            assert sum(c["winning_start"]) == (0 if m == "exponential" else len(records))
 
     def test_floor_monotonicity(self, tmp_path):
         # raising the floor leaves patches without floored samples untouched
