@@ -349,23 +349,24 @@ def complex_density_rows(
     n_re: int,
     n_im: int,
 ):
-    """Yield (re, im, density) rows on a regular grid for CSV export.
+    """Yield (re, im, density) rows on a regular grid for CSV export, one
+    imaginary part after another; the whole grid is one density call.
 
     Grid points that fall on an origin singularity (alpha < 1) are emitted
     with density nan rather than raising.
     """
     res = np.linspace(re_range[0], re_range[1], n_re)
     ims = np.linspace(im_range[0], im_range[1], n_im)
-    for im in ims:
-        z = res + 1j * im
-        origin = np.abs(z) == 0.0
-        if p.alpha < 1.0 and origin.any():
-            dens = np.full(z.shape, np.nan)
-            ok = ~origin
-            dens[ok] = np.exp(log_pdf_complex(z[ok], p))
-        else:
-            dens = np.exp(log_pdf_complex(z, p))
-        for re, d in zip(res, dens):
+    z = res[None, :] + 1j * ims[:, None]
+    origin = z == 0.0
+    if p.alpha < 1.0 and origin.any():
+        dens = np.full(z.shape, np.nan)
+        ok = ~origin
+        dens[ok] = np.exp(log_pdf_complex(z[ok], p))
+    else:
+        dens = np.exp(log_pdf_complex(z, p))
+    for im, row in zip(ims, dens):
+        for re, d in zip(res, row):
             yield float(re), float(im), float(d)
 
 

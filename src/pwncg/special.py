@@ -6,10 +6,11 @@ values overflow or underflow long before the parameter ranges of interest
 are exhausted, so the linear domain is only ever entered at call sites.
 
 The kernels avoid Python loops over elements and over series terms: ln I0
-is ln(i0e(x)) + x at every argument; ln I_nu below _IV_SERIES_CUTOFF is
-one cumulative product over a term count read from a table; and the
-confluent normalizer sums a window of terms around its mode in one numpy
-pass.
+is ln(i0e(x)) + x at every argument; ln I_nu below _IV_SERIES_CUTOFF is a
+cumulative product over each row's own term count, read from a table; and
+the confluent normalizer sums a window of terms around its mode in one
+numpy pass. ln I_nu has one kernel, _log_bessel_i_nu_grad, and
+log_bessel_i_nu is its value row.
 
 The value-and-gradient kernels that the fits call are row-batched: they
 take one parameter set per row and return one result per row. A row's
@@ -86,19 +87,6 @@ def _series_counts(q_max):
     return np.minimum(np.searchsorted(_SERIES_QSTAR, q_max, side="left") + 3, len(_SERIES_N))
 
 
-def _series_terms(q: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """The terms T_n = prod_{m<=n} (q / denom_m), n = 1 .. k, for positive
-    q, as a (k, q.size) array.
-
-    The term count k is chosen from the largest element via the
-    precomputed threshold table, so the loop over terms happens inside
-    numpy (one cumprod) instead of Python.
-    """
-    k = int(_series_counts(float(q.max())))
-    ratios = q[None, :] / denom[:k, None]
-    return np.cumprod(ratios, axis=0)
-
-
 def _row_blocks(lengths: np.ndarray, rows, width: int):
     """(length, block) pairs that cover rows (an index array, or a slice
     for all rows): all of them if their padded block (longest length x
@@ -141,17 +129,15 @@ def _sum_row_terms(t: np.ndarray) -> np.ndarray:
     return np.add.accumulate(t, axis=-1)[..., -1]
 
 
-def _checked_range(name: str, arr: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest element of a nonempty argument array, after
-    checking in one min/max pass that all elements are finite and >= 0
-    (a NaN propagates through both reductions)."""
+def _check_arguments(name: str, arr: np.ndarray) -> None:
+    """Check in one min/max pass that all elements of a nonempty argument
+    array are finite and >= 0 (a NaN propagates through both reductions)."""
     lo = float(arr.min())
     hi = float(arr.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{name} requires finite arguments")
     if lo < 0.0:
         raise ValueError(f"{name} requires x >= 0")
-    return lo, hi
 
 
 def _log_i0_unchecked(arr: np.ndarray) -> np.ndarray:
@@ -181,23 +167,9 @@ def log_bessel_i0(x):
     """
     arr = np.asarray(x, dtype=float)
     if arr.size:
-        _checked_range("log_bessel_i0", arr)
+        _check_arguments("log_bessel_i0", arr)
     out = _log_i0_unchecked(arr)
     return float(out) if arr.ndim == 0 else out
-
-
-def _log_iv_series_linear(nu: float, x: np.ndarray) -> np.ndarray:
-    """Series for ln I_nu(x) with the (x/2)^nu / Gamma(nu+1) prefactor in
-    logs and the remaining 0F1-type sum in linear domain.
-
-    The sum is bounded by I0(x)-like growth, so this is restricted to
-    x < _IV_SERIES_CUTOFF.
-    """
-    if x.size == 0:
-        return np.empty_like(x)
-    q = 0.25 * x * x
-    terms = _series_terms(q, _SERIES_N * (_SERIES_N + nu)).sum(axis=0)
-    return nu * np.log(0.5 * x) - gammaln(nu + 1.0) + np.log1p(terms)
 
 
 def _log_iv_series_rows(nu: np.ndarray, x: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -229,6 +201,14 @@ def _log_iv_series_rows(nu: np.ndarray, x: np.ndarray, counts: np.ndarray) -> np
 
 # Term budget of the log-domain I_nu series.
 _IV_LOGDOMAIN_MAX_TERMS = 200_000
+
+
+def _iv_series_error(nu: float, x: float) -> SeriesConvergenceError:
+    """The error for a log-domain I_nu series that exceeds its term budget."""
+    return SeriesConvergenceError(
+        f"I_nu series did not converge for nu={nu}, x={x} "
+        f"within {_IV_LOGDOMAIN_MAX_TERMS} terms"
+    )
 
 
 def _log_iv_series_logdomain(nu: float, x: float):
@@ -266,10 +246,7 @@ def _log_iv_series_logdomain(nu: float, x: float):
             log_half_x - float(digamma(nu + 1.0)) - (h0 + float(mean_h[0])),
             nu + 2.0 * float(mean_n[0]),
         )
-    raise SeriesConvergenceError(
-        f"I_nu series did not converge for nu={nu}, x={x} "
-        f"within {_IV_LOGDOMAIN_MAX_TERMS} terms"
-    )
+    raise _iv_series_error(nu, x)
 
 
 # Half-step of the central difference in nu that gives d/dnu ln I_nu from
@@ -282,8 +259,8 @@ _NU_STEP = 1e-3
 def _log_iv_large_grad(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     """ln I_nu(x), d/dnu and x d/dx of it for x >= _IV_SERIES_CUTOFF, as
     rows of a (3, x.size) array, elementwise in 1-D arrays nu and x. The
-    value is the one log_bessel_i_nu returns; x d/dx ln I_nu = x I_{nu+1} /
-    I_nu + nu, and d/dnu is a central difference in nu (ln I_nu(x) is
+    value is ln(ive(nu, x)) + x; x d/dx ln I_nu = x I_{nu+1} / I_nu + nu,
+    and d/dnu is a central difference in nu (ln I_nu(x) is
     analytic in nu for x > 0, also below nu = -1). Where one of the ive
     values is not a finite normal number, the log-domain series gives the
     derivatives, and also the value if ive(nu, x) itself failed; where
@@ -315,9 +292,10 @@ def _log_iv_large_grad(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _log_bessel_i_nu_grad(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """log_bessel_i_nu(nu[r], x[r]) for each row r of x > 0 (R, n), unchecked,
+    """ln I_nu(x) at order nu[r] for each row r of x > 0 (R, n), unchecked,
     with d/dnu and x d/dx of it, as a (3, R, n) array; NaN where the
-    log-domain fallback does not converge."""
+    log-domain fallback does not converge. log_bessel_i_nu is its first
+    output."""
     tiny = x < _IV_TINY
     big = x >= _IV_SERIES_CUTOFF
     small = ~(tiny | big)
@@ -333,7 +311,8 @@ def _log_bessel_i_nu_grad(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
         out[:, rows] = _log_iv_series_rows(nu[rows], xs, _series_counts(q_max))
     nu_at = np.broadcast_to(nu[:, None], x.shape)
     if tiny.any():
-        # The leading series term alone, as in log_bessel_i_nu.
+        # Only the leading series term counts here, and x / 2 would lose
+        # bits to the subnormal range, so ln(x / 2) is taken as ln x - ln 2.
         nt = nu_at[tiny]
         log_half_x = np.log(x[tiny]) - math.log(2.0)
         out[0, tiny] = nt * log_half_x - gammaln(nt + 1.0)
@@ -344,18 +323,23 @@ def _log_bessel_i_nu_grad(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+# Row width of log_bessel_i_nu's calls of _log_bessel_i_nu_grad: one 3 x 20
+# patch, rounded up. Each row takes its own series term count, and
+# _row_blocks keeps the series blocks of many rows small.
+_IV_ROW_WIDTH = 64
+
+
 def log_bessel_i_nu(nu: float, x):
     """ln I_nu(x) for nu > -1 and x >= 0.
 
     For nu > -1 every series term is positive (Gamma(n+nu+1) > 0 for all
-    n >= 0), so the ascending series is used directly for small arguments;
-    no reflection through K_nu is needed anywhere on this domain. Large
-    arguments go through the exponentially scaled scipy routine with a
-    log-domain series fallback where that under- or overflows.
-
-    The arguments are validated in one min/max pass; when all of them lie
-    in [_IV_TINY, _IV_SERIES_CUTOFF), the series result is returned without
-    any masking.
+    n >= 0), so no reflection through K_nu is needed anywhere on this
+    domain. The positive arguments go to _log_bessel_i_nu_grad as rows of
+    _IV_ROW_WIDTH, padded with 1.0, and the value is its first output:
+    the ascending series below _IV_SERIES_CUTOFF, the exponentially scaled
+    scipy routine above it, and a log-domain series where that under- or
+    overflows. Raises SeriesConvergenceError where that series does not
+    converge.
     """
     nu = float(nu)
     if not math.isfinite(nu) or nu <= -1.0:
@@ -365,42 +349,21 @@ def log_bessel_i_nu(nu: float, x):
     arr = np.atleast_1d(arr)
     if arr.size == 0:
         return np.empty_like(arr)
-    lo, hi = _checked_range("log_bessel_i_nu", arr)
-    if lo >= _IV_TINY and hi < _IV_SERIES_CUTOFF:
-        out = _log_iv_series_linear(nu, arr)
-        return float(out[0]) if scalar else out
-
-    out = np.empty_like(arr)
-    zero = arr == 0.0
-    if zero.any():
-        if nu == 0.0:
-            out[zero] = 0.0
-        elif nu > 0.0:
-            out[zero] = -np.inf
-        else:
-            out[zero] = np.inf
-
-    tiny = (~zero) & (arr < _IV_TINY)
-    if tiny.any():
-        # Only the leading series term counts here, and x / 2 would lose
-        # bits to the subnormal range, so ln(x / 2) is taken as ln x - ln 2.
-        out[tiny] = nu * (np.log(arr[tiny]) - math.log(2.0)) - gammaln(nu + 1.0)
-
-    small = (~zero) & ~tiny & (arr < _IV_SERIES_CUTOFF)
-    if small.any():
-        out[small] = _log_iv_series_linear(nu, arr[small])
-
-    big = arr >= _IV_SERIES_CUTOFF
-    if big.any():
-        xb = arr[big]
-        scaled = ive(nu, xb)
-        vals = np.empty_like(xb)
-        ok = np.isfinite(scaled) & (scaled > 0.0)
-        vals[ok] = np.log(scaled[ok]) + xb[ok]
-        for i in np.flatnonzero(~ok):
-            vals[i] = _log_iv_series_logdomain(nu, xb[i])[0]
-        out[big] = vals
-
+    _check_arguments("log_bessel_i_nu", arr)
+    # I_nu(0) is 1 for nu = 0, 0 for nu > 0 and infinite for nu < 0.
+    out = np.full(arr.shape, 0.0 if nu == 0.0 else -math.copysign(math.inf, nu))
+    positive = arr > 0.0
+    vals = arr[positive]
+    if vals.size:
+        rows = -(-vals.size // _IV_ROW_WIDTH)
+        padded = np.ones(rows * _IV_ROW_WIDTH)
+        padded[: vals.size] = vals
+        logs = _log_bessel_i_nu_grad(np.full(rows, nu), padded.reshape(rows, _IV_ROW_WIDTH))
+        logs = logs[0].ravel()[: vals.size]
+        failed = np.flatnonzero(np.isnan(logs))
+        if failed.size:
+            raise _iv_series_error(nu, float(vals[failed[0]]))
+        out[positive] = logs
     return float(out[0]) if scalar else out
 
 

@@ -416,9 +416,11 @@ def run_experiment(
     if not paths:
         raise ValueError("no input files given")
     models = tuple(models)
-    for m in models:
+    for i, m in enumerate(models):
         if m not in FIT_MODELS:
             raise ValueError(f"unknown model {m!r}; expected subset of {FIT_MODELS}")
+        if m in models[:i]:
+            raise ValueError(f"model {m!r} is requested more than once")
     if fit_scope not in ("patch", "file"):
         raise ValueError(f"fit_scope must be 'patch' or 'file', got {fit_scope!r}")
     if not (math.isfinite(floor_eps) and floor_eps > 0.0):

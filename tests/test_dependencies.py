@@ -1,6 +1,7 @@
 """Every third-party module the tests import is declared in pyproject.toml,
-so that ``pip install -e ".[test]"`` is enough to collect the suite; and the
-CLI's import stays light."""
+so that ``pip install -e ".[test]"`` is enough to collect the suite, and
+every one the library imports is a runtime dependency, so that
+``pip install .`` is enough to use it; and the CLI's import stays light."""
 
 import ast
 import os
@@ -24,17 +25,23 @@ def _imported_packages(path: Path) -> set[str]:
     return names
 
 
+def _undeclared(files, local: set[str], requirements: list[str]) -> set[str]:
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower() for req in requirements}
+    imported = set().union(*(_imported_packages(p) for p in files))
+    return imported - set(sys.stdlib_module_names) - local - declared
+
+
 def test_test_imports_are_declared():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    requirements = project["dependencies"] + [
-        req for extra in project["optional-dependencies"].values() for req in extra
-    ]
-    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower() for req in requirements}
+    runtime = project["dependencies"]
+    extras = [req for extra in project["optional-dependencies"].values() for req in extra]
     local = {"pwncg"} | {p.stem for d in ("tests", "perfbench") for p in (ROOT / d).glob("*.py")}
-    imported = set().union(*(_imported_packages(p) for p in (ROOT / "tests").glob("*.py")))
-    undeclared = imported - set(sys.stdlib_module_names) - local - declared
+    undeclared = _undeclared((ROOT / "tests").glob("*.py"), local, runtime + extras)
     assert not undeclared, f"imported by tests but not declared in pyproject.toml: {undeclared}"
+    # the library may import runtime dependencies only, not the test extras
+    undeclared = _undeclared((ROOT / "src" / "pwncg").glob("*.py"), {"pwncg"}, runtime)
+    assert not undeclared, f"imported by pwncg but not in [project] dependencies: {undeclared}"
 
 
 def test_cli_import_does_not_load_scipy_stats():

@@ -312,6 +312,19 @@ class TestGridExport:
         center = [d for re, im, d in rows if re == 0.0 and im == 0.0]
         assert len(center) == 1 and math.isnan(center[0])
 
+    def test_complex_grid_matches_pointwise(self):
+        # the grid is one density call; each row equals its point's own call
+        p = ComplexParams(mu=0.3 - 0.2j, sigma2=0.7, alpha=0.6)
+        rows = list(complex_density_rows(p, (-1.0, 1.0), (-0.5, 1.0), 5, 7))
+        assert [(re, im) for re, im, _ in rows[:6]] == [
+            (-1.0, -0.5), (-0.5, -0.5), (0.0, -0.5), (0.5, -0.5), (1.0, -0.5), (-1.0, -0.25)
+        ]
+        for re, im, d in rows:
+            if re == 0.0 and im == 0.0:
+                assert math.isnan(d)
+            else:
+                assert d == np.exp(log_pdf_complex(np.array([complex(re, im)]), p))[0]
+
     def test_scalar_rows(self):
         p = PowerParams(alpha=1.3, beta=1.0, lam=0.5)
         rows = list(scalar_density_rows("power", p, 0.1, 5.0, 50))

@@ -1,6 +1,7 @@
 """Special-function accuracy against high-precision and closed-form oracles."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ive
 
+from pwncg import special
 from pwncg.special import (
     _IV_SERIES_CUTOFF,
     I0_SERIES_CUTOFF,
@@ -167,11 +169,53 @@ class TestLogBesselINu:
         assert abs(got - ref) <= 5e-12 * max(1.0, abs(ref)), (nu, x)
 
     def test_series_path_matches_elementwise(self):
-        # the all-series fast path and the masked path give the same values
+        # a call of series arguments alone and one with a zero and an ive
+        # argument beside them give the same values
         xs = np.array([1e-300, 0.3, 7.0, 29.0])
         both = log_bessel_i_nu(2.5, np.append(xs, [0.0, 40.0]))
         np.testing.assert_array_equal(log_bessel_i_nu(2.5, xs), both[:4])
         assert both[4] == -math.inf
+
+    def test_mixed_call_matches_elementwise(self):
+        # zero, subnormal, series, ive and ive-underflow arguments in one
+        # call, each as it is alone
+        rng = np.random.default_rng(5)
+        nu = 450.0
+        xs = np.concatenate(
+            [
+                [0.0, 0.0, 5e-324, 1e-310, 2e-308],
+                rng.uniform(1e-3, _IV_SERIES_CUTOFF, 80),
+                rng.uniform(_IV_SERIES_CUTOFF, 33.0, 40),
+                np.exp(rng.uniform(math.log(100.0), math.log(3000.0), 80)),
+            ]
+        )
+        rng.shuffle(xs)
+        assert (ive(nu, xs[xs >= _IV_SERIES_CUTOFF]) == 0.0).sum() >= 40
+        together = log_bessel_i_nu(nu, xs)
+        alone = np.array([log_bessel_i_nu(nu, x) for x in xs])
+        assert np.isneginf(together[xs == 0.0]).all()
+        np.testing.assert_allclose(together, alone, rtol=1e-14, atol=0.0)
+
+    def test_large_call_allocates_little(self):
+        # the rows go through the series in small blocks, not as one
+        # terms x values array
+        rng = np.random.default_rng(6)
+        xs = 2.0 * np.sqrt(rng.gamma(1.5, 10.0, 100_000))
+        tracemalloc.start()
+        try:
+            log_bessel_i_nu(0.5, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    def test_non_convergence_raises(self, monkeypatch):
+        # ive underflows here, and the log-domain series needs more terms
+        monkeypatch.setattr(special, "_IV_LOGDOMAIN_MAX_TERMS", 5)
+        with pytest.raises(SeriesConvergenceError, match="nu=400.0, x=30.0"):
+            log_bessel_i_nu(400.0, 30.0)
+        with pytest.raises(SeriesConvergenceError):
+            log_bessel_i_nu(400.0, np.array([0.0, 1.0, 30.0, 50.0]))
 
     def test_subnormal_argument(self):
         # x / 2 underflows to 0 here; the leading series term is exact

@@ -429,6 +429,11 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="unknown model"):
             run_experiment([noise_wav], models=("weibull",))
 
+    def test_repeated_model_rejected(self, noise_wav):
+        # fitting a model twice would count its fits twice in fit_counters
+        with pytest.raises(ValueError, match="'gamma' is requested more than once"):
+            run_experiment([noise_wav], models=("gamma", "gamma", "proposed"))
+
     @pytest.mark.parametrize("floor_eps", [math.nan, math.inf, 0.0])
     def test_floor_eps_must_be_positive_and_finite(self, noise_wav, floor_eps):
         with pytest.raises(ValueError, match="floor_eps must be positive and finite"):
