@@ -28,6 +28,7 @@ from .distributions import (
 from .fitting import FIT_MODELS, MODELS
 from .moments import kurtosis_sweep
 from .sampling import rng_stream, sample_complex, sample_power
+from .special import SeriesConvergenceError
 from .spectral import WINDOWS, StftConfig, run_experiment, sweep_windows
 
 MODEL_ALIASES = {a: m.name for m in MODELS.values() for a in (m.name, *m.aliases)}
@@ -253,12 +254,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; a ValueError from parameter validation exits 2."""
+    """Run one subcommand. A ValueError from parameter validation, or a
+    SeriesConvergenceError from parameters beyond the series' reach,
+    exits 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, SeriesConvergenceError) as exc:
         parser.exit(2, f"pwncg {args.command}: error: {exc}\n")
 
 

@@ -242,8 +242,12 @@ def log_pmf_poisson_type(n, p: PoissonTypeParams):
     n_arr = np.asarray(n)
     if not np.issubdtype(n_arr.dtype, np.integer):
         n_float = np.asarray(n, dtype=float)
+        if not np.all(np.isfinite(n_float)):
+            raise ValueError("n must be finite")
         if not np.all(n_float == np.floor(n_float)):
             raise ValueError("n must be integer-valued")
+        if np.any(n_float >= 2.0**63):
+            raise ValueError("n must be below 2**63")
         n_arr = n_float.astype(np.int64)
     scalar = n_arr.ndim == 0
     n_arr = np.atleast_1d(n_arr)

@@ -25,11 +25,13 @@ for a value and gradient are evaluated together, in one call of a
 row-batched objective. A row's search is the one
 scipy.optimize.minimize(method="L-BFGS-B") makes, bit for bit, because a
 row's value and gradient never depend on which other rows share its
-evaluation (see special). fit_model fits one batch through the same path.
+evaluation (see special). fit_batches fits several models to many batches
+this way; fit_model is fit_batches with one model and one batch.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -490,23 +492,17 @@ def _shifted_rows(mean_ll, z: np.ndarray, mlog, m1, sqrt_y):
     return value, grad
 
 
-def _fit_shifted_batches(model: str, xs, rngs, gamma_fits, mean_ll, extra_start=None):
+def _fit_shifted_batches(model: str, xs, rngs, gammas, mean_ll, extra_start=None):
     """Multi-start fits of an (alpha, beta, lam) family to the batches xs by
     mean_ll(a, b, lam, mean(ln y), mean(y), sqrt(y)) -> (value, gradient in
     (ln a, ln b, ln lam)), every start of every batch of one length in one
-    lock-step pass. Starts of batch i: the gamma fit (gamma_fits[i] if
-    given, else fitted here) with lam at its floor and near 0,
-    extra_start(y) unless it or its value is None, then jitters of the
-    second start drawn from rngs[i]."""
-    missing = [i for i, fit in enumerate(gamma_fits) if fit is None]
-    gamma_fits = list(gamma_fits)
-    if missing:
-        for i, fit in zip(missing, _fit_gamma_batches([xs[i] for i in missing])):
-            gamma_fits[i] = fit
+    lock-step pass. Starts of batch i: its gamma fit gammas[i] with lam
+    at its floor and near 0, extra_start(y) unless it or its value is None,
+    then jitters of the second start drawn from rngs[i]."""
     means = [float(np.mean(x)) for x in xs]
     ys = [x / m for x, m in zip(xs, means)]
     starts = []
-    for y, rng, g in zip(ys, rngs, gamma_fits):
+    for y, rng, g in zip(ys, rngs, gammas):
         ln_ag = math.log(g.params["alpha"])
         # beta of the gamma fit on the normalized batch equals its alpha.
         z = [np.array([ln_ag, ln_ag, _S_BOUNDS[0]]), np.array([ln_ag, ln_ag, _softplus_inv(0.01)])]
@@ -579,60 +575,61 @@ def fit_gamma(data) -> FitResult:
     return fit_model("gamma", data)
 
 
-def fit_noncentral_gamma(
-    data, rng: np.random.Generator | None = None, gamma_fit: FitResult | None = None
-) -> FitResult:
+def fit_noncentral_gamma(data, rng: np.random.Generator | None = None) -> FitResult:
     """Noncentral-gamma fit over (ln alpha, ln beta, softplus lam),
-    initialized from the gamma fit with a small starting noncentrality.
-    gamma_fit, if given, must be fit_gamma(data); it is then not refitted."""
-    return fit_model("noncentral_gamma", data, rng, gamma_fit)
+    initialized from the gamma fit with a small starting noncentrality."""
+    return fit_model("noncentral_gamma", data, rng)
 
 
-def fit_proposed(
-    data, rng: np.random.Generator | None = None, gamma_fit: FitResult | None = None
-) -> FitResult:
+def fit_proposed(data, rng: np.random.Generator | None = None) -> FitResult:
     """Fit of the proposed power distribution with multiple starts: the
-    gamma fit with lam near zero, and a moment-matched point. gamma_fit
-    as in fit_noncentral_gamma."""
-    return fit_model("proposed", data, rng, gamma_fit)
+    gamma fit with lam near zero, and a moment-matched point."""
+    return fit_model("proposed", data, rng)
 
 
-def fit_model(
-    model: str,
-    data,
-    rng: np.random.Generator | None = None,
-    gamma_fit: FitResult | None = None,
-) -> FitResult:
-    """Fit the named model; see FIT_MODELS for the choices. gamma_fit, if
-    given, must be the gamma fit of data; the noncentral-gamma and
-    proposed fits then start from it instead of fitting the gamma again.
-    This is fit_batches with one batch."""
-    return fit_batches(model, [data], [rng], [gamma_fit])[0]
+def fit_model(model: str, data, rng: np.random.Generator | None = None) -> FitResult:
+    """Fit the named model; see FIT_MODELS for the choices. This is
+    fit_batches with one model and one batch."""
+    return fit_batches((model,), [data], [rng])[model][0]
 
 
-def fit_batches(model: str, batches, rngs=None, gamma_fits=None) -> list[FitResult]:
-    """fit_model(model, batches[i], rngs[i], gamma_fits[i]) for every i, with
-    all the batches of one length fitted in one lock-step pass; rngs and
-    gamma_fits default to None for every batch. Each result equals the
-    fit_model one: a fit's rows never depend on the other batches."""
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}; expected one of {FIT_MODELS}")
+def _model_names(models) -> tuple[str, ...]:
+    """models as a tuple, checked: each a name of MODELS, none twice."""
+    models = tuple(models)
+    for i, m in enumerate(models):
+        if m not in MODELS:
+            raise ValueError(f"unknown model {m!r}; expected one of {FIT_MODELS}")
+        if m in models[:i]:
+            raise ValueError(f"model {m!r} is requested more than once")
+    return models
+
+
+def fit_batches(models, batches, rngs=None) -> dict[str, list[FitResult]]:
+    """Fit each of models, in the order given, to every batch: {model:
+    [FitResult per batch]}. Batch i draws its restarts from rngs[i]
+    (default None), model after model, and its gamma fit, where the
+    noncentral-gamma and proposed searches start, is made once. Each model
+    fits all the batches of one length in one lock-step pass; a fit's rows
+    never depend on the other batches, so each result equals fit_model on
+    its batch alone."""
+    models = _model_names(models)
     xs = [_validate_batch(b) for b in batches]
     rngs = [None] * len(xs) if rngs is None else list(rngs)
-    gamma_fits = [None] * len(xs) if gamma_fits is None else list(gamma_fits)
-    if not len(rngs) == len(gamma_fits) == len(xs):
-        raise ValueError("batches, rngs and gamma_fits differ in length")
-    return MODELS[model].fit(xs, rngs, gamma_fits)
+    if len(rngs) != len(xs):
+        raise ValueError("batches and rngs differ in length")
+    gamma = functools.cache(lambda: _fit_gamma_batches(xs))
+    return {m: MODELS[m].fit(xs, rngs, gamma) for m in models}
 
 
 @dataclass(frozen=True)
 class Model:
     """One compared power model: its name, extra names the CLI accepts, the
     keys of its fitted parameters, log_likelihood(x, params) = the batch
-    total at given parameters, and fit(xs, rngs, gamma_fits) -> a
-    FitResult per validated batch (see fit_batches). The callables look
-    module functions up when called, so that bindings replaced at run
-    time (a tracer, a test stub) are the ones used."""
+    total at given parameters, and fit(xs, rngs, gamma) -> a FitResult per
+    validated batch, where gamma() returns the gamma fits of xs (see
+    fit_batches). The callables look module functions up when called, so
+    that bindings replaced at run time (a tracer, a test stub) are the
+    ones used."""
 
     name: str
     aliases: tuple[str, ...]
@@ -647,20 +644,20 @@ MODELS = {
         Model(
             "exponential", ("exp",), ("rate",),
             lambda x, p: float(np.sum(log_pdf_exponential(x, p["rate"]))),
-            lambda xs, rngs, gamma_fits: _fit_exponential_batches(xs),
+            lambda xs, rngs, gamma: _fit_exponential_batches(xs),
         ),
         Model(
             "gamma", (), ("alpha", "beta"),
             lambda x, p: float(np.sum(log_pdf_gamma(x, p["alpha"], p["beta"]))),
-            lambda xs, rngs, gamma_fits: _fit_gamma_batches(xs),
+            lambda xs, rngs, gamma: gamma(),
         ),
         Model(
             "noncentral_gamma", ("ncgamma",), ("alpha", "beta", "lambda"),
             lambda x, p: float(
                 np.sum(log_pdf_noncentral_gamma(x, p["alpha"], p["beta"], p["lambda"]))
             ),
-            lambda xs, rngs, gamma_fits: _fit_shifted_batches(
-                "noncentral_gamma", xs, rngs, gamma_fits, _noncentral_gamma_mean_ll
+            lambda xs, rngs, gamma: _fit_shifted_batches(
+                "noncentral_gamma", xs, rngs, gamma(), _noncentral_gamma_mean_ll
             ),
         ),
         Model(
@@ -668,8 +665,8 @@ MODELS = {
             lambda x, p: float(
                 np.sum(log_pdf_power(x, PowerParams(p["alpha"], p["beta"], p["lambda"])))
             ),
-            lambda xs, rngs, gamma_fits: _fit_shifted_batches(
-                "proposed", xs, rngs, gamma_fits, _proposed_mean_ll, _moment_matched_start
+            lambda xs, rngs, gamma: _fit_shifted_batches(
+                "proposed", xs, rngs, gamma(), _proposed_mean_ll, _moment_matched_start
             ),
         ),
     )

@@ -191,10 +191,9 @@ def sample_gamma(shape, rate, rng: RngStream, size=None):
     shape + 1 and multiplied by U^(1/shape). Vectorized; shape may be an
     array broadcast against the output shape.
     """
-    out_shape = () if size is None else tuple(np.atleast_1d(size))
-    k = np.broadcast_to(np.asarray(shape, dtype=float), out_shape or np.shape(shape)).copy()
-    scalar = k.ndim == 0 and size is None
-    k = np.atleast_1d(k)
+    out_shape = np.shape(shape) if size is None else tuple(np.atleast_1d(size))
+    # The draws run on flat arrays, in C order, and take out_shape at the end.
+    k = np.broadcast_to(np.asarray(shape, dtype=float), out_shape).ravel()
     if np.any(~np.isfinite(k)) or np.any(k <= 0.0):
         raise ValueError("shape must be positive and finite")
     rate = float(rate)
@@ -228,9 +227,9 @@ def sample_gamma(shape, rate, rng: RngStream, size=None):
         u = rng.random(nb)
         out[boost] *= u ** (1.0 / k[boost])
     out = np.maximum(out / rate, np.finfo(float).tiny)
-    if scalar:
+    if size is None and not out_shape:
         return float(out[0])
-    return out.reshape(out_shape) if size is not None else out
+    return out.reshape(out_shape)
 
 
 def sample_von_mises(mean_dir, kappa, rng: RngStream, size=None):

@@ -402,8 +402,11 @@ def _window_rows(ratios, log_head, mode: np.ndarray, rel_tol: float, max_terms: 
     retried with its window start halved.
     """
     width = _WINDOW_WIDTHS * np.sqrt(mode + 1.0)
-    last = np.minimum((mode + width).astype(np.int64) + _WINDOW_MARGIN, max_terms)
-    first = np.maximum((mode - width).astype(np.int64) - _WINDOW_MARGIN, 0)
+    # Clipped to max_terms before the cast, which would wrap past 2**63;
+    # a row whose mode lies beyond max_terms fails either way.
+    last = np.minimum(mode + width, max_terms).astype(np.int64) + _WINDOW_MARGIN
+    np.minimum(last, max_terms, out=last)
+    first = np.maximum(np.minimum(mode - width, max_terms).astype(np.int64) - _WINDOW_MARGIN, 0)
     np.minimum(first, last - 1, out=first)
     pending = slice(None)
     while True:

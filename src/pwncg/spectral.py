@@ -23,6 +23,7 @@ from .fitting import (  # noqa: F401  (fit_model: see below)
     FIT_MODELS,
     MODELS,
     FitResult,
+    _model_names,
     fit_batches,
     fit_model,
     paired_t_test_one_sided,
@@ -350,17 +351,6 @@ def _analyze_file(path, cfg: StftConfig, pf: int, pt: int):
     return spec, patches, info
 
 
-def _fit_models(models, batches, rngs) -> dict[str, list[FitResult]]:
-    """Fit each model, in order, to every batch in one pass, drawing batch
-    i's restarts from rngs[i]. Once the gamma model is fitted, the later
-    noncentral-gamma and proposed fits start from those fits instead of
-    fitting the gamma again."""
-    fits: dict[str, list[FitResult]] = {}
-    for m in models:
-        fits[m] = fit_batches(m, batches, rngs, fits.get("gamma"))
-    return fits
-
-
 def _fit_counters(fits: list[FitResult]) -> dict:
     """Deterministic diagnostics of one model's fits: counts of fits, of
     fits not converged and degenerate, the objective evaluations that
@@ -403,11 +393,12 @@ def run_experiment(
 
     fit_scope='patch' fits one parameter set per patch; 'file' fits one
     parameter set per file on the pooled values and evaluates per-patch
-    likelihoods at those shared parameters. With 'patch', each model is
-    fitted to all of a file's patches in one pass of the lock-step
-    L-BFGS-B driver (fitting.fit_batches), with every start of every patch
-    as one row. A row's search never depends on the other rows, so each
-    fit equals fit_model on its patch alone with the patch's stream.
+    likelihoods at those shared parameters. Each file takes one
+    fitting.fit_batches call: with 'patch', each model is fitted to all of
+    the file's patches in one pass of the lock-step L-BFGS-B driver, with
+    every start of every patch as one row, and each patch's gamma fit is
+    made once. A row's search never depends on the other rows, so each fit
+    equals fit_model on its patch alone with the patch's stream.
 
     provenance["fit_counters"] holds, per model, the deterministic counts
     of _fit_counters over the fits made (one per patch, or one per file).
@@ -415,12 +406,7 @@ def run_experiment(
     paths = [str(p) for p in paths]
     if not paths:
         raise ValueError("no input files given")
-    models = tuple(models)
-    for i, m in enumerate(models):
-        if m not in FIT_MODELS:
-            raise ValueError(f"unknown model {m!r}; expected subset of {FIT_MODELS}")
-        if m in models[:i]:
-            raise ValueError(f"model {m!r} is requested more than once")
+    models = _model_names(models)
     if fit_scope not in ("patch", "file"):
         raise ValueError(f"fit_scope must be 'patch' or 'file', got {fit_scope!r}")
     if not (math.isfinite(floor_eps) and floor_eps > 0.0):
@@ -453,7 +439,7 @@ def run_experiment(
         values = [np.maximum(v, floor) for v in raw]
         # One fit per patch, or one per file with its first patch's stream.
         batches = values if fit_scope == "patch" else [np.concatenate(values)]
-        fitted = _fit_models(models, batches, rngs[: len(batches)])
+        fitted = fit_batches(models, batches, rngs[: len(batches)])
         for m in models:
             made[m] += fitted[m]
         for i, patch in enumerate(patches):

@@ -47,6 +47,19 @@ USAGE_ERRORS = [
         ["density-grid", "--kind", "power", "--alpha", "1", "--x-min", "0"],
         "pwncg density-grid: error: grid must start at a positive value",
     ),
+    # Parameters whose series would need more terms than their budget.
+    (
+        ["sample", "--kind", "power", "--alpha", "1", "--lam", "1e7"],
+        "pwncg sample: error: could not bound the pmf tail",
+    ),
+    (
+        ["sample", "--kind", "power", "--alpha", "1", "--lam", "1e20"],
+        "pwncg sample: error: could not bound the pmf tail",
+    ),
+    (
+        ["density-grid", "--kind", "complex", "--alpha", "1", "--mu-re", "1e10"],
+        "pwncg density-grid: error: Laguerre series did not converge",
+    ),
 ]
 
 

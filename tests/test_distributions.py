@@ -28,6 +28,7 @@ from pwncg.distributions import (
     scalar_density_rows,
 )
 from pwncg.sampling import poisson_type_pmf_table
+from pwncg.special import SeriesConvergenceError
 
 LOG_PI = math.log(math.pi)
 
@@ -157,6 +158,14 @@ class TestAmplitudeDensity:
 
 
 class TestPowerDensity:
+    def test_normalizer_beyond_reach_raises(self):
+        # the normalizer's term mode, near lam, lies past 2**63 here
+        p = PowerParams(alpha=1.0, beta=1.0, lam=1e20)
+        with pytest.raises(SeriesConvergenceError):
+            log_pdf_power(np.array([1.0]), p)
+        with pytest.raises(SeriesConvergenceError):
+            poisson_type_pmf_table(PoissonTypeParams(lam=1e20, alpha=1.0))
+
     def test_exponential_point(self):
         p = PowerParams(alpha=1.0, beta=1.0, lam=0.0)
         assert math.isclose(log_pdf_power(1.0, p), -1.0, rel_tol=1e-14)
@@ -241,6 +250,18 @@ class TestPoissonType:
             log_pmf_poisson_type(-1, p)
         with pytest.raises(ValueError):
             log_pmf_poisson_type(1.5, p)
+
+    def test_rejects_values_int64_cannot_hold(self, recwarn):
+        # rejected before the cast to int64, which would wrap them
+        p = PoissonTypeParams(lam=1.0, alpha=1.0)
+        for n in (math.inf, np.array([1.0, math.nan])):
+            with pytest.raises(ValueError, match="n must be finite"):
+                log_pmf_poisson_type(n, p)
+        for n in (1e30, 2.0**63, np.array([0.0, 1e19])):
+            with pytest.raises(ValueError, match="below 2\\*\\*63"):
+                log_pmf_poisson_type(n, p)
+        assert not recwarn.list
+        assert log_pmf_poisson_type(2.0**62, p) < 0.0
 
 
 class TestBaselines:

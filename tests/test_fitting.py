@@ -391,16 +391,59 @@ class TestFitInvariants:
         data=st.data(),
     )
     def test_batched_fits_equal_single_fits(self, batches, seed, data):
-        # the lock-step fit of a shuffled list of batches, of mixed lengths,
-        # equals fit_model on each batch alone
+        # the lock-step fit of every model to a shuffled list of batches, of
+        # mixed lengths, equals fit_model on each batch alone, the models in
+        # order sharing the batch's stream
         order = data.draw(st.permutations(range(len(batches))))
         shuffled = [batches[i] for i in order]
-        for m in FIT_MODELS:
-            together = fitting.fit_batches(
-                m, shuffled, [rng_stream(seed + i) for i in order]
-            )
-            for i, fit in zip(order, together):
-                assert fit == fit_model(m, batches[i], rng=rng_stream(seed + i))
+        together = fitting.fit_batches(
+            FIT_MODELS, shuffled, [rng_stream(seed + i) for i in order]
+        )
+        assert tuple(together) == FIT_MODELS
+        for k, i in enumerate(order):
+            stream = rng_stream(seed + i)
+            for m in FIT_MODELS:
+                assert together[m][k] == fit_model(m, batches[i], rng=stream)
+
+
+class TestFitBatches:
+    def test_gamma_fitted_once_for_all_models(self, monkeypatch):
+        real = fitting._fit_gamma_batches
+        calls = []
+
+        def spy(xs):
+            calls.append(len(xs))
+            return real(xs)
+
+        monkeypatch.setattr(fitting, "_fit_gamma_batches", spy)
+        rng = rng_stream(16)
+        batches = [random_batch(rng, size) for size in (60, 40, 60, 25)]
+        together = fitting.fit_batches(
+            FIT_MODELS, batches, [rng_stream(20 + i) for i in range(len(batches))]
+        )
+        assert calls == [len(batches)]
+        for i, batch in enumerate(batches):
+            stream = rng_stream(20 + i)
+            for m in FIT_MODELS:
+                assert together[m][i] == fit_model(m, batch, rng=stream)
+        # the models come back in the order asked for; an exponential-only
+        # run fits no gamma
+        calls.clear()
+        later = fitting.fit_batches(("proposed", "gamma"), batches)
+        assert tuple(later) == ("proposed", "gamma") and calls == [len(batches)]
+        assert later["gamma"] == together["gamma"]
+        calls.clear()
+        alone = fitting.fit_batches(("exponential",), batches)
+        assert alone["exponential"] == together["exponential"] and calls == []
+
+    def test_repeated_or_unknown_model_rejected(self):
+        batches = [rng_stream(17).gamma(1.0, 1.0, 30)]
+        with pytest.raises(ValueError, match="'gamma' is requested more than once"):
+            fitting.fit_batches(("gamma", "proposed", "gamma"), batches)
+        with pytest.raises(ValueError, match="unknown model 'weibull'"):
+            fitting.fit_batches(("gamma", "weibull"), batches)
+        with pytest.raises(ValueError, match="differ in length"):
+            fitting.fit_batches(("gamma",), batches, [None, None])
 
 
 class TestNesting:

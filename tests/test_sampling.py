@@ -178,6 +178,16 @@ class TestGammaSampler:
             se = sub.std() / math.sqrt(sub.size)
             assert abs(sub.mean() - k) < 5 * se
 
+    def test_tuple_size_reshapes_flat_draws(self):
+        for shape in (0.4, 2.0):
+            got = sample_gamma(shape, 1.0, rng_stream(6), size=(2, 3))
+            flat = sample_gamma(shape, 1.0, rng_stream(6), size=6)
+            np.testing.assert_array_equal(got, flat.reshape(2, 3))
+        shapes = np.array([[0.5, 1.0, 3.0], [8.0, 0.2, 1.5]])
+        got = sample_gamma(shapes, 1.0, rng_stream(7))
+        flat = sample_gamma(shapes.ravel(), 1.0, rng_stream(7))
+        np.testing.assert_array_equal(got, flat.reshape(2, 3))
+
     def test_positivity(self):
         d = sample_gamma(0.05, 1.0, rng_stream(5), size=10**5)
         assert np.all(d > 0.0)
@@ -263,12 +273,28 @@ class TestPowerSampler:
         b = sample_power(p, rng_stream(17), size=1000, method="trunc")
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("method, lam", [("trunc", 2.0), ("mh", 2.0), ("trunc", 0.0)])
+    def test_tuple_size_reshapes_flat_draws(self, method, lam):
+        p = PowerParams(alpha=1.3, beta=0.7, lam=lam)
+        for s in (1, 2):
+            got = sample_power(p, rng_stream(s), size=(2, 3), method=method)
+            flat = sample_power(p, rng_stream(s), size=6, method=method)
+            np.testing.assert_array_equal(got, flat.reshape(2, 3))
+
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             sample_power(PowerParams(1.0, 1.0, 1.0), rng_stream(0), size=5, method="gibbs")
 
 
 class TestComplexSampler:
+    @pytest.mark.parametrize("method", ["trunc", "mh"])
+    def test_tuple_size_reshapes_flat_draws(self, method):
+        for mu in (0.0, 0.8 - 0.3j):
+            p = ComplexParams(mu=mu, sigma2=1.2, alpha=1.4)
+            got = sample_complex(p, rng_stream(3), size=(2, 3), method=method)
+            flat = sample_complex(p, rng_stream(3), size=6, method=method)
+            np.testing.assert_array_equal(got, flat.reshape(2, 3))
+
     def test_mean_recovers_centroid_at_shape_one(self):
         p = ComplexParams(mu=0.3 + 0.4j, sigma2=1.0, alpha=1.0)
         z = sample_complex(p, rng_stream(18), size=10**6)

@@ -217,6 +217,12 @@ class TestLogBesselINu:
         with pytest.raises(SeriesConvergenceError):
             log_bessel_i_nu(400.0, np.array([0.0, 1.0, 30.0, 50.0]))
 
+    def test_term_mode_past_int64_raises(self):
+        # ive fails here, and the log-domain series' term mode (about
+        # 5e19) lies past 2**63 and far past its term budget
+        with pytest.raises(SeriesConvergenceError, match="x=1e\\+20"):
+            log_bessel_i_nu(0.5, 1e20)
+
     def test_subnormal_argument(self):
         # x / 2 underflows to 0 here; the leading series term is exact
         for nu in (-0.5, 1.0, 30.0):
@@ -270,14 +276,18 @@ class TestLogLaguerreNeg:
             assert all(b > c for b, c in zip(vals[1:], vals[:-1]))
 
     def test_non_convergence_raises(self):
-        # the term mode is near lam + alpha - 1, past the 10 000-term budget
-        with pytest.raises(SeriesConvergenceError, match="within 10000 terms"):
-            log_laguerre_neg(1.0, 2e4)
+        # the term mode is near lam + alpha - 1, past the 10 000-term budget;
+        # from lam = 1e19 on it is also past 2**63, where a window bound
+        # cast to int64 would wrap
+        for lam in (2e4, 1e19, 1e20, 1e300):
+            with pytest.raises(SeriesConvergenceError, match="within 10000 terms"):
+                log_laguerre_neg(1.0, lam)
 
     def test_short_term_budget_returns_none(self):
-        # the term mode is near lam + alpha - 1, so 20 terms fall short
+        # the term mode is near lam + alpha - 1, so the budget falls short
         for lam in (4.95, 40.0):
             assert _confluent_weights(30.0, lam, 1e-14, 20) is None
+        assert _confluent_weights(1.0, 1e20, 1e-13, 100_000) is None
 
     def test_window_terms_match_mpmath(self):
         # ln t_n = ln (alpha)_n + n ln lam - 2 ln n! of every term in the
