@@ -113,7 +113,7 @@ def _cmd_density_grid(args) -> int:
 def _cmd_kurtosis_sweep(args) -> int:
     lambdas = np.linspace(args.lambda_min, args.lambda_max, args.steps)
     # Computed in full before the output is opened, as in density-grid.
-    rows = list(kurtosis_sweep(lambdas, args.alphas, beta=args.beta))
+    rows = list(kurtosis_sweep(lambdas, args.alphas))
     _write_csv(args.out, ["lambda", "alpha", "gamma2_proposed", "gamma2_ncgamma"], rows)
     return 0
 
@@ -138,6 +138,14 @@ def _summary_line(report, m: str) -> str:
     return line + f"   not converged {failed}/{len(report.patches)}"
 
 
+def _window_path(path: str, window) -> str:
+    """path itself, or <stem>.<window><suffix> beside it for a sweep."""
+    if window is None:
+        return path
+    p = Path(path)
+    return str(p.with_name(f"{p.stem}.{window}{p.suffix}"))
+
+
 def _cmd_fit_spectra(args) -> int:
     paths = _collect_wavs(args.input)
     models = []
@@ -155,29 +163,27 @@ def _cmd_fit_spectra(args) -> int:
         seed=args.seed,
         patch_freq=args.patch_freq,
         patch_time=args.patch_time,
-        fit_scope=args.fit_scope,
     )
 
-    if args.sweep:
-        reports = sweep_windows(paths, stft, **kwargs)
-        for window, report in reports.items():
-            out_path = Path(args.out)
-            target = out_path.with_name(f"{out_path.stem}.{window}{out_path.suffix}")
-            target.write_text(report.to_json())
+    try:
+        if args.sweep:
+            reports = sweep_windows(paths, stft, **kwargs)
+        else:
+            reports = {None: run_experiment(paths, stft, **kwargs)}
+    except RuntimeError as exc:  # no input file could be analyzed: a bad --input
+        raise ValueError(str(exc)) from None
+    indent = "  " if args.sweep else ""
+    for window, report in reports.items():
+        out = _window_path(args.out, window)
+        Path(out).write_text(report.to_json())
+        if args.csv:
+            with open(_window_path(args.csv, window), "w", newline="") as fh:
+                csv.writer(fh).writerows(report.csv_rows())
+        if args.sweep:
             print(f"[{window}]")
-            for m in models:
-                print(f"  {_summary_line(report, m)}")
-            print(f"  report: {target}")
-        return 0
-
-    report = run_experiment(paths, stft, **kwargs)
-    Path(args.out).write_text(report.to_json())
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            csv.writer(fh).writerows(report.csv_rows())
-    for m in models:
-        print(_summary_line(report, m))
-    print(f"report: {args.out}")
+        for m in models:
+            print(indent + _summary_line(report, m))
+        print(f"{indent}report: {out}")
     return 0
 
 
@@ -227,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--lambda-max", type=float, default=10.0)
     pk.add_argument("--steps", type=_positive_int, default=101)
     pk.add_argument("--alphas", type=_positive_floats, default="0.5,1,2")
-    pk.add_argument("--beta", type=float, default=1.0)
     pk.add_argument("--out", default="-")
     pk.set_defaults(func=_cmd_kurtosis_sweep)
 
@@ -241,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--models", default=",".join(FIT_MODELS))
     pf.add_argument("--floor-eps", type=float, default=1e-10)
     pf.add_argument("--seed", type=int, default=0)
-    pf.add_argument("--fit-scope", choices=["patch", "file"], default="patch")
     pf.add_argument("--out", default="report.json")
     pf.add_argument("--csv", default=None)
     pf.add_argument(
@@ -254,14 +258,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand. A ValueError from parameter validation, or a
-    SeriesConvergenceError from parameters beyond the series' reach,
-    exits 2."""
+    """Run one subcommand. A ValueError from parameter validation (or from
+    a fit-spectra input none of whose files could be analyzed), a
+    SeriesConvergenceError from parameters beyond the series' reach, or an
+    OSError from an output path that cannot be written exits 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, SeriesConvergenceError) as exc:
+    except (ValueError, SeriesConvergenceError, OSError) as exc:
         parser.exit(2, f"pwncg {args.command}: error: {exc}\n")
 
 

@@ -115,29 +115,21 @@ def sample_poisson_type_truncated(p: PoissonTypeParams, rng: RngStream, size=Non
     return int(draws[0]) if size is None else draws
 
 
-class _LogGammaTable:
-    """Cached ln Gamma(offset + k) lookups for integer k, grown on demand."""
+class _MhWeights:
+    """w_k = ln k! - ln Gamma(alpha + k) for integer k, tabled and grown on
+    demand. The MH log acceptance ratio of a move n -> n' is w_n - w_n';
+    at alpha = 1 every weight is exactly 0."""
 
-    def __init__(self, offset: float):
-        self.offset = offset
-        self.values = gammaln(offset + np.arange(64, dtype=float))
+    def __init__(self, alpha: float):
+        self.alpha = alpha
+        self.values = np.zeros(0)
 
     def take(self, k: np.ndarray) -> np.ndarray:
         top = int(k.max()) if k.size else 0
         if top >= len(self.values):
-            self.values = gammaln(self.offset + np.arange(2 * top + 2, dtype=float))
+            j = np.arange(max(64, 2 * top + 2), dtype=float)
+            self.values = gammaln(1.0 + j) - gammaln(self.alpha + j)
         return self.values[k]
-
-
-def _mh_log_ratio(
-    state: np.ndarray, prop: np.ndarray, lg_fact: _LogGammaTable, lg_shift: _LogGammaTable
-) -> np.ndarray:
-    # Grouped per variable so that at alpha = 1 (where the shifted and
-    # factorial tables are identical) the ratio is exactly 0.0 and every
-    # proposal is accepted, not just almost surely.
-    return (lg_fact.take(state) - lg_shift.take(state)) + (
-        lg_shift.take(prop) - lg_fact.take(prop)
-    )
 
 
 def sample_poisson_type_mh(
@@ -152,27 +144,30 @@ def sample_poisson_type_mh(
     Each requested draw is produced by its own chain (run in parallel
     across draws): initial state and proposals are Poisson(lam), and the
     acceptance ratio n! Gamma(alpha+n') / (n'! Gamma(alpha+n)) is evaluated
-    in log domain from cached ln-Gamma tables, so no series normalizer is
-    ever needed.
+    in log domain as w_n - w_n' from one table of the weights
+    w_k = ln k! - ln Gamma(alpha + k), so no series normalizer is ever
+    needed. Each chain carries its state's weight, so a step looks up only
+    the proposal's.
     """
     m = 1 if size is None else int(np.prod(size))
     if p.lam == 0.0:
         draws = np.zeros(m, dtype=np.int64)
         stats = MhStats(proposals=0, accepted=0)
     else:
-        lg_fact = _LogGammaTable(1.0)
-        lg_shift = _LogGammaTable(p.alpha)
+        weights = _MhWeights(p.alpha)
         state = rng.poisson(p.lam, m)
+        w_state = weights.take(state)
         steps = cfg.burn_in + cfg.thin
         accepted = 0
         for _ in range(steps):
             prop = rng.poisson(p.lam, m)
-            log_ratio = _mh_log_ratio(state, prop, lg_fact, lg_shift)
+            w_prop = weights.take(prop)
             u = rng.random(m)
             with np.errstate(divide="ignore"):
-                accept = np.log(u) < log_ratio
+                accept = np.log(u) < w_state - w_prop
             accepted += int(accept.sum())
             state = np.where(accept, prop, state)
+            w_state = np.where(accept, w_prop, w_state)
         draws = state.astype(np.int64)
         stats = MhStats(proposals=steps * m, accepted=accepted)
 
@@ -244,28 +239,23 @@ def sample_von_mises(mean_dir, kappa, rng: RngStream, size=None):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _draw_mixing_integers(p: PowerParams, rng, size, method):
-    pt = PoissonTypeParams(lam=p.lam, alpha=p.alpha)
-    if method == "mh" and p.alpha > MH_ALPHA_CUTOFF:
-        method = "trunc"
-    if method == "trunc":
-        return sample_poisson_type_truncated(pt, rng, size=size)
-    if method == "mh":
-        return sample_poisson_type_mh(pt, MhConfig(), rng, size=size)
-    raise ValueError(f"unknown method {method!r}; expected 'trunc' or 'mh'")
-
-
 def sample_power(p: PowerParams, rng: RngStream, size=None, method: str = "trunc"):
     """Draw from the power distribution: mixing integer n, then a
     Gamma(n + alpha, beta) variate.
 
     method selects the integer sampler ('trunc' or 'mh'); 'mh' requests
     with alpha above MH_ALPHA_CUTOFF fall back to the truncated sampler,
-    where the Poisson proposal no longer resembles the target.
+    where the Poisson proposal no longer resembles the target. At lam = 0
+    both samplers return zeros without drawing, so the draw is
+    Gamma(alpha, beta).
     """
-    if p.lam == 0.0:
-        return sample_gamma(p.alpha, p.beta, rng, size=size)
-    ns = _draw_mixing_integers(p, rng, size, method)
+    pt = PoissonTypeParams(lam=p.lam, alpha=p.alpha)
+    if method == "trunc" or (method == "mh" and p.alpha > MH_ALPHA_CUTOFF):
+        ns = sample_poisson_type_truncated(pt, rng, size=size)
+    elif method == "mh":
+        ns = sample_poisson_type_mh(pt, MhConfig(), rng, size=size)
+    else:
+        raise ValueError(f"unknown method {method!r}; expected 'trunc' or 'mh'")
     return sample_gamma(np.asarray(ns, dtype=float) + p.alpha, p.beta, rng, size=size)
 
 

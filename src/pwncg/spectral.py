@@ -379,7 +379,6 @@ def run_experiment(
     seed: int = 0,
     patch_freq: int = 3,
     patch_time: int = 20,
-    fit_scope: str = "patch",
 ) -> ExperimentReport:
     """Fit the requested models over every patch of every readable file.
 
@@ -391,24 +390,19 @@ def run_experiment(
     draw their optimizer restarts, in model order, from one stream seeded
     by (seed, patch index), so results do not depend on processing order.
 
-    fit_scope='patch' fits one parameter set per patch; 'file' fits one
-    parameter set per file on the pooled values and evaluates per-patch
-    likelihoods at those shared parameters. Each file takes one
-    fitting.fit_batches call: with 'patch', each model is fitted to all of
-    the file's patches in one pass of the lock-step L-BFGS-B driver, with
-    every start of every patch as one row, and each patch's gamma fit is
-    made once. A row's search never depends on the other rows, so each fit
-    equals fit_model on its patch alone with the patch's stream.
+    Each file takes one fitting.fit_batches call: each model is fitted to
+    all of the file's patches in one pass of the lock-step L-BFGS-B driver,
+    with every start of every patch as one row, and each patch's gamma fit
+    is made once. A row's search never depends on the other rows, so each
+    fit equals fit_model on its patch alone with the patch's stream.
 
     provenance["fit_counters"] holds, per model, the deterministic counts
-    of _fit_counters over the fits made (one per patch, or one per file).
+    of _fit_counters over the patch fits.
     """
     paths = [str(p) for p in paths]
     if not paths:
         raise ValueError("no input files given")
     models = _model_names(models)
-    if fit_scope not in ("patch", "file"):
-        raise ValueError(f"fit_scope must be 'patch' or 'file', got {fit_scope!r}")
     if not (math.isfinite(floor_eps) and floor_eps > 0.0):
         raise ValueError(f"floor_eps must be positive and finite, got {floor_eps}")
 
@@ -416,7 +410,6 @@ def run_experiment(
     failures = []
     patch_records = []
     patch_fits: list[dict[str, FitResult]] = []  # parallel to patch_records
-    made: dict[str, list[FitResult]] = {m: [] for m in models}  # every fit made
 
     for path in paths:
         try:
@@ -437,19 +430,9 @@ def run_experiment(
         ]
         raw = [patch.values.ravel() for patch in patches]
         values = [np.maximum(v, floor) for v in raw]
-        # One fit per patch, or one per file with its first patch's stream.
-        batches = values if fit_scope == "patch" else [np.concatenate(values)]
-        fitted = fit_batches(models, batches, rngs[: len(batches)])
-        for m in models:
-            made[m] += fitted[m]
+        fitted = fit_batches(models, values, rngs)
         for i, patch in enumerate(patches):
-            if fit_scope == "patch":
-                fits = {m: fitted[m][i] for m in models}
-            else:
-                fits = {}
-                for m, (fit,) in fitted.items():
-                    ll = MODELS[m].log_likelihood(values[i], fit.params)
-                    fits[m] = replace(fit, log_likelihood=ll, avg_log_likelihood=ll / values[i].size)
+            fits = {m: fitted[m][i] for m in models}
             patch_fits.append(fits)
             patch_records.append(
                 {
@@ -495,7 +478,7 @@ def run_experiment(
         "floor_eps": floor_eps,
         "models": list(models),
         "seed": seed,
-        "fit_scope": fit_scope,
+        "fit_scope": "patch",
         "avg_mode": "patch_total",
     }
     provenance = {
@@ -506,7 +489,9 @@ def run_experiment(
             any(f.degenerate for f in fits.values()) for fits in patch_fits
         ),
         "floored_values": sum(info["floored_values"] for info in file_infos),
-        "fit_counters": {m: _fit_counters(made[m]) for m in models},
+        "fit_counters": {
+            m: _fit_counters([fits[m] for fits in patch_fits]) for m in models
+        },
     }
     return ExperimentReport(
         config=config,

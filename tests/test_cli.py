@@ -1,14 +1,17 @@
 """CLI surface: each subcommand produces its documented output format."""
 
+import argparse
 import csv
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import write_wav_pcm16
-from pwncg.cli import main
+from pwncg.cli import build_parser, main
 from pwncg.distributions import ComplexParams, PowerParams, log_pdf_complex, log_pdf_power
 from pwncg.sampling import rng_stream, sample_complex, sample_power
 
@@ -26,7 +29,10 @@ USAGE_ERRORS = [
     (["kurtosis-sweep", "--alphas", "0"], ALPHAS),
     (["kurtosis-sweep", "--alphas", "nan"], ALPHAS),
     (["sample", "--alpha", "-1"], "pwncg sample: error: alpha must be positive"),
-    (["kurtosis-sweep", "--beta", "0"], "pwncg kurtosis-sweep: error: beta must be positive"),
+    (
+        ["fit-spectra", "--input", "no-such-dir/x.wav"],
+        "pwncg fit-spectra: error: all input files failed",
+    ),
     (
         ["kurtosis-sweep", "--lambda-min", "-1"],
         "pwncg kurtosis-sweep: error: lam must be nonnegative",
@@ -60,6 +66,11 @@ USAGE_ERRORS = [
         ["density-grid", "--kind", "complex", "--alpha", "1", "--mu-re", "1e10"],
         "pwncg density-grid: error: Laguerre series did not converge",
     ),
+    # An output path that cannot be written, found once the work is done.
+    (
+        ["sample", "--alpha", "1", "--out", "no-such-dir/x.txt"],
+        "pwncg sample: error: [Errno 2] No such file or directory",
+    ),
 ]
 
 
@@ -78,7 +89,7 @@ def test_sizes_below_one_are_usage_errors(argv, message, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["kurtosis-sweep", "--beta", "0"],
+        ["fit-spectra", "--input", "no-such-dir/x.wav"],
         ["kurtosis-sweep", "--lambda-min", "-1"],
         ["density-grid", "--kind", "power", "--alpha", "1", "--x-min", "0"],
         ["density-grid", "--alpha", "-1"],
@@ -91,6 +102,22 @@ def test_parameter_errors_leave_no_output_file(argv, tmp_path):
         main([*argv, "--out", str(out)])
     assert exc.value.code == 2
     assert not out.exists()
+
+
+def test_readme_names_every_option():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (subcommands,) = (
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    missing = [
+        f"{name} {opt}"
+        for name, sub in subcommands.choices.items()
+        for action in sub._actions
+        for opt in action.option_strings
+        if opt.startswith("--") and opt != "--help"
+        and not re.search(rf"(?<![\w-]){re.escape(opt)}(?![\w-])", readme)
+    ]
+    assert not missing
 
 
 class TestSampleCommand:
@@ -253,3 +280,24 @@ class TestFitSpectraCommand:
         assert rc == 0
         for w in ("hann", "hamming", "rect"):
             assert (tmp_path / f"rep.{w}.json").exists()
+
+    def test_sweep_writes_one_csv_per_window(self, tmp_path, capsys):
+        # each window's CSV and report equal those of a single run at it
+        wav = tmp_path / "n.wav"
+        write_wav_pcm16(wav, 0.4 * np.random.default_rng(10).standard_normal(4000), 16000)
+        common = ["fit-spectra", "--input", str(wav), "--models", "exp,gamma", "--seed", "2"]
+        rc = main(
+            [*common, "--sweep", "--out", str(tmp_path / "rep.json"),
+             "--csv", str(tmp_path / "rep.csv")]
+        )
+        assert rc == 0
+        for w in ("hann", "hamming", "rect"):
+            single = tmp_path / w
+            single.mkdir()
+            main(
+                [*common, "--window", w, "--out", str(single / "rep.json"),
+                 "--csv", str(single / "rep.csv")]
+            )
+            for suffix in ("json", "csv"):
+                swept = (tmp_path / f"rep.{w}.{suffix}").read_text()
+                assert swept == (single / f"rep.{suffix}").read_text()

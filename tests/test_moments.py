@@ -3,6 +3,7 @@ noncentral-gamma cumulant baseline."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -17,6 +18,7 @@ from pwncg.moments import (
     ncgamma_excess_kurtosis,
     raw_moment,
 )
+from pwncg.special import SeriesConvergenceError
 
 GRID = [
     PowerParams(a, b, l)
@@ -142,6 +144,27 @@ class TestExcessKurtosis:
         a = excess_kurtosis(PowerParams(1.4, 1.0, 2.2))
         b = excess_kurtosis(PowerParams(1.4, 7.0, 2.2))
         assert math.isclose(a, b, rel_tol=1e-10)
+
+    def test_beyond_series_reach_raises(self):
+        with pytest.raises(SeriesConvergenceError):
+            excess_kurtosis(PowerParams(1.0, 1.0, 1e7))
+
+    def test_against_mpmath_up_to_large_noncentrality(self):
+        # 60-digit raw moments M_n = (a)_n 1F1(a+n; 1; lam) / 1F1(a; 1; lam)
+        # at beta = 1; in double precision their cumulant combination
+        # loses up to a fifth of the value at lam = 4000
+        with mp.workdps(60):
+            for a in (0.05, 0.5, 1.0, 2.0, 7.0, 50.0):
+                for lam in (0.0, 0.01, 0.3, 3.0, 30.0, 300.0, 1000.0, 4000.0):
+                    am = mp.mpf(a)  # a + n in float would round
+                    s0 = mp.hyp1f1(am, 1, lam)
+                    m1, m2, m3, m4 = (
+                        mp.rf(am, n) * mp.hyp1f1(am + n, 1, lam) / s0 for n in (1, 2, 3, 4)
+                    )
+                    k2 = m2 - m1**2
+                    k4 = m4 - 4 * m1 * m3 - 3 * m2**2 + 12 * m1**2 * m2 - 6 * m1**4
+                    got = excess_kurtosis(PowerParams(a, 1.3, lam))
+                    assert math.isclose(got, float(k4 / k2**2), rel_tol=1e-10), (a, lam)
 
 
 class TestNcgammaCumulant:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import iv
+from scipy.special import gammaln, iv
 from scipy.stats import chi2, chisquare, kstest, poisson
 
 from pwncg.distributions import (
@@ -22,6 +22,7 @@ from pwncg.moments import raw_moment
 from pwncg.special import SeriesConvergenceError
 from pwncg.sampling import (
     MhConfig,
+    _MhWeights,
     poisson_type_pmf_table,
     rng_stream,
     sample_complex,
@@ -106,8 +107,6 @@ class TestMhSampler:
     def test_acceptance_ratio_formula(self):
         # ratio reduces to n! Gamma(a+n') / (n'! Gamma(a+n)); direct
         # pmf-ratio times proposal-ratio must agree
-        from scipy.special import gammaln
-
         rng = np.random.default_rng(3)
         for _ in range(200):
             a = rng.uniform(0.1, 10.0)
@@ -141,6 +140,21 @@ class TestMhSampler:
             )
         )
         assert tv < 0.015
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 4.5])
+    def test_weight_differences_match_grouped_log_gammas(self, alpha):
+        # w_n - w_n' must equal (ln n! - ln Gamma(a+n)) + (ln Gamma(a+n') - ln n'!)
+        # bit for bit, before and after the table grows
+        rng = np.random.default_rng(13)
+        weights = _MhWeights(alpha)
+        for top in (60, 500):
+            n, n2 = rng.integers(0, top + 1, size=(2, 400))
+            before = len(weights.values)
+            got = weights.take(n) - weights.take(n2)
+            f, f2 = gammaln(1.0 + n), gammaln(1.0 + n2)
+            g, g2 = gammaln(alpha + n), gammaln(alpha + n2)
+            np.testing.assert_array_equal(got, (f - g) + (g2 - f2))
+        assert len(weights.values) > before
 
     def test_degenerate_at_zero(self):
         p = PoissonTypeParams(lam=0.0, alpha=2.0)
@@ -284,6 +298,10 @@ class TestPowerSampler:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             sample_power(PowerParams(1.0, 1.0, 1.0), rng_stream(0), size=5, method="gibbs")
+
+    def test_unknown_method_at_zero_noncentrality(self):
+        with pytest.raises(ValueError):
+            sample_power(PowerParams(1.0, 1.0, 0.0), rng_stream(0), 3, method="bogus")
 
 
 class TestComplexSampler:

@@ -394,11 +394,6 @@ class TestRunExperiment:
             if a["floored"] == 0 and b["floored"] == 0:
                 assert a["fits"]["gamma"]["ll"] == b["fits"]["gamma"]["ll"]
 
-    def test_file_scope_shares_parameters(self, noise_wav):
-        rep = run_experiment([noise_wav], models=("gamma",), seed=1, fit_scope="file")
-        params = {tuple(p["fits"]["gamma"]["params"].items()) for p in rep.patches}
-        assert len(params) == 1
-
     def test_patch_fits_share_one_restart_stream_per_patch(self, tmp_path):
         # patch i counts across files; its models draw in model order from
         # the stream seeded by (seed, i)
