@@ -36,7 +36,6 @@ from .fitting import (
 from .moments import (
     excess_kurtosis,
     kurtosis_sweep,
-    laguerre_ratio,
     mean_variance,
     ncgamma_cumulant,
     raw_moment,

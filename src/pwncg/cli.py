@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import sys
 from pathlib import Path
 
@@ -118,12 +119,29 @@ def _cmd_kurtosis_sweep(args) -> int:
     return 0
 
 
+def _write_files(files: dict) -> None:
+    """Write files {path: text} once every path is open, so that a path
+    that cannot be opened creates no file and truncates none."""
+    created = [path for path in files if not Path(path).exists()]
+    with contextlib.ExitStack() as stack:
+        try:  # append mode creates a missing file but keeps an existing one
+            handles = [stack.enter_context(open(path, "a", newline="")) for path in files]
+        except OSError:
+            stack.close()
+            for path in created:
+                Path(path).unlink(missing_ok=True)
+            raise
+        for fh, text in zip(handles, files.values()):
+            fh.truncate(0)
+            fh.write(text)
+
+
 def _collect_wavs(input_path: str) -> list[str]:
     p = Path(input_path)
     if p.is_dir():
         found = sorted(str(f) for f in p.rglob("*") if f.suffix.lower() == ".wav")
         if not found:
-            raise SystemExit(f"no .wav files under {p}")
+            raise ValueError(f"no .wav files under {p}")
         return found
     return [str(p)]
 
@@ -152,7 +170,7 @@ def _cmd_fit_spectra(args) -> int:
     for name in args.models.split(","):
         key = name.strip().lower()
         if key not in MODEL_ALIASES:
-            raise SystemExit(f"unknown model {name!r}; choose from {sorted(MODEL_ALIASES)}")
+            raise ValueError(f"unknown model {name!r}; choose from {sorted(MODEL_ALIASES)}")
         canonical = MODEL_ALIASES[key]
         if canonical not in models:
             models.append(canonical)
@@ -172,18 +190,21 @@ def _cmd_fit_spectra(args) -> int:
             reports = {None: run_experiment(paths, stft, **kwargs)}
     except RuntimeError as exc:  # no input file could be analyzed: a bad --input
         raise ValueError(str(exc)) from None
+    files = {}
+    for window, report in reports.items():
+        files[_window_path(args.out, window)] = report.to_json()
+        if args.csv:
+            table = io.StringIO()
+            csv.writer(table).writerows(report.csv_rows())
+            files[_window_path(args.csv, window)] = table.getvalue()
+    _write_files(files)
     indent = "  " if args.sweep else ""
     for window, report in reports.items():
-        out = _window_path(args.out, window)
-        Path(out).write_text(report.to_json())
-        if args.csv:
-            with open(_window_path(args.csv, window), "w", newline="") as fh:
-                csv.writer(fh).writerows(report.csv_rows())
         if args.sweep:
             print(f"[{window}]")
         for m in models:
             print(indent + _summary_line(report, m))
-        print(f"{indent}report: {out}")
+        print(f"{indent}report: {_window_path(args.out, window)}")
     return 0
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .distributions import ComplexParams, PoissonTypeParams, PowerParams
-from .special import SeriesConvergenceError, _confluent_weights
+from .special import _MAX_TERMS, _REL_TOL, SeriesConvergenceError, _confluent_weights
 
 __all__ = [
     "RngStream",
@@ -42,11 +42,6 @@ __all__ = [
 # Above this shape the Poisson proposal mismatches the target badly enough
 # that the composite samplers route "mh" requests to the truncated sampler.
 MH_ALPHA_CUTOFF = 20.0
-
-# Truncation of the pmf table: the last term kept is past the mode and
-# below _PMF_TAIL_TOL of the partial sum, within _PMF_MAX_TERMS terms.
-_PMF_TAIL_TOL = 1e-13
-_PMF_MAX_TERMS = 100_000
 
 RngStream = np.random.Generator
 
@@ -83,20 +78,21 @@ class MhStats:
 def poisson_type_pmf_table(p: PoissonTypeParams) -> np.ndarray:
     """Normalized pmf values p(0..N) with the truncation N chosen adaptively.
 
-    Terms follow f(0) = 1, f(k+1) = lam (alpha+k) / (k+1)^2 * f(k), the
-    terms of the normalizer log_laguerre_neg, and come from the same window
-    kernel. N is large enough that the last term is below _PMF_TAIL_TOL of
-    the partial sum AND the terms are past their mode; beyond the mode the
-    decay is super-geometric, so the discarded tail mass is of the same
-    order as the ratio test. Terms before the kernel's window, far enough
-    below the mode to be under _PMF_TAIL_TOL of the sum, are 0.
+    The samplers draw from this table and pwncg.moments takes the law's
+    cumulants from it. Terms follow f(0) = 1, f(k+1) = lam (alpha+k) /
+    (k+1)^2 * f(k), the terms of the normalizer log_laguerre_neg, from the
+    same window kernel and its one truncation rule: N is large enough that
+    the last term is below _REL_TOL of the partial sum AND the terms are
+    past their mode; beyond the mode the decay is super-geometric, so the
+    discarded tail mass is of the same order as the ratio test. Terms
+    before the kernel's window, under _REL_TOL of the sum, are 0.
     """
     if p.lam == 0.0:
         return np.ones(1)
-    probs = _confluent_weights(p.alpha, p.lam, _PMF_TAIL_TOL, _PMF_MAX_TERMS)
+    probs = _confluent_weights(p.alpha, p.lam)
     if probs is None:
         raise SeriesConvergenceError(
-            f"could not bound the pmf tail below {_PMF_TAIL_TOL} within {_PMF_MAX_TERMS} "
+            f"could not bound the pmf tail below {_REL_TOL:g} within {_MAX_TERMS} "
             f"terms for lam={p.lam}, alpha={p.alpha}"
         )
     return probs / probs.sum()

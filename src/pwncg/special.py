@@ -62,11 +62,11 @@ _WINDOW_MARGIN = 16
 # 128 KiB.
 _SERIES_BLOCK = 1 << 14
 
-# Truncation of the confluent normalizer series: summation stops once a
+# Truncation of every window series (_window_rows): summation stops once a
 # term past the mode is below _REL_TOL of the partial sum, and gives up
 # after _MAX_TERMS terms.
 _REL_TOL = 1e-14
-_MAX_TERMS = 10_000
+_MAX_TERMS = 200_000
 
 
 class SeriesConvergenceError(ArithmeticError):
@@ -199,16 +199,10 @@ def _log_iv_series_rows(nu: np.ndarray, x: np.ndarray, counts: np.ndarray) -> np
     return out
 
 
-# Term budget of the log-domain I_nu series.
-_IV_LOGDOMAIN_MAX_TERMS = 200_000
-
-
 def _iv_series_error(nu: float, x: float) -> SeriesConvergenceError:
     """The error for a log-domain I_nu series that exceeds its term budget."""
-    return SeriesConvergenceError(
-        f"I_nu series did not converge for nu={nu}, x={x} "
-        f"within {_IV_LOGDOMAIN_MAX_TERMS} terms"
-    )
+    msg = f"I_nu series did not converge for nu={nu}, x={x} within {_MAX_TERMS} terms"
+    return SeriesConvergenceError(msg)
 
 
 def _log_iv_series_logdomain(nu: float, x: float):
@@ -219,7 +213,7 @@ def _log_iv_series_logdomain(nu: float, x: float):
     relative to x. The terms T_n = (x/2)^(2n) Gamma(nu+1) / (n! Gamma(n+nu+1))
     have the ratio (x/2)^2 / ((n+1)(n+1+nu)), which crosses 1 at the
     positive root of (n+1)(n+1+nu) = (x/2)^2; the normalizer's window
-    kernel sums them down to exp(-40) of the sum.
+    kernel sums them.
     """
     log_half_x = math.log(0.5 * x)
     q = 0.25 * x * x
@@ -232,9 +226,7 @@ def _log_iv_series_logdomain(nu: float, x: float):
 
     mode = max(0.0, 0.5 * (math.sqrt(nu * nu + x * x) - nu) - 1.0)
     with np.errstate(over="ignore", invalid="ignore"):  # a failing window may overflow
-        blocks = list(
-            _window_rows(ratios, log_head, np.array([mode]), math.exp(-40.0), _IV_LOGDOMAIN_MAX_TERMS)
-        )
+        blocks = list(_window_rows(ratios, log_head, np.array([mode])))
     for _, n0, rel, total, log_sum in blocks:
         n0 = float(n0[0])
         # H_n = sum_{m<=n} 1 / (m + nu) = digamma(n + nu + 1) - digamma(nu + 1)
@@ -376,7 +368,7 @@ def _term_index(n_end: int) -> np.ndarray:
     return _N_TABLE[:n_end] if n_end <= len(_N_TABLE) else np.arange(float(n_end))
 
 
-def _window_rows(ratios, log_head, mode: np.ndarray, rel_tol: float, max_terms: int):
+def _window_rows(ratios, log_head, mode: np.ndarray):
     """Sums of positive series, one per row, each over a window of its own
     terms, in one numpy pass per block of rows.
 
@@ -395,18 +387,18 @@ def _window_rows(ratios, log_head, mode: np.ndarray, rel_tol: float, max_terms: 
     array, or a slice for all rows): rel (rows.size, size) holds
     t_{first[i] + j} / t_{first[i]} for j = 1 .. size in row i, 0 past the
     row's window end, total = 1 + the sum of rel over j, and log_sum the
-    log of the row's sum. A row whose last term is not past the mode and
-    below rel_tol of the sum is retried with its window end doubled, up to
-    max_terms terms; a row that fails there is never yielded. A row whose
-    first term is not before the mode and below rel_tol of the sum is
-    retried with its window start halved.
+    log of the row's sum. Every window series is truncated alike: a row
+    whose last term is not past the mode and below _REL_TOL of the sum is
+    retried with its window end doubled, up to _MAX_TERMS terms, and never
+    yielded if it fails there; a row whose first term is not before the
+    mode and below _REL_TOL of the sum is retried with its start halved.
     """
     width = _WINDOW_WIDTHS * np.sqrt(mode + 1.0)
-    # Clipped to max_terms before the cast, which would wrap past 2**63;
-    # a row whose mode lies beyond max_terms fails either way.
-    last = np.minimum(mode + width, max_terms).astype(np.int64) + _WINDOW_MARGIN
-    np.minimum(last, max_terms, out=last)
-    first = np.maximum(np.minimum(mode - width, max_terms).astype(np.int64) - _WINDOW_MARGIN, 0)
+    # Clipped to _MAX_TERMS before the cast, which would wrap past 2**63;
+    # a row whose mode lies beyond _MAX_TERMS fails either way.
+    last = np.minimum(mode + width, _MAX_TERMS).astype(np.int64) + _WINDOW_MARGIN
+    np.minimum(last, _MAX_TERMS, out=last)
+    first = np.maximum(np.minimum(mode - width, _MAX_TERMS).astype(np.int64) - _WINDOW_MARGIN, 0)
     np.minimum(first, last - 1, out=first)
     pending = slice(None)
     while True:
@@ -431,9 +423,9 @@ def _window_rows(ratios, log_head, mode: np.ndarray, rel_tol: float, max_terms: 
                 r_end, rel_end = r[at, end - 1], rel[at, end - 1]
             else:
                 r_end, rel_end = r[:, -1], rel[:, -1]
-            ok = tail_ok = (r_end < 1.0) & (rel_end < rel_tol * total)
+            ok = tail_ok = (r_end < 1.0) & (rel_end < _REL_TOL * total)
             if head:
-                head_ok = (n0 == 0) | ((r[:, 0] > 1.0) & (1.0 < rel_tol * total))
+                head_ok = (n0 == 0) | ((r[:, 0] > 1.0) & (1.0 < _REL_TOL * total))
                 ok = tail_ok & head_ok
             if ok.all():
                 yield rows, n0, rel, total, log_sum
@@ -443,8 +435,8 @@ def _window_rows(ratios, log_head, mode: np.ndarray, rel_tol: float, max_terms: 
                 yield rows[ok], n0[ok], rel[ok], total[ok], log_sum[ok]
             if head:
                 first[rows[~head_ok]] //= 2
-            grow = ~tail_ok & (n0 + end < max_terms)
-            last[rows[grow]] = np.minimum(max_terms, 2 * (n0 + end)[grow])
+            grow = ~tail_ok & (n0 + end < _MAX_TERMS)
+            last[rows[grow]] = np.minimum(_MAX_TERMS, 2 * (n0 + end)[grow])
             retry.append(rows[~ok & (tail_ok | grow)])
         pending = np.concatenate(retry) if retry else np.empty(0, dtype=np.int64)
         if not pending.size:
@@ -468,7 +460,7 @@ def _confluent_mode(alpha, lam):
     return np.maximum(0.0, 0.5 * (b + np.sqrt(np.maximum(0.0, b * b + 4.0 * (lam * alpha - 1.0)))))
 
 
-def _confluent_rows(alpha: np.ndarray, lam: np.ndarray, rel_tol: float, max_terms: int):
+def _confluent_rows(alpha: np.ndarray, lam: np.ndarray):
     """_window_rows of the confluent series t_n = (alpha)_n lam^n / (n!)^2 at
     rows of alpha > 0 and lam > 0."""
 
@@ -480,22 +472,20 @@ def _confluent_rows(alpha: np.ndarray, lam: np.ndarray, rel_tol: float, max_term
         a = alpha[rows]
         return gammaln(a + n) - gammaln(a) + n * np.log(lam[rows]) - 2.0 * gammaln(n + 1.0)
 
-    return _window_rows(ratios, log_head, _confluent_mode(alpha, lam), rel_tol, max_terms)
+    return _window_rows(ratios, log_head, _confluent_mode(alpha, lam))
 
 
-def _confluent_weights(alpha: float, lam: float, rel_tol: float, max_terms: int):
+def _confluent_weights(alpha: float, lam: float):
     """t_n / S for n = 0 .. N, of t_n = (alpha)_n lam^n / (n!)^2 and their
     sum S over n >= 0, for alpha > 0 and lam > 0; the terms before the
-    window of _window_rows, below rel_tol of S, are 0.
+    window of _window_rows, below _REL_TOL of S, are 0.
 
     N ends a window past the term mode; its last term is past the mode and
-    below rel_tol of the sum. Returns None if that takes more than
-    max_terms terms after t_0.
+    below _REL_TOL of the sum. Returns None if that takes more than
+    _MAX_TERMS terms after t_0.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # a failing window may overflow
-        blocks = list(
-            _confluent_rows(np.array([float(alpha)]), np.array([float(lam)]), rel_tol, max_terms)
-        )
+        blocks = list(_confluent_rows(np.array([float(alpha)]), np.array([float(lam)])))
     for _, n0, rel, total, _ in blocks:
         weights = np.zeros(n0[0] + 1 + rel.shape[1])
         weights[n0[0]] = 1.0
@@ -539,7 +529,7 @@ def _log_laguerre_neg_rows(alpha: np.ndarray, lam: np.ndarray) -> np.ndarray:
     converge within _MAX_TERMS terms."""
     out = np.full(alpha.size, np.nan)
     with np.errstate(over="ignore", invalid="ignore"):  # a failing window may overflow
-        for rows, _, _, _, log_sum in _confluent_rows(alpha, lam, _REL_TOL, _MAX_TERMS):
+        for rows, _, _, _, log_sum in _confluent_rows(alpha, lam):
             out[rows] = log_sum
     failed = np.isnan(out)
     if failed.any():
@@ -561,7 +551,7 @@ def _log_laguerre_neg_grad(alpha: np.ndarray, lam: np.ndarray) -> np.ndarray:
     ln (alpha)_n), and lam d ln S / d lam is E_w[n].
     """
     out = np.full((3, alpha.size), np.nan)
-    for rows, n0, rel, total, log_sum in _confluent_rows(alpha, lam, _REL_TOL, _MAX_TERMS):
+    for rows, n0, rel, total, log_sum in _confluent_rows(alpha, lam):
         a = alpha[rows, None]
         n = _term_index(rel.shape[1])
         head = n0.any()

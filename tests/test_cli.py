@@ -34,6 +34,10 @@ USAGE_ERRORS = [
         "pwncg fit-spectra: error: all input files failed",
     ),
     (
+        ["fit-spectra", "--input", str(Path(__file__).resolve().parent.parent / "src")],
+        "pwncg fit-spectra: error: no .wav files under",
+    ),
+    (
         ["kurtosis-sweep", "--lambda-min", "-1"],
         "pwncg kurtosis-sweep: error: lam must be nonnegative",
     ),
@@ -94,12 +98,19 @@ def test_sizes_below_one_are_usage_errors(argv, message, capsys):
         ["density-grid", "--kind", "power", "--alpha", "1", "--x-min", "0"],
         ["density-grid", "--alpha", "-1"],
         ["sample", "--alpha", "-1"],
+        # The report is computed, but its CSV path cannot be opened.
+        [
+            "fit-spectra", "--input", "{tmp}/n.wav", "--models", "exp",
+            "--csv", "{tmp}/no-such-dir/r.csv",
+        ],
     ],
 )
 def test_parameter_errors_leave_no_output_file(argv, tmp_path):
+    noise = 0.4 * np.random.default_rng(12).standard_normal(1500)
+    write_wav_pcm16(tmp_path / "n.wav", noise, 16000)
     out = tmp_path / "out.csv"
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--out", str(out)])
+        main([*(a.format(tmp=tmp_path) for a in argv), "--out", str(out)])
     assert exc.value.code == 2
     assert not out.exists()
 
@@ -243,13 +254,14 @@ class TestFitSpectraCommand:
         body = json.loads(report.read_text())
         assert body["config"]["models"] == ["exponential", "noncentral_gamma"]
 
-    def test_unknown_model_lists_aliases(self, tmp_path):
+    def test_unknown_model_lists_aliases(self, tmp_path, capsys):
         wav = tmp_path / "n.wav"
         write_wav_pcm16(wav, np.zeros(1500), 16000)
         with pytest.raises(SystemExit) as exc:
             main(["fit-spectra", "--input", str(wav), "--models", "exp,weibull"])
-        msg = str(exc.value)
-        assert "unknown model 'weibull'" in msg
+        assert exc.value.code == 2
+        msg = capsys.readouterr().err
+        assert "pwncg fit-spectra: error: unknown model 'weibull'" in msg
         for alias in ("exp", "exponential", "gamma", "ncgamma", "noncentral_gamma", "proposed"):
             assert repr(alias) in msg
 

@@ -12,13 +12,12 @@ from pwncg.distributions import PowerParams, log_pdf_noncentral_gamma, log_pdf_p
 from pwncg.moments import (
     excess_kurtosis,
     kurtosis_sweep,
-    laguerre_ratio,
     mean_variance,
     ncgamma_cumulant,
     ncgamma_excess_kurtosis,
     raw_moment,
 )
-from pwncg.special import SeriesConvergenceError
+from pwncg.special import SeriesConvergenceError, log_laguerre_neg
 
 GRID = [
     PowerParams(a, b, l)
@@ -67,22 +66,10 @@ class TestRawMoment:
             raw_moment(0, PowerParams(1.0, 1.0, 0.0))
 
 
-class TestLaguerreRatio:
-    def test_one_at_zero(self):
-        assert laguerre_ratio(2.7, 0.0) == pytest.approx(1.0, abs=1e-14)
-
-    def test_shape_one_closed_form(self):
-        for lam in (0.3, 1.0, 5.0, 20.0):
-            assert math.isclose(laguerre_ratio(1.0, lam), 1.0 + lam, rel_tol=1e-12)
-
-    def test_series_oracle(self):
-        # frozen 200-term high-precision value
-        assert math.isclose(laguerre_ratio(0.5, 3.0), 5.7883997164938721156, rel_tol=1e-12)
-
-    def test_at_least_one(self):
-        for a in (0.3, 1.0, 4.0):
-            for lam in (0.0, 0.5, 2.0, 10.0):
-                assert laguerre_ratio(a, lam) >= 1.0 - 1e-14
+def _laguerre_ratio(alpha: float, lam: float) -> float:
+    """S(alpha + 1, lam) / S(alpha, lam), the factor by which the
+    noncentrality inflates the gamma mean alpha / beta."""
+    return math.exp(log_laguerre_neg(alpha + 1.0, lam) - log_laguerre_neg(alpha, lam))
 
 
 class TestMeanVariance:
@@ -95,6 +82,39 @@ class TestMeanVariance:
         mean, _ = mean_variance(PowerParams(1.0, 1.0, 2.0))
         assert math.isclose(mean, 3.0, rel_tol=1e-12)
 
+    def test_shape_one_mean_closed_form(self):
+        # at shape one the ratio of normalizers is 1 + lam
+        for lam in (0.3, 1.0, 5.0, 20.0):
+            mean, _ = mean_variance(PowerParams(1.0, 2.5, lam))
+            assert math.isclose(mean, (1.0 + lam) / 2.5, rel_tol=1e-12)
+
+    def test_mean_series_oracle(self):
+        # frozen 200-term high-precision value of S(1.5, 3) / S(0.5, 3)
+        mean, _ = mean_variance(PowerParams(0.5, 0.5, 3.0))
+        assert math.isclose(mean, 5.7883997164938721156, rel_tol=1e-12)
+
+    def test_mean_at_least_gamma_mean(self):
+        for a in (0.3, 1.0, 4.0):
+            for lam in (0.0, 0.5, 2.0, 10.0):
+                mean, _ = mean_variance(PowerParams(a, 1.7, lam))
+                assert mean >= (a / 1.7) * (1.0 - 1e-14)
+
+    def test_against_mpmath_up_to_large_noncentrality(self):
+        # 60-digit M1 and M2 - M1^2 from M_n = (a)_n 1F1(a+n; 1; lam) /
+        # (beta^n 1F1(a; 1; lam)); in double precision M2 - M1^2 would lose
+        # up to 1e-8 of the variance at lam = 4000
+        beta = 1.3
+        with mp.workdps(60):
+            for a in (0.05, 0.5, 1.0, 2.0, 7.0, 50.0):
+                for lam in (0.0, 0.01, 0.3, 3.0, 30.0, 300.0, 1000.0, 4000.0, 2e4, 1e5):
+                    am, b = mp.mpf(a), mp.mpf(beta)
+                    s0 = mp.hyp1f1(am, 1, lam)
+                    m1 = am * mp.hyp1f1(am + 1, 1, lam) / (s0 * b)
+                    m2 = am * (am + 1) * mp.hyp1f1(am + 2, 1, lam) / (s0 * b * b)
+                    mean, var = mean_variance(PowerParams(a, beta, lam))
+                    assert math.isclose(mean, float(m1), rel_tol=1e-13), (a, lam)
+                    assert math.isclose(var, float(m2 - m1 * m1), rel_tol=1e-13), (a, lam)
+
     def test_variance_derivative_form(self):
         # V = (alpha/beta^2) (lam dR/dlam + R) with a central difference
         for a in (0.5, 1.0, 2.0, 4.0):
@@ -102,8 +122,8 @@ class TestMeanVariance:
                 p = PowerParams(a, 1.3, lam)
                 _, var = mean_variance(p)
                 h = 1e-5 * max(1.0, lam)
-                drdl = (laguerre_ratio(a, lam + h) - laguerre_ratio(a, lam - h)) / (2 * h)
-                alt = (a / p.beta**2) * (lam * drdl + laguerre_ratio(a, lam))
+                drdl = (_laguerre_ratio(a, lam + h) - _laguerre_ratio(a, lam - h)) / (2 * h)
+                alt = (a / p.beta**2) * (lam * drdl + _laguerre_ratio(a, lam))
                 assert math.isclose(var, alt, rel_tol=1e-6)
 
 

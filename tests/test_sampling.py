@@ -69,7 +69,8 @@ class TestTruncatedSampler:
             np.testing.assert_allclose(probs, ref, rtol=1e-10, atol=1e-300)
 
     def test_table_tail_budget_exhausted(self):
-        # the term mode near lam + alpha - 1 lies past the 100 000-term budget
+        # the window past the term mode near lam + alpha - 1 ends beyond the
+        # 200 000-term budget
         p = PoissonTypeParams(lam=2e5, alpha=1.0)
         with pytest.raises(SeriesConvergenceError, match="could not bound the pmf tail"):
             poisson_type_pmf_table(p)
@@ -257,6 +258,15 @@ class TestPowerSampler:
         d = sample_power(p, rng_stream(13), size=10**6)
         se = d.std() / math.sqrt(d.size)
         assert abs(d.mean() - 3.0) < 4 * se
+
+    def test_draws_up_to_the_term_budget(self):
+        # the pmf table reaches past lam = 1e5 (at alpha = 1, N is
+        # Poisson(lam), so the power has mean and variance 1 + lam and
+        # 1 + 2 lam)
+        p = PowerParams(alpha=1.0, beta=1.0, lam=1.5e5)
+        d = sample_power(p, rng_stream(15), size=10_000)
+        se = math.sqrt((1.0 + 2.0 * p.lam) / d.size)
+        assert abs(d.mean() - (1.0 + p.lam)) < 5 * se
 
     def test_moments_match_closed_form(self):
         p = PowerParams(alpha=0.8, beta=1.5, lam=2.5)

@@ -1,7 +1,9 @@
 """Special-function accuracy against high-precision and closed-form oracles."""
 
+import inspect
 import math
 import tracemalloc
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -15,9 +17,11 @@ from pwncg.special import (
     _IV_SERIES_CUTOFF,
     I0_SERIES_CUTOFF,
     SeriesConvergenceError,
+    _confluent_rows,
     _confluent_weights,
     _log_bessel_i_nu_grad,
     _log_laguerre_neg_grad,
+    _window_rows,
     log_bessel_i0,
     log_bessel_i_nu,
     log_laguerre_neg,
@@ -211,7 +215,7 @@ class TestLogBesselINu:
 
     def test_non_convergence_raises(self, monkeypatch):
         # ive underflows here, and the log-domain series needs more terms
-        monkeypatch.setattr(special, "_IV_LOGDOMAIN_MAX_TERMS", 5)
+        monkeypatch.setattr(special, "_MAX_TERMS", 5)
         with pytest.raises(SeriesConvergenceError, match="nu=400.0, x=30.0"):
             log_bessel_i_nu(400.0, 30.0)
         with pytest.raises(SeriesConvergenceError):
@@ -275,26 +279,44 @@ class TestLogLaguerreNeg:
             vals = [log_laguerre_neg(a, lam) for lam in np.linspace(0.0, 30.0, 40)]
             assert all(b > c for b, c in zip(vals[1:], vals[:-1]))
 
+    def test_converges_up_to_the_term_budget(self):
+        # the term mode is near lam + alpha - 1, inside the 200 000-term
+        # budget; the alpha = 1 series is exp(lam)
+        with mp.workdps(40):
+            for lam in (2e4, 1e5, 1.9e5):
+                assert math.isclose(log_laguerre_neg(1.0, lam), lam, rel_tol=1e-14)
+                for a in (0.5, 3.0):
+                    ref = float(mp.log(mp.hyp1f1(a, 1, lam)))
+                    assert math.isclose(log_laguerre_neg(a, lam), ref, rel_tol=1e-14), (a, lam)
+
     def test_non_convergence_raises(self):
-        # the term mode is near lam + alpha - 1, past the 10 000-term budget;
-        # from lam = 1e19 on it is also past 2**63, where a window bound
-        # cast to int64 would wrap
-        for lam in (2e4, 1e19, 1e20, 1e300):
-            with pytest.raises(SeriesConvergenceError, match="within 10000 terms"):
+        # the term mode is near lam + alpha - 1, past the 200 000-term
+        # budget; from lam = 1e19 on it is also past 2**63, where a window
+        # bound cast to int64 would wrap
+        for lam in (3e5, 1e19, 1e20, 1e300):
+            with pytest.raises(SeriesConvergenceError, match="within 200000 terms"):
                 log_laguerre_neg(1.0, lam)
 
-    def test_short_term_budget_returns_none(self):
+    def test_short_term_budget_returns_none(self, monkeypatch):
         # the term mode is near lam + alpha - 1, so the budget falls short
-        for lam in (4.95, 40.0):
-            assert _confluent_weights(30.0, lam, 1e-14, 20) is None
-        assert _confluent_weights(1.0, 1e20, 1e-13, 100_000) is None
+        with monkeypatch.context() as m:
+            m.setattr(special, "_MAX_TERMS", 20)
+            for lam in (4.95, 40.0):
+                assert _confluent_weights(30.0, lam) is None
+        assert _confluent_weights(1.0, 1e20) is None
+
+    def test_window_series_take_no_truncation_knobs(self):
+        # every window series is truncated by _REL_TOL and _MAX_TERMS alone
+        assert list(inspect.signature(_window_rows).parameters) == ["ratios", "log_head", "mode"]
+        for fn in (_confluent_rows, _confluent_weights):
+            assert list(inspect.signature(fn).parameters) == ["alpha", "lam"]
 
     def test_window_terms_match_mpmath(self):
         # ln t_n = ln (alpha)_n + n ln lam - 2 ln n! of every term in the
         # window, from the weights t_n / S and ln S; a running product of n
         # ratios may drift by n rounding steps of its largest log term
         for alpha, lam in [(1e-3, 5.0), (0.5, 40.0), (3.0, 700.0), (1e3, 2000.0)]:
-            weights = _confluent_weights(alpha, lam, 1e-14, 10_000)
+            weights = _confluent_weights(alpha, lam)
             n = np.flatnonzero(weights)
             got = np.log(weights[n]) + log_laguerre_neg(alpha, lam)
             a, x = mp.mpf(alpha), mp.mpf(lam)
@@ -388,3 +410,13 @@ class TestRowBatchedKernels:
             np.testing.assert_array_equal(together[:, i], alone[:, 0])
         np.testing.assert_allclose(together[0, 5], log_bessel_i_nu(nu[5], x[5]), rtol=1e-13)
 
+
+
+def test_readme_states_the_truncation_rule():
+    # the pwncg.special bullet of the README names the tolerance and the
+    # term budget that every window series is truncated by
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    start = readme.index("**`pwncg.special`**")
+    bullet = readme[start : readme.index("\n- **", start)]
+    assert f"{special._REL_TOL:g}" in bullet
+    assert f"{special._MAX_TERMS:,}".replace(",", " ") in bullet
