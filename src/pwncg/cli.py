@@ -174,6 +174,13 @@ def _cmd_fit_spectra(args) -> int:
         canonical = MODEL_ALIASES[key]
         if canonical not in models:
             models.append(canonical)
+    if args.csv:
+        windows = WINDOWS if args.sweep else (None,)
+        same = {Path(_window_path(args.out, w)).resolve() for w in windows} & {
+            Path(_window_path(args.csv, w)).resolve() for w in windows
+        }
+        if same:
+            raise ValueError(f"--out and --csv name the same file {min(same)}")
     stft = StftConfig(frame_ms=args.frame_ms, hop_ms=args.hop_ms, window=args.window)
     kwargs = dict(
         models=models,

@@ -9,8 +9,10 @@ shifted by that integer.
 Two distorted-Poisson samplers are provided. The default builds the
 truncated pmf table and inverse-transforms it (exact up to a bounded tail);
 the Metropolis-Hastings sampler with a Poisson independence proposal is
-exposed for parity and testing. Every sampler consumes a single
-numpy Generator stream, so identical seeds reproduce identical draws.
+exposed for parity and testing. It draws its proposals by inverse
+transform from a Poisson table with a guide table, one uniform each, not
+with Generator.poisson. Every sampler consumes a single numpy Generator
+stream, so identical seeds reproduce identical draws.
 """
 
 from __future__ import annotations
@@ -111,21 +113,65 @@ def sample_poisson_type_truncated(p: PoissonTypeParams, rng: RngStream, size=Non
     return int(draws[0]) if size is None else draws
 
 
-class _MhWeights:
-    """w_k = ln k! - ln Gamma(alpha + k) for integer k, tabled and grown on
-    demand. The MH log acceptance ratio of a move n -> n' is w_n - w_n';
-    at alpha = 1 every weight is exactly 0."""
+# The Poisson(lam) proposal table of the MH sampler covers k in
+# lam -/+ (_TABLE_WIDTHS sqrt(lam) + _TABLE_MARGIN). By Bennett's inequality
+# each tail left out holds less than e^-50 of the mass, below the 2^-53
+# that a uniform from rng.random resolves, and the table grows like
+# sqrt(lam). _MAX_TABLE entries reach lam of about 1e10.
+_TABLE_WIDTHS = 10.0
+_TABLE_MARGIN = 40
+_MAX_TABLE = 1 << 21
+# The lookup splits [0, 1) into 2^_GUIDE_BITS equal cells.
+_GUIDE_BITS = 16
 
-    def __init__(self, alpha: float):
-        self.alpha = alpha
-        self.values = np.zeros(0)
 
-    def take(self, k: np.ndarray) -> np.ndarray:
-        top = int(k.max()) if k.size else 0
-        if top >= len(self.values):
-            j = np.arange(max(64, 2 * top + 2), dtype=float)
-            self.values = gammaln(1.0 + j) - gammaln(self.alpha + j)
-        return self.values[k]
+class _PoissonTable:
+    """Poisson(lam) on the window k = lo .. lo + len(cdf) - 1, drawn by
+    inverse transform with a guide table (Devroye 1986, ch. III).
+
+    The pmf is the closed form exp(k ln lam - lam - ln k!), and the CDF is
+    scaled so that its last entry is exactly 1: every uniform in [0, 1)
+    falls inside the window. A guide cell of [0, 1) that lies inside one
+    CDF step gives its index directly; a uniform in a cell that straddles
+    a step is resolved by searchsorted, so every draw is the exact
+    inverse transform of its uniform.
+    """
+
+    def __init__(self, lam: float):
+        half = _TABLE_WIDTHS * math.sqrt(lam) + _TABLE_MARGIN
+        self.lo = max(0, math.ceil(lam - half))
+        size = math.floor(lam + half) - self.lo + 1
+        if size > _MAX_TABLE:
+            raise ValueError(
+                f"the Poisson proposal table for lam={lam} would need {size} "
+                f"entries, more than {_MAX_TABLE}"
+            )
+        self.k = self.lo + np.arange(size, dtype=float)
+        log_pmf = self.k * math.log(lam) - lam - gammaln(self.k + 1.0)
+        cdf = np.cumsum(np.exp(log_pmf - log_pmf.max()))
+        self.cdf = cdf / cdf[-1]
+        edges = np.arange((1 << _GUIDE_BITS) + 1) / (1 << _GUIDE_BITS)
+        # Cell j holds the uniforms in [edges[j], edges[j+1]); the first of
+        # them draws index first[j], and none draws past last[j].
+        first = np.searchsorted(self.cdf, edges[:-1], side="right")
+        last = np.searchsorted(self.cdf, edges[1:], side="left")
+        self.guide = np.where(first == last, first, -1)
+
+    def draw(self, u: np.ndarray) -> np.ndarray:
+        """Table indices i, with k = lo + i, for uniforms u in [0, 1)."""
+        # Cell numbers fit in int32, and numpy casts float64 to int32 much
+        # faster than to int64.
+        i = self.guide[(u * (1 << _GUIDE_BITS)).astype(np.int32)]
+        straddle = np.flatnonzero(i < 0)
+        i[straddle] = np.searchsorted(self.cdf, u[straddle], side="right")
+        return i
+
+
+def _mh_weights(alpha: float, k: np.ndarray) -> np.ndarray:
+    """w_k = ln k! - ln Gamma(alpha + k) at integer-valued k. The MH log
+    acceptance ratio of a move n -> n' is w_n - w_n'; at alpha = 1 every
+    weight is exactly 0."""
+    return gammaln(1.0 + k) - gammaln(alpha + k)
 
 
 def sample_poisson_type_mh(
@@ -138,33 +184,36 @@ def sample_poisson_type_mh(
     """Independence Metropolis-Hastings draws from the distorted-Poisson law.
 
     Each requested draw is produced by its own chain (run in parallel
-    across draws): initial state and proposals are Poisson(lam), and the
-    acceptance ratio n! Gamma(alpha+n') / (n'! Gamma(alpha+n)) is evaluated
-    in log domain as w_n - w_n' from one table of the weights
-    w_k = ln k! - ln Gamma(alpha + k), so no series normalizer is ever
-    needed. Each chain carries its state's weight, so a step looks up only
-    the proposal's.
+    across draws): initial state and proposals are Poisson(lam), drawn by
+    inverse transform from one table built per call (_PoissonTable), so
+    each state and each proposal takes one uniform. The acceptance ratio
+    n! Gamma(alpha+n') / (n'! Gamma(alpha+n)) is evaluated in log domain
+    as w_n - w_n' from the weights w_k = ln k! - ln Gamma(alpha + k) over
+    the table's support, so no series normalizer is ever needed. Each
+    chain carries its state's weight, so a step looks up only the
+    proposal's. Raises ValueError where the table would exceed its size
+    limit (lam above about 1e10).
     """
     m = 1 if size is None else int(np.prod(size))
     if p.lam == 0.0:
         draws = np.zeros(m, dtype=np.int64)
         stats = MhStats(proposals=0, accepted=0)
     else:
-        weights = _MhWeights(p.alpha)
-        state = rng.poisson(p.lam, m)
-        w_state = weights.take(state)
+        table = _PoissonTable(p.lam)
+        weights = _mh_weights(p.alpha, table.k)
+        state = table.draw(rng.random(m))
+        w_state = weights[state]
         steps = cfg.burn_in + cfg.thin
         accepted = 0
         for _ in range(steps):
-            prop = rng.poisson(p.lam, m)
-            w_prop = weights.take(prop)
-            u = rng.random(m)
+            prop = table.draw(rng.random(m))
+            w_prop = weights[prop]
             with np.errstate(divide="ignore"):
-                accept = np.log(u) < w_state - w_prop
-            accepted += int(accept.sum())
-            state = np.where(accept, prop, state)
-            w_state = np.where(accept, w_prop, w_state)
-        draws = state.astype(np.int64)
+                accept = np.log(rng.random(m)) < w_state - w_prop
+            accepted += int(np.count_nonzero(accept))
+            np.copyto(state, prop, where=accept)
+            np.copyto(w_state, w_prop, where=accept)
+        draws = (table.lo + state).astype(np.int64)
         stats = MhStats(proposals=steps * m, accepted=accepted)
 
     if size is None:

@@ -248,6 +248,40 @@ def _log_iv_series_logdomain(nu: float, x: float):
 _NU_STEP = 1e-3
 
 
+# scipy's ive returns NaN for every x from _IVE_X_MAX on; there the
+# large-argument expansion of I_nu (DLMF 10.40.1), summed to
+# _IV_ASYMPTOTIC_TERMS terms, gives ln I_nu and its derivatives.
+_IVE_X_MAX = 2.0**30
+_IV_ASYMPTOTIC_TERMS = 16
+
+
+def _log_iv_asymptotic(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """ln I_nu(x), d/dnu and x d/dx of it, as rows of a (3, x.size) array,
+    from I_nu(x) ~ e^x / sqrt(2 pi x) S with S = sum_k c_k,
+    c_k = prod_{j<=k} -(4 nu^2 - (2j - 1)^2) / (8 j x) (DLMF 10.40.1).
+    d c_k / dnu follows the same product by the product rule, and
+    x d c_k / dx = -k c_k. NaN where the last term is not below 2^-53 of S,
+    which happens only where nu^2 is comparable to x."""
+    c = np.ones_like(x)
+    dc = np.zeros_like(x)
+    s, ds, ks = np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging sum may overflow
+        mu = 4.0 * nu * nu
+        for k in range(1, _IV_ASYMPTOTIC_TERMS + 1):
+            f = -(mu - (2.0 * k - 1.0) ** 2) / (8.0 * k * x)
+            dc = dc * f - c * nu / (k * x)
+            c = c * f
+            s += c
+            ds += dc
+            ks += k * c
+        total = 1.0 + s
+        out = np.array(
+            [x - 0.5 * np.log(2.0 * math.pi * x) + np.log1p(s), ds / total, x - 0.5 - ks / total]
+        )
+        out[:, ~(np.abs(c) <= 2.0**-53 * np.abs(total))] = np.nan
+    return out
+
+
 def _log_iv_large_grad(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     """ln I_nu(x), d/dnu and x d/dx of it for x >= _IV_SERIES_CUTOFF, as
     rows of a (3, x.size) array, elementwise in 1-D arrays nu and x. The
@@ -256,7 +290,9 @@ def _log_iv_large_grad(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     analytic in nu for x > 0, also below nu = -1). Where one of the ive
     values is not a finite normal number, the log-domain series gives the
     derivatives, and also the value if ive(nu, x) itself failed; where
-    that series does not converge, all three are NaN."""
+    that series does not converge, all three are NaN. From _IVE_X_MAX on,
+    where ive is NaN, the large-argument expansion gives all three, and
+    the series only where the expansion does not converge."""
     scaled = ive(nu, x)
     above = ive(nu + 1.0, x)
     up = ive(nu + _NU_STEP, x)
@@ -271,6 +307,10 @@ def _log_iv_large_grad(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
         out[0] = np.log(scaled) + x
         out[1] = (np.log(up) - np.log(down)) / (2.0 * _NU_STEP)
         out[2] = x * above / scaled + nu
+    far = np.flatnonzero(x >= _IVE_X_MAX)
+    if far.size:
+        out[:, far] = _log_iv_asymptotic(nu[far], x[far])
+        exact[far] = np.isfinite(out[0, far])
     for i in np.flatnonzero(~exact):
         try:
             vals = _log_iv_series_logdomain(float(nu[i]), float(x[i]))

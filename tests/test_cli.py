@@ -75,6 +75,15 @@ USAGE_ERRORS = [
         ["sample", "--alpha", "1", "--out", "no-such-dir/x.txt"],
         "pwncg sample: error: [Errno 2] No such file or directory",
     ),
+    # Two outputs that name the same file, found before any fit.
+    (
+        ["fit-spectra", "--input", "x.wav", "--out", "r.csv", "--csv", "r.csv"],
+        "pwncg fit-spectra: error: --out and --csv name the same file",
+    ),
+    (
+        ["fit-spectra", "--input", "x.wav", "--sweep", "--out", "r.csv", "--csv", "./r.csv"],
+        "pwncg fit-spectra: error: --out and --csv name the same file",
+    ),
 ]
 
 
@@ -103,6 +112,8 @@ def test_sizes_below_one_are_usage_errors(argv, message, capsys):
             "fit-spectra", "--input", "{tmp}/n.wav", "--models", "exp",
             "--csv", "{tmp}/no-such-dir/r.csv",
         ],
+        # The CSV would overwrite the report.
+        ["fit-spectra", "--input", "{tmp}/n.wav", "--models", "exp", "--csv", "{tmp}/out.csv"],
     ],
 )
 def test_parameter_errors_leave_no_output_file(argv, tmp_path):

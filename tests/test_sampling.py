@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gammaln, iv
+from scipy.special import gammaln, iv, pdtr, pdtrc
 from scipy.stats import chi2, chisquare, kstest, poisson
 
 from pwncg.distributions import (
@@ -22,7 +22,10 @@ from pwncg.moments import raw_moment
 from pwncg.special import SeriesConvergenceError
 from pwncg.sampling import (
     MhConfig,
-    _MhWeights,
+    MhStats,
+    _GUIDE_BITS,
+    _PoissonTable,
+    _mh_weights,
     poisson_type_pmf_table,
     rng_stream,
     sample_complex,
@@ -97,6 +100,60 @@ class TestTruncatedSampler:
         assert isinstance(sample_poisson_type_truncated(p, rng_stream(1)), int)
 
 
+TABLE_LAMBDAS = [1e-3, 0.5, 3.0, 8.0, 300.0, 1e4]
+
+
+class TestPoissonProposalTable:
+    @pytest.mark.parametrize("lam", TABLE_LAMBDAS + [1e6])
+    def test_mass_outside_the_window_is_below_a_uniforms_resolution(self, lam):
+        table = _PoissonTable(lam)
+        hi = table.lo + len(table.cdf) - 1
+        below = pdtr(table.lo - 1, lam) if table.lo > 0 else 0.0
+        assert below < 2.0**-53
+        assert pdtrc(hi, lam) < 2.0**-53
+        assert table.cdf[-1] == 1.0
+
+    @pytest.mark.parametrize("lam", TABLE_LAMBDAS)
+    def test_frequencies_match_poisson_pmf(self, lam):
+        # per-bin z of every bin with at least 10 expected draws, and of the
+        # pooled rest
+        table = _PoissonTable(lam)
+        n = 10**6
+        i = table.draw(rng_stream(41).random(n))
+        p = poisson.pmf(table.lo + np.arange(len(table.cdf)), lam)
+        counts = np.bincount(i, minlength=p.size)
+        keep = n * p >= 10.0
+        obs = np.append(counts[keep], n - counts[keep].sum())
+        q = np.append(p[keep], 1.0 - p[keep].sum())
+        z = (obs - n * q) / np.sqrt(n * q * (1.0 - q))
+        assert np.all(np.abs(z) < 5.0), (lam, np.abs(z).max())
+
+    @pytest.mark.parametrize("lam", [0.5, 3.0, 300.0, 1e6])
+    def test_lookup_is_the_exact_inverse_transform(self, lam):
+        # every uniform draws the first k with u < F(k), also at the guide
+        # cell edges, at the CDF steps and one ulp below them
+        table = _PoissonTable(lam)
+        edges = np.arange(1 << _GUIDE_BITS) / float(1 << _GUIDE_BITS)
+        steps = table.cdf[table.cdf < 1.0]
+        u = np.concatenate(
+            [
+                rng_stream(43).random(200_000),
+                edges,
+                np.nextafter(edges[1:], 0.0),
+                steps,
+                np.nextafter(steps, 0.0),
+                [0.0, 1.0 - 2.0**-53],
+            ]
+        )
+        np.testing.assert_array_equal(
+            table.draw(u), np.searchsorted(table.cdf, u, side="right")
+        )
+
+    def test_table_size_is_bounded(self):
+        with pytest.raises(ValueError, match="Poisson proposal table"):
+            _PoissonTable(1e12)
+
+
 class TestMhSampler:
     def test_acceptance_is_exactly_one_at_shape_one(self):
         p = PoissonTypeParams(lam=3.0, alpha=1.0)
@@ -145,17 +202,56 @@ class TestMhSampler:
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 4.5])
     def test_weight_differences_match_grouped_log_gammas(self, alpha):
         # w_n - w_n' must equal (ln n! - ln Gamma(a+n)) + (ln Gamma(a+n') - ln n'!)
-        # bit for bit, before and after the table grows
+        # bit for bit, over the support of the proposal table
         rng = np.random.default_rng(13)
-        weights = _MhWeights(alpha)
-        for top in (60, 500):
-            n, n2 = rng.integers(0, top + 1, size=(2, 400))
-            before = len(weights.values)
-            got = weights.take(n) - weights.take(n2)
+        for lam in (3.0, 300.0):
+            table = _PoissonTable(lam)
+            weights = _mh_weights(alpha, table.k)
+            i, i2 = rng.integers(0, len(table.k), size=(2, 400))
+            got = weights[i] - weights[i2]
+            n, n2 = table.lo + i, table.lo + i2
             f, f2 = gammaln(1.0 + n), gammaln(1.0 + n2)
             g, g2 = gammaln(alpha + n), gammaln(alpha + n2)
             np.testing.assert_array_equal(got, (f - g) + (g2 - f2))
-        assert len(weights.values) > before
+
+    def test_never_calls_poisson(self):
+        class CountingGenerator:
+            def __init__(self, rng):
+                self.rng, self.calls = rng, []
+
+            def __getattr__(self, name):
+                self.calls.append(name)
+                return getattr(self.rng, name)
+
+        proxy = CountingGenerator(rng_stream(4))
+        p = PoissonTypeParams(lam=3.0, alpha=0.7)
+        sample_poisson_type_mh(p, MhConfig(burn_in=3, thin=2), proxy, size=1000)
+        assert set(proxy.calls) == {"random"}  # never poisson
+
+    def test_same_seed_same_draws_and_stats(self):
+        p = PoissonTypeParams(lam=8.0, alpha=2.5)
+        cfg = MhConfig(burn_in=7, thin=3)
+        a, sa = sample_poisson_type_mh(p, cfg, rng_stream(9), size=(40, 50), return_stats=True)
+        b, sb = sample_poisson_type_mh(p, cfg, rng_stream(9), size=(40, 50), return_stats=True)
+        np.testing.assert_array_equal(a, b)
+        assert a.shape == (40, 50) and a.dtype == np.int64
+        assert sa == sb
+        assert isinstance(sa, MhStats) and sa.proposals == 10 * 2000
+        assert 0 < sa.accepted < sa.proposals
+
+    def test_mean_at_large_lambda(self):
+        # N's mean from the pmf table at lam = 1e5; at lam = 1e6, past the
+        # pmf table's term budget, the mean is lam - 0.3
+        p = PoissonTypeParams(lam=1e5, alpha=0.7)
+        probs = poisson_type_pmf_table(p)
+        k = np.arange(len(probs))
+        mean = float(np.sum(k * probs))
+        sd = math.sqrt(float(np.sum((k - mean) ** 2 * probs)))
+        n = 20_000
+        draws = sample_poisson_type_mh(p, MhConfig(), rng_stream(31), size=n)
+        assert abs(draws.mean() - mean) < 5 * sd / math.sqrt(n)
+        far = sample_poisson_type_mh(PoissonTypeParams(1e6, 0.7), MhConfig(), rng_stream(32), size=2000)
+        assert abs(far.mean() - 1e6) < 5 * 1e3 / math.sqrt(far.size)
 
     def test_degenerate_at_zero(self):
         p = PoissonTypeParams(lam=0.0, alpha=2.0)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.special import ive
 
 from pwncg import special
+from pwncg.distributions import log_pdf_noncentral_gamma
 from pwncg.special import (
     _IV_SERIES_CUTOFF,
     I0_SERIES_CUTOFF,
@@ -172,6 +173,35 @@ class TestLogBesselINu:
         got = log_bessel_i_nu(nu, x)
         assert abs(got - ref) <= 5e-12 * max(1.0, abs(ref)), (nu, x)
 
+    @oracle
+    @given(
+        st.floats(min_value=-1.0, max_value=1000.0, exclude_min=True),
+        st.floats(min_value=-2.0, max_value=2.0),
+    )
+    def test_property_across_ive_limit_against_mpmath(self, nu, e):
+        # ive is finite below 2**30 and NaN from it on, where the
+        # large-argument expansion takes over; value, d/dnu and x d/dx
+        x = 2.0 ** (30.0 + e)
+        got = _log_bessel_i_nu_grad(np.array([nu]), np.array([[x]]))[:, 0, 0]
+        n, xm = mp.mpf(nu), mp.mpf(x)
+        ref = mp.log(mp.besseli(n, xm))
+        ref_dnu = mp.diff(lambda v: mp.log(mp.besseli(v, xm)), n)
+        ref_xdx = xm * mp.besseli(n + 1, xm) / mp.besseli(n, xm) + n
+        assert abs(got[0] - float(ref)) <= 1e-15 * float(ref), (nu, x)
+        assert abs(got[1] - float(ref_dnu)) <= 1e-9, (nu, x)
+        assert abs(got[2] - float(ref_xdx)) <= 1e-14 * float(ref_xdx), (nu, x)
+        assert log_bessel_i_nu(nu, x) == got[0]
+
+    def test_noncentral_gamma_past_the_ive_limit(self):
+        # at x = 1, alpha = 1.5, beta = 1 the Bessel argument 2 sqrt(lam)
+        # is 1.005 * 2**30
+        lam = 1.01 * 2.0**58
+        got = log_pdf_noncentral_gamma(1.0, 1.5, 1.0, lam)
+        lm = mp.mpf(lam)
+        ref = -lm - mp.log(lm) / 4 - 1 + mp.log(mp.besseli(0.5, 2 * mp.sqrt(lm)))
+        assert math.isfinite(got)
+        assert abs(got - float(ref)) <= 1e-15 * abs(float(ref))
+
     def test_series_path_matches_elementwise(self):
         # a call of series arguments alone and one with a zero and an ive
         # argument beside them give the same values
@@ -222,10 +252,11 @@ class TestLogBesselINu:
             log_bessel_i_nu(400.0, np.array([0.0, 1.0, 30.0, 50.0]))
 
     def test_term_mode_past_int64_raises(self):
-        # ive fails here, and the log-domain series' term mode (about
-        # 5e19) lies past 2**63 and far past its term budget
+        # ive fails here, the large-argument expansion does not converge
+        # (nu^2 is comparable to x), and the log-domain series' term mode
+        # (about 5e19) lies past 2**63 and far past its term budget
         with pytest.raises(SeriesConvergenceError, match="x=1e\\+20"):
-            log_bessel_i_nu(0.5, 1e20)
+            log_bessel_i_nu(1e11, 1e20)
 
     def test_subnormal_argument(self):
         # x / 2 underflows to 0 here; the leading series term is exact
