@@ -92,8 +92,6 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_density_grid(args) -> int:
-    # The row generators validate their parameters on the first row, so
-    # the rows are computed in full before the output is opened.
     if args.kind == "complex":
         p = ComplexParams(mu=complex(args.mu_re, args.mu_im), sigma2=args.sigma2, alpha=args.alpha)
         header = ["re", "im", "density"]
@@ -107,7 +105,7 @@ def _cmd_density_grid(args) -> int:
         else:
             params = PowerParams(alpha=args.alpha, beta=args.beta, lam=args.lam)
         rows = scalar_density_rows(args.kind, params, args.x_min, args.x_max, args.n)
-    _write_csv(args.out, header, list(rows))
+    _write_csv(args.out, header, rows)
     return 0
 
 
@@ -152,8 +150,8 @@ def _summary_line(report, m: str) -> str:
     line = f"{m:>17s}: avg LL {report.models[m]['avg_ll']:10.3f}"
     if m in report.tests:
         line += f"   p vs proposed {report.tests[m]:.3g}"
-    failed = sum(not rec["fits"][m]["converged"] for rec in report.patches)
-    return line + f"   not converged {failed}/{len(report.patches)}"
+    counts = report.provenance["fit_counters"][m]
+    return line + f"   not converged {counts['not_converged']}/{counts['fits']}"
 
 
 def _window_path(path: str, window) -> str:
@@ -165,6 +163,9 @@ def _window_path(path: str, window) -> str:
 
 
 def _cmd_fit_spectra(args) -> int:
+    for option, path in (("--out", args.out), ("--csv", args.csv)):
+        if path == "-":
+            raise ValueError(f"{option} must name a file; fit-spectra does not write to stdout")
     paths = _collect_wavs(args.input)
     models = []
     for name in args.models.split(","):

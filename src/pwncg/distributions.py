@@ -352,12 +352,13 @@ def complex_density_rows(
     im_range: tuple[float, float],
     n_re: int,
     n_im: int,
-):
-    """Yield (re, im, density) rows on a regular grid for CSV export, one
-    imaginary part after another; the whole grid is one density call.
+) -> np.ndarray:
+    """(re, im, density) rows on a regular grid for CSV export, as an
+    (n_re * n_im, 3) array, one imaginary part after another; the whole
+    grid is one density call.
 
-    Grid points that fall on an origin singularity (alpha < 1) are emitted
-    with density nan rather than raising.
+    Grid points that fall on an origin singularity (alpha < 1) get density
+    nan rather than raising.
     """
     res = np.linspace(re_range[0], re_range[1], n_re)
     ims = np.linspace(im_range[0], im_range[1], n_im)
@@ -369,13 +370,12 @@ def complex_density_rows(
         dens[ok] = np.exp(log_pdf_complex(z[ok], p))
     else:
         dens = np.exp(log_pdf_complex(z, p))
-    for im, row in zip(ims, dens):
-        for re, d in zip(res, row):
-            yield float(re), float(im), float(d)
+    return np.column_stack([np.tile(res, n_im), np.repeat(ims, n_re), dens.ravel()])
 
 
-def scalar_density_rows(kind: str, params, x_min: float, x_max: float, n: int):
-    """Yield (x, density) rows for the amplitude or power density."""
+def scalar_density_rows(kind: str, params, x_min: float, x_max: float, n: int) -> np.ndarray:
+    """(x, density) rows for the amplitude or power density, as an (n, 2)
+    array."""
     if x_min <= 0.0:
         raise ValueError("grid must start at a positive value")
     xs = np.linspace(x_min, x_max, n)
@@ -385,5 +385,4 @@ def scalar_density_rows(kind: str, params, x_min: float, x_max: float, n: int):
         dens = np.exp(log_pdf_power(xs, params))
     else:
         raise ValueError(f"unknown density kind {kind!r}")
-    for x, d in zip(xs, dens):
-        yield float(x), float(d)
+    return np.column_stack([xs, dens])

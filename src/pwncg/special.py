@@ -10,7 +10,11 @@ is ln(i0e(x)) + x at every argument; ln I_nu below _IV_SERIES_CUTOFF is a
 cumulative product over each row's own term count, read from a table; and
 the confluent normalizer sums a window of terms around its mode in one
 numpy pass. ln I_nu has one kernel, _log_bessel_i_nu_grad, and
-log_bessel_i_nu is its value row.
+log_bessel_i_nu is its value row. Its arguments at which scipy's ive
+under- or overflows, and its subnormal arguments, go through one
+row-batched call of a log-domain series (_log_iv_window_grad) that the
+confluent normalizer's window kernel sums (_window_rows); _window_grad
+gives the derivatives of both window series as moments of their terms.
 
 The value-and-gradient kernels that the fits call are row-batched: they
 take one parameter set per row and return one result per row. A row's
@@ -199,46 +203,36 @@ def _log_iv_series_rows(nu: np.ndarray, x: np.ndarray, counts: np.ndarray) -> np
     return out
 
 
-def _iv_series_error(nu: float, x: float) -> SeriesConvergenceError:
-    """The error for a log-domain I_nu series that exceeds its term budget."""
-    msg = f"I_nu series did not converge for nu={nu}, x={x} within {_MAX_TERMS} terms"
-    return SeriesConvergenceError(msg)
-
-
-def _log_iv_series_logdomain(nu: float, x: float):
-    """Fallback ascending series for ln I_nu(x) whose sum stays in log
-    domain, with d/dnu and x d/dx of it, as _log_iv_series_rows.
+def _log_iv_window_grad(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """ln I_nu(x), d/dnu and x d/dx of it by the ascending series summed in
+    log domain, as rows of a (3, x.size) array, elementwise in 1-D arrays
+    nu > -1 and x > 0; NaN where the series does not converge.
 
     Used where ive under/overflows, which only happens when nu is large
-    relative to x. The terms T_n = (x/2)^(2n) Gamma(nu+1) / (n! Gamma(n+nu+1))
+    relative to x, and at subnormal x, where the window is the leading
+    term alone. The terms T_n = (x/2)^(2n) Gamma(nu+1) / (n! Gamma(n+nu+1))
     have the ratio (x/2)^2 / ((n+1)(n+1+nu)), which crosses 1 at the
-    positive root of (n+1)(n+1+nu) = (x/2)^2; the normalizer's window
-    kernel sums them.
+    positive root of (n+1)(n+1+nu) = (x/2)^2, and d ln T_n / dnu is -H_n
+    of _window_grad with c = nu + 1. ln(x/2) is taken as ln x - ln 2,
+    which loses no bits where x / 2 would be subnormal.
     """
-    log_half_x = math.log(0.5 * x)
-    q = 0.25 * x * x
-
-    def ratios(n: np.ndarray, rows) -> np.ndarray:
-        return (q / ((n + 1.0) * (n + 1.0 + nu))).reshape(1, -1)
-
-    def log_head(n: np.ndarray, rows) -> np.ndarray:
-        return 2.0 * n * log_half_x - gammaln(n + 1.0) - gammaln(n + 1.0 + nu) + gammaln(nu + 1.0)
-
-    mode = max(0.0, 0.5 * (math.sqrt(nu * nu + x * x) - nu) - 1.0)
     with np.errstate(over="ignore", invalid="ignore"):  # a failing window may overflow
-        blocks = list(_window_rows(ratios, log_head, np.array([mode])))
-    for _, n0, rel, total, log_sum in blocks:
-        n0 = float(n0[0])
-        # H_n = sum_{m<=n} 1 / (m + nu) = digamma(n + nu + 1) - digamma(nu + 1)
-        h0 = float(digamma(n0 + nu + 1.0) - digamma(nu + 1.0))
-        steps = 1.0 / (n0 + nu + 1.0 + _term_index(rel.shape[1]))
-        mean_h, mean_n = _window_moments(rel, n0, total, steps)
-        return (
-            nu * log_half_x - float(gammaln(nu + 1.0)) + float(log_sum[0]),
-            log_half_x - float(digamma(nu + 1.0)) - (h0 + float(mean_h[0])),
-            nu + 2.0 * float(mean_n[0]),
-        )
-    raise _iv_series_error(nu, x)
+        log_half_x = np.log(x) - math.log(2.0)
+        q = 0.25 * x * x
+
+        def ratios(n: np.ndarray, rows) -> np.ndarray:
+            return q[rows, None] / ((n + 1.0) * (n + 1.0 + nu[rows, None]))
+
+        def log_head(n: np.ndarray, rows) -> np.ndarray:
+            v = nu[rows]
+            log_t = 2.0 * n * log_half_x[rows] - gammaln(n + 1.0) - gammaln(n + 1.0 + v)
+            return log_t + gammaln(v + 1.0)
+
+        mode = np.maximum(0.0, 0.5 * (np.sqrt(nu * nu + x * x) - nu) - 1.0)
+        c = nu + 1.0
+        log_sum, mean_h, mean_n = _window_grad(_window_rows(ratios, log_head, mode), c)
+    value = nu * log_half_x - gammaln(c) + log_sum
+    return np.array([value, log_half_x - digamma(c) - mean_h, nu + 2.0 * mean_n])
 
 
 # Half-step of the central difference in nu that gives d/dnu ln I_nu from
@@ -286,48 +280,44 @@ def _log_iv_large_grad(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     """ln I_nu(x), d/dnu and x d/dx of it for x >= _IV_SERIES_CUTOFF, as
     rows of a (3, x.size) array, elementwise in 1-D arrays nu and x. The
     value is ln(ive(nu, x)) + x; x d/dx ln I_nu = x I_{nu+1} / I_nu + nu,
-    and d/dnu is a central difference in nu (ln I_nu(x) is
-    analytic in nu for x > 0, also below nu = -1). Where one of the ive
-    values is not a finite normal number, the log-domain series gives the
-    derivatives, and also the value if ive(nu, x) itself failed; where
-    that series does not converge, all three are NaN. From _IVE_X_MAX on,
-    where ive is NaN, the large-argument expansion gives all three, and
-    the series only where the expansion does not converge."""
+    and d/dnu is a central difference in nu (ln I_nu(x) is analytic in nu
+    for x > 0, also below nu = -1). The value is NaN where ive(nu, x) is
+    not a finite normal number, and the derivatives where one of the four
+    ive values is not. From _IVE_X_MAX on, where ive is NaN, the
+    large-argument expansion gives all three, NaN where it does not
+    converge. _log_bessel_i_nu_grad takes the NaNs from the log-domain
+    series."""
     scaled = ive(nu, x)
     above = ive(nu + 1.0, x)
     up = ive(nu + _NU_STEP, x)
     down = ive(nu - _NU_STEP, x)
-    ok = np.isfinite(scaled) & (scaled > 0.0)
-    normal = np.finfo(float).tiny
-    exact = np.logical_and.reduce(
-        [np.isfinite(v) & (v >= normal) for v in (scaled, above, up, down)]
-    )
+    tiny = np.finfo(float).tiny
+    normal = [np.isfinite(v) & (v >= tiny) for v in (scaled, above, up, down)]
     out = np.empty((3, x.size))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out[0] = np.log(scaled) + x
         out[1] = (np.log(up) - np.log(down)) / (2.0 * _NU_STEP)
         out[2] = x * above / scaled + nu
+    exact = np.logical_and.reduce(normal)
+    if not exact.all():
+        out[0, ~normal[0]] = np.nan
+        out[1:, ~exact] = np.nan
     far = np.flatnonzero(x >= _IVE_X_MAX)
     if far.size:
         out[:, far] = _log_iv_asymptotic(nu[far], x[far])
-        exact[far] = np.isfinite(out[0, far])
-    for i in np.flatnonzero(~exact):
-        try:
-            vals = _log_iv_series_logdomain(float(nu[i]), float(x[i]))
-        except SeriesConvergenceError:
-            out[:, i] = np.nan
-            continue
-        out[1:, i] = vals[1:]
-        if not ok[i]:
-            out[0, i] = vals[0]
     return out
 
 
 def _log_bessel_i_nu_grad(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     """ln I_nu(x) at order nu[r] for each row r of x > 0 (R, n), unchecked,
     with d/dnu and x d/dx of it, as a (3, R, n) array; NaN where the
-    log-domain fallback does not converge. log_bessel_i_nu is its first
-    output."""
+    log-domain series does not converge. log_bessel_i_nu is its first
+    output.
+
+    The ascending series (_log_iv_series_rows) serves x below
+    _IV_SERIES_CUTOFF, and _log_iv_large_grad x above it. Subnormal x,
+    and every value or derivative that _log_iv_large_grad leaves NaN, go
+    through one call of the log-domain series (_log_iv_window_grad)."""
     tiny = x < _IV_TINY
     big = x >= _IV_SERIES_CUTOFF
     small = ~(tiny | big)
@@ -341,17 +331,15 @@ def _log_bessel_i_nu_grad(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
         xs = np.where(small[rows], x[rows], 1.0)
         q_max = 0.25 * np.square(np.where(small[rows], xs, 0.0).max(axis=1))
         out[:, rows] = _log_iv_series_rows(nu[rows], xs, _series_counts(q_max))
+    out[:, tiny] = np.nan
     nu_at = np.broadcast_to(nu[:, None], x.shape)
-    if tiny.any():
-        # Only the leading series term counts here, and x / 2 would lose
-        # bits to the subnormal range, so ln(x / 2) is taken as ln x - ln 2.
-        nt = nu_at[tiny]
-        log_half_x = np.log(x[tiny]) - math.log(2.0)
-        out[0, tiny] = nt * log_half_x - gammaln(nt + 1.0)
-        out[1, tiny] = log_half_x - digamma(nt + 1.0)
-        out[2, tiny] = nt
     if big.any():
         out[:, big] = _log_iv_large_grad(nu_at[big], x[big])
+    fallback = np.isnan(out[1])
+    if fallback.any():
+        kept = out[:, fallback]
+        series = _log_iv_window_grad(nu_at[fallback], x[fallback])
+        out[:, fallback] = np.where(np.isnan(kept), series, kept)
     return out
 
 
@@ -369,9 +357,9 @@ def log_bessel_i_nu(nu: float, x):
     domain. The positive arguments go to _log_bessel_i_nu_grad as rows of
     _IV_ROW_WIDTH, padded with 1.0, and the value is its first output:
     the ascending series below _IV_SERIES_CUTOFF, the exponentially scaled
-    scipy routine above it, and a log-domain series where that under- or
-    overflows. Raises SeriesConvergenceError where that series does not
-    converge.
+    scipy routine above it, and, in one batch, a log-domain series where
+    that under- or overflows and at subnormal x. Raises
+    SeriesConvergenceError where that series does not converge.
     """
     nu = float(nu)
     if not math.isfinite(nu) or nu <= -1.0:
@@ -394,7 +382,10 @@ def log_bessel_i_nu(nu: float, x):
         logs = logs[0].ravel()[: vals.size]
         failed = np.flatnonzero(np.isnan(logs))
         if failed.size:
-            raise _iv_series_error(nu, float(vals[failed[0]]))
+            raise SeriesConvergenceError(
+                f"I_nu series did not converge for nu={nu}, x={float(vals[failed[0]])} "
+                f"within {_MAX_TERMS} terms"
+            )
         out[positive] = logs
     return float(out[0]) if scalar else out
 
@@ -483,13 +474,31 @@ def _window_rows(ratios, log_head, mode: np.ndarray):
             return
 
 
-def _window_moments(rel: np.ndarray, first, total, steps: np.ndarray):
-    """E_w[H_n - H_first] and E_w[n] over the window terms of _window_rows
-    (rel, first, total), with w_n = t_n / sum of the window's terms and
-    H_{n+1} - H_n = steps[..., n - first] for n >= first."""
-    mean_h = _sum_row_terms(rel * np.add.accumulate(steps, axis=-1)) / total
-    mean_n = first + _sum_row_terms(rel * _term_index(rel.shape[1] + 1)[1:]) / total
-    return mean_h, mean_n
+def _window_grad(blocks, c: np.ndarray) -> np.ndarray:
+    """ln S, E_w[H_n] and E_w[n] of each of the R rows of c, as a (3, R)
+    array, from the blocks of _window_rows (rows, first, rel, total,
+    log_sum), with w_n = t_n / S and H_n = sum_{k<n} 1 / (c[r] + k); NaN
+    in the rows that _window_rows does not yield.
+
+    For a series whose log terms have the derivative -H_n, or H_n, in a
+    parameter, the derivative of ln S is -E_w[H_n], or E_w[H_n]; for
+    terms carrying z^n, z d ln S / dz is E_w[n].
+    """
+    out = np.full((3, c.size), np.nan)
+    for rows, n0, rel, total, log_sum in blocks:
+        cr = c[rows, None]
+        n = _term_index(rel.shape[1])
+        head = n0.any()
+        if head:
+            n = n0[:, None] + n
+        # H_{n+1} - H_n = 1 / (c + n), accumulated from the first term
+        mean_h = _sum_row_terms(rel * np.add.accumulate(1.0 / (cr + n), axis=-1)) / total
+        mean_n = n0 + _sum_row_terms(rel * _term_index(rel.shape[1] + 1)[1:]) / total
+        if head:
+            # H_first = digamma(c + first) - digamma(c)
+            mean_h += digamma(cr[:, 0] + n0) - digamma(cr[:, 0])
+        out[:, rows] = log_sum, mean_h, mean_n
+    return out
 
 
 def _confluent_mode(alpha, lam):
@@ -560,25 +569,12 @@ def log_laguerre_neg(alpha: float, lam: float) -> float:
         raise ValueError(f"log_laguerre_neg requires lam >= 0, got {lam}")
     if lam == 0.0:
         return 0.0
-    return float(_log_laguerre_neg_rows(np.array([alpha]), np.array([lam]))[0])
-
-
-def _log_laguerre_neg_rows(alpha: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """log_laguerre_neg(alpha[r], lam[r]) for rows of alpha > 0 and lam > 0,
-    unchecked; raises SeriesConvergenceError if a row's series does not
-    converge within _MAX_TERMS terms."""
-    out = np.full(alpha.size, np.nan)
     with np.errstate(over="ignore", invalid="ignore"):  # a failing window may overflow
-        for rows, _, _, _, log_sum in _confluent_rows(alpha, lam):
-            out[rows] = log_sum
-    failed = np.isnan(out)
-    if failed.any():
-        i = int(np.flatnonzero(failed)[0])
-        raise SeriesConvergenceError(
-            f"Laguerre series did not converge for alpha={alpha[i]}, lam={lam[i]} "
-            f"within {_MAX_TERMS} terms"
-        )
-    return out
+        for _, _, _, _, log_sum in _confluent_rows(np.array([alpha]), np.array([lam])):
+            return float(log_sum[0])
+    raise SeriesConvergenceError(
+        f"Laguerre series did not converge for alpha={alpha}, lam={lam} within {_MAX_TERMS} terms"
+    )
 
 
 def _log_laguerre_neg_grad(alpha: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -586,23 +582,11 @@ def _log_laguerre_neg_grad(alpha: np.ndarray, lam: np.ndarray) -> np.ndarray:
     with d/dalpha and lam d/dlam of it, as a (3, R) array; NaN where the
     series does not converge within _MAX_TERMS terms.
 
-    With weights w_n = t_n / S over the same terms, d ln S / d alpha is
-    E_w[H_n] with H_n = sum_{k<n} 1 / (alpha + k) (the derivative of
-    ln (alpha)_n), and lam d ln S / d lam is E_w[n].
+    The log terms ln (alpha)_n + n ln lam - 2 ln n! have the derivative
+    H_n = sum_{k<n} 1 / (alpha + k) in alpha, so _window_grad with
+    c = alpha gives both derivatives.
     """
-    out = np.full((3, alpha.size), np.nan)
-    for rows, n0, rel, total, log_sum in _confluent_rows(alpha, lam):
-        a = alpha[rows, None]
-        n = _term_index(rel.shape[1])
-        head = n0.any()
-        if head:
-            n = n0[:, None] + n
-        mean_h, mean_n = _window_moments(rel, n0, total, 1.0 / (a + n))
-        if head:
-            # H_first = digamma(alpha + first) - digamma(alpha)
-            mean_h += digamma(a[:, 0] + n0) - digamma(a[:, 0])
-        out[:, rows] = log_sum, mean_h, mean_n
-    return out
+    return _window_grad(_confluent_rows(alpha, lam), alpha)
 
 
 def log_laguerre_pos_arg(alpha: float, lam: float) -> float:

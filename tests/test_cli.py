@@ -126,6 +126,22 @@ def test_parameter_errors_leave_no_output_file(argv, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option", ["--out", "--csv"])
+def test_fit_spectra_dash_writes_nothing(option, tmp_path, monkeypatch, capsys):
+    # "-" names no file for fit-spectra: it is a usage error before any
+    # fit, and no file named "-" (or a report) appears
+    noise = 0.4 * np.random.default_rng(12).standard_normal(1500)
+    write_wav_pcm16(tmp_path / "n.wav", noise, 16000)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["fit-spectra", "--input", "n.wav", "--models", "exp", option, "-"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"pwncg fit-spectra: error: {option} must name a file" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["n.wav"]
+
+
 def test_readme_names_every_option():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     (subcommands,) = (

@@ -346,6 +346,18 @@ class TestGridExport:
             else:
                 assert d == np.exp(log_pdf_complex(np.array([complex(re, im)]), p))[0]
 
+    def test_grids_are_arrays_checked_when_called(self):
+        p = PowerParams(alpha=1.3, beta=1.0, lam=0.5)
+        grid = scalar_density_rows("power", p, 0.1, 5.0, 50)
+        assert isinstance(grid, np.ndarray) and grid.shape == (50, 2)
+        c = ComplexParams(mu=0.2 + 0.1j, sigma2=1.0, alpha=1.5)
+        grid = complex_density_rows(c, (-1.0, 1.0), (-1.0, 1.0), 5, 4)
+        assert isinstance(grid, np.ndarray) and grid.shape == (20, 3)
+        with pytest.raises(ValueError, match="positive value"):
+            scalar_density_rows("power", p, 0.0, 1.0, 5)
+        with pytest.raises(ValueError, match="unknown density kind"):
+            scalar_density_rows("phase", p, 0.1, 1.0, 5)
+
     def test_scalar_rows(self):
         p = PowerParams(alpha=1.3, beta=1.0, lam=0.5)
         rows = list(scalar_density_rows("power", p, 0.1, 5.0, 50))

@@ -258,6 +258,47 @@ class TestLogBesselINu:
         with pytest.raises(SeriesConvergenceError, match="x=1e\\+20"):
             log_bessel_i_nu(1e11, 1e20)
 
+    def test_value_where_only_the_order_above_underflows(self):
+        # ive(nu, x) is a normal number here, but ive(nu + 1, x) underflows
+        # and the log-domain series would need more than its term budget:
+        # the value is ive's, and only the derivatives are NaN
+        nu, x = 37233.2159610305, 1e6
+        assert ive(nu + 1.0, x) == 0.0 < ive(nu, x)
+        got = _log_bessel_i_nu_grad(np.array([nu]), np.array([[x]]))[:, 0, 0]
+        # Debye's uniform expansion (DLMF 10.41.3) to U_2(p) / nu^2; the
+        # next term is of order 1e-14 here
+        n, z = mp.mpf(nu), mp.mpf(x) / nu
+        s = mp.sqrt(1 + z * z)
+        p = 1 / s
+        u1 = (3 * p - 5 * p**3) / 24
+        u2 = (81 * p**2 - 462 * p**4 + 385 * p**6) / 1152
+        ref = (
+            n * (s + mp.log(z / (1 + s)))
+            - mp.log(2 * mp.pi * n) / 2
+            - mp.log(1 + z * z) / 4
+            + mp.log(1 + u1 / n + u2 / n**2)
+        )
+        assert abs(got[0] - float(ref)) <= 1e-15 * float(ref)
+        assert np.isnan(got[1:]).all()
+        assert log_bessel_i_nu(nu, x) == got[0]
+
+    def test_fallback_arguments_take_one_window_call(self, monkeypatch):
+        # every ive-underflow argument of a call goes through one batched
+        # call of the log-domain series
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return _window_rows(*args)
+
+        monkeypatch.setattr(special, "_window_rows", spy)
+        xs = _IV_SERIES_CUTOFF + np.linspace(0.0, 1.0, 5000) * 50.0**2 / 700.0
+        assert (ive(450.0, xs) == 0.0).all()
+        vals = log_bessel_i_nu(450.0, xs)
+        assert len(calls) == 1
+        ref = [_ref_log_iv(450.0, x) for x in xs[[0, -1]]]
+        np.testing.assert_allclose(vals[[0, -1]], ref, rtol=5e-12)
+
     def test_subnormal_argument(self):
         # x / 2 underflows to 0 here; the leading series term is exact
         for nu in (-0.5, 1.0, 30.0):
@@ -341,6 +382,8 @@ class TestLogLaguerreNeg:
         assert list(inspect.signature(_window_rows).parameters) == ["ratios", "log_head", "mode"]
         for fn in (_confluent_rows, _confluent_weights):
             assert list(inspect.signature(fn).parameters) == ["alpha", "lam"]
+        assert list(inspect.signature(special._window_grad).parameters) == ["blocks", "c"]
+        assert list(inspect.signature(special._log_iv_window_grad).parameters) == ["nu", "x"]
 
     def test_window_terms_match_mpmath(self):
         # ln t_n = ln (alpha)_n + n ln lam - 2 ln n! of every term in the
