@@ -30,7 +30,7 @@ from .fitting import FIT_MODELS, MODELS
 from .moments import kurtosis_sweep
 from .sampling import rng_stream, sample_complex, sample_power
 from .special import SeriesConvergenceError
-from .spectral import WINDOWS, StftConfig, run_experiment, sweep_windows
+from .spectral import WINDOWS, StftConfig, run_experiment
 
 MODEL_ALIASES = {a: m.name for m in MODELS.values() for a in (m.name, *m.aliases)}
 
@@ -175,29 +175,25 @@ def _cmd_fit_spectra(args) -> int:
         canonical = MODEL_ALIASES[key]
         if canonical not in models:
             models.append(canonical)
+    windows = WINDOWS if args.sweep else (None,)
     if args.csv:
-        windows = WINDOWS if args.sweep else (None,)
         same = {Path(_window_path(args.out, w)).resolve() for w in windows} & {
             Path(_window_path(args.csv, w)).resolve() for w in windows
         }
         if same:
             raise ValueError(f"--out and --csv name the same file {min(same)}")
-    stft = StftConfig(frame_ms=args.frame_ms, hop_ms=args.hop_ms, window=args.window)
-    kwargs = dict(
-        models=models,
-        floor_eps=args.floor_eps,
-        seed=args.seed,
-        patch_freq=args.patch_freq,
-        patch_time=args.patch_time,
-    )
-
-    try:
-        if args.sweep:
-            reports = sweep_windows(paths, stft, **kwargs)
-        else:
-            reports = {None: run_experiment(paths, stft, **kwargs)}
-    except RuntimeError as exc:  # no input file could be analyzed: a bad --input
-        raise ValueError(str(exc)) from None
+    reports = {
+        w: run_experiment(
+            paths,
+            StftConfig(frame_ms=args.frame_ms, hop_ms=args.hop_ms, window=w or args.window),
+            models=models,
+            floor_eps=args.floor_eps,
+            seed=args.seed,
+            patch_freq=args.patch_freq,
+            patch_time=args.patch_time,
+        )
+        for w in windows
+    }
     files = {}
     for window, report in reports.items():
         files[_window_path(args.out, window)] = report.to_json()

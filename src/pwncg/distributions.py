@@ -239,25 +239,19 @@ def log_pmf_poisson_type(n, p: PoissonTypeParams):
     Coincides with Poisson(lam) at alpha = 1; lam = 0 degenerates to a
     point mass at n = 0.
     """
-    n_arr = np.asarray(n)
-    if not np.issubdtype(n_arr.dtype, np.integer):
-        n_float = np.asarray(n, dtype=float)
-        if not np.all(np.isfinite(n_float)):
-            raise ValueError("n must be finite")
-        if not np.all(n_float == np.floor(n_float)):
-            raise ValueError("n must be integer-valued")
-        if np.any(n_float >= 2.0**63):
-            raise ValueError("n must be below 2**63")
-        n_arr = n_float.astype(np.int64)
-    scalar = n_arr.ndim == 0
-    n_arr = np.atleast_1d(n_arr)
-    if np.any(n_arr < 0):
+    nf = np.asarray(n, dtype=float)
+    if not np.all(np.isfinite(nf)):
+        raise ValueError("n must be finite")
+    if not np.all(nf == np.floor(nf)):
+        raise ValueError("n must be integer-valued")
+    scalar = nf.ndim == 0
+    nf = np.atleast_1d(nf)
+    if np.any(nf < 0):
         raise ValueError("n must be nonnegative")
 
     if p.lam == 0.0:
-        out = np.where(n_arr == 0, 0.0, -np.inf)
+        out = np.where(nf == 0, 0.0, -np.inf)
     else:
-        nf = n_arr.astype(float)
         out = (
             gammaln(p.alpha + nf)
             - gammaln(p.alpha)

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .distributions import ComplexParams, PoissonTypeParams, PowerParams
-from .special import _MAX_TERMS, _REL_TOL, SeriesConvergenceError, _confluent_weights
+from .special import _confluent_weights
 
 __all__ = [
     "RngStream",
@@ -92,11 +92,6 @@ def poisson_type_pmf_table(p: PoissonTypeParams) -> np.ndarray:
     if p.lam == 0.0:
         return np.ones(1)
     probs = _confluent_weights(p.alpha, p.lam)
-    if probs is None:
-        raise SeriesConvergenceError(
-            f"could not bound the pmf tail below {_REL_TOL:g} within {_MAX_TERMS} "
-            f"terms for lam={p.lam}, alpha={p.alpha}"
-        )
     return probs / probs.sum()
 
 

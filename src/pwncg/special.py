@@ -530,8 +530,8 @@ def _confluent_weights(alpha: float, lam: float):
     window of _window_rows, below _REL_TOL of S, are 0.
 
     N ends a window past the term mode; its last term is past the mode and
-    below _REL_TOL of the sum. Returns None if that takes more than
-    _MAX_TERMS terms after t_0.
+    below _REL_TOL of the sum. Raises SeriesConvergenceError if that takes
+    more than _MAX_TERMS terms after t_0.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # a failing window may overflow
         blocks = list(_confluent_rows(np.array([float(alpha)]), np.array([float(lam)])))
@@ -540,7 +540,10 @@ def _confluent_weights(alpha: float, lam: float):
         weights[n0[0]] = 1.0
         weights[n0[0] + 1 :] = rel[0]
         return weights / total[0]
-    return None
+    raise SeriesConvergenceError(
+        f"could not bound the pmf tail below {_REL_TOL:g} within {_MAX_TERMS} "
+        f"terms for lam={lam}, alpha={alpha}"
+    )
 
 
 def log_laguerre_neg(alpha: float, lam: float) -> float:

@@ -43,7 +43,6 @@ __all__ = [
     "stft_power",
     "tile_patches",
     "run_experiment",
-    "sweep_windows",
 ]
 
 WINDOWS = ("hann", "hamming", "rect")
@@ -240,9 +239,8 @@ def stft_power(signal, cfg: StftConfig) -> PowerSpectrogram:
         raise ValueError(
             f"signal of {sig.size} samples is shorter than one frame ({frame})"
         )
-    n_frames = (sig.size - frame) // hop + 1
-    idx = np.arange(frame)[None, :] + hop * np.arange(n_frames)[:, None]
-    frames = sig[idx] * _window_values(cfg.window, frame)[None, :]
+    frames = np.lib.stride_tricks.sliding_window_view(sig, frame)[::hop]
+    frames = frames * _window_values(cfg.window, frame)[None, :]
     spec = np.fft.rfft(frames, axis=1)
     power = (spec.real**2 + spec.imag**2).T
     return PowerSpectrogram(values=power)
@@ -280,15 +278,8 @@ class ExperimentReport:
     provenance: dict
 
     def to_json(self) -> str:
-        body = {
-            "config": self.config,
-            "files": self.files,
-            "models": self.models,
-            "patches": self.patches,
-            "tests": self.tests,
-            "provenance": self.provenance,
-        }
-        return json.dumps(body, indent=2, sort_keys=True)
+        # vars, not dataclasses.asdict, which deep-copies the report (3x the time)
+        return json.dumps(vars(self), indent=2, sort_keys=True)
 
     def csv_rows(self):
         """Flat per-patch rows: one line per (patch, model), with one column
@@ -398,6 +389,9 @@ def run_experiment(
 
     provenance["fit_counters"] holds, per model, the deterministic counts
     of _fit_counters over the patch fits.
+
+    Raises ValueError when no file could be analyzed; the message lists
+    each file's error.
     """
     paths = [str(p) for p in paths]
     if not paths:
@@ -448,7 +442,7 @@ def run_experiment(
 
     if not file_infos:
         detail = "; ".join(f"{f['path']}: {f['error']}" for f in failures)
-        raise RuntimeError(f"all input files failed: {detail}")
+        raise ValueError(f"all input files failed: {detail}")
 
     lls = {m: np.array([fits[m].log_likelihood for fits in patch_fits]) for m in models}
     model_summaries = {}
@@ -502,14 +496,3 @@ def run_experiment(
         provenance=provenance,
     )
 
-
-def sweep_windows(paths, stft: StftConfig = StftConfig(), **kwargs):
-    """Run the experiment once per window of WINDOWS; returns {window: report}.
-
-    The analysis settings the underlying corpus experiment left open
-    (window above all) shift the absolute likelihood levels, so this sweep
-    is the supported way to search for the closest configuration.
-    """
-    return {
-        w: run_experiment(paths, replace(stft, window=w), **kwargs) for w in WINDOWS
-    }

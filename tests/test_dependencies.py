@@ -1,9 +1,11 @@
 """Every third-party module the tests import is declared in pyproject.toml,
 so that ``pip install -e ".[test]"`` is enough to collect the suite, and
 every one the library imports is a runtime dependency, so that
-``pip install .`` is enough to use it; and the CLI's import stays light."""
+``pip install .`` is enough to use it; the CLI's import stays light; and
+every name the package exports exists."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -53,3 +55,25 @@ def test_cli_import_does_not_load_scipy_stats():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_exported_names_resolve():
+    # A name deleted from a module but left in its __all__ fails only on
+    # `from pwncg.<module> import *`; check every module's __all__, and
+    # every name the package's __init__ imports.
+    package = ROOT / "src" / "pwncg"
+    for path in sorted(package.glob("*.py")):
+        name = "pwncg" if path.stem == "__init__" else f"pwncg.{path.stem}"
+        module = importlib.import_module(name)
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+    pwncg = importlib.import_module("pwncg")
+    tree = ast.parse((package / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert imported
+    assert [n for n in imported if not hasattr(pwncg, n)] == []

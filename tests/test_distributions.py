@@ -4,6 +4,7 @@ distorted-Poisson / gamma-mixture structure."""
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -251,17 +252,32 @@ class TestPoissonType:
         with pytest.raises(ValueError):
             log_pmf_poisson_type(1.5, p)
 
-    def test_rejects_values_int64_cannot_hold(self, recwarn):
-        # rejected before the cast to int64, which would wrap them
+    def test_rejects_non_finite_values(self, recwarn):
         p = PoissonTypeParams(lam=1.0, alpha=1.0)
-        for n in (math.inf, np.array([1.0, math.nan])):
+        for n in (math.inf, -math.inf, np.array([1.0, math.nan])):
             with pytest.raises(ValueError, match="n must be finite"):
                 log_pmf_poisson_type(n, p)
-        for n in (1e30, 2.0**63, np.array([0.0, 1e19])):
-            with pytest.raises(ValueError, match="below 2\\*\\*63"):
-                log_pmf_poisson_type(n, p)
         assert not recwarn.list
-        assert log_pmf_poisson_type(2.0**62, p) < 0.0
+
+    def test_large_values_match_log_gamma_formula(self, recwarn):
+        # n is checked and evaluated as a float, with no integer cast, so
+        # integer-valued floats past 2**63 are in the support
+        alpha, lam = 2.5, 3.0
+        p = PoissonTypeParams(lam=lam, alpha=alpha)
+        with mp.workdps(50):
+            log_s = mp.log(mp.hyp1f1(alpha, 1, lam))
+            for n in (2.0**62, 2.0**63, 1e19, 1e30):
+                k = mp.mpf(n)
+                ref = float(
+                    mp.loggamma(alpha + k) - mp.loggamma(alpha) + k * mp.log(lam)
+                    - 2 * mp.loggamma(k + 1) - log_s
+                )
+                assert math.isclose(log_pmf_poisson_type(n, p), ref, rel_tol=1e-14), n
+        both = log_pmf_poisson_type(np.array([0.0, 2.0**63, 1e30]), p)
+        assert both[1] == log_pmf_poisson_type(2.0**63, p)
+        ints = np.array([0, 5, 2**62], dtype=np.int64)
+        assert np.array_equal(log_pmf_poisson_type(ints, p), log_pmf_poisson_type(ints * 1.0, p))
+        assert not recwarn.list
 
 
 class TestBaselines:

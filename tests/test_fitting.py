@@ -2,7 +2,9 @@
 consistency, parametric-rate recovery, and the paired one-sided t-test."""
 
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -476,6 +478,30 @@ class TestScaleConsistency:
         fe1, fe2 = fit_exponential(b), fit_exponential(c * b)
         assert abs((fe2.log_likelihood - fe1.log_likelihood) + 200 * math.log(c)) < 1e-6
 
+    @pytest.mark.parametrize("model", FIT_MODELS)
+    @pytest.mark.parametrize("scale", [1e-310, 1e307])
+    def test_out_of_range_scale_names_the_mean(self, model, scale):
+        # a subnormal batch mean, whose inverse overflows, and a batch
+        # whose sum overflows: a message naming the mean, and no numpy
+        # warning before it
+        data = rng_stream(15).gamma(2.0, scale, 60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^batch mean .*; rescale the batch$"):
+                fit_model(model, data, rng_stream(1))
+
+    @pytest.mark.parametrize("model", FIT_MODELS)
+    def test_extreme_in_range_scales_fit(self, model):
+        base = rng_stream(15).gamma(2.0, 1.0, 60)
+        unit = fit_model(model, base, rng_stream(1)).params
+        for c in (1e-300, 1e300):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fit = fit_model(model, c * base, rng_stream(1))
+            for k, v in fit.params.items():
+                rescaled = v * c if k in ("rate", "beta") else v
+                assert math.isclose(rescaled, unit[k], rel_tol=1e-6), (c, k)
+
 
 class TestFitModelDispatch:
     def test_names(self):
@@ -534,8 +560,36 @@ class TestPairedTTest:
         ref = stats.t.sf(t, 99)
         assert math.isclose(p, ref, rel_tol=1e-4)
 
+    def test_matches_exact_tail(self):
+        # the tail at the exact t of the sample, from 50-digit arithmetic;
+        # the differences are built for |t| from 1e-4 (p near 0.5) to 10
+        rng = rng_stream(21)
+        for _ in range(300):
+            n = int(rng.integers(2, 601))
+            z = rng.normal(0.0, 1.0, n)
+            d = z - z.mean()
+            d += rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4.0, 1.0) * d.std(ddof=1) / n**0.5
+            b = rng.normal(0.0, 1.0, n)
+            a = b + d
+            with mp.workdps(50):
+                d = [mp.mpf(x) - mp.mpf(y) for x, y in zip(a.tolist(), b.tolist())]
+                md = mp.fsum(d) / n
+                sd = mp.sqrt(mp.fsum((x - md) ** 2 for x in d) / (n - 1))
+                t = md / (sd / mp.sqrt(n))
+                df = mp.mpf(n - 1)
+                tail = mp.betainc(df / 2, mp.mpf(0.5), 0, df / (df + t * t), regularized=True) / 2
+                ref = float(tail if t >= 0 else 1 - tail)
+            assert math.isclose(paired_t_test_one_sided(a, b), ref, rel_tol=1e-13), n
+
     def test_errors(self):
         with pytest.raises(ValueError):
             paired_t_test_one_sided([1.0], [1.0])
         with pytest.raises(ValueError):
             paired_t_test_one_sided([1.0, 2.0], [1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad, recwarn):
+        for a, b in (([1.0, bad, 2.0], [0.0, 1.0, 1.5]), ([1.0, 3.0, 2.0], [0.0, bad, 1.5])):
+            with pytest.raises(ValueError, match="paired samples must be finite"):
+                paired_t_test_one_sided(a, b)
+        assert not recwarn.list

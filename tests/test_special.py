@@ -369,13 +369,23 @@ class TestLogLaguerreNeg:
             with pytest.raises(SeriesConvergenceError, match="within 200000 terms"):
                 log_laguerre_neg(1.0, lam)
 
-    def test_short_term_budget_returns_none(self, monkeypatch):
+    def test_short_term_budget_raises(self, monkeypatch):
         # the term mode is near lam + alpha - 1, so the budget falls short
         with monkeypatch.context() as m:
             m.setattr(special, "_MAX_TERMS", 20)
             for lam in (4.95, 40.0):
-                assert _confluent_weights(30.0, lam) is None
-        assert _confluent_weights(1.0, 1e20) is None
+                with pytest.raises(SeriesConvergenceError) as err:
+                    _confluent_weights(30.0, lam)
+                assert str(err.value) == (
+                    f"could not bound the pmf tail below 1e-14 within 20 terms for lam={lam}, "
+                    "alpha=30.0"
+                )
+        with pytest.raises(
+            SeriesConvergenceError,
+            match=r"^could not bound the pmf tail below 1e-14 within 200000 terms "
+            r"for lam=1e\+20, alpha=1.0$",
+        ):
+            _confluent_weights(1.0, 1e20)
 
     def test_window_series_take_no_truncation_knobs(self):
         # every window series is truncated by _REL_TOL and _MAX_TERMS alone

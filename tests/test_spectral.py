@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import make_speech_like, write_wav_float32, write_wav_pcm16
+from pwncg.cli import main
 from pwncg.distributions import PowerParams, log_pdf_power
 from pwncg.fitting import FIT_MODELS, fit_model
 from pwncg.spectral import (
@@ -19,7 +20,6 @@ from pwncg.spectral import (
     load_wav,
     run_experiment,
     stft_power,
-    sweep_windows,
     tile_patches,
 )
 
@@ -196,6 +196,20 @@ class TestStftPower:
         assert not np.allclose(out["hann"], out["rect"])
         assert not np.allclose(out["hann"], out["hamming"])
 
+    @pytest.mark.parametrize("size, hop_ms", [(1001, 4.0), (1777, 3.0), (999, 1.0), (256, 16.0)])
+    def test_frames_match_explicit_indices(self, size, hop_ms):
+        # odd signal lengths and hops; trailing samples short of a hop are dropped
+        sig = np.random.default_rng(3).standard_normal(size)
+        cfg = StftConfig(frame_ms=16.0, hop_ms=hop_ms, window="hann", sample_rate_hz=SR)
+        frame, hop = cfg.frame_length(), cfg.hop_length()
+        n_frames = (size - frame) // hop + 1
+        idx = np.arange(frame)[None, :] + hop * np.arange(n_frames)[:, None]
+        spec = np.fft.rfft(sig[idx] * (0.5 - 0.5 * np.cos(2 * np.pi * np.arange(frame) / frame)))
+        ref = (spec.real**2 + spec.imag**2).T
+        got = stft_power(sig, cfg).values
+        assert got.shape == ref.shape == (129, n_frames)
+        assert np.array_equal(got, ref)
+
     def test_too_short_signal(self):
         with pytest.raises(ValueError, match="shorter than one frame"):
             stft_power(np.zeros(100), StftConfig(sample_rate_hz=SR))
@@ -335,7 +349,7 @@ class TestRunExperiment:
     def test_all_files_failing_raises(self, tmp_path):
         bad = tmp_path / "bad.wav"
         bad.write_bytes(b"not audio")
-        with pytest.raises(RuntimeError, match="all input files failed"):
+        with pytest.raises(ValueError, match="all input files failed"):
             run_experiment([str(bad)], models=("exponential",))
 
     def test_silence_floored_not_crashing(self, tmp_path):
@@ -440,7 +454,11 @@ class TestSweepWindows:
         path = tmp_path / "n.wav"
         rng = np.random.default_rng(6)
         write_wav_pcm16(path, 0.4 * rng.standard_normal(int(0.25 * SR)), SR)
-        reports = sweep_windows([str(path)], models=("exponential",), seed=1)
-        assert set(reports) == {"hann", "hamming", "rect"}
-        for w, rep in reports.items():
-            assert rep.config["window"] == w
+        out = tmp_path / "rep.json"
+        argv = ["fit-spectra", "--input", str(path), "--models", "exp", "--seed", "1"]
+        assert main([*argv, "--sweep", "--out", str(out)]) == 0
+        for w in ("hann", "hamming", "rect"):
+            rep = json.loads((tmp_path / f"rep.{w}.json").read_text())
+            assert rep["config"]["window"] == w
+            single = run_experiment([str(path)], StftConfig(window=w), ("exponential",), seed=1)
+            assert rep == json.loads(single.to_json())
