@@ -145,12 +145,14 @@ def _collect_wavs(input_path: str) -> list[str]:
 
 
 def _summary_line(report, m: str) -> str:
-    """Average LL, the p-value against the proposed model, and how many of
-    the patch fits did not converge."""
+    """Average LL, the p-value against the proposed model, the later starts
+    skipped because start 1 converged, and how many of the patch fits did
+    not converge."""
     line = f"{m:>17s}: avg LL {report.models[m]['avg_ll']:10.3f}"
     if m in report.tests:
         line += f"   p vs proposed {report.tests[m]:.3g}"
     counts = report.provenance["fit_counters"][m]
+    line += f"   starts skipped {counts['starts_skipped']}"
     return line + f"   not converged {counts['not_converged']}/{counts['fits']}"
 
 

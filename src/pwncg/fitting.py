@@ -27,6 +27,16 @@ scipy.optimize.minimize(method="L-BFGS-B") makes, bit for bit, because a
 row's value and gradient never depend on which other rows share its
 evaluation (see special). fit_batches fits several models to many batches
 this way; fit_model is fit_batches with one model and one batch.
+
+The noncentral-gamma and proposed fits draw three starts per batch up
+front. Starts 0 and 1 always run; a later start runs only where start 1
+did not converge, since it can then still change the answer. The driver
+takes the rows start-major (every start 0 and 1, then the later starts)
+and gates each later start by its batch's start 1: skipped if that has
+converged when the row's turn comes, cancelled if it converges while the
+row runs, discarded if it converges after the row finished. So a fit
+keeps the same runs however its batch was scheduled, and its counts sum
+over those runs only.
 """
 
 from __future__ import annotations
@@ -131,13 +141,17 @@ class FitResult:
     mean. converged means L-BFGS-B stopped on its own convergence test with
     a projected-gradient max-norm of at most 1e-7 at the reported start; the
     gamma fit's alpha = 1 candidate counts as converged when it wins, and a
-    multi-start fit reports a converged start whose objective ties the best
-    within 1e-10 of max(1, |best|), if there is one. degenerate flags batches
-    (all-equal values, zero variance) where the shape ran into its bound.
-    iterations, evaluations and penalties sum the L-BFGS-B iterations, the
-    objective evaluations and the evaluations that returned the penalty
-    value over the starts; start is the index of the reported start (None
-    for the closed-form exponential fit).
+    multi-start fit reports, among its kept starts, a converged one whose
+    objective ties the best within 1e-10 of max(1, |best|), if there is
+    one. degenerate flags batches (all-equal values, zero variance) where
+    the shape ran into its bound.
+    A noncentral-gamma or proposed fit keeps starts 0 and 1 alone when
+    start 1 converged, and every start it drew otherwise; starts_skipped
+    counts the later starts it dropped. iterations, evaluations and
+    penalties sum the L-BFGS-B iterations, the objective evaluations and
+    the evaluations that returned the penalty value over the kept starts;
+    start is the index of the reported start (None for the closed-form
+    exponential fit).
     """
 
     model: str
@@ -150,6 +164,7 @@ class FitResult:
     evaluations: int = 0
     penalties: int = 0
     start: int | None = None
+    starts_skipped: int = 0
 
 
 class _Run(NamedTuple):
@@ -204,8 +219,9 @@ def _projected_grad_norm(grad: np.ndarray, z: np.ndarray, lo: np.ndarray, hi: np
     return float(np.max(np.abs(np.where(at_bound, 0.0, grad))))
 
 
-def _lbfgsb(objective, z0: np.ndarray, bounds) -> list[_Run]:
-    """L-BFGS-B from each row of z0 (R, d) in lock step; the _Run of every row.
+def _lbfgsb(objective, z0: np.ndarray, bounds, gate=None) -> list[_Run | None]:
+    """L-BFGS-B from each row of z0 (R, d) in lock step; the _Run of every
+    row, or None for a row dropped by its gate.
 
     objective(rows, z) takes row indices (k,) and their points z (k, d)
     and returns the values (k,) and the gradients (k, d). Each row keeps
@@ -217,8 +233,18 @@ def _lbfgsb(objective, z0: np.ndarray, bounds) -> list[_Run]:
     _minimize_lbfgsb, row by row: x0 clipped to the bounds, a point equal
     to the last one evaluated answered from that evaluation, and the
     iteration and evaluation caps checked at each new iterate.
+
+    gate (R,) names for each row another row, or -1 for none. A row whose
+    gate row converges is dropped: never loaded if the gate has converged
+    by then, cancelled if it is running (its slot takes the next row), and
+    discarded if it finished first. Which rows come back is thus fixed by
+    the gates' own runs, and each row that does is the same run as without
+    gates. Rows are loaded in order, so a gate should come before its rows.
     """
     n_rows, d = z0.shape
+    gate = [-1] * n_rows if gate is None else list(gate)
+    # Whether each row has finished and converged: the rows it gates are cut.
+    done = [False] * n_rows
     lo = np.array([b[0] for b in bounds], dtype=float)
     hi = np.array([b[1] for b in bounds], dtype=float)
     nbd = np.full(d, 2, dtype=np.int32)
@@ -250,27 +276,37 @@ def _lbfgsb(objective, z0: np.ndarray, bounds) -> list[_Run]:
     runs: list = [None] * n_rows
     next_row = 0
 
-    def load(s: int) -> None:
+    def cut(r: int) -> bool:
+        return gate[r] >= 0 and done[gate[r]]
+
+    def load(s: int) -> bool:
+        """Put the next row that is not cut into slot s; False if none is left."""
         nonlocal next_row
+        while next_row < n_rows and cut(next_row):
+            next_row += 1
+        if next_row == n_rows:
+            return False
         for arr in state:
             arr[s] = 0
         x[s] = z0[next_row]
         row[s], f[s], seen[s] = next_row, 0.0, None
         nit[s] = nfev[s] = penalties[s] = 0
         next_row += 1
+        return True
 
     def finish(s: int) -> _Run:
         success = bool(task[s, 0] == _CONVERGENCE)
         xs, jac = x[s].copy(), g[s].copy()
         converged = success and _projected_grad_norm(jac, xs, lo, hi) <= tol
+        done[row[s]] = converged
         return _Run(xs, f[s], jac, success, converged, nit[s], nfev[s], penalties[s])
 
-    for s in range(slots):
-        load(s)
-    active = list(range(slots))
+    active = [s for s in range(slots) if load(s)]
     while active:
         asking = []
         for s in active:
+            if cut(row[s]) and not load(s):
+                continue
             xs, gs, was, iwas, ts, ls, iss, ds, lts = views[s]
             while True:
                 setulb(
@@ -292,20 +328,22 @@ def _lbfgsb(objective, z0: np.ndarray, bounds) -> list[_Run]:
                         ts[:] = _STOP, 502
                 else:
                     runs[row[s]] = finish(s)
-                    if next_row == n_rows:
+                    if not load(s):
                         break
-                    load(s)
-        if asking:
-            idx = np.array(asking)
-            values, grads = objective(np.array([row[s] for s in asking]), x[idx])
+        # A row cut after it asked is not evaluated; the next step reloads
+        # its slot.
+        live = [s for s in asking if not cut(row[s])]
+        if live:
+            idx = np.array(live)
+            values, grads = objective(np.array([row[s] for s in live]), x[idx])
             g[idx] = grads
-            for s, value, grad in zip(asking, values.tolist(), grads):
+            for s, value, grad in zip(live, values.tolist(), grads):
                 f[s] = seen_f[s] = value
                 seen[s], seen_g[s] = views[s][0].tolist(), grad
                 nfev[s] += 1
                 penalties[s] += value == _PENALTY
         active = asking
-    return runs
+    return [None if cut(r) else run for r, run in enumerate(runs)]
 
 
 def _by_length(xs: list[np.ndarray]):
@@ -317,7 +355,7 @@ def _by_length(xs: list[np.ndarray]):
 
 
 def _fit_result(model: str, x: np.ndarray, m: float, params, converged=True, iterations=0,
-                evaluations=0, penalties=0, start=None):
+                evaluations=0, penalties=0, start=None, starts_skipped=0):
     """The FitResult of a model at fitted params on batch x of mean m. A fit
     with a shape is degenerate when the shape ran into its bound or the
     normalized batch x / m has zero variance."""
@@ -328,7 +366,7 @@ def _fit_result(model: str, x: np.ndarray, m: float, params, converged=True, ite
     degenerate = alpha is not None and (alpha >= _ALPHA_DEGENERATE or float(np.var(x / m)) == 0.0)
     return FitResult(
         model, params, ll, ll / x.size, converged, iterations, degenerate, evaluations,
-        penalties, start,
+        penalties, start, starts_skipped,
     )
 
 
@@ -507,7 +545,12 @@ def _fit_shifted_batches(model: str, xs, rngs, gammas, mean_ll, extra_start=None
     (ln a, ln b, ln lam)), every start of every batch of one length in one
     lock-step pass. Starts of batch i: its gamma fit gammas[i] with lam
     at its floor and near 0, extra_start(y) unless it or its value is None,
-    then jitters of the second start drawn from rngs[i]."""
+    then jitters of the second start drawn from rngs[i]; all are drawn
+    before any search runs. The pass queues the rows start-major: starts 0
+    and 1 of every batch, then the later starts, each gated by its batch's
+    start 1 (see _lbfgsb). A batch whose start 1 converged reports from
+    starts 0 and 1, any other from all its starts, by _pick_start; its
+    counts sum over those runs."""
     means = [float(np.mean(x)) for x in xs]
     ys = [x / m for x, m in zip(xs, means)]
     starts = []
@@ -532,7 +575,13 @@ def _fit_shifted_batches(model: str, xs, rngs, gammas, mean_ll, extra_start=None
         mlog = np.array([float(np.mean(np.log(ys[i]))) for i in group])
         m1 = np.array([float(np.mean(ys[i])) for i in group])
         sqrt_y = np.sqrt(np.stack([ys[i] for i in group]))
-        batch = np.concatenate([np.full(len(starts[i]), j) for j, i in enumerate(group)])
+        # Start-major rows (start, batch j, gate): starts 0 and 1 of every
+        # batch, then the later starts, each gated by its batch's start 1.
+        queue = [(k, j, -1) for j in range(len(group)) for k in (0, 1)]
+        queue += [
+            (k, j, 2 * j + 1) for j, i in enumerate(group) for k in range(2, len(starts[i]))
+        ]
+        batch = np.array([j for _, j, _ in queue])
 
         def objective(rows, z, batch=batch, mlog=mlog, m1=m1, sqrt_y=sqrt_y):
             if mlog.size > 1:
@@ -540,12 +589,17 @@ def _fit_shifted_batches(model: str, xs, rngs, gammas, mean_ll, extra_start=None
                 return _shifted_rows(mean_ll, z, mlog[k], m1[k], sqrt_y[k])
             return _shifted_rows(mean_ll, z, mlog, m1, sqrt_y)  # they broadcast
 
-        group_runs = iter(_lbfgsb(objective, np.array([z for i in group for z in starts[i]]), bounds))
+        z0 = np.array([starts[group[j]][k] for k, j, _ in queue])
+        group_runs = _lbfgsb(objective, z0, bounds, [gate for _, _, gate in queue])
         for i in group:
-            runs[i] = [next(group_runs) for _ in starts[i]]
+            runs[i] = [None] * len(starts[i])
+        for (k, j, _), run in zip(queue, group_runs):
+            runs[group[j]][k] = run
 
     fits = []
-    for x, m, batch_runs in zip(xs, means, runs):
+    for x, m, drawn in zip(xs, means, runs):
+        # The runs kept: starts 0 and 1 where start 1 converged, else all.
+        batch_runs = [run for run in drawn if run is not None]
         best = _pick_start(batch_runs)
         z = batch_runs[best].x
         lam = float(_softplus(z[2:])[0])
@@ -560,6 +614,7 @@ def _fit_shifted_batches(model: str, xs, rngs, gammas, mean_ll, extra_start=None
                 evaluations=sum(run.nfev for run in batch_runs),
                 penalties=sum(run.penalties for run in batch_runs),
                 start=best,
+                starts_skipped=len(drawn) - len(batch_runs),
             )
         )
     return fits
@@ -687,9 +742,12 @@ def paired_t_test_one_sided(a, b) -> float:
     """p-value of the paired one-sided t-test of H1: mean(a - b) > 0.
 
     The tail probability is scipy's Student-t CDF (scipy.special.stdtr)
-    with n - 1 degrees of freedom at -t. Non-finite values raise
-    ValueError. Zero-variance differences resolve by sign: p = 0 if the
-    common difference is positive, 1 if negative, 0.5 if identically zero.
+    with n - 1 degrees of freedom at -t. Non-finite values, and finite
+    pairs whose difference overflows, raise ValueError. t is scale-free,
+    so the differences are scaled by a power of two to a max-norm in
+    [0.5, 1) first: that is exact, and their sums cannot overflow.
+    Zero-variance differences resolve by sign: p = 0 if the common
+    difference is positive, 1 if negative, 0.5 if identically zero.
     """
     av = np.asarray(a, dtype=float).ravel()
     bv = np.asarray(b, dtype=float).ravel()
@@ -699,7 +757,11 @@ def paired_t_test_one_sided(a, b) -> float:
         raise ValueError("need at least two pairs")
     if not (np.isfinite(av).all() and np.isfinite(bv).all()):
         raise ValueError("paired samples must be finite")
-    d = av - bv
+    with np.errstate(over="ignore"):
+        d = av - bv
+    if not np.isfinite(d).all():
+        raise ValueError("a paired difference overflows; rescale the samples")
+    d = np.ldexp(d, -math.frexp(float(np.max(np.abs(d))))[1])
     n = d.size
     md = float(np.mean(d))
     sd = float(np.std(d, ddof=1))

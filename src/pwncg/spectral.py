@@ -345,8 +345,9 @@ def _analyze_file(path, cfg: StftConfig, pf: int, pt: int):
 def _fit_counters(fits: list[FitResult]) -> dict:
     """Deterministic diagnostics of one model's fits: counts of fits, of
     fits not converged and degenerate, the objective evaluations that
-    returned the penalty value and all of them, L-BFGS-B iterations, and
-    how often each start index was the reported one."""
+    returned the penalty value and all of them, L-BFGS-B iterations, how
+    often each start index was the reported one, and the later starts
+    dropped because start 1 converged (FitResult.starts_skipped)."""
     wins = [0] * (1 + max((f.start for f in fits if f.start is not None), default=-1))
     for f in fits:
         if f.start is not None:
@@ -359,6 +360,7 @@ def _fit_counters(fits: list[FitResult]) -> dict:
         "objective_evaluations": sum(f.evaluations for f in fits),
         "iterations": sum(f.iterations for f in fits),
         "winning_start": wins,
+        "starts_skipped": sum(f.starts_skipped for f in fits),
     }
 
 

@@ -266,6 +266,8 @@ class TestFitSpectraCommand:
             failed = sum(not p["fits"][m]["converged"] for p in body["patches"])
             assert line.split(":")[0].strip() == m and "avg LL" in line
             assert line.endswith(f"not converged {failed}/{len(body['patches'])}")
+            skipped = body["provenance"]["fit_counters"][m]["starts_skipped"]
+            assert f"   starts skipped {skipped}   " in line
 
     def test_model_aliases_resolve_and_deduplicate(self, tmp_path):
         wav = tmp_path / "n.wav"

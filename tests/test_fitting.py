@@ -157,28 +157,33 @@ class TestFitProposed:
 class TestRestartChoice:
     """Which start a multi-start fit reports, with the L-BFGS-B driver
     stubbed for the three-parameter searches (the gamma search still runs
-    for real). A start past the scripted ones ends above them and converges
-    nowhere."""
+    for real). The stub keeps the driver's gate rule: a row whose gate row
+    converged comes back as None. A start past the scripted ones ends above
+    them and converges nowhere."""
 
     Z0 = np.array([0.1, 0.2, 0.3])
     Z1 = np.array([0.4, 0.5, 0.6])
+    Z2 = np.array([0.7, 0.8, 0.9])
 
-    def _fit(self, monkeypatch, runs, model="proposed"):
+    def _fit(self, monkeypatch, runs, model="proposed", rng=None):
         real = fitting._lbfgsb
         scripted = iter(runs)
 
-        def stub(objective, z0, bounds):
+        def stub(objective, z0, bounds, gate=None):
             if z0.shape[1] == 1:
-                return real(objective, z0, bounds)
+                return real(objective, z0, bounds, gate)
             out = []
             for _ in z0:
                 z, fval, converged, nit = next(scripted, (self.Z0, 0.0, False, 0))
                 out.append(fitting._Run(z, fval, np.zeros(3), converged, converged, nit, 0, 0))
-            return out
+            return [
+                None if gate is not None and gate[r] >= 0 and out[gate[r]].converged else run
+                for r, run in enumerate(out)
+            ]
 
         monkeypatch.setattr(fitting, "_lbfgsb", stub)
         data = rng_stream(5).gamma(2.0, 1.0, 60)
-        return fit_model(model, data)
+        return fit_model(model, data, rng)
 
     def test_tied_start_that_converged_is_reported(self, monkeypatch):
         # start 0 stopped on ftol at the same optimum that start 1 reached
@@ -207,6 +212,33 @@ class TestRestartChoice:
         r = self._fit(monkeypatch, runs)
         assert not r.converged
         assert r.params["alpha"] == math.exp(self.Z0[0])
+
+    def test_start_two_runs_where_start_one_did_not_converge(self, monkeypatch):
+        # start 1 stopped short of the gradient tolerance, so start 2 is
+        # kept, and it is reported when it ends lowest; with an rng both
+        # models draw a third start
+        runs = [
+            (self.Z0, -1.5, False, 40),
+            (self.Z1, -1.6, False, 30),
+            (self.Z2, -1.7, True, 20),
+        ]
+        for model in ("noncentral_gamma", "proposed"):
+            r = self._fit(monkeypatch, runs, model, rng_stream(1))
+            assert r.converged and r.start == 2 and r.starts_skipped == 0
+            assert r.params["alpha"] == math.exp(self.Z2[0])
+            assert r.iterations == 90
+
+    def test_start_two_dropped_where_start_one_converged(self, monkeypatch):
+        # start 2 would end lowest, but start 1 converged: only starts 0
+        # and 1 are kept, and neither counts start 2's iterations
+        runs = [
+            (self.Z0, -1.5, False, 40),
+            (self.Z1, -1.6, True, 30),
+            (self.Z2, -1.7, True, 20),
+        ]
+        r = self._fit(monkeypatch, runs, rng=rng_stream(1))
+        assert r.converged and r.start == 1 and r.starts_skipped == 1
+        assert r.iterations == 70
 
 
 def _central_difference(f, z, rel_h=1e-5):
@@ -288,8 +320,8 @@ class TestExactGradient:
         real = fitting._lbfgsb
         calls = []
 
-        def spy(objective, z0, bounds):
-            calls.append((objective, real(objective, z0, bounds)))
+        def spy(objective, z0, bounds, gate=None):
+            calls.append((objective, real(objective, z0, bounds, gate)))
             return calls[-1][1]
 
         monkeypatch.setattr(fitting, "_lbfgsb", spy)
@@ -300,8 +332,10 @@ class TestExactGradient:
             for m in FIT_MODELS:
                 fit_model(m, batch, rng=rng_stream(i))
         rows = [(obj, r, run) for obj, runs in calls for r, run in enumerate(runs)]
-        assert len(rows) == len(batches) * (1 + 2 * (1 + DEFAULT_OPTIMIZER.restarts))
-        for obj, r, run in rows:
+        ran = [(obj, r, run) for obj, r, run in rows if run is not None]
+        dropped = len(rows) - len(ran)  # skipped or cancelled by their gate
+        assert len(ran) + dropped == len(batches) * (1 + 2 * (1 + DEFAULT_OPTIMIZER.restarts))
+        for obj, r, run in ran:
             np.testing.assert_array_equal(run.jac, obj(np.array([r]), run.x[None])[1][0])
 
 
@@ -346,6 +380,52 @@ class TestLockStepDriver:
                 assert (run.fun, run.nit, run.nfev, run.success) == (
                     res.fun, res.nit, res.nfev, res.success
                 )
+
+
+    @pytest.mark.parametrize("max_rows", [2, 64])
+    def test_gated_rows_are_the_ungated_runs_or_none(self, monkeypatch, max_rows):
+        # rows 4-7 are gated by rows 0-3; a gated row comes back as None
+        # exactly when its gate converged, and otherwise as the run it makes
+        # without gates. With 2 slots gated rows wait and may be skipped;
+        # with 64 they all start at once and may be cancelled.
+        rng = rng_stream(18)
+        ys = [b / b.mean() for b in (random_batch(rng, size=20) for _ in range(4))]
+        stats = (
+            np.array([np.mean(np.log(y)) for y in ys]),
+            np.array([np.mean(y) for y in ys]),
+            np.sqrt(np.stack(ys)),
+        )
+        bounds = [fitting._LN_ALPHA_BOUNDS, fitting._LN_BETA_BOUNDS, fitting._S_BOUNDS]
+        batch = np.tile(np.arange(4), 2)
+        z0 = rng.normal(0.0, 1.0, (8, 3)) * np.array([1.0, 1.0, 3.0])
+        evaluated = set()
+
+        def objective(rows, z):
+            evaluated.update(rows.tolist())
+            k = batch[rows]
+            return fitting._shifted_rows(
+                fitting._proposed_mean_ll, z, *(a[k] for a in stats)
+            )
+
+        free = fitting._lbfgsb(objective, z0, bounds)
+        monkeypatch.setattr(fitting, "_MAX_ROWS", max_rows)
+        evaluated.clear()
+        gated = fitting._lbfgsb(objective, z0, bounds, [-1] * 4 + [0, 1, 2, 3])
+        assert any(run.converged for run in free[:4])
+        for r in range(8):
+            if r >= 4 and free[r - 4].converged:
+                assert gated[r] is None
+            else:
+                assert gated[r] is not None
+                np.testing.assert_array_equal(gated[r].x, free[r].x)
+                np.testing.assert_array_equal(gated[r].jac, free[r].jac)
+                assert gated[r]._replace(x=None, jac=None) == free[r]._replace(x=None, jac=None)
+        dropped = [r for r in range(8) if gated[r] is None]
+        assert dropped
+        if max_rows == 2:
+            assert not evaluated.issuperset(dropped)
+        else:
+            assert evaluated.issuperset(dropped)
 
 
 # Small batches of positive values, derandomized: each property runs on a
@@ -437,6 +517,40 @@ class TestFitBatches:
         calls.clear()
         alone = fitting.fit_batches(("exponential",), batches)
         assert alone["exponential"] == together["exponential"] and calls == []
+
+    def test_results_do_not_depend_on_the_pass(self, monkeypatch):
+        # 70 batches queue 140 rows of starts 0 and 1 before any later
+        # start, more than the 64 in flight, so later starts wait and are
+        # skipped where start 1 has converged; fit_model on one batch runs
+        # all three starts at once and cancels or discards start 2 instead.
+        # Every field of every fit is the same either way.
+        real = fitting._lbfgsb
+        never_run = []
+
+        def spy(objective, z0, bounds, gate=None):
+            evaluated = set()
+
+            def counting(rows, z):
+                evaluated.update(rows.tolist())
+                return objective(rows, z)
+
+            runs = real(counting, z0, bounds, gate)
+            never_run.append(sum(run is None and r not in evaluated for r, run in enumerate(runs)))
+            return runs
+
+        rng = rng_stream(19)
+        batches = [random_batch(rng, size=20) for _ in range(70)]
+        models = ("noncentral_gamma", "proposed")
+        monkeypatch.setattr(fitting, "_lbfgsb", spy)
+        together = fitting.fit_batches(models, batches, [rng_stream(40 + i) for i in range(70)])
+        assert never_run[1] > 0 and never_run[2] > 0
+        never_run.clear()
+        assert all(sum(f.starts_skipped for f in together[m]) > 0 for m in models)
+        for i, batch in enumerate(batches):
+            stream = rng_stream(40 + i)
+            for m in models:
+                assert together[m][i] == fit_model(m, batch, rng=stream)
+        assert sum(never_run) == 0
 
     def test_repeated_or_unknown_model_rejected(self):
         batches = [rng_stream(17).gamma(1.0, 1.0, 30)]
@@ -586,6 +700,23 @@ class TestPairedTTest:
             paired_t_test_one_sided([1.0], [1.0])
         with pytest.raises(ValueError):
             paired_t_test_one_sided([1.0, 2.0], [1.0])
+
+    def test_overflowing_difference_rejected(self, recwarn):
+        with pytest.raises(ValueError, match="paired difference overflows"):
+            paired_t_test_one_sided([1e308, -1e308, 0.0], [-1e308, 1e308, 1.0])
+        assert not recwarn.list
+
+    def test_large_finite_differences(self, recwarn):
+        # the differences are finite but their sum overflows; t is
+        # scale-free, so the p-value is that of the differences scaled by
+        # 2**-1024 (exact), whose mean and sd fit in a double
+        a, b = [1e308, 1.7e308, 1.5e308], [1.0, 2.0, 3.0]
+        d = np.ldexp(np.subtract(a, b), -1024)
+        t = d.mean() / (d.std(ddof=1) / math.sqrt(3.0))
+        p = paired_t_test_one_sided(a, b)
+        assert math.isclose(p, stats.t.sf(t, 2), rel_tol=1e-12)
+        assert math.isclose(p, 0.0107, rel_tol=1e-2)
+        assert not recwarn.list
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_rejected(self, bad, recwarn):

@@ -395,6 +395,12 @@ class TestRunExperiment:
             starts = [f.start for f in fits[m] if f.start is not None]
             assert c["winning_start"] == [starts.count(k) for k in range(len(c["winning_start"]))]
             assert sum(c["winning_start"]) == (0 if m == "exponential" else len(records))
+            assert c["starts_skipped"] == sum(f.starts_skipped for f in fits[m])
+            # a later start is skipped only where start 1 converged, and
+            # then the reported start is 0 or 1
+            assert all(f.start in (0, 1) for f in fits[m] if f.starts_skipped)
+        assert counters["gamma"]["starts_skipped"] == 0
+        assert counters["proposed"]["starts_skipped"] > 0
 
     def test_floor_monotonicity(self, tmp_path):
         # raising the floor leaves patches without floored samples untouched
