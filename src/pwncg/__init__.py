@@ -62,7 +62,6 @@ from .spectral import (
     ExperimentReport,
     LoadedWav,
     Patch,
-    PowerSpectrogram,
     StftConfig,
     load_wav,
     run_experiment,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -20,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .fitting import (  # noqa: F401  (fit_model: see below)
+    DEFAULT_OPTIMIZER,
     FIT_MODELS,
     MODELS,
     FitResult,
@@ -36,7 +38,6 @@ __all__ = [
     "WavFormatError",
     "StftConfig",
     "LoadedWav",
-    "PowerSpectrogram",
     "Patch",
     "ExperimentReport",
     "load_wav",
@@ -45,7 +46,10 @@ __all__ = [
     "run_experiment",
 ]
 
-WINDOWS = ("hann", "hamming", "rect")
+# Periodic (DFT-even) generalized cosine windows, the streaming STFT
+# convention: name -> (a0, a1) of w[n] = a0 - a1 cos(2 pi n / N).
+_WINDOW_COEFFS = {"hann": (0.5, 0.5), "hamming": (0.54, 0.46), "rect": (1.0, 0.0)}
+WINDOWS = tuple(_WINDOW_COEFFS)
 
 
 class WavFormatError(ValueError):
@@ -104,21 +108,6 @@ class LoadedWav:
     sample_rate_hz: int
     path: str
     warnings: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class PowerSpectrogram:
-    """One-sided |STFT|^2 grid indexed (frequency bin, time frame)."""
-
-    values: np.ndarray
-
-    @property
-    def n_bins(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -214,20 +203,9 @@ def load_wav(path) -> LoadedWav:
     )
 
 
-def _window_values(name: str, length: int) -> np.ndarray:
-    # Periodic (DFT-even) windows, the streaming STFT convention.
-    n = np.arange(length)
-    if name == "hann":
-        return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / length)
-    if name == "hamming":
-        return 0.54 - 0.46 * np.cos(2.0 * np.pi * n / length)
-    if name == "rect":
-        return np.ones(length)
-    raise ValueError(f"unknown window {name!r}")
-
-
-def stft_power(signal, cfg: StftConfig) -> PowerSpectrogram:
-    """One-sided power spectrogram |STFT|^2.
+def stft_power(signal, cfg: StftConfig) -> np.ndarray:
+    """One-sided power spectrogram |STFT|^2 as a (frequency bin, time
+    frame) array.
 
     FFT length equals the frame length (no zero padding); the frame count
     is floor((len - frame) / hop) + 1 and trailing samples are dropped.
@@ -240,28 +218,26 @@ def stft_power(signal, cfg: StftConfig) -> PowerSpectrogram:
             f"signal of {sig.size} samples is shorter than one frame ({frame})"
         )
     frames = np.lib.stride_tricks.sliding_window_view(sig, frame)[::hop]
-    frames = frames * _window_values(cfg.window, frame)[None, :]
+    a0, a1 = _WINDOW_COEFFS[cfg.window]
+    frames = frames * (a0 - a1 * np.cos(2.0 * np.pi * np.arange(frame) / frame))[None, :]
     spec = np.fft.rfft(frames, axis=1)
-    power = (spec.real**2 + spec.imag**2).T
-    return PowerSpectrogram(values=power)
+    return (spec.real**2 + spec.imag**2).T
 
 
-def tile_patches(spec: PowerSpectrogram, pf: int = 3, pt: int = 20) -> list[Patch]:
-    """Disjoint pf-by-pt tiles anchored at bin 0 / frame 0; trailing
-    remainder bins and frames are discarded."""
+def tile_patches(spec: np.ndarray, pf: int = 3, pt: int = 20) -> list[Patch]:
+    """Disjoint pf-by-pt tiles of a (bin, frame) spectrogram anchored at
+    bin 0 / frame 0; trailing remainder bins and frames are discarded."""
     if pf < 1 or pt < 1:
         raise ValueError("patch dimensions must be positive")
-    if spec.n_bins < pf or spec.n_frames < pt:
+    n_bins, n_frames = spec.shape
+    if n_bins < pf or n_frames < pt:
         raise ValueError(
-            f"spectrogram {spec.n_bins}x{spec.n_frames} is smaller than one "
-            f"{pf}x{pt} patch"
+            f"spectrogram {n_bins}x{n_frames} is smaller than one {pf}x{pt} patch"
         )
     patches = []
-    for f0 in range(0, spec.n_bins - pf + 1, pf):
-        for t0 in range(0, spec.n_frames - pt + 1, pt):
-            patches.append(
-                Patch(f0=f0, t0=t0, values=spec.values[f0 : f0 + pf, t0 : t0 + pt])
-            )
+    for f0 in range(0, n_bins - pf + 1, pf):
+        for t0 in range(0, n_frames - pt + 1, pt):
+            patches.append(Patch(f0=f0, t0=t0, values=spec[f0 : f0 + pf, t0 : t0 + pt]))
     return patches
 
 
@@ -328,15 +304,16 @@ def _analyze_file(path, cfg: StftConfig, pf: int, pt: int):
     bound = replace(cfg, sample_rate_hz=wav.sample_rate_hz)
     spec = stft_power(wav.samples, bound)
     patches = tile_patches(spec, pf, pt)
+    n_bins, n_frames = spec.shape
     info = {
         "path": wav.path,
         "sample_rate_hz": wav.sample_rate_hz,
         "n_samples": int(wav.samples.size),
-        "n_bins": spec.n_bins,
-        "n_frames": spec.n_frames,
+        "n_bins": n_bins,
+        "n_frames": n_frames,
         "n_patches": len(patches),
-        "discarded_bins": spec.n_bins % pf,
-        "discarded_frames": spec.n_frames % pt,
+        "discarded_bins": n_bins % pf,
+        "discarded_frames": n_frames % pt,
         "warnings": list(wav.warnings),
     }
     return spec, patches, info
@@ -346,9 +323,10 @@ def _fit_counters(fits: list[FitResult]) -> dict:
     """Deterministic diagnostics of one model's fits: counts of fits, of
     fits not converged and degenerate, the objective evaluations that
     returned the penalty value and all of them, L-BFGS-B iterations, how
-    often each start index was the reported one, and the later starts
-    dropped because start 1 converged (FitResult.starts_skipped)."""
-    wins = [0] * (1 + max((f.start for f in fits if f.start is not None), default=-1))
+    often each start index was the reported one (one count per start of
+    DEFAULT_OPTIMIZER, for every model), and the later starts dropped
+    because start 1 converged (FitResult.starts_skipped)."""
+    wins = [0] * DEFAULT_OPTIMIZER.restarts
     for f in fits:
         if f.start is not None:
             wins[f.start] += 1
@@ -392,9 +370,11 @@ def run_experiment(
     provenance["fit_counters"] holds, per model, the deterministic counts
     of _fit_counters over the patch fits.
 
-    Raises ValueError when no file could be analyzed; the message lists
-    each file's error.
+    Raises ValueError when paths is one path rather than a list of them,
+    or when no file could be analyzed; the message lists each file's error.
     """
+    if isinstance(paths, (str, os.PathLike)):
+        raise ValueError(f"paths must be a list of files, got the single path {paths!r}")
     paths = [str(p) for p in paths]
     if not paths:
         raise ValueError("no input files given")
@@ -405,7 +385,7 @@ def run_experiment(
     file_infos = []
     failures = []
     patch_records = []
-    patch_fits: list[dict[str, FitResult]] = []  # parallel to patch_records
+    fits: dict[str, list[FitResult]] = {m: [] for m in models}  # parallel to patch_records
 
     for path in paths:
         try:
@@ -414,7 +394,7 @@ def run_experiment(
             failures.append({"path": str(path), "error": str(exc)})
             continue
 
-        floor = floor_eps * float(np.mean(spec.values))
+        floor = floor_eps * float(np.mean(spec))
         if floor <= 0.0:
             failures.append({"path": str(path), "error": "all-zero spectrogram"})
             continue
@@ -427,16 +407,16 @@ def run_experiment(
         raw = [patch.values.ravel() for patch in patches]
         values = [np.maximum(v, floor) for v in raw]
         fitted = fit_batches(models, values, rngs)
+        for m in models:
+            fits[m] += fitted[m]
         for i, patch in enumerate(patches):
-            fits = {m: fitted[m][i] for m in models}
-            patch_fits.append(fits)
             patch_records.append(
                 {
                     "file": info["path"],
                     "f0": patch.f0,
                     "t0": patch.t0,
                     "floored": int(np.sum(raw[i] < floor)),
-                    "fits": {m: _fit_record(f) for m, f in fits.items()},
+                    "fits": {m: _fit_record(fitted[m][i]) for m in models},
                 }
             )
         info["floored_values"] = sum(rec["floored"] for rec in patch_records[first:])
@@ -446,10 +426,10 @@ def run_experiment(
         detail = "; ".join(f"{f['path']}: {f['error']}" for f in failures)
         raise ValueError(f"all input files failed: {detail}")
 
-    lls = {m: np.array([fits[m].log_likelihood for fits in patch_fits]) for m in models}
+    lls = {m: np.array([f.log_likelihood for f in fits[m]]) for m in models}
     model_summaries = {}
     for m in models:
-        params = {k: [fits[m].params[k] for fits in patch_fits] for k in sorted(MODELS[m].params)}
+        params = {k: [f.params[k] for f in fits[m]] for k in sorted(MODELS[m].params)}
         model_summaries[m] = {
             "avg_ll": float(np.mean(lls[m])),
             "params_summary": {
@@ -482,12 +462,10 @@ def run_experiment(
         "seed": seed,
         "failed_files": failures,
         "degenerate_patches": sum(
-            any(f.degenerate for f in fits.values()) for fits in patch_fits
+            any(fit["degenerate"] for fit in rec["fits"].values()) for rec in patch_records
         ),
         "floored_values": sum(info["floored_values"] for info in file_infos),
-        "fit_counters": {
-            m: _fit_counters([fits[m] for fits in patch_fits]) for m in models
-        },
+        "fit_counters": {m: _fit_counters(fits[m]) for m in models},
     }
     return ExperimentReport(
         config=config,

@@ -12,11 +12,12 @@ import pytest
 from helpers import make_speech_like, write_wav_float32, write_wav_pcm16
 from pwncg.cli import main
 from pwncg.distributions import PowerParams, log_pdf_power
-from pwncg.fitting import FIT_MODELS, fit_model
+from pwncg.fitting import DEFAULT_OPTIMIZER, FIT_MODELS, fit_model
 from pwncg.spectral import (
     ExperimentReport,
     StftConfig,
     WavFormatError,
+    _fit_counters,
     load_wav,
     run_experiment,
     stft_power,
@@ -157,9 +158,9 @@ class TestStftPower:
     def test_zero_signal(self):
         cfg = StftConfig(sample_rate_hz=SR)
         spec = stft_power(np.zeros(SR), cfg)
-        assert spec.n_bins == 129
-        assert spec.n_frames == (SR - 256) // 64 + 1
-        assert np.all(spec.values == 0.0)
+        assert spec.shape[0] == 129
+        assert spec.shape[1] == (SR - 256) // 64 + 1
+        assert np.all(spec == 0.0)
 
     def test_default_frame_and_hop(self):
         cfg = StftConfig(sample_rate_hz=SR)
@@ -173,7 +174,7 @@ class TestStftPower:
         t = np.arange(SR) / SR
         sig = np.sin(2 * np.pi * f * t)
         spec = stft_power(sig, StftConfig(window="rect", sample_rate_hz=SR))
-        frame0 = spec.values[:, 0]
+        frame0 = spec[:, 0]
         assert frame0[k] >= 0.99 * frame0.sum()
 
     def test_parseval_per_frame_rect(self):
@@ -183,7 +184,7 @@ class TestStftPower:
         frame = sig[:256]
         weights = np.full(129, 2.0)
         weights[0] = weights[-1] = 1.0  # DC and Nyquist appear once
-        lhs = float(np.sum(weights * spec.values[:, 0])) / 256.0
+        lhs = float(np.sum(weights * spec[:, 0])) / 256.0
         rhs = float(np.sum(frame**2))
         assert math.isclose(lhs, rhs, rel_tol=1e-8)
 
@@ -192,7 +193,7 @@ class TestStftPower:
         sig = rng.standard_normal(2000)
         out = {}
         for w in ("hann", "hamming", "rect"):
-            out[w] = stft_power(sig, StftConfig(window=w, sample_rate_hz=SR)).values
+            out[w] = stft_power(sig, StftConfig(window=w, sample_rate_hz=SR))
         assert not np.allclose(out["hann"], out["rect"])
         assert not np.allclose(out["hann"], out["hamming"])
 
@@ -206,7 +207,7 @@ class TestStftPower:
         idx = np.arange(frame)[None, :] + hop * np.arange(n_frames)[:, None]
         spec = np.fft.rfft(sig[idx] * (0.5 - 0.5 * np.cos(2 * np.pi * np.arange(frame) / frame)))
         ref = (spec.real**2 + spec.imag**2).T
-        got = stft_power(sig, cfg).values
+        got = stft_power(sig, cfg)
         assert got.shape == ref.shape == (129, n_frames)
         assert np.array_equal(got, ref)
 
@@ -223,10 +224,7 @@ class TestStftPower:
 
 class TestTilePatches:
     def _spec(self, n_bins, n_frames):
-        vals = np.arange(n_bins * n_frames, dtype=float).reshape(n_bins, n_frames)
-        from pwncg.spectral import PowerSpectrogram
-
-        return PowerSpectrogram(values=vals)
+        return np.arange(n_bins * n_frames, dtype=float).reshape(n_bins, n_frames)
 
     def test_counts(self):
         patches = tile_patches(self._spec(129, 200), 3, 20)
@@ -276,7 +274,7 @@ class TestRunExperiment:
 
         wav = lw(noise_wav)
         spec = stft_power(wav.samples, SC(sample_rate_hz=wav.sample_rate_hz))
-        floor = body["config"]["floor_eps"] * float(np.mean(spec.values))
+        floor = body["config"]["floor_eps"] * float(np.mean(spec))
         patches = tp(spec, 3, 20)
         for rec, patch in zip(body["patches"], patches):
             vals = np.maximum(patch.values.ravel(), floor)
@@ -377,7 +375,7 @@ class TestRunExperiment:
         assert list(counters) == list(FIT_MODELS)
         assert counters["gamma"]["degenerate"] > 0
         spec = stft_power(load_wav(path).samples, replace(stft, sample_rate_hz=SR))
-        floor = rep.config["floor_eps"] * float(np.mean(spec.values))
+        floor = rep.config["floor_eps"] * float(np.mean(spec))
         fits = {m: [] for m in FIT_MODELS}
         for i, patch in enumerate(tile_patches(spec)):
             stream = np.random.default_rng(np.random.SeedSequence(entropy=3, spawn_key=(i,)))
@@ -393,6 +391,7 @@ class TestRunExperiment:
             assert c["penalty_evaluations"] == sum(f.penalties for f in fits[m])
             assert c["iterations"] == sum(f.iterations for f in fits[m])
             starts = [f.start for f in fits[m] if f.start is not None]
+            assert len(c["winning_start"]) == DEFAULT_OPTIMIZER.restarts
             assert c["winning_start"] == [starts.count(k) for k in range(len(c["winning_start"]))]
             assert sum(c["winning_start"]) == (0 if m == "exponential" else len(records))
             assert c["starts_skipped"] == sum(f.starts_skipped for f in fits[m])
@@ -416,29 +415,52 @@ class TestRunExperiment:
 
     def test_patch_fits_share_one_restart_stream_per_patch(self, tmp_path):
         # patch i counts across files; its models draw in model order from
-        # the stream seeded by (seed, i)
+        # the stream seeded by (seed, i), and the per-model summaries and
+        # counters aggregate the fits of both files
         stft = StftConfig(frame_ms=2.0, hop_ms=1.0)
         rng = np.random.default_rng(8)
         paths = []
         for k in range(2):
             paths.append(str(tmp_path / f"n{k}.wav"))
-            write_wav_pcm16(paths[-1], 0.4 * rng.standard_normal(int(0.03 * SR)), SR)
+            sig = 0.4 * rng.standard_normal(int(0.03 * SR))
+            if k == 1:
+                sig[:340] = 0.0  # every patch of the second file is silent: degenerate
+            write_wav_pcm16(paths[-1], sig, SR)
         models = ("gamma", "noncentral_gamma")
         rep = run_experiment(paths, stft, models=models, seed=6)
+        fits = {m: [] for m in models}
         i = 0
         for path in paths:
             spec = stft_power(load_wav(path).samples, StftConfig(2.0, 1.0, sample_rate_hz=SR))
-            floor = rep.config["floor_eps"] * float(np.mean(spec.values))
+            floor = rep.config["floor_eps"] * float(np.mean(spec))
             for patch in tile_patches(spec):
                 values = np.maximum(patch.values.ravel(), floor)
                 stream = np.random.default_rng(np.random.SeedSequence(entropy=6, spawn_key=(i,)))
                 for m in models:
                     fit = fit_model(m, values, rng=stream)
+                    fits[m].append(fit)
                     rec = rep.patches[i]["fits"][m]
                     assert (rec["ll"], rec["params"]) == (fit.log_likelihood, fit.params)
                     assert (rec["converged"], rec["degenerate"]) == (fit.converged, fit.degenerate)
                 i += 1
         assert i == len(rep.patches) == 10
+        for m in models:
+            lls = [rec["fits"][m]["ll"] for rec in rep.patches]
+            assert rep.models[m]["avg_ll"] == float(np.mean(lls))
+            for k, summary in rep.models[m]["params_summary"].items():
+                v = [rec["fits"][m]["params"][k] for rec in rep.patches]
+                assert summary == {"mean": float(np.mean(v)), "median": float(np.median(v))}
+            assert rep.provenance["fit_counters"][m] == _fit_counters(fits[m])
+        degenerate = [any(f.degenerate for f in row) for row in zip(*fits.values())]
+        assert degenerate == [False] * 5 + [True] * 5
+        assert rep.provenance["degenerate_patches"] == sum(degenerate)
+
+    def test_single_path_rejected(self, noise_wav, tmp_path):
+        # a string is iterable: without the check its characters would be
+        # opened as files one by one
+        for path in (noise_wav, tmp_path / "n.wav"):
+            with pytest.raises(ValueError, match="must be a list of files"):
+                run_experiment(path, models=("exponential",))
 
     def test_unknown_model_rejected(self, noise_wav):
         with pytest.raises(ValueError, match="unknown model"):
