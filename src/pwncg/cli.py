@@ -145,9 +145,10 @@ def _collect_wavs(input_path: str) -> list[str]:
 
 
 def _summary_line(report, m: str) -> str:
-    """Average LL, the p-value against the proposed model, the later starts
-    skipped because start 1 converged, and how many of the patch fits did
-    not converge."""
+    """Average LL, the p-value against the proposed model, the starts
+    skipped (FitResult.starts_skipped: start 1 where start 0 converged at a
+    lam = 0 maximum, the later starts where start 0 or 1 converged), and
+    how many of the patch fits did not converge."""
     line = f"{m:>17s}: avg LL {report.models[m]['avg_ll']:10.3f}"
     if m in report.tests:
         line += f"   p vs proposed {report.tests[m]:.3g}"

@@ -29,14 +29,46 @@ evaluation (see special). fit_batches fits several models to many batches
 this way; fit_model is fit_batches with one model and one batch.
 
 The noncentral-gamma and proposed fits draw three starts per batch up
-front. Starts 0 and 1 always run; a later start runs only where start 1
-did not converge, since it can then still change the answer. The driver
-takes the rows start-major (every start 0 and 1, then the later starts)
-and gates each later start by its batch's start 1: skipped if that has
-converged when the row's turn comes, cancelled if it converges while the
-row runs, discarded if it converges after the row finished. So a fit
-keeps the same runs however its batch was scheduled, and its counts sum
-over those runs only.
+front. Start 0 always runs. Start 1 runs unless lam = 0 is a local
+maximum of the batch's likelihood (see below) and start 0 converged; a
+later start runs only where start 1 ran and did not converge, since it
+can then still change the answer. The driver takes the rows start-major
+(every start 0 and 1, then the later starts) and gates each row by an
+earlier one: skipped if a row up its gate chain has converged when the
+row's turn comes, cancelled if one converges while the row runs,
+discarded if one converges after the row finished. So a fit keeps the
+same runs however its batch was scheduled, and its counts sum over those
+runs only.
+
+When lam = 0 is a local maximum. Both shifted families contain the gamma
+law at lam = 0, and at the gamma fit (alpha, beta = alpha / mean(y)) the
+lam-derivative of the mean LL vanishes for both: it is
+beta mean(y) / alpha - 1 for the noncentral gamma and alpha times that for
+the proposed law. To second order in lam, with m1 = mean(y) and
+m2 = mean(y^2), the mean LL is the gamma LL plus
+
+    proposed:          lam (beta m1 - alpha) - lam^2 (beta^2 m2 + alpha (1 - alpha)) / 4
+    noncentral gamma:  lam (beta m1 / alpha - 1) - lam^2 beta^2 m2 / (2 alpha^2 (alpha + 1)),
+
+from ln I0(2 sqrt z) = z - z^2/4, ln S(alpha, lam) = alpha lam +
+alpha (1 - alpha) lam^2 / 4 and, for the noncentral gamma,
+ln sum_n Gamma(alpha) z^n / (n! Gamma(alpha + n)) = z / alpha -
+z^2 / (2 alpha^2 (alpha + 1)), with z = beta lam y. The curvature in lam
+of the profile likelihood, (alpha, beta) re-optimized, is the Schur
+complement L_ll - c' H^-1 c of the gamma Hessian H in (alpha, beta), with
+c the mixed second derivatives; at the gamma fit c' H^-1 c = -alpha
+(proposed) and -1/alpha (noncentral gamma), so the profile curvature is
+
+    proposed:          (alpha / 2) (1 - alpha v)
+    noncentral gamma:  (1 - alpha v) / (alpha (alpha + 1)),
+
+with v = var(y) / mean(y)^2. Where alpha v > 1 both are negative, so
+lam = 0 at the gamma fit is a local maximum over lam >= 0, and a start 0
+that converged there has found it. This needs the gamma fit to be a
+stationary point: its alpha strictly inside the box, neither degenerate
+nor at the 1e-3 floor. Another maximum at some lam > 0 is not ruled out
+by the curvature; the tests check the gated fits against an independent
+lam-profile optimum.
 """
 
 from __future__ import annotations
@@ -145,13 +177,14 @@ class FitResult:
     objective ties the best within 1e-10 of max(1, |best|), if there is
     one. degenerate flags batches (all-equal values, zero variance) where
     the shape ran into its bound.
-    A noncentral-gamma or proposed fit keeps starts 0 and 1 alone when
-    start 1 converged, and every start it drew otherwise; starts_skipped
-    counts the later starts it dropped. iterations, evaluations and
-    penalties sum the L-BFGS-B iterations, the objective evaluations and
-    the evaluations that returned the penalty value over the kept starts;
-    start is the index of the reported start (None for the closed-form
-    exponential fit).
+    A noncentral-gamma or proposed fit keeps start 0 alone when start 0
+    converged and lam = 0 is a local maximum at the batch's gamma fit (see
+    the module docstring), starts 0 and 1 alone when start 1 converged,
+    and every start it drew otherwise; starts_skipped counts the starts
+    it dropped. iterations, evaluations and penalties sum the L-BFGS-B
+    iterations, the objective evaluations and the evaluations that
+    returned the penalty value over the kept starts; start is the index of
+    the reported start (None for the closed-form exponential fit).
     """
 
     model: str
@@ -235,11 +268,13 @@ def _lbfgsb(objective, z0: np.ndarray, bounds, gate=None) -> list[_Run | None]:
     iteration and evaluation caps checked at each new iterate.
 
     gate (R,) names for each row another row, or -1 for none. A row whose
-    gate row converges is dropped: never loaded if the gate has converged
-    by then, cancelled if it is running (its slot takes the next row), and
-    discarded if it finished first. Which rows come back is thus fixed by
-    the gates' own runs, and each row that does is the same run as without
-    gates. Rows are loaded in order, so a gate should come before its rows.
+    gate row converges or is dropped is dropped: never loaded if that
+    happened by then, cancelled if it is running (its slot takes the next
+    row), and discarded if it finished first. So a row comes back as None
+    exactly where a row up its gate chain converges, which is fixed by
+    those rows' own runs, and each row that does come back is the same run
+    as without gates. Rows are loaded in order, so a gate should come
+    before its rows.
     """
     n_rows, d = z0.shape
     gate = [-1] * n_rows if gate is None else list(gate)
@@ -277,7 +312,8 @@ def _lbfgsb(objective, z0: np.ndarray, bounds, gate=None) -> list[_Run | None]:
     next_row = 0
 
     def cut(r: int) -> bool:
-        return gate[r] >= 0 and done[gate[r]]
+        g = gate[r]
+        return g >= 0 and (done[g] or cut(g))
 
     def load(s: int) -> bool:
         """Put the next row that is not cut into slot s; False if none is left."""
@@ -452,6 +488,21 @@ def _moment_matched_start(y: np.ndarray):
     return None
 
 
+# The alpha the gamma fit reports at the floor of its box.
+_ALPHA_FLOOR = math.exp(_LN_ALPHA_BOUNDS[0])
+
+
+def _lam_zero_is_a_maximum(gamma: FitResult, y: np.ndarray) -> bool:
+    """Whether lam = 0 at the gamma fit gamma of batch y is a local maximum
+    of both shifted families' likelihoods: alpha v > 1, v = var(y) /
+    mean(y)^2, with alpha strictly inside its box (see the module
+    docstring)."""
+    alpha = gamma.params["alpha"]
+    if gamma.degenerate or alpha <= _ALPHA_FLOOR:
+        return False
+    return alpha * float(np.var(y)) / float(np.mean(y)) ** 2 > 1.0
+
+
 # Starts whose objectives lie within this fraction of max(1, |best|) of the
 # best one reached the same optimum; the objective is a mean log-likelihood.
 _TIE_RTOL = 1e-10
@@ -548,9 +599,9 @@ def _fit_shifted_batches(model: str, xs, rngs, gammas, mean_ll, extra_start=None
     then jitters of the second start drawn from rngs[i]; all are drawn
     before any search runs. The pass queues the rows start-major: starts 0
     and 1 of every batch, then the later starts, each gated by its batch's
-    start 1 (see _lbfgsb). A batch whose start 1 converged reports from
-    starts 0 and 1, any other from all its starts, by _pick_start; its
-    counts sum over those runs."""
+    start 1 (see _lbfgsb); start 1 is gated by start 0 where lam = 0 is a
+    local maximum at the gamma fit. A batch reports from the starts it
+    kept, by _pick_start, and its counts sum over those runs."""
     means = [float(np.mean(x)) for x in xs]
     ys = [x / m for x, m in zip(xs, means)]
     starts = []
@@ -567,6 +618,7 @@ def _fit_shifted_batches(model: str, xs, rngs, gammas, mean_ll, extra_start=None
             z.append(z[1] + jitter * np.array([1.0, 1.0, 2.0]))
         starts.append(z)
 
+    lam_max = [_lam_zero_is_a_maximum(g, y) for g, y in zip(gammas, ys)]
     bounds = [_LN_ALPHA_BOUNDS, _LN_BETA_BOUNDS, _S_BOUNDS]
     runs: list = [None] * len(xs)
     for group in _by_length(xs):
@@ -576,8 +628,13 @@ def _fit_shifted_batches(model: str, xs, rngs, gammas, mean_ll, extra_start=None
         m1 = np.array([float(np.mean(ys[i])) for i in group])
         sqrt_y = np.sqrt(np.stack([ys[i] for i in group]))
         # Start-major rows (start, batch j, gate): starts 0 and 1 of every
-        # batch, then the later starts, each gated by its batch's start 1.
-        queue = [(k, j, -1) for j in range(len(group)) for k in (0, 1)]
+        # batch, start 1 gated by start 0 where lam = 0 is a maximum, then
+        # the later starts, each gated by its batch's start 1.
+        queue = [
+            (k, j, 2 * j if k == 1 and lam_max[i] else -1)
+            for j, i in enumerate(group)
+            for k in (0, 1)
+        ]
         queue += [
             (k, j, 2 * j + 1) for j, i in enumerate(group) for k in range(2, len(starts[i]))
         ]
@@ -598,7 +655,7 @@ def _fit_shifted_batches(model: str, xs, rngs, gammas, mean_ll, extra_start=None
 
     fits = []
     for x, m, drawn in zip(xs, means, runs):
-        # The runs kept: starts 0 and 1 where start 1 converged, else all.
+        # The runs kept: those no converged start gated off.
         batch_runs = [run for run in drawn if run is not None]
         best = _pick_start(batch_runs)
         z = batch_runs[best].x

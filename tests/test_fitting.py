@@ -1,6 +1,7 @@
 """Fitting: closed forms, optimizer-vs-grid cross-checks, nesting, scale
 consistency, parametric-rate recovery, and the paired one-sided t-test."""
 
+import dataclasses
 import math
 import warnings
 
@@ -12,8 +13,14 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.optimize import minimize
 
+from helpers import make_speech_like, write_wav_pcm16
 from pwncg import fitting
-from pwncg.distributions import PowerParams, log_pdf_gamma
+from pwncg.distributions import (
+    PowerParams,
+    log_pdf_gamma,
+    log_pdf_noncentral_gamma,
+    log_pdf_power,
+)
 from pwncg.fitting import (
     DEFAULT_OPTIMIZER,
     FIT_MODELS,
@@ -26,6 +33,7 @@ from pwncg.fitting import (
     paired_t_test_one_sided,
 )
 from pwncg.sampling import rng_stream, sample_power
+from pwncg.spectral import StftConfig, load_wav, stft_power, tile_patches
 
 
 def random_batch(rng, size=60):
@@ -158,8 +166,8 @@ class TestRestartChoice:
     """Which start a multi-start fit reports, with the L-BFGS-B driver
     stubbed for the three-parameter searches (the gamma search still runs
     for real). The stub keeps the driver's gate rule: a row whose gate row
-    converged comes back as None. A start past the scripted ones ends above
-    them and converges nowhere."""
+    converged or was dropped comes back as None. A start past the scripted
+    ones ends above them and converges nowhere."""
 
     Z0 = np.array([0.1, 0.2, 0.3])
     Z1 = np.array([0.4, 0.5, 0.6])
@@ -176,10 +184,11 @@ class TestRestartChoice:
             for _ in z0:
                 z, fval, converged, nit = next(scripted, (self.Z0, 0.0, False, 0))
                 out.append(fitting._Run(z, fval, np.zeros(3), converged, converged, nit, 0, 0))
-            return [
-                None if gate is not None and gate[r] >= 0 and out[gate[r]].converged else run
-                for r, run in enumerate(out)
-            ]
+            dropped = []
+            for r in range(len(out)):
+                g = -1 if gate is None else gate[r]
+                dropped.append(g >= 0 and (out[g].converged or dropped[g]))
+            return [None if cut else run for cut, run in zip(dropped, out)]
 
         monkeypatch.setattr(fitting, "_lbfgsb", stub)
         data = rng_stream(5).gamma(2.0, 1.0, 60)
@@ -239,6 +248,25 @@ class TestRestartChoice:
         r = self._fit(monkeypatch, runs, rng=rng_stream(1))
         assert r.converged and r.start == 1 and r.starts_skipped == 1
         assert r.iterations == 70
+
+    @pytest.mark.parametrize("lam_max", [True, False])
+    def test_start_one_gated_by_start_zero_where_lam_zero_is_a_maximum(
+        self, monkeypatch, lam_max
+    ):
+        # every start converges; start 0 alone is kept where lam = 0 is a
+        # local maximum at the gamma fit, starts 0 and 1 elsewhere
+        monkeypatch.setattr(fitting, "_lam_zero_is_a_maximum", lambda gamma, y: lam_max)
+        runs = [
+            (self.Z0, -1.5, True, 40),
+            (self.Z1, -1.6, True, 30),
+            (self.Z2, -1.7, True, 20),
+        ]
+        for model in ("noncentral_gamma", "proposed"):
+            r = self._fit(monkeypatch, runs, model, rng_stream(1))
+            if lam_max:
+                assert (r.start, r.starts_skipped, r.iterations) == (0, 2, 40)
+            else:
+                assert (r.start, r.starts_skipped, r.iterations) == (1, 1, 70)
 
 
 def _central_difference(f, z, rel_h=1e-5):
@@ -384,20 +412,22 @@ class TestLockStepDriver:
 
     @pytest.mark.parametrize("max_rows", [2, 64])
     def test_gated_rows_are_the_ungated_runs_or_none(self, monkeypatch, max_rows):
-        # rows 4-7 are gated by rows 0-3; a gated row comes back as None
-        # exactly when its gate converged, and otherwise as the run it makes
-        # without gates. With 2 slots gated rows wait and may be skipped;
-        # with 64 they all start at once and may be cancelled.
-        rng = rng_stream(18)
-        ys = [b / b.mean() for b in (random_batch(rng, size=20) for _ in range(4))]
+        # chains of three rows, j -> n + j -> 2n + j, as the shifted fits
+        # gate starts 0, 1 and 2: a row comes back as None exactly where a
+        # row up its chain converges without gates, and otherwise as its
+        # ungated run. With 2 slots dropped rows wait and are skipped; with
+        # 64 they all start at once and are cancelled.
+        n = 6
+        rng = rng_stream(21)
+        ys = [b / b.mean() for b in (random_batch(rng, size=20) for _ in range(n))]
         stats = (
             np.array([np.mean(np.log(y)) for y in ys]),
             np.array([np.mean(y) for y in ys]),
             np.sqrt(np.stack(ys)),
         )
         bounds = [fitting._LN_ALPHA_BOUNDS, fitting._LN_BETA_BOUNDS, fitting._S_BOUNDS]
-        batch = np.tile(np.arange(4), 2)
-        z0 = rng.normal(0.0, 1.0, (8, 3)) * np.array([1.0, 1.0, 3.0])
+        batch = np.tile(np.arange(n), 3)
+        z0 = rng.normal(0.0, 1.0, (3 * n, 3)) * np.array([1.0, 1.0, 3.0])
         evaluated = set()
 
         def objective(rows, z):
@@ -408,22 +438,30 @@ class TestLockStepDriver:
             )
 
         free = fitting._lbfgsb(objective, z0, bounds)
+        # a chain whose first row converges and whose second does not, one
+        # cut at its second row, and one that runs through
+        chains = [(free[j].converged, free[n + j].converged) for j in range(n)]
+        assert {(True, False), (False, True), (False, False)} <= set(chains)
         monkeypatch.setattr(fitting, "_MAX_ROWS", max_rows)
         evaluated.clear()
-        gated = fitting._lbfgsb(objective, z0, bounds, [-1] * 4 + [0, 1, 2, 3])
-        assert any(run.converged for run in free[:4])
-        for r in range(8):
-            if r >= 4 and free[r - 4].converged:
+        gate = [-1] * n + list(range(2 * n))
+        gated = fitting._lbfgsb(objective, z0, bounds, gate)
+        for r in range(3 * n):
+            ancestors = []
+            g = gate[r]
+            while g >= 0:
+                ancestors.append(g)
+                g = gate[g]
+            if any(free[a].converged for a in ancestors):
                 assert gated[r] is None
             else:
                 assert gated[r] is not None
                 np.testing.assert_array_equal(gated[r].x, free[r].x)
                 np.testing.assert_array_equal(gated[r].jac, free[r].jac)
                 assert gated[r]._replace(x=None, jac=None) == free[r]._replace(x=None, jac=None)
-        dropped = [r for r in range(8) if gated[r] is None]
-        assert dropped
+        dropped = [r for r in range(3 * n) if gated[r] is None]
         if max_rows == 2:
-            assert not evaluated.issuperset(dropped)
+            assert not evaluated.intersection(dropped)
         else:
             assert evaluated.issuperset(dropped)
 
@@ -560,6 +598,134 @@ class TestFitBatches:
             fitting.fit_batches(("gamma", "weibull"), batches)
         with pytest.raises(ValueError, match="differ in length"):
             fitting.fit_batches(("gamma",), batches, [None, None])
+
+
+def _speech_batches(tmp_path, duration_s):
+    """The floored patch batches fit-spectra fits, at its defaults, on
+    duration_s of the criterion-6a synthesis (make_speech_like, seed 2024)."""
+    path = tmp_path / "speech.wav"
+    write_wav_pcm16(path, make_speech_like(duration_s, 16000, seed=2024), 16000)
+    wav = load_wav(path)
+    spec = stft_power(wav.samples, dataclasses.replace(StftConfig(), sample_rate_hz=16000))
+    floor = 1e-10 * float(np.mean(spec))
+    return [np.maximum(patch.values.ravel(), floor) for patch in tile_patches(spec)]
+
+
+def _patch_streams(n, seed=7):
+    """The restart streams run_experiment gives n patches of one file."""
+    return [
+        np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        for i in range(n)
+    ]
+
+
+def _neg_mean_ll(model, x, lam):
+    """-mean LL of the public density of model at (ln alpha, ln beta), lam."""
+
+    def f(z):
+        a, b = math.exp(z[0]), math.exp(z[1])
+        if model == "proposed":
+            return -float(np.mean(log_pdf_power(x, PowerParams(a, b, lam))))
+        return -float(np.mean(log_pdf_noncentral_gamma(x, a, b, lam)))
+
+    return f
+
+
+def _profile(model, x, lam, z0):
+    """The lam-profile of the mean LL: its maximum over (ln alpha, ln beta)
+    by L-BFGS-B from z0 with numeric gradients, and the maximizer."""
+    res = minimize(
+        _neg_mean_ll(model, x, lam), z0, method="L-BFGS-B",
+        options={"ftol": 1e-15, "gtol": 1e-10},
+    )
+    return -res.fun, res.x
+
+
+class TestLamZeroGate:
+    """Start 1 is gated by start 0 where lam = 0 is a local maximum at the
+    gamma fit (fitting._lam_zero_is_a_maximum)."""
+
+    @pytest.mark.parametrize("model", ["noncentral_gamma", "proposed"])
+    @pytest.mark.parametrize("kind", ["lognormal", "uniform"])
+    def test_curvature_matches_a_finite_difference_profile(self, model, kind):
+        # the profile curvature in lam at the gamma fit, from the public
+        # densities: Richardson's 2 c h^2 = 8 (P(h) - P(0)) - (P(2h) - P(0))
+        # cancels the cubic term. Lognormal batches have alpha v > 1,
+        # uniform ones alpha v < 1.
+        rng = rng_stream(3)
+        x = rng.lognormal(0.0, 1.0, 200) if kind == "lognormal" else rng.uniform(1e-3, 2.0, 200)
+        y = x / x.mean()
+        p0, z = _profile(model, y, 0.0, np.zeros(2))
+        a = math.exp(z[0])
+        v = float(np.var(y)) / float(np.mean(y)) ** 2
+        closed = (a / 2) * (1 - a * v) if model == "proposed" else (1 - a * v) / (a * (a + 1))
+        h = 1e-2
+        fd = (8 * (_profile(model, y, h, z)[0] - p0) - (_profile(model, y, 2 * h, z)[0] - p0)) / (
+            2 * h * h
+        )
+        assert (a * v > 1.0) == (kind == "lognormal")
+        assert np.sign(fd) == np.sign(closed)
+        assert abs(fd - closed) <= 0.1 * abs(closed)
+        assert fitting._lam_zero_is_a_maximum(fit_gamma(x), y) == (closed < 0.0)
+
+    def test_gate_changes_only_the_counts(self, tmp_path, monkeypatch):
+        # the fits of the 0.3 s speech clip with and without the gate: the
+        # same fits, fewer evaluations and iterations, more starts skipped
+        batches = _speech_batches(tmp_path, 0.3)
+        models = ("noncentral_gamma", "proposed")
+        live = fitting.fit_batches(models, batches, _patch_streams(len(batches)))
+        monkeypatch.setattr(fitting, "_lam_zero_is_a_maximum", lambda gamma, y: False)
+        off = fitting.fit_batches(models, batches, _patch_streams(len(batches)))
+        counts = {"evaluations": 0, "iterations": 0, "starts_skipped": 0}
+        for m in models:
+            for a, b in zip(live[m], off[m]):
+                assert dataclasses.replace(a, **counts) == dataclasses.replace(b, **counts)
+            assert sum(f.evaluations for f in live[m]) < sum(f.evaluations for f in off[m])
+            assert sum(f.starts_skipped for f in live[m]) > sum(f.starts_skipped for f in off[m])
+
+    def test_gate_needs_alpha_inside_its_box(self):
+        # lam = 0 is a stationary point of the profile only where the gamma
+        # fit is one: a constant batch, and alpha at either bound, are never
+        # gated, even where alpha v > 1
+        const = np.full(60, 2.5)
+        g = fit_gamma(const)
+        assert g.degenerate and not fitting._lam_zero_is_a_maximum(g, const / 2.5)
+        # one value holds almost all the mass, so v is about 2000
+        y = np.append(np.full(1999, 1e-9), 1.0)
+        y /= y.mean()
+        v = float(np.var(y))
+        for ln_alpha in fitting._LN_ALPHA_BOUNDS:
+            alpha = math.exp(ln_alpha)
+            at_bound = fitting._fit_result("gamma", y, 1.0, {"alpha": alpha, "beta": alpha})
+            assert alpha * v > 1.0
+            assert not fitting._lam_zero_is_a_maximum(at_bound, y)
+        inside = fitting._fit_result("gamma", y, 1.0, {"alpha": 1.1e-3, "beta": 1.1e-3})
+        assert fitting._lam_zero_is_a_maximum(inside, y)
+
+    def test_gated_fits_beat_a_lam_grid(self, tmp_path):
+        # six patches of the criterion-6a input where the gate dropped starts
+        # 1 and 2: no lam on a grid in [1e-3, 100], with (alpha, beta)
+        # maximized by an independent search on the public densities, beats
+        # the reported lam = 0 fit by more than 1e-9 nats per sample
+        batches = _speech_batches(tmp_path, 1.1)
+        gammas = fitting.fit_batches(("gamma",), batches)["gamma"]
+        gated = [
+            i for i, (x, g) in enumerate(zip(batches, gammas))
+            if fitting._lam_zero_is_a_maximum(g, x / x.mean())
+        ]
+        picked = gated[:: len(gated) // 6][:6]
+        streams = _patch_streams(len(batches))
+        models = ("noncentral_gamma", "proposed")
+        fits = fitting.fit_batches(
+            models, [batches[i] for i in picked], [streams[i] for i in picked]
+        )
+        for m in models:
+            for i, f in zip(picked, fits[m]):
+                assert (f.start, f.params["lambda"], f.starts_skipped) == (0, 0.0, 2)
+                z = np.log([f.params["alpha"], f.params["beta"]])
+                for lam in np.geomspace(1e-3, 100.0, 12):
+                    best, z = _profile(m, batches[i], lam, z)
+                    assert best - f.avg_log_likelihood <= 1e-9, (m, i, lam)
 
 
 class TestNesting:
