@@ -29,16 +29,20 @@ evaluation (see special). fit_batches fits several models to many batches
 this way; fit_model is fit_batches with one model and one batch.
 
 The noncentral-gamma and proposed fits draw three starts per batch up
-front. Start 0 always runs. Start 1 runs unless lam = 0 is a local
-maximum of the batch's likelihood (see below) and start 0 converged; a
-later start runs only where start 1 ran and did not converge, since it
-can then still change the answer. The driver takes the rows start-major
-(every start 0 and 1, then the later starts) and gates each row by an
-earlier one: skipped if a row up its gate chain has converged when the
-row's turn comes, cancelled if one converges while the row runs,
-discarded if one converges after the row finished. So a fit keeps the
-same runs however its batch was scheduled, and its counts sum over those
-runs only.
+front and run them in restart passes over the batches of one length.
+Pass 1 runs start 0 of every batch, and start 1 where lam = 0 is not a
+local maximum of the batch's likelihood (see below); pass 2 runs start 1
+where it is one and start 0 did not converge; pass 3 runs the later
+starts where start 1 ran and did not converge, since they can then still
+change the answer. The keep rule afterwards drops start 1 where lam = 0
+is a maximum and start 0 converged, and the later starts where start 1
+was dropped or converged. Where a pass's rows and the later starts of
+the batches whose start 1 it runs fit in one set of _MAX_ROWS slots, as
+in every fit_model call, those later starts run in that pass too, and
+the keep rule drops them where start 1 converged; larger passes never
+run a row they drop. A row's run never depends on the rows beside it, so
+a fit keeps the same runs however its batch was scheduled, and its
+counts sum over its kept runs only.
 
 When lam = 0 is a local maximum. Both shifted families contain the gamma
 law at lam = 0, and at the gamma fit (alpha, beta = alpha / mean(y)) the
@@ -67,8 +71,8 @@ lam = 0 at the gamma fit is a local maximum over lam >= 0, and a start 0
 that converged there has found it. This needs the gamma fit to be a
 stationary point: its alpha strictly inside the box, neither degenerate
 nor at the 1e-3 floor. Another maximum at some lam > 0 is not ruled out
-by the curvature; the tests check the gated fits against an independent
-lam-profile optimum.
+by the curvature; the tests check the fits that keep start 0 alone
+against an independent lam-profile optimum.
 """
 
 from __future__ import annotations
@@ -252,9 +256,8 @@ def _projected_grad_norm(grad: np.ndarray, z: np.ndarray, lo: np.ndarray, hi: np
     return float(np.max(np.abs(np.where(at_bound, 0.0, grad))))
 
 
-def _lbfgsb(objective, z0: np.ndarray, bounds, gate=None) -> list[_Run | None]:
-    """L-BFGS-B from each row of z0 (R, d) in lock step; the _Run of every
-    row, or None for a row dropped by its gate.
+def _lbfgsb(objective, z0: np.ndarray, bounds) -> list[_Run]:
+    """L-BFGS-B from each row of z0 (R, d) in lock step; the _Run of every row.
 
     objective(rows, z) takes row indices (k,) and their points z (k, d)
     and returns the values (k,) and the gradients (k, d). Each row keeps
@@ -266,20 +269,8 @@ def _lbfgsb(objective, z0: np.ndarray, bounds, gate=None) -> list[_Run | None]:
     _minimize_lbfgsb, row by row: x0 clipped to the bounds, a point equal
     to the last one evaluated answered from that evaluation, and the
     iteration and evaluation caps checked at each new iterate.
-
-    gate (R,) names for each row another row, or -1 for none. A row whose
-    gate row converges or is dropped is dropped: never loaded if that
-    happened by then, cancelled if it is running (its slot takes the next
-    row), and discarded if it finished first. So a row comes back as None
-    exactly where a row up its gate chain converges, which is fixed by
-    those rows' own runs, and each row that does come back is the same run
-    as without gates. Rows are loaded in order, so a gate should come
-    before its rows.
     """
     n_rows, d = z0.shape
-    gate = [-1] * n_rows if gate is None else list(gate)
-    # Whether each row has finished and converged: the rows it gates are cut.
-    done = [False] * n_rows
     lo = np.array([b[0] for b in bounds], dtype=float)
     hi = np.array([b[1] for b in bounds], dtype=float)
     nbd = np.full(d, 2, dtype=np.int32)
@@ -311,38 +302,27 @@ def _lbfgsb(objective, z0: np.ndarray, bounds, gate=None) -> list[_Run | None]:
     runs: list = [None] * n_rows
     next_row = 0
 
-    def cut(r: int) -> bool:
-        g = gate[r]
-        return g >= 0 and (done[g] or cut(g))
-
-    def load(s: int) -> bool:
-        """Put the next row that is not cut into slot s; False if none is left."""
+    def load(s: int) -> None:
         nonlocal next_row
-        while next_row < n_rows and cut(next_row):
-            next_row += 1
-        if next_row == n_rows:
-            return False
         for arr in state:
             arr[s] = 0
         x[s] = z0[next_row]
         row[s], f[s], seen[s] = next_row, 0.0, None
         nit[s] = nfev[s] = penalties[s] = 0
         next_row += 1
-        return True
 
     def finish(s: int) -> _Run:
         success = bool(task[s, 0] == _CONVERGENCE)
         xs, jac = x[s].copy(), g[s].copy()
         converged = success and _projected_grad_norm(jac, xs, lo, hi) <= tol
-        done[row[s]] = converged
         return _Run(xs, f[s], jac, success, converged, nit[s], nfev[s], penalties[s])
 
-    active = [s for s in range(slots) if load(s)]
+    for s in range(slots):
+        load(s)
+    active = list(range(slots))
     while active:
         asking = []
         for s in active:
-            if cut(row[s]) and not load(s):
-                continue
             xs, gs, was, iwas, ts, ls, iss, ds, lts = views[s]
             while True:
                 setulb(
@@ -364,22 +344,20 @@ def _lbfgsb(objective, z0: np.ndarray, bounds, gate=None) -> list[_Run | None]:
                         ts[:] = _STOP, 502
                 else:
                     runs[row[s]] = finish(s)
-                    if not load(s):
+                    if next_row == n_rows:
                         break
-        # A row cut after it asked is not evaluated; the next step reloads
-        # its slot.
-        live = [s for s in asking if not cut(row[s])]
-        if live:
-            idx = np.array(live)
-            values, grads = objective(np.array([row[s] for s in live]), x[idx])
+                    load(s)
+        if asking:
+            idx = np.array(asking)
+            values, grads = objective(np.array([row[s] for s in asking]), x[idx])
             g[idx] = grads
-            for s, value, grad in zip(live, values.tolist(), grads):
+            for s, value, grad in zip(asking, values.tolist(), grads):
                 f[s] = seen_f[s] = value
                 seen[s], seen_g[s] = views[s][0].tolist(), grad
                 nfev[s] += 1
                 penalties[s] += value == _PENALTY
         active = asking
-    return [None if cut(r) else run for r, run in enumerate(runs)]
+    return runs
 
 
 def _by_length(xs: list[np.ndarray]):
@@ -593,15 +571,13 @@ def _shifted_rows(mean_ll, z: np.ndarray, mlog, m1, sqrt_y):
 def _fit_shifted_batches(model: str, xs, rngs, gammas, mean_ll, extra_start=None):
     """Multi-start fits of an (alpha, beta, lam) family to the batches xs by
     mean_ll(a, b, lam, mean(ln y), mean(y), sqrt(y)) -> (value, gradient in
-    (ln a, ln b, ln lam)), every start of every batch of one length in one
-    lock-step pass. Starts of batch i: its gamma fit gammas[i] with lam
+    (ln a, ln b, ln lam)). Starts of batch i: its gamma fit gammas[i] with lam
     at its floor and near 0, extra_start(y) unless it or its value is None,
     then jitters of the second start drawn from rngs[i]; all are drawn
-    before any search runs. The pass queues the rows start-major: starts 0
-    and 1 of every batch, then the later starts, each gated by its batch's
-    start 1 (see _lbfgsb); start 1 is gated by start 0 where lam = 0 is a
-    local maximum at the gamma fit. A batch reports from the starts it
-    kept, by _pick_start, and its counts sum over those runs."""
+    before any search runs. The starts run in the restart passes of the
+    module docstring, one lock-step pass per restart pass and batch
+    length. A batch reports from the starts the keep rule leaves it, by
+    _pick_start, and its counts sum over those runs."""
     means = [float(np.mean(x)) for x in xs]
     ys = [x / m for x, m in zip(xs, means)]
     starts = []
@@ -620,45 +596,51 @@ def _fit_shifted_batches(model: str, xs, rngs, gammas, mean_ll, extra_start=None
 
     lam_max = [_lam_zero_is_a_maximum(g, y) for g, y in zip(gammas, ys)]
     bounds = [_LN_ALPHA_BOUNDS, _LN_BETA_BOUNDS, _S_BOUNDS]
-    runs: list = [None] * len(xs)
+    runs = [[None] * len(z) for z in starts]
     for group in _by_length(xs):
         # Sufficient statistics of the objective; only the Bessel term needs
         # the full sample vector per evaluation.
         mlog = np.array([float(np.mean(np.log(ys[i]))) for i in group])
         m1 = np.array([float(np.mean(ys[i])) for i in group])
         sqrt_y = np.sqrt(np.stack([ys[i] for i in group]))
-        # Start-major rows (start, batch j, gate): starts 0 and 1 of every
-        # batch, start 1 gated by start 0 where lam = 0 is a maximum, then
-        # the later starts, each gated by its batch's start 1.
-        queue = [
-            (k, j, 2 * j if k == 1 and lam_max[i] else -1)
-            for j, i in enumerate(group)
-            for k in (0, 1)
-        ]
-        queue += [
-            (k, j, 2 * j + 1) for j, i in enumerate(group) for k in range(2, len(starts[i]))
-        ]
-        batch = np.array([j for _, j, _ in queue])
+        pos = {i: j for j, i in enumerate(group)}
 
-        def objective(rows, z, batch=batch, mlog=mlog, m1=m1, sqrt_y=sqrt_y):
-            if mlog.size > 1:
-                k = batch[rows]
-                return _shifted_rows(mean_ll, z, mlog[k], m1[k], sqrt_y[k])
-            return _shifted_rows(mean_ll, z, mlog, m1, sqrt_y)  # they broadcast
+        def run_pass(todo):
+            """Run the starts (i, k) of todo in one lock-step pass, with the
+            later starts of each batch whose start 1 is among them if all
+            fit in one set of _MAX_ROWS slots."""
+            if not todo:
+                return
+            later = [(i, k) for i, s in todo if s == 1 for k in range(2, len(starts[i]))]
+            if len(todo) + len(later) <= _MAX_ROWS:
+                todo = todo + later
+            batch = np.array([pos[i] for i, _ in todo])
 
-        z0 = np.array([starts[group[j]][k] for k, j, _ in queue])
-        group_runs = _lbfgsb(objective, z0, bounds, [gate for _, _, gate in queue])
-        for i in group:
-            runs[i] = [None] * len(starts[i])
-        for (k, j, _), run in zip(queue, group_runs):
-            runs[group[j]][k] = run
+            def objective(rows, z):
+                if mlog.size > 1:
+                    k = batch[rows]
+                    return _shifted_rows(mean_ll, z, mlog[k], m1[k], sqrt_y[k])
+                return _shifted_rows(mean_ll, z, mlog, m1, sqrt_y)  # they broadcast
+
+            z0 = np.array([starts[i][k] for i, k in todo])
+            for (i, k), run in zip(todo, _lbfgsb(objective, z0, bounds)):
+                runs[i][k] = run
+
+        run_pass([(i, k) for i in group for k in (0, 1) if k == 0 or not lam_max[i]])
+        run_pass([(i, 1) for i in group if lam_max[i] and not runs[i][0].converged])
+        run_pass([
+            (i, k) for i in group if runs[i][1] is not None and not runs[i][1].converged
+            for k in range(2, len(starts[i])) if runs[i][k] is None
+        ])
 
     fits = []
-    for x, m, drawn in zip(xs, means, runs):
-        # The runs kept: those no converged start gated off.
-        batch_runs = [run for run in drawn if run is not None]
-        best = _pick_start(batch_runs)
-        z = batch_runs[best].x
+    for x, m, drawn, at_max in zip(xs, means, runs, lam_max):
+        # The keep rule: start 0 alone where lam = 0 is a maximum and start 0
+        # converged, starts 0 and 1 where start 1 converged, else every start.
+        n_kept = 1 if at_max and drawn[0].converged else 2 if drawn[1].converged else len(drawn)
+        kept = drawn[:n_kept]
+        best = _pick_start(kept)
+        z = kept[best].x
         lam = float(_softplus(z[2:])[0])
         if lam < 1e-12:
             lam = 0.0
@@ -666,12 +648,12 @@ def _fit_shifted_batches(model: str, xs, rngs, gammas, mean_ll, extra_start=None
         fits.append(
             _fit_result(
                 model, x, m, params,
-                converged=batch_runs[best].converged,
-                iterations=sum(run.nit for run in batch_runs),
-                evaluations=sum(run.nfev for run in batch_runs),
-                penalties=sum(run.penalties for run in batch_runs),
+                converged=kept[best].converged,
+                iterations=sum(run.nit for run in kept),
+                evaluations=sum(run.nfev for run in kept),
+                penalties=sum(run.penalties for run in kept),
                 start=best,
-                starts_skipped=len(drawn) - len(batch_runs),
+                starts_skipped=len(drawn) - n_kept,
             )
         )
     return fits

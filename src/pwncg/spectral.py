@@ -324,8 +324,8 @@ def _fit_counters(fits: list[FitResult]) -> dict:
     fits not converged and degenerate, the objective evaluations that
     returned the penalty value and all of them, L-BFGS-B iterations, how
     often each start index was the reported one (one count per start of
-    DEFAULT_OPTIMIZER, for every model), and the starts dropped by their
-    gates (FitResult.starts_skipped)."""
+    DEFAULT_OPTIMIZER, for every model), and the starts dropped by the
+    restart passes (FitResult.starts_skipped)."""
     wins = [0] * DEFAULT_OPTIMIZER.restarts
     for f in fits:
         if f.start is not None:

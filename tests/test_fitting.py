@@ -165,9 +165,9 @@ class TestFitProposed:
 class TestRestartChoice:
     """Which start a multi-start fit reports, with the L-BFGS-B driver
     stubbed for the three-parameter searches (the gamma search still runs
-    for real). The stub keeps the driver's gate rule: a row whose gate row
-    converged or was dropped comes back as None. A start past the scripted
-    ones ends above them and converges nowhere."""
+    for real). fit_model's one batch hands the stub its starts in order, so
+    the scripted runs are taken in turn; a start past the scripted ones ends
+    above them and converges nowhere."""
 
     Z0 = np.array([0.1, 0.2, 0.3])
     Z1 = np.array([0.4, 0.5, 0.6])
@@ -177,18 +177,14 @@ class TestRestartChoice:
         real = fitting._lbfgsb
         scripted = iter(runs)
 
-        def stub(objective, z0, bounds, gate=None):
+        def stub(objective, z0, bounds):
             if z0.shape[1] == 1:
-                return real(objective, z0, bounds, gate)
+                return real(objective, z0, bounds)
             out = []
             for _ in z0:
                 z, fval, converged, nit = next(scripted, (self.Z0, 0.0, False, 0))
                 out.append(fitting._Run(z, fval, np.zeros(3), converged, converged, nit, 0, 0))
-            dropped = []
-            for r in range(len(out)):
-                g = -1 if gate is None else gate[r]
-                dropped.append(g >= 0 and (out[g].converged or dropped[g]))
-            return [None if cut else run for cut, run in zip(dropped, out)]
+            return out
 
         monkeypatch.setattr(fitting, "_lbfgsb", stub)
         data = rng_stream(5).gamma(2.0, 1.0, 60)
@@ -253,8 +249,8 @@ class TestRestartChoice:
     def test_start_one_gated_by_start_zero_where_lam_zero_is_a_maximum(
         self, monkeypatch, lam_max
     ):
-        # every start converges; start 0 alone is kept where lam = 0 is a
-        # local maximum at the gamma fit, starts 0 and 1 elsewhere
+        # every start converges; start 0 alone runs and is kept where lam = 0
+        # is a local maximum at the gamma fit, starts 0 and 1 elsewhere
         monkeypatch.setattr(fitting, "_lam_zero_is_a_maximum", lambda gamma, y: lam_max)
         runs = [
             (self.Z0, -1.5, True, 40),
@@ -348,22 +344,26 @@ class TestExactGradient:
         real = fitting._lbfgsb
         calls = []
 
-        def spy(objective, z0, bounds, gate=None):
-            calls.append((objective, real(objective, z0, bounds, gate)))
+        def spy(objective, z0, bounds):
+            calls.append((objective, real(objective, z0, bounds)))
+            assert len(calls[-1][1]) == len(z0)
             return calls[-1][1]
 
         monkeypatch.setattr(fitting, "_lbfgsb", spy)
         rng = rng_stream(15)
         batches = [random_batch(rng) for _ in range(3)]
         batches.append(sample_power(PowerParams(1.0, 1.0, 40.0), rng, size=60))
+        kept = 0
         for i, batch in enumerate(batches):
             for m in FIT_MODELS:
-                fit_model(m, batch, rng=rng_stream(i))
+                fit = fit_model(m, batch, rng=rng_stream(i))
+                if m in ("noncentral_gamma", "proposed"):
+                    kept += DEFAULT_OPTIMIZER.restarts - fit.starts_skipped
         rows = [(obj, r, run) for obj, runs in calls for r, run in enumerate(runs)]
-        ran = [(obj, r, run) for obj, r, run in rows if run is not None]
-        dropped = len(rows) - len(ran)  # skipped or cancelled by their gate
-        assert len(ran) + dropped == len(batches) * (1 + 2 * (1 + DEFAULT_OPTIMIZER.restarts))
-        for obj, r, run in ran:
+        # a gamma row for each of the three models that need one, and at
+        # least the kept starts of the shifted fits
+        assert len(rows) >= 3 * len(batches) + kept
+        for obj, r, run in rows:
             np.testing.assert_array_equal(run.jac, obj(np.array([r]), run.x[None])[1][0])
 
 
@@ -410,13 +410,10 @@ class TestLockStepDriver:
                 )
 
 
-    @pytest.mark.parametrize("max_rows", [2, 64])
-    def test_gated_rows_are_the_ungated_runs_or_none(self, monkeypatch, max_rows):
-        # chains of three rows, j -> n + j -> 2n + j, as the shifted fits
-        # gate starts 0, 1 and 2: a row comes back as None exactly where a
-        # row up its chain converges without gates, and otherwise as its
-        # ungated run. With 2 slots dropped rows wait and are skipped; with
-        # 64 they all start at once and are cancelled.
+    @pytest.mark.parametrize("max_rows", [1, 2, 64])
+    def test_runs_do_not_depend_on_slots_or_row_order(self, monkeypatch, max_rows):
+        # a row's run is the same bit for bit whichever rows share its
+        # evaluations: with max_rows slots, and with the rows shuffled
         n = 6
         rng = rng_stream(21)
         ys = [b / b.mean() for b in (random_batch(rng, size=20) for _ in range(n))]
@@ -428,42 +425,26 @@ class TestLockStepDriver:
         bounds = [fitting._LN_ALPHA_BOUNDS, fitting._LN_BETA_BOUNDS, fitting._S_BOUNDS]
         batch = np.tile(np.arange(n), 3)
         z0 = rng.normal(0.0, 1.0, (3 * n, 3)) * np.array([1.0, 1.0, 3.0])
-        evaluated = set()
 
-        def objective(rows, z):
-            evaluated.update(rows.tolist())
-            k = batch[rows]
-            return fitting._shifted_rows(
-                fitting._proposed_mean_ll, z, *(a[k] for a in stats)
-            )
+        def runs(order):
+            def objective(rows, z):
+                k = batch[order[rows]]
+                return fitting._shifted_rows(
+                    fitting._proposed_mean_ll, z, *(a[k] for a in stats)
+                )
 
-        free = fitting._lbfgsb(objective, z0, bounds)
-        # a chain whose first row converges and whose second does not, one
-        # cut at its second row, and one that runs through
-        chains = [(free[j].converged, free[n + j].converged) for j in range(n)]
-        assert {(True, False), (False, True), (False, False)} <= set(chains)
+            out = fitting._lbfgsb(objective, z0[order], bounds)
+            assert len(out) == len(order)
+            return [out[r] for r in np.argsort(order)]
+
+        ref = runs(np.arange(3 * n))
+        assert {run.converged for run in ref} == {True, False}
         monkeypatch.setattr(fitting, "_MAX_ROWS", max_rows)
-        evaluated.clear()
-        gate = [-1] * n + list(range(2 * n))
-        gated = fitting._lbfgsb(objective, z0, bounds, gate)
-        for r in range(3 * n):
-            ancestors = []
-            g = gate[r]
-            while g >= 0:
-                ancestors.append(g)
-                g = gate[g]
-            if any(free[a].converged for a in ancestors):
-                assert gated[r] is None
-            else:
-                assert gated[r] is not None
-                np.testing.assert_array_equal(gated[r].x, free[r].x)
-                np.testing.assert_array_equal(gated[r].jac, free[r].jac)
-                assert gated[r]._replace(x=None, jac=None) == free[r]._replace(x=None, jac=None)
-        dropped = [r for r in range(3 * n) if gated[r] is None]
-        if max_rows == 2:
-            assert not evaluated.intersection(dropped)
-        else:
-            assert evaluated.issuperset(dropped)
+        for order in (np.arange(3 * n), rng.permutation(3 * n)):
+            for a, b in zip(runs(order), ref):
+                np.testing.assert_array_equal(a.x, b.x)
+                np.testing.assert_array_equal(a.jac, b.jac)
+                assert a._replace(x=None, jac=None) == b._replace(x=None, jac=None)
 
 
 # Small batches of positive values, derandomized: each property runs on a
@@ -557,38 +538,42 @@ class TestFitBatches:
         assert alone["exponential"] == together["exponential"] and calls == []
 
     def test_results_do_not_depend_on_the_pass(self, monkeypatch):
-        # 70 batches queue 140 rows of starts 0 and 1 before any later
-        # start, more than the 64 in flight, so later starts wait and are
-        # skipped where start 1 has converged; fit_model on one batch runs
-        # all three starts at once and cancels or discards start 2 instead.
-        # Every field of every fit is the same either way.
-        real = fitting._lbfgsb
-        never_run = []
+        # 70 batches put 70 starts 0 and up to 70 starts 1 in the first pass,
+        # more than the 64 slots, so the later starts wait for a pass of
+        # their own and run only where start 1 did not converge: the rows
+        # the objectives evaluate are exactly the evaluations the fits
+        # report. With 1000 slots the later starts run in the first pass and
+        # are dropped afterwards where start 1 converged, as in fit_model on
+        # one batch. Every field of every fit is the same either way.
+        real = fitting._shifted_rows
+        evaluated = {}
 
-        def spy(objective, z0, bounds, gate=None):
-            evaluated = set()
+        def spy(mean_ll, z, *batch_stats):
+            evaluated[mean_ll] = evaluated.get(mean_ll, 0) + len(z)
+            return real(mean_ll, z, *batch_stats)
 
-            def counting(rows, z):
-                evaluated.update(rows.tolist())
-                return objective(rows, z)
-
-            runs = real(counting, z0, bounds, gate)
-            never_run.append(sum(run is None and r not in evaluated for r, run in enumerate(runs)))
-            return runs
-
+        monkeypatch.setattr(fitting, "_shifted_rows", spy)
         rng = rng_stream(19)
         batches = [random_batch(rng, size=20) for _ in range(70)]
-        models = ("noncentral_gamma", "proposed")
-        monkeypatch.setattr(fitting, "_lbfgsb", spy)
-        together = fitting.fit_batches(models, batches, [rng_stream(40 + i) for i in range(70)])
-        assert never_run[1] > 0 and never_run[2] > 0
-        never_run.clear()
-        assert all(sum(f.starts_skipped for f in together[m]) > 0 for m in models)
+        models = {
+            "noncentral_gamma": fitting._noncentral_gamma_mean_ll,
+            "proposed": fitting._proposed_mean_ll,
+        }
+        passes = fitting.fit_batches(models, batches, [rng_stream(40 + i) for i in range(70)])
+        for m, mean_ll in models.items():
+            assert sum(f.starts_skipped for f in passes[m]) > 0
+            assert evaluated[mean_ll] == sum(f.evaluations for f in passes[m])
+        evaluated.clear()
+        monkeypatch.setattr(fitting, "_MAX_ROWS", 1000)
+        early = fitting.fit_batches(models, batches, [rng_stream(40 + i) for i in range(70)])
+        for m, mean_ll in models.items():
+            assert evaluated[mean_ll] > sum(f.evaluations for f in early[m])
+        monkeypatch.undo()
         for i, batch in enumerate(batches):
             stream = rng_stream(40 + i)
             for m in models:
-                assert together[m][i] == fit_model(m, batch, rng=stream)
-        assert sum(never_run) == 0
+                assert passes[m][i] == early[m][i] == fit_model(m, batch, rng=stream)
+
 
     def test_repeated_or_unknown_model_rejected(self):
         batches = [rng_stream(17).gamma(1.0, 1.0, 30)]
@@ -642,8 +627,9 @@ def _profile(model, x, lam, z0):
 
 
 class TestLamZeroGate:
-    """Start 1 is gated by start 0 where lam = 0 is a local maximum at the
-    gamma fit (fitting._lam_zero_is_a_maximum)."""
+    """Where lam = 0 is a local maximum at the gamma fit
+    (fitting._lam_zero_is_a_maximum), start 1 runs only if start 0 did not
+    converge."""
 
     @pytest.mark.parametrize("model", ["noncentral_gamma", "proposed"])
     @pytest.mark.parametrize("kind", ["lognormal", "uniform"])
