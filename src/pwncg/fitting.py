@@ -28,6 +28,19 @@ row's value and gradient never depend on which other rows share its
 evaluation (see special). fit_batches fits several models to many batches
 this way; fit_model is fit_batches with one model and one batch.
 
+The batches of one length form a group (_Group), and the work around the
+optimizer runs once per group, on (R, n) and (R,) arrays, not once per batch:
+validation; the statistics every model shares (the means, and mean ln y,
+mean y, var y, sqrt y of the normalized batches y, and ln x), each
+computed once; each model's starts, lam = 0 test, keep rule and flags;
+and the reported log-likelihoods, one row-batched value-only pass per
+model (Model.log_likelihoods), whose one-row case is
+Model.log_likelihood. A row reduction over a C-contiguous (R, n) array
+gives what np.mean, np.var and np.sum give on the row alone, and the
+scalar steps that math.exp, math.log or a float power take on one batch
+keep them per element, so every reported number is the one the
+single-batch densities of distributions give.
+
 The noncentral-gamma and proposed fits draw three starts per batch up
 front and run them in restart passes over the batches of one length.
 Pass 1 runs start 0 of every batch, and start 1 where lam = 0 is not a
@@ -88,27 +101,26 @@ from scipy.optimize import minimize  # noqa: F401  (bound for perfbench: see bel
 from scipy.optimize._lbfgsb import setulb
 from scipy.special import digamma, gammaln, stdtr
 
-from .distributions import (
-    PowerParams,
-    log_pdf_exponential,
-    log_pdf_gamma,
-    log_pdf_noncentral_gamma,
-    log_pdf_power,
-)
-from .special import (  # noqa: F401  (the value-only kernels: see below)
+from .distributions import log_pdf_noncentral_gamma, log_pdf_power  # noqa: F401  (see below)
+from .special import (
     _log_bessel_i_nu_grad,
     _log_i0_grad,
     _log_i0_unchecked,
+    _log_iv_padded,
     _log_laguerre_neg_grad,
+    _log_laguerre_neg_rows,
     log_bessel_i_nu,
     log_laguerre_neg,
 )
 
-# The objectives call the row-batched value-and-gradient kernels, and the
-# driver calls L-BFGS-B's core directly. No fit path calls minimize or the
-# value-only _log_i0_unchecked, log_bessel_i_nu and log_laguerre_neg; they
-# stay bound here because perfbench/tracing.py traces these bindings and
-# the noncentral_batches workload wraps log_laguerre_neg.
+# The objectives call the row-batched value-and-gradient kernels, and
+# _lbfgsb calls L-BFGS-B's core directly. The log-likelihood passes call the
+# row-batched value-only kernels: _log_i0_unchecked once per group, and
+# log_bessel_i_nu and log_laguerre_neg only for a batch the row kernels
+# cannot give (see _noncentral_gamma_ll and _proposed_ll). No fit path calls
+# minimize, log_pdf_power or log_pdf_noncentral_gamma; perfbench/tracing.py
+# traces all these bindings, and the noncentral_batches workload wraps
+# log_laguerre_neg.
 
 __all__ = [
     "FitResult",
@@ -132,6 +144,7 @@ __all__ = [
 _LN_ALPHA_BOUNDS = (math.log(1e-3), math.log(1e3))
 _LN_BETA_BOUNDS = (math.log(1e-8), math.log(1e8))
 _S_BOUNDS = (-40.0, 5000.0)
+_SHIFTED_BOUNDS = [_LN_ALPHA_BOUNDS, _LN_BETA_BOUNDS, _S_BOUNDS]
 _ALPHA_DEGENERATE = 0.99 * 1e3
 
 # The value an objective returns, with a zero gradient, where it is not
@@ -368,29 +381,161 @@ def _by_length(xs: list[np.ndarray]):
     return [np.array(idx) for idx in groups.values()]
 
 
-def _fit_result(model: str, x: np.ndarray, m: float, params, converged=True, iterations=0,
-                evaluations=0, penalties=0, start=None, starts_skipped=0):
-    """The FitResult of a model at fitted params on batch x of mean m. A fit
-    with a shape is degenerate when the shape ran into its bound or the
-    normalized batch x / m has zero variance."""
-    if not all(map(math.isfinite, params.values())):
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """np.add.reduce(a, axis=1): on a C-contiguous a, what np.sum gives on
+    each row alone."""
+    return np.add.reduce(a, axis=1)
+
+
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """np.mean(a, axis=1), without its Python-level wrapper."""
+    return np.add.reduce(a, axis=1) / a.shape[1]
+
+
+class _Group:
+    """The batches of one length: the rows of x (R, n), at indices idx of
+    the batch list, with their means, and the statistics of the normalized
+    batches y = x / mean that every model's fit and log-likelihood pass
+    share, each computed once, on first use. Each row reduction gives what
+    np.mean, np.var or np.sum gives on the row alone."""
+
+    def __init__(self, idx: np.ndarray, x: np.ndarray, mean: np.ndarray):
+        self.idx, self.x, self.mean = idx, x, mean
+        self.size = idx.size
+
+    @functools.cached_property
+    def log_x(self) -> np.ndarray:
+        return np.log(self.x)
+
+    @functools.cached_property
+    def y(self) -> np.ndarray:
+        return self.x / self.mean[:, None]
+
+    @functools.cached_property
+    def mean_log_y(self) -> np.ndarray:
+        return _row_mean(np.log(self.y))
+
+    @functools.cached_property
+    def mean_y(self) -> np.ndarray:
+        return _row_mean(self.y)
+
+    @functools.cached_property
+    def var_y(self) -> np.ndarray:
+        return np.var(self.y, axis=1)
+
+    @functools.cached_property
+    def sqrt_y(self) -> np.ndarray:
+        return np.sqrt(self.y)
+
+
+def _group_mean(x: np.ndarray):
+    """The row means of x (R, n), or None unless every row is a valid
+    batch (as _validate_batch checks)."""
+    if not (x.size and x.min() > 0.0 and x.max() < math.inf):  # a NaN fails both
+        return None
+    with np.errstate(over="ignore"):
+        mean = _row_mean(x)
+    return mean if np.isfinite(mean).all() else None
+
+
+class _Batches:
+    """The batches of one fit_batches call, validated and grouped by
+    length: groups holds a _Group per length, in order of each length's
+    first batch, and slots[i] is the (group, row) of batch i. len() is the
+    number of batches."""
+
+    def __init__(self, batches):
+        xs = [np.asarray(b, dtype=float).ravel() for b in batches]
+        self.groups = []
+        self.slots: list = [None] * len(xs)
+        for j, idx in enumerate(_by_length(xs)):
+            x = np.stack([xs[i] for i in idx])
+            mean = _group_mean(x)
+            if mean is None:
+                for b in xs:
+                    _validate_batch(b)  # raises the error of the first invalid batch
+            self.groups.append(_Group(idx, x, mean))
+            for r, i in enumerate(idx.tolist()):
+                self.slots[i] = (j, r)
+
+    def __len__(self) -> int:
+        return len(self.slots)
+
+
+class _GroupFit(NamedTuple):
+    """One model's fits to the batches of a group: the fitted params by
+    name, and the other FitResult fields, each an (R,) array or a value
+    that every row shares."""
+
+    params: dict
+    degenerate: np.ndarray | bool = False
+    converged: np.ndarray | bool = True
+    iterations: np.ndarray | int = 0
+    evaluations: np.ndarray | int = 0
+    penalties: np.ndarray | int = 0
+    start: np.ndarray | None = None
+    starts_skipped: np.ndarray | int = 0
+
+
+def _math_exp(v: np.ndarray) -> np.ndarray:
+    """math.exp of each element. The fits and the densities take exp and
+    ln of scalar parameters with math, which differs from numpy's exp and
+    log in the last bit of some doubles; these keep the reported numbers."""
+    return np.array([math.exp(e) for e in v.tolist()])
+
+
+def _math_log(v: np.ndarray) -> np.ndarray:
+    """math.log of each element (see _math_exp)."""
+    return np.array([math.log(e) for e in v.tolist()])
+
+
+def _degenerate(alpha: np.ndarray, g: _Group) -> np.ndarray:
+    """A fit with a shape is degenerate when the shape ran into its bound
+    or the normalized batch has zero variance."""
+    return (alpha >= _ALPHA_DEGENERATE) | (g.var_y == 0.0)
+
+
+def _checked(batches: _Batches, fits: list[_GroupFit]) -> list[_GroupFit]:
+    """fits, one per group, unless a fitted rate overflowed: then a
+    ValueError naming the mean of the first such batch."""
+    bad = []
+    for g, fit in zip(batches.groups, fits):
+        finite = np.logical_and.reduce([np.isfinite(v) for v in fit.params.values()])
+        bad += [(int(g.idx[r]), float(g.mean[r])) for r in np.flatnonzero(~finite)]
+    if bad:
+        m = min(bad)[1]
         raise ValueError(f"batch mean {m:g} makes a fitted rate overflow; rescale the batch")
-    ll = MODELS[model].log_likelihood(x, params)
-    alpha = params.get("alpha")
-    degenerate = alpha is not None and (alpha >= _ALPHA_DEGENERATE or float(np.var(x / m)) == 0.0)
-    return FitResult(
-        model, params, ll, ll / x.size, converged, iterations, degenerate, evaluations,
-        penalties, start, starts_skipped,
-    )
+    return fits
 
 
-def _fit_exponential_batches(xs: list[np.ndarray]) -> list[FitResult]:
+def _fit_results(model: str, batches: _Batches, fits: list[_GroupFit]) -> list[FitResult]:
+    """The FitResult of every batch, in batch order, from model's fits to
+    each group; the log-likelihoods of a group come from one call of the
+    model's log_likelihoods."""
+    out: list = [None] * len(batches)
+    for g, fit in zip(batches.groups, fits):
+        ll = MODELS[model].log_likelihoods(g.x, g.log_x, fit.params)
+        names = list(fit.params)
+        params = [dict(zip(names, v)) for v in zip(*(fit.params[k].tolist() for k in names))]
+        fields = [ll.tolist(), (ll / g.x.shape[1]).tolist()] + [
+            v.tolist() if isinstance(v, np.ndarray) else [v] * g.size
+            for v in (
+                fit.converged, fit.iterations, fit.degenerate, fit.evaluations,
+                fit.penalties, fit.start, fit.starts_skipped,
+            )
+        ]
+        for i, p, row in zip(g.idx.tolist(), params, zip(*fields)):
+            out[i] = FitResult(model, p, *row)
+    return out
+
+
+def _fit_exponential_batches(batches: _Batches) -> list[_GroupFit]:
     """Closed-form exponential fits: rate = 1 / sample mean."""
     fits = []
-    for x in xs:
-        m = float(np.mean(x))
-        fits.append(_fit_result("exponential", x, m, {"rate": 1.0 / m}))
-    return fits
+    for g in batches.groups:
+        with np.errstate(over="ignore"):
+            fits.append(_GroupFit({"rate": 1.0 / g.mean}))
+    return _checked(batches, fits)
 
 
 def _gamma_rows(z: np.ndarray, mlog_y: np.ndarray):
@@ -403,51 +548,63 @@ def _gamma_rows(z: np.ndarray, mlog_y: np.ndarray):
     return value, (-a * (log_a - digamma(a) + mlog_y))[:, None]
 
 
-def _fit_gamma_batches(xs: list[np.ndarray]) -> list[FitResult]:
-    """Gamma fits by profile likelihood over the shape, one row per batch."""
-    means = [float(np.mean(x)) for x in xs]
-    mlog = np.array([float(np.mean(np.log(x / m))) for x, m in zip(xs, means)])
-    z0 = np.empty((len(xs), 1))
-    for i, mlog_y in enumerate(mlog):
-        # Moment-style initialization from the log-mean gap; the gap vanishes
-        # for constant batches, where the likelihood is maximized at the bound.
-        gap = -mlog_y
-        if gap > 1e-12:
-            a0 = (3.0 - gap + math.sqrt((gap - 3.0) ** 2 + 24.0 * gap)) / (12.0 * gap)
-            a0 = min(max(a0, 1.05e-3), 0.95e3)
-        else:
-            a0 = 10.0
-        z0[i, 0] = math.log(a0)
+def _gamma_start(mlog_y: float) -> float:
+    """ln of the shape the gamma search starts from, for a batch with
+    mean(ln y) = mlog_y: a moment-style initialization from the log-mean
+    gap, which vanishes for constant batches, where the likelihood is
+    maximized at the bound."""
+    gap = -mlog_y
+    if gap > 1e-12:
+        a0 = (3.0 - gap + math.sqrt((gap - 3.0) ** 2 + 24.0 * gap)) / (12.0 * gap)
+        a0 = min(max(a0, 1.05e-3), 0.95e3)
+    else:
+        a0 = 10.0
+    return math.log(a0)
+
+
+def _fit_gamma_batches(batches: _Batches) -> list[_GroupFit]:
+    """Gamma fits by profile likelihood over the shape, one row per batch
+    of every group in one lock-step pass."""
+    if not batches.groups:
+        return []
+    mlog = np.concatenate([g.mean_log_y for g in batches.groups])
+    z0 = np.array([_gamma_start(v) for v in mlog.tolist()])[:, None]
     runs = _lbfgsb(lambda rows, z: _gamma_rows(z, mlog[rows]), z0, [_LN_ALPHA_BOUNDS])
+    ln_alpha = np.array([run.x[0] for run in runs])
+    converged = np.array([run.converged for run in runs])
+    counts = np.array([(run.nit, run.nfev, run.penalties) for run in runs])
     # The exponential point (alpha = 1) is kept as a closed-form candidate
     # so the fitted likelihood can never fall below the exponential one.
-    at_one = _gamma_rows(np.zeros((len(xs), 1)), mlog)[0]
-    fits = []
-    for x, m, run, one in zip(xs, means, runs, at_one):
-        if one < run.fun:
-            run = run._replace(x=np.zeros(1), fun=float(one), converged=True)
-        alpha = math.exp(float(run.x[0]))
-        params = {"alpha": alpha, "beta": alpha / m}
+    at_one = _gamma_rows(np.zeros((mlog.size, 1)), mlog)[0] < [run.fun for run in runs]
+    ln_alpha[at_one] = 0.0
+    converged[at_one] = True
+    alpha = _math_exp(ln_alpha)
+    fits, first = [], 0
+    for g in batches.groups:
+        rows = slice(first, first + g.size)
+        first += g.size
+        with np.errstate(over="ignore"):
+            beta = alpha[rows] / g.mean
+        nit, nfev, penalties = counts[rows].T
         fits.append(
-            _fit_result("gamma", x, m, params, run.converged, run.nit, run.nfev, run.penalties, 0)
+            _GroupFit(
+                {"alpha": alpha[rows], "beta": beta}, _degenerate(alpha[rows], g),
+                converged[rows], nit, nfev, penalties, 0,
+            )
         )
-    return fits
+    return _checked(batches, fits)
 
 
-def _moment_matched_start(y: np.ndarray):
-    """Method-of-moments start from the noncentral-gamma cumulants.
+def _moment_matched_start(m: float, v: float, k3: float):
+    """Method-of-moments start from the noncentral-gamma cumulants, for a
+    batch of mean m, variance v and third central moment k3.
 
     Solving mean = (alpha+lam)/beta, var = (alpha+2lam)/beta^2 and the
     third cumulant 2(alpha+3lam)/beta^3 gives a quadratic in beta; valid
     roots yield a positive (alpha, lam) pair. Returns None when the sample
     skewness makes the system infeasible.
     """
-    m = float(np.mean(y))
-    v = float(np.var(y))
-    if v <= 0.0:
-        return None
-    k3 = float(np.mean((y - m) ** 3))
-    if k3 <= 0.0:
+    if v <= 0.0 or k3 <= 0.0:
         return None
     s = k3 / v**1.5
     disc = 16.0 * v * v - 8.0 * s * v**1.5 * m
@@ -466,19 +623,34 @@ def _moment_matched_start(y: np.ndarray):
     return None
 
 
+def _moment_matched_starts(g: _Group) -> list:
+    """_moment_matched_start of each normalized batch of g."""
+    k3 = _row_mean((g.y - g.mean_y[:, None]) ** 3)
+    return [
+        _moment_matched_start(m, v, k)
+        for m, v, k in zip(g.mean_y.tolist(), g.var_y.tolist(), k3.tolist())
+    ]
+
+
 # The alpha the gamma fit reports at the floor of its box.
 _ALPHA_FLOOR = math.exp(_LN_ALPHA_BOUNDS[0])
 
 
-def _lam_zero_is_a_maximum(gamma: FitResult, y: np.ndarray) -> bool:
-    """Whether lam = 0 at the gamma fit gamma of batch y is a local maximum
-    of both shifted families' likelihoods: alpha v > 1, v = var(y) /
-    mean(y)^2, with alpha strictly inside its box (see the module
-    docstring)."""
-    alpha = gamma.params["alpha"]
-    if gamma.degenerate or alpha <= _ALPHA_FLOOR:
-        return False
-    return alpha * float(np.var(y)) / float(np.mean(y)) ** 2 > 1.0
+def _lam_zero_is_a_maximum(alpha, degenerate, var_y, mean_y) -> np.ndarray:
+    """Whether lam = 0 at a gamma fit of shape alpha[r], flagged
+    degenerate[r], of a normalized batch y with var(y) = var_y[r] and
+    mean(y) = mean_y[r], is a local maximum of both shifted families'
+    likelihoods: alpha v > 1, v = var(y) / mean(y)^2, with alpha strictly
+    inside its box (see the module docstring). (R,) bools."""
+    return np.array(
+        [
+            not d and a > _ALPHA_FLOOR and a * v / m**2 > 1.0
+            for a, d, v, m in zip(
+                alpha.tolist(), degenerate.tolist(), var_y.tolist(), mean_y.tolist()
+            )
+        ],
+        dtype=bool,
+    )
 
 
 # Starts whose objectives lie within this fraction of max(1, |best|) of the
@@ -486,23 +658,22 @@ def _lam_zero_is_a_maximum(gamma: FitResult, y: np.ndarray) -> bool:
 _TIE_RTOL = 1e-10
 
 
-def _pick_start(runs: list[_Run]) -> int:
-    """The index of the run a multi-start fit reports.
+def _pick_start(fun: np.ndarray, converged: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """The index of the start each row's multi-start fit reports, from the
+    objectives fun, converged flags and kept masks of its starts (R, K).
 
-    That is the first run with the lowest objective, unless another run
-    tied with it (within _TIE_RTOL) met the gradient tolerance: then the
-    first such converged run. Otherwise the converged flag of a fit would
-    follow last-bit differences between starts that found the same optimum.
+    That is the first kept start with the lowest objective, unless another
+    kept start tied with it (within _TIE_RTOL) met the gradient tolerance:
+    then the first such converged one. Otherwise the converged flag of a
+    fit would follow last-bit differences between starts that found the
+    same optimum.
     """
-    best = min(range(len(runs)), key=lambda i: runs[i].fun)
-    tol = _TIE_RTOL * max(1.0, abs(runs[best].fun))
-    limit = runs[best].fun + tol
-    return next((i for i, run in enumerate(runs) if run.converged and run.fun <= limit), best)
-
-
-def _row_mean(a: np.ndarray) -> np.ndarray:
-    """np.mean(a, axis=1), without its Python-level wrapper."""
-    return np.add.reduce(a, axis=1) / a.shape[1]
+    low_fun = np.where(kept, fun, np.inf)
+    best = np.argmin(low_fun, axis=1)
+    low = low_fun[np.arange(len(fun)), best]
+    limit = low + _TIE_RTOL * np.maximum(1.0, np.abs(low))
+    tied = kept & converged & (fun <= limit[:, None])
+    return np.where(tied.any(axis=1), tied.argmax(axis=1), best)
 
 
 def _noncentral_gamma_mean_ll(a, b, lam, mlog, m1, sqrt_y):
@@ -568,95 +739,171 @@ def _shifted_rows(mean_ll, z: np.ndarray, mlog, m1, sqrt_y):
     return value, grad
 
 
-def _fit_shifted_batches(model: str, xs, rngs, gammas, mean_ll, extra_start=None):
-    """Multi-start fits of an (alpha, beta, lam) family to the batches xs by
-    mean_ll(a, b, lam, mean(ln y), mean(y), sqrt(y)) -> (value, gradient in
-    (ln a, ln b, ln lam)). Starts of batch i: its gamma fit gammas[i] with lam
-    at its floor and near 0, extra_start(y) unless it or its value is None,
-    then jitters of the second start drawn from rngs[i]; all are drawn
-    before any search runs. The starts run in the restart passes of the
-    module docstring, one lock-step pass per restart pass and batch
-    length. A batch reports from the starts the keep rule leaves it, by
-    _pick_start, and its counts sum over those runs."""
-    means = [float(np.mean(x)) for x in xs]
-    ys = [x / m for x, m in zip(xs, means)]
-    starts = []
-    for y, rng, g in zip(ys, rngs, gammas):
-        ln_ag = math.log(g.params["alpha"])
+def _fit_shifted_batches(batches: _Batches, rngs, gammas, mean_ll, extra_start=None):
+    """Multi-start fits of an (alpha, beta, lam) family to every group of
+    batches by mean_ll(a, b, lam, mean(ln y), mean(y), sqrt(y)) -> (value,
+    gradient in (ln a, ln b, ln lam)), as a _GroupFit per group. Starts of
+    a batch: its gamma fit (gammas, per group) with lam at its floor and
+    near 0, extra_start(group)'s start for it unless that is None, then
+    jitters of the second start drawn from its rng; all are drawn, in batch
+    order, before any search runs."""
+    restarts = DEFAULT_OPTIMIZER.restarts
+    starts, counts = [], []
+    for g, gamma in zip(batches.groups, gammas):
+        z = np.zeros((g.size, max(3, restarts), 3))
         # beta of the gamma fit on the normalized batch equals its alpha.
-        z = [np.array([ln_ag, ln_ag, _S_BOUNDS[0]]), np.array([ln_ag, ln_ag, _softplus_inv(0.01)])]
+        z[:, :2, :2] = _math_log(gamma.params["alpha"])[:, None, None]
+        z[:, 0, 2] = _S_BOUNDS[0]
+        z[:, 1, 2] = _softplus_inv(0.01)
+        count = np.full(g.size, 2)
         if extra_start is not None:
-            z0 = extra_start(y)
-            if z0 is not None:
-                z.append(z0)
-        while len(z) < DEFAULT_OPTIMIZER.restarts and rng is not None:
-            jitter = rng.normal(scale=0.5, size=3)
-            z.append(z[1] + jitter * np.array([1.0, 1.0, 2.0]))
+            for r, z0 in enumerate(extra_start(g)):
+                if z0 is not None:
+                    z[r, 2] = z0
+                    count[r] = 3
         starts.append(z)
+        counts.append(count)
+    scale = np.array([1.0, 1.0, 2.0])
+    for (j, r), rng in zip(batches.slots, rngs):
+        while rng is not None and counts[j][r] < restarts:
+            jitter = rng.normal(scale=0.5, size=3)
+            starts[j][r, counts[j][r]] = starts[j][r, 1] + jitter * scale
+            counts[j][r] += 1
+    fits = [
+        _fit_shifted_group(g, z, count, gamma, mean_ll)
+        for g, z, count, gamma in zip(batches.groups, starts, counts, gammas)
+    ]
+    return _checked(batches, fits)
 
-    lam_max = [_lam_zero_is_a_maximum(g, y) for g, y in zip(gammas, ys)]
-    bounds = [_LN_ALPHA_BOUNDS, _LN_BETA_BOUNDS, _S_BOUNDS]
-    runs = [[None] * len(z) for z in starts]
-    for group in _by_length(xs):
-        # Sufficient statistics of the objective; only the Bessel term needs
-        # the full sample vector per evaluation.
-        mlog = np.array([float(np.mean(np.log(ys[i]))) for i in group])
-        m1 = np.array([float(np.mean(ys[i])) for i in group])
-        sqrt_y = np.sqrt(np.stack([ys[i] for i in group]))
-        pos = {i: j for j, i in enumerate(group)}
 
-        def run_pass(todo):
-            """Run the starts (i, k) of todo in one lock-step pass, with the
-            later starts of each batch whose start 1 is among them if all
-            fit in one set of _MAX_ROWS slots."""
-            if not todo:
-                return
-            later = [(i, k) for i, s in todo if s == 1 for k in range(2, len(starts[i]))]
-            if len(todo) + len(later) <= _MAX_ROWS:
-                todo = todo + later
-            batch = np.array([pos[i] for i, _ in todo])
+def _fit_shifted_group(g: _Group, starts, count, gamma: _GroupFit, mean_ll) -> _GroupFit:
+    """The fits of one group from its starts (R, K, 3), count[r] of them
+    drawn for batch r, run in the restart passes of the module docstring,
+    one lock-step pass each. A batch reports from the starts the keep rule
+    leaves it, by _pick_start, and its counts sum over those runs."""
+    n_rows, width = starts.shape[:2]
+    lam_max = _lam_zero_is_a_maximum(gamma.params["alpha"], gamma.degenerate, g.var_y, g.mean_y)
+    k = np.arange(width)
+    drawn = k < count[:, None]
+    ran = np.zeros((n_rows, width), dtype=bool)
+    converged = np.zeros((n_rows, width), dtype=bool)
+    fun = np.zeros((n_rows, width))
+    end = np.zeros((n_rows, width, 3))
+    nit, nfev, penalties = (np.zeros((n_rows, width), dtype=int) for _ in range(3))
+    # Sufficient statistics of the objective; only the Bessel term needs
+    # the full sample vector per evaluation.
+    stats = (g.mean_log_y, g.mean_y, g.sqrt_y)
 
-            def objective(rows, z):
-                if mlog.size > 1:
-                    k = batch[rows]
-                    return _shifted_rows(mean_ll, z, mlog[k], m1[k], sqrt_y[k])
-                return _shifted_rows(mean_ll, z, mlog, m1, sqrt_y)  # they broadcast
+    def run_pass(todo):
+        """Run the starts todo (R, K) in one lock-step pass, with the later
+        starts of each batch whose start 1 is among them if all fit in one
+        set of _MAX_ROWS slots."""
+        later = drawn & todo[:, 1:2] & (k >= 2)
+        if todo.sum() + later.sum() <= _MAX_ROWS:
+            todo = todo | later
+        rows, cols = np.nonzero(todo)
+        if not rows.size:
+            return
 
-            z0 = np.array([starts[i][k] for i, k in todo])
-            for (i, k), run in zip(todo, _lbfgsb(objective, z0, bounds)):
-                runs[i][k] = run
+        def objective(sel, z):
+            if n_rows > 1:
+                b = rows[sel]
+                return _shifted_rows(mean_ll, z, *(s[b] for s in stats))
+            return _shifted_rows(mean_ll, z, *stats)  # they broadcast
 
-        run_pass([(i, k) for i in group for k in (0, 1) if k == 0 or not lam_max[i]])
-        run_pass([(i, 1) for i in group if lam_max[i] and not runs[i][0].converged])
-        run_pass([
-            (i, k) for i in group if runs[i][1] is not None and not runs[i][1].converged
-            for k in range(2, len(starts[i])) if runs[i][k] is None
-        ])
+        runs = _lbfgsb(objective, starts[rows, cols], _SHIFTED_BOUNDS)
+        ran[rows, cols] = True
+        converged[rows, cols] = [run.converged for run in runs]
+        fun[rows, cols] = [run.fun for run in runs]
+        end[rows, cols] = [run.x for run in runs]
+        nit[rows, cols] = [run.nit for run in runs]
+        nfev[rows, cols] = [run.nfev for run in runs]
+        penalties[rows, cols] = [run.penalties for run in runs]
 
-    fits = []
-    for x, m, drawn, at_max in zip(xs, means, runs, lam_max):
-        # The keep rule: start 0 alone where lam = 0 is a maximum and start 0
-        # converged, starts 0 and 1 where start 1 converged, else every start.
-        n_kept = 1 if at_max and drawn[0].converged else 2 if drawn[1].converged else len(drawn)
-        kept = drawn[:n_kept]
-        best = _pick_start(kept)
-        z = kept[best].x
-        lam = float(_softplus(z[2:])[0])
-        if lam < 1e-12:
-            lam = 0.0
-        params = {"alpha": math.exp(float(z[0])), "beta": math.exp(float(z[1])) / m, "lambda": lam}
-        fits.append(
-            _fit_result(
-                model, x, m, params,
-                converged=kept[best].converged,
-                iterations=sum(run.nit for run in kept),
-                evaluations=sum(run.nfev for run in kept),
-                penalties=sum(run.penalties for run in kept),
-                start=best,
-                starts_skipped=len(drawn) - n_kept,
-            )
-        )
-    return fits
+    run_pass((k == 0) | ((k == 1) & ~lam_max[:, None]))
+    run_pass((k == 1) & (lam_max & ~converged[:, 0])[:, None])
+    run_pass(drawn & ~ran & (k >= 2) & (ran[:, 1] & ~converged[:, 1])[:, None])
+
+    # The keep rule: start 0 alone where lam = 0 is a maximum and start 0
+    # converged, starts 0 and 1 where start 1 converged, else every start.
+    n_kept = np.where(lam_max & converged[:, 0], 1, np.where(converged[:, 1], 2, count))
+    kept = k < n_kept[:, None]
+    best = _pick_start(fun, converged, kept)
+    z = end[np.arange(n_rows), best]
+    lam = _softplus(np.ascontiguousarray(z[:, 2]))
+    lam[lam < 1e-12] = 0.0
+    alpha = _math_exp(z[:, 0])
+    with np.errstate(over="ignore"):
+        beta = _math_exp(z[:, 1]) / g.mean
+    return _GroupFit(
+        {"alpha": alpha, "beta": beta, "lambda": lam},
+        degenerate=_degenerate(alpha, g),
+        converged=converged[np.arange(n_rows), best],
+        iterations=np.where(kept, nit, 0).sum(axis=1),
+        evaluations=np.where(kept, nfev, 0).sum(axis=1),
+        penalties=np.where(kept, penalties, 0).sum(axis=1),
+        start=best,
+        starts_skipped=count - n_kept,
+    )
+
+
+def _exponential_ll(x: np.ndarray, log_x: np.ndarray, p: dict) -> np.ndarray:
+    """Exponential log-likelihood totals of the batches x (R, n) at rates
+    p["rate"] (R,), each the sum of log_pdf_exponential over its row."""
+    rate = p["rate"]
+    return _row_sum(_math_log(rate)[:, None] - rate[:, None] * x)
+
+
+def _gamma_ll(x: np.ndarray, log_x: np.ndarray, p: dict) -> np.ndarray:
+    """Gamma log-likelihood totals of the batches x (R, n), with log_x =
+    ln x, at p (alpha, beta: (R,) each), as log_pdf_gamma sums them."""
+    a, b = p["alpha"], p["beta"]
+    head = a * _math_log(b) - gammaln(a)
+    return _row_sum(head[:, None] + (a - 1.0)[:, None] * log_x - b[:, None] * x)
+
+
+def _noncentral_gamma_ll(x: np.ndarray, log_x: np.ndarray, p: dict) -> np.ndarray:
+    """Noncentral-gamma log-likelihood totals of the batches x (R, n), as
+    log_pdf_noncentral_gamma sums them: the gamma law's where lam = 0, and
+    ln I_nu by the value-only kernel in log_bessel_i_nu's rows. A batch
+    with a Bessel argument that underflows to 0, or one where the series
+    does not converge, takes log_bessel_i_nu itself, which places the
+    zeros apart or raises SeriesConvergenceError."""
+    a, b, lam = p["alpha"], p["beta"], p["lambda"]
+    out = np.empty(a.size)
+    at_zero = lam == 0.0
+    if at_zero.any():
+        gamma = {"alpha": a[at_zero], "beta": b[at_zero]}
+        out[at_zero] = _gamma_ll(x[at_zero], log_x[at_zero], gamma)
+    rows = np.flatnonzero(~at_zero)
+    if rows.size:
+        a, b, lam, x, log_x = a[rows], b[rows], lam[rows], x[rows], log_x[rows]
+        nu = a - 1.0
+        half = 0.5 * nu
+        head = -lam + 0.5 * (a + 1.0) * _math_log(b) - half * _math_log(lam)
+        arg = 2.0 * np.sqrt((b * lam)[:, None] * x)
+        log_i = _log_iv_padded(nu, np.where(arg > 0.0, arg, 1.0))
+        for r in np.flatnonzero((arg == 0.0).any(axis=1) | np.isnan(log_i).any(axis=1)):
+            log_i[r] = log_bessel_i_nu(nu[r], arg[r])
+        out[rows] = _row_sum(head[:, None] + half[:, None] * log_x - b[:, None] * x + log_i)
+    return out
+
+
+def _proposed_ll(x: np.ndarray, log_x: np.ndarray, p: dict) -> np.ndarray:
+    """Log-likelihood totals of the proposed law of the batches x (R, n),
+    as log_pdf_power sums them, with the confluent normalizers of all rows
+    in one value-only call. A row where that series does not converge
+    takes log_laguerre_neg itself, which raises SeriesConvergenceError."""
+    a, b, lam = p["alpha"], p["beta"], p["lambda"]
+    log_s = np.zeros(a.size)
+    shifted = lam > 0.0
+    if shifted.any():
+        log_s[shifted] = _log_laguerre_neg_rows(a[shifted], lam[shifted])
+        for r in np.flatnonzero(np.isnan(log_s)):
+            log_s[r] = log_laguerre_neg(a[r], lam[r])
+    log_norm = a * _math_log(b) - gammaln(a) - log_s
+    log_i0 = _log_i0_unchecked(2.0 * np.sqrt((b * lam)[:, None] * x))
+    return _row_sum((a - 1.0)[:, None] * log_x - b[:, None] * x + log_i0 + log_norm[:, None])
 
 
 # The single-batch fit functions below are the public API, and perfbench
@@ -711,25 +958,36 @@ def fit_batches(models, batches, rngs=None) -> dict[str, list[FitResult]]:
     """Fit each of models, in the order given, to every batch: {model:
     [FitResult per batch]}. Batch i draws its restarts from rngs[i]
     (default None), model after model, and its gamma fit, where the
-    noncentral-gamma and proposed searches start, is made once. Each model
-    fits all the batches of one length in one lock-step pass; a fit's rows
-    never depend on the other batches, so each result equals fit_model on
-    its batch alone."""
+    noncentral-gamma and proposed searches start, is made once. The
+    batches of one length form a group, and the work of a fit runs once
+    per group: its statistics, shared by every model; each model's starts,
+    restart passes (one lock-step pass each), keep rule and flags; and one
+    log-likelihood pass per model. A fit's rows never depend on the other
+    batches, so each result equals fit_model on its batch alone."""
     models = _model_names(models)
-    xs = [_validate_batch(b) for b in batches]
-    rngs = [None] * len(xs) if rngs is None else list(rngs)
-    if len(rngs) != len(xs):
+    batches = _Batches(batches)
+    rngs = [None] * len(batches) if rngs is None else list(rngs)
+    if len(rngs) != len(batches):
         raise ValueError("batches and rngs differ in length")
-    gamma = functools.cache(lambda: _fit_gamma_batches(xs))
-    return {m: MODELS[m].fit(xs, rngs, gamma) for m in models}
+    gamma = functools.cache(lambda: _fit_gamma_batches(batches))
+    return {m: _fit_results(m, batches, MODELS[m].fit(batches, rngs, gamma)) for m in models}
+
+
+def _check_params(params: dict) -> None:
+    """Raise unless every parameter is finite and positive, lambda also 0."""
+    for k, v in params.items():
+        zero_ok = k == "lambda"
+        if not (math.isfinite(v) and (v >= 0.0 if zero_ok else v > 0.0)):
+            raise ValueError(f"{k} must be {'nonnegative' if zero_ok else 'positive'}, got {v}")
 
 
 @dataclass(frozen=True)
 class Model:
     """One compared power model: its name, extra names the CLI accepts, the
-    keys of its fitted parameters, log_likelihood(x, params) = the batch
-    total at given parameters, and fit(xs, rngs, gamma) -> a FitResult per
-    validated batch, where gamma() returns the gamma fits of xs (see
+    keys of its fitted parameters, log_likelihoods(x, log_x, params) = the
+    batch totals of the rows of x (R, n), with log_x = ln x, at params (a
+    (R,) array per key), and fit(batches, rngs, gamma) -> a _GroupFit per
+    group of batches, where gamma() returns the gamma fits (see
     fit_batches). The callables look module functions up when called, so
     that bindings replaced at run time (a tracer, a test stub) are the
     ones used."""
@@ -737,8 +995,16 @@ class Model:
     name: str
     aliases: tuple[str, ...]
     params: tuple[str, ...]
-    log_likelihood: Callable[[np.ndarray, dict], float]
-    fit: Callable[..., list[FitResult]]
+    log_likelihoods: Callable[[np.ndarray, np.ndarray, dict], np.ndarray]
+    fit: Callable[..., list[_GroupFit]]
+
+    def log_likelihood(self, x, params: dict) -> float:
+        """The total log-likelihood of the batch x at params: the one-row
+        case of log_likelihoods."""
+        x = _validate_batch(x)
+        _check_params({k: params[k] for k in self.params})
+        rows = {k: np.array([float(params[k])]) for k in self.params}
+        return float(self.log_likelihoods(x[None], np.log(x)[None], rows)[0])
 
 
 MODELS = {
@@ -746,30 +1012,26 @@ MODELS = {
     for m in (
         Model(
             "exponential", ("exp",), ("rate",),
-            lambda x, p: float(np.sum(log_pdf_exponential(x, p["rate"]))),
-            lambda xs, rngs, gamma: _fit_exponential_batches(xs),
+            lambda x, log_x, p: _exponential_ll(x, log_x, p),
+            lambda batches, rngs, gamma: _fit_exponential_batches(batches),
         ),
         Model(
             "gamma", (), ("alpha", "beta"),
-            lambda x, p: float(np.sum(log_pdf_gamma(x, p["alpha"], p["beta"]))),
-            lambda xs, rngs, gamma: gamma(),
+            lambda x, log_x, p: _gamma_ll(x, log_x, p),
+            lambda batches, rngs, gamma: gamma(),
         ),
         Model(
             "noncentral_gamma", ("ncgamma",), ("alpha", "beta", "lambda"),
-            lambda x, p: float(
-                np.sum(log_pdf_noncentral_gamma(x, p["alpha"], p["beta"], p["lambda"]))
-            ),
-            lambda xs, rngs, gamma: _fit_shifted_batches(
-                "noncentral_gamma", xs, rngs, gamma(), _noncentral_gamma_mean_ll
+            lambda x, log_x, p: _noncentral_gamma_ll(x, log_x, p),
+            lambda batches, rngs, gamma: _fit_shifted_batches(
+                batches, rngs, gamma(), _noncentral_gamma_mean_ll
             ),
         ),
         Model(
             "proposed", (), ("alpha", "beta", "lambda"),
-            lambda x, p: float(
-                np.sum(log_pdf_power(x, PowerParams(p["alpha"], p["beta"], p["lambda"])))
-            ),
-            lambda xs, rngs, gamma: _fit_shifted_batches(
-                "proposed", xs, rngs, gamma(), _proposed_mean_ll, _moment_matched_start
+            lambda x, log_x, p: _proposed_ll(x, log_x, p),
+            lambda batches, rngs, gamma: _fit_shifted_batches(
+                batches, rngs, gamma(), _proposed_mean_ll, _moment_matched_starts
             ),
         ),
     )

@@ -9,12 +9,17 @@ The kernels avoid Python loops over elements and over series terms: ln I0
 is ln(i0e(x)) + x at every argument; ln I_nu below _IV_SERIES_CUTOFF is a
 cumulative product over each row's own term count, read from a table; and
 the confluent normalizer sums a window of terms around its mode in one
-numpy pass. ln I_nu has one kernel, _log_bessel_i_nu_grad, and
-log_bessel_i_nu is its value row. Its arguments at which scipy's ive
-under- or overflows, and its subnormal arguments, go through one
-row-batched call of a log-domain series (_log_iv_window_grad) that the
-confluent normalizer's window kernel sums (_window_rows); _window_grad
-gives the derivatives of both window series as moments of their terms.
+numpy pass. ln I_nu has one kernel, _log_bessel_i_nu_rows, with the
+derivatives the fits need (_log_bessel_i_nu_grad) or without them
+(log_bessel_i_nu and the fits' log-likelihood pass, through
+_log_iv_padded): the value alone takes one ive call where the
+derivatives take four, and no moment sums. Either way the value is the
+same, bit for bit. Its arguments at which scipy's ive under- or
+overflows, and its subnormal arguments, go through one row-batched call
+of a log-domain series (_log_iv_window_grad, or _log_iv_window for the
+value) that the confluent normalizer's window kernel sums (_window_rows);
+_window_grad gives the derivatives of both window series as moments of
+their terms.
 
 The value-and-gradient kernels that the fits call are row-batched: they
 take one parameter set per row and return one result per row. A row's
@@ -176,16 +181,19 @@ def log_bessel_i0(x):
     return float(out) if arr.ndim == 0 else out
 
 
-def _log_iv_series_rows(nu: np.ndarray, x: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """ln I_nu(x) by its ascending series, with d/dnu and x d/dx of it, as
-    a (3, R, n) array, for orders nu (R,) and arguments x (R, n) in
-    (0, _IV_SERIES_CUTOFF); row r sums counts[r] terms T_n.
+def _log_iv_series_rows(
+    nu: np.ndarray, x: np.ndarray, counts: np.ndarray, grad: bool
+) -> np.ndarray:
+    """ln I_nu(x) by its ascending series, with d/dnu and x d/dx of it if
+    grad, as a (3, R, n) array, else a (1, R, n) one, for orders nu (R,)
+    and arguments x (R, n) in (0, _IV_SERIES_CUTOFF); row r sums counts[r]
+    terms T_n.
 
     T_n carries the factor x^(2n) and d ln T_n / dnu = -H_n with
     H_n = sum_{m<=n} 1 / (m + nu), so the derivatives are moments of the
     same terms.
     """
-    out = np.empty((3,) + x.shape)
+    out = np.empty((3 if grad else 1,) + x.shape)
     for size, rows in _row_blocks(counts, slice(None), x.shape[1]):
         xs = x[rows]
         nus = nu[rows, None]
@@ -194,13 +202,34 @@ def _log_iv_series_rows(nu: np.ndarray, x: np.ndarray, counts: np.ndarray) -> np
         denom[m > counts[rows, None]] = np.inf  # terms past a row's count are 0
         t = np.cumprod(0.25 * xs * xs / denom, axis=0)
         terms = _sum_terms(t)
-        total = 1.0 + terms
         log_half_x = np.log(0.5 * xs)
-        h = np.cumsum(1.0 / (m + nus), axis=0)
         out[0, rows] = nus * log_half_x - gammaln(nus + 1.0) + np.log1p(terms)
-        out[1, rows] = log_half_x - digamma(nus + 1.0) - _sum_terms(h * t) / total
-        out[2, rows] = nus + 2.0 * _sum_terms(m * t) / total
+        if grad:
+            total = 1.0 + terms
+            h = np.cumsum(1.0 / (m + nus), axis=0)
+            out[1, rows] = log_half_x - digamma(nus + 1.0) - _sum_terms(h * t) / total
+            out[2, rows] = nus + 2.0 * _sum_terms(m * t) / total
     return out
+
+
+def _iv_window_rows(nu: np.ndarray, x: np.ndarray):
+    """_window_rows of the log-domain I_nu series at each element of 1-D
+    arrays nu and x, and ln(x/2), taken as ln x - ln 2, which loses no bits
+    where x / 2 would be subnormal. To be consumed where overflow and
+    invalid values are ignored: a failing window may overflow."""
+    log_half_x = np.log(x) - math.log(2.0)
+    q = 0.25 * x * x
+
+    def ratios(n: np.ndarray, rows) -> np.ndarray:
+        return q[rows, None] / ((n + 1.0) * (n + 1.0 + nu[rows, None]))
+
+    def log_head(n: np.ndarray, rows) -> np.ndarray:
+        v = nu[rows]
+        log_t = 2.0 * n * log_half_x[rows] - gammaln(n + 1.0) - gammaln(n + 1.0 + v)
+        return log_t + gammaln(v + 1.0)
+
+    mode = np.maximum(0.0, 0.5 * (np.sqrt(nu * nu + x * x) - nu) - 1.0)
+    return _window_rows(ratios, log_head, mode), log_half_x
 
 
 def _log_iv_window_grad(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -213,26 +242,23 @@ def _log_iv_window_grad(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     term alone. The terms T_n = (x/2)^(2n) Gamma(nu+1) / (n! Gamma(n+nu+1))
     have the ratio (x/2)^2 / ((n+1)(n+1+nu)), which crosses 1 at the
     positive root of (n+1)(n+1+nu) = (x/2)^2, and d ln T_n / dnu is -H_n
-    of _window_grad with c = nu + 1. ln(x/2) is taken as ln x - ln 2,
-    which loses no bits where x / 2 would be subnormal.
+    of _window_grad with c = nu + 1.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # a failing window may overflow
-        log_half_x = np.log(x) - math.log(2.0)
-        q = 0.25 * x * x
-
-        def ratios(n: np.ndarray, rows) -> np.ndarray:
-            return q[rows, None] / ((n + 1.0) * (n + 1.0 + nu[rows, None]))
-
-        def log_head(n: np.ndarray, rows) -> np.ndarray:
-            v = nu[rows]
-            log_t = 2.0 * n * log_half_x[rows] - gammaln(n + 1.0) - gammaln(n + 1.0 + v)
-            return log_t + gammaln(v + 1.0)
-
-        mode = np.maximum(0.0, 0.5 * (np.sqrt(nu * nu + x * x) - nu) - 1.0)
-        c = nu + 1.0
-        log_sum, mean_h, mean_n = _window_grad(_window_rows(ratios, log_head, mode), c)
+    c = nu + 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks, log_half_x = _iv_window_rows(nu, x)
+        log_sum, mean_h, mean_n = _window_grad(blocks, c)
     value = nu * log_half_x - gammaln(c) + log_sum
     return np.array([value, log_half_x - digamma(c) - mean_h, nu + 2.0 * mean_n])
+
+
+def _log_iv_window(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The value row of _log_iv_window_grad, as a (1, x.size) array,
+    without the moment sums of the derivatives."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks, log_half_x = _iv_window_rows(nu, x)
+        log_sum = _window_log_sum(blocks, x.size)
+    return (nu * log_half_x - gammaln(nu + 1.0) + log_sum)[None]
 
 
 # Half-step of the central difference in nu that gives d/dnu ln I_nu from
@@ -276,77 +302,103 @@ def _log_iv_asymptotic(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_iv_large_grad(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """ln I_nu(x), d/dnu and x d/dx of it for x >= _IV_SERIES_CUTOFF, as
-    rows of a (3, x.size) array, elementwise in 1-D arrays nu and x. The
-    value is ln(ive(nu, x)) + x; x d/dx ln I_nu = x I_{nu+1} / I_nu + nu,
-    and d/dnu is a central difference in nu (ln I_nu(x) is analytic in nu
-    for x > 0, also below nu = -1). The value is NaN where ive(nu, x) is
-    not a finite normal number, and the derivatives where one of the four
-    ive values is not. From _IVE_X_MAX on, where ive is NaN, the
-    large-argument expansion gives all three, NaN where it does not
-    converge. _log_bessel_i_nu_grad takes the NaNs from the log-domain
-    series."""
+def _log_iv_large(nu: np.ndarray, x: np.ndarray, grad: bool) -> np.ndarray:
+    """ln I_nu(x), with d/dnu and x d/dx of it if grad, for x >=
+    _IV_SERIES_CUTOFF, as rows of a (3, x.size) array, else a (1, x.size)
+    one, elementwise in 1-D arrays nu and x. The value is ln(ive(nu, x)) +
+    x; x d/dx ln I_nu = x I_{nu+1} / I_nu + nu, and d/dnu is a central
+    difference in nu (ln I_nu(x) is analytic in nu for x > 0, also below
+    nu = -1), so the value takes one ive call and the derivatives three
+    more. The value is NaN where ive(nu, x) is not a finite normal number,
+    and the derivatives where one of the four ive values is not. From
+    _IVE_X_MAX on, where ive is NaN, the large-argument expansion gives
+    all three, NaN where it does not converge. _log_bessel_i_nu_rows takes
+    the NaNs from the log-domain series."""
     scaled = ive(nu, x)
-    above = ive(nu + 1.0, x)
-    up = ive(nu + _NU_STEP, x)
-    down = ive(nu - _NU_STEP, x)
+    others = (ive(nu + 1.0, x), ive(nu + _NU_STEP, x), ive(nu - _NU_STEP, x)) if grad else ()
     tiny = np.finfo(float).tiny
-    normal = [np.isfinite(v) & (v >= tiny) for v in (scaled, above, up, down)]
-    out = np.empty((3, x.size))
+    normal = [np.isfinite(v) & (v >= tiny) for v in (scaled, *others)]
+    out = np.empty((3 if grad else 1, x.size))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out[0] = np.log(scaled) + x
-        out[1] = (np.log(up) - np.log(down)) / (2.0 * _NU_STEP)
-        out[2] = x * above / scaled + nu
-    exact = np.logical_and.reduce(normal)
-    if not exact.all():
-        out[0, ~normal[0]] = np.nan
-        out[1:, ~exact] = np.nan
+        if grad:
+            above, up, down = others
+            out[1] = (np.log(up) - np.log(down)) / (2.0 * _NU_STEP)
+            out[2] = x * above / scaled + nu
+    out[0, ~normal[0]] = np.nan
+    if grad:
+        out[1:, ~np.logical_and.reduce(normal)] = np.nan
     far = np.flatnonzero(x >= _IVE_X_MAX)
     if far.size:
-        out[:, far] = _log_iv_asymptotic(nu[far], x[far])
+        out[:, far] = _log_iv_asymptotic(nu[far], x[far])[: len(out)]
     return out
 
 
-def _log_bessel_i_nu_grad(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _log_bessel_i_nu_rows(nu: np.ndarray, x: np.ndarray, grad: bool) -> np.ndarray:
     """ln I_nu(x) at order nu[r] for each row r of x > 0 (R, n), unchecked,
-    with d/dnu and x d/dx of it, as a (3, R, n) array; NaN where the
-    log-domain series does not converge. log_bessel_i_nu is its first
-    output.
+    with d/dnu and x d/dx of it if grad, as a (3, R, n) array, else a
+    (1, R, n) one; NaN where the log-domain series does not converge.
 
     The ascending series (_log_iv_series_rows) serves x below
-    _IV_SERIES_CUTOFF, and _log_iv_large_grad x above it. Subnormal x,
-    and every value or derivative that _log_iv_large_grad leaves NaN, go
-    through one call of the log-domain series (_log_iv_window_grad)."""
+    _IV_SERIES_CUTOFF, and _log_iv_large x above it. Subnormal x, and
+    every output that _log_iv_large leaves NaN (with grad, those of the
+    elements whose derivatives are NaN), go through one call of the
+    log-domain series (_log_iv_window_grad, or _log_iv_window for the
+    value alone). Either way the value row is the same, bit for bit."""
     tiny = x < _IV_TINY
     big = x >= _IV_SERIES_CUTOFF
     small = ~(tiny | big)
     if small.all():
-        return _log_iv_series_rows(nu, x, _series_counts(0.25 * np.square(x.max(axis=1))))
-    out = np.empty((3,) + x.shape)
+        return _log_iv_series_rows(nu, x, _series_counts(0.25 * np.square(x.max(axis=1))), grad)
+    out = np.empty((3 if grad else 1,) + x.shape)
     rows = np.flatnonzero(small.any(axis=1))
     if rows.size:
         # Each row's term count comes from its largest series argument;
         # its other elements get a placeholder argument and are overwritten.
         xs = np.where(small[rows], x[rows], 1.0)
         q_max = 0.25 * np.square(np.where(small[rows], xs, 0.0).max(axis=1))
-        out[:, rows] = _log_iv_series_rows(nu[rows], xs, _series_counts(q_max))
+        out[:, rows] = _log_iv_series_rows(nu[rows], xs, _series_counts(q_max), grad)
     out[:, tiny] = np.nan
     nu_at = np.broadcast_to(nu[:, None], x.shape)
     if big.any():
-        out[:, big] = _log_iv_large_grad(nu_at[big], x[big])
-    fallback = np.isnan(out[1])
+        out[:, big] = _log_iv_large(nu_at[big], x[big], grad)
+    fallback = np.isnan(out[1 if grad else 0])
     if fallback.any():
         kept = out[:, fallback]
-        series = _log_iv_window_grad(nu_at[fallback], x[fallback])
+        window = _log_iv_window_grad if grad else _log_iv_window
+        series = window(nu_at[fallback], x[fallback])
         out[:, fallback] = np.where(np.isnan(kept), series, kept)
     return out
 
 
-# Row width of log_bessel_i_nu's calls of _log_bessel_i_nu_grad: one 3 x 20
+def _log_bessel_i_nu_grad(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """ln I_nu(x) at order nu[r] for each row r of x > 0 (R, n), unchecked,
+    with d/dnu and x d/dx of it, as a (3, R, n) array; NaN where the
+    log-domain series does not converge (see _log_bessel_i_nu_rows)."""
+    return _log_bessel_i_nu_rows(nu, x, grad=True)
+
+
+# Row width of log_bessel_i_nu's calls of _log_bessel_i_nu_rows: one 3 x 20
 # patch, rounded up. Each row takes its own series term count, and
 # _row_blocks keeps the series blocks of many rows small.
 _IV_ROW_WIDTH = 64
+
+
+def _log_iv_padded(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """ln I_nu[r](x[r]) for each row r of x > 0 (R, n), unchecked, value
+    only, each row as log_bessel_i_nu computes it alone: cut into rows of
+    _IV_ROW_WIDTH, the last padded with 1.0; NaN where the log-domain
+    series does not converge. A value can depend on the row it is summed
+    in (the row's largest argument sets its series term count), so each
+    batch gets the values log_bessel_i_nu gives on it alone."""
+    n_rows, n = x.shape
+    per_row = -(-n // _IV_ROW_WIDTH)
+    padded = np.ones((n_rows, per_row * _IV_ROW_WIDTH))
+    padded[:, :n] = x
+    logs = _log_bessel_i_nu_rows(
+        np.repeat(nu, per_row), padded.reshape(-1, _IV_ROW_WIDTH), grad=False
+    )[0]
+    return logs.reshape(n_rows, -1)[:, :n]
 
 
 def log_bessel_i_nu(nu: float, x):
@@ -354,9 +406,9 @@ def log_bessel_i_nu(nu: float, x):
 
     For nu > -1 every series term is positive (Gamma(n+nu+1) > 0 for all
     n >= 0), so no reflection through K_nu is needed anywhere on this
-    domain. The positive arguments go to _log_bessel_i_nu_grad as rows of
-    _IV_ROW_WIDTH, padded with 1.0, and the value is its first output:
-    the ascending series below _IV_SERIES_CUTOFF, the exponentially scaled
+    domain. The positive arguments go to the value-only kernel
+    (_log_iv_padded) as rows of _IV_ROW_WIDTH, padded with 1.0: the
+    ascending series below _IV_SERIES_CUTOFF, the exponentially scaled
     scipy routine above it, and, in one batch, a log-domain series where
     that under- or overflows and at subnormal x. Raises
     SeriesConvergenceError where that series does not converge.
@@ -375,11 +427,7 @@ def log_bessel_i_nu(nu: float, x):
     positive = arr > 0.0
     vals = arr[positive]
     if vals.size:
-        rows = -(-vals.size // _IV_ROW_WIDTH)
-        padded = np.ones(rows * _IV_ROW_WIDTH)
-        padded[: vals.size] = vals
-        logs = _log_bessel_i_nu_grad(np.full(rows, nu), padded.reshape(rows, _IV_ROW_WIDTH))
-        logs = logs[0].ravel()[: vals.size]
+        logs = _log_iv_padded(np.array([nu]), vals[None])[0]
         failed = np.flatnonzero(np.isnan(logs))
         if failed.size:
             raise SeriesConvergenceError(
@@ -501,6 +549,15 @@ def _window_grad(blocks, c: np.ndarray) -> np.ndarray:
     return out
 
 
+def _window_log_sum(blocks, size: int) -> np.ndarray:
+    """ln S of each of size rows from the blocks of _window_rows (rows,
+    first, rel, total, log_sum); NaN in the rows it does not yield."""
+    out = np.full(size, np.nan)
+    for rows, _, _, _, log_sum in blocks:
+        out[rows] = log_sum
+    return out
+
+
 def _confluent_mode(alpha, lam):
     """Where the confluent term ratio lam (alpha + n) / (n + 1)^2 crosses 1:
     the positive root of (n + 1)^2 = lam (alpha + n), near lam + alpha - 1
@@ -590,6 +647,14 @@ def _log_laguerre_neg_grad(alpha: np.ndarray, lam: np.ndarray) -> np.ndarray:
     c = alpha gives both derivatives.
     """
     return _window_grad(_confluent_rows(alpha, lam), alpha)
+
+
+def _log_laguerre_neg_rows(alpha: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """log_laguerre_neg(alpha[r], lam[r]) for rows of lam > 0, unchecked,
+    as an (R,) array; NaN where the series does not converge within
+    _MAX_TERMS terms."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a failing window may overflow
+        return _window_log_sum(_confluent_rows(alpha, lam), alpha.size)
 
 
 def log_laguerre_pos_arg(alpha: float, lam: float) -> float:

@@ -17,6 +17,7 @@ from helpers import make_speech_like, write_wav_pcm16
 from pwncg import fitting
 from pwncg.distributions import (
     PowerParams,
+    log_pdf_exponential,
     log_pdf_gamma,
     log_pdf_noncentral_gamma,
     log_pdf_power,
@@ -251,7 +252,9 @@ class TestRestartChoice:
     ):
         # every start converges; start 0 alone runs and is kept where lam = 0
         # is a local maximum at the gamma fit, starts 0 and 1 elsewhere
-        monkeypatch.setattr(fitting, "_lam_zero_is_a_maximum", lambda gamma, y: lam_max)
+        monkeypatch.setattr(
+            fitting, "_lam_zero_is_a_maximum", lambda alpha, *stats: np.full(alpha.shape, lam_max)
+        )
         runs = [
             (self.Z0, -1.5, True, 40),
             (self.Z1, -1.6, True, 30),
@@ -626,6 +629,15 @@ def _profile(model, x, lam, z0):
     return -res.fun, res.x
 
 
+def _lam_zero_gate(alpha, degenerate, y) -> bool:
+    """fitting._lam_zero_is_a_maximum at one gamma fit, of shape alpha and
+    flagged degenerate, of one normalized batch y."""
+    gate = fitting._lam_zero_is_a_maximum(
+        np.array([alpha]), np.array([degenerate]), np.array([np.var(y)]), np.array([np.mean(y)])
+    )
+    return bool(gate[0])
+
+
 class TestLamZeroGate:
     """Where lam = 0 is a local maximum at the gamma fit
     (fitting._lam_zero_is_a_maximum), start 1 runs only if start 0 did not
@@ -652,7 +664,8 @@ class TestLamZeroGate:
         assert (a * v > 1.0) == (kind == "lognormal")
         assert np.sign(fd) == np.sign(closed)
         assert abs(fd - closed) <= 0.1 * abs(closed)
-        assert fitting._lam_zero_is_a_maximum(fit_gamma(x), y) == (closed < 0.0)
+        g = fit_gamma(x)
+        assert _lam_zero_gate(g.params["alpha"], g.degenerate, y) == (closed < 0.0)
 
     def test_gate_changes_only_the_counts(self, tmp_path, monkeypatch):
         # the fits of the 0.3 s speech clip with and without the gate: the
@@ -660,7 +673,9 @@ class TestLamZeroGate:
         batches = _speech_batches(tmp_path, 0.3)
         models = ("noncentral_gamma", "proposed")
         live = fitting.fit_batches(models, batches, _patch_streams(len(batches)))
-        monkeypatch.setattr(fitting, "_lam_zero_is_a_maximum", lambda gamma, y: False)
+        monkeypatch.setattr(
+            fitting, "_lam_zero_is_a_maximum", lambda alpha, *stats: np.zeros(alpha.shape, bool)
+        )
         off = fitting.fit_batches(models, batches, _patch_streams(len(batches)))
         counts = {"evaluations": 0, "iterations": 0, "starts_skipped": 0}
         for m in models:
@@ -675,18 +690,17 @@ class TestLamZeroGate:
         # gated, even where alpha v > 1
         const = np.full(60, 2.5)
         g = fit_gamma(const)
-        assert g.degenerate and not fitting._lam_zero_is_a_maximum(g, const / 2.5)
+        assert g.degenerate and not _lam_zero_gate(g.params["alpha"], g.degenerate, const / 2.5)
         # one value holds almost all the mass, so v is about 2000
         y = np.append(np.full(1999, 1e-9), 1.0)
         y /= y.mean()
         v = float(np.var(y))
         for ln_alpha in fitting._LN_ALPHA_BOUNDS:
             alpha = math.exp(ln_alpha)
-            at_bound = fitting._fit_result("gamma", y, 1.0, {"alpha": alpha, "beta": alpha})
             assert alpha * v > 1.0
-            assert not fitting._lam_zero_is_a_maximum(at_bound, y)
-        inside = fitting._fit_result("gamma", y, 1.0, {"alpha": 1.1e-3, "beta": 1.1e-3})
-        assert fitting._lam_zero_is_a_maximum(inside, y)
+            # the upper bound is flagged degenerate, as a fit there is
+            assert not _lam_zero_gate(alpha, alpha >= fitting._ALPHA_DEGENERATE, y)
+        assert _lam_zero_gate(1.1e-3, False, y)
 
     def test_gated_fits_beat_a_lam_grid(self, tmp_path):
         # six patches of the criterion-6a input where the gate dropped starts
@@ -697,7 +711,7 @@ class TestLamZeroGate:
         gammas = fitting.fit_batches(("gamma",), batches)["gamma"]
         gated = [
             i for i, (x, g) in enumerate(zip(batches, gammas))
-            if fitting._lam_zero_is_a_maximum(g, x / x.mean())
+            if _lam_zero_gate(g.params["alpha"], g.degenerate, x / x.mean())
         ]
         picked = gated[:: len(gated) // 6][:6]
         streams = _patch_streams(len(batches))
@@ -767,6 +781,121 @@ class TestScaleConsistency:
             for k, v in fit.params.items():
                 rescaled = v * c if k in ("rate", "beta") else v
                 assert math.isclose(rescaled, unit[k], rel_tol=1e-6), (c, k)
+
+
+def _public_ll(model, x, p) -> float:
+    """The batch total of the public density of model at params p."""
+    if model == "exponential":
+        d = log_pdf_exponential(x, p["rate"])
+    elif model == "gamma":
+        d = log_pdf_gamma(x, p["alpha"], p["beta"])
+    elif model == "noncentral_gamma":
+        d = log_pdf_noncentral_gamma(x, p["alpha"], p["beta"], p["lambda"])
+    else:
+        d = log_pdf_power(x, PowerParams(p["alpha"], p["beta"], p["lambda"]))
+    return float(np.sum(d))
+
+
+_LOG_UNIFORM = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+
+# Rows of a log-likelihood pass: alpha (often at an end of its box), beta,
+# lam = 0 or lam > 0, and the seed of the row's values.
+_ll_rows = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from([1e-3, 1e3]), _LOG_UNIFORM),
+        _LOG_UNIFORM,
+        st.one_of(st.just(0.0), _LOG_UNIFORM),
+        st.integers(0, 2**16),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+class TestLogLikelihoodPass:
+    """The reported log-likelihoods of a group of batches come from one
+    row-batched pass per model; MODELS[m].log_likelihood is its one-row
+    case."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.sampled_from([1, 63, 64, 65, 128]), rows=_ll_rows)
+    @example(63, [(1e-3, 30.0, 0.0, 1), (1e3, 30.0, 5.0, 2), (0.5, 200.0, 3.0, 3)])
+    @example(128, [(1e3, 1.0, 0.0, 4), (2.0, 500.0, 2.0, 5), (1e-3, 0.01, 1e3, 6)])
+    def test_rows_equal_each_batch_alone(self, n, rows):
+        # lengths on both sides of the 64-wide I_nu rows, lam = 0 beside
+        # lam > 0, and lognormal values that put the Bessel arguments
+        # 2 sqrt(beta lam x) of most rows on both sides of 30
+        x = np.stack([np.random.default_rng(seed).lognormal(0.0, 1.5, n) for *_, seed in rows])
+        alpha, beta, lam = (np.array(v) for v in list(zip(*rows))[:3])
+        arg = 2.0 * np.sqrt((beta * lam)[:, None] * x)
+        at = {"alpha": alpha, "beta": beta, "lambda": lam, "rate": beta}
+        for m, model in MODELS.items():
+            p = {k: at[k] for k in model.params}
+            together = model.log_likelihoods(x, np.log(x), p)
+            for r in range(len(rows)):
+                one = {k: float(v[r]) for k, v in p.items()}
+                alone = model.log_likelihood(x[r], one)
+                assert together[r] == alone == _public_ll(m, x[r], one), (m, r, arg[r].max())
+
+    def test_zero_bessel_argument_and_bad_input(self):
+        # 2 sqrt(beta lam x) underflows to 0 at the first value of row 0,
+        # which takes log_bessel_i_nu's value there: ln I_0.5(0) = -inf
+        x = np.array([[5e-324, 1.0, 2.0], [0.5, 1.0, 2.0]])
+        p = {
+            "alpha": np.array([1.5, 1.5]),
+            "beta": np.array([1e-160, 1.0]),
+            "lambda": np.array([1e-160, 2.0]),
+        }
+        together = MODELS["noncentral_gamma"].log_likelihoods(x, np.log(x), p)
+        assert together[0] == -math.inf and math.isfinite(together[1])
+        for r in range(2):
+            one = {k: float(v[r]) for k, v in p.items()}
+            assert together[r] == _public_ll("noncentral_gamma", x[r], one)
+        ok = {"alpha": 1.0, "beta": 1.0, "lambda": 1.0}
+        for m in ("noncentral_gamma", "proposed"):
+            with pytest.raises(ValueError, match="lambda must be nonnegative, got -1.0"):
+                MODELS[m].log_likelihood(x[1], {**ok, "lambda": -1.0})
+            with pytest.raises(ValueError, match="alpha must be positive, got 0.0"):
+                MODELS[m].log_likelihood(x[1], {**ok, "alpha": 0.0})
+            with pytest.raises(ValueError, match="batch values must be positive"):
+                MODELS[m].log_likelihood([1.0, 0.0], ok)
+
+    def test_one_kernel_call_per_model_and_group(self, tmp_path, monkeypatch):
+        # the 129 patches of the 0.3 s speech clip, every third cut to 40
+        # values, make two groups: each density kernel runs once per model
+        # and group, not once per batch, and no single-batch density or
+        # kernel runs at all
+        batches = _speech_batches(tmp_path, 0.3)
+        batches = [b[:40] if i % 3 == 0 else b for i, b in enumerate(batches)]
+        assert len(batches) == 129
+        per_group = [
+            "_exponential_ll", "_gamma_ll", "_noncentral_gamma_ll", "_proposed_ll",
+            "_log_iv_padded", "_log_laguerre_neg_rows", "_log_i0_unchecked",
+        ]
+        single = [
+            "log_bessel_i_nu", "log_laguerre_neg", "log_pdf_power", "log_pdf_noncentral_gamma",
+        ]
+        calls = dict.fromkeys(per_group + single, 0)
+
+        def spy(name):
+            real = getattr(fitting, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(fitting, name, spy(name))
+        fits = fitting.fit_batches(FIT_MODELS, batches, _patch_streams(len(batches)))
+        # the noncentral-gamma pass hands its rows at lam = 0 to _gamma_ll
+        expected = {**dict.fromkeys(per_group, 2), "_gamma_ll": 4, **dict.fromkeys(single, 0)}
+        assert calls == expected
+        for m in ("noncentral_gamma", "proposed"):
+            for lam_zero in (True, False):
+                rows = [i for i, f in enumerate(fits[m]) if (f.params["lambda"] == 0.0) == lam_zero]
+                assert {len(batches[i]) for i in rows} == {40, 60}
 
 
 class TestFitModelDispatch:

@@ -496,6 +496,69 @@ class TestRowBatchedKernels:
 
 
 
+class TestValueOnlyBessel:
+    """log_bessel_i_nu sums the value alone, bit for bit the value row of
+    _log_bessel_i_nu_grad on every branch."""
+
+    # (nu, arguments) of each branch: the ascending series, ive, the
+    # large-argument expansion from 2**30 on, the log-domain series where
+    # ive underflows, and subnormal arguments
+    BRANCHES = {
+        "series": (2.5, [1e-3, 0.3, 7.0, 29.99]),
+        "ive": (2.5, [_IV_SERIES_CUTOFF, 45.0, 700.0, 1e6]),
+        "expansion": (0.5, [2.0**30, 3e9, 1e12]),
+        "ive underflow": (1000.0, [40.0, 45.0, 59.0]),
+        "subnormal": (1.0, [5e-324, 1e-310, 2e-308]),
+    }
+
+    def test_each_branch_equals_the_gradient_kernels_value(self):
+        assert (ive(1000.0, np.array(self.BRANCHES["ive underflow"][1])) == 0.0).all()
+        for name, (nu, xs) in self.BRANCHES.items():
+            xs = np.array(xs)
+            padded = np.ones(64)  # log_bessel_i_nu's row: 64 wide, padded with 1.0
+            padded[: xs.size] = xs
+            ref = _log_bessel_i_nu_grad(np.array([nu]), padded[None])[0, 0, : xs.size]
+            assert np.isfinite(ref).all(), name
+            np.testing.assert_array_equal(log_bessel_i_nu(nu, xs), ref, err_msg=name)
+
+    def test_mixed_rows_equal_the_gradient_kernels_value(self):
+        rng = np.random.default_rng(8)
+        nu = rng.uniform(-0.99, 999.0, 24)
+        x = np.exp(rng.uniform(math.log(1e-3), math.log(3000.0), (24, 70)))
+        x[2, 3], x[5, 0], x[7, 1] = 1e-310, 2.0**30, 1e12
+        x[:6] = np.minimum(x[:6], 29.0)
+        value = special._log_bessel_i_nu_rows(nu, x, grad=False)
+        assert value.shape == (1,) + x.shape
+        np.testing.assert_array_equal(value[0], _log_bessel_i_nu_grad(nu, x)[0])
+
+    def test_value_takes_one_ive_call_and_no_moment_sums(self, monkeypatch):
+        calls = {"ive": 0, "_window_grad": 0}
+
+        def spy(name):
+            real = getattr(special, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(special, name, spy(name))
+        log_bessel_i_nu(1000.0, np.array([0.5, 40.0, 45.0, 800.0]))
+        assert calls == {"ive": 1, "_window_grad": 0}
+
+    def test_series_failure_message(self):
+        # ive is NaN from 2**30 on, the expansion does not converge at
+        # nu = 1e6, and the log-domain series' term mode is past its budget
+        with pytest.raises(
+            SeriesConvergenceError,
+            match=r"^I_nu series did not converge for nu=1000000.0, x=2147483648.0 "
+            r"within 200000 terms$",
+        ):
+            log_bessel_i_nu(1e6, 2.0**31)
+
+
 def test_readme_states_the_truncation_rule():
     # the pwncg.special bullet of the README names the tolerance and the
     # term budget that every window series is truncated by
