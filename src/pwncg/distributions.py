@@ -9,7 +9,10 @@ alongside for reduction checks and baseline fitting.
 
 All densities are evaluated in log domain; only the CSV grid exports
 exponentiate. Functions are vectorized over the variate, with scalar
-parameters.
+parameters. The exponential, gamma, noncentral-gamma and power densities
+are the one-row case of row-batched kernels (_log_pdf_*_rows: one
+parameter set per row of an (R, n) variate), which the fits' group
+log-likelihood pass calls; a row's values never depend on the other rows.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .special import (
+    _log_iv_padded,
+    _log_laguerre_neg_rows,
     log_bessel_i0,
     log_bessel_i_nu,
     log_laguerre_neg,
@@ -151,6 +156,89 @@ def _positive_variate(x, name: str):
     return np.atleast_1d(arr), arr.ndim == 0
 
 
+def _math_log(v: np.ndarray) -> np.ndarray:
+    """math.log of each element. The densities take ln of their scalar
+    parameters with math.log, which differs from numpy's log in the last
+    bit of some doubles; the row kernels keep math's values."""
+    return np.array([math.log(e) for e in v.tolist()])
+
+
+def _at_one_row(rows, x: np.ndarray, scalar: bool, *params, log_x: bool = True):
+    """The density that the row kernel rows(x, [ln x,] *params) gives at
+    one parameter set, over a checked variate x of any shape: x is passed
+    as one row, each parameter as a (1,) array."""
+    flat = x.reshape(1, -1)
+    variate = (flat, np.log(flat)) if log_x else (flat,)
+    out = rows(*variate, *(np.array([p], dtype=float) for p in params)).reshape(x.shape)
+    return float(out[0]) if scalar else out
+
+
+def _log_pdf_exponential_rows(x: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """Exponential log density at rate[r] of each row r of x (R, n)."""
+    return _math_log(rate)[:, None] - rate[:, None] * x
+
+
+def _log_pdf_gamma_rows(x: np.ndarray, log_x: np.ndarray, alpha, beta) -> np.ndarray:
+    """Gamma log density at alpha[r], beta[r] of each row r of x (R, n),
+    with log_x = ln x."""
+    head = alpha * _math_log(beta) - gammaln(alpha)
+    return head[:, None] + (alpha - 1.0)[:, None] * log_x - beta[:, None] * x
+
+
+def _log_pdf_noncentral_gamma_rows(x: np.ndarray, log_x: np.ndarray, alpha, beta, lam):
+    """Noncentral gamma log density at alpha[r], beta[r], lam[r] of each
+    row r of x (R, n), with log_x = ln x: the gamma density where lam = 0.
+
+    ln I_nu comes from log_bessel_i_nu's value-only kernel, in its rows.
+    A row with a Bessel argument that is not positive and finite, an order
+    not above -1, or a series that does not converge takes
+    log_bessel_i_nu itself, which places the zeros apart or raises.
+    """
+    shifted = np.flatnonzero(lam > 0.0)
+    if shifted.size < lam.size:
+        out = np.empty(x.shape)
+        at_zero = lam == 0.0
+        out[at_zero] = _log_pdf_gamma_rows(
+            x[at_zero], log_x[at_zero], alpha[at_zero], beta[at_zero]
+        )
+        if shifted.size:
+            out[shifted] = _log_pdf_noncentral_gamma_rows(
+                x[shifted], log_x[shifted], alpha[shifted], beta[shifted], lam[shifted]
+            )
+        return out
+    nu = alpha - 1.0
+    half = 0.5 * nu
+    head = -lam + 0.5 * (alpha + 1.0) * _math_log(beta) - half * _math_log(lam)
+    arg = 2.0 * np.sqrt((beta * lam)[:, None] * x)
+    plain = (arg > 0.0) & (arg < math.inf)
+    valid = nu > -1.0
+    log_i = _log_iv_padded(np.where(valid, nu, 0.0), np.where(plain, arg, 1.0))
+    for r in np.flatnonzero(~valid | ~plain.all(axis=1) | np.isnan(log_i).any(axis=1)):
+        log_i[r] = log_bessel_i_nu(nu[r], arg[r])
+    return head[:, None] + half[:, None] * log_x - beta[:, None] * x + log_i
+
+
+def _log_pdf_power_rows(x: np.ndarray, log_x: np.ndarray, alpha, beta, lam):
+    """Power log density (log_pdf_power) at alpha[r], beta[r], lam[r] of
+    each row r of x (R, n), with log_x = ln x. The confluent normalizers
+    of all rows come from one value-only call; a row where that series
+    does not converge takes log_laguerre_neg itself, which raises
+    SeriesConvergenceError."""
+    log_s = np.zeros(alpha.size)
+    shifted = lam > 0.0
+    if shifted.any():
+        log_s[shifted] = _log_laguerre_neg_rows(alpha[shifted], lam[shifted])
+        for r in np.flatnonzero(np.isnan(log_s)):
+            log_s[r] = log_laguerre_neg(alpha[r], lam[r])
+    log_norm = alpha * _math_log(beta) - gammaln(alpha) - log_s
+    return (
+        (alpha - 1.0)[:, None] * log_x
+        - beta[:, None] * x
+        + log_bessel_i0(2.0 * np.sqrt((beta * lam)[:, None] * x))
+        + log_norm[:, None]
+    )
+
+
 def log_pdf_complex(z, p: ComplexParams):
     """Log density on the complex plane.
 
@@ -218,18 +306,7 @@ def log_pdf_power(x, p: PowerParams):
     where S is the positive-term confluent normalizer.
     """
     x_arr, scalar = _positive_variate(x, "x")
-    log_norm = (
-        p.alpha * math.log(p.beta)
-        - gammaln(p.alpha)
-        - log_laguerre_neg(p.alpha, p.lam)
-    )
-    out = (
-        (p.alpha - 1.0) * np.log(x_arr)
-        - p.beta * x_arr
-        + log_bessel_i0(2.0 * np.sqrt(p.beta * p.lam * x_arr))
-        + log_norm
-    )
-    return float(out[0]) if scalar else out
+    return _at_one_row(_log_pdf_power_rows, x_arr, scalar, p.alpha, p.beta, p.lam)
 
 
 def log_pmf_poisson_type(n, p: PoissonTypeParams):
@@ -266,8 +343,7 @@ def log_pdf_exponential(x, rate: float):
     """Exponential log density, rate parametrization."""
     _check("rate", rate)
     x_arr, scalar = _positive_variate(x, "x")
-    out = math.log(rate) - rate * x_arr
-    return float(out[0]) if scalar else out
+    return _at_one_row(_log_pdf_exponential_rows, x_arr, scalar, rate, log_x=False)
 
 
 def log_pdf_gamma(x, alpha: float, beta: float):
@@ -275,13 +351,7 @@ def log_pdf_gamma(x, alpha: float, beta: float):
     _check("alpha", alpha)
     _check("beta", beta)
     x_arr, scalar = _positive_variate(x, "x")
-    out = (
-        alpha * math.log(beta)
-        - gammaln(alpha)
-        + (alpha - 1.0) * np.log(x_arr)
-        - beta * x_arr
-    )
-    return float(out[0]) if scalar else out
+    return _at_one_row(_log_pdf_gamma_rows, x_arr, scalar, alpha, beta)
 
 
 def log_pdf_noncentral_gamma(x, alpha: float, beta: float, lam: float):
@@ -292,21 +362,10 @@ def log_pdf_noncentral_gamma(x, alpha: float, beta: float, lam: float):
     Reduces to the gamma density at lam = 0.
     """
     _check("lam", lam, zero_ok=True)
-    if lam == 0.0:
-        return log_pdf_gamma(x, alpha, beta)
     _check("alpha", alpha)
     _check("beta", beta)
     x_arr, scalar = _positive_variate(x, "x")
-    half = 0.5 * (alpha - 1.0)
-    out = (
-        -lam
-        + 0.5 * (alpha + 1.0) * math.log(beta)
-        - half * math.log(lam)
-        + half * np.log(x_arr)
-        - beta * x_arr
-        + log_bessel_i_nu(alpha - 1.0, 2.0 * np.sqrt(beta * lam * x_arr))
-    )
-    return float(out[0]) if scalar else out
+    return _at_one_row(_log_pdf_noncentral_gamma_rows, x_arr, scalar, alpha, beta, lam)
 
 
 def log_pdf_rice(r, nu: float, sigma2: float):

@@ -33,13 +33,14 @@ optimizer runs once per group, on (R, n) and (R,) arrays, not once per batch:
 validation; the statistics every model shares (the means, and mean ln y,
 mean y, var y, sqrt y of the normalized batches y, and ln x), each
 computed once; each model's starts, lam = 0 test, keep rule and flags;
-and the reported log-likelihoods, one row-batched value-only pass per
-model (Model.log_likelihoods), whose one-row case is
-Model.log_likelihood. A row reduction over a C-contiguous (R, n) array
-gives what np.mean, np.var and np.sum give on the row alone, and the
-scalar steps that math.exp, math.log or a float power take on one batch
-keep them per element, so every reported number is the one the
-single-batch densities of distributions give.
+and the reported log-likelihoods, one call per model of its row-batched
+density kernel in distributions, summed by row (Model.log_likelihoods).
+The public densities of distributions, and Model.log_likelihood, are
+that kernel's one-row case. A row reduction over a C-contiguous (R, n)
+array gives what np.mean, np.var and np.sum give on the row alone, and
+the scalar steps that math.exp, math.log or a float power take on one
+batch keep them per element, so every reported number is the one a fit
+of the batch alone gives.
 
 The noncentral-gamma and proposed fits draw three starts per batch up
 front and run them in restart passes over the batches of one length.
@@ -101,25 +102,32 @@ from scipy.optimize import minimize  # noqa: F401  (bound for perfbench: see bel
 from scipy.optimize._lbfgsb import setulb
 from scipy.special import digamma, gammaln, stdtr
 
-from .distributions import log_pdf_noncentral_gamma, log_pdf_power  # noqa: F401  (see below)
+from .distributions import (
+    _check,
+    _log_pdf_exponential_rows,
+    _log_pdf_gamma_rows,
+    _log_pdf_noncentral_gamma_rows,
+    _log_pdf_power_rows,
+    _math_log,
+    log_pdf_noncentral_gamma,  # noqa: F401  (see below)
+    log_pdf_power,  # noqa: F401  (see below)
+)
 from .special import (
     _log_bessel_i_nu_grad,
     _log_i0_grad,
-    _log_i0_unchecked,
-    _log_iv_padded,
+    _log_i0_unchecked,  # noqa: F401  (see below)
     _log_laguerre_neg_grad,
-    _log_laguerre_neg_rows,
-    log_bessel_i_nu,
-    log_laguerre_neg,
+    log_bessel_i_nu,  # noqa: F401  (see below)
+    log_laguerre_neg,  # noqa: F401  (see below)
 )
 
 # The objectives call the row-batched value-and-gradient kernels, and
-# _lbfgsb calls L-BFGS-B's core directly. The log-likelihood passes call the
-# row-batched value-only kernels: _log_i0_unchecked once per group, and
-# log_bessel_i_nu and log_laguerre_neg only for a batch the row kernels
-# cannot give (see _noncentral_gamma_ll and _proposed_ll). No fit path calls
-# minimize, log_pdf_power or log_pdf_noncentral_gamma; perfbench/tracing.py
-# traces all these bindings, and the noncentral_batches workload wraps
+# _lbfgsb calls L-BFGS-B's core directly. The log-likelihood passes call
+# the row-batched density kernels of distributions, whose one-row case the
+# public densities are. No fit path calls minimize, _log_i0_unchecked,
+# log_bessel_i_nu, log_laguerre_neg, log_pdf_power or
+# log_pdf_noncentral_gamma through these bindings; perfbench/tracing.py
+# traces them all, and the noncentral_batches workload wraps
 # log_laguerre_neg.
 
 __all__ = [
@@ -478,15 +486,11 @@ class _GroupFit(NamedTuple):
 
 
 def _math_exp(v: np.ndarray) -> np.ndarray:
-    """math.exp of each element. The fits and the densities take exp and
-    ln of scalar parameters with math, which differs from numpy's exp and
-    log in the last bit of some doubles; these keep the reported numbers."""
+    """math.exp of each element. The fits take exp of scalar parameters
+    with math.exp, which differs from numpy's exp in the last bit of some
+    doubles; this keeps the reported numbers (see also
+    distributions._math_log)."""
     return np.array([math.exp(e) for e in v.tolist()])
-
-
-def _math_log(v: np.ndarray) -> np.ndarray:
-    """math.log of each element (see _math_exp)."""
-    return np.array([math.log(e) for e in v.tolist()])
 
 
 def _degenerate(alpha: np.ndarray, g: _Group) -> np.ndarray:
@@ -847,65 +851,6 @@ def _fit_shifted_group(g: _Group, starts, count, gamma: _GroupFit, mean_ll) -> _
     )
 
 
-def _exponential_ll(x: np.ndarray, log_x: np.ndarray, p: dict) -> np.ndarray:
-    """Exponential log-likelihood totals of the batches x (R, n) at rates
-    p["rate"] (R,), each the sum of log_pdf_exponential over its row."""
-    rate = p["rate"]
-    return _row_sum(_math_log(rate)[:, None] - rate[:, None] * x)
-
-
-def _gamma_ll(x: np.ndarray, log_x: np.ndarray, p: dict) -> np.ndarray:
-    """Gamma log-likelihood totals of the batches x (R, n), with log_x =
-    ln x, at p (alpha, beta: (R,) each), as log_pdf_gamma sums them."""
-    a, b = p["alpha"], p["beta"]
-    head = a * _math_log(b) - gammaln(a)
-    return _row_sum(head[:, None] + (a - 1.0)[:, None] * log_x - b[:, None] * x)
-
-
-def _noncentral_gamma_ll(x: np.ndarray, log_x: np.ndarray, p: dict) -> np.ndarray:
-    """Noncentral-gamma log-likelihood totals of the batches x (R, n), as
-    log_pdf_noncentral_gamma sums them: the gamma law's where lam = 0, and
-    ln I_nu by the value-only kernel in log_bessel_i_nu's rows. A batch
-    with a Bessel argument that underflows to 0, or one where the series
-    does not converge, takes log_bessel_i_nu itself, which places the
-    zeros apart or raises SeriesConvergenceError."""
-    a, b, lam = p["alpha"], p["beta"], p["lambda"]
-    out = np.empty(a.size)
-    at_zero = lam == 0.0
-    if at_zero.any():
-        gamma = {"alpha": a[at_zero], "beta": b[at_zero]}
-        out[at_zero] = _gamma_ll(x[at_zero], log_x[at_zero], gamma)
-    rows = np.flatnonzero(~at_zero)
-    if rows.size:
-        a, b, lam, x, log_x = a[rows], b[rows], lam[rows], x[rows], log_x[rows]
-        nu = a - 1.0
-        half = 0.5 * nu
-        head = -lam + 0.5 * (a + 1.0) * _math_log(b) - half * _math_log(lam)
-        arg = 2.0 * np.sqrt((b * lam)[:, None] * x)
-        log_i = _log_iv_padded(nu, np.where(arg > 0.0, arg, 1.0))
-        for r in np.flatnonzero((arg == 0.0).any(axis=1) | np.isnan(log_i).any(axis=1)):
-            log_i[r] = log_bessel_i_nu(nu[r], arg[r])
-        out[rows] = _row_sum(head[:, None] + half[:, None] * log_x - b[:, None] * x + log_i)
-    return out
-
-
-def _proposed_ll(x: np.ndarray, log_x: np.ndarray, p: dict) -> np.ndarray:
-    """Log-likelihood totals of the proposed law of the batches x (R, n),
-    as log_pdf_power sums them, with the confluent normalizers of all rows
-    in one value-only call. A row where that series does not converge
-    takes log_laguerre_neg itself, which raises SeriesConvergenceError."""
-    a, b, lam = p["alpha"], p["beta"], p["lambda"]
-    log_s = np.zeros(a.size)
-    shifted = lam > 0.0
-    if shifted.any():
-        log_s[shifted] = _log_laguerre_neg_rows(a[shifted], lam[shifted])
-        for r in np.flatnonzero(np.isnan(log_s)):
-            log_s[r] = log_laguerre_neg(a[r], lam[r])
-    log_norm = a * _math_log(b) - gammaln(a) - log_s
-    log_i0 = _log_i0_unchecked(2.0 * np.sqrt((b * lam)[:, None] * x))
-    return _row_sum((a - 1.0)[:, None] * log_x - b[:, None] * x + log_i0 + log_norm[:, None])
-
-
 # The single-batch fit functions below are the public API, and perfbench
 # binds them; no fit path calls them: fit_model and fit_batches go through
 # the batched fits of the model table.
@@ -973,36 +918,34 @@ def fit_batches(models, batches, rngs=None) -> dict[str, list[FitResult]]:
     return {m: _fit_results(m, batches, MODELS[m].fit(batches, rngs, gamma)) for m in models}
 
 
-def _check_params(params: dict) -> None:
-    """Raise unless every parameter is finite and positive, lambda also 0."""
-    for k, v in params.items():
-        zero_ok = k == "lambda"
-        if not (math.isfinite(v) and (v >= 0.0 if zero_ok else v > 0.0)):
-            raise ValueError(f"{k} must be {'nonnegative' if zero_ok else 'positive'}, got {v}")
-
-
 @dataclass(frozen=True)
 class Model:
     """One compared power model: its name, extra names the CLI accepts, the
-    keys of its fitted parameters, log_likelihoods(x, log_x, params) = the
-    batch totals of the rows of x (R, n), with log_x = ln x, at params (a
-    (R,) array per key), and fit(batches, rngs, gamma) -> a _GroupFit per
-    group of batches, where gamma() returns the gamma fits (see
-    fit_batches). The callables look module functions up when called, so
-    that bindings replaced at run time (a tracer, a test stub) are the
-    ones used."""
+    keys of its fitted parameters, log_pdf_rows(x, log_x, params) = its log
+    density at each row of x (R, n), with log_x = ln x, at params (a (R,)
+    array per key), one of the row kernels of distributions, and
+    fit(batches, rngs, gamma) -> a _GroupFit per group of batches, where
+    gamma() returns the gamma fits (see fit_batches). The callables look
+    module functions up when called, so that bindings replaced at run time
+    (a tracer, a test stub) are the ones used."""
 
     name: str
     aliases: tuple[str, ...]
     params: tuple[str, ...]
-    log_likelihoods: Callable[[np.ndarray, np.ndarray, dict], np.ndarray]
+    log_pdf_rows: Callable[[np.ndarray, np.ndarray, dict], np.ndarray]
     fit: Callable[..., list[_GroupFit]]
+
+    def log_likelihoods(self, x: np.ndarray, log_x: np.ndarray, params: dict) -> np.ndarray:
+        """The total log-likelihoods (R,) of the batches x (R, n), with
+        log_x = ln x, at params (a (R,) array per key), unchecked."""
+        return _row_sum(self.log_pdf_rows(x, log_x, params))
 
     def log_likelihood(self, x, params: dict) -> float:
         """The total log-likelihood of the batch x at params: the one-row
         case of log_likelihoods."""
         x = _validate_batch(x)
-        _check_params({k: params[k] for k in self.params})
+        for k in self.params:
+            _check(k, params[k], zero_ok=k == "lambda")
         rows = {k: np.array([float(params[k])]) for k in self.params}
         return float(self.log_likelihoods(x[None], np.log(x)[None], rows)[0])
 
@@ -1012,24 +955,26 @@ MODELS = {
     for m in (
         Model(
             "exponential", ("exp",), ("rate",),
-            lambda x, log_x, p: _exponential_ll(x, log_x, p),
+            lambda x, log_x, p: _log_pdf_exponential_rows(x, p["rate"]),
             lambda batches, rngs, gamma: _fit_exponential_batches(batches),
         ),
         Model(
             "gamma", (), ("alpha", "beta"),
-            lambda x, log_x, p: _gamma_ll(x, log_x, p),
+            lambda x, log_x, p: _log_pdf_gamma_rows(x, log_x, p["alpha"], p["beta"]),
             lambda batches, rngs, gamma: gamma(),
         ),
         Model(
             "noncentral_gamma", ("ncgamma",), ("alpha", "beta", "lambda"),
-            lambda x, log_x, p: _noncentral_gamma_ll(x, log_x, p),
+            lambda x, log_x, p: _log_pdf_noncentral_gamma_rows(
+                x, log_x, p["alpha"], p["beta"], p["lambda"]
+            ),
             lambda batches, rngs, gamma: _fit_shifted_batches(
                 batches, rngs, gamma(), _noncentral_gamma_mean_ll
             ),
         ),
         Model(
             "proposed", (), ("alpha", "beta", "lambda"),
-            lambda x, log_x, p: _proposed_ll(x, log_x, p),
+            lambda x, log_x, p: _log_pdf_power_rows(x, log_x, p["alpha"], p["beta"], p["lambda"]),
             lambda batches, rngs, gamma: _fit_shifted_batches(
                 batches, rngs, gamma(), _proposed_mean_ll, _moment_matched_starts
             ),

@@ -11,8 +11,8 @@ cumulative product over each row's own term count, read from a table; and
 the confluent normalizer sums a window of terms around its mode in one
 numpy pass. ln I_nu has one kernel, _log_bessel_i_nu_rows, with the
 derivatives the fits need (_log_bessel_i_nu_grad) or without them
-(log_bessel_i_nu and the fits' log-likelihood pass, through
-_log_iv_padded): the value alone takes one ive call where the
+(log_bessel_i_nu and the noncentral-gamma density kernel of
+distributions, through _log_iv_padded): the value alone takes one ive call where the
 derivatives take four, and no moment sums. Either way the value is the
 same, bit for bit. Its arguments at which scipy's ive under- or
 overflows, and its subnormal arguments, go through one row-batched call
@@ -392,6 +392,8 @@ def _log_iv_padded(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     in (the row's largest argument sets its series term count), so each
     batch gets the values log_bessel_i_nu gives on it alone."""
     n_rows, n = x.shape
+    if not n:
+        return np.empty(x.shape)
     per_row = -(-n // _IV_ROW_WIDTH)
     padded = np.ones((n_rows, per_row * _IV_ROW_WIDTH))
     padded[:, :n] = x
@@ -603,6 +605,14 @@ def _confluent_weights(alpha: float, lam: float):
     )
 
 
+def _log_laguerre_neg_rows(alpha: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """log_laguerre_neg(alpha[r], lam[r]) for rows of lam > 0, unchecked,
+    as an (R,) array; NaN where the series does not converge within
+    _MAX_TERMS terms."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a failing window may overflow
+        return _window_log_sum(_confluent_rows(alpha, lam), alpha.size)
+
+
 def log_laguerre_neg(alpha: float, lam: float) -> float:
     """ln of the confluent sum  S = sum_n (alpha)_n lam^n / (n!)^2.
 
@@ -629,9 +639,9 @@ def log_laguerre_neg(alpha: float, lam: float) -> float:
         raise ValueError(f"log_laguerre_neg requires lam >= 0, got {lam}")
     if lam == 0.0:
         return 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # a failing window may overflow
-        for _, _, _, _, log_sum in _confluent_rows(np.array([alpha]), np.array([lam])):
-            return float(log_sum[0])
+    log_sum = float(_log_laguerre_neg_rows(np.array([alpha]), np.array([lam]))[0])
+    if not math.isnan(log_sum):
+        return log_sum
     raise SeriesConvergenceError(
         f"Laguerre series did not converge for alpha={alpha}, lam={lam} within {_MAX_TERMS} terms"
     )
@@ -647,14 +657,6 @@ def _log_laguerre_neg_grad(alpha: np.ndarray, lam: np.ndarray) -> np.ndarray:
     c = alpha gives both derivatives.
     """
     return _window_grad(_confluent_rows(alpha, lam), alpha)
-
-
-def _log_laguerre_neg_rows(alpha: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """log_laguerre_neg(alpha[r], lam[r]) for rows of lam > 0, unchecked,
-    as an (R,) array; NaN where the series does not converge within
-    _MAX_TERMS terms."""
-    with np.errstate(over="ignore", invalid="ignore"):  # a failing window may overflow
-        return _window_log_sum(_confluent_rows(alpha, lam), alpha.size)
 
 
 def log_laguerre_pos_arg(alpha: float, lam: float) -> float:
