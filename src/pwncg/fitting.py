@@ -258,12 +258,14 @@ def _validate_batch(data) -> np.ndarray:
 def _softplus(s: np.ndarray) -> np.ndarray:
     """ln(1 + e^s), as s + ln(1 + e^-s) above s = 30, where e^s may overflow;
     only the branch that some element takes is computed."""
-    if s.max() <= 30.0:
+    big = s > 30.0
+    n_big = np.count_nonzero(big)
+    if not n_big:
         return np.log1p(np.exp(s))
-    if s.min() > 30.0:
+    if n_big == s.size:
         return s + np.log1p(np.exp(-s))
     with np.errstate(over="ignore"):
-        return np.where(s > 30.0, s + np.log1p(np.exp(-s)), np.log1p(np.exp(s)))
+        return np.where(big, s + np.log1p(np.exp(-s)), np.log1p(np.exp(s)))
 
 
 def _softplus_inv(lam: float) -> float:
@@ -272,9 +274,12 @@ def _softplus_inv(lam: float) -> float:
     return math.log(math.expm1(lam))
 
 
-def _projected_grad_norm(grad: np.ndarray, z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
+def _projected_grad_norms(grad: np.ndarray, z: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """The max-norm of the projected gradient at each row of z (k, d): the
+    gradient with the components that push a coordinate out through a box
+    bound zeroed."""
     at_bound = ((z <= lo + 1e-12) & (grad > 0.0)) | ((z >= hi - 1e-12) & (grad < 0.0))
-    return float(np.max(np.abs(np.where(at_bound, 0.0, grad))))
+    return np.max(np.abs(np.where(at_bound, 0.0, grad)), axis=1)
 
 
 def _lbfgsb(objective, z0: np.ndarray, bounds) -> list[_Run]:
@@ -320,7 +325,10 @@ def _lbfgsb(objective, z0: np.ndarray, bounds) -> list[_Run]:
     nit = [0] * slots
     nfev = [0] * slots
     penalties = [0] * slots
-    runs: list = [None] * n_rows
+    counts: list = [None] * n_rows
+    end_x = np.empty((n_rows, d))
+    end_g = np.empty((n_rows, d))
+    success = np.zeros(n_rows, dtype=bool)
     next_row = 0
 
     def load(s: int) -> None:
@@ -332,11 +340,14 @@ def _lbfgsb(objective, z0: np.ndarray, bounds) -> list[_Run]:
         nit[s] = nfev[s] = penalties[s] = 0
         next_row += 1
 
-    def finish(s: int) -> _Run:
-        success = bool(task[s, 0] == _CONVERGENCE)
-        xs, jac = x[s].copy(), g[s].copy()
-        converged = success and _projected_grad_norm(jac, xs, lo, hi) <= tol
-        return _Run(xs, f[s], jac, success, converged, nit[s], nfev[s], penalties[s])
+    def finish(s: int) -> None:
+        """Keep row s's end point and counts; its converged flag is set
+        with every other row's at the end."""
+        r = row[s]
+        end_x[r] = x[s]
+        end_g[r] = g[s]
+        success[r] = task[s, 0] == _CONVERGENCE
+        counts[r] = (f[s], nit[s], nfev[s], penalties[s])
 
     for s in range(slots):
         load(s)
@@ -364,7 +375,7 @@ def _lbfgsb(objective, z0: np.ndarray, bounds) -> list[_Run]:
                     elif nfev[s] > _MAXFUN:
                         ts[:] = _STOP, 502
                 else:
-                    runs[row[s]] = finish(s)
+                    finish(s)
                     if next_row == n_rows:
                         break
                     load(s)
@@ -378,7 +389,13 @@ def _lbfgsb(objective, z0: np.ndarray, bounds) -> list[_Run]:
                 nfev[s] += 1
                 penalties[s] += value == _PENALTY
         active = asking
-    return runs
+    converged = success & (_projected_grad_norms(end_g, end_x, lo, hi) <= tol)
+    return [
+        _Run(x_r, fun, g_r, ok, c, it, ev, pen)
+        for x_r, g_r, ok, c, (fun, it, ev, pen) in zip(
+            end_x, end_g, success.tolist(), converged.tolist(), counts
+        )
+    ]
 
 
 def _by_length(xs: list[np.ndarray]):
@@ -396,8 +413,9 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
 
 
 def _row_mean(a: np.ndarray) -> np.ndarray:
-    """np.mean(a, axis=1), without its Python-level wrapper."""
-    return np.add.reduce(a, axis=1) / a.shape[1]
+    """np.mean(a, axis=-1), without its Python-level wrapper: on a
+    C-contiguous a, what np.mean gives on each row alone."""
+    return np.add.reduce(a, axis=-1) / a.shape[-1]
 
 
 class _Group:
@@ -709,14 +727,16 @@ def _proposed_mean_ll(a, b, lam, mlog, m1, sqrt_y):
     """Mean log-likelihood of the proposed law and its gradient, as
     _noncentral_gamma_mean_ll."""
     log_b = np.log(b)
+    b_m1 = b * m1
     log_s, ds_da, lam_ds_dlam = _log_laguerre_neg_grad(a, lam)
-    log_i0, x_dx = _log_i0_grad((2.0 * np.sqrt(b * lam))[:, None] * sqrt_y)
-    value = a * log_b - gammaln(a) - log_s + (a - 1.0) * mlog - b * m1 + _row_mean(log_i0)
-    half_x_dx = 0.5 * _row_mean(x_dx)
+    # the row means of ln I0 and of x d/dx ln I0, in one reduction
+    mean_log_i0, mean_x_dx = _row_mean(_log_i0_grad((2.0 * np.sqrt(b * lam))[:, None] * sqrt_y))
+    value = a * log_b - gammaln(a) - log_s + (a - 1.0) * mlog - b_m1 + mean_log_i0
+    half_x_dx = 0.5 * mean_x_dx
     return value, (
         a * (log_b - digamma(a) - ds_da + mlog),
-        a - b * m1 + half_x_dx,
-        -lam_ds_dlam + half_x_dx,
+        a - b_m1 + half_x_dx,
+        half_x_dx - lam_ds_dlam,
     )
 
 
@@ -728,19 +748,19 @@ def _shifted_rows(mean_ll, z: np.ndarray, mlog, m1, sqrt_y):
     a = np.exp(z[:, 0])
     b = np.exp(z[:, 1])
     lam = _softplus(z[:, 2])
-    grad = np.empty_like(z)
     with np.errstate(all="ignore"):
         value, (ga, gb, glam) = mean_ll(a, b, lam, mlog, m1, sqrt_y)
-        # dlam/ds = 1 - exp(-lam), so d/ds = (lam d/dlam) (1 - exp(-lam)) / lam.
-        np.negative(ga, out=grad[:, 0])
-        np.negative(gb, out=grad[:, 1])
-        np.negative(glam * -np.expm1(-lam) / lam, out=grad[:, 2])
-        value = -value
-    if not (np.isfinite(value).all() and np.isfinite(grad).all()):
-        bad = ~(np.isfinite(value) & np.isfinite(grad).all(axis=1))
-        value[bad] = _PENALTY
-        grad[bad] = 0.0
-    return value, grad
+        # dlam/ds = 1 - exp(-lam), so -d/ds = (lam d/dlam) expm1(-lam) / lam;
+        # the value and the other two derivatives are negated in one pass.
+        out = np.array((value, ga, gb, glam * np.expm1(-lam) / lam))
+        np.negative(out[:3], out=out[:3])
+        # A sum of finite numbers is finite or overflows; any inf or NaN
+        # makes it non-finite, and then the rows are checked one by one.
+        if not math.isfinite(np.add.reduce(out, axis=None)):
+            bad = ~np.isfinite(out).all(axis=0)
+            out[0, bad] = _PENALTY
+            out[1:, bad] = 0.0
+    return out[0], out[1:].T
 
 
 def _fit_shifted_batches(batches: _Batches, rngs, gammas, mean_ll, extra_start=None):

@@ -21,6 +21,22 @@ value) that the confluent normalizer's window kernel sums (_window_rows);
 _window_grad gives the derivatives of both window series as moments of
 their terms.
 
+Where a window call's time goes. The term arithmetic is a few passes
+over each row's window (about 40 terms at lam = 3, 840 at lam = 2000):
+the ratios, their cumulative product, H_n, and the sum and two moment
+sums, each a cumulative sum so that terms add in order. The rest is a
+fixed number of numpy calls on (R,)-sized arrays, whatever the row count
+R: the mode, the window bounds (_window_bounds, whole numbers held as
+floats, so that they enter the log terms without a cast), the log of the
+first term where a window starts past n = 0, and the tail and head
+checks (_window_checks, one mask per block, split into the two only
+where a row fails). At the one to three rows of a strongly noncentral
+fit those calls cost as much as the arithmetic; computed per row in
+Python floats they would cost less there, but more from about a dozen
+rows on, and the ln I_nu fallback sums thousands of rows through the
+same code. The confluent ratios compute alpha + n on the way, and
+_window_grad takes H_n from it rather than building it again.
+
 The value-and-gradient kernels that the fits call are row-batched: they
 take one parameter set per row and return one result per row. A row's
 result never depends on the other rows of its call. Each row chooses its
@@ -32,6 +48,7 @@ array get exact zeros there, and sums over terms add the terms in order
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import digamma, gammaln, i0e, i1e, ive
@@ -155,10 +172,16 @@ def _log_i0_unchecked(arr: np.ndarray) -> np.ndarray:
     return np.log(i0e(arr)) + arr
 
 
-def _log_i0_grad(arr: np.ndarray):
-    """_log_i0_unchecked(arr) and x d/dx ln I0(x) = x I1(x) / I0(x) at arr."""
+def _log_i0_grad(arr: np.ndarray) -> np.ndarray:
+    """_log_i0_unchecked(arr) and x d/dx ln I0(x) = x I1(x) / I0(x) at arr,
+    stacked as an array of shape (2,) + arr.shape."""
+    out = np.empty((2,) + arr.shape)
     scaled = i0e(arr)
-    return np.log(scaled) + arr, i1e(arr) / scaled * arr
+    np.log(scaled, out=out[0])
+    out[0] += arr
+    np.divide(i1e(arr), scaled, out=out[1])
+    out[1] *= arr
+    return out
 
 
 def log_bessel_i0(x):
@@ -220,8 +243,8 @@ def _iv_window_rows(nu: np.ndarray, x: np.ndarray):
     log_half_x = np.log(x) - math.log(2.0)
     q = 0.25 * x * x
 
-    def ratios(n: np.ndarray, rows) -> np.ndarray:
-        return q[rows, None] / ((n + 1.0) * (n + 1.0 + nu[rows, None]))
+    def ratios(n: np.ndarray, rows):
+        return q[rows, None] / ((n + 1.0) * (n + 1.0 + nu[rows, None])), None
 
     def log_head(n: np.ndarray, rows) -> np.ndarray:
         v = nu[rows]
@@ -449,71 +472,136 @@ def _term_index(n_end: int) -> np.ndarray:
     return _N_TABLE[:n_end] if n_end <= len(_N_TABLE) else np.arange(float(n_end))
 
 
-def _window_rows(ratios, log_head, mode: np.ndarray):
+def _window_bounds(mode: np.ndarray):
+    """The window (first, last) of each row, whole numbers as float arrays:
+    from _WINDOW_WIDTHS widths sqrt(mode + 1) and _WINDOW_MARGIN terms
+    before the mode (or n = 0) to as far past it, at most _MAX_TERMS.
+    As floats they never wrap, as an int64 cast would past 2**63, and
+    enter the log terms without a cast; fmin also clips a NaN, so an
+    infinite or NaN mode gives a window that ends at _MAX_TERMS, where the
+    row fails. first < last always, so neither needs clipping to the
+    other."""
+    width = _WINDOW_WIDTHS * np.sqrt(mode + 1.0)
+    last = np.trunc(mode + width)
+    last += _WINDOW_MARGIN
+    np.fmin(last, _MAX_TERMS, out=last)
+    first = np.trunc(np.fmin(mode - width, _MAX_TERMS))
+    first -= _WINDOW_MARGIN
+    np.maximum(first, 0.0, out=first)
+    return first, last
+
+
+class _Block(NamedTuple):
+    """Rows of a window series summed together (see _window_rows)."""
+
+    rows: np.ndarray | slice
+    first: np.ndarray
+    head: bool
+    n: np.ndarray | None
+    shifted: np.ndarray | None
+    rel: np.ndarray
+    total: np.ndarray
+    log_sum: np.ndarray
+
+    def take(self, ok: np.ndarray) -> _Block:
+        """The block of the rows where ok; rows must be an index array."""
+
+        def pick(v):  # a per-row array, else the shared term index or None
+            return v[ok] if v is not None and v.ndim == 2 else v
+
+        return _Block(
+            self.rows[ok], self.first[ok], self.head, pick(self.n), pick(self.shifted),
+            self.rel[ok], self.total[ok], self.log_sum[ok],
+        )
+
+
+def _window_checks(r, rel, end, total, n0, padded: bool):
+    """The tail and head checks of _window_rows on a block: whether each
+    row's last term is past the mode (its ratio r below 1) and below
+    _REL_TOL of the sum, and, given the first terms n0 of rows that do not
+    all start at n = 0, whether each starts at n = 0 or before the mode
+    with a first term below _REL_TOL of the sum (None without n0)."""
+    if padded:
+        at = np.arange(end.size)
+        last = end.astype(np.intp) - 1
+        r_end, rel_end = r[at, last], rel[at, last]
+    else:
+        r_end, rel_end = r[:, -1], rel[:, -1]
+    tol = _REL_TOL * total
+    tail_ok = r_end < 1.0
+    tail_ok &= rel_end < tol
+    if n0 is None:
+        return tail_ok, None
+    head_ok = r[:, 0] > 1.0
+    head_ok &= 1.0 < tol
+    if np.count_nonzero(n0) < n0.size:
+        head_ok |= n0 == 0
+    return tail_ok, head_ok
+
+
+def _window_rows(ratios, log_head, mode):
     """Sums of positive series, one per row, each over a window of its own
     terms, in one numpy pass per block of rows.
 
     ratios(n, rows) returns t_{n+1} / t_n of the given rows at term
-    indices n (rows.size, N), log_head(n, rows) returns ln t_n at indices n
-    (rows.size,) with n > 0 (t_0 = 1), and mode[r] is where row r's ratio
-    crosses 1. Around it ln t_n falls off like a Gaussian of variance at
-    most mode + 1, so a row's window runs from _WINDOW_WIDTHS of those
-    widths and _WINDOW_MARGIN terms before the mode (or from n = 0) to as
-    far past it, where the terms are ~exp(-40) of the peak. Within it, the
-    terms over the first one are a cumulative product of the ratios; they
-    stay within ~exp(+-250), so they neither overflow nor lose their sum to
+    indices n (rows.size, N), and with it c + n, if the ratios computed
+    that on the way, for the derivatives of _window_grad, else None;
+    log_head(n, rows) returns ln t_n at indices n (rows.size,) with n > 0
+    (t_0 = 1), and mode[r] is where row r's ratio crosses 1. Around it
+    ln t_n falls off like a Gaussian of variance at most mode + 1, so a
+    row's window runs from _WINDOW_WIDTHS of those widths and
+    _WINDOW_MARGIN terms before the mode (or from n = 0) to as far past
+    it, where the terms are ~exp(-40) of the peak. Within it, the terms
+    over the first one are a cumulative product of the ratios; they stay
+    within ~exp(+-250), so they neither overflow nor lose their sum to
     underflow.
 
-    Yields (rows, first, rel, total, log_sum) per block of rows (an index
-    array, or a slice for all rows): rel (rows.size, size) holds
-    t_{first[i] + j} / t_{first[i]} for j = 1 .. size in row i, 0 past the
-    row's window end, total = 1 + the sum of rel over j, and log_sum the
-    log of the row's sum. Every window series is truncated alike: a row
-    whose last term is not past the mode and below _REL_TOL of the sum is
-    retried with its window end doubled, up to _MAX_TERMS terms, and never
-    yielded if it fails there; a row whose first term is not before the
-    mode and below _REL_TOL of the sum is retried with its start halved.
+    Yields a _Block per block of rows (an index array, or a slice for all
+    rows): first; head, whether some first is past 0; the term indices n
+    at which the ratios were taken ((rows.size, size) with a head, else
+    (size,)), unless ratios returned c + n, which the block then holds
+    instead; rel (rows.size, size) holding t_{first[i] + j} / t_{first[i]}
+    for j = 1 .. size in row i, 0 past the row's window end; total = 1 +
+    the sum of rel over j; and log_sum, the log of the row's sum. Every
+    window series is truncated alike: a row whose last term is not past
+    the mode and below _REL_TOL of the sum is retried with its window end
+    doubled, up to _MAX_TERMS terms, and never yielded if it fails there;
+    a row whose first term is not before the mode and below _REL_TOL of
+    the sum is retried with its start halved.
     """
-    width = _WINDOW_WIDTHS * np.sqrt(mode + 1.0)
-    # Clipped to _MAX_TERMS before the cast, which would wrap past 2**63;
-    # a row whose mode lies beyond _MAX_TERMS fails either way.
-    last = np.minimum(mode + width, _MAX_TERMS).astype(np.int64) + _WINDOW_MARGIN
-    np.minimum(last, _MAX_TERMS, out=last)
-    first = np.maximum(np.minimum(mode - width, _MAX_TERMS).astype(np.int64) - _WINDOW_MARGIN, 0)
-    np.minimum(first, last - 1, out=first)
+    first, last = _window_bounds(mode)
     pending = slice(None)
     while True:
         retry = []
-        for size, rows in _row_blocks(last - first, pending, 1):
+        lengths = last - first
+        for size, rows in _row_blocks(lengths, pending, 1):
             n0 = first[rows]
-            end = last[rows] - n0
-            head = bool(n0.any())
-            n = _term_index(size)
-            r = ratios(n0[:, None] + n if head else n, rows)
-            padded = not (end == size).all()
+            end = lengths[rows]
+            head = np.count_nonzero(n0) != 0
+            j = _term_index(size)
+            n = n0[:, None] + j if head else j
+            r, shifted = ratios(n, rows)
+            padded = np.minimum.reduce(end) < size
             if padded:
-                r[n >= end[:, None]] = 0.0  # the terms past a row's end are 0
+                r[j >= end[:, None]] = 0.0  # the terms past a row's end are 0
             rel = np.multiply.accumulate(r, axis=1)
             s1 = _sum_row_terms(rel)
             total = 1.0 + s1
             log_sum = np.log1p(s1)
             if head:
                 log_sum += log_head(n0, rows)
-            if padded:
-                at = np.arange(end.size)
-                r_end, rel_end = r[at, end - 1], rel[at, end - 1]
-            else:
-                r_end, rel_end = r[:, -1], rel[:, -1]
-            ok = tail_ok = (r_end < 1.0) & (rel_end < _REL_TOL * total)
-            if head:
-                head_ok = (n0 == 0) | ((r[:, 0] > 1.0) & (1.0 < _REL_TOL * total))
-                ok = tail_ok & head_ok
-            if ok.all():
-                yield rows, n0, rel, total, log_sum
+            tail_ok, head_ok = _window_checks(r, rel, end, total, n0 if head else None, padded)
+            ok = tail_ok if head_ok is None else tail_ok & head_ok
+            del r  # the block's largest arrays are all that stays alive
+            block = _Block(
+                rows, n0, head, n if shifted is None else None, shifted, rel, total, log_sum
+            )
+            if np.count_nonzero(ok) == ok.size:
+                yield block
                 continue
             rows = np.arange(last.size)[rows]
             if ok.any():
-                yield rows[ok], n0[ok], rel[ok], total[ok], log_sum[ok]
+                yield block._replace(rows=rows).take(ok)
             if head:
                 first[rows[~head_ok]] //= 2
             grow = ~tail_ok & (n0 + end < _MAX_TERMS)
@@ -526,37 +614,41 @@ def _window_rows(ratios, log_head, mode: np.ndarray):
 
 def _window_grad(blocks, c: np.ndarray) -> np.ndarray:
     """ln S, E_w[H_n] and E_w[n] of each of the R rows of c, as a (3, R)
-    array, from the blocks of _window_rows (rows, first, rel, total,
-    log_sum), with w_n = t_n / S and H_n = sum_{k<n} 1 / (c[r] + k); NaN
-    in the rows that _window_rows does not yield.
+    array, from the blocks of _window_rows, with w_n = t_n / S and
+    H_n = sum_{k<n} 1 / (c[r] + k); NaN in the rows that _window_rows does
+    not yield. c + n comes from the block where its ratios computed it.
 
     For a series whose log terms have the derivative -H_n, or H_n, in a
     parameter, the derivative of ln S is -E_w[H_n], or E_w[H_n]; for
     terms carrying z^n, z d ln S / dz is E_w[n].
     """
-    out = np.full((3, c.size), np.nan)
-    for rows, n0, rel, total, log_sum in blocks:
-        cr = c[rows, None]
-        n = _term_index(rel.shape[1])
-        head = n0.any()
-        if head:
-            n = n0[:, None] + n
+    parts = []
+    for rows, n0, head, n, shifted, rel, total, log_sum in blocks:
         # H_{n+1} - H_n = 1 / (c + n), accumulated from the first term
-        mean_h = _sum_row_terms(rel * np.add.accumulate(1.0 / (cr + n), axis=-1)) / total
-        mean_n = n0 + _sum_row_terms(rel * _term_index(rel.shape[1] + 1)[1:]) / total
+        h = np.add.accumulate(1.0 / (c[rows, None] + n if shifted is None else shifted), axis=-1)
+        mean_h = _sum_row_terms(rel * h) / total
+        del h  # one block-sized temporary at a time
+        mean_n = _sum_row_terms(rel * _term_index(rel.shape[1] + 1)[1:]) / total
         if head:
             # H_first = digamma(c + first) - digamma(c)
-            mean_h += digamma(cr[:, 0] + n0) - digamma(cr[:, 0])
-        out[:, rows] = log_sum, mean_h, mean_n
+            cr = c[rows]
+            mean_h += digamma(cr + n0) - digamma(cr)
+        mean_n += n0
+        parts.append((rows, (log_sum, mean_h, mean_n)))
+    if len(parts) == 1 and isinstance(parts[0][0], slice):
+        return np.array(parts[0][1])  # one block of every row, the common case
+    out = np.full((3, c.size), np.nan)
+    for rows, values in parts:
+        out[:, rows] = values
     return out
 
 
 def _window_log_sum(blocks, size: int) -> np.ndarray:
-    """ln S of each of size rows from the blocks of _window_rows (rows,
-    first, rel, total, log_sum); NaN in the rows it does not yield."""
+    """ln S of each of size rows from the blocks of _window_rows; NaN in
+    the rows it does not yield."""
     out = np.full(size, np.nan)
-    for rows, _, _, _, log_sum in blocks:
-        out[rows] = log_sum
+    for block in blocks:
+        out[block.rows] = block.log_sum
     return out
 
 
@@ -570,11 +662,12 @@ def _confluent_mode(alpha, lam):
 
 def _confluent_rows(alpha: np.ndarray, lam: np.ndarray):
     """_window_rows of the confluent series t_n = (alpha)_n lam^n / (n!)^2 at
-    rows of alpha > 0 and lam > 0."""
+    rows of alpha > 0 and lam > 0; c + n of _window_grad is alpha + n."""
 
-    def ratios(n: np.ndarray, rows) -> np.ndarray:
+    def ratios(n: np.ndarray, rows):
         # lam (alpha + n) / (n + 1)^2
-        return (alpha[rows, None] + n) * lam[rows, None] / np.square(n + 1.0)
+        shifted = alpha[rows, None] + n
+        return shifted * lam[rows, None] / np.square(n + 1.0), shifted
 
     def log_head(n: np.ndarray, rows) -> np.ndarray:
         a = alpha[rows]
@@ -594,11 +687,12 @@ def _confluent_weights(alpha: float, lam: float):
     """
     with np.errstate(over="ignore", invalid="ignore"):  # a failing window may overflow
         blocks = list(_confluent_rows(np.array([float(alpha)]), np.array([float(lam)])))
-    for _, n0, rel, total, _ in blocks:
-        weights = np.zeros(n0[0] + 1 + rel.shape[1])
-        weights[n0[0]] = 1.0
-        weights[n0[0] + 1 :] = rel[0]
-        return weights / total[0]
+    for block in blocks:
+        n0 = int(block.first[0])
+        weights = np.zeros(n0 + 1 + block.rel.shape[1])
+        weights[n0] = 1.0
+        weights[n0 + 1 :] = block.rel[0]
+        return weights / block.total[0]
     raise SeriesConvergenceError(
         f"could not bound the pmf tail below {_REL_TOL:g} within {_MAX_TERMS} "
         f"terms for lam={lam}, alpha={alpha}"

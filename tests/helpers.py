@@ -1,15 +1,26 @@
-"""Shared test utilities: WAV synthesis and quadrature oracles.
+"""Shared test utilities: WAV synthesis, quadrature oracles and the golden
+report.
 
 The WAV writers are deliberately independent of the package reader (raw
 struct packing) so reader tests have a synthesis oracle to check against.
 """
 
+import contextlib
+import dataclasses
+import hashlib
+import io
+import json
 import math
+import os
 import struct
 
 import numpy as np
+import scipy
+from scipy.special import digamma, gammaln, i0e, i1e, ive
 
+from pwncg import cli
 from pwncg.distributions import ComplexParams, log_pdf_complex
+from pwncg.fitting import FIT_MODELS, fit_batches
 
 
 def write_wav_pcm16(path, samples, sample_rate, channels=1):
@@ -104,3 +115,82 @@ def complex_normalization(p: ComplexParams, n_r=800, n_t=512) -> float:
     z = r[:, None] * np.exp(1j * th[None, :])
     log_dens = log_pdf_complex(z.ravel(), p).reshape(z.shape)
     return float(np.sum(np.exp(log_dens) * (r * wr)[:, None]) * wt)
+
+
+# The golden report: `pwncg fit-spectra --seed 1` on GOLDEN_CLIP_S seconds
+# of make_speech_like (seed 2024, 16 kHz), written to tests/golden/ by
+# tests/golden/regenerate.py and compared by tests/test_golden.py.
+GOLDEN_CLIP_S = 0.3
+GOLDEN_ARGV = [
+    "fit-spectra", "--input", "speech.wav", "--out", "report.json", "--csv", "report.csv",
+    "--seed", "1",
+]
+
+
+def golden_outputs(workdir):
+    """The report JSON without its per-patch records, as text, and the CSV,
+    as bytes (csv ends its lines with CR LF), of a fit-spectra run in
+    workdir on the golden clip; its file name is relative, so the outputs
+    do not depend on workdir."""
+    write_wav_pcm16(
+        os.path.join(workdir, "speech.wav"), make_speech_like(GOLDEN_CLIP_S, 16000, 2024), 16000
+    )
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(GOLDEN_ARGV)
+        with open("report.json") as fh:
+            report = json.load(fh)
+        with open("report.csv", "rb") as fh:
+            table = fh.read()
+    finally:
+        os.chdir(cwd)
+    del report["patches"]
+    return json.dumps(report, indent=2, sort_keys=True) + "\n", table
+
+
+# Batches of 40 powers, each the sum over dof of |m + z|^2 (z standard
+# complex normal) times 2^k, whose fits take math.log of a value where
+# numpy's log rounds differently in the last bit, and where that bit
+# reaches the reported numbers: the exponential rate (seed 86), the gamma
+# and proposed rates (249), the noncentral-gamma rate (711) and lam
+# (7933), and the gamma shape that starts the shifted fits (1977). On the
+# speech clip alone the two logs agree at every such step (they differ on
+# about 1 in 4000 arguments); these pin that the fits keep math's log.
+GOLDEN_BATCHES = ((86, -11), (249, 16), (711, 0), (7933, 0), (1977, 0))
+
+
+def golden_batch(seed: int, k: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    m = 8.0 * rng.uniform(0.0, 1.0) ** 2
+    dof = int(rng.integers(1, 9))
+    z = m + rng.standard_normal((dof, 40)) + 1j * rng.standard_normal((dof, 40))
+    return np.sum(np.abs(z) ** 2, axis=0) * 2.0**k
+
+
+def golden_batch_fits() -> str:
+    """Every field of the four models' fits of the golden batches, as JSON
+    text (floats by repr, so any changed bit shows)."""
+    fits = fit_batches(FIT_MODELS, [golden_batch(*b) for b in GOLDEN_BATCHES])
+    out = {m: [dataclasses.asdict(f) for f in fits[m]] for m in FIT_MODELS}
+    return json.dumps(out, indent=2, sort_keys=True) + "\n"
+
+
+def numeric_environment() -> dict:
+    """The numpy and scipy versions, and a SHA-256 of the elementary and
+    special functions the fits call, on fixed probe vectors: numpy's exp,
+    log, log1p and expm1, math's exp and log, and scipy's gammaln,
+    digamma, i0e, i1e and ive. Where two machines agree on all of it,
+    their reports agree byte for byte."""
+    t = np.linspace(-40.0, 40.0, 4001)
+    x = np.geomspace(1e-6, 1e4, 4001)
+    nu = np.repeat([-0.5, 0.0, 0.7, 3.0, 40.0, 400.0], x.size // 6 + 1)[: x.size]
+    values = [
+        np.exp(t), np.log(x), np.log1p(x), np.expm1(t),
+        np.array([math.exp(v) for v in t.tolist()]),
+        np.array([math.log(v) for v in x.tolist()]),
+        gammaln(x), digamma(x), i0e(x), i1e(x), ive(nu, x),
+    ]
+    digest = hashlib.sha256(b"".join(np.ascontiguousarray(v).tobytes() for v in values))
+    return {"numpy": np.__version__, "scipy": scipy.__version__, "probe_sha256": digest.hexdigest()}

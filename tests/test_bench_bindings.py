@@ -6,7 +6,10 @@ perfbench traces pwncg by replacing module bindings (for example
 (``fitting.DEFAULT_OPTIMIZER.restarts``); each workload's set-up calls
 the library (``spectral.stft_power``, ``sampling.sample_power``, ...). A
 renamed or dropped binding, or a changed return type, otherwise shows only
-when the benchmark runs.
+when the benchmark runs. The untraced passes, which the benchmark times,
+chunk a pass with a SpeedProbe wrapped around other bindings
+(``spectral.fit_model``, ``fitting.log_laguerre_neg``); one pass of each
+fitting workload runs that way here.
 """
 
 from pathlib import Path
@@ -37,3 +40,28 @@ def test_every_workload_sets_up(monkeypatch, tmp_path):
         workdir = tmp_path / name
         workdir.mkdir()
         workload(1, workdir)  # raises if the library calls of its set-up fail
+
+
+def test_untraced_fitting_passes_run_with_a_speed_probe(monkeypatch, tmp_path):
+    # As perfbench/run.py times a pass, over a reference that does nothing:
+    # the probe wraps spectral.fit_model in speech_patches and
+    # fitting.log_laguerre_neg in noncentral_batches, which no traced table
+    # holds. Smaller inputs keep it short: 0.1 s of the clip (43 patches)
+    # and the two batches of lowest lambda.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import speed
+    import workloads
+
+    monkeypatch.setattr(workloads.SpeechPatches, "CLIP_S", 0.1)
+    for name in ("speech_patches", "noncentral_batches"):
+        workdir = tmp_path / name
+        workdir.mkdir()
+        workload = workloads.WORKLOADS[name](1, workdir)
+        if name == "noncentral_batches":
+            workload.batches = workload.batches[:2]
+        probe = speed.SpeedProbe(lambda: None)
+        probe.start()
+        out = workload.run(None, probe)
+        probe.stop()
+        outcome = workload.check(out)
+        assert outcome.attempted > 0 and outcome.failed == 0, (name, outcome.problems)

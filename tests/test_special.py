@@ -395,6 +395,33 @@ class TestLogLaguerreNeg:
         assert list(inspect.signature(special._window_grad).parameters) == ["blocks", "c"]
         assert list(inspect.signature(special._log_iv_window_grad).parameters) == ["nu", "x"]
 
+    def test_window_bounds_equal_the_int64_formula(self):
+        # _window_bounds holds the bounds as whole floats; they equal those
+        # of the int64 form (clipped to the term budget before the cast,
+        # first kept below last) at every finite mode, from the fits'
+        # windows to modes past the budget and past 2**63
+        rng = np.random.default_rng(8)
+        mode = np.concatenate(
+            [
+                [0.0, 1.0, 2.5, 199_983.0, 2e5, 3e5, 2.0**63, 1e300],
+                np.geomspace(1e-12, 1e25, 4000),
+                rng.uniform(0.0, 300.0, 2000),
+                np.arange(0.0, 5000.0),
+            ]
+        )
+        width = special._WINDOW_WIDTHS * np.sqrt(mode + 1.0)
+        budget, margin = special._MAX_TERMS, special._WINDOW_MARGIN
+        last = np.minimum(np.minimum(mode + width, budget).astype(np.int64) + margin, budget)
+        first = np.maximum(np.minimum(mode - width, budget).astype(np.int64) - margin, 0)
+        first = np.minimum(first, last - 1)
+        got_first, got_last = special._window_bounds(mode)
+        np.testing.assert_array_equal(got_first, first)
+        np.testing.assert_array_equal(got_last, last)
+        # an infinite mode (lam or alpha overflowing it) ends at the budget
+        with np.errstate(invalid="ignore"):
+            got_first, got_last = special._window_bounds(np.array([np.inf]))
+        assert got_last[0] == budget and got_first[0] < got_last[0]
+
     def test_window_terms_match_mpmath(self):
         # ln t_n = ln (alpha)_n + n ln lam - 2 ln n! of every term in the
         # window, from the weights t_n / S and ln S; a running product of n
@@ -472,14 +499,59 @@ class TestRowBatchedKernels:
     call: each row's window, term count and branch are its own."""
 
     def test_laguerre_rows_equal_single_rows(self):
+        # calls of 1, 2, 3 and 64 rows, as the fits make them, and of 40
         rng = np.random.default_rng(3)
-        alpha = 10.0 ** rng.uniform(-3.0, 3.0, 40)
-        lam = np.exp(rng.uniform(math.log(1e-18), math.log(5000.0), 40))
+        for size in (1, 2, 3, 40, 64):
+            alpha = 10.0 ** rng.uniform(-3.0, 3.0, size)
+            lam = np.exp(rng.uniform(math.log(1e-18), math.log(5000.0), size))
+            together = _log_laguerre_neg_grad(alpha, lam)
+            for i in range(alpha.size):
+                alone = _log_laguerre_neg_grad(alpha[i : i + 1], lam[i : i + 1])
+                np.testing.assert_array_equal(together[:, i], alone[:, 0])
+            assert together[0, 0] == log_laguerre_neg(alpha[0], lam[0])
+
+    # (alpha, lam): ln S, d/dalpha ln S and lam d/dlam ln S of
+    # _log_laguerre_neg_grad as float.hex, recorded at 3a01f24, before the
+    # window bookkeeping was rewritten. lam runs from the fits' floor,
+    # softplus(-40), where the window starts at n = 0, to their ceiling
+    # 5000, where it starts near the mode (about 5000 and 5852); alpha
+    # spans the fits' box; (1.5, 3) and (0.5, 2000) are a speech-like and
+    # a strongly noncentral point.
+    LAGUERRE_PINS = {
+        (1e-3, 4.248354255291589e-18): (
+            "0x1.40ff1f55b3d96p-68", "0x1.39792499b1a24p-58", "0x1.40ff1f55b3d96p-68"
+        ),
+        (1e3, 4.248354255291589e-18): (
+            "0x1.32204dbe17782p-48", "0x1.39792499b1a19p-58", "0x1.32204dbe1777bp-48"
+        ),
+        (1e-3, 5000.0): ("0x1.37895979e8886p+12", "0x1.f88bd2a0d3880p+9", "0x1.387003472787ep+12"),
+        (1e3, 5000.0): ("0x1.e5ca9926aa17fp+12", "0x1.ecd3efe24a209p+0", "0x1.6dd5720285af0p+12"),
+        (1.5, 3.0): ("0x1.e09826444547fp+1", "0x1.5d463b7022855p+0", "0x1.b4f182e46d8e1p+1"),
+        (0.5, 2000.0): ("0x1.f2e825d42f9eep+10", "0x1.320b918a70574p+3", "0x1.f3dffdf32fd84p+10"),
+    }
+
+    def test_laguerre_kernel_pins(self):
+        points = list(self.LAGUERRE_PINS)
+        alpha = np.array([a for a, _ in points])
+        lam = np.array([lam for _, lam in points])
+        assert lam[0] == float(np.log1p(np.exp(-40.0)))  # softplus(-40)
         together = _log_laguerre_neg_grad(alpha, lam)
-        for i in range(alpha.size):
+        for i, point in enumerate(points):
             alone = _log_laguerre_neg_grad(alpha[i : i + 1], lam[i : i + 1])
-            np.testing.assert_array_equal(together[:, i], alone[:, 0])
-        assert together[0, 7] == log_laguerre_neg(alpha[7], lam[7])
+            for got in (together[:, i], alone[:, 0]):
+                assert tuple(float(v).hex() for v in got) == self.LAGUERRE_PINS[point], point
+
+    def test_retried_row_leaves_the_others(self):
+        # No window inside the fits' box is retried (alpha in [1e-3, 1e3],
+        # lam in [softplus(-40), 5000]: none of 700 000 probes was). This
+        # row, far outside it, has its window end doubled until the term
+        # budget and fails; the row beside it keeps its own values.
+        alpha = np.array([1.5, 69097.6364600833])
+        lam = np.array([3.0, 146741.39369184236])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _log_laguerre_neg_grad(alpha, lam)
+        assert tuple(float(v).hex() for v in got[:, 0]) == self.LAGUERRE_PINS[(1.5, 3.0)]
+        assert np.isnan(got[:, 1]).all()
 
     def test_bessel_rows_equal_single_rows(self):
         # series, ive, ive-underflow and subnormal arguments, alone and mixed
