@@ -227,7 +227,7 @@ def _log_pdf_power_rows(x: np.ndarray, log_x: np.ndarray, alpha, beta, lam):
     log_s = np.zeros(alpha.size)
     shifted = lam > 0.0
     if shifted.any():
-        log_s[shifted] = _log_laguerre_neg_rows(alpha[shifted], lam[shifted])
+        log_s[shifted] = _log_laguerre_neg_rows(alpha[shifted], lam[shifted], False)[0]
         for r in np.flatnonzero(np.isnan(log_s)):
             log_s[r] = log_laguerre_neg(alpha[r], lam[r])
     log_norm = alpha * _math_log(beta) - gammaln(alpha) - log_s

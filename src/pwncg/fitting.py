@@ -113,10 +113,10 @@ from .distributions import (
     log_pdf_power,  # noqa: F401  (see below)
 )
 from .special import (
-    _log_bessel_i_nu_grad,
+    _log_bessel_i_nu_rows,
     _log_i0_grad,
     _log_i0_unchecked,  # noqa: F401  (see below)
-    _log_laguerre_neg_grad,
+    _log_laguerre_neg_rows,
     log_bessel_i_nu,  # noqa: F401  (see below)
     log_laguerre_neg,  # noqa: F401  (see below)
 )
@@ -704,7 +704,9 @@ def _noncentral_gamma_mean_ll(a, b, lam, mlog, m1, sqrt_y):
     ln b, ln lam), at rows of (a, b, lam)."""
     log_b = np.log(b)
     log_lam = np.log(lam)
-    log_i, d_nu, x_dx = _log_bessel_i_nu_grad(a - 1.0, (2.0 * np.sqrt(b * lam))[:, None] * sqrt_y)
+    log_i, d_nu, x_dx = _log_bessel_i_nu_rows(
+        a - 1.0, (2.0 * np.sqrt(b * lam))[:, None] * sqrt_y, True
+    )
     value = (
         -lam
         + 0.5 * (a + 1.0) * log_b
@@ -728,7 +730,7 @@ def _proposed_mean_ll(a, b, lam, mlog, m1, sqrt_y):
     _noncentral_gamma_mean_ll."""
     log_b = np.log(b)
     b_m1 = b * m1
-    log_s, ds_da, lam_ds_dlam = _log_laguerre_neg_grad(a, lam)
+    log_s, ds_da, lam_ds_dlam = _log_laguerre_neg_rows(a, lam, True)
     # the row means of ln I0 and of x d/dx ln I0, in one reduction
     mean_log_i0, mean_x_dx = _row_mean(_log_i0_grad((2.0 * np.sqrt(b * lam))[:, None] * sqrt_y))
     value = a * log_b - gammaln(a) - log_s + (a - 1.0) * mlog - b_m1 + mean_log_i0

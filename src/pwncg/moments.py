@@ -33,14 +33,29 @@ def raw_moment(n: int, p: PowerParams) -> float:
 
     M_n = (alpha)_n / beta^n * S(alpha + n, lam) / S(alpha, lam),
     where S is the confluent normalizer series, assembled in log domain
-    (S = 1 at lam = 0).
+    (S = 1 at lam = 0); inf where M_n exceeds the float range.
     """
     n = int(n)
     if n < 1:
         raise ValueError(f"raw_moment requires n >= 1, got {n}")
     log_m = gammaln(p.alpha + n) - gammaln(p.alpha) - n * math.log(p.beta)
     log_m = log_m + log_laguerre_neg(p.alpha + n, p.lam) - log_laguerre_neg(p.alpha, p.lam)
-    return math.exp(log_m)
+    try:
+        return math.exp(log_m)
+    except OverflowError:
+        return math.inf
+
+
+def _per_rate_power(v: float, beta: float, n: int) -> float:
+    """v / beta^n. Where beta^n leaves the float range, v is divided by
+    beta n times instead, so the quotient overflows to inf or underflows to
+    0.0 rather than raising."""
+    try:
+        return v / beta**n
+    except (OverflowError, ZeroDivisionError):
+        for _ in range(n):
+            v /= beta
+        return v
 
 
 def _mixing_cumulants(p: PowerParams) -> tuple[float, float, float, float]:
@@ -63,7 +78,7 @@ def mean_variance(p: PowerParams) -> tuple[float, float]:
     M2 - M1^2, keep their relative accuracy at every lam.
     """
     k1, k2, _, _ = _mixing_cumulants(p)
-    return (p.alpha + k1) / p.beta, (p.alpha + k1 + k2) / p.beta**2
+    return (p.alpha + k1) / p.beta, _per_rate_power(p.alpha + k1 + k2, p.beta, 2)
 
 
 def excess_kurtosis(p: PowerParams) -> float:
@@ -86,14 +101,14 @@ def ncgamma_cumulant(n: int, p: PowerParams) -> float:
     n = int(n)
     if n < 1:
         raise ValueError(f"ncgamma_cumulant requires n >= 1, got {n}")
-    return math.factorial(n - 1) * (p.alpha + n * p.lam) / p.beta**n
+    return _per_rate_power(math.factorial(n - 1) * (p.alpha + n * p.lam), p.beta, n)
 
 
 def ncgamma_excess_kurtosis(p: PowerParams) -> float:
-    """Excess kurtosis of the noncentral gamma baseline."""
-    k2 = ncgamma_cumulant(2, p)
-    k4 = ncgamma_cumulant(4, p)
-    return k4 / (k2 * k2)
+    """Excess kurtosis kappa4 / kappa2^2 = 6 (alpha + 4 lam) / (alpha +
+    2 lam)^2 of the noncentral gamma baseline, free of beta."""
+    s = p.alpha + 2.0 * p.lam
+    return 6.0 * (p.alpha + 4.0 * p.lam) / (s * s)
 
 
 def kurtosis_sweep(lambdas, alphas):

@@ -9,17 +9,20 @@ The kernels avoid Python loops over elements and over series terms: ln I0
 is ln(i0e(x)) + x at every argument; ln I_nu below _IV_SERIES_CUTOFF is a
 cumulative product over each row's own term count, read from a table; and
 the confluent normalizer sums a window of terms around its mode in one
-numpy pass. ln I_nu has one kernel, _log_bessel_i_nu_rows, with the
-derivatives the fits need (_log_bessel_i_nu_grad) or without them
-(log_bessel_i_nu and the noncentral-gamma density kernel of
-distributions, through _log_iv_padded): the value alone takes one ive call where the
-derivatives take four, and no moment sums. Either way the value is the
-same, bit for bit. Its arguments at which scipy's ive under- or
-overflows, and its subnormal arguments, go through one row-batched call
-of a log-domain series (_log_iv_window_grad, or _log_iv_window for the
-value) that the confluent normalizer's window kernel sums (_window_rows);
-_window_grad gives the derivatives of both window series as moments of
-their terms.
+numpy pass.
+
+Every series kernel has one entry point that takes grad: with grad it
+returns the value and the derivatives the fits need as a (3, ...) array,
+without it the value alone as a (1, ...) array, by cheaper code (one ive
+call where the derivatives take four, and no moment sums) that gives the
+same value, bit for bit. ln I_nu is _log_bessel_i_nu_rows; log_bessel_i_nu
+and the noncentral-gamma density kernel of distributions call it without
+grad (through _log_iv_padded). Its arguments at which scipy's ive under-
+or overflows, and its subnormal arguments, go through one row-batched call
+of a log-domain series (_log_iv_window) that the confluent normalizer's
+window kernel sums (_window_rows, one pass per block of rows: a row whose
+window fails its checks is NaN); _window_sums gives ln S and, with grad,
+the derivatives of both window series as moments of their terms.
 
 Where a window call's time goes. The term arithmetic is a few passes
 over each row's window (about 40 terms at lam = 3, 840 at lam = 2000):
@@ -29,13 +32,13 @@ fixed number of numpy calls on (R,)-sized arrays, whatever the row count
 R: the mode, the window bounds (_window_bounds, whole numbers held as
 floats, so that they enter the log terms without a cast), the log of the
 first term where a window starts past n = 0, and the tail and head
-checks (_window_checks, one mask per block, split into the two only
-where a row fails). At the one to three rows of a strongly noncentral
-fit those calls cost as much as the arithmetic; computed per row in
-Python floats they would cost less there, but more from about a dozen
-rows on, and the ln I_nu fallback sums thousands of rows through the
-same code. The confluent ratios compute alpha + n on the way, and
-_window_grad takes H_n from it rather than building it again.
+checks (_window_checks, one mask per block). At the one to three rows of
+a strongly noncentral fit those calls cost as much as the arithmetic;
+computed per row in Python floats they would cost less there, but more
+from about a dozen rows on, and the ln I_nu fallback sums thousands of
+rows through the same code. The confluent ratios compute alpha + n on
+the way, and _window_sums takes H_n from it rather than building it
+again.
 
 The value-and-gradient kernels that the fits call are row-batched: they
 take one parameter set per row and return one result per row. A row's
@@ -113,19 +116,18 @@ def _series_counts(q_max):
     return np.minimum(np.searchsorted(_SERIES_QSTAR, q_max, side="left") + 3, len(_SERIES_N))
 
 
-def _row_blocks(lengths: np.ndarray, rows, width: int):
-    """(length, block) pairs that cover rows (an index array, or a slice
-    for all rows): all of them if their padded block (longest length x
-    rows x width) holds at most _SERIES_BLOCK elements, else blocks of
-    consecutive rows in order of length that do, with a block of its own
-    for a row too long for that."""
-    lens = lengths[rows]
-    longest = int(lens.max())
-    if longest * lens.size * width <= _SERIES_BLOCK:
-        yield longest, rows
+def _row_blocks(lengths: np.ndarray, width: int):
+    """(length, rows) pairs that cover every row: a slice of all rows if
+    their padded block (longest length x rows x width) holds at most
+    _SERIES_BLOCK elements, else index arrays of consecutive rows in order
+    of length that do, with a block of its own for a row too long for
+    that."""
+    longest = int(lengths.max())
+    if longest * lengths.size * width <= _SERIES_BLOCK:
+        yield longest, slice(None)
         return
-    order = np.argsort(lens, kind="stable")
-    rows, lens = np.arange(lengths.size)[rows][order], lens[order]
+    rows = np.argsort(lengths, kind="stable")
+    lens = lengths[rows]
     start = 0
     while start < rows.size:
         stop = start + 1
@@ -217,7 +219,7 @@ def _log_iv_series_rows(
     same terms.
     """
     out = np.empty((3 if grad else 1,) + x.shape)
-    for size, rows in _row_blocks(counts, slice(None), x.shape[1]):
+    for size, rows in _row_blocks(counts, x.shape[1]):
         xs = x[rows]
         nus = nu[rows, None]
         m = _SERIES_N[:size, None, None]
@@ -255,33 +257,28 @@ def _iv_window_rows(nu: np.ndarray, x: np.ndarray):
     return _window_rows(ratios, log_head, mode), log_half_x
 
 
-def _log_iv_window_grad(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """ln I_nu(x), d/dnu and x d/dx of it by the ascending series summed in
-    log domain, as rows of a (3, x.size) array, elementwise in 1-D arrays
-    nu > -1 and x > 0; NaN where the series does not converge.
+def _log_iv_window(nu: np.ndarray, x: np.ndarray, grad: bool) -> np.ndarray:
+    """ln I_nu(x) by the ascending series summed in log domain, with d/dnu
+    and x d/dx of it if grad, as rows of a (3, x.size) array, else a
+    (1, x.size) one, elementwise in 1-D arrays nu > -1 and x > 0; NaN
+    where the series does not converge.
 
     Used where ive under/overflows, which only happens when nu is large
     relative to x, and at subnormal x, where the window is the leading
     term alone. The terms T_n = (x/2)^(2n) Gamma(nu+1) / (n! Gamma(n+nu+1))
     have the ratio (x/2)^2 / ((n+1)(n+1+nu)), which crosses 1 at the
     positive root of (n+1)(n+1+nu) = (x/2)^2, and d ln T_n / dnu is -H_n
-    of _window_grad with c = nu + 1.
+    of _window_sums with c = nu + 1.
     """
     c = nu + 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         blocks, log_half_x = _iv_window_rows(nu, x)
-        log_sum, mean_h, mean_n = _window_grad(blocks, c)
+        log_sum, *moments = _window_sums(blocks, c, grad)
     value = nu * log_half_x - gammaln(c) + log_sum
+    if not grad:
+        return value[None]
+    mean_h, mean_n = moments
     return np.array([value, log_half_x - digamma(c) - mean_h, nu + 2.0 * mean_n])
-
-
-def _log_iv_window(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The value row of _log_iv_window_grad, as a (1, x.size) array,
-    without the moment sums of the derivatives."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        blocks, log_half_x = _iv_window_rows(nu, x)
-        log_sum = _window_log_sum(blocks, x.size)
-    return (nu * log_half_x - gammaln(nu + 1.0) + log_sum)[None]
 
 
 # Half-step of the central difference in nu that gives d/dnu ln I_nu from
@@ -366,8 +363,8 @@ def _log_bessel_i_nu_rows(nu: np.ndarray, x: np.ndarray, grad: bool) -> np.ndarr
     _IV_SERIES_CUTOFF, and _log_iv_large x above it. Subnormal x, and
     every output that _log_iv_large leaves NaN (with grad, those of the
     elements whose derivatives are NaN), go through one call of the
-    log-domain series (_log_iv_window_grad, or _log_iv_window for the
-    value alone). Either way the value row is the same, bit for bit."""
+    log-domain series (_log_iv_window). Either way the value row is the
+    same, bit for bit."""
     tiny = x < _IV_TINY
     big = x >= _IV_SERIES_CUTOFF
     small = ~(tiny | big)
@@ -388,17 +385,9 @@ def _log_bessel_i_nu_rows(nu: np.ndarray, x: np.ndarray, grad: bool) -> np.ndarr
     fallback = np.isnan(out[1 if grad else 0])
     if fallback.any():
         kept = out[:, fallback]
-        window = _log_iv_window_grad if grad else _log_iv_window
-        series = window(nu_at[fallback], x[fallback])
+        series = _log_iv_window(nu_at[fallback], x[fallback], grad)
         out[:, fallback] = np.where(np.isnan(kept), series, kept)
     return out
-
-
-def _log_bessel_i_nu_grad(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """ln I_nu(x) at order nu[r] for each row r of x > 0 (R, n), unchecked,
-    with d/dnu and x d/dx of it, as a (3, R, n) array; NaN where the
-    log-domain series does not converge (see _log_bessel_i_nu_rows)."""
-    return _log_bessel_i_nu_rows(nu, x, grad=True)
 
 
 # Row width of log_bessel_i_nu's calls of _log_bessel_i_nu_rows: one 3 x 20
@@ -516,11 +505,11 @@ class _Block(NamedTuple):
 
 
 def _window_checks(r, rel, end, total, n0, padded: bool):
-    """The tail and head checks of _window_rows on a block: whether each
-    row's last term is past the mode (its ratio r below 1) and below
-    _REL_TOL of the sum, and, given the first terms n0 of rows that do not
-    all start at n = 0, whether each starts at n = 0 or before the mode
-    with a first term below _REL_TOL of the sum (None without n0)."""
+    """The tail and head checks of _window_rows on a block, as one mask:
+    whether each row's last term is past the mode (its ratio r below 1) and
+    below _REL_TOL of the sum, and, given the first terms n0 of rows that
+    do not all start at n = 0, whether each starts at n = 0 or before the
+    mode with a first term below _REL_TOL of the sum."""
     if padded:
         at = np.arange(end.size)
         last = end.astype(np.intp) - 1
@@ -528,15 +517,16 @@ def _window_checks(r, rel, end, total, n0, padded: bool):
     else:
         r_end, rel_end = r[:, -1], rel[:, -1]
     tol = _REL_TOL * total
-    tail_ok = r_end < 1.0
-    tail_ok &= rel_end < tol
+    ok = r_end < 1.0
+    ok &= rel_end < tol
     if n0 is None:
-        return tail_ok, None
+        return ok
     head_ok = r[:, 0] > 1.0
     head_ok &= 1.0 < tol
     if np.count_nonzero(n0) < n0.size:
         head_ok |= n0 == 0
-    return tail_ok, head_ok
+    ok &= head_ok
+    return ok
 
 
 def _window_rows(ratios, log_head, mode):
@@ -545,7 +535,7 @@ def _window_rows(ratios, log_head, mode):
 
     ratios(n, rows) returns t_{n+1} / t_n of the given rows at term
     indices n (rows.size, N), and with it c + n, if the ratios computed
-    that on the way, for the derivatives of _window_grad, else None;
+    that on the way, for the derivatives of _window_sums, else None;
     log_head(n, rows) returns ln t_n at indices n (rows.size,) with n > 0
     (t_0 = 1), and mode[r] is where row r's ratio crosses 1. Around it
     ln t_n falls off like a Gaussian of variance at most mode + 1, so a
@@ -563,60 +553,46 @@ def _window_rows(ratios, log_head, mode):
     instead; rel (rows.size, size) holding t_{first[i] + j} / t_{first[i]}
     for j = 1 .. size in row i, 0 past the row's window end; total = 1 +
     the sum of rel over j; and log_sum, the log of the row's sum. Every
-    window series is truncated alike: a row whose last term is not past
-    the mode and below _REL_TOL of the sum is retried with its window end
-    doubled, up to _MAX_TERMS terms, and never yielded if it fails there;
-    a row whose first term is not before the mode and below _REL_TOL of
-    the sum is retried with its start halved.
+    window series is truncated alike, in this one pass: a row whose last
+    term is not past the mode and below _REL_TOL of the sum, or whose
+    first term is not before the mode and as small, is not yielded, and
+    its sum is NaN. Nothing is retried: on the parameter ranges scanned by
+    the tests, every row that fails has a window that already ends at
+    _MAX_TERMS.
     """
     first, last = _window_bounds(mode)
-    pending = slice(None)
-    while True:
-        retry = []
-        lengths = last - first
-        for size, rows in _row_blocks(lengths, pending, 1):
-            n0 = first[rows]
-            end = lengths[rows]
-            head = np.count_nonzero(n0) != 0
-            j = _term_index(size)
-            n = n0[:, None] + j if head else j
-            r, shifted = ratios(n, rows)
-            padded = np.minimum.reduce(end) < size
-            if padded:
-                r[j >= end[:, None]] = 0.0  # the terms past a row's end are 0
-            rel = np.multiply.accumulate(r, axis=1)
-            s1 = _sum_row_terms(rel)
-            total = 1.0 + s1
-            log_sum = np.log1p(s1)
-            if head:
-                log_sum += log_head(n0, rows)
-            tail_ok, head_ok = _window_checks(r, rel, end, total, n0 if head else None, padded)
-            ok = tail_ok if head_ok is None else tail_ok & head_ok
-            del r  # the block's largest arrays are all that stays alive
-            block = _Block(
-                rows, n0, head, n if shifted is None else None, shifted, rel, total, log_sum
-            )
-            if np.count_nonzero(ok) == ok.size:
-                yield block
-                continue
-            rows = np.arange(last.size)[rows]
-            if ok.any():
-                yield block._replace(rows=rows).take(ok)
-            if head:
-                first[rows[~head_ok]] //= 2
-            grow = ~tail_ok & (n0 + end < _MAX_TERMS)
-            last[rows[grow]] = np.minimum(_MAX_TERMS, 2 * (n0 + end)[grow])
-            retry.append(rows[~ok & (tail_ok | grow)])
-        pending = np.concatenate(retry) if retry else np.empty(0, dtype=np.int64)
-        if not pending.size:
-            return
+    lengths = last - first
+    for size, rows in _row_blocks(lengths, 1):
+        n0 = first[rows]
+        end = lengths[rows]
+        head = np.count_nonzero(n0) != 0
+        j = _term_index(size)
+        n = n0[:, None] + j if head else j
+        r, shifted = ratios(n, rows)
+        padded = np.minimum.reduce(end) < size
+        if padded:
+            r[j >= end[:, None]] = 0.0  # the terms past a row's end are 0
+        rel = np.multiply.accumulate(r, axis=1)
+        s1 = _sum_row_terms(rel)
+        total = 1.0 + s1
+        log_sum = np.log1p(s1)
+        if head:
+            log_sum += log_head(n0, rows)
+        ok = _window_checks(r, rel, end, total, n0 if head else None, padded)
+        del r  # the block's largest arrays are all that stays alive
+        block = _Block(rows, n0, head, n if shifted is None else None, shifted, rel, total, log_sum)
+        if np.count_nonzero(ok) == ok.size:
+            yield block
+        elif ok.any():
+            yield block._replace(rows=np.arange(last.size)[rows]).take(ok)
 
 
-def _window_grad(blocks, c: np.ndarray) -> np.ndarray:
-    """ln S, E_w[H_n] and E_w[n] of each of the R rows of c, as a (3, R)
-    array, from the blocks of _window_rows, with w_n = t_n / S and
-    H_n = sum_{k<n} 1 / (c[r] + k); NaN in the rows that _window_rows does
-    not yield. c + n comes from the block where its ratios computed it.
+def _window_sums(blocks, c: np.ndarray, grad: bool) -> np.ndarray:
+    """ln S of each of the R rows of c, with E_w[H_n] and E_w[n] if grad,
+    as a (3, R) array, else a (1, R) one, from the blocks of _window_rows,
+    with w_n = t_n / S and H_n = sum_{k<n} 1 / (c[r] + k); NaN in the rows
+    that _window_rows does not yield. c + n comes from the block where its
+    ratios computed it.
 
     For a series whose log terms have the derivative -H_n, or H_n, in a
     parameter, the derivative of ln S is -E_w[H_n], or E_w[H_n]; for
@@ -624,6 +600,9 @@ def _window_grad(blocks, c: np.ndarray) -> np.ndarray:
     """
     parts = []
     for rows, n0, head, n, shifted, rel, total, log_sum in blocks:
+        if not grad:
+            parts.append((rows, (log_sum,)))
+            continue
         # H_{n+1} - H_n = 1 / (c + n), accumulated from the first term
         h = np.add.accumulate(1.0 / (c[rows, None] + n if shifted is None else shifted), axis=-1)
         mean_h = _sum_row_terms(rel * h) / total
@@ -637,18 +616,9 @@ def _window_grad(blocks, c: np.ndarray) -> np.ndarray:
         parts.append((rows, (log_sum, mean_h, mean_n)))
     if len(parts) == 1 and isinstance(parts[0][0], slice):
         return np.array(parts[0][1])  # one block of every row, the common case
-    out = np.full((3, c.size), np.nan)
+    out = np.full((3 if grad else 1, c.size), np.nan)
     for rows, values in parts:
         out[:, rows] = values
-    return out
-
-
-def _window_log_sum(blocks, size: int) -> np.ndarray:
-    """ln S of each of size rows from the blocks of _window_rows; NaN in
-    the rows it does not yield."""
-    out = np.full(size, np.nan)
-    for block in blocks:
-        out[block.rows] = block.log_sum
     return out
 
 
@@ -662,7 +632,7 @@ def _confluent_mode(alpha, lam):
 
 def _confluent_rows(alpha: np.ndarray, lam: np.ndarray):
     """_window_rows of the confluent series t_n = (alpha)_n lam^n / (n!)^2 at
-    rows of alpha > 0 and lam > 0; c + n of _window_grad is alpha + n."""
+    rows of alpha > 0 and lam > 0; c + n of _window_sums is alpha + n."""
 
     def ratios(n: np.ndarray, rows):
         # lam (alpha + n) / (n + 1)^2
@@ -699,12 +669,22 @@ def _confluent_weights(alpha: float, lam: float):
     )
 
 
-def _log_laguerre_neg_rows(alpha: np.ndarray, lam: np.ndarray) -> np.ndarray:
+def _log_laguerre_neg_rows(alpha: np.ndarray, lam: np.ndarray, grad: bool) -> np.ndarray:
     """log_laguerre_neg(alpha[r], lam[r]) for rows of lam > 0, unchecked,
-    as an (R,) array; NaN where the series does not converge within
-    _MAX_TERMS terms."""
-    with np.errstate(over="ignore", invalid="ignore"):  # a failing window may overflow
-        return _window_log_sum(_confluent_rows(alpha, lam), alpha.size)
+    with d/dalpha and lam d/dlam of it if grad, as a (3, R) array, else a
+    (1, R) one; NaN where the series does not converge within _MAX_TERMS
+    terms.
+
+    The log terms ln (alpha)_n + n ln lam - 2 ln n! have the derivative
+    H_n = sum_{k<n} 1 / (alpha + k) in alpha, so _window_sums with
+    c = alpha gives both derivatives. A failing window may overflow; the
+    value alone ignores that here, and the fits, the callers with grad,
+    evaluate their objectives where it is ignored already.
+    """
+    if grad:
+        return _window_sums(_confluent_rows(alpha, lam), alpha, True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _window_sums(_confluent_rows(alpha, lam), alpha, False)
 
 
 def log_laguerre_neg(alpha: float, lam: float) -> float:
@@ -733,24 +713,12 @@ def log_laguerre_neg(alpha: float, lam: float) -> float:
         raise ValueError(f"log_laguerre_neg requires lam >= 0, got {lam}")
     if lam == 0.0:
         return 0.0
-    log_sum = float(_log_laguerre_neg_rows(np.array([alpha]), np.array([lam]))[0])
+    log_sum = float(_log_laguerre_neg_rows(np.array([alpha]), np.array([lam]), False)[0, 0])
     if not math.isnan(log_sum):
         return log_sum
     raise SeriesConvergenceError(
         f"Laguerre series did not converge for alpha={alpha}, lam={lam} within {_MAX_TERMS} terms"
     )
-
-
-def _log_laguerre_neg_grad(alpha: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """log_laguerre_neg(alpha[r], lam[r]) for rows of lam > 0, unchecked,
-    with d/dalpha and lam d/dlam of it, as a (3, R) array; NaN where the
-    series does not converge within _MAX_TERMS terms.
-
-    The log terms ln (alpha)_n + n ln lam - 2 ln n! have the derivative
-    H_n = sum_{k<n} 1 / (alpha + k) in alpha, so _window_grad with
-    c = alpha gives both derivatives.
-    """
-    return _window_grad(_confluent_rows(alpha, lam), alpha)
 
 
 def log_laguerre_pos_arg(alpha: float, lam: float) -> float:

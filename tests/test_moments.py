@@ -226,3 +226,46 @@ class TestKurtosisSweep:
                 assert math.isclose(g_prop, g_ncg, rel_tol=1e-8)
             else:
                 assert g_prop <= g_ncg + 1e-12
+
+
+class TestExtremeRates:
+    """The rate only scales the moments: where a scaled moment leaves the
+    float range it is inf or 0.0, never a raw ZeroDivisionError or
+    OverflowError, and the beta-free kurtoses do not see the rate at all."""
+
+    RATES = (1e-300, 1e-200, 1e-170, 1e-80, 1e80, 1e155, 1e200, 1e300)
+
+    def test_ncgamma_kurtosis_is_free_of_the_rate(self):
+        for alpha, lam in [(0.5, 0.0), (1.5, 3.0), (2.0, 1000.0)]:
+            at_one = ncgamma_excess_kurtosis(PowerParams(alpha, 1.0, lam))
+            assert at_one == 6.0 * (alpha + 4.0 * lam) / (alpha + 2.0 * lam) ** 2
+            for beta in self.RATES:
+                assert ncgamma_excess_kurtosis(PowerParams(alpha, beta, lam)) == at_one, beta
+
+    def test_mean_variance(self):
+        p1 = PowerParams(1.5, 1.0, 3.0)
+        mean1, var1 = mean_variance(p1)
+        for beta in self.RATES:
+            mean, var = mean_variance(PowerParams(1.5, beta, 3.0))
+            assert mean == mean1 / beta, beta
+            if beta * beta == 0.0:
+                assert var == math.inf, beta
+            elif math.isinf(beta * beta):
+                assert 0.0 <= var < 1e-300, beta
+            else:
+                assert math.isclose(var, var1 / beta**2, rel_tol=1e-15), beta
+
+    def test_raw_moment(self):
+        p1 = PowerParams(1.5, 1.0, 3.0)
+        assert raw_moment(4, PowerParams(1.5, 1e-200, 3.0)) == math.inf
+        assert raw_moment(4, PowerParams(1.5, 1e200, 3.0)) == 0.0
+        assert raw_moment(400, p1) == math.inf
+        got = raw_moment(2, PowerParams(1.5, 1e-80, 3.0))
+        assert math.isclose(got, raw_moment(2, p1) * 1e160, rel_tol=1e-12)
+
+    def test_ncgamma_cumulant(self):
+        p1 = PowerParams(1.5, 1.0, 3.0)
+        assert ncgamma_cumulant(4, PowerParams(1.5, 1e-80, 3.0)) == math.inf
+        assert 0.0 <= ncgamma_cumulant(4, PowerParams(1.5, 1e80, 3.0)) < 1e-300
+        got = ncgamma_cumulant(2, PowerParams(1.5, 1e80, 3.0))
+        assert math.isclose(got, ncgamma_cumulant(2, p1) * 1e-160, rel_tol=1e-15)

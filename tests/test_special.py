@@ -13,15 +13,15 @@ from hypothesis import strategies as st
 from scipy.special import ive
 
 from pwncg import special
-from pwncg.distributions import log_pdf_noncentral_gamma
+from pwncg.distributions import PowerParams, log_pdf_noncentral_gamma, log_pdf_power
 from pwncg.special import (
     _IV_SERIES_CUTOFF,
     I0_SERIES_CUTOFF,
     SeriesConvergenceError,
     _confluent_rows,
     _confluent_weights,
-    _log_bessel_i_nu_grad,
-    _log_laguerre_neg_grad,
+    _log_bessel_i_nu_rows,
+    _log_laguerre_neg_rows,
     _window_rows,
     log_bessel_i0,
     log_bessel_i_nu,
@@ -182,7 +182,7 @@ class TestLogBesselINu:
         # ive is finite below 2**30 and NaN from it on, where the
         # large-argument expansion takes over; value, d/dnu and x d/dx
         x = 2.0 ** (30.0 + e)
-        got = _log_bessel_i_nu_grad(np.array([nu]), np.array([[x]]))[:, 0, 0]
+        got = _log_bessel_i_nu_rows(np.array([nu]), np.array([[x]]), True)[:, 0, 0]
         n, xm = mp.mpf(nu), mp.mpf(x)
         ref = mp.log(mp.besseli(n, xm))
         ref_dnu = mp.diff(lambda v: mp.log(mp.besseli(v, xm)), n)
@@ -264,7 +264,7 @@ class TestLogBesselINu:
         # the value is ive's, and only the derivatives are NaN
         nu, x = 37233.2159610305, 1e6
         assert ive(nu + 1.0, x) == 0.0 < ive(nu, x)
-        got = _log_bessel_i_nu_grad(np.array([nu]), np.array([[x]]))[:, 0, 0]
+        got = _log_bessel_i_nu_rows(np.array([nu]), np.array([[x]]), True)[:, 0, 0]
         # Debye's uniform expansion (DLMF 10.41.3) to U_2(p) / nu^2; the
         # next term is of order 1e-14 here
         n, z = mp.mpf(nu), mp.mpf(x) / nu
@@ -392,8 +392,14 @@ class TestLogLaguerreNeg:
         assert list(inspect.signature(_window_rows).parameters) == ["ratios", "log_head", "mode"]
         for fn in (_confluent_rows, _confluent_weights):
             assert list(inspect.signature(fn).parameters) == ["alpha", "lam"]
-        assert list(inspect.signature(special._window_grad).parameters) == ["blocks", "c"]
-        assert list(inspect.signature(special._log_iv_window_grad).parameters) == ["nu", "x"]
+        # the kernels take grad, and nothing else beside their arguments
+        for fn, params in [
+            (special._window_sums, ["blocks", "c", "grad"]),
+            (special._log_iv_window, ["nu", "x", "grad"]),
+            (_log_laguerre_neg_rows, ["alpha", "lam", "grad"]),
+            (_log_bessel_i_nu_rows, ["nu", "x", "grad"]),
+        ]:
+            assert list(inspect.signature(fn).parameters) == params, fn.__name__
 
     def test_window_bounds_equal_the_int64_formula(self):
         # _window_bounds holds the bounds as whole floats; they equal those
@@ -504,14 +510,14 @@ class TestRowBatchedKernels:
         for size in (1, 2, 3, 40, 64):
             alpha = 10.0 ** rng.uniform(-3.0, 3.0, size)
             lam = np.exp(rng.uniform(math.log(1e-18), math.log(5000.0), size))
-            together = _log_laguerre_neg_grad(alpha, lam)
+            together = _log_laguerre_neg_rows(alpha, lam, True)
             for i in range(alpha.size):
-                alone = _log_laguerre_neg_grad(alpha[i : i + 1], lam[i : i + 1])
+                alone = _log_laguerre_neg_rows(alpha[i : i + 1], lam[i : i + 1], True)
                 np.testing.assert_array_equal(together[:, i], alone[:, 0])
             assert together[0, 0] == log_laguerre_neg(alpha[0], lam[0])
 
     # (alpha, lam): ln S, d/dalpha ln S and lam d/dlam ln S of
-    # _log_laguerre_neg_grad as float.hex, recorded at 3a01f24, before the
+    # _log_laguerre_neg_rows as float.hex, recorded at 3a01f24, before the
     # window bookkeeping was rewritten. lam runs from the fits' floor,
     # softplus(-40), where the window starts at n = 0, to their ceiling
     # 5000, where it starts near the mode (about 5000 and 5852); alpha
@@ -535,21 +541,22 @@ class TestRowBatchedKernels:
         alpha = np.array([a for a, _ in points])
         lam = np.array([lam for _, lam in points])
         assert lam[0] == float(np.log1p(np.exp(-40.0)))  # softplus(-40)
-        together = _log_laguerre_neg_grad(alpha, lam)
+        together = _log_laguerre_neg_rows(alpha, lam, True)
         for i, point in enumerate(points):
-            alone = _log_laguerre_neg_grad(alpha[i : i + 1], lam[i : i + 1])
+            alone = _log_laguerre_neg_rows(alpha[i : i + 1], lam[i : i + 1], True)
             for got in (together[:, i], alone[:, 0]):
                 assert tuple(float(v).hex() for v in got) == self.LAGUERRE_PINS[point], point
 
     def test_retried_row_leaves_the_others(self):
-        # No window inside the fits' box is retried (alpha in [1e-3, 1e3],
-        # lam in [softplus(-40), 5000]: none of 700 000 probes was). This
-        # row, far outside it, has its window end doubled until the term
-        # budget and fails; the row beside it keeps its own values.
+        # No window inside the fits' box fails (alpha in [1e-3, 1e3], lam
+        # in [softplus(-40), 5000]: none of 700 000 probes did). This row,
+        # far outside it, has its term mode past the term budget, so its
+        # window ends at the budget, nothing is doubled, and it fails its
+        # checks and is NaN; the row beside it keeps its own values.
         alpha = np.array([1.5, 69097.6364600833])
         lam = np.array([3.0, 146741.39369184236])
         with np.errstate(over="ignore", invalid="ignore"):
-            got = _log_laguerre_neg_grad(alpha, lam)
+            got = _log_laguerre_neg_rows(alpha, lam, True)
         assert tuple(float(v).hex() for v in got[:, 0]) == self.LAGUERRE_PINS[(1.5, 3.0)]
         assert np.isnan(got[:, 1]).all()
 
@@ -560,17 +567,99 @@ class TestRowBatchedKernels:
         x = np.exp(rng.uniform(math.log(1e-3), math.log(3000.0), (30, 7)))
         x[3, 2] = 1e-310
         x[:10] = np.minimum(x[:10], 29.0)
-        together = _log_bessel_i_nu_grad(nu, x)
+        together = _log_bessel_i_nu_rows(nu, x, True)
         for i in range(nu.size):
-            alone = _log_bessel_i_nu_grad(nu[i : i + 1], x[i : i + 1])
+            alone = _log_bessel_i_nu_rows(nu[i : i + 1], x[i : i + 1], True)
             np.testing.assert_array_equal(together[:, i], alone[:, 0])
         np.testing.assert_allclose(together[0, 5], log_bessel_i_nu(nu[5], x[5]), rtol=1e-13)
 
+    def test_every_failing_window_ends_at_the_term_budget(self, monkeypatch):
+        # Why _window_rows tries each window once: over a seeded scan of
+        # both window series, far past the fits' box, every row whose sum
+        # is NaN has a window that already ends at the term budget, so no
+        # longer window is to be had.
+        modes = []
+
+        def spy(ratios, log_head, mode):
+            modes.append(mode)
+            return _window_rows(ratios, log_head, mode)
+
+        monkeypatch.setattr(special, "_window_rows", spy)
+        rng = np.random.default_rng(21)
+        alpha = 10.0 ** rng.uniform(-8.0, 8.0, 2000)
+        lam = 10.0 ** rng.uniform(-25.0, math.log10(3e5), 2000)
+        nu = 10.0 ** rng.uniform(-3.0, math.log10(3e6 + 1.0), 2000) - 1.0
+        x = 10.0 ** rng.uniform(-323.0, math.log10(3e7), 2000)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = [
+                _log_laguerre_neg_rows(alpha, lam, True)[0],
+                special._log_iv_window(nu, x, True)[0],
+            ]
+        assert len(modes) == 2
+        for name, mode, log_sum in zip(("confluent", "I_nu"), modes, sums):
+            failed = np.isnan(log_sum)
+            assert 0 < np.count_nonzero(failed) < failed.size, name
+            last = special._window_bounds(mode)[1]
+            assert (last[failed] == special._MAX_TERMS).all(), (name, mode[failed].min())
+
+
+def _spy_window_sums(monkeypatch):
+    """Counts of special._window_sums calls, all and those with grad."""
+    calls = {"_window_sums": 0, "_window_sums with grad": 0}
+    real = special._window_sums
+
+    def counted(blocks, c, grad):
+        calls["_window_sums"] += 1
+        calls["_window_sums with grad"] += bool(grad)
+        return real(blocks, c, grad)
+
+    monkeypatch.setattr(special, "_window_sums", counted)
+    return calls
+
+
+class TestValueOnlyLaguerre:
+    """log_laguerre_neg and the power density kernel sum the confluent
+    value alone, bit for bit the value row of _log_laguerre_neg_rows with
+    grad."""
+
+    def _assert_value_rows_equal(self, alpha, lam):
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = _log_laguerre_neg_rows(alpha, lam, False)
+            both = _log_laguerre_neg_rows(alpha, lam, True)
+        assert value.shape == (1, alpha.size) and both.shape == (3, alpha.size)
+        np.testing.assert_array_equal(value[0], both[0])
+
+    def test_pins_and_failing_row(self):
+        failing = (69097.6364600833, 146741.39369184236)
+        points = [*TestRowBatchedKernels.LAGUERRE_PINS, failing]
+        alpha = np.array([a for a, _ in points])
+        lam = np.array([lam for _, lam in points])
+        self._assert_value_rows_equal(alpha, lam)
+        for i in range(alpha.size):
+            self._assert_value_rows_equal(alpha[i : i + 1], lam[i : i + 1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(_log_laguerre_neg_rows(alpha[-1:], lam[-1:], False)).all()
+
+    def test_random_calls(self):
+        # calls of 1, 2, 3 and 64 rows, as the fits and the density kernel
+        # make them, over the fits' box
+        rng = np.random.default_rng(12)
+        for size in (1, 2, 3, 64):
+            for _ in range(5):
+                alpha = 10.0 ** rng.uniform(-3.0, 3.0, size)
+                lam = np.exp(rng.uniform(math.log(1e-18), math.log(5000.0), size))
+                self._assert_value_rows_equal(alpha, lam)
+
+    def test_value_takes_no_moment_sums(self, monkeypatch):
+        calls = _spy_window_sums(monkeypatch)
+        log_laguerre_neg(1.5, 3.0)
+        log_pdf_power(np.array([0.5, 2.0]), PowerParams(1.5, 1.0, 2000.0))
+        assert calls == {"_window_sums": 2, "_window_sums with grad": 0}
 
 
 class TestValueOnlyBessel:
     """log_bessel_i_nu sums the value alone, bit for bit the value row of
-    _log_bessel_i_nu_grad on every branch."""
+    _log_bessel_i_nu_rows with grad on every branch."""
 
     # (nu, arguments) of each branch: the ascending series, ive, the
     # large-argument expansion from 2**30 on, the log-domain series where
@@ -589,7 +678,7 @@ class TestValueOnlyBessel:
             xs = np.array(xs)
             padded = np.ones(64)  # log_bessel_i_nu's row: 64 wide, padded with 1.0
             padded[: xs.size] = xs
-            ref = _log_bessel_i_nu_grad(np.array([nu]), padded[None])[0, 0, : xs.size]
+            ref = _log_bessel_i_nu_rows(np.array([nu]), padded[None], True)[0, 0, : xs.size]
             assert np.isfinite(ref).all(), name
             np.testing.assert_array_equal(log_bessel_i_nu(nu, xs), ref, err_msg=name)
 
@@ -601,24 +690,20 @@ class TestValueOnlyBessel:
         x[:6] = np.minimum(x[:6], 29.0)
         value = special._log_bessel_i_nu_rows(nu, x, grad=False)
         assert value.shape == (1,) + x.shape
-        np.testing.assert_array_equal(value[0], _log_bessel_i_nu_grad(nu, x)[0])
+        np.testing.assert_array_equal(value[0], _log_bessel_i_nu_rows(nu, x, True)[0])
 
     def test_value_takes_one_ive_call_and_no_moment_sums(self, monkeypatch):
-        calls = {"ive": 0, "_window_grad": 0}
+        calls = _spy_window_sums(monkeypatch)
+        calls["ive"] = 0
+        real_ive = special.ive
 
-        def spy(name):
-            real = getattr(special, name)
+        def ive_spy(*args):
+            calls["ive"] += 1
+            return real_ive(*args)
 
-            def counted(*args):
-                calls[name] += 1
-                return real(*args)
-
-            return counted
-
-        for name in calls:
-            monkeypatch.setattr(special, name, spy(name))
+        monkeypatch.setattr(special, "ive", ive_spy)
         log_bessel_i_nu(1000.0, np.array([0.5, 40.0, 45.0, 800.0]))
-        assert calls == {"ive": 1, "_window_grad": 0}
+        assert calls == {"ive": 1, "_window_sums": 1, "_window_sums with grad": 0}
 
     def test_series_failure_message(self):
         # ive is NaN from 2**30 on, the expansion does not converge at
