@@ -42,7 +42,6 @@ from .moments import (
 )
 from .sampling import (
     MhConfig,
-    RngStream,
     rng_stream,
     sample_complex,
     sample_gamma,

@@ -399,6 +399,14 @@ def log_pdf_nakagami(r, m: float, omega: float):
     return float(out[0]) if scalar else out
 
 
+def _grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """np.linspace(lo, hi, n), once the range's ends and width are checked
+    finite: linspace would warn on them before the density's own check."""
+    if not math.isfinite(float(hi) - float(lo)):
+        raise ValueError(f"grid range [{lo:g}, {hi:g}] must be finite")
+    return np.linspace(lo, hi, n)
+
+
 def complex_density_rows(
     p: ComplexParams,
     re_range: tuple[float, float],
@@ -413,8 +421,8 @@ def complex_density_rows(
     Grid points that fall on an origin singularity (alpha < 1) get density
     nan rather than raising.
     """
-    res = np.linspace(re_range[0], re_range[1], n_re)
-    ims = np.linspace(im_range[0], im_range[1], n_im)
+    res = _grid(*re_range, n_re)
+    ims = _grid(*im_range, n_im)
     z = res[None, :] + 1j * ims[:, None]
     origin = z == 0.0
     if p.alpha < 1.0 and origin.any():
@@ -431,7 +439,7 @@ def scalar_density_rows(kind: str, params, x_min: float, x_max: float, n: int) -
     array."""
     if x_min <= 0.0:
         raise ValueError("grid must start at a positive value")
-    xs = np.linspace(x_min, x_max, n)
+    xs = _grid(x_min, x_max, n)
     if kind == "amplitude":
         dens = np.exp(log_pdf_amplitude(xs, params))
     elif kind == "power":

@@ -28,13 +28,16 @@ row's value and gradient never depend on which other rows share its
 evaluation (see special). fit_batches fits several models to many batches
 this way; fit_model is fit_batches with one model and one batch.
 
-The batches of one length form a group (_Group), and the work around the
-optimizer runs once per group, on (R, n) and (R,) arrays, not once per batch:
-validation; the statistics every model shares (the means, and mean ln y,
-mean y, var y, sqrt y of the normalized batches y, and ln x), each
-computed once; each model's starts, lam = 0 test, keep rule and flags;
-and the reported log-likelihoods, one call per model of its row-batched
-density kernel in distributions, summed by row (Model.log_likelihoods).
+A model fit takes one group (_Group): batches of one length, the rows of
+an (R, n) array. The work around the optimizer runs once per group, on
+(R, n) and (R,) arrays, not once per batch: the statistics every model
+shares (the means, and mean ln y, mean y, var y, sqrt y of the normalized
+batches y, and ln x) and the gamma fits, each computed once; each model's
+starts, lam = 0 test, keep rule and flags; and the reported
+log-likelihoods, one call per model of its row-batched density kernel in
+distributions, summed by row (Model.log_likelihoods). fit_batches alone
+groups batches by length, validates all of them before any fit runs, and
+puts each group's results back in batch order.
 The public densities of distributions, and Model.log_likelihood, are
 that kernel's one-row case. A row reduction over a C-contiguous (R, n)
 array gives what np.mean, np.var and np.sum give on the row alone, and
@@ -398,14 +401,6 @@ def _lbfgsb(objective, z0: np.ndarray, bounds) -> list[_Run]:
     ]
 
 
-def _by_length(xs: list[np.ndarray]):
-    """Indices of the batches xs grouped by batch length, as arrays."""
-    groups: dict[int, list[int]] = {}
-    for i, x in enumerate(xs):
-        groups.setdefault(x.size, []).append(i)
-    return [np.array(idx) for idx in groups.values()]
-
-
 def _row_sum(a: np.ndarray) -> np.ndarray:
     """np.add.reduce(a, axis=1): on a C-contiguous a, what np.sum gives on
     each row alone."""
@@ -419,15 +414,15 @@ def _row_mean(a: np.ndarray) -> np.ndarray:
 
 
 class _Group:
-    """The batches of one length: the rows of x (R, n), at indices idx of
-    the batch list, with their means, and the statistics of the normalized
-    batches y = x / mean that every model's fit and log-likelihood pass
-    share, each computed once, on first use. Each row reduction gives what
-    np.mean, np.var or np.sum gives on the row alone."""
+    """Batches of one length, the unit every model fit takes: the rows of
+    x (R, n) with their means, the statistics of the normalized batches
+    y = x / mean that every model's fit and log-likelihood pass share, and
+    the gamma fits, each computed once, on first use. Each row reduction
+    gives what np.mean, np.var or np.sum gives on the row alone."""
 
-    def __init__(self, idx: np.ndarray, x: np.ndarray, mean: np.ndarray):
-        self.idx, self.x, self.mean = idx, x, mean
-        self.size = idx.size
+    def __init__(self, x: np.ndarray, mean: np.ndarray):
+        self.x, self.mean = x, mean
+        self.size = mean.size
 
     @functools.cached_property
     def log_x(self) -> np.ndarray:
@@ -453,6 +448,13 @@ class _Group:
     def sqrt_y(self) -> np.ndarray:
         return np.sqrt(self.y)
 
+    @functools.cached_property
+    def gamma(self) -> _GroupFit:
+        """The gamma fits, checked here because the noncentral-gamma and
+        proposed searches start from them whether or not the gamma model
+        is asked for."""
+        return _checked(self, _fit_gamma(self))
+
 
 def _group_mean(x: np.ndarray):
     """The row means of x (R, n), or None unless every row is a valid
@@ -462,30 +464,6 @@ def _group_mean(x: np.ndarray):
     with np.errstate(over="ignore"):
         mean = _row_mean(x)
     return mean if np.isfinite(mean).all() else None
-
-
-class _Batches:
-    """The batches of one fit_batches call, validated and grouped by
-    length: groups holds a _Group per length, in order of each length's
-    first batch, and slots[i] is the (group, row) of batch i. len() is the
-    number of batches."""
-
-    def __init__(self, batches):
-        xs = [np.asarray(b, dtype=float).ravel() for b in batches]
-        self.groups = []
-        self.slots: list = [None] * len(xs)
-        for j, idx in enumerate(_by_length(xs)):
-            x = np.stack([xs[i] for i in idx])
-            mean = _group_mean(x)
-            if mean is None:
-                for b in xs:
-                    _validate_batch(b)  # raises the error of the first invalid batch
-            self.groups.append(_Group(idx, x, mean))
-            for r, i in enumerate(idx.tolist()):
-                self.slots[i] = (j, r)
-
-    def __len__(self) -> int:
-        return len(self.slots)
 
 
 class _GroupFit(NamedTuple):
@@ -517,47 +495,36 @@ def _degenerate(alpha: np.ndarray, g: _Group) -> np.ndarray:
     return (alpha >= _ALPHA_DEGENERATE) | (g.var_y == 0.0)
 
 
-def _checked(batches: _Batches, fits: list[_GroupFit]) -> list[_GroupFit]:
-    """fits, one per group, unless a fitted rate overflowed: then a
-    ValueError naming the mean of the first such batch."""
-    bad = []
-    for g, fit in zip(batches.groups, fits):
-        finite = np.logical_and.reduce([np.isfinite(v) for v in fit.params.values()])
-        bad += [(int(g.idx[r]), float(g.mean[r])) for r in np.flatnonzero(~finite)]
-    if bad:
-        m = min(bad)[1]
+def _checked(g: _Group, fit: _GroupFit) -> _GroupFit:
+    """fit, unless a fitted rate overflowed: then a ValueError naming the
+    mean of the first such batch of g."""
+    finite = np.logical_and.reduce([np.isfinite(v) for v in fit.params.values()])
+    if not finite.all():
+        m = float(g.mean[np.argmin(finite)])
         raise ValueError(f"batch mean {m:g} makes a fitted rate overflow; rescale the batch")
-    return fits
+    return fit
 
 
-def _fit_results(model: str, batches: _Batches, fits: list[_GroupFit]) -> list[FitResult]:
-    """The FitResult of every batch, in batch order, from model's fits to
-    each group; the log-likelihoods of a group come from one call of the
-    model's log_likelihoods."""
-    out: list = [None] * len(batches)
-    for g, fit in zip(batches.groups, fits):
-        ll = MODELS[model].log_likelihoods(g.x, g.log_x, fit.params)
-        names = list(fit.params)
-        params = [dict(zip(names, v)) for v in zip(*(fit.params[k].tolist() for k in names))]
-        fields = [ll.tolist(), (ll / g.x.shape[1]).tolist()] + [
-            v.tolist() if isinstance(v, np.ndarray) else [v] * g.size
-            for v in (
-                fit.converged, fit.iterations, fit.degenerate, fit.evaluations,
-                fit.penalties, fit.start, fit.starts_skipped,
-            )
-        ]
-        for i, p, row in zip(g.idx.tolist(), params, zip(*fields)):
-            out[i] = FitResult(model, p, *row)
-    return out
+def _fit_results(model: str, g: _Group, fit: _GroupFit) -> list[FitResult]:
+    """The FitResult of each batch of g, from model's fits to it; the
+    log-likelihoods come from one call of the model's log_likelihoods."""
+    ll = MODELS[model].log_likelihoods(g.x, g.log_x, fit.params)
+    names = list(fit.params)
+    params = [dict(zip(names, v)) for v in zip(*(fit.params[k].tolist() for k in names))]
+    fields = [ll.tolist(), (ll / g.x.shape[1]).tolist()] + [
+        v.tolist() if isinstance(v, np.ndarray) else [v] * g.size
+        for v in (
+            fit.converged, fit.iterations, fit.degenerate, fit.evaluations,
+            fit.penalties, fit.start, fit.starts_skipped,
+        )
+    ]
+    return [FitResult(model, p, *row) for p, row in zip(params, zip(*fields))]
 
 
-def _fit_exponential_batches(batches: _Batches) -> list[_GroupFit]:
+def _fit_exponential(g: _Group) -> _GroupFit:
     """Closed-form exponential fits: rate = 1 / sample mean."""
-    fits = []
-    for g in batches.groups:
-        with np.errstate(over="ignore"):
-            fits.append(_GroupFit({"rate": 1.0 / g.mean}))
-    return _checked(batches, fits)
+    with np.errstate(over="ignore"):
+        return _GroupFit({"rate": 1.0 / g.mean})
 
 
 def _gamma_rows(z: np.ndarray, mlog_y: np.ndarray):
@@ -584,37 +551,26 @@ def _gamma_start(mlog_y: float) -> float:
     return math.log(a0)
 
 
-def _fit_gamma_batches(batches: _Batches) -> list[_GroupFit]:
+def _fit_gamma(g: _Group) -> _GroupFit:
     """Gamma fits by profile likelihood over the shape, one row per batch
-    of every group in one lock-step pass."""
-    if not batches.groups:
-        return []
-    mlog = np.concatenate([g.mean_log_y for g in batches.groups])
+    in one lock-step pass."""
+    mlog = g.mean_log_y
     z0 = np.array([_gamma_start(v) for v in mlog.tolist()])[:, None]
     runs = _lbfgsb(lambda rows, z: _gamma_rows(z, mlog[rows]), z0, [_LN_ALPHA_BOUNDS])
     ln_alpha = np.array([run.x[0] for run in runs])
     converged = np.array([run.converged for run in runs])
-    counts = np.array([(run.nit, run.nfev, run.penalties) for run in runs])
+    nit, nfev, penalties = np.array([(run.nit, run.nfev, run.penalties) for run in runs]).T
     # The exponential point (alpha = 1) is kept as a closed-form candidate
     # so the fitted likelihood can never fall below the exponential one.
-    at_one = _gamma_rows(np.zeros((mlog.size, 1)), mlog)[0] < [run.fun for run in runs]
+    at_one = _gamma_rows(np.zeros((g.size, 1)), mlog)[0] < [run.fun for run in runs]
     ln_alpha[at_one] = 0.0
     converged[at_one] = True
     alpha = _math_exp(ln_alpha)
-    fits, first = [], 0
-    for g in batches.groups:
-        rows = slice(first, first + g.size)
-        first += g.size
-        with np.errstate(over="ignore"):
-            beta = alpha[rows] / g.mean
-        nit, nfev, penalties = counts[rows].T
-        fits.append(
-            _GroupFit(
-                {"alpha": alpha[rows], "beta": beta}, _degenerate(alpha[rows], g),
-                converged[rows], nit, nfev, penalties, 0,
-            )
-        )
-    return _checked(batches, fits)
+    with np.errstate(over="ignore"):
+        beta = alpha / g.mean
+    return _GroupFit(
+        {"alpha": alpha, "beta": beta}, _degenerate(alpha, g), converged, nit, nfev, penalties, 0
+    )
 
 
 def _moment_matched_start(m: float, v: float, k3: float):
@@ -765,49 +721,36 @@ def _shifted_rows(mean_ll, z: np.ndarray, mlog, m1, sqrt_y):
     return out[0], out[1:].T
 
 
-def _fit_shifted_batches(batches: _Batches, rngs, gammas, mean_ll, extra_start=None):
-    """Multi-start fits of an (alpha, beta, lam) family to every group of
-    batches by mean_ll(a, b, lam, mean(ln y), mean(y), sqrt(y)) -> (value,
-    gradient in (ln a, ln b, ln lam)), as a _GroupFit per group. Starts of
-    a batch: its gamma fit (gammas, per group) with lam at its floor and
-    near 0, extra_start(group)'s start for it unless that is None, then
-    jitters of the second start drawn from its rng; all are drawn, in batch
-    order, before any search runs."""
+def _fit_shifted(g: _Group, rngs, mean_ll, extra_start=None) -> _GroupFit:
+    """Multi-start fits of an (alpha, beta, lam) family to the batches of
+    g by mean_ll(a, b, lam, mean(ln y), mean(y), sqrt(y)) -> (value,
+    gradient in (ln a, ln b, ln lam)). Starts of batch r: its gamma fit
+    with lam at its floor and near 0, extra_start(g)[r] unless that is
+    None, then jitters of the second start drawn from rngs[r], batch after
+    batch, before any search runs. They run in the restart passes of the
+    module docstring, one lock-step pass each; a batch reports from the
+    starts the keep rule leaves it, by _pick_start, and its counts sum over
+    those runs."""
     restarts = DEFAULT_OPTIMIZER.restarts
-    starts, counts = [], []
-    for g, gamma in zip(batches.groups, gammas):
-        z = np.zeros((g.size, max(3, restarts), 3))
-        # beta of the gamma fit on the normalized batch equals its alpha.
-        z[:, :2, :2] = _math_log(gamma.params["alpha"])[:, None, None]
-        z[:, 0, 2] = _S_BOUNDS[0]
-        z[:, 1, 2] = _softplus_inv(0.01)
-        count = np.full(g.size, 2)
-        if extra_start is not None:
-            for r, z0 in enumerate(extra_start(g)):
-                if z0 is not None:
-                    z[r, 2] = z0
-                    count[r] = 3
-        starts.append(z)
-        counts.append(count)
+    n_rows, width = g.size, max(3, restarts)
+    gamma = g.gamma
+    starts = np.zeros((n_rows, width, 3))
+    # beta of the gamma fit on the normalized batch equals its alpha.
+    starts[:, :2, :2] = _math_log(gamma.params["alpha"])[:, None, None]
+    starts[:, 0, 2] = _S_BOUNDS[0]
+    starts[:, 1, 2] = _softplus_inv(0.01)
+    count = np.full(n_rows, 2)
+    if extra_start is not None:
+        for r, z0 in enumerate(extra_start(g)):
+            if z0 is not None:
+                starts[r, 2] = z0
+                count[r] = 3
     scale = np.array([1.0, 1.0, 2.0])
-    for (j, r), rng in zip(batches.slots, rngs):
-        while rng is not None and counts[j][r] < restarts:
+    for r, rng in enumerate(rngs):
+        while rng is not None and count[r] < restarts:
             jitter = rng.normal(scale=0.5, size=3)
-            starts[j][r, counts[j][r]] = starts[j][r, 1] + jitter * scale
-            counts[j][r] += 1
-    fits = [
-        _fit_shifted_group(g, z, count, gamma, mean_ll)
-        for g, z, count, gamma in zip(batches.groups, starts, counts, gammas)
-    ]
-    return _checked(batches, fits)
-
-
-def _fit_shifted_group(g: _Group, starts, count, gamma: _GroupFit, mean_ll) -> _GroupFit:
-    """The fits of one group from its starts (R, K, 3), count[r] of them
-    drawn for batch r, run in the restart passes of the module docstring,
-    one lock-step pass each. A batch reports from the starts the keep rule
-    leaves it, by _pick_start, and its counts sum over those runs."""
-    n_rows, width = starts.shape[:2]
+            starts[r, count[r]] = starts[r, 1] + jitter * scale
+            count[r] += 1
     lam_max = _lam_zero_is_a_maximum(gamma.params["alpha"], gamma.degenerate, g.var_y, g.mean_y)
     k = np.arange(width)
     drawn = k < count[:, None]
@@ -923,21 +866,41 @@ def _model_names(models) -> tuple[str, ...]:
 
 def fit_batches(models, batches, rngs=None) -> dict[str, list[FitResult]]:
     """Fit each of models, in the order given, to every batch: {model:
-    [FitResult per batch]}. Batch i draws its restarts from rngs[i]
-    (default None), model after model, and its gamma fit, where the
-    noncentral-gamma and proposed searches start, is made once. The
-    batches of one length form a group, and the work of a fit runs once
-    per group: its statistics, shared by every model; each model's starts,
-    restart passes (one lock-step pass each), keep rule and flags; and one
-    log-likelihood pass per model. A fit's rows never depend on the other
-    batches, so each result equals fit_model on its batch alone."""
+    [FitResult per batch]}. This is the one place that groups batches: the
+    batches of one length form a _Group, every batch of every group is
+    validated before any fit runs, and then, model after model, each
+    group is fitted by MODELS[m].fit, checked, and its results put back in
+    batch order. A group's statistics and gamma fits, where the
+    noncentral-gamma and proposed searches start, are made once and shared
+    by every model. Batch i draws its restarts from rngs[i] (default None),
+    model after model; within a model the groups draw one after another,
+    so a generator shared by batches of different lengths is drawn group
+    by group, not in batch order. A fit's rows never depend on the other
+    batches, so with a stream per batch each result equals fit_model on
+    its batch alone."""
     models = _model_names(models)
-    batches = _Batches(batches)
-    rngs = [None] * len(batches) if rngs is None else list(rngs)
-    if len(rngs) != len(batches):
+    xs = [np.asarray(b, dtype=float).ravel() for b in batches]
+    by_length: dict[int, list[int]] = {}
+    for i, x in enumerate(xs):
+        by_length.setdefault(x.size, []).append(i)
+    groups = []
+    for idx in by_length.values():
+        x = np.stack([xs[i] for i in idx])
+        mean = _group_mean(x)
+        if mean is None:
+            for b in xs:
+                _validate_batch(b)  # raises the error of the first invalid batch
+        groups.append((idx, _Group(x, mean)))
+    rngs = [None] * len(xs) if rngs is None else list(rngs)
+    if len(rngs) != len(xs):
         raise ValueError("batches and rngs differ in length")
-    gamma = functools.cache(lambda: _fit_gamma_batches(batches))
-    return {m: _fit_results(m, batches, MODELS[m].fit(batches, rngs, gamma)) for m in models}
+    results = {m: [None] * len(xs) for m in models}
+    for m in models:
+        for idx, g in groups:
+            fit = _checked(g, MODELS[m].fit(g, [rngs[i] for i in idx]))
+            for i, result in zip(idx, _fit_results(m, g, fit)):
+                results[m][i] = result
+    return results
 
 
 @dataclass(frozen=True)
@@ -946,16 +909,16 @@ class Model:
     keys of its fitted parameters, log_pdf_rows(x, log_x, params) = its log
     density at each row of x (R, n), with log_x = ln x, at params (a (R,)
     array per key), one of the row kernels of distributions, and
-    fit(batches, rngs, gamma) -> a _GroupFit per group of batches, where
-    gamma() returns the gamma fits (see fit_batches). The callables look
-    module functions up when called, so that bindings replaced at run time
-    (a tracer, a test stub) are the ones used."""
+    fit(g, rngs) -> the _GroupFit of the batches of one _Group g, batch r
+    drawing its restarts from rngs[r]. The callables look module functions
+    up when called, so that bindings replaced at run time (a tracer, a test
+    stub) are the ones used."""
 
     name: str
     aliases: tuple[str, ...]
     params: tuple[str, ...]
     log_pdf_rows: Callable[[np.ndarray, np.ndarray, dict], np.ndarray]
-    fit: Callable[..., list[_GroupFit]]
+    fit: Callable[[_Group, list], _GroupFit]
 
     def log_likelihoods(self, x: np.ndarray, log_x: np.ndarray, params: dict) -> np.ndarray:
         """The total log-likelihoods (R,) of the batches x (R, n), with
@@ -978,28 +941,24 @@ MODELS = {
         Model(
             "exponential", ("exp",), ("rate",),
             lambda x, log_x, p: _log_pdf_exponential_rows(x, p["rate"]),
-            lambda batches, rngs, gamma: _fit_exponential_batches(batches),
+            lambda g, rngs: _fit_exponential(g),
         ),
         Model(
             "gamma", (), ("alpha", "beta"),
             lambda x, log_x, p: _log_pdf_gamma_rows(x, log_x, p["alpha"], p["beta"]),
-            lambda batches, rngs, gamma: gamma(),
+            lambda g, rngs: g.gamma,
         ),
         Model(
             "noncentral_gamma", ("ncgamma",), ("alpha", "beta", "lambda"),
             lambda x, log_x, p: _log_pdf_noncentral_gamma_rows(
                 x, log_x, p["alpha"], p["beta"], p["lambda"]
             ),
-            lambda batches, rngs, gamma: _fit_shifted_batches(
-                batches, rngs, gamma(), _noncentral_gamma_mean_ll
-            ),
+            lambda g, rngs: _fit_shifted(g, rngs, _noncentral_gamma_mean_ll),
         ),
         Model(
             "proposed", (), ("alpha", "beta", "lambda"),
             lambda x, log_x, p: _log_pdf_power_rows(x, log_x, p["alpha"], p["beta"], p["lambda"]),
-            lambda batches, rngs, gamma: _fit_shifted_batches(
-                batches, rngs, gamma(), _proposed_mean_ll, _moment_matched_starts
-            ),
+            lambda g, rngs: _fit_shifted(g, rngs, _proposed_mean_ll, _moment_matched_starts),
         ),
     )
 }

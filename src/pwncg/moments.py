@@ -10,6 +10,7 @@ cumulant formula is the baseline the kurtosis comparison is made against.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import gammaln
@@ -38,8 +39,17 @@ def raw_moment(n: int, p: PowerParams) -> float:
     n = int(n)
     if n < 1:
         raise ValueError(f"raw_moment requires n >= 1, got {n}")
-    log_m = gammaln(p.alpha + n) - gammaln(p.alpha) - n * math.log(p.beta)
-    log_m = log_m + log_laguerre_neg(p.alpha + n, p.lam) - log_laguerre_neg(p.alpha, p.lam)
+    a = p.alpha
+    if a <= 1e3:
+        log_poch = gammaln(a + n) - gammaln(a)
+    else:
+        # ln (alpha)_n from Stirling's series, whose first omitted term is
+        # below 3e-12 here; the gammaln difference loses all its digits to
+        # cancellation at large alpha.
+        log_poch = (a - 0.5) * math.log1p(n / a) + n * (math.log(a + n) - 1.0)
+        log_poch -= n / (12.0 * a * (a + n))
+    log_m = log_poch - n * math.log(p.beta)
+    log_m = log_m + log_laguerre_neg(a + n, p.lam) - log_laguerre_neg(a, p.lam)
     try:
         return math.exp(log_m)
     except OverflowError:
@@ -101,14 +111,27 @@ def ncgamma_cumulant(n: int, p: PowerParams) -> float:
     n = int(n)
     if n < 1:
         raise ValueError(f"ncgamma_cumulant requires n >= 1, got {n}")
-    return _per_rate_power(math.factorial(n - 1) * (p.alpha + n * p.lam), p.beta, n)
+    s = p.alpha + n * p.lam
+    try:
+        v = math.factorial(n - 1) * s
+    except OverflowError:  # (n - 1)! is past the float range: exact rationals, rounded once
+        try:
+            return float(math.factorial(n - 1) * Fraction(s) / Fraction(p.beta) ** n)
+        except OverflowError:
+            return math.inf
+    return _per_rate_power(v, p.beta, n)
 
 
 def ncgamma_excess_kurtosis(p: PowerParams) -> float:
     """Excess kurtosis kappa4 / kappa2^2 = 6 (alpha + 4 lam) / (alpha +
     2 lam)^2 of the noncentral gamma baseline, free of beta."""
     s = p.alpha + 2.0 * p.lam
-    return 6.0 * (p.alpha + 4.0 * p.lam) / (s * s)
+    if 0.0 < s * s < math.inf:
+        return 6.0 * (p.alpha + 4.0 * p.lam) / (s * s)
+    # s^2 leaves the float range: divide by q = s / 4, which stays finite,
+    # one factor at a time
+    q = 0.25 * p.alpha + 0.5 * p.lam
+    return 0.375 * (p.alpha / q + 4.0 * (p.lam / q)) / q
 
 
 def kurtosis_sweep(lambdas, alphas):

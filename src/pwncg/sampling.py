@@ -27,7 +27,6 @@ from .distributions import ComplexParams, PoissonTypeParams, PowerParams
 from .special import _confluent_weights
 
 __all__ = [
-    "RngStream",
     "rng_stream",
     "MhConfig",
     "MhStats",
@@ -45,10 +44,8 @@ __all__ = [
 # that the composite samplers route "mh" requests to the truncated sampler.
 MH_ALPHA_CUTOFF = 20.0
 
-RngStream = np.random.Generator
 
-
-def rng_stream(seed: int) -> RngStream:
+def rng_stream(seed: int) -> np.random.Generator:
     """Seedable pseudo-random stream (PCG64). Identical seeds reproduce
     identical draw sequences."""
     return np.random.default_rng(seed)
@@ -95,7 +92,7 @@ def poisson_type_pmf_table(p: PoissonTypeParams) -> np.ndarray:
     return probs / probs.sum()
 
 
-def sample_poisson_type_truncated(p: PoissonTypeParams, rng: RngStream, size=None):
+def sample_poisson_type_truncated(p: PoissonTypeParams, rng: np.random.Generator, size=None):
     """Draw from the distorted-Poisson law by inverse transform on the
     truncated cumulative table."""
     if p.lam == 0.0:
@@ -172,7 +169,7 @@ def _mh_weights(alpha: float, k: np.ndarray) -> np.ndarray:
 def sample_poisson_type_mh(
     p: PoissonTypeParams,
     cfg: MhConfig,
-    rng: RngStream,
+    rng: np.random.Generator,
     size=None,
     return_stats: bool = False,
 ):
@@ -218,7 +215,7 @@ def sample_poisson_type_mh(
     return (result, stats) if return_stats else result
 
 
-def sample_gamma(shape, rate, rng: RngStream, size=None):
+def sample_gamma(shape, rate, rng: np.random.Generator, size=None):
     """Gamma draws with the given shape and rate.
 
     Shape >= 1 uses the cubed-Gaussian accept-reject transform (squeeze
@@ -267,7 +264,7 @@ def sample_gamma(shape, rate, rng: RngStream, size=None):
     return out.reshape(out_shape)
 
 
-def sample_von_mises(mean_dir, kappa, rng: RngStream, size=None):
+def sample_von_mises(mean_dir, kappa, rng: np.random.Generator, size=None):
     """Von Mises draws in [-pi, pi] from numpy's generator (Best-Fisher
     accept-reject). kappa = 0 returns uniform angles. kappa may be an array
     broadcast against the output shape (the composite sampler feeds
@@ -279,7 +276,7 @@ def sample_von_mises(mean_dir, kappa, rng: RngStream, size=None):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def sample_power(p: PowerParams, rng: RngStream, size=None, method: str = "trunc"):
+def sample_power(p: PowerParams, rng: np.random.Generator, size=None, method: str = "trunc"):
     """Draw from the power distribution: mixing integer n, then a
     Gamma(n + alpha, beta) variate.
 
@@ -299,7 +296,7 @@ def sample_power(p: PowerParams, rng: RngStream, size=None, method: str = "trunc
     return sample_gamma(np.asarray(ns, dtype=float) + p.alpha, p.beta, rng, size=size)
 
 
-def sample_complex(p: ComplexParams, rng: RngStream, size=None, method: str = "trunc"):
+def sample_complex(p: ComplexParams, rng: np.random.Generator, size=None, method: str = "trunc"):
     """Draw complex variates: amplitude from the power law, then the phase
     from the conditional von Mises law at that amplitude."""
     pw = p.power_params()

@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +230,25 @@ class TestDensityGridCommand:
         assert math.isclose(
             d, math.exp(log_pdf_power(x, PowerParams(0.8, 1.0, 1.0))), rel_tol=1e-10
         )
+
+    @pytest.mark.parametrize(
+        "bound",
+        [
+            ["--kind", "complex", "--re-max", "inf"],
+            ["--kind", "complex", "--im-min=-inf"],
+            ["--kind", "power", "--x-max", "inf"],
+            ["--kind", "amplitude", "--x-max", "inf", "--n", "1"],
+            ["--kind", "complex", "--re-min=-1e308", "--re-max", "1e308"],
+        ],
+    )
+    def test_infinite_range_is_an_error_without_a_warning(self, bound, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as exc:
+                main(["density-grid", "--alpha", "1.5", *bound, "--out", str(tmp_path / "g.csv")])
+        assert exc.value.code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()
 
 
 class TestKurtosisSweepCommand:

@@ -552,20 +552,20 @@ class TestFitInvariants:
 
 class TestFitBatches:
     def test_gamma_fitted_once_for_all_models(self, monkeypatch):
-        real = fitting._fit_gamma_batches
+        real = fitting._fit_gamma
         calls = []
 
-        def spy(xs):
-            calls.append(len(xs))
-            return real(xs)
+        def spy(g):
+            calls.append(g.size)
+            return real(g)
 
-        monkeypatch.setattr(fitting, "_fit_gamma_batches", spy)
+        monkeypatch.setattr(fitting, "_fit_gamma", spy)
         rng = rng_stream(16)
         batches = [random_batch(rng, size) for size in (60, 40, 60, 25)]
         together = fitting.fit_batches(
             FIT_MODELS, batches, [rng_stream(20 + i) for i in range(len(batches))]
         )
-        assert calls == [len(batches)]
+        assert calls == [2, 1, 1]  # once per length group
         for i, batch in enumerate(batches):
             stream = rng_stream(20 + i)
             for m in FIT_MODELS:
@@ -574,7 +574,7 @@ class TestFitBatches:
         # run fits no gamma
         calls.clear()
         later = fitting.fit_batches(("proposed", "gamma"), batches)
-        assert tuple(later) == ("proposed", "gamma") and calls == [len(batches)]
+        assert tuple(later) == ("proposed", "gamma") and calls == [2, 1, 1]
         assert later["gamma"] == together["gamma"]
         calls.clear()
         alone = fitting.fit_batches(("exponential",), batches)
@@ -617,6 +617,22 @@ class TestFitBatches:
             for m in models:
                 assert passes[m][i] == early[m][i] == fit_model(m, batch, rng=stream)
 
+    def test_invalid_batch_in_a_later_group_raises_before_any_fit(self, monkeypatch):
+        # every batch of every length group is validated before the first
+        # search runs, and the error is that of the first invalid batch
+        calls = []
+        monkeypatch.setattr(fitting, "_lbfgsb", lambda *args: calls.append(args))
+        rng = rng_stream(18)
+        ok_60, ok_40 = random_batch(rng, 60), random_batch(rng, 40)
+        not_finite = np.append(random_batch(rng, 24), math.nan)
+        not_positive = [1.0, 0.0, 2.0]
+        with pytest.raises(ValueError, match="batch values must be finite"):
+            fitting.fit_batches(FIT_MODELS, [ok_60, ok_40, ok_60, not_finite])
+        with pytest.raises(ValueError, match="batch values must be finite"):
+            fitting.fit_batches(FIT_MODELS, [ok_60, not_finite, ok_40, not_positive])
+        with pytest.raises(ValueError, match="batch values must be positive"):
+            fitting.fit_batches(("gamma",), [ok_60, not_positive, ok_40, not_finite])
+        assert calls == []
 
     def test_repeated_or_unknown_model_rejected(self):
         batches = [rng_stream(17).gamma(1.0, 1.0, 30)]
@@ -739,7 +755,7 @@ class TestLamZeroGate:
             alpha = math.exp(ln_alpha)
             assert alpha * v > 1.0
             # a fit at the upper bound is flagged degenerate by fitting's rule
-            degenerate = fitting._degenerate(np.array([alpha]), fitting._Batches([y]).groups[0])
+            degenerate = fitting._degenerate(np.array([alpha]), fitting._Group(y[None], np.ones(1)))
             assert bool(degenerate[0]) == (ln_alpha > 0.0)
             assert not _lam_zero_gate(alpha, bool(degenerate[0]), y)
         assert _lam_zero_gate(1.1e-3, False, y)

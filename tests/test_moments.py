@@ -2,6 +2,7 @@
 noncentral-gamma cumulant baseline."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -269,3 +270,44 @@ class TestExtremeRates:
         assert 0.0 <= ncgamma_cumulant(4, PowerParams(1.5, 1e80, 3.0)) < 1e-300
         got = ncgamma_cumulant(2, PowerParams(1.5, 1e80, 3.0))
         assert math.isclose(got, ncgamma_cumulant(2, p1) * 1e-160, rel_tol=1e-15)
+
+
+class TestExtremeShapes:
+    """Orders and shapes where a factor of a moment leaves the float range:
+    inf, 0.0 or the accurate value, never a raw error, a NaN or a warning."""
+
+    def test_cumulant_of_an_order_past_the_factorial_range(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ncgamma_cumulant(200, PowerParams(1.5, 1.0, 3.0)) == math.inf
+            assert ncgamma_cumulant(200, PowerParams(1.5, 1e300, 3.0)) == 0.0
+            got = ncgamma_cumulant(200, PowerParams(1.5, 10.0, 3.0))
+        want = mp.factorial(199) * mp.mpf(601.5) / mp.mpf(10) ** 200
+        assert math.isclose(got, float(want), rel_tol=1e-15)
+
+    def test_mean_at_the_largest_shapes(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = raw_moment(1, PowerParams(1e308, 1.0, 0.0))
+        assert math.isclose(got, 1e308, rel_tol=1e-13)
+
+    def test_moment_past_the_float_range_is_inf(self):
+        # the gammaln difference cancels to 0 at alpha = 1e200; the value
+        # alpha (alpha + 1) = 1e400 overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert raw_moment(2, PowerParams(1e200, 1.0, 0.0)) == math.inf
+            got = raw_moment(2, PowerParams(1e150, 1.0, 0.0))
+        assert math.isclose(got, 1e300 + 1e150, rel_tol=1e-13)
+        for alpha in (1001.0, 2000.0, 1e6, 1e15):
+            for n in (1, 2, 4):
+                with mp.workdps(60):
+                    want = mp.rf(mp.mpf(alpha), n) / mp.mpf(1.3) ** n
+                got = raw_moment(n, PowerParams(alpha, 1.3, 0.0))
+                assert math.isclose(got, float(want), rel_tol=1e-13), (alpha, n)
+
+    def test_ncgamma_kurtosis_where_the_squared_shape_leaves_the_range(self):
+        for alpha, want in [(1e200, 6e-200), (1e-200, 6e200), (1e-320, math.inf)]:
+            assert ncgamma_excess_kurtosis(PowerParams(alpha, 1.0, 0.0)) == want, alpha
+        got = ncgamma_excess_kurtosis(PowerParams(1e160, 1.0, 1e160))
+        assert math.isclose(got, 30.0 / 9.0 * 1e-160, rel_tol=1e-15)
