@@ -61,6 +61,21 @@ def _check(name: str, value, zero_ok: bool = False) -> None:
         )
 
 
+def _check_power_axis(name: str, centroid, sigma2: float) -> None:
+    """Raise unless the rate 1/sigma2 and the noncentrality
+    |centroid|^2/sigma2 of a complex or amplitude law with a checked finite
+    centroid and sigma2 > 0 lie in the float range."""
+    try:
+        finite = math.isfinite(1.0 / sigma2) and math.isfinite(abs(centroid) ** 2 / sigma2)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(
+            f"{name} = {centroid} and sigma2 = {sigma2} give a rate 1/sigma2 or a "
+            f"noncentrality |{name}|^2/sigma2 outside the float range"
+        )
+
+
 @dataclass(frozen=True)
 class ComplexParams:
     """Parameters of the complex-plane density: centroid mu, variance
@@ -78,6 +93,7 @@ class ComplexParams:
             raise ValueError(f"mu must be finite, got {mu}")
         _check("sigma2", self.sigma2)
         _check("alpha", self.alpha)
+        _check_power_axis("mu", mu, self.sigma2)
 
     @property
     def mean_phase(self) -> float:
@@ -102,6 +118,7 @@ class AmplitudeParams:
         _check("nu", self.nu, zero_ok=True)
         _check("sigma2", self.sigma2)
         _check("alpha", self.alpha)
+        _check_power_axis("nu", self.nu, self.sigma2)
 
     def power_params(self) -> "PowerParams":
         return PowerParams(

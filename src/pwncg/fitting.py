@@ -100,9 +100,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize  # noqa: F401  (bound for perfbench: see below)
-# A private scipy symbol: L-BFGS-B's reverse-communication core (see _lbfgsb).
-from scipy.optimize._lbfgsb import setulb
 from scipy.special import digamma, gammaln, stdtr
 
 from .distributions import (
@@ -131,7 +128,18 @@ from .special import (
 # log_bessel_i_nu, log_laguerre_neg, log_pdf_power or
 # log_pdf_noncentral_gamma through these bindings; perfbench/tracing.py
 # traces them all, and the noncentral_batches workload wraps
-# log_laguerre_neg.
+# log_laguerre_neg. minimize is scipy.optimize.minimize, resolved by the
+# module __getattr__ below on first use: scipy.optimize takes about a third
+# of a fresh `import pwncg.cli`, and only a fit needs it (see _lbfgsb).
+
+
+def __getattr__(name: str):
+    if name == "minimize":
+        from scipy.optimize import minimize
+
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "FitResult",
@@ -297,8 +305,12 @@ def _lbfgsb(objective, z0: np.ndarray, bounds) -> list[_Run]:
     evaluated in one objective call. This is the loop of scipy's
     _minimize_lbfgsb, row by row: x0 clipped to the bounds, a point equal
     to the last one evaluated answered from that evaluation, and the
-    iteration and evaluation caps checked at each new iterate.
+    iteration and evaluation caps checked at each new iterate. setulb is
+    imported here, so scipy.optimize loads at the first fit and not with
+    the package.
     """
+    from scipy.optimize._lbfgsb import setulb
+
     n_rows, d = z0.shape
     lo = np.array([b[0] for b in bounds], dtype=float)
     hi = np.array([b[1] for b in bounds], dtype=float)

@@ -221,7 +221,8 @@ def sample_gamma(shape, rate, rng: np.random.Generator, size=None):
     Shape >= 1 uses the cubed-Gaussian accept-reject transform (squeeze
     check first, log check only on near-misses); shape < 1 is boosted to
     shape + 1 and multiplied by U^(1/shape). Vectorized; shape may be an
-    array broadcast against the output shape.
+    array broadcast against the output shape. A rate so small that a draw
+    overflows the float range raises ValueError.
     """
     out_shape = np.shape(shape) if size is None else tuple(np.atleast_1d(size))
     # The draws run on flat arrays, in C order, and take out_shape at the end.
@@ -258,7 +259,11 @@ def sample_gamma(shape, rate, rng: np.random.Generator, size=None):
     if nb:
         u = rng.random(nb)
         out[boost] *= u ** (1.0 / k[boost])
-    out = np.maximum(out / rate, np.finfo(float).tiny)
+    with np.errstate(over="ignore"):
+        out = out / rate
+    if np.isinf(out).any():
+        raise ValueError(f"a gamma draw at rate {rate} overflows; the rate must be larger")
+    out = np.maximum(out, np.finfo(float).tiny)
     if size is None and not out_shape:
         return float(out[0])
     return out.reshape(out_shape)

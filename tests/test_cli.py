@@ -85,6 +85,34 @@ USAGE_ERRORS = [
         ["fit-spectra", "--input", "x.wav", "--sweep", "--out", "r.csv", "--csv", "./r.csv"],
         "pwncg fit-spectra: error: --out and --csv name the same file",
     ),
+    # A rate 1/sigma2 or noncentrality |mu|^2/sigma2 past the float range.
+    (
+        ["sample", "--kind", "complex", "--alpha", "1", "--mu-re", "1e200"],
+        "pwncg sample: error: mu = (1e+200+0j) and sigma2 = 1.0 give a rate 1/sigma2 or "
+        "a noncentrality |mu|^2/sigma2 outside the float range",
+    ),
+    (
+        ["density-grid", "--kind", "complex", "--alpha", "1", "--mu-re", "1e200"],
+        "pwncg density-grid: error: mu = (1e+200+0j) and sigma2 = 1.0 give",
+    ),
+    (
+        ["density-grid", "--kind", "amplitude", "--alpha", "1", "--nu", "1e200"],
+        "pwncg density-grid: error: nu = 1e+200 and sigma2 = 1.0 give a rate 1/sigma2 or "
+        "a noncentrality |nu|^2/sigma2 outside the float range",
+    ),
+    (
+        ["sample", "--kind", "complex", "--alpha", "1", "--sigma2", "1e-320"],
+        "pwncg sample: error: mu = 0j and sigma2 = 1e-320 give",
+    ),
+    (
+        ["density-grid", "--kind", "amplitude", "--alpha", "1", "--sigma2", "1e-320"],
+        "pwncg density-grid: error: nu = 0.0 and sigma2 = 1e-320 give",
+    ),
+    # A gamma draw over a subnormal rate overflows.
+    (
+        ["sample", "--alpha", "1", "--beta", "1e-320", "--lam", "1"],
+        "pwncg sample: error: a gamma draw at rate 1e-320 overflows",
+    ),
 ]
 
 
@@ -115,6 +143,12 @@ def test_sizes_below_one_are_usage_errors(argv, message, capsys):
         ],
         # The CSV would overwrite the report.
         ["fit-spectra", "--input", "{tmp}/n.wav", "--models", "exp", "--csv", "{tmp}/out.csv"],
+        # A rate or noncentrality past the float range, or an overflowing draw.
+        ["sample", "--kind", "complex", "--alpha", "1", "--mu-re", "1e200"],
+        ["density-grid", "--kind", "complex", "--alpha", "1", "--mu-re", "1e200"],
+        ["density-grid", "--kind", "amplitude", "--alpha", "1", "--nu", "1e200"],
+        ["sample", "--kind", "complex", "--alpha", "1", "--sigma2", "1e-320"],
+        ["sample", "--alpha", "1", "--beta", "1e-320", "--lam", "1"],
     ],
 )
 def test_parameter_errors_leave_no_output_file(argv, tmp_path):

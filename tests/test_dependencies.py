@@ -46,15 +46,92 @@ def test_test_imports_are_declared():
     assert not undeclared, f"imported by pwncg but not in [project] dependencies: {undeclared}"
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    # Importing scipy.stats as well takes a fresh `import pwncg.cli` from
-    # 1.10 s to 1.82 s (median of 7, 2 vCPUs), a cost every `pwncg` run pays.
-    code = "import sys, pwncg.cli; print('scipy.stats' in sys.modules)"
+# scipy modules that only a fit, or nothing in the package, needs.
+HEAVY = ("scipy.optimize", "scipy.stats")
+
+
+def _fresh(code: str) -> str:
+    """The output of code run in a fresh interpreter that imports pwncg
+    from src/, with `loaded()` defined: which of HEAVY it has imported."""
+    prelude = f"import sys\ndef loaded(): return [m for m in {HEAVY!r} if m in sys.modules]\n"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", prelude + code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # A fresh `import pwncg.cli` takes 0.58 s. Loading scipy.optimize with
+    # it, which only a fit needs, takes it to 0.89 s, and scipy.stats, which
+    # loads scipy.optimize, to 1.48 s (medians of 12 alternating runs,
+    # 2 vCPUs): a cost every `pwncg` run would pay.
+    assert _fresh("import pwncg.cli; print(loaded())").strip() == "[]"
+
+
+def test_commands_without_a_fit_do_not_load_scipy_optimize():
+    # sample, density-grid and kurtosis-sweep evaluate, draw and tabulate;
+    # only fit-spectra fits.
+    code = """
+import os
+import pwncg
+print("import pwncg", loaded())
+from pwncg.cli import main
+print("import pwncg.cli", loaded())
+for argv in (
+    ["sample", "--alpha", "1.5", "--lam", "2", "--count", "50"],
+    ["sample", "--kind", "complex", "--alpha", "0.7", "--mu-re", "0.5", "--count", "50"],
+    ["density-grid", "--alpha", "1.5", "--mu-re", "0.5", "--n", "9"],
+    ["density-grid", "--kind", "amplitude", "--alpha", "2", "--nu", "1", "--n", "9"],
+    ["density-grid", "--kind", "power", "--alpha", "2", "--lam", "3", "--n", "9"],
+    ["kurtosis-sweep", "--steps", "5"],
+):
+    assert main([*argv, "--out", os.devnull]) == 0
+    print(" ".join(argv[:3]), loaded())
+"""
+    lines = _fresh(code).splitlines()
+    assert len(lines) == 8
+    for line in lines:
+        assert line.endswith(" []"), line
+
+
+def test_a_fit_loads_scipy_optimize_and_fits_as_in_process():
+    from pwncg.fitting import fit_model
+    from pwncg.distributions import PowerParams
+    from pwncg.sampling import rng_stream, sample_power
+
+    code = """
+from pwncg.fitting import fit_model
+from pwncg.distributions import PowerParams
+from pwncg.sampling import rng_stream, sample_power
+batch = sample_power(PowerParams(1.5, 2.0, 3.0), rng_stream(3), size=60)
+print(loaded())
+result = fit_model("proposed", batch, rng_stream(5))
+print(loaded())
+print(repr(result))
+"""
+    before, after, fresh = _fresh(code).splitlines()
+    assert before == "[]"
+    assert after == "['scipy.optimize']"
+    batch = sample_power(PowerParams(1.5, 2.0, 3.0), rng_stream(3), size=60)
+    # repr prints every float as the shortest text that reads back to it,
+    # so equal text is equal bits.
+    assert fresh == repr(fit_model("proposed", batch, rng_stream(5)))
+
+
+def test_minimize_binding_resolves_lazily():
+    # perfbench traces fitting.minimize; the module resolves it on first use.
+    import scipy.optimize
+
+    import pwncg.fitting as fitting
+
+    assert fitting.minimize is scipy.optimize.minimize
+    with pytest.raises(AttributeError, match="'pwncg.fitting' has no attribute 'no_such_name'"):
+        getattr(fitting, "no_such_name")
 
 
 def test_exported_names_resolve():

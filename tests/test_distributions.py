@@ -105,6 +105,21 @@ class TestComplexDensity:
         with pytest.raises(ValueError):
             ComplexParams(mu=complex(math.nan, 0.0), sigma2=1.0, alpha=1.0)
 
+    def test_rate_or_noncentrality_past_the_float_range(self):
+        # 1/sigma2 or |mu|^2/sigma2 overflows: |mu|^2 itself, the quotient,
+        # |mu| of a finite complex mu, or the rate of a subnormal sigma2.
+        too_far = [(1e200, 1.0), (1e150, 1e-100), (1e308 + 1e308j, 1.0), (0.0, 1e-320)]
+        for mu, sigma2 in too_far:
+            with pytest.raises(ValueError, match=r"^mu = .* and sigma2 = .* outside the float"):
+                ComplexParams(mu=mu, sigma2=sigma2, alpha=1.0)
+        for nu, sigma2 in [(1e200, 1.0), (1e150, 1e-100), (0.0, 1e-320)]:
+            with pytest.raises(ValueError, match=r"^nu = .* and sigma2 = .* outside the float"):
+                AmplitudeParams(nu=nu, sigma2=sigma2, alpha=1.0)
+        # Just inside the range both laws are built, and reach the power axis.
+        p = ComplexParams(mu=1e150, sigma2=1e-7, alpha=1.0).power_params()
+        assert p.lam == 1e307 and p.beta == 1e7
+        assert AmplitudeParams(nu=0.0, sigma2=1e-308, alpha=1.0).power_params().beta == 1e308
+
 
 class TestPhaseConditional:
     def test_joint_factorizes(self):

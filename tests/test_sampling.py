@@ -3,6 +3,7 @@ the Metropolis-Hastings sampler, and distributional checks of the gamma,
 von Mises, power, and composite complex samplers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -308,6 +309,20 @@ class TestGammaSampler:
             sample_gamma(0.0, 1.0, rng_stream(0))
         with pytest.raises(ValueError):
             sample_gamma(1.0, -1.0, rng_stream(0))
+
+    def test_overflowing_draw_names_the_rate(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for shape in (0.5, 1.0, 3.0):
+                with pytest.raises(ValueError, match="gamma draw at rate 1e-320 overflows"):
+                    sample_gamma(shape, 1e-320, rng_stream(0), size=10)
+            with pytest.raises(ValueError, match="rate 1e-320"):
+                sample_power(PowerParams(alpha=1.0, beta=1e-320, lam=1.0), rng_stream(0))
+            # A rate whose draws stay in the float range draws as before.
+            d = sample_gamma(1.0, 1e-306, rng_stream(1), size=1000)
+            assert np.all(np.isfinite(d)) and np.all(d > 0.0)
+            unit = sample_gamma(1.0, 1.0, rng_stream(1), size=1000)
+            np.testing.assert_array_equal(d, unit / 1e-306)
 
 
 class TestVonMisesSampler:
