@@ -181,10 +181,10 @@ def sample_poisson_type_mh(
     each state and each proposal takes one uniform. The acceptance ratio
     n! Gamma(alpha+n') / (n'! Gamma(alpha+n)) is evaluated in log domain
     as w_n - w_n' from the weights w_k = ln k! - ln Gamma(alpha + k) over
-    the table's support, so no series normalizer is ever needed. Each
-    chain carries its state's weight, so a step looks up only the
-    proposal's. Raises ValueError where the table would exceed its size
-    limit (lam above about 1e10).
+    the table's support, so no series normalizer is ever needed. A step
+    moves the accepted chains by an integer update of the state indices
+    and then looks up the states' weights afresh. Raises ValueError where
+    the table would exceed its size limit (lam above about 1e10).
     """
     m = 1 if size is None else int(np.prod(size))
     if p.lam == 0.0:
@@ -203,8 +203,13 @@ def sample_poisson_type_mh(
             with np.errstate(divide="ignore"):
                 accept = np.log(rng.random(m)) < w_state - w_prop
             accepted += int(np.count_nonzero(accept))
-            np.copyto(state, prop, where=accept)
-            np.copyto(w_state, w_prop, where=accept)
+            # state += accept * (prop - state), in place: exact integer
+            # steps, cheaper than masked copies; the weights are looked up
+            # again into their own buffer, not into a new array.
+            prop -= state
+            prop *= accept
+            state += prop
+            np.take(weights, state, out=w_state)
         draws = (table.lo + state).astype(np.int64)
         stats = MhStats(proposals=steps * m, accepted=accepted)
 

@@ -13,14 +13,19 @@ fits call) next to this script. A change that moves reported numbers reruns it a
 lists the changed rows.
 
 --check writes nothing. It prints every JSON key and CSV row whose value
-differs from the files here, one a line, and exits 1 if any differs.
+differs from the files here, one a line, then one summary line: the
+count of changed values (JSON leaves and CSV cells) and the largest
+relative change among the numeric ones, with its key. It exits 1 if any
+differs.
 """
 
 import csv
 import io
 import json
+import math
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -42,7 +47,7 @@ def _outputs() -> dict:
 
 
 def _json_changes(path: str, old, new):
-    """'path: old -> new' for each leaf, key or list item that differs."""
+    """(path, old, new) for each leaf, key or list item that differs."""
     if isinstance(old, dict) and isinstance(new, dict):
         for key in sorted(old.keys() | new.keys()):
             yield from _json_changes(f"{path}.{key}", old.get(key), new.get(key))
@@ -50,43 +55,93 @@ def _json_changes(path: str, old, new):
         for i, (a, b) in enumerate(zip(old, new)):
             yield from _json_changes(f"{path}[{i}]", a, b)
     elif old != new or type(old) is not type(new):
-        yield f"{path}: {json.dumps(old)} -> {json.dumps(new)}"
+        yield path, old, new
 
 
 def _csv_changes(name: str, old: bytes, new: bytes):
-    """'name row i: old -> new' for each CSV row that differs (row 0 is
-    the header)."""
+    """('name row i', old row, new row, changed cells) for each CSV row
+    that differs (row 0 is the header); the cells are (key, old, new), a
+    number where the text is one."""
     rows_old = list(csv.reader(io.StringIO(old.decode())))
     rows_new = list(csv.reader(io.StringIO(new.decode())))
-    for i in range(max(len(rows_old), len(rows_new))):
-        a = rows_old[i] if i < len(rows_old) else None
-        b = rows_new[i] if i < len(rows_new) else None
-        if a != b:
-            yield f"{name} row {i}: {a} -> {b}"
-    if rows_old == rows_new and old != new:
-        yield f"{name}: the same rows in different bytes"
+    header = rows_new[0] if rows_new else []
+    for i, (a, b) in enumerate(zip_longest(rows_old, rows_new)):
+        if a == b:
+            continue
+        cells = [
+            (f"{name} row {i} {header[j] if i and j < len(header) else j}", _number(x), _number(y))
+            for j, (x, y) in enumerate(zip_longest(a or (), b or ()))
+            if x != y
+        ]
+        yield f"{name} row {i}", a, b, cells
 
 
-def _changes(files: dict) -> list:
-    changes = []
-    for name, new in files.items():
-        old = (HERE / name).read_bytes() if isinstance(new, bytes) else (HERE / name).read_text()
-        if old == new:
+def _number(text):
+    """text as a float where it reads as one, else text."""
+    try:
+        return float(text)
+    except (TypeError, ValueError):
+        return text
+
+
+def _changes(old: dict, new: dict):
+    """How the outputs new differ from the golden files old, both by file
+    name: the lines to print, and the changed values as (key, old, new),
+    one per JSON leaf or CSV cell."""
+    lines, values = [], []
+    for name, content in new.items():
+        before = old[name]
+        if before == content:
             continue
         if name.endswith(".csv"):
-            changes += _csv_changes(name, old, new)
+            rows = list(_csv_changes(name, before, content))
+            lines += [f"{key}: {a} -> {b}" for key, a, b, _ in rows]
+            values += [cell for *_, cells in rows for cell in cells]
+            if not rows:
+                lines.append(f"{name}: the same rows in different bytes")
         else:
-            found = list(_json_changes(name, json.loads(old), json.loads(new)))
-            changes += found or [f"{name}: the same values in different text"]
-    return changes
+            found = list(_json_changes(name, json.loads(before), json.loads(content)))
+            lines += [f"{key}: {json.dumps(a)} -> {json.dumps(b)}" for key, a, b in found]
+            values += found
+            if not found:
+                lines.append(f"{name}: the same values in different text")
+    return lines, values
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _summary(values) -> str:
+    """One line: how many values changed, and the largest relative change
+    |new - old| / |old| among those whose old and new values are both
+    numbers, with its key (inf where old is 0)."""
+    numeric = []
+    for key, a, b in values:
+        if _is_number(a) and _is_number(b):
+            rel = abs(b - a) / abs(a) if a else math.inf
+            numeric.append((rel, key))
+    line = f"{len(values)} changed value{'s' if len(values) != 1 else ''}"
+    if not numeric:
+        return line + ", none of them numeric on both sides"
+    rel, key = max(numeric, key=lambda t: t[0])
+    return line + f"; largest relative change {rel:.3g}, at {key}"
 
 
 def main(argv) -> int:
     files = _outputs()
     if "--check" in argv:
-        changes = _changes(files)
-        print("\n".join(changes) if changes else f"no change from the golden files in {HERE}")
-        return 1 if changes else 0
+        old = {
+            name: (HERE / name).read_bytes() if isinstance(new, bytes) else (HERE / name).read_text()
+            for name, new in files.items()
+        }
+        lines, values = _changes(old, files)
+        if not lines:
+            print(f"no change from the golden files in {HERE}")
+            return 0
+        print("\n".join(lines))
+        print(_summary(values))
+        return 1
     for name, content in files.items():
         if isinstance(content, bytes):
             (HERE / name).write_bytes(content)

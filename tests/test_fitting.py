@@ -14,7 +14,7 @@ from scipy import stats
 from scipy.optimize import minimize
 from scipy.special import gammaln
 
-from helpers import make_speech_like, write_wav_pcm16
+from helpers import GOLDEN_BATCHES, GOLDEN_CLIP_S, golden_batch, make_speech_like, write_wav_pcm16
 from pwncg import distributions, fitting
 from pwncg.distributions import (
     PowerParams,
@@ -784,6 +784,56 @@ class TestLamZeroGate:
                 for lam in np.geomspace(1e-3, 100.0, 12):
                     best, z = _profile(m, batches[i], lam, z)
                     assert best - f.avg_log_likelihood <= 1e-9, (m, i, lam)
+
+
+def _group(batches) -> fitting._Group:
+    """The one group of equal-length batches."""
+    x = np.stack(batches)
+    return fitting._Group(x, fitting._group_mean(x))
+
+
+class TestStartOneLam:
+    """Start 1 of a shifted fit is its gamma fit with lam at the value the
+    model's MODELS entry passes to _fit_shifted: 1 for the proposed law,
+    0.01 for the noncentral gamma."""
+
+    def test_each_model_passes_its_own_start_lam(self, monkeypatch):
+        seen = {}
+
+        def spy(g, rngs, mean_ll, start_lam, extra_start=None):
+            seen[mean_ll] = start_lam
+            return None
+
+        monkeypatch.setattr(fitting, "_fit_shifted", spy)
+        g = _group([golden_batch(*GOLDEN_BATCHES[0])])
+        for m in ("noncentral_gamma", "proposed"):
+            MODELS[m].fit(g, [None])
+        assert seen == {fitting._noncentral_gamma_mean_ll: 0.01, fitting._proposed_mean_ll: 1.0}
+
+    @pytest.mark.parametrize("data", ["golden_batches", "golden_clip"])
+    def test_proposed_start_at_one_ends_no_lower_than_at_0_01(self, data, tmp_path):
+        # the batches tests/test_golden pins, the clip's patches with one
+        # restart stream each: a start 1 at lam = 0.01 ends at most 1e-12
+        # nats per sample above the shipped fit of any batch, and takes
+        # more evaluations
+        if data == "golden_batches":
+            batches = [golden_batch(*b) for b in GOLDEN_BATCHES]
+        else:
+            batches = _speech_batches(tmp_path, GOLDEN_CLIP_S)
+
+        def streams():
+            n = len(batches)
+            return _patch_streams(n, seed=1) if data == "golden_clip" else [None] * n
+
+        g = _group(batches)
+        shipped = fitting._fit_results("proposed", g, MODELS["proposed"].fit(g, streams()))
+        old_start = fitting._fit_shifted(
+            g, streams(), fitting._proposed_mean_ll, 0.01, fitting._moment_matched_starts
+        )
+        old = fitting._fit_results("proposed", g, old_start)
+        for i, (new_fit, old_fit) in enumerate(zip(shipped, old)):
+            assert old_fit.avg_log_likelihood - new_fit.avg_log_likelihood <= 1e-12, i
+        assert sum(f.evaluations for f in shipped) < sum(f.evaluations for f in old)
 
 
 class TestNesting:

@@ -12,6 +12,7 @@ log or the Bessel functions may differ, and every number is compared to
 """
 
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -75,3 +76,42 @@ def test_report_matches_the_golden(tmp_path):
     assert _json_close(json.loads(report), json.loads(want_report))
     assert _csv_close(table, want_table)
     assert _json_close(json.loads(fits), json.loads(want_fits))
+
+
+def _regenerate():
+    spec = importlib.util.spec_from_file_location("regenerate", GOLDEN / "regenerate.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_check_ends_with_a_summary_of_the_changed_values():
+    regenerate = _regenerate()
+    old = {
+        "report.json": json.dumps({"a": {"x": 2.0, "n": 3, "s": "same"}, "ok": True}),
+        "report.csv": b"model,ll,converged\r\nproposed,-4.0,True\r\ngamma,1.5,True\r\n",
+        "batches.json": json.dumps([1.0, 2.0]),
+    }
+    new = {
+        "report.json": json.dumps({"a": {"x": 2.5, "n": 3, "s": "other"}, "ok": True}),
+        "report.csv": b"model,ll,converged\r\nproposed,-4.2,False\r\ngamma,1.5,True\r\n",
+        "batches.json": json.dumps([1.0, 2.0]),
+    }
+    lines, values = regenerate._changes(old, new)
+    assert lines == [
+        'report.json.a.s: "same" -> "other"',
+        "report.json.a.x: 2.0 -> 2.5",
+        "report.csv row 1: ['proposed', '-4.0', 'True'] -> ['proposed', '-4.2', 'False']",
+    ]
+    # four values: a JSON string and number, and two CSV cells; 0.5 / 2.0
+    # beats 0.2 / 4.0
+    assert regenerate._summary(values) == (
+        "4 changed values; largest relative change 0.25, at report.json.a.x"
+    )
+    assert regenerate._summary(values[:1]) == (
+        "1 changed value, none of them numeric on both sides"
+    )
+    assert regenerate._summary([("k", 0.0, 1e-300)]) == (
+        "1 changed value; largest relative change inf, at k"
+    )
+    assert regenerate._changes(old, old) == ([], [])

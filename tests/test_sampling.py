@@ -2,6 +2,7 @@
 the Metropolis-Hastings sampler, and distributional checks of the gamma,
 von Mises, power, and composite complex samplers."""
 
+import hashlib
 import math
 import warnings
 
@@ -239,6 +240,29 @@ class TestMhSampler:
         assert sa == sb
         assert isinstance(sa, MhStats) and sa.proposals == 10 * 2000
         assert 0 < sa.accepted < sa.proposals
+
+    # (lam, alpha, burn_in, thin, seed, draws) -> the first 16 hex digits
+    # of the SHA-256 of the draws as little-endian int64, and the accepted
+    # proposals. Any change to a chain's step that is not bit for bit
+    # changes one of them; the alpha = 1 case accepts every proposal.
+    MH_PINS = [
+        ((3.0, 0.7, 50, 5, 11, 20_000), "0c014414176b7bad", 982_679),
+        ((8.0, 2.5, 7, 3, 9, 2_000), "b205864a88b53e9d", 15_158),
+        ((0.4, 1.0, 50, 5, 12, 5_000), "8fb84e8935754675", 275_000),
+        ((300.0, 4.5, 20, 2, 13, 5_000), "d581bc3107b94971", 97_656),
+        ((1e5, 0.3, 10, 1, 14, 3_000), "d77cdacd77a6ac40", 32_959),
+        ((2.0, 19.0, 50, 5, 15, 4_000), "3c082ec3081ceea4", 35_483),
+    ]
+
+    @pytest.mark.parametrize("case, digest, accepted", MH_PINS)
+    def test_seeded_draws_are_pinned(self, case, digest, accepted):
+        lam, alpha, burn_in, thin, seed, n = case
+        draws, stats = sample_poisson_type_mh(
+            PoissonTypeParams(lam=lam, alpha=alpha), MhConfig(burn_in, thin), rng_stream(seed),
+            size=n, return_stats=True,
+        )
+        got = hashlib.sha256(np.ascontiguousarray(draws, dtype="<i8").tobytes()).hexdigest()
+        assert (got[:16], stats) == (digest, MhStats((burn_in + thin) * n, accepted))
 
     def test_mean_at_large_lambda(self):
         # N's mean from the pmf table at lam = 1e5; at lam = 1e6, past the
