@@ -6,16 +6,19 @@ values overflow or underflow long before the parameter ranges of interest
 are exhausted, so the linear domain is only ever entered at call sites.
 
 The kernels avoid Python loops over elements and over series terms: ln I0
-is ln(i0e(x)) + x at every argument; ln I_nu below _IV_SERIES_CUTOFF is a
-cumulative product over each row's own term count, read from a table; and
-the confluent normalizer sums a window of terms around its mode in one
-numpy pass.
+is ln(i0e(x)) + x at every argument; ln I_nu below _IV_SERIES_CUTOFF sums
+each row's own term count, read from a table, as one (3, K) @ (K, n)
+product of the row's coefficients and the powers u^k of u = (x / max x)^2
+(_log_iv_series_rows), which a caller that evaluates the same rows at
+many scales caches (fitting._Group.powers); and the confluent normalizer
+sums a window of terms around its mode in one numpy pass.
 
 Every series kernel has one entry point that takes grad: with grad it
 returns the value and the derivatives the fits need as a (3, ...) array,
 without it the value alone as a (1, ...) array, by cheaper code (one ive
-call where the derivatives take four, and no moment sums) that gives the
-same value, bit for bit. ln I_nu is _log_bessel_i_nu_rows; log_bessel_i_nu
+call where the derivatives take four, and no moment sums in a window
+series) that gives the same value, bit for bit; the ascending I_nu series
+takes the same product either way. ln I_nu is _log_bessel_i_nu_rows; log_bessel_i_nu
 and the noncentral-gamma density kernel of distributions call it without
 grad (through _log_iv_padded). Its arguments at which scipy's ive under-
 or overflows, and its subnormal arguments, go through one row-batched call
@@ -43,9 +46,11 @@ again.
 The value-and-gradient kernels that the fits call are row-batched: they
 take one parameter set per row and return one result per row. A row's
 result never depends on the other rows of its call. Each row chooses its
-own series term count or window length, rows padded to a longer shared
-array get exact zeros there, and sums over terms add the terms in order
-(_sum_terms, _sum_row_terms), whatever the shape of the array.
+own series term count or window length; a window row padded to a longer
+shared array gets exact zeros there, and its sums add the terms in order
+(_sum_row_terms), whatever the shape of the array; each ascending-series
+row takes a product of its own shape, whether or not its powers come
+from a cached table.
 """
 
 from __future__ import annotations
@@ -86,9 +91,9 @@ _WINDOW_WIDTHS = 9.0
 _WINDOW_MARGIN = 16
 
 # Largest padded block, in elements, that a row-batched series builds at
-# once (rows x terms for a window, terms x rows x values for the Bessel
-# series); more rows are split into several blocks. 2^14 doubles are
-# 128 KiB.
+# once (rows x terms for a window, rows x terms x values for the powers of
+# the Bessel series); more rows are split into several blocks. 2^14
+# doubles are 128 KiB.
 _SERIES_BLOCK = 1 << 14
 
 # Truncation of every window series (_window_rows): summation stops once a
@@ -116,6 +121,11 @@ def _series_counts(q_max):
     return np.minimum(np.searchsorted(_SERIES_QSTAR, q_max, side="left") + 3, len(_SERIES_N))
 
 
+# Terms of the ascending series at the largest q below _IV_SERIES_CUTOFF:
+# the length of a power table (_iv_power_table).
+_IV_TABLE_TERMS = int(_series_counts(0.25 * _IV_SERIES_CUTOFF**2))
+
+
 def _row_blocks(lengths: np.ndarray, width: int):
     """(length, rows) pairs that cover every row: a slice of all rows if
     their padded block (longest length x rows x width) holds at most
@@ -135,20 +145,6 @@ def _row_blocks(lengths: np.ndarray, width: int):
             stop += 1
         yield int(lens[stop - 1]), rows[start:stop]
         start = stop
-
-
-def _sum_terms(t: np.ndarray) -> np.ndarray:
-    """t[0] + t[1] + ... in that order, over the leading (term) axis.
-
-    numpy reduces an outer axis of a C-contiguous array by adding whole
-    slices, term after term, for every element alike; only when one
-    element remains would it sum pairwise instead, in an order set by the
-    term count, and a cumulative sum keeps that case in term order. So an
-    element padded with zero terms sums to exactly what its own terms do.
-    """
-    if t[0].size > 1:
-        return np.add.reduce(t, axis=0)
-    return np.cumsum(t, axis=0)[-1]
 
 
 def _sum_row_terms(t: np.ndarray) -> np.ndarray:
@@ -206,34 +202,75 @@ def log_bessel_i0(x):
     return float(out) if arr.ndim == 0 else out
 
 
+def _iv_power_table(u: np.ndarray, terms: int = _IV_TABLE_TERMS) -> np.ndarray:
+    """u^1 .. u^terms of each element of u (R, n), as an (R, terms, n)
+    array: a cumulative product along the term axis, so the first k powers
+    do not depend on terms."""
+    shape = (u.shape[0], terms, u.shape[1])
+    return np.multiply.accumulate(np.broadcast_to(u[:, None, :], shape), axis=1)
+
+
 def _log_iv_series_rows(
-    nu: np.ndarray, x: np.ndarray, counts: np.ndarray, grad: bool
+    nu: np.ndarray, x: np.ndarray, q_max: np.ndarray, grad: bool, powers=None
 ) -> np.ndarray:
     """ln I_nu(x) by its ascending series, with d/dnu and x d/dx of it if
     grad, as a (3, R, n) array, else a (1, R, n) one, for orders nu (R,)
-    and arguments x (R, n) in (0, _IV_SERIES_CUTOFF); row r sums counts[r]
-    terms T_n.
+    and arguments x (R, n), whose largest q = (x/2)^2 below
+    _IV_SERIES_CUTOFF is q_max (R,). x may hold placeholders where the
+    caller overwrites the result; one with q above q_max takes u = 1.
 
-    T_n carries the factor x^(2n) and d ln T_n / dnu = -H_n with
-    H_n = sum_{m<=n} 1 / (m + nu), so the derivatives are moments of the
-    same terms.
+    The powers u^k of each row (see _iv_series_products) come from
+    powers = (table, index), table[index[r]] being row r's
+    _iv_power_table, or else are built from x here, a block of rows at a
+    time, so that a call on many rows stays small.
     """
+    if powers is not None:
+        return _iv_series_products(nu, x, q_max, grad, *powers)
     out = np.empty((3 if grad else 1,) + x.shape)
-    for size, rows in _row_blocks(counts, x.shape[1]):
-        xs = x[rows]
-        nus = nu[rows, None]
-        m = _SERIES_N[:size, None, None]
-        denom = m * (m + nus)
-        denom[m > counts[rows, None]] = np.inf  # terms past a row's count are 0
-        t = np.cumprod(0.25 * xs * xs / denom, axis=0)
-        terms = _sum_terms(t)
-        log_half_x = np.log(0.5 * xs)
-        out[0, rows] = nus * log_half_x - gammaln(nus + 1.0) + np.log1p(terms)
-        if grad:
-            total = 1.0 + terms
-            h = np.cumsum(1.0 / (m + nus), axis=0)
-            out[1, rows] = log_half_x - digamma(nus + 1.0) - _sum_terms(h * t) / total
-            out[2, rows] = nus + 2.0 * _sum_terms(m * t) / total
+    # u = q / Q, clipped to 1 at the placeholders; where Q underflows to 0,
+    # so do every series q and coefficient
+    u = np.minimum(0.25 * x * x / np.where(q_max > 0.0, q_max, 1.0)[:, None], 1.0)
+    for terms, rows in _row_blocks(_series_counts(q_max), x.shape[1]):
+        table = _iv_power_table(u[rows], terms)
+        index = np.arange(len(table))
+        out[:, rows] = _iv_series_products(nu[rows], x[rows], q_max[rows], grad, table, index)
+    return out
+
+
+def _iv_series_products(nu, x, q_max, grad: bool, table: np.ndarray, index: np.ndarray):
+    """_log_iv_series_rows of rows whose powers u^k are table[index[r]].
+
+    Term k of row r at argument x is T_k = C_k q^k with C_k = prod_{j<=k}
+    1 / (j (j + nu)), so T_k = [C_k Q^k] u^k with Q = q_max[r] and
+    u = q / Q <= 1. Row r sums _series_counts(Q) terms as one (3, K) @ (K, n)
+    product: the coefficients C_k Q^k, H_k C_k Q^k and k C_k Q^k, with
+    H_k = sum_{j<=k} 1 / (j + nu) (d ln T_k / dnu = -H_k, so the
+    derivatives are moments of the same terms), times the powers u^k. The
+    value needs no derivative coefficients, but takes the same product, so
+    that it is the same bit for bit.
+    """
+    n_rows, n = x.shape
+    counts = _series_counts(q_max)
+    size = int(counts.max())
+    m = _SERIES_N[:size]
+    coef = np.empty((n_rows, 3, size))
+    a = np.multiply.accumulate(q_max[:, None] / (m * (m + nu[:, None])), axis=1)
+    coef[:, 0] = a
+    np.add.accumulate(1.0 / (m + nu[:, None]), axis=1, out=coef[:, 1])
+    coef[:, 1] *= a
+    np.multiply(a, m, out=coef[:, 2])
+    sums = np.empty((n_rows, 3, n))
+    for r, (t, k) in enumerate(zip(index.tolist(), counts.tolist())):
+        np.matmul(coef[r, :, :k], table[t, :k], out=sums[r])
+    s0, s1, s2 = sums.transpose(1, 0, 2)
+    out = np.empty((3 if grad else 1,) + x.shape)
+    nus = nu[:, None]
+    log_half_x = np.log(0.5 * x)
+    out[0] = nus * log_half_x - gammaln(nus + 1.0) + np.log1p(s0)
+    if grad:
+        total = 1.0 + s0
+        out[1] = log_half_x - digamma(nus + 1.0) - s1 / total
+        out[2] = nus + 2.0 * s2 / total
     return out
 
 
@@ -354,7 +391,7 @@ def _log_iv_large(nu: np.ndarray, x: np.ndarray, grad: bool) -> np.ndarray:
     return out
 
 
-def _log_bessel_i_nu_rows(nu: np.ndarray, x: np.ndarray, grad: bool) -> np.ndarray:
+def _log_bessel_i_nu_rows(nu: np.ndarray, x: np.ndarray, grad: bool, powers=None) -> np.ndarray:
     """ln I_nu(x) at order nu[r] for each row r of x > 0 (R, n), unchecked,
     with d/dnu and x d/dx of it if grad, as a (3, R, n) array, else a
     (1, R, n) one; NaN where the log-domain series does not converge.
@@ -364,20 +401,30 @@ def _log_bessel_i_nu_rows(nu: np.ndarray, x: np.ndarray, grad: bool) -> np.ndarr
     every output that _log_iv_large leaves NaN (with grad, those of the
     elements whose derivatives are NaN), go through one call of the
     log-domain series (_log_iv_window). Either way the value row is the
-    same, bit for bit."""
+    same, bit for bit.
+
+    powers = (table, index), if given, holds the series powers of each
+    row: table[index[r]] is the _iv_power_table of x[r] / max(x[r])
+    squared, cached by a caller that evaluates the same rows at many
+    scales (fitting._Group). A row with an argument at or above the cutoff
+    builds its powers from its series arguments instead, as every row does
+    without a table."""
     tiny = x < _IV_TINY
     big = x >= _IV_SERIES_CUTOFF
     small = ~(tiny | big)
     if small.all():
-        return _log_iv_series_rows(nu, x, _series_counts(0.25 * np.square(x.max(axis=1))), grad)
+        return _log_iv_series_rows(nu, x, 0.25 * np.square(x.max(axis=1)), grad, powers)
     out = np.empty((3 if grad else 1,) + x.shape)
-    rows = np.flatnonzero(small.any(axis=1))
-    if rows.size:
-        # Each row's term count comes from its largest series argument;
-        # its other elements get a placeholder argument and are overwritten.
-        xs = np.where(small[rows], x[rows], 1.0)
-        q_max = 0.25 * np.square(np.where(small[rows], xs, 0.0).max(axis=1))
-        out[:, rows] = _log_iv_series_rows(nu[rows], xs, _series_counts(q_max), grad)
+    # Each row's term count and power scale come from its largest series
+    # argument; its other elements get placeholder values, overwritten below.
+    q_max = np.where(small, 0.25 * np.square(x), 0.0).max(axis=1)
+    far = big.any(axis=1)
+    for part, cached in ((~far, powers), (far, None)):
+        rows = np.flatnonzero(part & small.any(axis=1))
+        if rows.size:
+            p = None if cached is None else (cached[0], cached[1][rows])
+            xs = np.where(small[rows], x[rows], 1.0)
+            out[:, rows] = _log_iv_series_rows(nu[rows], xs, q_max[rows], grad, p)
     out[:, tiny] = np.nan
     nu_at = np.broadcast_to(nu[:, None], x.shape)
     if big.any():

@@ -181,16 +181,22 @@ def numeric_environment() -> dict:
     """The numpy and scipy versions, and a SHA-256 of the elementary and
     special functions the fits call, on fixed probe vectors: numpy's exp,
     log, log1p and expm1, math's exp and log, and scipy's gammaln,
-    digamma, i0e, i1e and ive. Where two machines agree on all of it,
-    their reports agree byte for byte."""
+    digamma, i0e, i1e and ive; and of the (3, K) @ (K, 60) products by
+    which the ascending I_nu series sums its terms, which BLAS computes.
+    Where two machines agree on all of it, their reports agree byte for
+    byte."""
     t = np.linspace(-40.0, 40.0, 4001)
     x = np.geomspace(1e-6, 1e4, 4001)
     nu = np.repeat([-0.5, 0.0, 0.7, 3.0, 40.0, 400.0], x.size // 6 + 1)[: x.size]
+    u = np.geomspace(1e-3, 1.0, 60)
+    powers = u ** np.arange(1.0, 65.0)[:, None]
+    coef = np.cos(np.arange(3.0 * 64.0)).reshape(3, 64) * np.geomspace(1e3, 1e-30, 64)
     values = [
         np.exp(t), np.log(x), np.log1p(x), np.expm1(t),
         np.array([math.exp(v) for v in t.tolist()]),
         np.array([math.log(v) for v in x.tolist()]),
         gammaln(x), digamma(x), i0e(x), i1e(x), ive(nu, x),
+        *(np.matmul(coef[:, :k], powers[:k]) for k in (4, 15, 30, 64)),
     ]
     digest = hashlib.sha256(b"".join(np.ascontiguousarray(v).tobytes() for v in values))
     return {"numpy": np.__version__, "scipy": scipy.__version__, "probe_sha256": digest.hexdigest()}

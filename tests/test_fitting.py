@@ -15,7 +15,7 @@ from scipy.optimize import minimize
 from scipy.special import gammaln
 
 from helpers import GOLDEN_BATCHES, GOLDEN_CLIP_S, golden_batch, make_speech_like, write_wav_pcm16
-from pwncg import distributions, fitting
+from pwncg import distributions, fitting, special
 from pwncg.distributions import (
     PowerParams,
     log_pdf_exponential,
@@ -800,7 +800,7 @@ class TestStartOneLam:
     def test_each_model_passes_its_own_start_lam(self, monkeypatch):
         seen = {}
 
-        def spy(g, rngs, mean_ll, start_lam, extra_start=None):
+        def spy(g, rngs, mean_ll, start_lam):
             seen[mean_ll] = start_lam
             return None
 
@@ -827,13 +827,38 @@ class TestStartOneLam:
 
         g = _group(batches)
         shipped = fitting._fit_results("proposed", g, MODELS["proposed"].fit(g, streams()))
-        old_start = fitting._fit_shifted(
-            g, streams(), fitting._proposed_mean_ll, 0.01, fitting._moment_matched_starts
-        )
+        old_start = fitting._fit_shifted(g, streams(), fitting._proposed_mean_ll, 0.01)
         old = fitting._fit_results("proposed", g, old_start)
         for i, (new_fit, old_fit) in enumerate(zip(shipped, old)):
             assert old_fit.avg_log_likelihood - new_fit.avg_log_likelihood <= 1e-12, i
         assert sum(f.evaluations for f in shipped) < sum(f.evaluations for f in old)
+
+
+class TestGroupPowerTable:
+    """The noncentral-gamma objective's Bessel series reads each row's
+    powers from the group's cached table (_Group.powers)."""
+
+    @pytest.mark.parametrize("n_batches", [1, 5])
+    def test_objective_hands_the_kernel_the_groups_table(self, monkeypatch, n_batches):
+        real = fitting._log_bessel_i_nu_rows
+        seen = []
+
+        def spy(nu, x, grad, powers=None):
+            seen.append((len(x), powers))
+            return real(nu, x, grad, powers)
+
+        monkeypatch.setattr(fitting, "_log_bessel_i_nu_rows", spy)
+        g = _group([golden_batch(*b) for b in GOLDEN_BATCHES[:n_batches]])
+        MODELS["noncentral_gamma"].fit(g, [None] * g.size)
+        assert seen
+        table = g.powers
+        k = np.arange(1, special._IV_TABLE_TERMS + 1)[:, None]
+        u = g.y / g.y.max(axis=1)[:, None]
+        np.testing.assert_allclose(table, u[:, None, :] ** k, rtol=1e-13, atol=0.0)
+        for rows, (passed, index) in seen:
+            # the table itself, not rows copied out of it
+            assert np.shares_memory(passed, table) and passed.shape == table.shape
+            assert index.shape == (rows,) and 0 <= index.min() and index.max() < g.size
 
 
 class TestNesting:

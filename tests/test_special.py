@@ -393,11 +393,12 @@ class TestLogLaguerreNeg:
         for fn in (_confluent_rows, _confluent_weights):
             assert list(inspect.signature(fn).parameters) == ["alpha", "lam"]
         # the kernels take grad, and nothing else beside their arguments
+        # (the Bessel kernel's powers are an argument: a cached table)
         for fn, params in [
             (special._window_sums, ["blocks", "c", "grad"]),
             (special._log_iv_window, ["nu", "x", "grad"]),
             (_log_laguerre_neg_rows, ["alpha", "lam", "grad"]),
-            (_log_bessel_i_nu_rows, ["nu", "x", "grad"]),
+            (_log_bessel_i_nu_rows, ["nu", "x", "grad", "powers"]),
         ]:
             assert list(inspect.signature(fn).parameters) == params, fn.__name__
 
@@ -714,6 +715,149 @@ class TestValueOnlyBessel:
             r"within 200000 terms$",
         ):
             log_bessel_i_nu(1e6, 2.0**31)
+
+
+def _ref_iv_series(nu: float, x: float):
+    """ln I_nu(x), d/dnu and x d/dx of it, from the ascending series in
+    mpmath: with t_k = (x/2)^(2k) / (k! Gamma(k + nu + 1)) and S their sum,
+    d/dnu ln S = -E_t[digamma(k + nu + 1)] and x d/dx of (x/2)^nu S is
+    E_t[2k + nu]."""
+    n, h = mp.mpf(nu), mp.mpf(x) / 2
+    q = h * h
+    t, psi = 1 / mp.gamma(n + 1), mp.digamma(n + 1)
+    s = s_psi = s_k = mp.mpf(0)
+    k = 0
+    while True:
+        s, s_psi, s_k = s + t, s_psi + t * psi, s_k + t * (2 * k + n)
+        k += 1
+        t *= q / (k * (k + n))
+        psi += 1 / (k + n)
+        if t < s * mp.mpf(10) ** -35:
+            return [float(n * mp.log(h) + mp.log(s)), float(mp.log(h) - s_psi / s), float(s_k / s)]
+
+
+def _powers_of(y: np.ndarray):
+    """The power table of rows y (R, n) and the index of each row in it, as
+    fitting._Group caches it for the Bessel arguments c[r] sqrt(y[r])."""
+    return special._iv_power_table(y / y.max(axis=1)[:, None]), np.arange(len(y))
+
+
+def _term_scale(nu: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The largest magnitude among the terms each output of the series
+    kernel is summed from, and 1: nu ln(x/2), ln Gamma(nu + 1) and
+    ln(1 + S) for the value, ln(x/2), digamma(nu + 1) and the moment for
+    d/dnu, nu and the moment for x d/dx. A difference of a few roundings
+    in any of them is a difference of about 1e-16 of this scale."""
+    nus = nu[:, None]
+    log_half_x = np.log(x) - math.log(2.0)
+    log_gamma = special.gammaln(nus + 1.0)
+    terms = (
+        (nus * log_half_x, log_gamma, out[0] - nus * log_half_x + log_gamma),
+        (log_half_x, special.digamma(nus + 1.0), out[1]),
+        (nus, out[2] - nus),
+    )
+    scale = np.ones((3,) + x.shape)
+    for i, ts in enumerate(terms):
+        for t in ts:
+            scale[i] = np.maximum(scale[i], np.abs(t))
+    return scale
+
+
+class TestBesselPowerTable:
+    """The ascending I_nu series of _log_bessel_i_nu_rows: each row's
+    coefficients times a table of powers, cached (fitting._Group.powers)
+    or built from x."""
+
+    # The largest error, relative to max(1, |reference|), of the value,
+    # d/dnu and x d/dx on the grid below, of the kernel that summed the
+    # terms as a cumulative product over each row's term count before the
+    # power tables replaced it. Both kernels have their worst errors at
+    # the same points: d/dnu at nu = -0.999, where digamma(nu + 1) and the
+    # series moment are both near -1000 and cancel.
+    CUMULATIVE_PRODUCT_WORST = (2.36e-15, 8.03e-13, 9.91e-16)
+
+    NUS = (-0.999, -0.9, -0.5, 0.0, 0.3, 1.0, 2.5, 7.0, 20.0, 60.0, 200.0, 1000.0)
+    X_MAX = (1e-6, 1e-3, 0.03, 0.3, 1.0, 3.0, 8.0, 15.0, 22.0, 29.99)
+    FRACTIONS = (1.0, 0.9, 0.5, 0.2, 0.05, 1e-2, 1e-4, 1e-8)
+
+    def _grid(self):
+        nu = np.repeat(self.NUS, len(self.X_MAX))
+        x = np.array([[xm * f for f in self.FRACTIONS] for _ in self.NUS for xm in self.X_MAX])
+        return nu, x
+
+    def test_grid_against_mpmath(self):
+        nu, x = self._grid()
+        counts = special._series_counts(0.25 * x.max(axis=1) ** 2)
+        assert (counts.min(), counts.max()) == (4, special._IV_TABLE_TERMS) == (4, 64)
+        ref = np.array([[_ref_iv_series(v, a) for a in row] for v, row in zip(nu, x)])
+        ref = ref.transpose(2, 0, 1)
+        for got in (
+            _log_bessel_i_nu_rows(nu, x, True),
+            _log_bessel_i_nu_rows(nu, x, True, _powers_of(np.square(x))),
+        ):
+            err = (np.abs(got - ref) / np.maximum(1.0, np.abs(ref))).max(axis=(1, 2))
+            assert (err <= self.CUMULATIVE_PRODUCT_WORST).all(), err
+
+    def test_cached_table_matches_powers_from_x(self):
+        # rows as the noncentral-gamma objective makes them: c[r] sqrt(y[r])
+        # for normalized batches y, with the powers of y / max(y) cached,
+        # against the powers built from x; they differ only in how q / Q
+        # rounds
+        rng = np.random.default_rng(30)
+        for _ in range(40):
+            y = rng.gamma(rng.uniform(0.3, 5.0), 1.0, (8, 60))
+            y /= y.mean(axis=1)[:, None]
+            nu = rng.uniform(-0.999, 50.0, 8)
+            nu[0] = -0.999
+            x_max = np.exp(rng.uniform(math.log(1e-6), math.log(29.99), 8))
+            x = (x_max / np.sqrt(y.max(axis=1)))[:, None] * np.sqrt(y)
+            from_x = _log_bessel_i_nu_rows(nu, x, True)
+            cached = _log_bessel_i_nu_rows(nu, x, True, _powers_of(y))
+            scale = _term_scale(nu, x, from_x)
+            assert (np.abs(cached - from_x) <= 1e-15 * scale).all()
+
+    def test_cached_rows_take_their_own_table_rows(self):
+        # the index picks each row's table; rows with an argument at or
+        # above the cutoff build their powers from x, so every row is the
+        # same in any call
+        rng = np.random.default_rng(31)
+        y = rng.gamma(1.5, 1.0, (6, 60))
+        x = np.sqrt(y) * np.array([[3.0], [20.0], [0.5], [40.0], [1e-4], [9.0]])
+        nu = rng.uniform(-0.5, 5.0, 6)
+        table, _ = _powers_of(y)
+        order = np.array([4, 1, 3, 0, 5, 2])
+        together = _log_bessel_i_nu_rows(nu[order], x[order], True, (table, order))
+        for i, r in enumerate(order):
+            alone = _log_bessel_i_nu_rows(nu[r : r + 1], x[r : r + 1], True, (table, order[i : i + 1]))
+            np.testing.assert_array_equal(together[:, i], alone[:, 0])
+        far = _log_bessel_i_nu_rows(nu[3:4], x[3:4], True)
+        np.testing.assert_array_equal(together[:, 2], far[:, 0])
+
+    def test_extreme_ratio_row_ends_finite_through_the_fallback(self, monkeypatch):
+        # y from the smallest subnormal to near the float maximum: its
+        # smallest powers underflow to 0, and its smallest arguments are
+        # subnormal and go through the log-domain series; nothing is inf
+        calls = []
+        real = special._log_iv_window
+
+        def spy(nu, x, grad):
+            calls.append(x.copy())
+            return real(nu, x, grad)
+
+        monkeypatch.setattr(special, "_log_iv_window", spy)
+        y = np.geomspace(5e-324, 1e308, 60)[None]
+        x = 29.0 / np.sqrt(y.max()) * np.sqrt(y)
+        assert x.min() < special._IV_TINY
+        nu = np.array([0.5])
+        cached = _log_bessel_i_nu_rows(nu, x, True, _powers_of(y))
+        assert len(calls) == 1 and (calls[0] < special._IV_TINY).all()
+        assert np.isfinite(cached).all()
+        from_x = _log_bessel_i_nu_rows(nu, x, True)
+        assert np.isfinite(from_x).all()
+        assert (np.abs(cached - from_x) <= 1e-15 * _term_scale(nu, x, from_x)).all()
+        for i in (0, 30, 59):
+            ref = np.array(_ref_iv_series(0.5, float(x[0, i])))
+            assert (np.abs(cached[:, 0, i] - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref))).all()
 
 
 def test_readme_states_the_truncation_rule():
