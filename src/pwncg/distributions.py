@@ -206,10 +206,14 @@ def _log_pdf_noncentral_gamma_rows(x: np.ndarray, log_x: np.ndarray, alpha, beta
     """Noncentral gamma log density at alpha[r], beta[r], lam[r] of each
     row r of x (R, n), with log_x = ln x: the gamma density where lam = 0.
 
-    ln I_nu comes from log_bessel_i_nu's value-only kernel, in its rows.
-    A row with a Bessel argument that is not positive and finite, an order
-    not above -1, or a series that does not converge takes
-    log_bessel_i_nu itself, which places the zeros apart or raises.
+    ln I_nu comes from log_bessel_i_nu's kernel, in its rows. A row with a
+    Bessel argument that is not positive and finite, or a series that does
+    not converge, takes log_bessel_i_nu itself, which raises on an
+    infinite argument. Where beta lam x underflows to 0, ln I_nu is the
+    series' leading term, nu ln(beta lam x) / 2 - ln Gamma(nu + 1): the
+    next is below 1e-300 of it. Where alpha <= 2^-54, alpha - 1 rounds to
+    -1; there the kernel sums I_1 = I_{-1} (DLMF 10.27.1), and the term
+    alpha (z/2)^-1 by which I_{alpha-1}(z) exceeds it at small z is added.
     """
     shifted = np.flatnonzero(lam > 0.0)
     if shifted.size < lam.size:
@@ -226,25 +230,36 @@ def _log_pdf_noncentral_gamma_rows(x: np.ndarray, log_x: np.ndarray, alpha, beta
     nu = alpha - 1.0
     half = 0.5 * nu
     head = -lam + 0.5 * (alpha + 1.0) * _math_log(beta) - half * _math_log(lam)
+    order = np.where(nu > -1.0, nu, 1.0)
     arg = 2.0 * np.sqrt((beta * lam)[:, None] * x)
     plain = (arg > 0.0) & (arg < math.inf)
-    valid = nu > -1.0
-    log_i = _log_iv_padded(np.where(valid, nu, 0.0), np.where(plain, arg, 1.0))
-    for r in np.flatnonzero(~valid | ~plain.all(axis=1) | np.isnan(log_i).any(axis=1)):
-        log_i[r] = log_bessel_i_nu(nu[r], arg[r])
+    log_i = _log_iv_padded(order, np.where(plain, arg, 1.0))
+    for r in np.flatnonzero(~plain.all(axis=1) | np.isnan(log_i).any(axis=1)):
+        log_i[r] = log_bessel_i_nu(order[r], arg[r])
+    zero = arg == 0.0
+    tiny = nu <= -1.0
+    if zero.any() or tiny.any():
+        # ln(z/2) of the Bessel argument z, also where z underflows to 0
+        log_half_z = 0.5 * ((_math_log(beta) + _math_log(lam))[:, None] + log_x)
+        log_i[zero] = (order[:, None] * log_half_z - gammaln(order + 1.0)[:, None])[zero]
+        # the kernel summed I_1 there, and I_{alpha-1}(z) = (z/2)^alpha
+        # (I_1(z) + alpha / (z/2)) to within about alpha relative
+        a = alpha[tiny, None]
+        log_i[tiny] = a * log_half_z[tiny] + np.logaddexp(log_i[tiny], np.log(a) - log_half_z[tiny])
     return head[:, None] + half[:, None] * log_x - beta[:, None] * x + log_i
 
 
 def _log_pdf_power_rows(x: np.ndarray, log_x: np.ndarray, alpha, beta, lam):
     """Power log density (log_pdf_power) at alpha[r], beta[r], lam[r] of
     each row r of x (R, n), with log_x = ln x. The confluent normalizers
-    of all rows come from one value-only call; a row where that series
-    does not converge takes log_laguerre_neg itself, which raises
-    SeriesConvergenceError."""
+    of all rows come from the value row of one kernel call; a row where
+    that series does not converge takes log_laguerre_neg itself, which
+    raises SeriesConvergenceError."""
     log_s = np.zeros(alpha.size)
     shifted = lam > 0.0
     if shifted.any():
-        log_s[shifted] = _log_laguerre_neg_rows(alpha[shifted], lam[shifted], False)[0]
+        with np.errstate(over="ignore", invalid="ignore"):  # a failing window may overflow
+            log_s[shifted] = _log_laguerre_neg_rows(alpha[shifted], lam[shifted])[0]
         for r in np.flatnonzero(np.isnan(log_s)):
             log_s[r] = log_laguerre_neg(alpha[r], lam[r])
     log_norm = alpha * _math_log(beta) - gammaln(alpha) - log_s

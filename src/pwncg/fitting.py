@@ -669,7 +669,6 @@ def _noncentral_gamma_mean_ll(a, b, lam, mlog, m1, sqrt_y, rows=None):
     log_i, d_nu, x_dx = _log_bessel_i_nu_rows(
         a - 1.0,
         (2.0 * np.sqrt(b * lam))[:, None] * sqrt_y,
-        True,
         None if rows is None else (rows[0].powers, rows[1]),
     )
     value = (
@@ -695,7 +694,7 @@ def _proposed_mean_ll(a, b, lam, mlog, m1, sqrt_y, rows=None):
     _noncentral_gamma_mean_ll; rows is not used."""
     log_b = np.log(b)
     b_m1 = b * m1
-    log_s, ds_da, lam_ds_dlam = _log_laguerre_neg_rows(a, lam, True)
+    log_s, ds_da, lam_ds_dlam = _log_laguerre_neg_rows(a, lam)
     # the row means of ln I0 and of x d/dx ln I0, in one reduction
     mean_log_i0, mean_x_dx = _row_mean(_log_i0_grad((2.0 * np.sqrt(b * lam))[:, None] * sqrt_y))
     value = a * log_b - gammaln(a) - log_s + (a - 1.0) * mlog - b_m1 + mean_log_i0

@@ -13,19 +13,18 @@ product of the row's coefficients and the powers u^k of u = (x / max x)^2
 many scales caches (fitting._Group.powers); and the confluent normalizer
 sums a window of terms around its mode in one numpy pass.
 
-Every series kernel has one entry point that takes grad: with grad it
-returns the value and the derivatives the fits need as a (3, ...) array,
-without it the value alone as a (1, ...) array, by cheaper code (one ive
-call where the derivatives take four, and no moment sums in a window
-series) that gives the same value, bit for bit; the ascending I_nu series
-takes the same product either way. ln I_nu is _log_bessel_i_nu_rows; log_bessel_i_nu
-and the noncentral-gamma density kernel of distributions call it without
-grad (through _log_iv_padded). Its arguments at which scipy's ive under-
-or overflows, and its subnormal arguments, go through one row-batched call
+Every series kernel has one path: it returns the value and the two
+derivatives the fits need as a (3, ...) array on every call, and a caller
+that wants the value alone (log_bessel_i_nu and the noncentral-gamma
+density kernel of distributions, through _log_iv_padded; log_laguerre_neg
+and the power density kernel) takes row 0. ln I_nu is
+_log_bessel_i_nu_rows. Its arguments at which scipy's ive under- or
+overflows, and its subnormal arguments, go through one row-batched call
 of a log-domain series (_log_iv_window) that the confluent normalizer's
-window kernel sums (_window_rows, one pass per block of rows: a row whose
-window fails its checks is NaN); _window_sums gives ln S and, with grad,
-the derivatives of both window series as moments of their terms.
+window kernel sums (_window_rows, one pass per block of rows, each block
+with a mask of the rows whose windows pass their checks); _window_sums
+gives ln S and the derivatives of both window series as moments of their
+terms, NaN in a row that fails.
 
 Where a window call's time goes. The term arithmetic is a few passes
 over each row's window (about 40 terms at lam = 3, 840 at lam = 2000):
@@ -210,14 +209,12 @@ def _iv_power_table(u: np.ndarray, terms: int = _IV_TABLE_TERMS) -> np.ndarray:
     return np.multiply.accumulate(np.broadcast_to(u[:, None, :], shape), axis=1)
 
 
-def _log_iv_series_rows(
-    nu: np.ndarray, x: np.ndarray, q_max: np.ndarray, grad: bool, powers=None
-) -> np.ndarray:
-    """ln I_nu(x) by its ascending series, with d/dnu and x d/dx of it if
-    grad, as a (3, R, n) array, else a (1, R, n) one, for orders nu (R,)
-    and arguments x (R, n), whose largest q = (x/2)^2 below
-    _IV_SERIES_CUTOFF is q_max (R,). x may hold placeholders where the
-    caller overwrites the result; one with q above q_max takes u = 1.
+def _log_iv_series_rows(nu: np.ndarray, x: np.ndarray, q_max, powers=None) -> np.ndarray:
+    """ln I_nu(x) by its ascending series, d/dnu and x d/dx of it, as a
+    (3, R, n) array, for orders nu (R,) and arguments x (R, n), whose
+    largest q = (x/2)^2 below _IV_SERIES_CUTOFF is q_max (R,). x may hold
+    placeholders where the caller overwrites the result; one with q above
+    q_max takes u = 1.
 
     The powers u^k of each row (see _iv_series_products) come from
     powers = (table, index), table[index[r]] being row r's
@@ -225,19 +222,19 @@ def _log_iv_series_rows(
     time, so that a call on many rows stays small.
     """
     if powers is not None:
-        return _iv_series_products(nu, x, q_max, grad, *powers)
-    out = np.empty((3 if grad else 1,) + x.shape)
+        return _iv_series_products(nu, x, q_max, *powers)
+    out = np.empty((3,) + x.shape)
     # u = q / Q, clipped to 1 at the placeholders; where Q underflows to 0,
     # so do every series q and coefficient
     u = np.minimum(0.25 * x * x / np.where(q_max > 0.0, q_max, 1.0)[:, None], 1.0)
     for terms, rows in _row_blocks(_series_counts(q_max), x.shape[1]):
         table = _iv_power_table(u[rows], terms)
         index = np.arange(len(table))
-        out[:, rows] = _iv_series_products(nu[rows], x[rows], q_max[rows], grad, table, index)
+        out[:, rows] = _iv_series_products(nu[rows], x[rows], q_max[rows], table, index)
     return out
 
 
-def _iv_series_products(nu, x, q_max, grad: bool, table: np.ndarray, index: np.ndarray):
+def _iv_series_products(nu, x, q_max, table: np.ndarray, index: np.ndarray):
     """_log_iv_series_rows of rows whose powers u^k are table[index[r]].
 
     Term k of row r at argument x is T_k = C_k q^k with C_k = prod_{j<=k}
@@ -245,9 +242,7 @@ def _iv_series_products(nu, x, q_max, grad: bool, table: np.ndarray, index: np.n
     u = q / Q <= 1. Row r sums _series_counts(Q) terms as one (3, K) @ (K, n)
     product: the coefficients C_k Q^k, H_k C_k Q^k and k C_k Q^k, with
     H_k = sum_{j<=k} 1 / (j + nu) (d ln T_k / dnu = -H_k, so the
-    derivatives are moments of the same terms), times the powers u^k. The
-    value needs no derivative coefficients, but takes the same product, so
-    that it is the same bit for bit.
+    derivatives are moments of the same terms), times the powers u^k.
     """
     n_rows, n = x.shape
     counts = _series_counts(q_max)
@@ -263,14 +258,13 @@ def _iv_series_products(nu, x, q_max, grad: bool, table: np.ndarray, index: np.n
     for r, (t, k) in enumerate(zip(index.tolist(), counts.tolist())):
         np.matmul(coef[r, :, :k], table[t, :k], out=sums[r])
     s0, s1, s2 = sums.transpose(1, 0, 2)
-    out = np.empty((3 if grad else 1,) + x.shape)
+    out = np.empty((3,) + x.shape)
     nus = nu[:, None]
     log_half_x = np.log(0.5 * x)
     out[0] = nus * log_half_x - gammaln(nus + 1.0) + np.log1p(s0)
-    if grad:
-        total = 1.0 + s0
-        out[1] = log_half_x - digamma(nus + 1.0) - s1 / total
-        out[2] = nus + 2.0 * s2 / total
+    total = 1.0 + s0
+    out[1] = log_half_x - digamma(nus + 1.0) - s1 / total
+    out[2] = nus + 2.0 * s2 / total
     return out
 
 
@@ -294,11 +288,11 @@ def _iv_window_rows(nu: np.ndarray, x: np.ndarray):
     return _window_rows(ratios, log_head, mode), log_half_x
 
 
-def _log_iv_window(nu: np.ndarray, x: np.ndarray, grad: bool) -> np.ndarray:
-    """ln I_nu(x) by the ascending series summed in log domain, with d/dnu
-    and x d/dx of it if grad, as rows of a (3, x.size) array, else a
-    (1, x.size) one, elementwise in 1-D arrays nu > -1 and x > 0; NaN
-    where the series does not converge.
+def _log_iv_window(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """ln I_nu(x) by the ascending series summed in log domain, d/dnu and
+    x d/dx of it, as rows of a (3, x.size) array, elementwise in 1-D
+    arrays nu > -1 and x > 0; NaN in all three where the series does not
+    converge.
 
     Used where ive under/overflows, which only happens when nu is large
     relative to x, and at subnormal x, where the window is the leading
@@ -310,11 +304,8 @@ def _log_iv_window(nu: np.ndarray, x: np.ndarray, grad: bool) -> np.ndarray:
     c = nu + 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         blocks, log_half_x = _iv_window_rows(nu, x)
-        log_sum, *moments = _window_sums(blocks, c, grad)
+        log_sum, mean_h, mean_n = _window_sums(blocks, c)
     value = nu * log_half_x - gammaln(c) + log_sum
-    if not grad:
-        return value[None]
-    mean_h, mean_n = moments
     return np.array([value, log_half_x - digamma(c) - mean_h, nu + 2.0 * mean_n])
 
 
@@ -359,49 +350,44 @@ def _log_iv_asymptotic(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_iv_large(nu: np.ndarray, x: np.ndarray, grad: bool) -> np.ndarray:
-    """ln I_nu(x), with d/dnu and x d/dx of it if grad, for x >=
-    _IV_SERIES_CUTOFF, as rows of a (3, x.size) array, else a (1, x.size)
-    one, elementwise in 1-D arrays nu and x. The value is ln(ive(nu, x)) +
-    x; x d/dx ln I_nu = x I_{nu+1} / I_nu + nu, and d/dnu is a central
-    difference in nu (ln I_nu(x) is analytic in nu for x > 0, also below
-    nu = -1), so the value takes one ive call and the derivatives three
-    more. The value is NaN where ive(nu, x) is not a finite normal number,
-    and the derivatives where one of the four ive values is not. From
-    _IVE_X_MAX on, where ive is NaN, the large-argument expansion gives
-    all three, NaN where it does not converge. _log_bessel_i_nu_rows takes
-    the NaNs from the log-domain series."""
-    scaled = ive(nu, x)
-    others = (ive(nu + 1.0, x), ive(nu + _NU_STEP, x), ive(nu - _NU_STEP, x)) if grad else ()
+def _log_iv_large(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """ln I_nu(x), d/dnu and x d/dx of it, for x >= _IV_SERIES_CUTOFF, as
+    rows of a (3, x.size) array, elementwise in 1-D arrays nu and x, from
+    four ive calls. The value is ln(ive(nu, x)) + x; x d/dx ln I_nu =
+    x I_{nu+1} / I_nu + nu, and d/dnu is a central difference in nu
+    (ln I_nu(x) is analytic in nu for x > 0, also below nu = -1). The
+    value is NaN where ive(nu, x) is not a finite normal number, and the
+    derivatives where one of the four ive values is not. From _IVE_X_MAX
+    on, where ive is NaN, the large-argument expansion gives all three,
+    NaN where it does not converge. _log_bessel_i_nu_rows takes the NaNs
+    from the log-domain series."""
+    scaled, above, up, down = (ive(v, x) for v in (nu, nu + 1.0, nu + _NU_STEP, nu - _NU_STEP))
     tiny = np.finfo(float).tiny
-    normal = [np.isfinite(v) & (v >= tiny) for v in (scaled, *others)]
-    out = np.empty((3 if grad else 1, x.size))
+    normal = [np.isfinite(v) & (v >= tiny) for v in (scaled, above, up, down)]
+    out = np.empty((3, x.size))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out[0] = np.log(scaled) + x
-        if grad:
-            above, up, down = others
-            out[1] = (np.log(up) - np.log(down)) / (2.0 * _NU_STEP)
-            out[2] = x * above / scaled + nu
+        out[1] = (np.log(up) - np.log(down)) / (2.0 * _NU_STEP)
+        out[2] = x * above / scaled + nu
     out[0, ~normal[0]] = np.nan
-    if grad:
-        out[1:, ~np.logical_and.reduce(normal)] = np.nan
+    out[1:, ~np.logical_and.reduce(normal)] = np.nan
     far = np.flatnonzero(x >= _IVE_X_MAX)
     if far.size:
-        out[:, far] = _log_iv_asymptotic(nu[far], x[far])[: len(out)]
+        out[:, far] = _log_iv_asymptotic(nu[far], x[far])
     return out
 
 
-def _log_bessel_i_nu_rows(nu: np.ndarray, x: np.ndarray, grad: bool, powers=None) -> np.ndarray:
+def _log_bessel_i_nu_rows(nu: np.ndarray, x: np.ndarray, powers=None) -> np.ndarray:
     """ln I_nu(x) at order nu[r] for each row r of x > 0 (R, n), unchecked,
-    with d/dnu and x d/dx of it if grad, as a (3, R, n) array, else a
-    (1, R, n) one; NaN where the log-domain series does not converge.
+    d/dnu and x d/dx of it, as a (3, R, n) array; NaN where the log-domain
+    series does not converge.
 
     The ascending series (_log_iv_series_rows) serves x below
-    _IV_SERIES_CUTOFF, and _log_iv_large x above it. Subnormal x, and
-    every output that _log_iv_large leaves NaN (with grad, those of the
-    elements whose derivatives are NaN), go through one call of the
-    log-domain series (_log_iv_window). Either way the value row is the
-    same, bit for bit.
+    _IV_SERIES_CUTOFF, and _log_iv_large x above it. Subnormal x, and the
+    elements whose derivatives _log_iv_large leaves NaN, go through one
+    call of the log-domain series (_log_iv_window), which fills only the
+    outputs that are NaN: a finite value from ive is kept even where its
+    derivatives fail.
 
     powers = (table, index), if given, holds the series powers of each
     row: table[index[r]] is the _iv_power_table of x[r] / max(x[r])
@@ -413,8 +399,8 @@ def _log_bessel_i_nu_rows(nu: np.ndarray, x: np.ndarray, grad: bool, powers=None
     big = x >= _IV_SERIES_CUTOFF
     small = ~(tiny | big)
     if small.all():
-        return _log_iv_series_rows(nu, x, 0.25 * np.square(x.max(axis=1)), grad, powers)
-    out = np.empty((3 if grad else 1,) + x.shape)
+        return _log_iv_series_rows(nu, x, 0.25 * np.square(x.max(axis=1)), powers)
+    out = np.empty((3,) + x.shape)
     # Each row's term count and power scale come from its largest series
     # argument; its other elements get placeholder values, overwritten below.
     q_max = np.where(small, 0.25 * np.square(x), 0.0).max(axis=1)
@@ -424,15 +410,15 @@ def _log_bessel_i_nu_rows(nu: np.ndarray, x: np.ndarray, grad: bool, powers=None
         if rows.size:
             p = None if cached is None else (cached[0], cached[1][rows])
             xs = np.where(small[rows], x[rows], 1.0)
-            out[:, rows] = _log_iv_series_rows(nu[rows], xs, q_max[rows], grad, p)
+            out[:, rows] = _log_iv_series_rows(nu[rows], xs, q_max[rows], p)
     out[:, tiny] = np.nan
     nu_at = np.broadcast_to(nu[:, None], x.shape)
     if big.any():
-        out[:, big] = _log_iv_large(nu_at[big], x[big], grad)
-    fallback = np.isnan(out[1 if grad else 0])
+        out[:, big] = _log_iv_large(nu_at[big], x[big])
+    fallback = np.isnan(out[1])
     if fallback.any():
         kept = out[:, fallback]
-        series = _log_iv_window(nu_at[fallback], x[fallback], grad)
+        series = _log_iv_window(nu_at[fallback], x[fallback])
         out[:, fallback] = np.where(np.isnan(kept), series, kept)
     return out
 
@@ -444,21 +430,20 @@ _IV_ROW_WIDTH = 64
 
 
 def _log_iv_padded(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """ln I_nu[r](x[r]) for each row r of x > 0 (R, n), unchecked, value
-    only, each row as log_bessel_i_nu computes it alone: cut into rows of
-    _IV_ROW_WIDTH, the last padded with 1.0; NaN where the log-domain
-    series does not converge. A value can depend on the row it is summed
-    in (the row's largest argument sets its series term count), so each
-    batch gets the values log_bessel_i_nu gives on it alone."""
+    """ln I_nu[r](x[r]) for each row r of x > 0 (R, n), unchecked: the
+    value row of _log_bessel_i_nu_rows on x cut into rows of
+    _IV_ROW_WIDTH, the last padded with 1.0, each row as log_bessel_i_nu
+    computes it alone; NaN where the log-domain series does not converge.
+    A value can depend on the row it is summed in (the row's largest
+    argument sets its series term count), so each batch gets the values
+    log_bessel_i_nu gives on it alone."""
     n_rows, n = x.shape
     if not n:
         return np.empty(x.shape)
     per_row = -(-n // _IV_ROW_WIDTH)
     padded = np.ones((n_rows, per_row * _IV_ROW_WIDTH))
     padded[:, :n] = x
-    logs = _log_bessel_i_nu_rows(
-        np.repeat(nu, per_row), padded.reshape(-1, _IV_ROW_WIDTH), grad=False
-    )[0]
+    logs = _log_bessel_i_nu_rows(np.repeat(nu, per_row), padded.reshape(-1, _IV_ROW_WIDTH))[0]
     return logs.reshape(n_rows, -1)[:, :n]
 
 
@@ -467,11 +452,12 @@ def log_bessel_i_nu(nu: float, x):
 
     For nu > -1 every series term is positive (Gamma(n+nu+1) > 0 for all
     n >= 0), so no reflection through K_nu is needed anywhere on this
-    domain. The positive arguments go to the value-only kernel
-    (_log_iv_padded) as rows of _IV_ROW_WIDTH, padded with 1.0: the
-    ascending series below _IV_SERIES_CUTOFF, the exponentially scaled
-    scipy routine above it, and, in one batch, a log-domain series where
-    that under- or overflows and at subnormal x. Raises
+    domain. The positive arguments go to _log_bessel_i_nu_rows, whose
+    value row it returns (_log_iv_padded), as rows of _IV_ROW_WIDTH,
+    padded with 1.0: the ascending series below _IV_SERIES_CUTOFF, the
+    exponentially scaled scipy routine above it, and, in one batch, a
+    log-domain series where that under- or overflows and at subnormal x,
+    or where the derivatives from scipy's routine fail. Raises
     SeriesConvergenceError where that series does not converge.
     """
     nu = float(nu)
@@ -533,22 +519,12 @@ class _Block(NamedTuple):
     rows: np.ndarray | slice
     first: np.ndarray
     head: bool
-    n: np.ndarray | None
+    n: np.ndarray
     shifted: np.ndarray | None
     rel: np.ndarray
     total: np.ndarray
     log_sum: np.ndarray
-
-    def take(self, ok: np.ndarray) -> _Block:
-        """The block of the rows where ok; rows must be an index array."""
-
-        def pick(v):  # a per-row array, else the shared term index or None
-            return v[ok] if v is not None and v.ndim == 2 else v
-
-        return _Block(
-            self.rows[ok], self.first[ok], self.head, pick(self.n), pick(self.shifted),
-            self.rel[ok], self.total[ok], self.log_sum[ok],
-        )
+    ok: np.ndarray
 
 
 def _window_checks(r, rel, end, total, n0, padded: bool):
@@ -596,16 +572,16 @@ def _window_rows(ratios, log_head, mode):
     Yields a _Block per block of rows (an index array, or a slice for all
     rows): first; head, whether some first is past 0; the term indices n
     at which the ratios were taken ((rows.size, size) with a head, else
-    (size,)), unless ratios returned c + n, which the block then holds
-    instead; rel (rows.size, size) holding t_{first[i] + j} / t_{first[i]}
-    for j = 1 .. size in row i, 0 past the row's window end; total = 1 +
-    the sum of rel over j; and log_sum, the log of the row's sum. Every
-    window series is truncated alike, in this one pass: a row whose last
-    term is not past the mode and below _REL_TOL of the sum, or whose
-    first term is not before the mode and as small, is not yielded, and
-    its sum is NaN. Nothing is retried: on the parameter ranges scanned by
-    the tests, every row that fails has a window that already ends at
-    _MAX_TERMS.
+    (size,)); shifted, c + n if ratios returned it, else None; rel
+    (rows.size, size) holding t_{first[i] + j} / t_{first[i]} for
+    j = 1 .. size in row i, 0 past the row's window end; total = 1 + the
+    sum of rel over j; log_sum, the log of the row's sum; and ok,
+    whether the row passes its checks. Every window series is truncated
+    alike, in this one pass: a row whose last term is not past the mode
+    and below _REL_TOL of the sum, or whose first term is not before the
+    mode and as small, fails, and its sums are NaN. Nothing is retried:
+    on the parameter ranges scanned by the tests, every row that fails has
+    a window that already ends at _MAX_TERMS.
     """
     first, last = _window_bounds(mode)
     lengths = last - first
@@ -627,29 +603,21 @@ def _window_rows(ratios, log_head, mode):
             log_sum += log_head(n0, rows)
         ok = _window_checks(r, rel, end, total, n0 if head else None, padded)
         del r  # the block's largest arrays are all that stays alive
-        block = _Block(rows, n0, head, n if shifted is None else None, shifted, rel, total, log_sum)
-        if np.count_nonzero(ok) == ok.size:
-            yield block
-        elif ok.any():
-            yield block._replace(rows=np.arange(last.size)[rows]).take(ok)
+        yield _Block(rows, n0, head, n, shifted, rel, total, log_sum, ok)
 
 
-def _window_sums(blocks, c: np.ndarray, grad: bool) -> np.ndarray:
-    """ln S of each of the R rows of c, with E_w[H_n] and E_w[n] if grad,
-    as a (3, R) array, else a (1, R) one, from the blocks of _window_rows,
-    with w_n = t_n / S and H_n = sum_{k<n} 1 / (c[r] + k); NaN in the rows
-    that _window_rows does not yield. c + n comes from the block where its
-    ratios computed it.
+def _window_sums(blocks, c: np.ndarray) -> np.ndarray:
+    """ln S, E_w[H_n] and E_w[n] of each of the R rows of c, as a (3, R)
+    array, from the blocks of _window_rows, with w_n = t_n / S and
+    H_n = sum_{k<n} 1 / (c[r] + k); NaN in all three in a row that fails
+    its checks. c + n comes from the block where its ratios computed it.
 
     For a series whose log terms have the derivative -H_n, or H_n, in a
     parameter, the derivative of ln S is -E_w[H_n], or E_w[H_n]; for
     terms carrying z^n, z d ln S / dz is E_w[n].
     """
-    parts = []
-    for rows, n0, head, n, shifted, rel, total, log_sum in blocks:
-        if not grad:
-            parts.append((rows, (log_sum,)))
-            continue
+    out = np.empty((3, c.size))
+    for rows, n0, head, n, shifted, rel, total, log_sum, ok in blocks:
         # H_{n+1} - H_n = 1 / (c + n), accumulated from the first term
         h = np.add.accumulate(1.0 / (c[rows, None] + n if shifted is None else shifted), axis=-1)
         mean_h = _sum_row_terms(rel * h) / total
@@ -660,11 +628,11 @@ def _window_sums(blocks, c: np.ndarray, grad: bool) -> np.ndarray:
             cr = c[rows]
             mean_h += digamma(cr + n0) - digamma(cr)
         mean_n += n0
-        parts.append((rows, (log_sum, mean_h, mean_n)))
-    if len(parts) == 1 and isinstance(parts[0][0], slice):
-        return np.array(parts[0][1])  # one block of every row, the common case
-    out = np.full((3 if grad else 1, c.size), np.nan)
-    for rows, values in parts:
+        values = np.array((log_sum, mean_h, mean_n))
+        if np.count_nonzero(ok) < ok.size:
+            values[:, ~ok] = np.nan
+        if isinstance(rows, slice):
+            return values  # the one block of every row, the common case
         out[:, rows] = values
     return out
 
@@ -703,8 +671,8 @@ def _confluent_weights(alpha: float, lam: float):
     more than _MAX_TERMS terms after t_0.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # a failing window may overflow
-        blocks = list(_confluent_rows(np.array([float(alpha)]), np.array([float(lam)])))
-    for block in blocks:
+        (block,) = _confluent_rows(np.array([float(alpha)]), np.array([float(lam)]))
+    if block.ok[0]:
         n0 = int(block.first[0])
         weights = np.zeros(n0 + 1 + block.rel.shape[1])
         weights[n0] = 1.0
@@ -716,22 +684,17 @@ def _confluent_weights(alpha: float, lam: float):
     )
 
 
-def _log_laguerre_neg_rows(alpha: np.ndarray, lam: np.ndarray, grad: bool) -> np.ndarray:
+def _log_laguerre_neg_rows(alpha: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """log_laguerre_neg(alpha[r], lam[r]) for rows of lam > 0, unchecked,
-    with d/dalpha and lam d/dlam of it if grad, as a (3, R) array, else a
-    (1, R) one; NaN where the series does not converge within _MAX_TERMS
-    terms.
+    d/dalpha and lam d/dlam of it, as a (3, R) array; NaN where the series
+    does not converge within _MAX_TERMS terms.
 
     The log terms ln (alpha)_n + n ln lam - 2 ln n! have the derivative
     H_n = sum_{k<n} 1 / (alpha + k) in alpha, so _window_sums with
-    c = alpha gives both derivatives. A failing window may overflow; the
-    value alone ignores that here, and the fits, the callers with grad,
-    evaluate their objectives where it is ignored already.
+    c = alpha gives both derivatives. A failing window may overflow: a
+    caller ignores that, as the fits do for their whole objectives.
     """
-    if grad:
-        return _window_sums(_confluent_rows(alpha, lam), alpha, True)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _window_sums(_confluent_rows(alpha, lam), alpha, False)
+    return _window_sums(_confluent_rows(alpha, lam), alpha)
 
 
 def log_laguerre_neg(alpha: float, lam: float) -> float:
@@ -760,7 +723,8 @@ def log_laguerre_neg(alpha: float, lam: float) -> float:
         raise ValueError(f"log_laguerre_neg requires lam >= 0, got {lam}")
     if lam == 0.0:
         return 0.0
-    log_sum = float(_log_laguerre_neg_rows(np.array([alpha]), np.array([lam]), False)[0, 0])
+    with np.errstate(over="ignore", invalid="ignore"):  # a failing window may overflow
+        log_sum = float(_log_laguerre_neg_rows(np.array([alpha]), np.array([lam]))[0, 0])
     if not math.isnan(log_sum):
         return log_sum
     raise SeriesConvergenceError(

@@ -28,6 +28,7 @@ from pwncg.distributions import (
     log_pmf_poisson_type,
     scalar_density_rows,
 )
+from pwncg.fitting import MODELS
 from pwncg.sampling import poisson_type_pmf_table
 from pwncg.special import SeriesConvergenceError
 
@@ -308,6 +309,29 @@ class TestBaselines:
             rtol=0,
             atol=1e-12,
         )
+
+    # ln p of the noncentral gamma density at (x, alpha, beta, lam), from
+    # mpmath at 60 digits, with I_{alpha-1} summed as its 0F1 series
+    NONCENTRAL_GAMMA_EDGES = {
+        # beta lam x underflows to 0, so the Bessel argument is 0
+        (1e-10, 2.0, 1.0, 1e-320): -23.025850930040455,
+        (1e-10, 0.5, 1.0, 1e-320): 10.940560521945528,
+        # alpha <= 2^-54, so alpha - 1 rounds to -1.0; at x = 1e-12,
+        # I_{alpha-1} differs from I_1 by 1e-5 relative
+        (0.5, 1e-17, 1.0, 1.0): -1.259626967278377,
+        (2.0, 1e-17, 1.0, 1.0): -2.126686458716363,
+        (1e-12, 1e-17, 1.0, 1.0): -0.9999900000505,
+        # both
+        (1e-10, 1e-17, 1.0, 1e-320): -16.11809565105832,
+    }
+
+    def test_noncentral_gamma_edges_against_mpmath(self):
+        for (x, alpha, beta, lam), ref in self.NONCENTRAL_GAMMA_EDGES.items():
+            got = log_pdf_noncentral_gamma(x, alpha, beta, lam)
+            assert abs(got - ref) <= 1e-12 * abs(ref), (x, alpha, ref)
+            model = MODELS["noncentral_gamma"]
+            ll = model.log_likelihood([x], {"alpha": alpha, "beta": beta, "lambda": lam})
+            assert ll == got
 
     def test_noncentral_gamma_is_poisson_gamma_mixture(self):
         from scipy.stats import poisson

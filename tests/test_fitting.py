@@ -843,9 +843,9 @@ class TestGroupPowerTable:
         real = fitting._log_bessel_i_nu_rows
         seen = []
 
-        def spy(nu, x, grad, powers=None):
+        def spy(nu, x, powers=None):
             seen.append((len(x), powers))
-            return real(nu, x, grad, powers)
+            return real(nu, x, powers)
 
         monkeypatch.setattr(fitting, "_log_bessel_i_nu_rows", spy)
         g = _group([golden_batch(*b) for b in GOLDEN_BATCHES[:n_batches]])
@@ -1014,7 +1014,7 @@ class TestLogLikelihoodPass:
 
     def test_zero_bessel_argument_and_bad_input(self):
         # 2 sqrt(beta lam x) underflows to 0 at the first value of row 0,
-        # which takes log_bessel_i_nu's value there: ln I_0.5(0) = -inf
+        # where ln I_0.5 is its series' leading term, not ln I_0.5(0) = -inf
         x = np.array([[5e-324, 1.0, 2.0], [0.5, 1.0, 2.0]])
         p = {
             "alpha": np.array([1.5, 1.5]),
@@ -1022,10 +1022,22 @@ class TestLogLikelihoodPass:
             "lambda": np.array([1e-160, 2.0]),
         }
         together = MODELS["noncentral_gamma"].log_likelihoods(x, np.log(x), p)
-        assert together[0] == -math.inf and math.isfinite(together[1])
-        for r in range(2):
-            one = {k: float(v[r]) for k, v in p.items()}
-            assert together[r] == _reference_ll("noncentral_gamma", x[r], one)
+        assert math.isfinite(together[0]) and math.isfinite(together[1])
+        one = [{k: float(v[r]) for k, v in p.items()} for r in range(2)]
+        assert together[1] == _reference_ll("noncentral_gamma", x[1], one[1])
+        # the underflowing value alone, against mpmath; the row adds it to
+        # the others as the formula gives them
+        alone = MODELS["noncentral_gamma"].log_likelihood(x[0, :1], one[0])
+        with mp.workdps(40):
+            b = lam = mp.mpf(1e-160)
+            v = mp.mpf(5e-324)
+            ref = float(
+                -lam + 1.25 * mp.log(b) - 0.25 * mp.log(lam) + 0.25 * mp.log(v) - b * v
+                + mp.log(mp.besseli(0.5, 2 * mp.sqrt(b * lam * v)))
+            )
+        assert abs(alone - ref) <= 1e-12 * abs(ref)
+        rest = _reference_ll("noncentral_gamma", x[0, 1:], one[0])
+        assert math.isclose(together[0], alone + rest, rel_tol=1e-15)
         ok = {"alpha": 1.0, "beta": 1.0, "lambda": 1.0}
         for m in ("noncentral_gamma", "proposed"):
             with pytest.raises(ValueError, match="lambda must be nonnegative, got -1.0"):

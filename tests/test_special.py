@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.special import ive
 
 from pwncg import special
-from pwncg.distributions import PowerParams, log_pdf_noncentral_gamma, log_pdf_power
+from pwncg.distributions import log_pdf_noncentral_gamma
 from pwncg.special import (
     _IV_SERIES_CUTOFF,
     I0_SERIES_CUTOFF,
@@ -182,7 +182,7 @@ class TestLogBesselINu:
         # ive is finite below 2**30 and NaN from it on, where the
         # large-argument expansion takes over; value, d/dnu and x d/dx
         x = 2.0 ** (30.0 + e)
-        got = _log_bessel_i_nu_rows(np.array([nu]), np.array([[x]]), True)[:, 0, 0]
+        got = _log_bessel_i_nu_rows(np.array([nu]), np.array([[x]]))[:, 0, 0]
         n, xm = mp.mpf(nu), mp.mpf(x)
         ref = mp.log(mp.besseli(n, xm))
         ref_dnu = mp.diff(lambda v: mp.log(mp.besseli(v, xm)), n)
@@ -264,7 +264,7 @@ class TestLogBesselINu:
         # the value is ive's, and only the derivatives are NaN
         nu, x = 37233.2159610305, 1e6
         assert ive(nu + 1.0, x) == 0.0 < ive(nu, x)
-        got = _log_bessel_i_nu_rows(np.array([nu]), np.array([[x]]), True)[:, 0, 0]
+        got = _log_bessel_i_nu_rows(np.array([nu]), np.array([[x]]))[:, 0, 0]
         # Debye's uniform expansion (DLMF 10.41.3) to U_2(p) / nu^2; the
         # next term is of order 1e-14 here
         n, z = mp.mpf(nu), mp.mpf(x) / nu
@@ -392,13 +392,17 @@ class TestLogLaguerreNeg:
         assert list(inspect.signature(_window_rows).parameters) == ["ratios", "log_head", "mode"]
         for fn in (_confluent_rows, _confluent_weights):
             assert list(inspect.signature(fn).parameters) == ["alpha", "lam"]
-        # the kernels take grad, and nothing else beside their arguments
-        # (the Bessel kernel's powers are an argument: a cached table)
+        # the kernels take nothing beside their arguments, and no flag that
+        # picks a second path (the Bessel powers are an argument: a cached
+        # table)
         for fn, params in [
-            (special._window_sums, ["blocks", "c", "grad"]),
-            (special._log_iv_window, ["nu", "x", "grad"]),
-            (_log_laguerre_neg_rows, ["alpha", "lam", "grad"]),
-            (_log_bessel_i_nu_rows, ["nu", "x", "grad", "powers"]),
+            (special._window_sums, ["blocks", "c"]),
+            (special._log_iv_window, ["nu", "x"]),
+            (special._log_iv_large, ["nu", "x"]),
+            (special._log_iv_series_rows, ["nu", "x", "q_max", "powers"]),
+            (special._iv_series_products, ["nu", "x", "q_max", "table", "index"]),
+            (_log_laguerre_neg_rows, ["alpha", "lam"]),
+            (_log_bessel_i_nu_rows, ["nu", "x", "powers"]),
         ]:
             assert list(inspect.signature(fn).parameters) == params, fn.__name__
 
@@ -506,15 +510,28 @@ class TestRowBatchedKernels:
     call: each row's window, term count and branch are its own."""
 
     def test_laguerre_rows_equal_single_rows(self):
-        # calls of 1, 2, 3 and 64 rows, as the fits make them, and of 40
+        # calls of 1, 2, 3 and 64 rows, as the fits make them, and of 40;
+        # and 64 rows with a failing row among them, a call of several
+        # blocks, where exactly the failing row is NaN
         rng = np.random.default_rng(3)
-        for size in (1, 2, 3, 40, 64):
+        failing = 37
+        for size in (1, 2, 3, 40, 64, 65):
             alpha = 10.0 ** rng.uniform(-3.0, 3.0, size)
             lam = np.exp(rng.uniform(math.log(1e-18), math.log(5000.0), size))
-            together = _log_laguerre_neg_rows(alpha, lam, True)
+            if size == 65:
+                alpha[failing], lam[failing] = 69097.6364600833, 146741.39369184236
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert len(list(_confluent_rows(alpha, lam))) > (2 if size == 65 else 0)
+                together = _log_laguerre_neg_rows(alpha, lam)
+                alone = [_log_laguerre_neg_rows(a, b) for a, b in zip(alpha[:, None], lam[:, None])]
+            nan_rows = np.flatnonzero(np.isnan(together).any(axis=0))
+            if size == 65:
+                assert nan_rows.tolist() == [failing]
+                assert np.isnan(together[:, failing]).all()
+            else:
+                assert nan_rows.size == 0
             for i in range(alpha.size):
-                alone = _log_laguerre_neg_rows(alpha[i : i + 1], lam[i : i + 1], True)
-                np.testing.assert_array_equal(together[:, i], alone[:, 0])
+                np.testing.assert_array_equal(together[:, i], alone[i][:, 0])
             assert together[0, 0] == log_laguerre_neg(alpha[0], lam[0])
 
     # (alpha, lam): ln S, d/dalpha ln S and lam d/dlam ln S of
@@ -542,9 +559,9 @@ class TestRowBatchedKernels:
         alpha = np.array([a for a, _ in points])
         lam = np.array([lam for _, lam in points])
         assert lam[0] == float(np.log1p(np.exp(-40.0)))  # softplus(-40)
-        together = _log_laguerre_neg_rows(alpha, lam, True)
+        together = _log_laguerre_neg_rows(alpha, lam)
         for i, point in enumerate(points):
-            alone = _log_laguerre_neg_rows(alpha[i : i + 1], lam[i : i + 1], True)
+            alone = _log_laguerre_neg_rows(alpha[i : i + 1], lam[i : i + 1])
             for got in (together[:, i], alone[:, 0]):
                 assert tuple(float(v).hex() for v in got) == self.LAGUERRE_PINS[point], point
 
@@ -557,7 +574,7 @@ class TestRowBatchedKernels:
         alpha = np.array([1.5, 69097.6364600833])
         lam = np.array([3.0, 146741.39369184236])
         with np.errstate(over="ignore", invalid="ignore"):
-            got = _log_laguerre_neg_rows(alpha, lam, True)
+            got = _log_laguerre_neg_rows(alpha, lam)
         assert tuple(float(v).hex() for v in got[:, 0]) == self.LAGUERRE_PINS[(1.5, 3.0)]
         assert np.isnan(got[:, 1]).all()
 
@@ -568,9 +585,9 @@ class TestRowBatchedKernels:
         x = np.exp(rng.uniform(math.log(1e-3), math.log(3000.0), (30, 7)))
         x[3, 2] = 1e-310
         x[:10] = np.minimum(x[:10], 29.0)
-        together = _log_bessel_i_nu_rows(nu, x, True)
+        together = _log_bessel_i_nu_rows(nu, x)
         for i in range(nu.size):
-            alone = _log_bessel_i_nu_rows(nu[i : i + 1], x[i : i + 1], True)
+            alone = _log_bessel_i_nu_rows(nu[i : i + 1], x[i : i + 1])
             np.testing.assert_array_equal(together[:, i], alone[:, 0])
         np.testing.assert_allclose(together[0, 5], log_bessel_i_nu(nu[5], x[5]), rtol=1e-13)
 
@@ -593,8 +610,8 @@ class TestRowBatchedKernels:
         x = 10.0 ** rng.uniform(-323.0, math.log10(3e7), 2000)
         with np.errstate(over="ignore", invalid="ignore"):
             sums = [
-                _log_laguerre_neg_rows(alpha, lam, True)[0],
-                special._log_iv_window(nu, x, True)[0],
+                _log_laguerre_neg_rows(alpha, lam)[0],
+                special._log_iv_window(nu, x)[0],
             ]
         assert len(modes) == 2
         for name, mode, log_sum in zip(("confluent", "I_nu"), modes, sums):
@@ -604,63 +621,10 @@ class TestRowBatchedKernels:
             assert (last[failed] == special._MAX_TERMS).all(), (name, mode[failed].min())
 
 
-def _spy_window_sums(monkeypatch):
-    """Counts of special._window_sums calls, all and those with grad."""
-    calls = {"_window_sums": 0, "_window_sums with grad": 0}
-    real = special._window_sums
-
-    def counted(blocks, c, grad):
-        calls["_window_sums"] += 1
-        calls["_window_sums with grad"] += bool(grad)
-        return real(blocks, c, grad)
-
-    monkeypatch.setattr(special, "_window_sums", counted)
-    return calls
-
-
-class TestValueOnlyLaguerre:
-    """log_laguerre_neg and the power density kernel sum the confluent
-    value alone, bit for bit the value row of _log_laguerre_neg_rows with
-    grad."""
-
-    def _assert_value_rows_equal(self, alpha, lam):
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = _log_laguerre_neg_rows(alpha, lam, False)
-            both = _log_laguerre_neg_rows(alpha, lam, True)
-        assert value.shape == (1, alpha.size) and both.shape == (3, alpha.size)
-        np.testing.assert_array_equal(value[0], both[0])
-
-    def test_pins_and_failing_row(self):
-        failing = (69097.6364600833, 146741.39369184236)
-        points = [*TestRowBatchedKernels.LAGUERRE_PINS, failing]
-        alpha = np.array([a for a, _ in points])
-        lam = np.array([lam for _, lam in points])
-        self._assert_value_rows_equal(alpha, lam)
-        for i in range(alpha.size):
-            self._assert_value_rows_equal(alpha[i : i + 1], lam[i : i + 1])
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert np.isnan(_log_laguerre_neg_rows(alpha[-1:], lam[-1:], False)).all()
-
-    def test_random_calls(self):
-        # calls of 1, 2, 3 and 64 rows, as the fits and the density kernel
-        # make them, over the fits' box
-        rng = np.random.default_rng(12)
-        for size in (1, 2, 3, 64):
-            for _ in range(5):
-                alpha = 10.0 ** rng.uniform(-3.0, 3.0, size)
-                lam = np.exp(rng.uniform(math.log(1e-18), math.log(5000.0), size))
-                self._assert_value_rows_equal(alpha, lam)
-
-    def test_value_takes_no_moment_sums(self, monkeypatch):
-        calls = _spy_window_sums(monkeypatch)
-        log_laguerre_neg(1.5, 3.0)
-        log_pdf_power(np.array([0.5, 2.0]), PowerParams(1.5, 1.0, 2000.0))
-        assert calls == {"_window_sums": 2, "_window_sums with grad": 0}
-
-
 class TestValueOnlyBessel:
-    """log_bessel_i_nu sums the value alone, bit for bit the value row of
-    _log_bessel_i_nu_rows with grad on every branch."""
+    """log_bessel_i_nu and the noncentral-gamma density kernel, which take
+    the value alone, return the value row of _log_bessel_i_nu_rows, bit for
+    bit, on every branch."""
 
     # (nu, arguments) of each branch: the ascending series, ive, the
     # large-argument expansion from 2**30 on, the log-domain series where
@@ -679,7 +643,7 @@ class TestValueOnlyBessel:
             xs = np.array(xs)
             padded = np.ones(64)  # log_bessel_i_nu's row: 64 wide, padded with 1.0
             padded[: xs.size] = xs
-            ref = _log_bessel_i_nu_rows(np.array([nu]), padded[None], True)[0, 0, : xs.size]
+            ref = _log_bessel_i_nu_rows(np.array([nu]), padded[None])[0, 0, : xs.size]
             assert np.isfinite(ref).all(), name
             np.testing.assert_array_equal(log_bessel_i_nu(nu, xs), ref, err_msg=name)
 
@@ -689,22 +653,14 @@ class TestValueOnlyBessel:
         x = np.exp(rng.uniform(math.log(1e-3), math.log(3000.0), (24, 70)))
         x[2, 3], x[5, 0], x[7, 1] = 1e-310, 2.0**30, 1e12
         x[:6] = np.minimum(x[:6], 29.0)
-        value = special._log_bessel_i_nu_rows(nu, x, grad=False)
-        assert value.shape == (1,) + x.shape
-        np.testing.assert_array_equal(value[0], _log_bessel_i_nu_rows(nu, x, True)[0])
-
-    def test_value_takes_one_ive_call_and_no_moment_sums(self, monkeypatch):
-        calls = _spy_window_sums(monkeypatch)
-        calls["ive"] = 0
-        real_ive = special.ive
-
-        def ive_spy(*args):
-            calls["ive"] += 1
-            return real_ive(*args)
-
-        monkeypatch.setattr(special, "ive", ive_spy)
-        log_bessel_i_nu(1000.0, np.array([0.5, 40.0, 45.0, 800.0]))
-        assert calls == {"ive": 1, "_window_sums": 1, "_window_sums with grad": 0}
+        # _log_iv_padded cuts each row of 70 into two of 64, the second
+        # padded with 1.0
+        padded = np.ones((24, 128))
+        padded[:, :70] = x
+        ref = _log_bessel_i_nu_rows(np.repeat(nu, 2), padded.reshape(48, 64))[0]
+        value = special._log_iv_padded(nu, x)
+        assert value.shape == x.shape
+        np.testing.assert_array_equal(value, ref.reshape(24, 128)[:, :70])
 
     def test_series_failure_message(self):
         # ive is NaN from 2**30 on, the expansion does not converge at
@@ -792,8 +748,8 @@ class TestBesselPowerTable:
         ref = np.array([[_ref_iv_series(v, a) for a in row] for v, row in zip(nu, x)])
         ref = ref.transpose(2, 0, 1)
         for got in (
-            _log_bessel_i_nu_rows(nu, x, True),
-            _log_bessel_i_nu_rows(nu, x, True, _powers_of(np.square(x))),
+            _log_bessel_i_nu_rows(nu, x),
+            _log_bessel_i_nu_rows(nu, x, _powers_of(np.square(x))),
         ):
             err = (np.abs(got - ref) / np.maximum(1.0, np.abs(ref))).max(axis=(1, 2))
             assert (err <= self.CUMULATIVE_PRODUCT_WORST).all(), err
@@ -811,8 +767,8 @@ class TestBesselPowerTable:
             nu[0] = -0.999
             x_max = np.exp(rng.uniform(math.log(1e-6), math.log(29.99), 8))
             x = (x_max / np.sqrt(y.max(axis=1)))[:, None] * np.sqrt(y)
-            from_x = _log_bessel_i_nu_rows(nu, x, True)
-            cached = _log_bessel_i_nu_rows(nu, x, True, _powers_of(y))
+            from_x = _log_bessel_i_nu_rows(nu, x)
+            cached = _log_bessel_i_nu_rows(nu, x, _powers_of(y))
             scale = _term_scale(nu, x, from_x)
             assert (np.abs(cached - from_x) <= 1e-15 * scale).all()
 
@@ -826,11 +782,11 @@ class TestBesselPowerTable:
         nu = rng.uniform(-0.5, 5.0, 6)
         table, _ = _powers_of(y)
         order = np.array([4, 1, 3, 0, 5, 2])
-        together = _log_bessel_i_nu_rows(nu[order], x[order], True, (table, order))
+        together = _log_bessel_i_nu_rows(nu[order], x[order], (table, order))
         for i, r in enumerate(order):
-            alone = _log_bessel_i_nu_rows(nu[r : r + 1], x[r : r + 1], True, (table, order[i : i + 1]))
+            alone = _log_bessel_i_nu_rows(nu[r : r + 1], x[r : r + 1], (table, order[i : i + 1]))
             np.testing.assert_array_equal(together[:, i], alone[:, 0])
-        far = _log_bessel_i_nu_rows(nu[3:4], x[3:4], True)
+        far = _log_bessel_i_nu_rows(nu[3:4], x[3:4])
         np.testing.assert_array_equal(together[:, 2], far[:, 0])
 
     def test_extreme_ratio_row_ends_finite_through_the_fallback(self, monkeypatch):
@@ -840,19 +796,19 @@ class TestBesselPowerTable:
         calls = []
         real = special._log_iv_window
 
-        def spy(nu, x, grad):
+        def spy(nu, x):
             calls.append(x.copy())
-            return real(nu, x, grad)
+            return real(nu, x)
 
         monkeypatch.setattr(special, "_log_iv_window", spy)
         y = np.geomspace(5e-324, 1e308, 60)[None]
         x = 29.0 / np.sqrt(y.max()) * np.sqrt(y)
         assert x.min() < special._IV_TINY
         nu = np.array([0.5])
-        cached = _log_bessel_i_nu_rows(nu, x, True, _powers_of(y))
+        cached = _log_bessel_i_nu_rows(nu, x, _powers_of(y))
         assert len(calls) == 1 and (calls[0] < special._IV_TINY).all()
         assert np.isfinite(cached).all()
-        from_x = _log_bessel_i_nu_rows(nu, x, True)
+        from_x = _log_bessel_i_nu_rows(nu, x)
         assert np.isfinite(from_x).all()
         assert (np.abs(cached - from_x) <= 1e-15 * _term_scale(nu, x, from_x)).all()
         for i in (0, 30, 59):
