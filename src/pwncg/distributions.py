@@ -173,6 +173,10 @@ def _positive_variate(x, name: str):
     return np.atleast_1d(arr), arr.ndim == 0
 
 
+# The smallest positive normal double.
+_TINY = float(np.finfo(float).tiny)
+
+
 def _math_log(v: np.ndarray) -> np.ndarray:
     """math.log of each element. The densities take ln of their scalar
     parameters with math.log, which differs from numpy's log in the last
@@ -209,9 +213,12 @@ def _log_pdf_noncentral_gamma_rows(x: np.ndarray, log_x: np.ndarray, alpha, beta
     ln I_nu comes from log_bessel_i_nu's kernel, in its rows. A row with a
     Bessel argument that is not positive and finite, or a series that does
     not converge, takes log_bessel_i_nu itself, which raises on an
-    infinite argument. Where beta lam x underflows to 0, ln I_nu is the
-    series' leading term, nu ln(beta lam x) / 2 - ln Gamma(nu + 1): the
-    next is below 1e-300 of it. Where alpha <= 2^-54, alpha - 1 rounds to
+    infinite argument. Where beta lam is subnormal, the Bessel argument is
+    z = 2 exp((ln beta + ln lam + ln x) / 2), not 2 sqrt((beta lam) x),
+    which would keep only the product's few bits. Where z/2 is not normal
+    (beta lam x underflows), ln I_nu is the series' leading term,
+    nu ln(beta lam x) / 2 - ln Gamma(nu + 1): the next is below 1e-300 of
+    it. Where alpha <= 2^-54, alpha - 1 rounds to
     -1; there the kernel sums I_1 = I_{-1} (DLMF 10.27.1), and the term
     alpha (z/2)^-1 by which I_{alpha-1}(z) exceeds it at small z is added.
     """
@@ -229,18 +236,25 @@ def _log_pdf_noncentral_gamma_rows(x: np.ndarray, log_x: np.ndarray, alpha, beta
         return out
     nu = alpha - 1.0
     half = 0.5 * nu
-    head = -lam + 0.5 * (alpha + 1.0) * _math_log(beta) - half * _math_log(lam)
+    log_beta, log_lam = _math_log(beta), _math_log(lam)
+    head = -lam + 0.5 * (alpha + 1.0) * log_beta - half * log_lam
     order = np.where(nu > -1.0, nu, 1.0)
     arg = 2.0 * np.sqrt((beta * lam)[:, None] * x)
+    zero = arg == 0.0
+    # where beta lam is subnormal it keeps few bits: z = 2 exp(ln(z/2))
+    # there, and z counts as 0 where z/2 is not normal
+    low = np.flatnonzero(beta * lam < _TINY)
+    if low.size:
+        arg[low] = 2.0 * np.exp(0.5 * ((log_beta + log_lam)[low, None] + log_x[low]))
+        zero[low] = arg[low] < 2.0 * _TINY
     plain = (arg > 0.0) & (arg < math.inf)
     log_i = _log_iv_padded(order, np.where(plain, arg, 1.0))
     for r in np.flatnonzero(~plain.all(axis=1) | np.isnan(log_i).any(axis=1)):
         log_i[r] = log_bessel_i_nu(order[r], arg[r])
-    zero = arg == 0.0
     tiny = nu <= -1.0
     if zero.any() or tiny.any():
         # ln(z/2) of the Bessel argument z, also where z underflows to 0
-        log_half_z = 0.5 * ((_math_log(beta) + _math_log(lam))[:, None] + log_x)
+        log_half_z = 0.5 * ((log_beta + log_lam)[:, None] + log_x)
         log_i[zero] = (order[:, None] * log_half_z - gammaln(order + 1.0)[:, None])[zero]
         # the kernel summed I_1 there, and I_{alpha-1}(z) = (z/2)^alpha
         # (I_1(z) + alpha / (z/2)) to within about alpha relative

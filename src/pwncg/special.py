@@ -35,12 +35,16 @@ R: the mode, the window bounds (_window_bounds, whole numbers held as
 floats, so that they enter the log terms without a cast), the log of the
 first term where a window starts past n = 0, and the tail and head
 checks (_window_checks, one mask per block). At the one to three rows of
-a strongly noncentral fit those calls cost as much as the arithmetic;
-computed per row in Python floats they would cost less there, but more
-from about a dozen rows on, and the ln I_nu fallback sums thousands of
-rows through the same code. The confluent ratios compute alpha + n on
-the way, and _window_sums takes H_n from it rather than building it
-again.
+a strongly noncentral fit those calls cost more than the arithmetic, so
+a confluent call of at most _ROWS_ALONE rows sums each row alone
+(_confluent_row): its mode, window bounds and checks are Python
+numbers, and its terms and head term go through the batched path's
+numpy and scipy operations in the same order, so each output keeps its
+bits. That costs a third of the batched path at one row and lam = 3,
+and about as much at four rows, where the batched path takes over;
+_confluent_weights and the ln I_nu fallback, which sums thousands of
+rows, always take it. The confluent ratios compute alpha + n on the way,
+and _window_sums takes H_n from it rather than building it again.
 
 The value-and-gradient kernels that the fits call are row-batched: they
 take one parameter set per row and return one result per row. A row's
@@ -684,6 +688,58 @@ def _confluent_weights(alpha: float, lam: float):
     )
 
 
+# Calls of _log_laguerre_neg_rows with at most this many rows sum each row
+# alone (_confluent_row). Per row against batched, in us of process CPU
+# (alpha = 1.5, best of 5, 2 vCPUs), at lam = 3 / 100 / 2000: one row
+# 12 / 15 / 34 against 40 / 47 / 71; three rows 30 / 40 / 94 against
+# 43 / 51 / 105; four rows 36 / 58 / 133 against 42 / 52 / 127; six rows
+# 59 / 79 / 189 against 43 / 65 / 177.
+_ROWS_ALONE = 3
+
+
+def _confluent_row(alpha: float, lam: float):
+    """ln S, E_w[H_n] and E_w[n] of the confluent series at one row, as
+    _window_sums(_confluent_rows(...)) gives them, bit for bit: the terms
+    go through the same numpy operations in the same order, and the mode,
+    the window bounds and the checks are Python floats and ints, with the
+    same values as the batched path's arrays; (nan, nan, nan) where the
+    row fails its checks."""
+    b = lam - 2.0
+    mode = max(0.5 * (b + math.sqrt(max(b * b + 4.0 * (lam * alpha - 1.0), 0.0))), 0.0)
+    if not mode < _MAX_TERMS:
+        # the window ends at _MAX_TERMS before the mode (or the mode is
+        # NaN): the batched path's tail check fails such a row
+        return math.nan, math.nan, math.nan
+    width = _WINDOW_WIDTHS * math.sqrt(mode + 1.0)
+    first = max(math.trunc(mode - width) - _WINDOW_MARGIN, 0)
+    size = min(math.trunc(mode + width) + _WINDOW_MARGIN, _MAX_TERMS) - first
+    j1 = _term_index(size + 1)[1:]
+    n = _term_index(size)
+    if first:
+        n = n + first
+    shifted = alpha + n
+    r = shifted * lam / np.square(n + 1.0 if first else j1)
+    rel = np.multiply.accumulate(r)
+    s1 = np.add.accumulate(rel)[-1]
+    total = 1.0 + s1
+    tol = _REL_TOL * total
+    if not (r[-1] < 1.0 and rel[-1] < tol and (not first or (r[0] > 1.0 and 1.0 < tol))):
+        return math.nan, math.nan, math.nan
+    log_sum = np.log1p(s1)
+    mean_h = np.add.accumulate(rel * np.add.accumulate(1.0 / shifted))[-1] / total
+    mean_n = np.add.accumulate(rel * j1)[-1] / total
+    if first:
+        log_sum += (
+            gammaln(alpha + first)
+            - gammaln(alpha)
+            + first * np.log(lam)
+            - 2.0 * gammaln(first + 1.0)
+        )
+        mean_h += digamma(alpha + first) - digamma(alpha)
+        mean_n += first
+    return log_sum, mean_h, mean_n
+
+
 def _log_laguerre_neg_rows(alpha: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """log_laguerre_neg(alpha[r], lam[r]) for rows of lam > 0, unchecked,
     d/dalpha and lam d/dlam of it, as a (3, R) array; NaN where the series
@@ -691,10 +747,16 @@ def _log_laguerre_neg_rows(alpha: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
     The log terms ln (alpha)_n + n ln lam - 2 ln n! have the derivative
     H_n = sum_{k<n} 1 / (alpha + k) in alpha, so _window_sums with
-    c = alpha gives both derivatives. A failing window may overflow: a
-    caller ignores that, as the fits do for their whole objectives.
+    c = alpha gives both derivatives. A call of at most _ROWS_ALONE rows
+    sums each row alone (_confluent_row), with the same bits as the
+    batched path, which serves larger calls. A failing window may
+    overflow: a caller ignores that, as the fits do for their whole
+    objectives.
     """
-    return _window_sums(_confluent_rows(alpha, lam), alpha)
+    if alpha.size > _ROWS_ALONE:
+        return _window_sums(_confluent_rows(alpha, lam), alpha)
+    cols = [_confluent_row(a, z) for a, z in zip(alpha.tolist(), lam.tolist())]
+    return np.array(cols).reshape(-1, 3).T
 
 
 def log_laguerre_neg(alpha: float, lam: float) -> float:

@@ -323,6 +323,18 @@ class TestBaselines:
         (1e-12, 1e-17, 1.0, 1.0): -0.9999900000505,
         # both
         (1e-10, 1e-17, 1.0, 1e-320): -16.11809565105832,
+        # beta lam is subnormal (1e-320 and 1e-315), of which
+        # 2 sqrt((beta lam) x) would keep a few bits (mpmath's besseli at
+        # 50 digits)
+        (1.0, 2.0, 1e-160, 1e-160): -736.8272297580946,
+        (2.0, 2.0, 1e-160, 1e-160): -736.1340825775346,
+        (1000.0, 2.0, 1e-160, 1e-160): -729.9194744791125,
+        (1.0, 0.5, 1e-160, 1e-160): -184.77917238244837,
+        (2.0, 0.5, 1e-160, 1e-160): -185.12574597272834,
+        (1000.0, 0.5, 1e-160, 1e-160): -188.23305002193942,
+        (1.0, 2.0, 1e-200, 1e-115): -921.0340371976183,
+        (2.0, 2.0, 1e-200, 1e-115): -920.3408900170583,
+        (1000.0, 2.0, 1e-200, 1e-115): -914.1262819186361,
     }
 
     def test_noncentral_gamma_edges_against_mpmath(self):

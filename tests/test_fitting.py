@@ -943,13 +943,18 @@ def _reference_ll(model, x, p) -> float:
     if lam == 0.0:
         return float(np.sum(a * math.log(b) - gammaln(a) + (a - 1.0) * np.log(x) - b * x))
     half = 0.5 * (a - 1.0)
+    if b * lam < np.finfo(float).tiny:
+        # a subnormal b lam keeps few bits; the density takes z from logs
+        z = 2.0 * np.exp(0.5 * ((math.log(b) + math.log(lam)) + np.log(x)))
+    else:
+        z = 2.0 * np.sqrt(b * lam * x)
     d = (
         -lam
         + 0.5 * (a + 1.0) * math.log(b)
         - half * math.log(lam)
         + half * np.log(x)
         - b * x
-        + log_bessel_i_nu(a - 1.0, 2.0 * np.sqrt(b * lam * x))
+        + log_bessel_i_nu(a - 1.0, z)
     )
     return float(np.sum(d))
 

@@ -532,6 +532,40 @@ class TestRowBatchedKernels:
                 np.testing.assert_array_equal(together[:, i], alone[i][:, 0])
             assert together[0, 0] == log_laguerre_neg(alpha[0], lam[0])
 
+    def test_few_row_calls_equal_the_batched_path(self):
+        # Calls of 1 to 3 rows sum each row alone; every row of them equals,
+        # byte for byte in all three outputs, the same row in calls of 4, 64
+        # and 65 rows, which take the batched path. The rows cover windows
+        # from n = 0 and past it (a head term), a subnormal lam, and two
+        # failing rows, NaN in all three outputs: row 3, whose window ends
+        # at the term budget past its mode, and one whose mode is past it.
+        rng = np.random.default_rng(28)
+        alpha = 10.0 ** rng.uniform(-8.0, 8.0, 65)
+        lam = 10.0 ** rng.uniform(-25.0, math.log10(3e5), 65)
+        alpha[:4] = 1.5, 0.5, 1e8, 69097.6364600833
+        lam[:4] = 3.0, 2000.0, 5e-324, 146741.39369184236
+        first = special._window_bounds(special._confluent_mode(alpha, lam))[0]
+        assert first[0] == 0.0 and first[1] > 0.0
+        assert 10 <= np.count_nonzero(first) <= 55
+
+        def by_calls(size):
+            out = np.empty((3, alpha.size))
+            for start in range(0, alpha.size, size):
+                rows = (start + np.arange(size)) % alpha.size
+                out[:, rows] = _log_laguerre_neg_rows(alpha[rows], lam[rows])
+            return out
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            batched = {size: by_calls(size) for size in (4, 64, 65)}
+            alone = {size: by_calls(size) for size in (1, 2, 3)}
+        ref = batched[65]
+        failed = np.isnan(ref).any(axis=0)
+        assert np.flatnonzero(failed).tolist() == [3, 63]
+        assert special._confluent_mode(alpha[63], lam[63]) > special._MAX_TERMS
+        assert np.isnan(ref[:, failed]).all()
+        for size, got in {**batched, **alone}.items():
+            assert got.tobytes() == ref.tobytes(), size
+
     # (alpha, lam): ln S, d/dalpha ln S and lam d/dlam ln S of
     # _log_laguerre_neg_rows as float.hex, recorded at 3a01f24, before the
     # window bookkeeping was rewritten. lam runs from the fits' floor,
@@ -575,6 +609,26 @@ class TestRowBatchedKernels:
             got = _log_laguerre_neg_rows(alpha, lam)
         assert tuple(float(v).hex() for v in got[:, 0]) == self.LAGUERRE_PINS[(1.5, 3.0)]
         assert np.isnan(got[:, 1]).all()
+
+    def test_few_rows_skip_the_window_kernel(self, monkeypatch):
+        # a call of at most _ROWS_ALONE rows sums its rows without the
+        # batched window kernel, also a row whose mode is past the term
+        # budget, which fails; a call of one row more takes the kernel
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return _window_rows(*args)
+
+        monkeypatch.setattr(special, "_window_rows", spy)
+        rows = special._ROWS_ALONE
+        assert rows == 3
+        _log_laguerre_neg_rows(np.array([1.5]), np.array([3.0]))
+        _log_laguerre_neg_rows(np.full(rows, 0.5), np.full(rows, 2000.0))
+        assert np.isnan(_log_laguerre_neg_rows(np.array([1.0]), np.array([3e5]))).all()
+        assert not calls
+        _log_laguerre_neg_rows(np.full(rows + 1, 1.5), np.full(rows + 1, 3.0))
+        assert len(calls) == 1
 
     def test_bessel_rows_equal_single_rows(self):
         # series, ive, ive-underflow and subnormal arguments, alone and mixed
