@@ -71,12 +71,21 @@ def _per_rate_power(v: float, beta: float, n: int) -> float:
 def _mixing_cumulants(p: PowerParams) -> tuple[float, float, float, float]:
     """Cumulants k1..k4 of the mixing law N of p from the central moments
     of its pmf table (all 0 at lam = 0); from the raw moments they would
-    cancel catastrophically at large lam."""
+    cancel catastrophically at large lam.
+
+    The powers of the deviations d are d2 = d d, d2 d and d2 d2, not
+    d**3 and d**4, which numpy hands to libm's pow at two thirds of the
+    kurtosis sweep's time. They differ from pow's only by rounding: over
+    the sweep lam = 0 .. 1000, alpha = 0.5, 1, 2 the excess kurtosis
+    differs by at most 3.9e-14 relative, against its error of up to
+    2e-13 relative to a 60-digit reference there. numpy's d**2 is d d, so
+    the mean and the variance are the same either way."""
     w = poisson_type_pmf_table(PoissonTypeParams(lam=p.lam, alpha=p.alpha))
     n = np.arange(w.size, dtype=float)
     k1 = float(w @ n)
     d = n - k1
-    mu2, mu3, mu4 = (float(w @ d**r) for r in (2, 3, 4))
+    d2 = d * d
+    mu2, mu3, mu4 = (float(w @ t) for t in (d2, d2 * d, d2 * d2))
     return k1, mu2, mu3, mu4 - 3.0 * mu2 * mu2
 
 

@@ -531,25 +531,29 @@ class _Block(NamedTuple):
     ok: np.ndarray
 
 
-def _window_checks(r, rel, end, total, n0, padded: bool):
+def _window_checks(rel, end, total, n0, padded: bool):
     """The tail and head checks of _window_rows on a block, as one mask:
-    whether each row's last term is past the mode (its ratio r below 1) and
-    below _REL_TOL of the sum, and, given the first terms n0 of rows that
-    do not all start at n = 0, whether each starts at n = 0 or before the
-    mode with a first term below _REL_TOL of the sum."""
+    whether each row's last term is below _REL_TOL of the sum, and, given
+    the first terms n0 of rows that do not all start at n = 0, whether
+    each starts at n = 0 or with a first term below _REL_TOL of the sum.
+
+    These imply that the last term is past the mode and the first before
+    it, so the ratios need no test of their own. From n = 1 on the term
+    ratio of both window series falls with n. A window ends past the mode
+    unless _MAX_TERMS cuts it; one cut before the mode (last ratio >= 1)
+    has its terms rising from n = 1 to its last, some 196 000 terms on,
+    which is then its largest, and one that starts past n = 0 after the
+    mode (first ratio <= 1) has its largest term first. Either term is at
+    least 1 / (_MAX_TERMS + 1) of the sum and fails its test."""
     if padded:
-        at = np.arange(end.size)
-        last = end.astype(np.intp) - 1
-        r_end, rel_end = r[at, last], rel[at, last]
+        rel_end = rel[np.arange(end.size), end.astype(np.intp) - 1]
     else:
-        r_end, rel_end = r[:, -1], rel[:, -1]
+        rel_end = rel[:, -1]
     tol = _REL_TOL * total
-    ok = r_end < 1.0
-    ok &= rel_end < tol
+    ok = rel_end < tol
     if n0 is None:
         return ok
-    head_ok = r[:, 0] > 1.0
-    head_ok &= 1.0 < tol
+    head_ok = 1.0 < tol
     if np.count_nonzero(n0) < n0.size:
         head_ok |= n0 == 0
     ok &= head_ok
@@ -605,7 +609,7 @@ def _window_rows(ratios, log_head, mode):
         log_sum = np.log1p(s1)
         if head:
             log_sum += log_head(n0, rows)
-        ok = _window_checks(r, rel, end, total, n0 if head else None, padded)
+        ok = _window_checks(rel, end, total, n0 if head else None, padded)
         del r  # the block's largest arrays are all that stays alive
         yield _Block(rows, n0, head, n, shifted, rel, total, log_sum, ok)
 
@@ -723,7 +727,7 @@ def _confluent_row(alpha: float, lam: float):
     s1 = np.add.accumulate(rel)[-1]
     total = 1.0 + s1
     tol = _REL_TOL * total
-    if not (r[-1] < 1.0 and rel[-1] < tol and (not first or (r[0] > 1.0 and 1.0 < tol))):
+    if not (rel[-1] < tol and (not first or 1.0 < tol)):
         return math.nan, math.nan, math.nan
     log_sum = np.log1p(s1)
     mean_h = np.add.accumulate(rel * np.add.accumulate(1.0 / shifted))[-1] / total

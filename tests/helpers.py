@@ -177,6 +177,12 @@ def golden_batch_fits() -> str:
     return json.dumps(out, indent=2, sort_keys=True) + "\n"
 
 
+def draws_digest(draws, dtype) -> str:
+    """The first 16 hex digits of the SHA-256 of draws as a contiguous
+    array of dtype, the form in which the seeded-draw pins are kept."""
+    return hashlib.sha256(np.ascontiguousarray(draws, dtype=dtype).tobytes()).hexdigest()[:16]
+
+
 def numeric_environment() -> dict:
     """The numpy and scipy versions, and a SHA-256 of the elementary and
     special functions the fits call, on fixed probe vectors: numpy's exp,

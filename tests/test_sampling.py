@@ -2,7 +2,6 @@
 the Metropolis-Hastings sampler, and distributional checks of the gamma,
 von Mises, power, and composite complex samplers."""
 
-import hashlib
 import math
 import warnings
 
@@ -11,6 +10,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln, iv, pdtr, pdtrc
 from scipy.stats import chi2, chisquare, kstest, poisson
+
+from helpers import draws_digest
 
 from pwncg.distributions import (
     AmplitudeParams,
@@ -261,8 +262,7 @@ class TestMhSampler:
             PoissonTypeParams(lam=lam, alpha=alpha), MhConfig(burn_in, thin), rng_stream(seed),
             size=n, return_stats=True,
         )
-        got = hashlib.sha256(np.ascontiguousarray(draws, dtype="<i8").tobytes()).hexdigest()
-        assert (got[:16], stats) == (digest, MhStats((burn_in + thin) * n, accepted))
+        assert (draws_digest(draws, "<i8"), stats) == (digest, MhStats((burn_in + thin) * n, accepted))
 
     def test_mean_at_large_lambda(self):
         # N's mean from the pmf table at lam = 1e5; at lam = 1e6, past the
@@ -290,6 +290,28 @@ class TestMhSampler:
 
 
 class TestGammaSampler:
+    # (shape, seed) -> the first 16 hex digits of the SHA-256 of 20 000
+    # draws at rate 2 as little-endian float64; shape None is a per-draw
+    # shape array log-spaced over [0.05, 400]. Shapes below 1 take the
+    # boosted branch. Any change to the accept-reject step that is not bit
+    # for bit changes one of them.
+    GAMMA_PINS = [
+        (0.05, 21, "d95238623593acc3"),
+        (0.7, 22, "a0675c262236b4ac"),
+        (1.0, 23, "cc7a3eb2d569eec5"),
+        (3.0, 24, "d4f568ad03d764c4"),
+        (400.0, 25, "21e7684a28766ceb"),
+        (None, 26, "8b989d4f69eaf050"),
+    ]
+
+    @pytest.mark.parametrize("shape, seed, digest", GAMMA_PINS)
+    def test_seeded_draws_are_pinned(self, shape, seed, digest):
+        if shape is None:
+            draws = sample_gamma(np.geomspace(0.05, 400.0, 20_000), 2.0, rng_stream(seed))
+        else:
+            draws = sample_gamma(shape, 2.0, rng_stream(seed), size=20_000)
+        assert draws_digest(draws, "<f8") == digest
+
     def test_mean(self):
         d = sample_gamma(2.0, 4.0, rng_stream(1), size=10**6)
         se = d.std() / math.sqrt(d.size)
@@ -382,6 +404,19 @@ class TestVonMisesSampler:
 
 
 class TestPowerSampler:
+    # ((alpha, beta, lam), seed) -> the digest of 20 000 "trunc" draws, as
+    # in TestGammaSampler.GAMMA_PINS: the law draws_and_grids draws, and
+    # the noncentral_batches law of its last batch.
+    POWER_PINS = [
+        ((0.7, 100.0, 3.0), 27, "38be0aa72763f8fe"),
+        ((3.0, 20_030.0, 2000.0), 28, "c363cadaee8d2e54"),
+    ]
+
+    @pytest.mark.parametrize("law, seed, digest", POWER_PINS)
+    def test_seeded_trunc_draws_are_pinned(self, law, seed, digest):
+        draws = sample_power(PowerParams(*law), rng_stream(seed), 20_000, method="trunc")
+        assert draws_digest(draws, "<f8") == digest
+
     def test_gamma_reduction_mean(self):
         p = PowerParams(alpha=2.0, beta=1.0, lam=0.0)
         d = sample_power(p, rng_stream(12), size=10**6)
