@@ -1,9 +1,11 @@
 """Closed-form moments and cumulants of the power distribution.
 
-Raw moments, products of fast-growing positive factors, are assembled in
-log domain. The mean, the variance and the excess kurtosis come from the
-cumulants of the integer mixing law, read off the pmf table the samplers
-draw from (sampling.poisson_type_pmf_table). The noncentral-gamma
+Raw moments are sums over the integer mixing law's pmf table where the
+law is noncentral, and else, or where the table's tail could show,
+products of fast-growing positive factors assembled in log domain. The
+mean, the variance and the excess kurtosis come from the cumulants of
+the integer mixing law, read off the pmf table the samplers draw from
+(sampling.poisson_type_pmf_table). The noncentral-gamma
 cumulant formula is the baseline the kurtosis comparison is made against.
 """
 
@@ -32,6 +34,10 @@ __all__ = [
 def raw_moment(n: int, p: PowerParams) -> float:
     """n-th raw moment of the power distribution.
 
+    At lam > 0 it is the mixture sum M_n = sum_k w_k (alpha + k)_n / beta^n
+    over the mixing law's pmf table w (_mixture_moment), a sum of positive
+    terms that keeps its relative accuracy. Where that table's tail is not
+    negligible for the order n, and at lam = 0, it is
     M_n = (alpha)_n / beta^n * S(alpha + n, lam) / S(alpha, lam),
     where S is the confluent normalizer series, assembled in log domain
     (S = 1 at lam = 0); inf where M_n exceeds the float range.
@@ -39,6 +45,10 @@ def raw_moment(n: int, p: PowerParams) -> float:
     n = int(n)
     if n < 1:
         raise ValueError(f"raw_moment requires n >= 1, got {n}")
+    if p.lam > 0.0:
+        m = _mixture_moment(n, p)
+        if m is not None:
+            return m
     a = p.alpha
     if a <= 1e3:
         log_poch = gammaln(a + n) - gammaln(a)
@@ -54,6 +64,32 @@ def raw_moment(n: int, p: PowerParams) -> float:
         return math.exp(log_m)
     except OverflowError:
         return math.inf
+
+
+def _mixture_moment(n: int, p: PowerParams) -> float | None:
+    """sum_k w_k (alpha + k)_n / beta^n over the pmf table w of the mixing
+    law of p, with lam > 0; None where the last weighted term is not below
+    2^-53 of the sum, so that the table's tail could show in it, or the sum
+    leaves the float range.
+
+    The log-domain form differences ln S(alpha + n, lam) and
+    ln S(alpha, lam), two large logs whose gammaln heads lose absolute
+    digits: against 50-digit mpmath it erred by 2.8e-11 relative at
+    (alpha, lam) = (1e4, 100) and 1.7e-9 at (1e6, 3). Each factor
+    alpha + (k + j) of this sum rounds once."""
+    w = poisson_type_pmf_table(PoissonTypeParams(lam=p.lam, alpha=p.alpha))
+    k = np.arange(w.size, dtype=float)
+    poch = p.alpha + k
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, n):
+            if not math.isfinite(poch[-1]):
+                return None
+            poch *= p.alpha + (k + j)
+        terms = w * poch
+        total = float(terms.sum())
+    if not (math.isfinite(total) and terms[-1] < 2.0**-53 * total):
+        return None
+    return _per_rate_power(total, p.beta, n)
 
 
 def _per_rate_power(v: float, beta: float, n: int) -> float:

@@ -152,8 +152,10 @@ class _PoissonTable:
     def draw(self, u: np.ndarray) -> np.ndarray:
         """Table indices i, with k = lo + i, for uniforms u in [0, 1)."""
         # Cell numbers fit in int32, and numpy casts float64 to int32 much
-        # faster than to int64.
-        i = self.guide[(u * (1 << _GUIDE_BITS)).astype(np.int32)]
+        # faster than to int64. np.take gathers by an int32 index about
+        # twice as fast as guide[cells], which goes through numpy's general
+        # fancy-index path; both return the same entries.
+        i = np.take(self.guide, (u * (1 << _GUIDE_BITS)).astype(np.int32))
         straddle = np.flatnonzero(i < 0)
         i[straddle] = np.searchsorted(self.cdf, u[straddle], side="right")
         return i

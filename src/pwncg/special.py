@@ -94,10 +94,23 @@ _WINDOW_WIDTHS = 9.0
 _WINDOW_MARGIN = 16
 
 # Largest padded block, in elements, that a row-batched series builds at
-# once (rows x terms for a window, rows x terms x values for the powers of
-# the Bessel series); more rows are split into several blocks. 2^14
-# doubles are 128 KiB.
-_SERIES_BLOCK = 1 << 14
+# once (rows x terms x values for the powers of the Bessel series, rows x
+# terms x _WINDOW_ARRAYS for a window); more rows are split into several
+# blocks. A row's sums do not depend on its block, so the size sets only
+# the cost: power tables of up to 2^16 doubles (512 KiB) pay the fixed
+# numpy cost of a block a quarter as often as tables of 2^14 did. With
+# the per-term table (_iv_power_table) that took the noncentral-gamma
+# density of 102 000 values in the benchmark's draws pass from about 42
+# to 26 ms of CPU (2 vCPUs).
+_SERIES_BLOCK = 1 << 16
+
+# A window block keeps about this many block-sized arrays alive at once
+# (the ratios, their cumulative product, c + n and the term indices), so
+# its blocks hold 2^14 terms, 128 KiB per array. At 2^16 terms a 64-row
+# confluent call at lam = 2000 took 2.7 ms of CPU against 1.5 ms (2
+# vCPUs), all of it the allocator's: with glibc's mmap and trim
+# thresholds raised, both sizes cost the same.
+_WINDOW_ARRAYS = 4
 
 # Truncation of every window series (_window_rows): summation stops once a
 # term past the mode is below _REL_TOL of the partial sum, and gives up
@@ -207,10 +220,19 @@ def log_bessel_i0(x):
 
 def _iv_power_table(u: np.ndarray, terms: int = _IV_TABLE_TERMS) -> np.ndarray:
     """u^1 .. u^terms of each element of u (R, n), as an (R, terms, n)
-    array: a cumulative product along the term axis, so the first k powers
-    do not depend on terms."""
-    shape = (u.shape[0], terms, u.shape[1])
-    return np.multiply.accumulate(np.broadcast_to(u[:, None, :], shape), axis=1)
+    array: u^k = u^(k-1) u, one multiply per term, so the first k powers
+    do not depend on terms.
+
+    These are the multiplies, in the same order, of a cumulative product
+    along the term axis, so the powers keep their bits; one (R, n) slab
+    multiply per term costs about half of np.multiply.accumulate along
+    that middle axis: 0.13 against 0.25 ms at (28, 36, 64) and 0.9
+    against 1.9 ms at (129, 64, 60), process CPU on 2 vCPUs."""
+    out = np.empty((u.shape[0], terms, u.shape[1]))
+    out[:, 0] = u
+    for k in range(1, terms):
+        np.multiply(out[:, k - 1], u, out=out[:, k])
+    return out
 
 
 def _log_iv_series_rows(nu: np.ndarray, x: np.ndarray, q_max, powers=None) -> np.ndarray:
@@ -593,7 +615,7 @@ def _window_rows(ratios, log_head, mode):
     """
     first, last = _window_bounds(mode)
     lengths = last - first
-    for size, rows in _row_blocks(lengths, 1):
+    for size, rows in _row_blocks(lengths, _WINDOW_ARRAYS):
         n0 = first[rows]
         end = lengths[rows]
         head = np.count_nonzero(n0) != 0

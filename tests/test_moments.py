@@ -66,6 +66,22 @@ class TestRawMoment:
         with pytest.raises(ValueError):
             raw_moment(0, PowerParams(1.0, 1.0, 0.0))
 
+    def test_noncentral_moments_against_mpmath(self):
+        # The ratio of two large normalizer logs erred by up to 1.7e-9
+        # relative at these shapes and noncentralities; the sum over the
+        # mixing law's pmf table keeps 1e-13. At order 40 and lam = 3 the
+        # table's tail would cost the sum 3e-10, and the log-domain form
+        # serves.
+        points = [(1e4, 100.0), (1e6, 3.0), (3.0, 2000.0), (0.5, 1000.0), (1e-3, 5000.0), (0.7, 3.0)]
+        cases = [(a, z, n) for a, z in points for n in (1, 2, 4)] + [(0.7, 3.0, 40), (1.5, 3.0, 40)]
+        for alpha, lam, n in cases:
+            with mp.workdps(50):
+                a, z = mp.mpf(alpha), mp.mpf(lam)
+                ratio = mp.hyp1f1(a + n, 1, z) / mp.hyp1f1(a, 1, z)
+                want = mp.rf(a, n) * ratio / mp.mpf(1.3) ** n
+            got = raw_moment(n, PowerParams(alpha, 1.3, lam))
+            assert math.isclose(got, float(want), rel_tol=1e-13), (alpha, lam, n)
+
 
 def _laguerre_ratio(alpha: float, lam: float) -> float:
     """S(alpha + 1, lam) / S(alpha, lam), the factor by which the

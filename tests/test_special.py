@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from scipy.special import ive
 
 from pwncg import special
-from pwncg.distributions import log_pdf_noncentral_gamma
+from pwncg.distributions import PowerParams, log_pdf_noncentral_gamma
+from pwncg.sampling import sample_power
 from pwncg.special import (
     _IV_SERIES_CUTOFF,
     I0_SERIES_CUTOFF,
@@ -531,6 +532,44 @@ class TestRowBatchedKernels:
             for i in range(alpha.size):
                 np.testing.assert_array_equal(together[:, i], alone[i][:, 0])
             assert together[0, 0] == log_laguerre_neg(alpha[0], lam[0])
+
+    def test_values_do_not_depend_on_the_block_size(self, monkeypatch):
+        # The block size sets only how many rows are summed at once: the
+        # I_nu series of 20 000 values, the noncentral-gamma density of a
+        # 102 000-value sample of the draws_and_grids law and a 65-row
+        # confluent call keep their bytes with the block bound at 2^10 to
+        # 2^18 elements, which split the confluent call into 31 to 2 blocks.
+        rng = np.random.default_rng(30)
+        x = np.exp(rng.uniform(math.log(1e-3), math.log(45.0), 20_000))
+        law = PowerParams(alpha=0.7, beta=100.0, lam=3.0)
+        sample = sample_power(law, rng, 102_000, method="trunc")
+        alpha = 10.0 ** rng.uniform(-3.0, 3.0, 65)
+        lam = np.exp(rng.uniform(math.log(1e-2), math.log(5000.0), 65))
+        outputs, blocks = {}, {}
+        for size in (1 << 10, 1 << 14, 1 << 16, 1 << 18):
+            monkeypatch.setattr(special, "_SERIES_BLOCK", size)
+            blocks[size] = len(list(_confluent_rows(alpha, lam)))
+            outputs[size] = [
+                log_bessel_i_nu(0.5, x).tobytes(),
+                log_pdf_noncentral_gamma(sample, law.alpha, law.beta, law.lam).tobytes(),
+                _log_laguerre_neg_rows(alpha, lam).tobytes(),
+            ]
+        assert blocks[1 << 10] > blocks[1 << 14] > blocks[1 << 16] > blocks[1 << 18] > 1
+        ref = outputs[1 << 16]
+        for size, got in outputs.items():
+            assert got == ref, size
+
+    @pytest.mark.parametrize("shape", [(1, 3, 60), (6, 40, 64), (129, 64, 60), (4, 1, 60)])
+    def test_power_table_is_the_cumulative_product(self, shape):
+        # one multiply per term gives the bytes of np.multiply.accumulate
+        # along the term axis, the table's earlier form, at zero, subnormal
+        # and unit powers too
+        rows, terms, n = shape
+        u = np.random.default_rng(terms).uniform(0.0, 1.0, (rows, n))
+        u[0, :4] = 0.0, 1.0, 1e-300, 5e-324
+        want = np.multiply.accumulate(np.broadcast_to(u[:, None, :], (rows, terms, n)), axis=1)
+        got = special._iv_power_table(u, terms)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_few_row_calls_equal_the_batched_path(self):
         # Calls of 1 to 3 rows sum each row alone; every row of them equals,
