@@ -62,9 +62,18 @@ about lam near lam = 0, a search from lam = 0.01 sees a lam-gradient
 about 100 times too small and crawls. From lam = 1 the proposed fits
 take about half the evaluations they take from 0.01 (2021 against 3738
 on the 0.3 s speech clip of tests/test_golden), and none ends lower by
-more than 1e-12 nats per sample. The noncentral gamma keeps 0.01: from
-lam = 1 some of its fits reach large lam through the slow ive branch of
-ln I_nu and cost more.
+more than 1e-12 nats per sample. From lam = 1 some noncentral-gamma fits
+reach large lam through the slow ive branch of ln I_nu and cost more.
+Both laws mix Gamma(alpha + N, beta) over an integer N, so their fits lie
+close together: where one fit_batches call fits both, the proposed law
+runs first, and each batch whose proposed fit has lam > 0 starts the
+noncentral gamma's start 1 at that fit's end point in (ln alpha, ln beta,
+s). On that clip the noncentral gamma then takes 1459 evaluations, not
+3703, and no patch ends lower by more than 1e-8 nats per sample. Its
+other starts 1, and every one of a fit without the proposed law
+(fit_model, fit_noncentral_gamma), stay at lam = 0.01. Each model's
+jitters are drawn, in the order asked, before any search runs, so the
+order in which the models run does not change them.
 Pass 1 runs start 0 of every batch, and start 1 where lam = 0 is not a
 local maximum of the batch's likelihood (see below); pass 2 runs start 1
 where it is one and start 0 did not converge; pass 3 runs the later
@@ -520,6 +529,7 @@ class _GroupFit(NamedTuple):
     penalties: np.ndarray | int = 0
     start: np.ndarray | None = None
     starts_skipped: np.ndarray | int = 0
+    seeds: np.ndarray | None = None
 
 
 def _math_exp(v: np.ndarray) -> np.ndarray:
@@ -729,31 +739,40 @@ def _shifted_rows(mean_ll, z: np.ndarray, mlog, m1, sqrt_y, rows=None):
     return out[0], out[1:].T
 
 
-def _fit_shifted(g: _Group, rngs, mean_ll, start_lam: float) -> _GroupFit:
+def _jitters(rngs) -> list:
+    """The offsets from start 1 of each batch's later starts, drawn from
+    rngs[r] batch after batch: a (restarts - 2, 3) array, or None where
+    rngs[r] is None."""
+    size = (max(0, DEFAULT_OPTIMIZER.restarts - 2), 3)
+    scale = np.array([1.0, 1.0, 2.0])
+    return [None if rng is None else rng.normal(scale=0.5, size=size) * scale for rng in rngs]
+
+
+def _fit_shifted(g: _Group, jitters, mean_ll, start_lam: float, seeds=None) -> _GroupFit:
     """Multi-start fits of an (alpha, beta, lam) family to the batches of
     g by mean_ll(a, b, lam, mean(ln y), mean(y), sqrt(y), (g, rows)) ->
     (value, gradient in (ln a, ln b, ln lam)). Starts of batch r: its
-    gamma fit with lam at its floor and at start_lam, then jitters of the
-    second start drawn from rngs[r], batch after batch, before any search
-    runs. They run in the restart passes
+    gamma fit with lam at its floor; start 1, which is seeds[r] (a point
+    in (ln alpha, ln beta, s)) where that row is not NaN, else the gamma
+    fit with lam at start_lam; then start 1 plus each row of jitters[r]
+    (see _jitters). They run in the restart passes
     of the module docstring, one lock-step pass each; a batch reports from
     the starts the keep rule leaves it, by _pick_start, and its counts sum
     over those runs."""
-    restarts = DEFAULT_OPTIMIZER.restarts
-    n_rows, width = g.size, max(3, restarts)
+    n_rows, width = g.size, max(3, DEFAULT_OPTIMIZER.restarts)
     gamma = g.gamma
     starts = np.zeros((n_rows, width, 3))
     # beta of the gamma fit on the normalized batch equals its alpha.
     starts[:, :2, :2] = _math_log(gamma.params["alpha"])[:, None, None]
     starts[:, 0, 2] = _S_BOUNDS[0]
     starts[:, 1, 2] = _softplus_inv(start_lam)
-    count = np.full(n_rows, 2)
-    scale = np.array([1.0, 1.0, 2.0])
-    for r, rng in enumerate(rngs):
-        while rng is not None and count[r] < restarts:
-            jitter = rng.normal(scale=0.5, size=3)
-            starts[r, count[r]] = starts[r, 1] + jitter * scale
-            count[r] += 1
+    if seeds is not None:
+        seeded = ~np.isnan(seeds[:, 0])
+        starts[seeded, 1] = seeds[seeded]
+    count = np.array([2 if j is None else 2 + len(j) for j in jitters])
+    for r, j in enumerate(jitters):
+        if j is not None:
+            starts[r, 2 : count[r]] = starts[r, 1] + j
     lam_max = _lam_zero_is_a_maximum(gamma.params["alpha"], gamma.degenerate, g.var_y, g.mean_y)
     k = np.arange(width)
     drawn = k < count[:, None]
@@ -816,6 +835,7 @@ def _fit_shifted(g: _Group, rngs, mean_ll, start_lam: float) -> _GroupFit:
         penalties=np.where(kept, penalties, 0).sum(axis=1),
         start=best,
         starts_skipped=count - n_kept,
+        seeds=np.where((lam > 0.0)[:, None], z, np.nan),
     )
 
 
@@ -840,7 +860,9 @@ def fit_gamma(data) -> FitResult:
 
 def fit_noncentral_gamma(data, rng: np.random.Generator | None = None) -> FitResult:
     """Noncentral-gamma fit over (ln alpha, ln beta, softplus lam),
-    initialized from the gamma fit with lam at its floor and at 0.01."""
+    initialized from the gamma fit with lam at its floor and at 0.01.
+    fit_batches with the proposed law too starts from that law's fit
+    instead, where its lam > 0 (see the module docstring)."""
     return fit_model("noncentral_gamma", data, rng)
 
 
@@ -869,19 +891,22 @@ def _model_names(models) -> tuple[str, ...]:
 
 
 def fit_batches(models, batches, rngs=None) -> dict[str, list[FitResult]]:
-    """Fit each of models, in the order given, to every batch: {model:
-    [FitResult per batch]}. This is the one place that groups batches: the
-    batches of one length form a _Group, every batch of every group is
-    validated before any fit runs, and then, model after model, each
-    group is fitted by MODELS[m].fit, checked, and its results put back in
-    batch order. A group's statistics and gamma fits, where the
-    noncentral-gamma and proposed searches start, are made once and shared
-    by every model. Batch i draws its restarts from rngs[i] (default None),
-    model after model; within a model the groups draw one after another,
-    so a generator shared by batches of different lengths is drawn group
-    by group, not in batch order. A fit's rows never depend on the other
-    batches, so with a stream per batch each result equals fit_model on
-    its batch alone."""
+    """Fit each of models to every batch: {model: [FitResult per batch]},
+    in the order given. This is the one place that groups batches: the
+    batches of one length form a _Group, and every batch of every group is
+    validated before any fit runs. Then batch i draws its restarts from
+    rngs[i] (default None), model after model in the order given; within
+    a model the groups draw one after another, so a generator shared by
+    batches of different lengths is drawn group by group, not in batch
+    order. Then, group after group, each model is fitted by MODELS[m].fit,
+    checked, and its results put back in batch order; a model that seeds
+    another's start 1 (Model.seeded_by) runs before the others. A group's
+    statistics and gamma fits, where the noncentral-gamma and proposed
+    searches start, are made once and shared by every model. A fit's rows
+    never depend on the other batches, so with a stream per batch each
+    result equals fit_batches with the same models on its batch alone.
+    That is fit_model, except for the noncentral gamma beside the
+    proposed law."""
     models = _model_names(models)
     xs = [np.asarray(b, dtype=float).ravel() for b in batches]
     by_length: dict[int, list[int]] = {}
@@ -898,11 +923,21 @@ def fit_batches(models, batches, rngs=None) -> dict[str, list[FitResult]]:
     rngs = [None] * len(xs) if rngs is None else list(rngs)
     if len(rngs) != len(xs):
         raise ValueError("batches and rngs differ in length")
+    jitters = {
+        (m, j): _jitters([rngs[i] for i in idx])
+        for m in models
+        if MODELS[m].restarts
+        for j, (idx, _) in enumerate(groups)
+    }
+    seeding = {MODELS[m].seeded_by for m in models}
     results = {m: [None] * len(xs) for m in models}
-    for m in models:
-        for idx, g in groups:
-            fit = _checked(g, MODELS[m].fit(g, [rngs[i] for i in idx]))
-            for i, result in zip(idx, _fit_results(m, g, fit)):
+    for j, (idx, g) in enumerate(groups):
+        fits = {}
+        for m in sorted(models, key=lambda m: m not in seeding):
+            seed = fits.get(MODELS[m].seeded_by)
+            seeds = None if seed is None else seed.seeds
+            fits[m] = _checked(g, MODELS[m].fit(g, jitters.get((m, j)), seeds))
+            for i, result in zip(idx, _fit_results(m, g, fits[m])):
                 results[m][i] = result
     return results
 
@@ -913,10 +948,13 @@ class Model:
     keys of its fitted parameters, log_pdf_rows(x, log_x, params) = its log
     density at each row of x (R, n), with log_x = ln x, at params (a (R,)
     array per key), one of the row kernels of distributions, and
-    fit(g, rngs) -> the _GroupFit of the batches of one _Group g, batch r
-    drawing its restarts from rngs[r]. A shifted family's fit passes
-    _fit_shifted its objective and the lam of its start 1, so each
-    model's starts are set here and nowhere else. The
+    fit(g, jitters, seeds) -> the _GroupFit of the batches of one _Group
+    g. A shifted family's fit passes _fit_shifted its objective and the
+    lam of its start 1, so each model's starts are set here and nowhere
+    else: restarts says that it takes jitters, the offsets of its later
+    starts (_jitters), and seeded_by names the model whose fit, where one
+    fit_batches call asks for both, gives the seeds of its start 1
+    (_GroupFit.seeds); the other fits ignore both. The
     callables look module functions up when called, so that bindings
     replaced at run time (a tracer, a test stub) are the ones used."""
 
@@ -924,7 +962,9 @@ class Model:
     aliases: tuple[str, ...]
     params: tuple[str, ...]
     log_pdf_rows: Callable[[np.ndarray, np.ndarray, dict], np.ndarray]
-    fit: Callable[[_Group, list], _GroupFit]
+    fit: Callable[[_Group, list | None, np.ndarray | None], _GroupFit]
+    restarts: bool = False
+    seeded_by: str | None = None
 
     def log_likelihoods(self, x: np.ndarray, log_x: np.ndarray, params: dict) -> np.ndarray:
         """The total log-likelihoods (R,) of the batches x (R, n), with
@@ -947,24 +987,29 @@ MODELS = {
         Model(
             "exponential", ("exp",), ("rate",),
             lambda x, log_x, p: _log_pdf_exponential_rows(x, p["rate"]),
-            lambda g, rngs: _fit_exponential(g),
+            lambda g, jitters, seeds: _fit_exponential(g),
         ),
         Model(
             "gamma", (), ("alpha", "beta"),
             lambda x, log_x, p: _log_pdf_gamma_rows(x, log_x, p["alpha"], p["beta"]),
-            lambda g, rngs: g.gamma,
+            lambda g, jitters, seeds: g.gamma,
         ),
         Model(
             "noncentral_gamma", ("ncgamma",), ("alpha", "beta", "lambda"),
             lambda x, log_x, p: _log_pdf_noncentral_gamma_rows(
                 x, log_x, p["alpha"], p["beta"], p["lambda"]
             ),
-            lambda g, rngs: _fit_shifted(g, rngs, _noncentral_gamma_mean_ll, 0.01),
+            lambda g, jitters, seeds: _fit_shifted(
+                g, jitters, _noncentral_gamma_mean_ll, 0.01, seeds
+            ),
+            restarts=True,
+            seeded_by="proposed",
         ),
         Model(
             "proposed", (), ("alpha", "beta", "lambda"),
             lambda x, log_x, p: _log_pdf_power_rows(x, log_x, p["alpha"], p["beta"], p["lambda"]),
-            lambda g, rngs: _fit_shifted(g, rngs, _proposed_mean_ll, 1.0),
+            lambda g, jitters, seeds: _fit_shifted(g, jitters, _proposed_mean_ll, 1.0, seeds),
+            restarts=True,
         ),
     )
 }

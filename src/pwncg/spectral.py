@@ -365,7 +365,9 @@ def run_experiment(
     all of the file's patches in one pass of the lock-step L-BFGS-B driver,
     with every start of every patch as one row, and each patch's gamma fit
     is made once. A row's search never depends on the other rows, so each
-    fit equals fit_model on its patch alone with the patch's stream.
+    fit equals fit_batches with the same models on its patch alone with
+    the patch's stream. That is fit_model, except for the noncentral
+    gamma beside the proposed law, whose fit seeds its start 1.
 
     provenance["fit_counters"] holds, per model, the deterministic counts
     of _fit_counters over the patch fits.

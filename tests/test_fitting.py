@@ -14,7 +14,14 @@ from scipy import stats
 from scipy.optimize import minimize
 from scipy.special import gammaln
 
-from helpers import GOLDEN_BATCHES, GOLDEN_CLIP_S, golden_batch, make_speech_like, write_wav_pcm16
+from helpers import (
+    GOLDEN_BATCHES,
+    GOLDEN_CLIP_S,
+    draws_digest,
+    golden_batch,
+    make_speech_like,
+    write_wav_pcm16,
+)
 from pwncg import distributions, fitting, special
 from pwncg.distributions import (
     PowerParams,
@@ -537,7 +544,9 @@ class TestFitInvariants:
     def test_batched_fits_equal_single_fits(self, batches, seed, data):
         # the lock-step fit of every model to a shuffled list of batches, of
         # mixed lengths, equals fit_model on each batch alone, the models in
-        # order sharing the batch's stream
+        # order sharing the batch's stream; the noncentral gamma, whose
+        # start 1 the proposed fit seeds, equals fit_batches with the same
+        # models on the batch alone
         order = data.draw(st.permutations(range(len(batches))))
         shuffled = [batches[i] for i in order]
         together = fitting.fit_batches(
@@ -546,8 +555,12 @@ class TestFitInvariants:
         assert tuple(together) == FIT_MODELS
         for k, i in enumerate(order):
             stream = rng_stream(seed + i)
+            alone = fitting.fit_batches(FIT_MODELS, [batches[i]], [rng_stream(seed + i)])
             for m in FIT_MODELS:
-                assert together[m][k] == fit_model(m, batches[i], rng=stream)
+                single = fit_model(m, batches[i], rng=stream)
+                if m == "noncentral_gamma":
+                    single = alone[m][0]
+                assert together[m][k] == single
 
 
 class TestFitBatches:
@@ -568,8 +581,12 @@ class TestFitBatches:
         assert calls == [2, 1, 1]  # once per length group
         for i, batch in enumerate(batches):
             stream = rng_stream(20 + i)
+            alone = fitting.fit_batches(FIT_MODELS, [batch], [rng_stream(20 + i)])
             for m in FIT_MODELS:
-                assert together[m][i] == fit_model(m, batch, rng=stream)
+                single = fit_model(m, batch, rng=stream)
+                if m == "noncentral_gamma":
+                    single = alone[m][0]
+                assert together[m][i] == single
         # the models come back in the order asked for; an exponential-only
         # run fits no gamma
         calls.clear()
@@ -614,8 +631,12 @@ class TestFitBatches:
         monkeypatch.undo()
         for i, batch in enumerate(batches):
             stream = rng_stream(40 + i)
+            alone = fitting.fit_batches(models, [batch], [rng_stream(40 + i)])
             for m in models:
-                assert passes[m][i] == early[m][i] == fit_model(m, batch, rng=stream)
+                single = fit_model(m, batch, rng=stream)
+                if m == "noncentral_gamma":
+                    single = alone[m][0]
+                assert passes[m][i] == early[m][i] == single
 
     def test_invalid_batch_in_a_later_group_raises_before_any_fit(self, monkeypatch):
         # every batch of every length group is validated before the first
@@ -800,14 +821,14 @@ class TestStartOneLam:
     def test_each_model_passes_its_own_start_lam(self, monkeypatch):
         seen = {}
 
-        def spy(g, rngs, mean_ll, start_lam):
+        def spy(g, jitters, mean_ll, start_lam, seeds):
             seen[mean_ll] = start_lam
             return None
 
         monkeypatch.setattr(fitting, "_fit_shifted", spy)
         g = _group([golden_batch(*GOLDEN_BATCHES[0])])
         for m in ("noncentral_gamma", "proposed"):
-            MODELS[m].fit(g, [None])
+            MODELS[m].fit(g, [None], None)
         assert seen == {fitting._noncentral_gamma_mean_ll: 0.01, fitting._proposed_mean_ll: 1.0}
 
     @pytest.mark.parametrize("data", ["golden_batches", "golden_clip"])
@@ -823,15 +844,141 @@ class TestStartOneLam:
 
         def streams():
             n = len(batches)
-            return _patch_streams(n, seed=1) if data == "golden_clip" else [None] * n
+            rngs = _patch_streams(n, seed=1) if data == "golden_clip" else [None] * n
+            return fitting._jitters(rngs)
 
         g = _group(batches)
-        shipped = fitting._fit_results("proposed", g, MODELS["proposed"].fit(g, streams()))
+        shipped = fitting._fit_results("proposed", g, MODELS["proposed"].fit(g, streams(), None))
         old_start = fitting._fit_shifted(g, streams(), fitting._proposed_mean_ll, 0.01)
         old = fitting._fit_results("proposed", g, old_start)
         for i, (new_fit, old_fit) in enumerate(zip(shipped, old)):
             assert old_fit.avg_log_likelihood - new_fit.avg_log_likelihood <= 1e-12, i
         assert sum(f.evaluations for f in shipped) < sum(f.evaluations for f in old)
+
+
+def _shifted_starts(monkeypatch):
+    """Spy on the shifted fits: the list, in call order, of (model, z0,
+    runs) of each of their _lbfgsb calls. lam = 0 is never taken for a
+    maximum, so every start runs in the first pass, one row per (batch,
+    start) in that order."""
+    real_fit, real_lbfgsb = fitting._fit_shifted, fitting._lbfgsb
+    names = {
+        fitting._noncentral_gamma_mean_ll: "noncentral_gamma",
+        fitting._proposed_mean_ll: "proposed",
+    }
+    calls, model = [], []
+
+    def fit_spy(g, jitters, mean_ll, start_lam, seeds):
+        model[:] = [names[mean_ll]]
+        return real_fit(g, jitters, mean_ll, start_lam, seeds)
+
+    def lbfgsb_spy(objective, z0, bounds):
+        runs = real_lbfgsb(objective, z0, bounds)
+        if z0.shape[1] == 3:
+            calls.append((model[0], z0.copy(), runs))
+        return runs
+
+    monkeypatch.setattr(fitting, "_fit_shifted", fit_spy)
+    monkeypatch.setattr(fitting, "_lbfgsb", lbfgsb_spy)
+    monkeypatch.setattr(
+        fitting, "_lam_zero_is_a_maximum", lambda alpha, *rest: np.zeros(alpha.size, bool)
+    )
+    return calls
+
+
+class TestSeededStart:
+    """Where one fit_batches call fits both shifted families, the proposed
+    fit of each batch with lam > 0 is the noncentral gamma's start 1, and
+    every model draws its jitters from the batch's stream before any
+    search, in the order asked."""
+
+    def test_start_one_is_the_proposed_fit_where_its_lam_is_positive(self, monkeypatch):
+        calls = _shifted_starts(monkeypatch)
+        rng = rng_stream(23)
+        batches = [random_batch(rng) for _ in range(8)]
+        n = len(batches)
+        fits = fitting.fit_batches(FIT_MODELS, batches)
+        assert tuple(fits) == FIT_MODELS
+        # the proposed law runs first; without streams each batch has two starts
+        [(first, _, runs), (second, z0, _)] = calls
+        assert (first, second) == ("proposed", "noncentral_gamma")
+        ends = np.array([run.x for run in runs]).reshape(n, 2, 3)
+        start_1 = z0.reshape(n, 2, 3)[:, 1]
+        positive = np.array([f.params["lambda"] > 0.0 for f in fits["proposed"]])
+        assert positive.any() and not positive.all()
+        seeds = np.array([ends[r, f.start] for r, f in enumerate(fits["proposed"])])
+        at_0_01 = np.column_stack([z0[::2, :2], np.full(n, fitting._softplus_inv(0.01))])
+        np.testing.assert_array_equal(start_1, np.where(positive[:, None], seeds, at_0_01))
+        # without the proposed law, every start 1 is at lam = 0.01
+        for fit in (
+            lambda: fitting.fit_batches(("noncentral_gamma", "gamma"), batches),
+            lambda: [fit_model("noncentral_gamma", b) for b in batches],
+        ):
+            calls.clear()
+            fit()
+            assert {m for m, _, _ in calls} == {"noncentral_gamma"}
+            z0 = np.concatenate([z for _, z, _ in calls]).reshape(n, 2, 3)
+            np.testing.assert_array_equal(z0[:, 1], at_0_01)
+
+    @pytest.mark.parametrize("models", [FIT_MODELS, ("proposed", "gamma", "noncentral_gamma")])
+    def test_each_stream_gives_each_model_the_same_draws(self, monkeypatch, models):
+        # batch r's stream gives each shifted model, in the order asked,
+        # one jitter of start 1 (three normals of scale 0.5, the third
+        # doubled), however the models are run; the stream ends where it
+        # did; the proposed fits equal fit_model on the shared stream
+        calls = _shifted_starts(monkeypatch)
+        rng = rng_stream(24)
+        batches = [random_batch(rng) for _ in range(5)]
+        n = len(batches)
+        streams = [rng_stream(30 + r) for r in range(n)]
+        fitting.fit_batches(models, batches, streams)
+        draws = {m: [] for m in models}
+        for r in range(n):
+            ref = rng_stream(30 + r)
+            for m in models:
+                if m in ("noncentral_gamma", "proposed"):
+                    draws[m].append(ref.normal(scale=0.5, size=3) * [1.0, 1.0, 2.0])
+            assert streams[r].bit_generator.state == ref.bit_generator.state
+        assert [m for m, _, _ in calls] == ["proposed", "noncentral_gamma"]
+        for m, z0, _ in calls:
+            z = z0.reshape(n, 3, 3)
+            np.testing.assert_array_equal(z[:, 2], z[:, 1] + np.array(draws[m]))
+        monkeypatch.undo()
+        together = fitting.fit_batches(models, batches, [rng_stream(30 + r) for r in range(n)])
+        for r, batch in enumerate(batches):
+            stream = rng_stream(30 + r)
+            single = {m: fit_model(m, batch, rng=stream) for m in models}
+            assert together["proposed"][r] == single["proposed"]
+
+
+class TestNoncentralBatchesCorpus:
+    def test_seeded_noncentral_gamma_reaches_the_optimum(self):
+        # the noncentral_batches corpus of perfbench, built here: six
+        # 60-value sample_power batches at log-spaced lam in [10, 2000],
+        # alpha cycling over 0.5, 1 and 3, beta = 10 (alpha + lam), from
+        # the stream of seed 0; batch i restarts from SeedSequence(0, (i,))
+        rng = rng_stream(0)
+        batches = []
+        for i, lam in enumerate(np.geomspace(10.0, 2000.0, 6)):
+            alpha = (0.5, 1.0, 3.0)[i % 3]
+            law = PowerParams(alpha, (alpha + lam) * 10.0, float(lam))
+            batches.append(sample_power(law, rng, size=60))
+        assert draws_digest(batches, "<f8") == "fab4b5afb1b0fd06"
+
+        def stream(i):
+            return np.random.default_rng(np.random.SeedSequence(0, spawn_key=(i,)))
+
+        fits = fitting.fit_batches(FIT_MODELS, batches, [stream(i) for i in range(6)])
+        ll = [f.avg_log_likelihood for f in fits["noncentral_gamma"]]
+        # the maxima of the public density's mean LL by Nelder-Mead (scipy,
+        # xatol 1e-11) from three starts each: batch 1 at lam = 4.27, over
+        # (ln alpha, ln beta, ln lam); batch 2 at lam = 94.0, over (ln beta,
+        # ln lam) with alpha on the 1e-3 floor of the fits' box
+        assert abs(ll[1] - 2.22691236627459) <= 1e-9
+        assert abs(ll[2] - 2.76390635477532) <= 1e-9
+        # fit_model starts the noncentral gamma at lam = 0.01 and ends at lam = 0
+        alone = fit_model("noncentral_gamma", batches[5], rng=stream(5))
+        assert ll[5] - alone.avg_log_likelihood >= 1e-3
 
 
 class TestGroupPowerTable:
@@ -849,7 +996,7 @@ class TestGroupPowerTable:
 
         monkeypatch.setattr(fitting, "_log_bessel_i_nu_rows", spy)
         g = _group([golden_batch(*b) for b in GOLDEN_BATCHES[:n_batches]])
-        MODELS["noncentral_gamma"].fit(g, [None] * g.size)
+        MODELS["noncentral_gamma"].fit(g, [None] * g.size, None)
         assert seen
         table = g.powers
         k = np.arange(1, special._IV_TABLE_TERMS + 1)[:, None]

@@ -12,7 +12,7 @@ import pytest
 from helpers import make_speech_like, write_wav_float32, write_wav_pcm16
 from pwncg.cli import main
 from pwncg.distributions import PowerParams, log_pdf_power
-from pwncg.fitting import DEFAULT_OPTIMIZER, FIT_MODELS, fit_model
+from pwncg.fitting import DEFAULT_OPTIMIZER, FIT_MODELS, fit_batches, fit_model
 from pwncg.spectral import (
     ExperimentReport,
     StftConfig,
@@ -378,10 +378,15 @@ class TestRunExperiment:
         floor = rep.config["floor_eps"] * float(np.mean(spec))
         fits = {m: [] for m in FIT_MODELS}
         for i, patch in enumerate(tile_patches(spec)):
-            stream = np.random.default_rng(np.random.SeedSequence(entropy=3, spawn_key=(i,)))
+            seq = np.random.SeedSequence(entropy=3, spawn_key=(i,))
             values = np.maximum(patch.values.ravel(), floor)
+            shared = np.random.default_rng(seq)
+            alone = fit_batches(FIT_MODELS, [values], [np.random.default_rng(seq)])
             for m in FIT_MODELS:
-                fits[m].append(fit_model(m, values, rng=stream))
+                single = fit_model(m, values, rng=shared)
+                if m == "noncentral_gamma":
+                    single = alone[m][0]
+                fits[m].append(single)
         for m, c in counters.items():
             records = [p["fits"][m] for p in rep.patches]
             assert c["fits"] == len(records) == len(fits[m])
