@@ -69,11 +69,23 @@ close together: where one fit_batches call fits both, the proposed law
 runs first, and each batch whose proposed fit has lam > 0 starts the
 noncentral gamma's start 1 at that fit's end point in (ln alpha, ln beta,
 s). On that clip the noncentral gamma then takes 1459 evaluations, not
-3703, and no patch ends lower by more than 1e-8 nats per sample. Its
-other starts 1, and every one of a fit without the proposed law
-(fit_model, fit_noncentral_gamma), stay at lam = 0.01. Each model's
-jitters are drawn, in the order asked, before any search runs, so the
-order in which the models run does not change them.
+3703, and no patch ends lower by more than 1e-8 nats per sample.
+A batch whose gamma fit is degenerate (its shape on the ceiling of the
+box, or zero variance) is less dispersed than any gamma of the box: its
+relative variance is below about 1e-3. In both laws that comes from a
+large lam, and their optima lie on the ridge where alpha + lam is about
+constant, with alpha at or near its floor. Start 1 of such a batch, for
+both laws, is on that ridge: alpha on its floor, the gamma's shape
+alpha_g moved into lam (s = alpha_g) and beta kept; the proposed fit
+still replaces it as the noncentral gamma's seed. On batch 5 of the
+noncentral_batches corpus of perfbench (lam about 2000) the proposed fit
+then takes 132 evaluations, not the 1333 in which both of its starts
+from lam = 1 ran to the iteration cap, and the noncentral gamma without
+the proposed law reaches lam = 2193, not lam = 0, 2.78e-3 nats per
+sample higher. Every other start 1 of a fit without the proposed law
+(fit_model, fit_noncentral_gamma) stays at the model's start value. Each
+model's jitters are drawn, in the order asked, before any search runs,
+so the order in which the models run does not change them.
 Pass 1 runs start 0 of every batch, and start 1 where lam = 0 is not a
 local maximum of the batch's likelihood (see below); pass 2 runs start 1
 where it is one and start 0 did not converge; pass 3 runs the later
@@ -753,9 +765,11 @@ def _fit_shifted(g: _Group, jitters, mean_ll, start_lam: float, seeds=None) -> _
     g by mean_ll(a, b, lam, mean(ln y), mean(y), sqrt(y), (g, rows)) ->
     (value, gradient in (ln a, ln b, ln lam)). Starts of batch r: its
     gamma fit with lam at its floor; start 1, which is seeds[r] (a point
-    in (ln alpha, ln beta, s)) where that row is not NaN, else the gamma
-    fit with lam at start_lam; then start 1 plus each row of jitters[r]
-    (see _jitters). They run in the restart passes
+    in (ln alpha, ln beta, s)) where that row is not NaN, else, where the
+    gamma fit is degenerate, (ln 1e-3, ln alpha_g, alpha_g) with alpha_g
+    its shape (see the module docstring), else the gamma fit with lam at
+    start_lam; then start 1 plus each row of jitters[r] (see _jitters).
+    They run in the restart passes
     of the module docstring, one lock-step pass each; a batch reports from
     the starts the keep rule leaves it, by _pick_start, and its counts sum
     over those runs."""
@@ -766,6 +780,11 @@ def _fit_shifted(g: _Group, jitters, mean_ll, start_lam: float, seeds=None) -> _
     starts[:, :2, :2] = _math_log(gamma.params["alpha"])[:, None, None]
     starts[:, 0, 2] = _S_BOUNDS[0]
     starts[:, 1, 2] = _softplus_inv(start_lam)
+    # A batch less dispersed than any gamma of the box: alpha on its floor,
+    # the gamma's shape moved into lam (softplus(s) = s at the ceiling).
+    ceiling = gamma.degenerate
+    starts[ceiling, 1, 0] = _LN_ALPHA_BOUNDS[0]
+    starts[ceiling, 1, 2] = gamma.params["alpha"][ceiling]
     if seeds is not None:
         seeded = ~np.isnan(seeds[:, 0])
         starts[seeded, 1] = seeds[seeded]
@@ -860,16 +879,18 @@ def fit_gamma(data) -> FitResult:
 
 def fit_noncentral_gamma(data, rng: np.random.Generator | None = None) -> FitResult:
     """Noncentral-gamma fit over (ln alpha, ln beta, softplus lam),
-    initialized from the gamma fit with lam at its floor and at 0.01.
-    fit_batches with the proposed law too starts from that law's fit
-    instead, where its lam > 0 (see the module docstring)."""
+    initialized from the gamma fit with lam at its floor and at 0.01, or,
+    where the gamma shape alpha_g is on its ceiling, at alpha = 1e-3 and
+    lam = alpha_g. fit_batches with the proposed law too starts from that
+    law's fit instead, where its lam > 0 (see the module docstring)."""
     return fit_model("noncentral_gamma", data, rng)
 
 
 def fit_proposed(data, rng: np.random.Generator | None = None) -> FitResult:
     """Fit of the proposed power distribution with multiple starts: the
-    gamma fit with lam at its floor and at 1; with an rng, jitters of the
-    start at lam = 1 fill the rest."""
+    gamma fit with lam at its floor and at 1, or, where the gamma shape
+    alpha_g is on its ceiling, at alpha = 1e-3 and lam = alpha_g; with an
+    rng, jitters of that second start fill the rest."""
     return fit_model("proposed", data, rng)
 
 

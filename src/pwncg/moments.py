@@ -68,9 +68,11 @@ def raw_moment(n: int, p: PowerParams) -> float:
 
 def _mixture_moment(n: int, p: PowerParams) -> float | None:
     """sum_k w_k (alpha + k)_n / beta^n over the pmf table w of the mixing
-    law of p, with lam > 0; None where the last weighted term is not below
-    2^-53 of the sum, so that the table's tail could show in it, or the sum
-    leaves the float range.
+    law of p, with lam > 0; None where the sum leaves the float range, or
+    where the table's omitted tail could show in it: the last weighted term
+    is not below 2^-53 of the sum, and the geometric bound t r / (1 - r) of
+    the tail, from the last term t and the ratio r < 1 of the last two, is
+    not below 1e-14 of the sum (nor is there such a ratio).
 
     The log-domain form differences ln S(alpha + n, lam) and
     ln S(alpha, lam), two large logs whose gammaln heads lose absolute
@@ -87,8 +89,13 @@ def _mixture_moment(n: int, p: PowerParams) -> float | None:
             poch *= p.alpha + (k + j)
         terms = w * poch
         total = float(terms.sum())
-    if not (math.isfinite(total) and terms[-1] < 2.0**-53 * total):
+    if not math.isfinite(total):
         return None
+    last = float(terms[-1])
+    if last >= 2.0**-53 * total:
+        r = last / float(terms[-2]) if terms.size > 1 else 1.0
+        if not (r < 1.0 and last * r / (1.0 - r) < 1e-14 * total):
+            return None
     return _per_rate_power(total, p.beta, n)
 
 

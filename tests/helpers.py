@@ -19,8 +19,9 @@ import scipy
 from scipy.special import digamma, gammaln, i0e, i1e, ive
 
 from pwncg import cli
-from pwncg.distributions import ComplexParams, log_pdf_complex
+from pwncg.distributions import ComplexParams, PowerParams, log_pdf_complex
 from pwncg.fitting import FIT_MODELS, fit_batches
+from pwncg.sampling import rng_stream, sample_power
 
 
 def write_wav_pcm16(path, samples, sample_rate, channels=1):
@@ -181,6 +182,30 @@ def draws_digest(draws, dtype) -> str:
     """The first 16 hex digits of the SHA-256 of draws as a contiguous
     array of dtype, the form in which the seeded-draw pins are kept."""
     return hashlib.sha256(np.ascontiguousarray(draws, dtype=dtype).tobytes()).hexdigest()[:16]
+
+
+# The noncentral_batches corpus of perfbench: six 60-value sample_power
+# batches at log-spaced lam in [10, 2000], alpha cycling over 0.5, 1 and 3,
+# beta = 10 (alpha + lam), drawn from the stream of seed 0, with these
+# draws. Batch 5's gamma fit has its shape on the ceiling of the box.
+NONCENTRAL_BATCHES_DIGEST = "fab4b5afb1b0fd06"
+
+
+def noncentral_batches() -> list[np.ndarray]:
+    rng = rng_stream(0)
+    batches = []
+    for i, lam in enumerate(np.geomspace(10.0, 2000.0, 6)):
+        alpha = (0.5, 1.0, 3.0)[i % 3]
+        law = PowerParams(alpha, (alpha + lam) * 10.0, float(lam))
+        batches.append(sample_power(law, rng, size=60))
+    return batches
+
+
+def noncentral_batch_stream(i: int) -> np.random.Generator:
+    """The restart stream of corpus batch i: SeedSequence(0, (i,)), the
+    one run_experiment gives patch i at seed 0. The workload fits the four
+    models of a batch in turn through fit_model on this one stream."""
+    return np.random.default_rng(np.random.SeedSequence(0, spawn_key=(i,)))
 
 
 def numeric_environment() -> dict:

@@ -17,9 +17,12 @@ from scipy.special import gammaln
 from helpers import (
     GOLDEN_BATCHES,
     GOLDEN_CLIP_S,
+    NONCENTRAL_BATCHES_DIGEST,
     draws_digest,
     golden_batch,
     make_speech_like,
+    noncentral_batch_stream,
+    noncentral_batches,
     write_wav_pcm16,
 )
 from pwncg import distributions, fitting, special
@@ -43,7 +46,7 @@ from pwncg.fitting import (
 )
 from pwncg.sampling import rng_stream, sample_power
 from pwncg.special import log_bessel_i0, log_bessel_i_nu, log_laguerre_neg
-from pwncg.spectral import StftConfig, load_wav, stft_power, tile_patches
+from pwncg.spectral import StftConfig, load_wav, run_experiment, stft_power, tile_patches
 
 
 def random_batch(rng, size=60):
@@ -953,21 +956,11 @@ class TestSeededStart:
 
 class TestNoncentralBatchesCorpus:
     def test_seeded_noncentral_gamma_reaches_the_optimum(self):
-        # the noncentral_batches corpus of perfbench, built here: six
-        # 60-value sample_power batches at log-spaced lam in [10, 2000],
-        # alpha cycling over 0.5, 1 and 3, beta = 10 (alpha + lam), from
-        # the stream of seed 0; batch i restarts from SeedSequence(0, (i,))
-        rng = rng_stream(0)
-        batches = []
-        for i, lam in enumerate(np.geomspace(10.0, 2000.0, 6)):
-            alpha = (0.5, 1.0, 3.0)[i % 3]
-            law = PowerParams(alpha, (alpha + lam) * 10.0, float(lam))
-            batches.append(sample_power(law, rng, size=60))
-        assert draws_digest(batches, "<f8") == "fab4b5afb1b0fd06"
-
-        def stream(i):
-            return np.random.default_rng(np.random.SeedSequence(0, spawn_key=(i,)))
-
+        # the noncentral_batches corpus of perfbench (helpers); batch i
+        # restarts from its own stream
+        batches = noncentral_batches()
+        assert draws_digest(batches, "<f8") == NONCENTRAL_BATCHES_DIGEST
+        stream = noncentral_batch_stream
         fits = fitting.fit_batches(FIT_MODELS, batches, [stream(i) for i in range(6)])
         ll = [f.avg_log_likelihood for f in fits["noncentral_gamma"]]
         # the maxima of the public density's mean LL by Nelder-Mead (scipy,
@@ -976,9 +969,121 @@ class TestNoncentralBatchesCorpus:
         # ln lam) with alpha on the 1e-3 floor of the fits' box
         assert abs(ll[1] - 2.22691236627459) <= 1e-9
         assert abs(ll[2] - 2.76390635477532) <= 1e-9
-        # fit_model starts the noncentral gamma at lam = 0.01 and ends at lam = 0
+        # batch 5's gamma shape is on its ceiling, so fit_model starts the
+        # noncentral gamma at large lam too, and reaches the seeded fit
         alone = fit_model("noncentral_gamma", batches[5], rng=stream(5))
-        assert ll[5] - alone.avg_log_likelihood >= 1e-3
+        assert alone.converged and alone.params["lambda"] > 2000.0
+        assert abs(ll[5] - alone.avg_log_likelihood) <= 1e-7
+
+
+# Near-constant batches 0.37 (1 + rel z), z 60 standard normals of
+# rng_stream(5), each with its gamma shape on the ceiling of the box: by
+# rel, the total log-likelihoods that the fits from the gamma start at
+# lam = 0.01 (noncentral gamma) and lam = 1 (proposed) reached, with one
+# fresh stream rng_stream(3) per fit.
+_CEILING_BATCHES = {
+    0.0: {"noncentral_gamma": 211.74648277799633, "proposed": 252.78250285706235},
+    1e-4: {"noncentral_gamma": 211.7475050482543, "proposed": 252.78274353359484},
+    0.022: {"noncentral_gamma": 199.05506292158532, "proposed": 207.14009554904533},
+}
+
+
+class TestCeilingStart:
+    """Where a batch's gamma fit is degenerate (its shape on the ceiling of
+    the box, or zero variance), start 1 of both shifted families is
+    (ln 1e-3, ln alpha_g, alpha_g): alpha on its floor and the gamma
+    shape alpha_g moved into lam; every other start stays."""
+
+    @staticmethod
+    def _on_ridge(batch):
+        alpha_g = fit_model("gamma", batch).params["alpha"]
+        assert alpha_g >= fitting._ALPHA_DEGENERATE
+        return np.array([math.log(1e-3), math.log(alpha_g), alpha_g])
+
+    @pytest.mark.parametrize("which", ["corpus batch 5", "constant"])
+    def test_start_one_on_the_ridge(self, monkeypatch, which):
+        batch = noncentral_batches()[5] if which == "corpus batch 5" else np.full(60, 0.37)
+        ridge = self._on_ridge(batch)
+        calls = _shifted_starts(monkeypatch)
+        for m in ("noncentral_gamma", "proposed"):
+            calls.clear()
+            fit_model(m, batch, rng=rng_stream(11))
+            [(_, z0, _)] = calls
+            np.testing.assert_array_equal(z0[1], ridge)
+            # the one jitter of start 1: three normals of scale 0.5, the third doubled
+            jitter = rng_stream(11).normal(scale=0.5, size=3) * [1.0, 1.0, 2.0]
+            np.testing.assert_array_equal(z0[2], ridge + jitter)
+
+    def test_start_one_inside_the_box_stays(self, monkeypatch):
+        # corpus batches 0-4 have their gamma shape inside the box
+        calls = _shifted_starts(monkeypatch)
+        start_lam = {"noncentral_gamma": 0.01, "proposed": 1.0}
+        for batch in noncentral_batches()[:5]:
+            alpha_g = fit_model("gamma", batch).params["alpha"]
+            assert alpha_g < fitting._ALPHA_DEGENERATE
+            for m, lam in start_lam.items():
+                calls.clear()
+                fit_model(m, batch)
+                [(_, z0, _)] = calls
+                want = [math.log(alpha_g), math.log(alpha_g), fitting._softplus_inv(lam)]
+                np.testing.assert_array_equal(z0[1], want)
+
+    def test_proposed_fit_still_seeds_the_noncentral_gamma(self, monkeypatch):
+        calls = _shifted_starts(monkeypatch)
+        batches = noncentral_batches()
+        streams = [noncentral_batch_stream(i) for i in range(6)]
+        fits = fitting.fit_batches(FIT_MODELS, batches, streams)
+        [(_, _, runs), (_, z0, _)] = calls
+        ends = np.array([run.x for run in runs]).reshape(6, 3, 3)
+        proposed = fits["proposed"][5]
+        assert proposed.params["lambda"] > 0.0
+        start_1 = z0.reshape(6, 3, 3)[5, 1]
+        np.testing.assert_array_equal(start_1, ends[5, proposed.start])
+        assert not np.array_equal(start_1, self._on_ridge(batches[5]))
+
+    def test_proposed_reaches_the_ridge_in_few_evaluations(self):
+        # corpus batch 5 as the noncentral_batches workload fits it: the
+        # four models in turn on one stream. From the gamma fit at lam = 1
+        # both starts ran to the 500-iteration cap: 1333 evaluations, mean
+        # LL 4.392373316275939.
+        batch = noncentral_batches()[5]
+        stream = noncentral_batch_stream(5)
+        fits = {m: fit_model(m, batch, rng=stream) for m in FIT_MODELS}
+        assert fits["proposed"].evaluations <= 200
+        assert fits["proposed"].avg_log_likelihood >= 4.392373316275939
+
+    @pytest.mark.parametrize("rel", list(_CEILING_BATCHES))
+    def test_near_constant_batches(self, rel):
+        batch = 0.37 * (1.0 + rel * rng_stream(5).standard_normal(60))
+        for m, before in _CEILING_BATCHES[rel].items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fit = fit_model(m, batch, rng=rng_stream(3))
+            assert all(math.isfinite(v) for v in fit.params.values()), m
+            assert fit.degenerate, m
+            assert fit.log_likelihood >= before - 60 * 1e-12, m
+
+    def test_digital_silence(self, tmp_path):
+        # the first 112 ms are zeros, so a column of patches is floored to
+        # constants; each family is fitted without the other, so that each
+        # takes its own start 1. From the gamma start at lam = 0.01 and
+        # lam = 1 the fits of those patches reached at most these total
+        # log-likelihoods.
+        path = tmp_path / "silence.wav"
+        sig = 0.4 * rng_stream(4).standard_normal(int(0.2 * 16000))
+        sig[:1800] = 0.0
+        write_wav_pcm16(path, sig, 16000)
+        reached = {"noncentral_gamma": 1422.6528742736537, "proposed": 1463.688894254883}
+        for m, before in reached.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rep = run_experiment([str(path)], models=(m,), seed=3)
+            silent = [p["fits"][m] for p in rep.patches if p["floored"] == 60]
+            assert len(silent) == 43
+            for fit in silent:
+                assert all(math.isfinite(v) for v in fit["params"].values()), m
+                assert fit["degenerate"], m
+                assert fit["ll"] >= before - 60 * 1e-12, m
 
 
 class TestGroupPowerTable:

@@ -71,9 +71,13 @@ class TestRawMoment:
         # relative at these shapes and noncentralities; the sum over the
         # mixing law's pmf table keeps 1e-13. At order 40 and lam = 3 the
         # table's tail would cost the sum 3e-10, and the log-domain form
-        # serves.
+        # serves. At order 40 and lam = 1000 the last weighted term is
+        # 2.6e-16 of the sum, but the geometric bound of the tail is 1e-15
+        # of it, so the sum serves; the log-domain form erred by 8e-13.
         points = [(1e4, 100.0), (1e6, 3.0), (3.0, 2000.0), (0.5, 1000.0), (1e-3, 5000.0), (0.7, 3.0)]
-        cases = [(a, z, n) for a, z in points for n in (1, 2, 4)] + [(0.7, 3.0, 40), (1.5, 3.0, 40)]
+        cases = [(a, z, n) for a, z in points for n in (1, 2, 4)] + [
+            (0.7, 3.0, 40), (1.5, 3.0, 40), (0.5, 1000.0, 40)
+        ]
         for alpha, lam, n in cases:
             with mp.workdps(50):
                 a, z = mp.mpf(alpha), mp.mpf(lam)
