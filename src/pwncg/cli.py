@@ -46,6 +46,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type of a --seed option: an integer >= 0, the entropy of
+    numpy's SeedSequence."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def _positive_floats(text: str) -> list[float]:
     """argparse type of a list option: comma-separated finite numbers > 0."""
     try:
@@ -232,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--beta", type=float, default=1.0, help="power kind only")
     ps.add_argument("--lam", type=float, default=0.0, help="power kind only")
     ps.add_argument("--count", type=_positive_int, default=1)
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--seed", type=_seed, default=0)
     ps.add_argument("--method", choices=["trunc", "mh"], default="trunc")
     ps.add_argument("--out", default="-")
     ps.set_defaults(func=_cmd_sample)
@@ -273,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--patch-time", type=_positive_int, default=20)
     pf.add_argument("--models", default=",".join(FIT_MODELS))
     pf.add_argument("--floor-eps", type=float, default=1e-10)
-    pf.add_argument("--seed", type=int, default=0)
+    pf.add_argument("--seed", type=_seed, default=0)
     pf.add_argument("--out", default="report.json")
     pf.add_argument("--csv", default=None)
     pf.add_argument(

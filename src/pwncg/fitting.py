@@ -54,50 +54,48 @@ batch keep them per element, so every reported number is the one a fit
 of the batch alone gives.
 
 The noncentral-gamma and proposed fits draw three starts per batch up
-front and run them in restart passes over the batches of one length.
-Start 0 is the batch's gamma fit with lam at its floor; start 1 is that
-fit with lam at the model's start value, which its MODELS entry passes:
-1 for the proposed law, 0.01 for the noncentral gamma. Since dlam/ds is
-about lam near lam = 0, a search from lam = 0.01 sees a lam-gradient
-about 100 times too small and crawls. From lam = 1 the proposed fits
-take about half the evaluations they take from 0.01 (2021 against 3738
-on the 0.3 s speech clip of tests/test_golden), and none ends lower by
-more than 1e-12 nats per sample. From lam = 1 some noncentral-gamma fits
-reach large lam through the slow ive branch of ln I_nu and cost more.
-Both laws mix Gamma(alpha + N, beta) over an integer N, so their fits lie
-close together: where one fit_batches call fits both, the proposed law
-runs first, and each batch whose proposed fit has lam > 0 starts the
-noncentral gamma's start 1 at that fit's end point in (ln alpha, ln beta,
-s). On that clip the noncentral gamma then takes 1459 evaluations, not
-3703, and no patch ends lower by more than 1e-8 nats per sample.
-A batch whose gamma fit is degenerate (its shape on the ceiling of the
-box, or zero variance) is less dispersed than any gamma of the box: its
-relative variance is below about 1e-3. In both laws that comes from a
-large lam, and their optima lie on the ridge where alpha + lam is about
-constant, with alpha at or near its floor. Start 1 of such a batch, for
-both laws, is on that ridge: alpha on its floor, the gamma's shape
-alpha_g moved into lam (s = alpha_g) and beta kept; the proposed fit
-still replaces it as the noncentral gamma's seed. On batch 5 of the
-noncentral_batches corpus of perfbench (lam about 2000) the proposed fit
-then takes 132 evaluations, not the 1333 in which both of its starts
-from lam = 1 ran to the iteration cap, and the noncentral gamma without
-the proposed law reaches lam = 2193, not lam = 0, 2.78e-3 nats per
-sample higher. Every other start 1 of a fit without the proposed law
-(fit_model, fit_noncentral_gamma) stays at the model's start value. Each
-model's jitters are drawn, in the order asked, before any search runs,
-so the order in which the models run does not change them.
-Pass 1 runs start 0 of every batch, and start 1 where lam = 0 is not a
-local maximum of the batch's likelihood (see below); pass 2 runs start 1
-where it is one and start 0 did not converge; pass 3 runs the later
-starts where start 1 ran and did not converge, since they can then still
-change the answer. The keep rule afterwards drops start 1 where lam = 0
-is a maximum and start 0 converged, and the later starts where start 1
-was dropped or converged. Where a pass's rows and the later starts of
-the batches whose start 1 it runs fit in one set of _MAX_ROWS slots, as
-in every fit_model call, those later starts run in that pass too, and
-the keep rule drops them where start 1 converged; larger passes never
-run a row they drop. A row's run never depends on the rows beside it, so
-a fit keeps the same runs however its batch was scheduled, and its
+front, points in (ln alpha, ln beta, s), and run them in restart passes
+over the batches of one length:
+- start 0 is the batch's gamma fit with lam at its floor;
+- start 1 is the seed, else the ceiling start, else the probed ridge
+  point, else the gamma fit with lam at the model's start value, which
+  its MODELS entry passes (1 for the proposed law, 0.01 for the
+  noncentral gamma);
+- start 2 is the start 1 that the ridge point replaced, else start 1 plus
+  a jitter drawn from the batch's stream, else none.
+The seed is the proposed fit's end point, where one fit_batches call fits
+both laws (the proposed law runs first) and that fit has lam > 0: both
+laws mix Gamma(alpha + N, beta) over an integer N, so their fits lie close
+together. The ceiling start serves a batch whose gamma fit is degenerate
+(its shape on the ceiling of the box, or zero variance), less dispersed
+than any gamma of the box; both laws then fit a large lam on the ridge
+where alpha + lam is about constant, so the start is alpha on its floor,
+the gamma shape alpha_g moved into lam (s = alpha_g) and beta kept. The
+probe serves each remaining batch where lam = 0 is not a local maximum at
+its gamma fit (see below). Its ridge point has alpha on its floor, lam =
+2 / v with v = var(y) / mean(y)^2 (the noncentral gamma's moment match as
+alpha -> 0), its s clipped to the box, and beta = (alpha + E[N]) /
+mean(y), E[N] the mean of N at that point: lam for the noncentral gamma,
+lam d/dlam ln S for the proposed law. The probed rows of a group are
+evaluated in one objective call, and the ridge point is start 1 where its
+value is below the gamma fit's, which _gamma_rows gives. The probe is not
+a run: a fit's evaluations count its kept runs only. Each model's jitters
+are drawn, in the order asked, before any search runs, whether or not a
+start 2 takes them, so the order in which the models run and the probe's
+outcome do not change them.
+Later starts stop once start 1 has converged. Pass 1 runs start 0 of
+every batch, and start 1 where lam = 0 is not a local maximum of the
+batch's likelihood; pass 2 runs start 1 where it is one and start 0 did
+not converge; pass 3 runs the later starts where start 1 ran and did not
+converge, since they can then still change the answer. The keep rule
+afterwards drops start 1 where lam = 0 is a maximum and start 0
+converged, and the later starts where start 1 was dropped or converged.
+Where a pass's rows and the later starts of the batches whose start 1 it
+runs fit in one set of _MAX_ROWS slots, as in every fit_model call, those
+later starts run in that pass too, and _lbfgsb stops each once its start
+1 ends converged; larger passes never run a row they drop. A row's run
+never depends on the rows beside it, and a stopped run feeds no result,
+so a fit keeps the same runs however its batch was scheduled, and its
 counts sum over its kept runs only.
 
 When lam = 0 is a local maximum. Both shifted families contain the gamma
@@ -333,7 +331,7 @@ def _projected_grad_norms(grad: np.ndarray, z: np.ndarray, lo: np.ndarray, hi: n
     return np.max(np.abs(np.where(at_bound, 0.0, grad)), axis=1)
 
 
-def _lbfgsb(objective, z0: np.ndarray, bounds) -> list[_Run]:
+def _lbfgsb(objective, z0: np.ndarray, bounds, after=None) -> list[_Run]:
     """L-BFGS-B from each row of z0 (R, d) in lock step; the _Run of every row.
 
     objective(rows, z) takes row indices (k,) and their points z (k, d)
@@ -348,6 +346,12 @@ def _lbfgsb(objective, z0: np.ndarray, bounds) -> list[_Run]:
     iteration and evaluation caps checked at each new iterate. setulb is
     imported here, so scipy.optimize loads at the first fit and not with
     the package.
+
+    after (R,), if given, holds for each row the index of the row whose
+    converged end (as _Run.converged tests it) stops it, or -1. A row that
+    has not ended when that happens is not loaded, or leaves its slot at
+    its next step, and its _Run is its start point with fun = inf,
+    unconverged and no counts: the caller drops it unread.
     """
     from scipy.optimize._lbfgsb import setulb
 
@@ -384,32 +388,48 @@ def _lbfgsb(objective, z0: np.ndarray, bounds) -> list[_Run]:
     end_x = np.empty((n_rows, d))
     end_g = np.empty((n_rows, d))
     success = np.zeros(n_rows, dtype=bool)
+    stopped = np.zeros(n_rows, dtype=bool)
+    stops: dict = {}
+    if after is not None:
+        for q, r in enumerate(after.tolist()):
+            if r >= 0:
+                stops.setdefault(r, []).append(q)
     next_row = 0
 
-    def load(s: int) -> None:
+    def load(s: int) -> bool:
+        """Load the next row that is not stopped into slot s, if any."""
         nonlocal next_row
+        while next_row < n_rows and stopped[next_row]:
+            next_row += 1
+        if next_row == n_rows:
+            return False
         for arr in state:
             arr[s] = 0
         x[s] = z0[next_row]
         row[s], f[s], seen[s] = next_row, 0.0, None
         nit[s] = nfev[s] = penalties[s] = 0
         next_row += 1
+        return True
 
     def finish(s: int) -> None:
-        """Keep row s's end point and counts; its converged flag is set
-        with every other row's at the end."""
+        """Keep row s's end point and counts, and stop the rows that its
+        converged end stops; its converged flag is set with every other
+        row's at the end."""
         r = row[s]
         end_x[r] = x[s]
         end_g[r] = g[s]
         success[r] = task[s, 0] == _CONVERGENCE
         counts[r] = (f[s], nit[s], nfev[s], penalties[s])
+        if r in stops and success[r]:
+            if _projected_grad_norms(g[s : s + 1], x[s : s + 1], lo, hi)[0] <= tol:
+                stopped[[q for q in stops[r] if counts[q] is None]] = True
 
-    for s in range(slots):
-        load(s)
-    active = list(range(slots))
+    active = [s for s in range(slots) if load(s)]
     while active:
         asking = []
         for s in active:
+            if stopped[row[s]] and not load(s):
+                continue
             xs, gs, was, iwas, ts, ls, iss, ds, lts = views[s]
             while True:
                 setulb(
@@ -431,9 +451,8 @@ def _lbfgsb(objective, z0: np.ndarray, bounds) -> list[_Run]:
                         ts[:] = _STOP, 502
                 else:
                     finish(s)
-                    if next_row == n_rows:
+                    if not load(s):
                         break
-                    load(s)
         if asking:
             idx = np.array(asking)
             values, grads = objective(np.array([row[s] for s in asking]), x[idx])
@@ -444,6 +463,8 @@ def _lbfgsb(objective, z0: np.ndarray, bounds) -> list[_Run]:
                 nfev[s] += 1
                 penalties[s] += value == _PENALTY
         active = asking
+    for r in np.flatnonzero(stopped).tolist():
+        end_x[r], end_g[r], counts[r] = z0[r], 0.0, (math.inf, 0, 0, 0)
     converged = success & (_projected_grad_norms(end_g, end_x, lo, hi) <= tol)
     return [
         _Run(x_r, fun, g_r, ok, c, it, ev, pen)
@@ -728,6 +749,12 @@ def _proposed_mean_ll(a, b, lam, mlog, m1, sqrt_y, rows=None):
     )
 
 
+def _proposed_mean_count(a, lam):
+    """E[N] of the proposed law at rows of (a, lam): the mean of its
+    mixing count, lam d/dlam ln S(a, lam). The noncentral gamma's is lam."""
+    return _log_laguerre_neg_rows(a, lam)[2]
+
+
 def _shifted_rows(mean_ll, z: np.ndarray, mlog, m1, sqrt_y, rows=None):
     """Values (k,) and gradients (k, 3) at rows z = (ln a, ln b, s), lam =
     softplus(s): the negated mean_ll of normalized batches with the given
@@ -760,24 +787,42 @@ def _jitters(rngs) -> list:
     return [None if rng is None else rng.normal(scale=0.5, size=size) * scale for rng in rngs]
 
 
-def _fit_shifted(g: _Group, jitters, mean_ll, start_lam: float, seeds=None) -> _GroupFit:
+def _ridge_points(g: _Group, rows: np.ndarray, mean_count) -> np.ndarray:
+    """The moment-matched ridge point (ln alpha, ln beta, s) of the batches
+    rows (k,) of g: alpha on its floor, lam = 2 / v with v = var(y) /
+    mean(y)^2 (the noncentral gamma's moment match as alpha -> 0), its s
+    clipped to the box, and beta = (alpha + E[N]) / mean(y), with E[N] =
+    mean_count(alpha, lam) the family's mean count at that point."""
+    m1 = g.mean_y[rows]
+    lam = 2.0 * m1 * m1 / g.var_y[rows]
+    s = np.clip([_softplus_inv(v) for v in lam.tolist()], *_S_BOUNDS)
+    alpha = np.full(rows.size, _ALPHA_FLOOR)
+    beta = (alpha + mean_count(alpha, _softplus(s))) / m1
+    return np.column_stack([np.full(rows.size, _LN_ALPHA_BOUNDS[0]), _math_log(beta), s])
+
+
+def _fit_shifted(
+    g: _Group, jitters, mean_ll, start_lam: float, mean_count, seeds=None
+) -> _GroupFit:
     """Multi-start fits of an (alpha, beta, lam) family to the batches of
     g by mean_ll(a, b, lam, mean(ln y), mean(y), sqrt(y), (g, rows)) ->
-    (value, gradient in (ln a, ln b, ln lam)). Starts of batch r: its
-    gamma fit with lam at its floor; start 1, which is seeds[r] (a point
-    in (ln alpha, ln beta, s)) where that row is not NaN, else, where the
-    gamma fit is degenerate, (ln 1e-3, ln alpha_g, alpha_g) with alpha_g
-    its shape (see the module docstring), else the gamma fit with lam at
-    start_lam; then start 1 plus each row of jitters[r] (see _jitters).
-    They run in the restart passes
-    of the module docstring, one lock-step pass each; a batch reports from
-    the starts the keep rule leaves it, by _pick_start, and its counts sum
-    over those runs."""
+    (value, gradient in (ln a, ln b, ln lam)), whose mixing count N has
+    the mean mean_count(alpha, lam). The starts of batch r, in (ln alpha,
+    ln beta, s), are those of the module docstring: start 1 is seeds[r]
+    where that row is not NaN, else the ceiling start where the gamma fit
+    is degenerate, else the ridge point (_ridge_points) where it ends below
+    the gamma fit, else the gamma fit with lam at start_lam; the later
+    starts are start 1 plus each row of jitters[r] (see _jitters), except
+    that a replaced start 1 takes the place of the first. They run in the
+    restart passes of the module docstring, one lock-step pass each; a
+    batch reports from the starts the keep rule leaves it, by _pick_start,
+    and its counts sum over those runs."""
     n_rows, width = g.size, max(3, DEFAULT_OPTIMIZER.restarts)
     gamma = g.gamma
+    ln_alpha = _math_log(gamma.params["alpha"])
     starts = np.zeros((n_rows, width, 3))
     # beta of the gamma fit on the normalized batch equals its alpha.
-    starts[:, :2, :2] = _math_log(gamma.params["alpha"])[:, None, None]
+    starts[:, :2, :2] = ln_alpha[:, None, None]
     starts[:, 0, 2] = _S_BOUNDS[0]
     starts[:, 1, 2] = _softplus_inv(start_lam)
     # A batch less dispersed than any gamma of the box: alpha on its floor,
@@ -785,6 +830,7 @@ def _fit_shifted(g: _Group, jitters, mean_ll, start_lam: float, seeds=None) -> _
     ceiling = gamma.degenerate
     starts[ceiling, 1, 0] = _LN_ALPHA_BOUNDS[0]
     starts[ceiling, 1, 2] = gamma.params["alpha"][ceiling]
+    seeded = np.zeros(n_rows, dtype=bool)
     if seeds is not None:
         seeded = ~np.isnan(seeds[:, 0])
         starts[seeded, 1] = seeds[seeded]
@@ -793,6 +839,27 @@ def _fit_shifted(g: _Group, jitters, mean_ll, start_lam: float, seeds=None) -> _
         if j is not None:
             starts[r, 2 : count[r]] = starts[r, 1] + j
     lam_max = _lam_zero_is_a_maximum(gamma.params["alpha"], gamma.degenerate, g.var_y, g.mean_y)
+    # Sufficient statistics of the objective; only the Bessel term needs
+    # the full sample vector per evaluation.
+    stats = (g.mean_log_y, g.mean_y, g.sqrt_y)
+
+    def evaluate(b, z):
+        """The objective at the points z (k, 3) of the batches b (k,)."""
+        if n_rows > 1:
+            return _shifted_rows(mean_ll, z, *(s[b] for s in stats), (g, b))
+        return _shifted_rows(mean_ll, z, *stats, (g, b))  # the stats broadcast
+
+    # The probe: where the ridge point ends below the gamma fit, it is
+    # start 1, and the start 1 it replaces is start 2.
+    probed = np.flatnonzero(~(ceiling | seeded | lam_max))
+    if probed.size:
+        ridge = _ridge_points(g, probed, mean_count)
+        gamma_value = _gamma_rows(ln_alpha[probed, None], stats[0][probed])[0]
+        below = evaluate(probed, ridge)[0] < gamma_value
+        win = probed[below]
+        starts[win, 2] = starts[win, 1]
+        starts[win, 1] = ridge[below]
+        count[win] = np.maximum(count[win], 3)
     k = np.arange(width)
     drawn = k < count[:, None]
     ran = np.zeros((n_rows, width), dtype=bool)
@@ -800,28 +867,25 @@ def _fit_shifted(g: _Group, jitters, mean_ll, start_lam: float, seeds=None) -> _
     fun = np.zeros((n_rows, width))
     end = np.zeros((n_rows, width, 3))
     nit, nfev, penalties = (np.zeros((n_rows, width), dtype=int) for _ in range(3))
-    # Sufficient statistics of the objective; only the Bessel term needs
-    # the full sample vector per evaluation.
-    stats = (g.mean_log_y, g.mean_y, g.sqrt_y)
 
     def run_pass(todo):
         """Run the starts todo (R, K) in one lock-step pass, with the later
         starts of each batch whose start 1 is among them if all fit in one
-        set of _MAX_ROWS slots."""
+        set of _MAX_ROWS slots; those stop once that start 1 converges."""
         later = drawn & todo[:, 1:2] & (k >= 2)
         if todo.sum() + later.sum() <= _MAX_ROWS:
             todo = todo | later
         rows, cols = np.nonzero(todo)
         if not rows.size:
             return
-
-        def objective(sel, z):
-            b = rows[sel]
-            if n_rows > 1:
-                return _shifted_rows(mean_ll, z, *(s[b] for s in stats), (g, b))
-            return _shifted_rows(mean_ll, z, *stats, (g, b))  # the stats broadcast
-
-        runs = _lbfgsb(objective, starts[rows, cols], _SHIFTED_BOUNDS)
+        at = np.full((n_rows, width), -1)
+        at[rows, cols] = np.arange(rows.size)
+        runs = _lbfgsb(
+            lambda sel, z: evaluate(rows[sel], z),
+            starts[rows, cols],
+            _SHIFTED_BOUNDS,
+            np.where(cols >= 2, at[rows, 1], -1),
+        )
         ran[rows, cols] = True
         converged[rows, cols] = [run.converged for run in runs]
         fun[rows, cols] = [run.fun for run in runs]
@@ -878,19 +942,20 @@ def fit_gamma(data) -> FitResult:
 
 
 def fit_noncentral_gamma(data, rng: np.random.Generator | None = None) -> FitResult:
-    """Noncentral-gamma fit over (ln alpha, ln beta, softplus lam),
-    initialized from the gamma fit with lam at its floor and at 0.01, or,
-    where the gamma shape alpha_g is on its ceiling, at alpha = 1e-3 and
-    lam = alpha_g. fit_batches with the proposed law too starts from that
-    law's fit instead, where its lam > 0 (see the module docstring)."""
+    """Noncentral-gamma fit over (ln alpha, ln beta, softplus lam), from
+    the gamma fit with lam at its floor and at 0.01, or from the start
+    that replaces the second (the ceiling start or the ridge point; the
+    proposed law's fit in fit_batches with both laws): see the module
+    docstring."""
     return fit_model("noncentral_gamma", data, rng)
 
 
 def fit_proposed(data, rng: np.random.Generator | None = None) -> FitResult:
     """Fit of the proposed power distribution with multiple starts: the
-    gamma fit with lam at its floor and at 1, or, where the gamma shape
-    alpha_g is on its ceiling, at alpha = 1e-3 and lam = alpha_g; with an
-    rng, jitters of that second start fill the rest."""
+    gamma fit with lam at its floor and at 1, or the start that replaces
+    the second (the ceiling start or the ridge point; see the module
+    docstring); with an rng, a jitter of the second start fills the rest
+    unless the replaced start does."""
     return fit_model("proposed", data, rng)
 
 
@@ -970,10 +1035,11 @@ class Model:
     density at each row of x (R, n), with log_x = ln x, at params (a (R,)
     array per key), one of the row kernels of distributions, and
     fit(g, jitters, seeds) -> the _GroupFit of the batches of one _Group
-    g. A shifted family's fit passes _fit_shifted its objective and the
-    lam of its start 1, so each model's starts are set here and nowhere
-    else: restarts says that it takes jitters, the offsets of its later
-    starts (_jitters), and seeded_by names the model whose fit, where one
+    g. A shifted family's fit passes _fit_shifted its objective, the lam
+    of its start 1 and the mean of its mixing count, so each model's
+    starts are set here and nowhere else: restarts says that it takes
+    jitters, the offsets of its later starts (_jitters), and seeded_by
+    names the model whose fit, where one
     fit_batches call asks for both, gives the seeds of its start 1
     (_GroupFit.seeds); the other fits ignore both. The
     callables look module functions up when called, so that bindings
@@ -1021,7 +1087,7 @@ MODELS = {
                 x, log_x, p["alpha"], p["beta"], p["lambda"]
             ),
             lambda g, jitters, seeds: _fit_shifted(
-                g, jitters, _noncentral_gamma_mean_ll, 0.01, seeds
+                g, jitters, _noncentral_gamma_mean_ll, 0.01, lambda a, lam: lam, seeds
             ),
             restarts=True,
             seeded_by="proposed",
@@ -1029,7 +1095,9 @@ MODELS = {
         Model(
             "proposed", (), ("alpha", "beta", "lambda"),
             lambda x, log_x, p: _log_pdf_power_rows(x, log_x, p["alpha"], p["beta"], p["lambda"]),
-            lambda g, jitters, seeds: _fit_shifted(g, jitters, _proposed_mean_ll, 1.0, seeds),
+            lambda g, jitters, seeds: _fit_shifted(
+                g, jitters, _proposed_mean_ll, 1.0, _proposed_mean_count, seeds
+            ),
             restarts=True,
         ),
     )

@@ -386,14 +386,21 @@ def _log_iv_large(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     derivatives where one of the four ive values is not. From _IVE_X_MAX
     on, where ive is NaN, the large-argument expansion gives all three,
     NaN where it does not converge. _log_bessel_i_nu_rows takes the NaNs
-    from the log-domain series."""
-    scaled, above, up, down = (ive(v, x) for v in (nu, nu + 1.0, nu + _NU_STEP, nu - _NU_STEP))
+    from the log-domain series.
+
+    ive takes a slower path at negative orders, so the calls are made at
+    |nu|, with the sign of d/dnu flipped where nu < 0 (nu + 1 > 0 on the
+    domain nu > -1). By I_-v = I_v + (2 / pi) sin(v pi) K_v (DLMF 10.27.2)
+    the K term is below e^-60 of I_v from x = 30 on for v within _NU_STEP
+    of that domain, and ive returns the same bits at v and -v there."""
+    a = np.abs(nu)
+    scaled, above, up, down = (ive(v, x) for v in (a, nu + 1.0, a + _NU_STEP, a - _NU_STEP))
     tiny = np.finfo(float).tiny
     normal = [np.isfinite(v) & (v >= tiny) for v in (scaled, above, up, down)]
     out = np.empty((3, x.size))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out[0] = np.log(scaled) + x
-        out[1] = (np.log(up) - np.log(down)) / (2.0 * _NU_STEP)
+        out[1] = (np.log(up) - np.log(down)) / np.where(nu < 0.0, -2.0 * _NU_STEP, 2.0 * _NU_STEP)
         out[2] = x * above / scaled + nu
     out[0, ~normal[0]] = np.nan
     out[1:, ~np.logical_and.reduce(normal)] = np.nan

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import write_wav_pcm16
+from pwncg import cli
 from pwncg.cli import build_parser, main
 from pwncg.distributions import ComplexParams, PowerParams, log_pdf_complex, log_pdf_power
 from pwncg.sampling import rng_stream, sample_complex, sample_power
@@ -159,6 +160,28 @@ def test_parameter_errors_leave_no_output_file(argv, tmp_path):
         main([*(a.format(tmp=tmp_path) for a in argv), "--out", str(out)])
     assert exc.value.code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--alpha", "1", "--seed", "-1"],
+        ["fit-spectra", "--input", "{tmp}/n.wav", "--seed", "-1"],
+    ],
+)
+def test_negative_seed_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    # a seed is the entropy of a SeedSequence, so a negative one is
+    # rejected by the parser, before the WAV is read or a variate drawn
+    noise = 0.4 * np.random.default_rng(12).standard_normal(1500)
+    write_wav_pcm16(tmp_path / "n.wav", noise, 16000)
+    monkeypatch.setattr(cli, "rng_stream", lambda seed: pytest.fail("drew variates"))
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("read the input"))
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(tmp=tmp_path) for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seed: expected an integer >= 0, got '-1'" in captured.err
 
 
 @pytest.mark.parametrize("option", ["--out", "--csv"])

@@ -190,7 +190,7 @@ class TestRestartChoice:
         real = fitting._lbfgsb
         scripted = iter(runs)
 
-        def stub(objective, z0, bounds):
+        def stub(objective, z0, bounds, after=None):
             if z0.shape[1] == 1:
                 return real(objective, z0, bounds)
             out = []
@@ -294,7 +294,7 @@ class TestReportedParams:
     def test_exp_and_log_are_math_exp_and_log(self, monkeypatch):
         starts = []
 
-        def stub(objective, z0, bounds):
+        def stub(objective, z0, bounds, after=None):
             starts.append(z0.copy())
             if z0.shape[1] == 1:
                 end, fun = np.array([self.LN_GAMMA_ALPHA]), -1e9  # below alpha = 1
@@ -313,9 +313,11 @@ class TestReportedParams:
             r = fit_model(model, data)
             assert r.params["alpha"] == math.exp(self.END[0])
             assert r.params["beta"] == math.exp(self.END[1]) / mean
-            # the first two starts begin at the gamma fit: ln alpha = ln beta
-            # = math.log of its alpha
-            assert (starts[1][:2, :2] == math.log(gamma_alpha)).all()
+            # start 0 and the start at the model's start lam (start 1, or
+            # start 2 where the ridge point took start 1) begin at the gamma
+            # fit: ln alpha = ln beta = math.log of its alpha
+            at_gamma = (starts[1][:, :2] == math.log(gamma_alpha)).all(axis=1)
+            assert at_gamma[0] and at_gamma[1:].any()
 
 
 def _central_difference(f, z, rel_h=1e-5):
@@ -397,8 +399,8 @@ class TestExactGradient:
         real = fitting._lbfgsb
         calls = []
 
-        def spy(objective, z0, bounds):
-            calls.append((objective, real(objective, z0, bounds)))
+        def spy(objective, z0, bounds, after=None):
+            calls.append((objective, real(objective, z0, bounds, after)))
             assert len(calls[-1][1]) == len(z0)
             return calls[-1][1]
 
@@ -412,7 +414,9 @@ class TestExactGradient:
                 fit = fit_model(m, batch, rng=rng_stream(i))
                 if m in ("noncentral_gamma", "proposed"):
                     kept += DEFAULT_OPTIMIZER.restarts - fit.starts_skipped
-        rows = [(obj, r, run) for obj, runs in calls for r, run in enumerate(runs)]
+        # the rows that ran: a row stopped because start 1 converged made no
+        # evaluation and is dropped by the keep rule
+        rows = [(obj, r, run) for obj, runs in calls for r, run in enumerate(runs) if run.nfev]
         # a gamma row for each of the three models that need one, and at
         # least the kept starts of the shifted fits
         assert len(rows) >= 3 * len(batches) + kept
@@ -498,6 +502,106 @@ class TestLockStepDriver:
                 np.testing.assert_array_equal(a.x, b.x)
                 np.testing.assert_array_equal(a.jac, b.jac)
                 assert a._replace(x=None, jac=None) == b._replace(x=None, jac=None)
+
+    @pytest.mark.parametrize("max_rows", [2, 64])
+    def test_rows_stop_once_the_row_before_them_converged(self, monkeypatch, max_rows):
+        # after[q] = r stops row q once row r ends converged: q is never
+        # loaded, or leaves its slot, and its run is its start point with
+        # fun = inf, unconverged and no counts; every other row, also a row
+        # that ended before r did, runs as it does without the stop
+        n = 6
+        rng = rng_stream(22)
+        ys = [b / b.mean() for b in (random_batch(rng, size=20) for _ in range(n))]
+        stats = (
+            np.array([np.mean(np.log(y)) for y in ys]),
+            np.array([np.mean(y) for y in ys]),
+            np.sqrt(np.stack(ys)),
+        )
+        bounds = [fitting._LN_ALPHA_BOUNDS, fitting._LN_BETA_BOUNDS, fitting._S_BOUNDS]
+        batch = np.repeat(np.arange(n), 3)
+        z0 = rng.normal(0.0, 1.0, (3 * n, 3)) * np.array([1.0, 1.0, 3.0])
+        after = np.where(np.arange(3 * n) % 3 == 2, np.arange(3 * n) - 1, -1)
+
+        def objective(rows, z):
+            k = batch[rows]
+            return fitting._shifted_rows(fitting._proposed_mean_ll, z, *(a[k] for a in stats))
+
+        ref = fitting._lbfgsb(objective, z0, bounds)
+        monkeypatch.setattr(fitting, "_MAX_ROWS", max_rows)
+        out = fitting._lbfgsb(objective, z0, bounds, after)
+        stopped = 0
+        for q, (a, b) in enumerate(zip(out, ref)):
+            if a.nfev == 0:
+                assert after[q] >= 0 and ref[after[q]].converged
+                np.testing.assert_array_equal(a.x, np.clip(z0[q], *np.array(bounds).T))
+                assert (a.fun, a.converged, a.nit, a.penalties) == (math.inf, False, 0, 0)
+                stopped += 1
+            else:
+                np.testing.assert_array_equal(a.x, b.x)
+                assert a._replace(x=None, jac=None) == b._replace(x=None, jac=None)
+        assert stopped > 0
+
+
+class TestStopDroppedRuns:
+    """_fit_shifted has _lbfgsb stop a batch's later starts once its start
+    1 ends converged, since the keep rule then drops them: no FitResult
+    reads a dropped run, so every field of every fit is the one it is
+    without the stop."""
+
+    @staticmethod
+    def _workload(batches, streams):
+        """The fits of the noncentral_batches workload: the four models of
+        each batch in turn through fit_model, on its stream."""
+        out = []
+        for batch, stream in zip(batches, streams):
+            out.append([fit_model(m, batch, rng=stream) for m in FIT_MODELS])
+        return out
+
+    @staticmethod
+    def _count_rows(monkeypatch):
+        real = fitting._shifted_rows
+        counts = [0, 0]
+
+        def spy(mean_ll, z, *batch_stats):
+            counts[0] += 1
+            counts[1] += len(z)
+            return real(mean_ll, z, *batch_stats)
+
+        monkeypatch.setattr(fitting, "_shifted_rows", spy)
+        return counts
+
+    @pytest.mark.parametrize("data", ["random", "corpus"])
+    def test_fits_do_not_change(self, monkeypatch, data):
+        rng = rng_stream(25)
+        batches = [random_batch(rng) for _ in range(10)] if data == "random" else noncentral_batches()
+
+        def streams():
+            if data == "random":
+                return [rng_stream(50 + i) for i in range(len(batches))]
+            return [noncentral_batch_stream(i) for i in range(len(batches))]
+
+        counts = self._count_rows(monkeypatch)
+        stopping = self._workload(batches, streams())
+        together = fitting.fit_batches(FIT_MODELS, batches, streams())
+        rows = counts[1]
+        real = fitting._lbfgsb
+
+        def without_the_stop(objective, z0, bounds, after=None):
+            return real(objective, z0, bounds)
+
+        monkeypatch.setattr(fitting, "_lbfgsb", without_the_stop)
+        counts[1] = 0
+        assert self._workload(batches, streams()) == stopping
+        assert fitting.fit_batches(FIT_MODELS, batches, streams()) == together
+        assert counts[1] > rows
+
+    def test_workload_work(self, monkeypatch):
+        # the noncentral_batches pass made 680 objective calls of 1289 rows
+        # from the gamma fit at lam = 1 (proposed) and 0.01 (noncentral
+        # gamma), before the ridge probe and the stop
+        counts = self._count_rows(monkeypatch)
+        self._workload(noncentral_batches(), [noncentral_batch_stream(i) for i in range(6)])
+        assert counts[0] <= 340 and counts[1] <= 620
 
 
 # Small batches of positive values, derandomized: each property runs on a
@@ -604,18 +708,30 @@ class TestFitBatches:
         # 70 batches put 70 starts 0 and up to 70 starts 1 in the first pass,
         # more than the 64 slots, so the later starts wait for a pass of
         # their own and run only where start 1 did not converge: the rows
-        # the objectives evaluate are exactly the evaluations the fits
-        # report. With 1000 slots the later starts run in the first pass and
-        # are dropped afterwards where start 1 converged, as in fit_model on
-        # one batch. Every field of every fit is the same either way.
-        real = fitting._shifted_rows
-        evaluated = {}
+        # the searches evaluate are exactly the evaluations the fits report,
+        # beside one probe call per model with one row per probed batch.
+        # With 1000 slots the later starts run in the first pass and stop
+        # where start 1 converged, as in fit_model on one batch. Every field
+        # of every fit is the same either way.
+        real_rows, real_lbfgsb = fitting._shifted_rows, fitting._lbfgsb
+        evaluated, probes, searching = {}, {}, []
 
         def spy(mean_ll, z, *batch_stats):
-            evaluated[mean_ll] = evaluated.get(mean_ll, 0) + len(z)
-            return real(mean_ll, z, *batch_stats)
+            if searching:
+                evaluated[mean_ll] = evaluated.get(mean_ll, 0) + len(z)
+            else:
+                probes.setdefault(mean_ll, []).append(len(z))
+            return real_rows(mean_ll, z, *batch_stats)
+
+        def lbfgsb_spy(*args):
+            searching.append(True)
+            try:
+                return real_lbfgsb(*args)
+            finally:
+                searching.pop()
 
         monkeypatch.setattr(fitting, "_shifted_rows", spy)
+        monkeypatch.setattr(fitting, "_lbfgsb", lbfgsb_spy)
         rng = rng_stream(19)
         batches = [random_batch(rng, size=20) for _ in range(70)]
         models = {
@@ -626,11 +742,18 @@ class TestFitBatches:
         for m, mean_ll in models.items():
             assert sum(f.starts_skipped for f in passes[m]) > 0
             assert evaluated[mean_ll] == sum(f.evaluations for f in passes[m])
+        # the noncentral gamma probes no batch here: each is seeded by its
+        # proposed fit, or lam = 0 is a maximum at its gamma fit
+        assert probes.keys() == {fitting._proposed_mean_ll}
+        [rows] = probes[fitting._proposed_mean_ll]
+        assert 0 < rows < len(batches)
         evaluated.clear()
+        probes.clear()
         monkeypatch.setattr(fitting, "_MAX_ROWS", 1000)
         early = fitting.fit_batches(models, batches, [rng_stream(40 + i) for i in range(70)])
         for m, mean_ll in models.items():
             assert evaluated[mean_ll] > sum(f.evaluations for f in early[m])
+        assert probes == {fitting._proposed_mean_ll: [rows]}
         monkeypatch.undo()
         for i, batch in enumerate(batches):
             stream = rng_stream(40 + i)
@@ -824,7 +947,7 @@ class TestStartOneLam:
     def test_each_model_passes_its_own_start_lam(self, monkeypatch):
         seen = {}
 
-        def spy(g, jitters, mean_ll, start_lam, seeds):
+        def spy(g, jitters, mean_ll, start_lam, mean_count, seeds):
             seen[mean_ll] = start_lam
             return None
 
@@ -852,18 +975,20 @@ class TestStartOneLam:
 
         g = _group(batches)
         shipped = fitting._fit_results("proposed", g, MODELS["proposed"].fit(g, streams(), None))
-        old_start = fitting._fit_shifted(g, streams(), fitting._proposed_mean_ll, 0.01)
+        old_start = fitting._fit_shifted(
+            g, streams(), fitting._proposed_mean_ll, 0.01, fitting._proposed_mean_count
+        )
         old = fitting._fit_results("proposed", g, old_start)
         for i, (new_fit, old_fit) in enumerate(zip(shipped, old)):
             assert old_fit.avg_log_likelihood - new_fit.avg_log_likelihood <= 1e-12, i
         assert sum(f.evaluations for f in shipped) < sum(f.evaluations for f in old)
 
 
-def _shifted_starts(monkeypatch):
+def _shifted_starts(monkeypatch, lam_zero_gate=False):
     """Spy on the shifted fits: the list, in call order, of (model, z0,
-    runs) of each of their _lbfgsb calls. lam = 0 is never taken for a
-    maximum, so every start runs in the first pass, one row per (batch,
-    start) in that order."""
+    runs) of each of their _lbfgsb calls. Unless lam_zero_gate, lam = 0 is
+    never taken for a maximum, so every start runs in the first pass, one
+    row per (batch, start) in that order."""
     real_fit, real_lbfgsb = fitting._fit_shifted, fitting._lbfgsb
     names = {
         fitting._noncentral_gamma_mean_ll: "noncentral_gamma",
@@ -871,22 +996,31 @@ def _shifted_starts(monkeypatch):
     }
     calls, model = [], []
 
-    def fit_spy(g, jitters, mean_ll, start_lam, seeds):
+    def fit_spy(g, jitters, mean_ll, *rest):
         model[:] = [names[mean_ll]]
-        return real_fit(g, jitters, mean_ll, start_lam, seeds)
+        return real_fit(g, jitters, mean_ll, *rest)
 
-    def lbfgsb_spy(objective, z0, bounds):
-        runs = real_lbfgsb(objective, z0, bounds)
+    def lbfgsb_spy(objective, z0, bounds, after=None):
+        runs = real_lbfgsb(objective, z0, bounds, after)
         if z0.shape[1] == 3:
             calls.append((model[0], z0.copy(), runs))
         return runs
 
     monkeypatch.setattr(fitting, "_fit_shifted", fit_spy)
     monkeypatch.setattr(fitting, "_lbfgsb", lbfgsb_spy)
-    monkeypatch.setattr(
-        fitting, "_lam_zero_is_a_maximum", lambda alpha, *rest: np.zeros(alpha.size, bool)
-    )
+    if not lam_zero_gate:
+        monkeypatch.setattr(
+            fitting, "_lam_zero_is_a_maximum", lambda alpha, *rest: np.zeros(alpha.size, bool)
+        )
     return calls
+
+
+def _per_batch(z0, values=None):
+    """The rows of values (default z0) of each batch, split where z0, the
+    starts of a _shifted_starts call, begins a batch: at its start 0, the
+    one start with s on the floor of the box."""
+    first = np.flatnonzero(z0[:, 2] == fitting._S_BOUNDS[0])
+    return np.split(z0 if values is None else values, first[1:])
 
 
 class TestSeededStart:
@@ -902,17 +1036,25 @@ class TestSeededStart:
         n = len(batches)
         fits = fitting.fit_batches(FIT_MODELS, batches)
         assert tuple(fits) == FIT_MODELS
-        # the proposed law runs first; without streams each batch has two starts
-        [(first, _, runs), (second, z0, _)] = calls
+        # the proposed law runs first; without streams a batch has two
+        # starts, or three where the ridge point took start 1
+        [(first, z_p, runs), (second, z0, _)] = calls
         assert (first, second) == ("proposed", "noncentral_gamma")
-        ends = np.array([run.x for run in runs]).reshape(n, 2, 3)
-        start_1 = z0.reshape(n, 2, 3)[:, 1]
+        ends = _per_batch(z_p, np.array([run.x for run in runs]))
         positive = np.array([f.params["lambda"] > 0.0 for f in fits["proposed"]])
         assert positive.any() and not positive.all()
-        seeds = np.array([ends[r, f.start] for r, f in enumerate(fits["proposed"])])
-        at_0_01 = np.column_stack([z0[::2, :2], np.full(n, fitting._softplus_inv(0.01))])
-        np.testing.assert_array_equal(start_1, np.where(positive[:, None], seeds, at_0_01))
-        # without the proposed law, every start 1 is at lam = 0.01
+        ridge = fitting._ridge_points(_group(batches), np.arange(n), lambda a, lam: lam)
+        at_0_01 = [[z[0, 0], z[0, 1], fitting._softplus_inv(0.01)] for z in _per_batch(z0)]
+        probed = 0
+        for r, z in enumerate(_per_batch(z0)):
+            if positive[r]:
+                assert len(z) == 2
+                np.testing.assert_array_equal(z[1], ends[r][fits["proposed"][r].start])
+            else:
+                probed += len(z) == 3
+                np.testing.assert_array_equal(z[1:], [ridge[r], at_0_01[r]][3 - len(z) :])
+        # without the proposed law, every start 1 is at lam = 0.01, or the
+        # ridge point with the start at lam = 0.01 after it
         for fit in (
             lambda: fitting.fit_batches(("noncentral_gamma", "gamma"), batches),
             lambda: [fit_model("noncentral_gamma", b) for b in batches],
@@ -920,8 +1062,11 @@ class TestSeededStart:
             calls.clear()
             fit()
             assert {m for m, _, _ in calls} == {"noncentral_gamma"}
-            z0 = np.concatenate([z for _, z, _ in calls]).reshape(n, 2, 3)
-            np.testing.assert_array_equal(z0[:, 1], at_0_01)
+            starts = _per_batch(np.concatenate([z for _, z, _ in calls]))
+            assert len(starts) == n
+            for r, z in enumerate(starts):
+                np.testing.assert_array_equal(z[1:], [ridge[r], at_0_01[r]][3 - len(z) :])
+            assert sum(len(z) == 3 for z in starts) > probed
 
     @pytest.mark.parametrize("models", [FIT_MODELS, ("proposed", "gamma", "noncentral_gamma")])
     def test_each_stream_gives_each_model_the_same_draws(self, monkeypatch, models):
@@ -1015,7 +1160,9 @@ class TestCeilingStart:
             np.testing.assert_array_equal(z0[2], ridge + jitter)
 
     def test_start_one_inside_the_box_stays(self, monkeypatch):
-        # corpus batches 0-4 have their gamma shape inside the box
+        # corpus batches 0-4 have their gamma shape inside the box, so each
+        # keeps the gamma fit at the model's start lam: as start 1, or as
+        # start 2 where the ridge point took start 1 (TestRidgeProbe)
         calls = _shifted_starts(monkeypatch)
         start_lam = {"noncentral_gamma": 0.01, "proposed": 1.0}
         for batch in noncentral_batches()[:5]:
@@ -1026,7 +1173,8 @@ class TestCeilingStart:
                 fit_model(m, batch)
                 [(_, z0, _)] = calls
                 want = [math.log(alpha_g), math.log(alpha_g), fitting._softplus_inv(lam)]
-                np.testing.assert_array_equal(z0[1], want)
+                assert len(z0) in (2, 3)
+                np.testing.assert_array_equal(z0[len(z0) - 1], want)
 
     def test_proposed_fit_still_seeds_the_noncentral_gamma(self, monkeypatch):
         calls = _shifted_starts(monkeypatch)
@@ -1084,6 +1232,83 @@ class TestCeilingStart:
                 assert all(math.isfinite(v) for v in fit["params"].values()), m
                 assert fit["degenerate"], m
                 assert fit["ll"] >= before - 60 * 1e-12, m
+
+
+class TestRidgeProbe:
+    """Where a batch is neither degenerate nor seeded, and lam = 0 is not a
+    maximum at its gamma fit, each shifted family evaluates the batch's
+    ridge point (_ridge_points: alpha on its floor, lam = 2 / v) and takes
+    it as start 1 where it ends below the gamma fit; the start 1 it
+    replaces becomes start 2."""
+
+    MEAN_COUNT = {
+        "noncentral_gamma": lambda a, lam: lam,
+        "proposed": fitting._proposed_mean_count,
+    }
+
+    def _ridge(self, m, batch):
+        return fitting._ridge_points(_group([batch]), np.arange(1), self.MEAN_COUNT[m])[0]
+
+    def test_corpus_starts_through_fit_model(self, monkeypatch):
+        # the noncentral_batches workload: the four models of a batch in
+        # turn on its stream
+        calls = _shifted_starts(monkeypatch, lam_zero_gate=True)
+        start_lam = {"noncentral_gamma": 0.01, "proposed": 1.0}
+        takes = {(0, "noncentral_gamma"), (2, "noncentral_gamma"), (2, "proposed")}
+        for i, batch in enumerate(noncentral_batches()):
+            stream = noncentral_batch_stream(i)
+            alpha_g = fit_model("gamma", batch).params["alpha"]
+            for m in FIT_MODELS:
+                calls.clear()
+                fit_model(m, batch, rng=stream)
+                if m not in start_lam:
+                    continue
+                ridge = self._ridge(m, batch)
+                rows = np.concatenate([z for _, z, _ in calls])
+                if (i, m) in takes:
+                    ln_a = math.log(alpha_g)
+                    at_gamma = [ln_a, ln_a, fitting._softplus_inv(start_lam[m])]
+                    np.testing.assert_array_equal(calls[0][1][1:], [ridge, at_gamma])
+                else:
+                    assert not (rows == ridge).all(axis=1).any(), (i, m)
+                if i == 5:
+                    ceiling = [math.log(1e-3), math.log(alpha_g), alpha_g]
+                    np.testing.assert_array_equal(calls[0][1][1], ceiling)
+
+    def test_no_golden_clip_patch_takes_it(self, monkeypatch, tmp_path):
+        batches = _speech_batches(tmp_path, GOLDEN_CLIP_S)
+        real = fitting._ridge_points
+        ridges = []
+
+        def spy(*args):
+            ridges.append(real(*args))
+            return ridges[-1]
+
+        monkeypatch.setattr(fitting, "_ridge_points", spy)
+        calls = _shifted_starts(monkeypatch, lam_zero_gate=True)
+        fitting.fit_batches(FIT_MODELS, batches, _patch_streams(len(batches), seed=1))
+        rows = np.concatenate([z for _, z, _ in calls])
+        probed = np.concatenate(ridges)
+        assert len(probed) > 0
+        assert not any((rows == ridge).all(axis=1).any() for ridge in probed)
+
+    def test_noncentral_gamma_alone_reaches_the_seeded_fit(self):
+        # fit_model("noncentral_gamma") no longer stops at its own start
+        # lam = 0.01 on corpus batch 2 (lam = 94.0; the Nelder-Mead maximum
+        # of TestNoncentralBatchesCorpus) and golden batches (711, 0) and
+        # (7933, 0), where lam = 0.01 had been reported converged. Corpus
+        # batch 1 still stops there: its optimum is interior, at lam = 4.27,
+        # where the ridge point does not win.
+        batch = noncentral_batches()[2]
+        fit = fit_model("noncentral_gamma", batch, rng=noncentral_batch_stream(2))
+        assert fit.converged and abs(fit.params["lambda"] - 94.0) < 0.05
+        assert abs(fit.avg_log_likelihood - 2.76390635477532) <= 1e-9
+        golden = [golden_batch(*b) for b in GOLDEN_BATCHES]
+        seeded = fitting.fit_batches(FIT_MODELS, golden)["noncentral_gamma"]
+        for i, lam in ((2, 33.1), (3, 33.7)):
+            fit = fit_model("noncentral_gamma", golden[i])
+            assert fit.converged and abs(fit.params["lambda"] - lam) < 0.05
+            assert abs(fit.avg_log_likelihood - seeded[i].avg_log_likelihood) <= 1e-9
 
 
 class TestGroupPowerTable:

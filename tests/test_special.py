@@ -203,6 +203,28 @@ class TestLogBesselINu:
         assert math.isfinite(got)
         assert abs(got - float(ref)) <= 1e-15 * abs(float(ref))
 
+    def test_negative_orders_take_ive_at_the_absolute_order(self):
+        # From x = 30 on, ive returns the same bits at -v and v (the K_v
+        # term of I_-v = I_v + (2/pi) sin(v pi) K_v is below e^-60 of I_v),
+        # so _log_iv_large calls it at |nu| and flips the sign of d/dnu.
+        # It must equal the computation at the signed orders bit for bit,
+        # also within _NU_STEP of 0 and of -1, where nu - _NU_STEP < -1.
+        rng = np.random.default_rng(33)
+        n = 20_000
+        step = special._NU_STEP
+        x = np.exp(rng.uniform(math.log(30.0), math.log(2.0**30), n))
+        nu = -rng.uniform(0.0, 1.0, n)
+        nu[:2000] = -rng.uniform(0.0, 2.0 * step, 2000)
+        nu[2000:4000] = rng.uniform(-1.0, -1.0 + 2.0 * step, 2000)
+        nu = np.where(nu > -1.0, nu, -0.5)
+        assert (nu - step < -1.0).any() and (nu + step > 0.0).any()
+        scaled, above, up, down = (ive(v, x) for v in (nu, nu + 1.0, nu + step, nu - step))
+        d_nu = (np.log(up) - np.log(down)) / (2.0 * step)
+        signed = np.array([np.log(scaled) + x, d_nu, x * above / scaled + nu])
+        got = special._log_iv_large(nu, x)
+        assert np.isfinite(got).all()
+        np.testing.assert_array_equal(got, signed)
+
     def test_series_path_matches_elementwise(self):
         # a call of series arguments alone and one with a zero and an ive
         # argument beside them give the same values
