@@ -33,7 +33,7 @@ an (R, n) array. The work around the optimizer runs once per group, on
 (R, n) and (R,) arrays, not once per batch: the statistics every model
 shares (the means, and mean ln y, mean y, var y, sqrt y of the normalized
 batches y, and ln x) and the gamma fits, each computed once; each model's
-starts, lam = 0 test, keep rule and flags; and the reported
+starts, lam = 0 test, wait rule and flags; and the reported
 log-likelihoods, one call per model of its row-batched density kernel in
 distributions, summed by row (Model.log_likelihoods). fit_batches alone
 groups batches by length, validates all of them before any fit runs, and
@@ -54,8 +54,8 @@ batch keep them per element, so every reported number is the one a fit
 of the batch alone gives.
 
 The noncentral-gamma and proposed fits draw three starts per batch up
-front, points in (ln alpha, ln beta, s), and run them in restart passes
-over the batches of one length:
+front, points in (ln alpha, ln beta, s), and run them in one lock-step
+pass over the batches of one length:
 - start 0 is the batch's gamma fit with lam at its floor;
 - start 1 is the seed, else the ceiling start, else the probed ridge
   point, else the gamma fit with lam at the model's start value, which
@@ -79,24 +79,20 @@ mean(y), E[N] the mean of N at that point: lam for the noncentral gamma,
 lam d/dlam ln S for the proposed law. The probed rows of a group are
 evaluated in one objective call, and the ridge point is start 1 where its
 value is below the gamma fit's, which _gamma_rows gives. The probe is not
-a run: a fit's evaluations count its kept runs only. Each model's jitters
-are drawn, in the order asked, before any search runs, whether or not a
-start 2 takes them, so the order in which the models run and the probe's
-outcome do not change them.
-Later starts stop once start 1 has converged. Pass 1 runs start 0 of
-every batch, and start 1 where lam = 0 is not a local maximum of the
-batch's likelihood; pass 2 runs start 1 where it is one and start 0 did
-not converge; pass 3 runs the later starts where start 1 ran and did not
-converge, since they can then still change the answer. The keep rule
-afterwards drops start 1 where lam = 0 is a maximum and start 0
-converged, and the later starts where start 1 was dropped or converged.
-Where a pass's rows and the later starts of the batches whose start 1 it
-runs fit in one set of _MAX_ROWS slots, as in every fit_model call, those
-later starts run in that pass too, and _lbfgsb stops each once its start
-1 ends converged; larger passes never run a row they drop. A row's run
-never depends on the rows beside it, and a stopped run feeds no result,
-so a fit keeps the same runs however its batch was scheduled, and its
-counts sum over its kept runs only.
+a run: a fit's evaluations count the runs of its starts only. Each
+model's jitters are drawn, in the order asked, before any search runs,
+whether or not a start 2 takes them, so the order in which the models
+run and the probe's outcome do not change them.
+Later starts wait for the start they depend on. Start 1 waits for start
+0 where lam = 0 is a local maximum of the batch's likelihood, and the
+later starts wait for start 1; a start that waits runs once that start
+has ended unconverged, since it can then still change the answer, and
+never runs otherwise. So a fit runs start 0 alone where lam = 0 is a
+maximum and start 0 converged, starts 0 and 1 where start 1 converged,
+and every start it drew otherwise, and it keeps the starts that ran. No
+run is stopped in flight, and a row's run never depends on the rows
+beside it, so a fit runs the same starts however its batch was
+scheduled, and its counts sum over them.
 
 When lam = 0 is a local maximum. Both shifted families contain the gamma
 law at lam = 0, and at the gamma fit (alpha, beta = alpha / mean(y)) the
@@ -131,6 +127,7 @@ against an independent lam-profile optimum.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -247,18 +244,19 @@ class FitResult:
     mean. converged means L-BFGS-B stopped on its own convergence test with
     a projected-gradient max-norm of at most 1e-7 at the reported start; the
     gamma fit's alpha = 1 candidate counts as converged when it wins, and a
-    multi-start fit reports, among its kept starts, a converged one whose
+    multi-start fit reports, among the starts it ran, a converged one whose
     objective ties the best within 1e-10 of max(1, |best|), if there is
     one. degenerate flags batches (all-equal values, zero variance) where
     the shape ran into its bound.
-    A noncentral-gamma or proposed fit keeps start 0 alone when start 0
-    converged and lam = 0 is a local maximum at the batch's gamma fit (see
-    the module docstring), starts 0 and 1 alone when start 1 converged,
-    and every start it drew otherwise; starts_skipped counts the starts
-    it dropped. iterations, evaluations and penalties sum the L-BFGS-B
-    iterations, the objective evaluations and the evaluations that
-    returned the penalty value over the kept starts; start is the index of
-    the reported start (None for the closed-form exponential fit).
+    A noncentral-gamma or proposed fit keeps the starts that ran: start 0
+    alone when start 0 converged and lam = 0 is a local maximum at the
+    batch's gamma fit (see the module docstring), starts 0 and 1 alone
+    when start 1 converged, and every start it drew otherwise;
+    starts_skipped counts the drawn starts that did not run. iterations,
+    evaluations and penalties sum the L-BFGS-B iterations, the objective
+    evaluations and the evaluations that returned the penalty value over
+    the starts that ran; start is the index of the reported start (None
+    for the closed-form exponential fit).
     """
 
     model: str
@@ -323,14 +321,6 @@ def _softplus_inv(lam: float) -> float:
     return math.log(math.expm1(lam))
 
 
-def _projected_grad_norms(grad: np.ndarray, z: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """The max-norm of the projected gradient at each row of z (k, d): the
-    gradient with the components that push a coordinate out through a box
-    bound zeroed."""
-    at_bound = ((z <= lo + 1e-12) & (grad > 0.0)) | ((z >= hi - 1e-12) & (grad < 0.0))
-    return np.max(np.abs(np.where(at_bound, 0.0, grad)), axis=1)
-
-
 def _lbfgsb(objective, z0: np.ndarray, bounds, after=None) -> list[_Run]:
     """L-BFGS-B from each row of z0 (R, d) in lock step; the _Run of every row.
 
@@ -345,13 +335,17 @@ def _lbfgsb(objective, z0: np.ndarray, bounds, after=None) -> list[_Run]:
     to the last one evaluated answered from that evaluation, and the
     iteration and evaluation caps checked at each new iterate. setulb is
     imported here, so scipy.optimize loads at the first fit and not with
-    the package.
+    the package. A row has converged when setulb stopped on its own
+    convergence test and each component of its gradient is within the
+    tolerance or pushes its coordinate out through a bound.
 
-    after (R,), if given, holds for each row the index of the row whose
-    converged end (as _Run.converged tests it) stops it, or -1. A row that
-    has not ended when that happens is not loaded, or leaves its slot at
-    its next step, and its _Run is its start point with fun = inf,
-    unconverged and no counts: the caller drops it unread.
+    after (R,), if given, holds for each row the index of the row it waits
+    for, or -1. Rows load from a ready queue, which starts with the rows
+    that wait for none, in index order, and takes in the rows waiting for
+    a row once that row ends unconverged. A slot that frees when no row is
+    ready is refilled after the step's objective call. A row whose row
+    ended converged, or never ran, never runs: its _Run is its start point
+    with fun = inf, unconverged and no counts.
     """
     from scipy.optimize._lbfgsb import setulb
 
@@ -362,6 +356,9 @@ def _lbfgsb(objective, z0: np.ndarray, bounds, after=None) -> list[_Run]:
     z0 = np.clip(z0, lo, hi)
     tol = DEFAULT_OPTIMIZER.grad_tol
     max_iters = DEFAULT_OPTIMIZER.max_iters
+    # A gradient component at or within 1e-12 of a bound that pushes out
+    # through it does not count against convergence.
+    edges = list(zip((lo + 1e-12).tolist(), (hi - 1e-12).tolist()))
 
     slots = min(n_rows, _MAX_ROWS)
     x = np.zeros((slots, d))
@@ -384,52 +381,52 @@ def _lbfgsb(objective, z0: np.ndarray, bounds, after=None) -> list[_Run]:
     nit = [0] * slots
     nfev = [0] * slots
     penalties = [0] * slots
-    counts: list = [None] * n_rows
-    end_x = np.empty((n_rows, d))
-    end_g = np.empty((n_rows, d))
-    success = np.zeros(n_rows, dtype=bool)
-    stopped = np.zeros(n_rows, dtype=bool)
-    stops: dict = {}
-    if after is not None:
-        for q, r in enumerate(after.tolist()):
-            if r >= 0:
-                stops.setdefault(r, []).append(q)
-    next_row = 0
+    runs: list = [None] * n_rows
+    ready: collections.deque = collections.deque()
+    waiting: dict = {}
+    for q, r in enumerate([-1] * n_rows if after is None else after.tolist()):
+        if r < 0:
+            ready.append(q)
+        else:
+            waiting.setdefault(r, []).append(q)
 
     def load(s: int) -> bool:
-        """Load the next row that is not stopped into slot s, if any."""
-        nonlocal next_row
-        while next_row < n_rows and stopped[next_row]:
-            next_row += 1
-        if next_row == n_rows:
+        """Load the next ready row into slot s, if any."""
+        if not ready:
             return False
         for arr in state:
             arr[s] = 0
-        x[s] = z0[next_row]
-        row[s], f[s], seen[s] = next_row, 0.0, None
+        row[s] = r = ready.popleft()
+        x[s] = z0[r]
+        f[s], seen[s] = 0.0, None
         nit[s] = nfev[s] = penalties[s] = 0
-        next_row += 1
         return True
 
     def finish(s: int) -> None:
-        """Keep row s's end point and counts, and stop the rows that its
-        converged end stops; its converged flag is set with every other
-        row's at the end."""
+        """Keep slot s's row's run, and release the rows waiting for it if
+        it did not converge."""
         r = row[s]
-        end_x[r] = x[s]
-        end_g[r] = g[s]
-        success[r] = task[s, 0] == _CONVERGENCE
-        counts[r] = (f[s], nit[s], nfev[s], penalties[s])
-        if r in stops and success[r]:
-            if _projected_grad_norms(g[s : s + 1], x[s : s + 1], lo, hi)[0] <= tol:
-                stopped[[q for q in stops[r] if counts[q] is None]] = True
+        success = int(task[s, 0]) == _CONVERGENCE
+        converged = success and all(
+            abs(gi) <= tol or (xi <= lo_i and gi > 0.0) or (xi >= hi_i and gi < 0.0)
+            for xi, gi, (lo_i, hi_i) in zip(x[s].tolist(), g[s].tolist(), edges)
+        )
+        runs[r] = _Run(
+            x[s].copy(), f[s], g[s].copy(), success, converged, nit[s], nfev[s], penalties[s]
+        )
+        if not converged:
+            ready.extend(waiting.get(r, ()))
 
-    active = [s for s in range(slots) if load(s)]
-    while active:
+    idle = list(range(slots))[::-1]
+    active: list = []
+    while True:
+        while idle and ready:
+            load(idle[-1])
+            active.append(idle.pop())
+        if not active:
+            break
         asking = []
         for s in active:
-            if stopped[row[s]] and not load(s):
-                continue
             xs, gs, was, iwas, ts, ls, iss, ds, lts = views[s]
             while True:
                 setulb(
@@ -452,6 +449,7 @@ def _lbfgsb(objective, z0: np.ndarray, bounds, after=None) -> list[_Run]:
                 else:
                     finish(s)
                     if not load(s):
+                        idle.append(s)
                         break
         if asking:
             idx = np.array(asking)
@@ -463,14 +461,10 @@ def _lbfgsb(objective, z0: np.ndarray, bounds, after=None) -> list[_Run]:
                 nfev[s] += 1
                 penalties[s] += value == _PENALTY
         active = asking
-    for r in np.flatnonzero(stopped).tolist():
-        end_x[r], end_g[r], counts[r] = z0[r], 0.0, (math.inf, 0, 0, 0)
-    converged = success & (_projected_grad_norms(end_g, end_x, lo, hi) <= tol)
+    never = np.zeros(d)
     return [
-        _Run(x_r, fun, g_r, ok, c, it, ev, pen)
-        for x_r, g_r, ok, c, (fun, it, ev, pen) in zip(
-            end_x, end_g, success.tolist(), converged.tolist(), counts
-        )
+        _Run(z0[r], math.inf, never, False, False, 0, 0, 0) if run is None else run
+        for r, run in enumerate(runs)
     ]
 
 
@@ -683,21 +677,21 @@ def _lam_zero_is_a_maximum(alpha, degenerate, var_y, mean_y) -> np.ndarray:
 _TIE_RTOL = 1e-10
 
 
-def _pick_start(fun: np.ndarray, converged: np.ndarray, kept: np.ndarray) -> np.ndarray:
+def _pick_start(fun: np.ndarray, converged: np.ndarray) -> np.ndarray:
     """The index of the start each row's multi-start fit reports, from the
-    objectives fun, converged flags and kept masks of its starts (R, K).
+    objectives fun and converged flags of its starts (R, K), fun = inf
+    where a start did not run.
 
-    That is the first kept start with the lowest objective, unless another
-    kept start tied with it (within _TIE_RTOL) met the gradient tolerance:
-    then the first such converged one. Otherwise the converged flag of a
-    fit would follow last-bit differences between starts that found the
-    same optimum.
+    That is the first start with the lowest objective, unless another
+    start tied with it (within _TIE_RTOL) met the gradient tolerance: then
+    the first such converged one. Otherwise the converged flag of a fit
+    would follow last-bit differences between starts that found the same
+    optimum.
     """
-    low_fun = np.where(kept, fun, np.inf)
-    best = np.argmin(low_fun, axis=1)
-    low = low_fun[np.arange(len(fun)), best]
+    best = np.argmin(fun, axis=1)
+    low = fun[np.arange(len(fun)), best]
     limit = low + _TIE_RTOL * np.maximum(1.0, np.abs(low))
-    tied = kept & converged & (fun <= limit[:, None])
+    tied = converged & (fun <= limit[:, None])
     return np.where(tied.any(axis=1), tied.argmax(axis=1), best)
 
 
@@ -813,10 +807,10 @@ def _fit_shifted(
     is degenerate, else the ridge point (_ridge_points) where it ends below
     the gamma fit, else the gamma fit with lam at start_lam; the later
     starts are start 1 plus each row of jitters[r] (see _jitters), except
-    that a replaced start 1 takes the place of the first. They run in the
-    restart passes of the module docstring, one lock-step pass each; a
-    batch reports from the starts the keep rule leaves it, by _pick_start,
-    and its counts sum over those runs."""
+    that a replaced start 1 takes the place of the first. Every drawn
+    start is a row of one lock-step pass, under the wait rule of the
+    module docstring; a batch reports from the starts that ran, by
+    _pick_start, and its counts sum over them."""
     n_rows, width = g.size, max(3, DEFAULT_OPTIMIZER.restarts)
     gamma = g.gamma
     ln_alpha = _math_log(gamma.params["alpha"])
@@ -860,49 +854,29 @@ def _fit_shifted(
         starts[win, 2] = starts[win, 1]
         starts[win, 1] = ridge[below]
         count[win] = np.maximum(count[win], 3)
-    k = np.arange(width)
-    drawn = k < count[:, None]
-    ran = np.zeros((n_rows, width), dtype=bool)
+    # One lock-step pass over every drawn start, batch after batch: start 1
+    # waits for start 0 where lam = 0 is a maximum, the later starts wait
+    # for start 1, and a start runs only once the one it waits for ended
+    # unconverged.
+    rows, cols = np.nonzero(np.arange(width) < count[:, None])
+    at = np.zeros((n_rows, width), dtype=int)
+    at[rows, cols] = np.arange(rows.size)
+    gated = (cols == 1) & lam_max[rows]
+    after = np.where(cols >= 2, at[rows, 1], np.where(gated, at[rows, 0], -1))
+    runs = _lbfgsb(
+        lambda sel, z: evaluate(rows[sel], z), starts[rows, cols], _SHIFTED_BOUNDS, after
+    )
     converged = np.zeros((n_rows, width), dtype=bool)
-    fun = np.zeros((n_rows, width))
+    fun = np.full((n_rows, width), np.inf)
     end = np.zeros((n_rows, width, 3))
     nit, nfev, penalties = (np.zeros((n_rows, width), dtype=int) for _ in range(3))
-
-    def run_pass(todo):
-        """Run the starts todo (R, K) in one lock-step pass, with the later
-        starts of each batch whose start 1 is among them if all fit in one
-        set of _MAX_ROWS slots; those stop once that start 1 converges."""
-        later = drawn & todo[:, 1:2] & (k >= 2)
-        if todo.sum() + later.sum() <= _MAX_ROWS:
-            todo = todo | later
-        rows, cols = np.nonzero(todo)
-        if not rows.size:
-            return
-        at = np.full((n_rows, width), -1)
-        at[rows, cols] = np.arange(rows.size)
-        runs = _lbfgsb(
-            lambda sel, z: evaluate(rows[sel], z),
-            starts[rows, cols],
-            _SHIFTED_BOUNDS,
-            np.where(cols >= 2, at[rows, 1], -1),
-        )
-        ran[rows, cols] = True
-        converged[rows, cols] = [run.converged for run in runs]
-        fun[rows, cols] = [run.fun for run in runs]
-        end[rows, cols] = [run.x for run in runs]
-        nit[rows, cols] = [run.nit for run in runs]
-        nfev[rows, cols] = [run.nfev for run in runs]
-        penalties[rows, cols] = [run.penalties for run in runs]
-
-    run_pass((k == 0) | ((k == 1) & ~lam_max[:, None]))
-    run_pass((k == 1) & (lam_max & ~converged[:, 0])[:, None])
-    run_pass(drawn & ~ran & (k >= 2) & (ran[:, 1] & ~converged[:, 1])[:, None])
-
-    # The keep rule: start 0 alone where lam = 0 is a maximum and start 0
-    # converged, starts 0 and 1 where start 1 converged, else every start.
-    n_kept = np.where(lam_max & converged[:, 0], 1, np.where(converged[:, 1], 2, count))
-    kept = k < n_kept[:, None]
-    best = _pick_start(fun, converged, kept)
+    converged[rows, cols] = [run.converged for run in runs]
+    fun[rows, cols] = [run.fun for run in runs]
+    end[rows, cols] = [run.x for run in runs]
+    nit[rows, cols] = [run.nit for run in runs]
+    nfev[rows, cols] = [run.nfev for run in runs]
+    penalties[rows, cols] = [run.penalties for run in runs]
+    best = _pick_start(fun, converged)
     z = end[np.arange(n_rows), best]
     lam = _softplus(np.ascontiguousarray(z[:, 2]))
     lam[lam < 1e-12] = 0.0
@@ -913,11 +887,11 @@ def _fit_shifted(
         {"alpha": alpha, "beta": beta, "lambda": lam},
         degenerate=_degenerate(alpha, g),
         converged=converged[np.arange(n_rows), best],
-        iterations=np.where(kept, nit, 0).sum(axis=1),
-        evaluations=np.where(kept, nfev, 0).sum(axis=1),
-        penalties=np.where(kept, penalties, 0).sum(axis=1),
+        iterations=nit.sum(axis=1),
+        evaluations=nfev.sum(axis=1),
+        penalties=penalties.sum(axis=1),
         start=best,
-        starts_skipped=count - n_kept,
+        starts_skipped=count - np.isfinite(fun).sum(axis=1),
         seeds=np.where((lam > 0.0)[:, None], z, np.nan),
     )
 

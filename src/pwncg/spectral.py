@@ -324,8 +324,9 @@ def _fit_counters(fits: list[FitResult]) -> dict:
     fits not converged and degenerate, the objective evaluations that
     returned the penalty value and all of them, L-BFGS-B iterations, how
     often each start index was the reported one (one count per start of
-    DEFAULT_OPTIMIZER, for every model), and the starts dropped by the
-    restart passes (FitResult.starts_skipped)."""
+    DEFAULT_OPTIMIZER, for every model), and the drawn starts that did
+    not run because the start they wait for converged or did not run
+    itself (FitResult.starts_skipped)."""
     wins = [0] * DEFAULT_OPTIMIZER.restarts
     for f in fits:
         if f.start is not None:
@@ -354,7 +355,9 @@ def run_experiment(
     """Fit the requested models over every patch of every readable file.
 
     Power values are floored at floor_eps times the file's mean power
-    before fitting (log densities are undefined at zero power). The
+    before fitting (log densities are undefined at zero power); a file
+    whose spectrogram is all zero, or where that product is not a positive
+    finite number, is a failed file. The
     average metric per model is the mean over patches of the patch-total
     log-likelihood; paired one-sided t-tests compare the proposed model
     against each baseline on the per-patch vectors. The models of a patch
@@ -396,9 +399,19 @@ def run_experiment(
             failures.append({"path": str(path), "error": str(exc)})
             continue
 
-        floor = floor_eps * float(np.mean(spec))
-        if floor <= 0.0:
+        if not spec.any():
             failures.append({"path": str(path), "error": "all-zero spectrogram"})
+            continue
+        mean_power = float(np.mean(spec))
+        floor = floor_eps * mean_power
+        if not (math.isfinite(floor) and floor > 0.0):
+            failures.append(
+                {
+                    "path": str(path),
+                    "error": f"floor_eps {floor_eps:g} times the mean power {mean_power:g} "
+                    f"gives the floor {floor:g}, not a positive finite number",
+                }
+            )
             continue
 
         first = len(patch_records)

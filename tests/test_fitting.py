@@ -180,7 +180,8 @@ class TestRestartChoice:
     stubbed for the three-parameter searches (the gamma search still runs
     for real). fit_model's one batch hands the stub its starts in order, so
     the scripted runs are taken in turn; a start past the scripted ones ends
-    above them and converges nowhere."""
+    above them and converges nowhere. The stub honours after as _lbfgsb
+    does: a row whose row ended converged, or never ran, never runs."""
 
     Z0 = np.array([0.1, 0.2, 0.3])
     Z1 = np.array([0.4, 0.5, 0.6])
@@ -194,9 +195,13 @@ class TestRestartChoice:
             if z0.shape[1] == 1:
                 return real(objective, z0, bounds)
             out = []
-            for _ in z0:
+            for q, start in enumerate(z0):
                 z, fval, converged, nit = next(scripted, (self.Z0, 0.0, False, 0))
-                out.append(fitting._Run(z, fval, np.zeros(3), converged, converged, nit, 0, 0))
+                r = -1 if after is None else after[q]
+                if r >= 0 and (out[r].converged or out[r].fun == math.inf):
+                    out.append(fitting._Run(start, math.inf, np.zeros(3), False, False, 0, 0, 0))
+                else:
+                    out.append(fitting._Run(z, fval, np.zeros(3), converged, converged, nit, 0, 0))
             return out
 
         monkeypatch.setattr(fitting, "_lbfgsb", stub)
@@ -232,9 +237,9 @@ class TestRestartChoice:
         assert r.params["alpha"] == math.exp(self.Z0[0])
 
     def test_start_two_runs_where_start_one_did_not_converge(self, monkeypatch):
-        # start 1 stopped short of the gradient tolerance, so start 2 is
-        # kept, and it is reported when it ends lowest; with an rng both
-        # models draw a third start
+        # start 1 stopped short of the gradient tolerance, so start 2, which
+        # waits for it, runs, and it is reported when it ends lowest; with
+        # an rng both models draw a third start
         runs = [
             (self.Z0, -1.5, False, 40),
             (self.Z1, -1.6, False, 30),
@@ -247,8 +252,8 @@ class TestRestartChoice:
             assert r.iterations == 90
 
     def test_start_two_dropped_where_start_one_converged(self, monkeypatch):
-        # start 2 would end lowest, but start 1 converged: only starts 0
-        # and 1 are kept, and neither counts start 2's iterations
+        # start 2 would end lowest, but start 1 converged: start 2 never
+        # runs, so only starts 0 and 1 count, and start 2 adds no iterations
         runs = [
             (self.Z0, -1.5, False, 40),
             (self.Z1, -1.6, True, 30),
@@ -262,8 +267,10 @@ class TestRestartChoice:
     def test_start_one_gated_by_start_zero_where_lam_zero_is_a_maximum(
         self, monkeypatch, lam_max
     ):
-        # every start converges; start 0 alone runs and is kept where lam = 0
-        # is a local maximum at the gamma fit, starts 0 and 1 elsewhere
+        # every start converges; where lam = 0 is a local maximum at the
+        # gamma fit start 1 waits for start 0, so start 0 alone runs (and
+        # start 2, waiting for start 1, is skipped down the chain); starts 0
+        # and 1 run elsewhere
         monkeypatch.setattr(
             fitting, "_lam_zero_is_a_maximum", lambda alpha, *stats: np.full(alpha.shape, lam_max)
         )
@@ -414,8 +421,8 @@ class TestExactGradient:
                 fit = fit_model(m, batch, rng=rng_stream(i))
                 if m in ("noncentral_gamma", "proposed"):
                     kept += DEFAULT_OPTIMIZER.restarts - fit.starts_skipped
-        # the rows that ran: a row stopped because start 1 converged made no
-        # evaluation and is dropped by the keep rule
+        # the rows that ran: a row that waited for a start that converged
+        # never ran and made no evaluation
         rows = [(obj, r, run) for obj, runs in calls for r, run in enumerate(runs) if run.nfev]
         # a gamma row for each of the three models that need one, and at
         # least the kept starts of the shifted fits
@@ -503,12 +510,18 @@ class TestLockStepDriver:
                 np.testing.assert_array_equal(a.jac, b.jac)
                 assert a._replace(x=None, jac=None) == b._replace(x=None, jac=None)
 
-    @pytest.mark.parametrize("max_rows", [2, 64])
+    @pytest.mark.parametrize("max_rows", [1, 2, 64])
     def test_rows_stop_once_the_row_before_them_converged(self, monkeypatch, max_rows):
-        # after[q] = r stops row q once row r ends converged: q is never
-        # loaded, or leaves its slot, and its run is its start point with
-        # fun = inf, unconverged and no counts; every other row, also a row
-        # that ended before r did, runs as it does without the stop
+        # after[q] = r makes row q wait for row r: q runs, as it runs with no
+        # after, once r has ended unconverged, and never runs where r ended
+        # converged or never ran; then its run is its start point with
+        # fun = inf, unconverged and no counts. Each batch's third row waits
+        # for its second (pairs), each row for the one before it in its
+        # batch (chain: a skip carries down the chain, and a slot takes rows
+        # released after the first ones loaded), or every row for one that
+        # ends unconverged (star: its end releases all the others at once,
+        # and with a slot for each row they fill the slots left idle since
+        # the start, so they run side by side)
         n = 6
         rng = rng_stream(22)
         ys = [b / b.mean() for b in (random_batch(rng, size=20) for _ in range(n))]
@@ -520,33 +533,61 @@ class TestLockStepDriver:
         bounds = [fitting._LN_ALPHA_BOUNDS, fitting._LN_BETA_BOUNDS, fitting._S_BOUNDS]
         batch = np.repeat(np.arange(n), 3)
         z0 = rng.normal(0.0, 1.0, (3 * n, 3)) * np.array([1.0, 1.0, 3.0])
-        after = np.where(np.arange(3 * n) % 3 == 2, np.arange(3 * n) - 1, -1)
+
+        calls = []
 
         def objective(rows, z):
+            calls.append(len(rows))
             k = batch[rows]
             return fitting._shifted_rows(fitting._proposed_mean_ll, z, *(a[k] for a in stats))
 
         ref = fitting._lbfgsb(objective, z0, bounds)
+        q = np.arange(3 * n)
+        root = next(r for r in q if not ref[r].converged)
+        patterns = {
+            "pairs": np.where(q % 3 == 2, q - 1, -1),
+            "chain": np.where(q % 3 > 0, q - 1, -1),
+            "star": np.where(q == root, -1, root),
+        }
         monkeypatch.setattr(fitting, "_MAX_ROWS", max_rows)
-        out = fitting._lbfgsb(objective, z0, bounds, after)
-        stopped = 0
-        for q, (a, b) in enumerate(zip(out, ref)):
-            if a.nfev == 0:
-                assert after[q] >= 0 and ref[after[q]].converged
-                np.testing.assert_array_equal(a.x, np.clip(z0[q], *np.array(bounds).T))
-                assert (a.fun, a.converged, a.nit, a.penalties) == (math.inf, False, 0, 0)
-                stopped += 1
-            else:
-                np.testing.assert_array_equal(a.x, b.x)
-                assert a._replace(x=None, jac=None) == b._replace(x=None, jac=None)
-        assert stopped > 0
+        for name, after in patterns.items():
+            calls.clear()
+            out = fitting._lbfgsb(objective, z0, bounds, after)
+
+            def runs(r):
+                w = after[r]
+                return w < 0 or (runs(w) and not ref[w].converged)
+
+            ran = [runs(r) for r in q]
+            for r, (a, b) in enumerate(zip(out, ref)):
+                if ran[r]:
+                    np.testing.assert_array_equal(a.x, b.x)
+                    np.testing.assert_array_equal(a.jac, b.jac)
+                    assert a._replace(x=None, jac=None) == b._replace(x=None, jac=None)
+                else:
+                    np.testing.assert_array_equal(a.x, np.clip(z0[r], *np.array(bounds).T))
+                    assert (a.fun, a.success, a.converged) == (math.inf, False, False)
+                    assert (a.nit, a.nfev, a.penalties) == (0, 0, 0)
+            assert any(ran[r] for r in q if after[r] >= 0), name
+            assert all(ran) if name == "star" else not all(ran), name
+            if name == "star" and max_rows == 64:
+                # the root's calls, then one for the first row released, which
+                # starts in the root's slot, before the rest join it
+                others = max(run.nfev for run in ref if run is not ref[root])
+                assert len(calls) <= ref[root].nfev + 1 + others
+            if name == "chain":
+                # a row skipped because the row it waits for never ran
+                assert any(not ran[r] and not ran[after[r]] for r in q if after[r] >= 0)
 
 
 class TestStopDroppedRuns:
-    """_fit_shifted has _lbfgsb stop a batch's later starts once its start
-    1 ends converged, since the keep rule then drops them: no FitResult
-    reads a dropped run, so every field of every fit is the one it is
-    without the stop."""
+    """The keep rule, as an oracle: every drawn start of every shifted fit
+    is run through _lbfgsb with no after, the rule as written keeps start 0
+    alone where lam = 0 is a maximum at the gamma fit and start 0
+    converged, starts 0 and 1 where start 1 converged, and every drawn
+    start otherwise, and _pick_start chooses among the kept starts. The
+    FitResult built from that choice must equal the fit's, field by field:
+    a fit keeps exactly the starts that ran under the wait rule."""
 
     @staticmethod
     def _workload(batches, streams):
@@ -570,6 +611,74 @@ class TestStopDroppedRuns:
         monkeypatch.setattr(fitting, "_shifted_rows", spy)
         return counts
 
+    @staticmethod
+    def _keep_rule(g, model, runs):
+        """The FitResults of model's fits to the batches of the group g,
+        from runs, every start of every batch run to its end: three a batch
+        (each batch has a stream here), batch after batch."""
+        assert len(runs) == 3 * g.size
+        gamma = g.gamma
+        lam_max = fitting._lam_zero_is_a_maximum(
+            gamma.params["alpha"], gamma.degenerate, g.var_y, g.mean_y
+        )
+        out = []
+        for i in range(g.size):
+            starts = runs[3 * i : 3 * i + 3]
+            converged = [run.converged for run in starts]
+            n_kept = 1 if lam_max[i] and converged[0] else 2 if converged[1] else 3
+            kept = starts[:n_kept]
+            dropped = 3 - n_kept
+            fun = np.array([[run.fun for run in kept] + [math.inf] * dropped])
+            ends = np.array([converged[:n_kept] + [False] * dropped])
+            best = int(fitting._pick_start(fun, ends)[0])
+            z = starts[best].x
+            lam = float(fitting._softplus(z[2:]).item())
+            alpha = math.exp(z[0])
+            params = {
+                "alpha": alpha,
+                "beta": math.exp(z[1]) / float(g.mean[i]),
+                "lambda": 0.0 if lam < 1e-12 else lam,
+            }
+            ll = MODELS[model].log_likelihood(g.x[i], params)
+            out.append(
+                fitting.FitResult(
+                    model, params, ll, ll / g.x.shape[1], converged[best],
+                    sum(run.nit for run in kept),
+                    degenerate=bool(alpha >= fitting._ALPHA_DEGENERATE or g.var_y[i] == 0.0),
+                    evaluations=sum(run.nfev for run in kept),
+                    penalties=sum(run.penalties for run in kept),
+                    start=best,
+                    starts_skipped=dropped,
+                )
+            )
+        return out
+
+    def _oracle(self, monkeypatch) -> dict:
+        """{model: [the keep rule's FitResult of each shifted fit made from
+        now on, in the order made]}."""
+        real_fit, real_lbfgsb = fitting._fit_shifted, fitting._lbfgsb
+        fitting_now = []
+        expected = {"noncentral_gamma": [], "proposed": []}
+
+        def fit_spy(g, jitters, mean_ll, *args):
+            fitting_now.append((g, mean_ll))
+            try:
+                return real_fit(g, jitters, mean_ll, *args)
+            finally:
+                fitting_now.pop()
+
+        def lbfgsb_spy(objective, z0, bounds, after=None):
+            if z0.shape[1] == 3:
+                g, mean_ll = fitting_now[-1]
+                model = "proposed" if mean_ll is fitting._proposed_mean_ll else "noncentral_gamma"
+                every_start = real_lbfgsb(objective, z0, bounds)
+                expected[model] += self._keep_rule(g, model, every_start)
+            return real_lbfgsb(objective, z0, bounds, after)
+
+        monkeypatch.setattr(fitting, "_fit_shifted", fit_spy)
+        monkeypatch.setattr(fitting, "_lbfgsb", lbfgsb_spy)
+        return expected
+
     @pytest.mark.parametrize("data", ["random", "corpus"])
     def test_fits_do_not_change(self, monkeypatch, data):
         rng = rng_stream(25)
@@ -580,28 +689,26 @@ class TestStopDroppedRuns:
                 return [rng_stream(50 + i) for i in range(len(batches))]
             return [noncentral_batch_stream(i) for i in range(len(batches))]
 
-        counts = self._count_rows(monkeypatch)
-        stopping = self._workload(batches, streams())
+        expected = self._oracle(monkeypatch)
+        alone = self._workload(batches, streams())
+        for m in ("noncentral_gamma", "proposed"):
+            assert [fits[FIT_MODELS.index(m)] for fits in alone] == expected[m]
+            expected[m].clear()
         together = fitting.fit_batches(FIT_MODELS, batches, streams())
-        rows = counts[1]
-        real = fitting._lbfgsb
-
-        def without_the_stop(objective, z0, bounds, after=None):
-            return real(objective, z0, bounds)
-
-        monkeypatch.setattr(fitting, "_lbfgsb", without_the_stop)
-        counts[1] = 0
-        assert self._workload(batches, streams()) == stopping
-        assert fitting.fit_batches(FIT_MODELS, batches, streams()) == together
-        assert counts[1] > rows
+        for m in ("noncentral_gamma", "proposed"):
+            assert together[m] == expected[m]
+        # the rule drops starts on these batches, and keeps them too
+        skipped = [f.starts_skipped for f in together["noncentral_gamma"] + together["proposed"]]
+        assert 0 in skipped and max(skipped) > 0
 
     def test_workload_work(self, monkeypatch):
         # the noncentral_batches pass made 680 objective calls of 1289 rows
         # from the gamma fit at lam = 1 (proposed) and 0.01 (noncentral
-        # gamma), before the ridge probe and the stop
+        # gamma), before the ridge probe and the wait rule; with them it
+        # makes 386 calls of 394 rows
         counts = self._count_rows(monkeypatch)
         self._workload(noncentral_batches(), [noncentral_batch_stream(i) for i in range(6)])
-        assert counts[0] <= 340 and counts[1] <= 620
+        assert counts[0] <= 390 and counts[1] <= 400
 
 
 # Small batches of positive values, derandomized: each property runs on a
@@ -705,14 +812,13 @@ class TestFitBatches:
         assert alone["exponential"] == together["exponential"] and calls == []
 
     def test_results_do_not_depend_on_the_pass(self, monkeypatch):
-        # 70 batches put 70 starts 0 and up to 70 starts 1 in the first pass,
-        # more than the 64 slots, so the later starts wait for a pass of
-        # their own and run only where start 1 did not converge: the rows
-        # the searches evaluate are exactly the evaluations the fits report,
-        # beside one probe call per model with one row per probed batch.
-        # With 1000 slots the later starts run in the first pass and stop
-        # where start 1 converged, as in fit_model on one batch. Every field
-        # of every fit is the same either way.
+        # 70 batches put up to 210 starts in one lock-step pass per model.
+        # With 1, 64 or 1000 slots, the rows the searches evaluate are
+        # exactly the evaluations the fits report, beside one probe call per
+        # model with one row per probed batch: a start that waits runs only
+        # where the start it waits for did not converge, and is never
+        # stopped in flight. Every field of every fit is the same at each
+        # setting, and equals the fit of its batch alone.
         real_rows, real_lbfgsb = fitting._shifted_rows, fitting._lbfgsb
         evaluated, probes, searching = {}, {}, []
 
@@ -738,22 +844,23 @@ class TestFitBatches:
             "noncentral_gamma": fitting._noncentral_gamma_mean_ll,
             "proposed": fitting._proposed_mean_ll,
         }
-        passes = fitting.fit_batches(models, batches, [rng_stream(40 + i) for i in range(70)])
-        for m, mean_ll in models.items():
-            assert sum(f.starts_skipped for f in passes[m]) > 0
-            assert evaluated[mean_ll] == sum(f.evaluations for f in passes[m])
-        # the noncentral gamma probes no batch here: each is seeded by its
-        # proposed fit, or lam = 0 is a maximum at its gamma fit
-        assert probes.keys() == {fitting._proposed_mean_ll}
-        [rows] = probes[fitting._proposed_mean_ll]
-        assert 0 < rows < len(batches)
-        evaluated.clear()
-        probes.clear()
-        monkeypatch.setattr(fitting, "_MAX_ROWS", 1000)
-        early = fitting.fit_batches(models, batches, [rng_stream(40 + i) for i in range(70)])
-        for m, mean_ll in models.items():
-            assert evaluated[mean_ll] > sum(f.evaluations for f in early[m])
-        assert probes == {fitting._proposed_mean_ll: [rows]}
+        fits, probed = {}, []
+        for max_rows in (1, 64, 1000):
+            evaluated.clear()
+            probes.clear()
+            monkeypatch.setattr(fitting, "_MAX_ROWS", max_rows)
+            fits[max_rows] = fitting.fit_batches(
+                models, batches, [rng_stream(40 + i) for i in range(70)]
+            )
+            for m, mean_ll in models.items():
+                assert sum(f.starts_skipped for f in fits[max_rows][m]) > 0
+                assert evaluated[mean_ll] == sum(f.evaluations for f in fits[max_rows][m])
+            # the noncentral gamma probes no batch here: each is seeded by
+            # its proposed fit, or lam = 0 is a maximum at its gamma fit
+            assert probes.keys() == {fitting._proposed_mean_ll}
+            probed.append(probes[fitting._proposed_mean_ll])
+        [rows] = probed[0]
+        assert 0 < rows < len(batches) and probed == [[rows]] * 3
         monkeypatch.undo()
         for i, batch in enumerate(batches):
             stream = rng_stream(40 + i)
@@ -762,7 +869,7 @@ class TestFitBatches:
                 single = fit_model(m, batch, rng=stream)
                 if m == "noncentral_gamma":
                     single = alone[m][0]
-                assert passes[m][i] == early[m][i] == single
+                assert fits[1][m][i] == fits[64][m][i] == fits[1000][m][i] == single
 
     def test_invalid_batch_in_a_later_group_raises_before_any_fit(self, monkeypatch):
         # every batch of every length group is validated before the first

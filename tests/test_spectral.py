@@ -350,6 +350,34 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="all input files failed"):
             run_experiment([str(bad)], models=("exponential",))
 
+    def test_all_zero_spectrogram_recorded(self, noise_wav, tmp_path):
+        silent = tmp_path / "zero.wav"
+        write_wav_pcm16(silent, np.zeros(int(0.35 * SR)), SR)
+        rep = run_experiment([str(silent), noise_wav], models=("exponential",), seed=1)
+        assert [f["path"] for f in rep.files] == [noise_wav]
+        assert rep.provenance["failed_files"] == [
+            {"path": str(silent), "error": "all-zero spectrogram"}
+        ]
+
+    @pytest.mark.parametrize("floor_eps", [5e-324, 1e308])
+    def test_floor_that_is_not_positive_and_finite_fails_the_file(
+        self, noise_wav, tmp_path, floor_eps
+    ):
+        # floor_eps times the mean power underflows to 0 on a quiet file
+        # (mean power about 1e-4) and overflows to inf on a loud one (about
+        # 15): that file fails, naming floor_eps, and the other is fitted
+        quiet = tmp_path / "quiet.wav"
+        write_wav_pcm16(quiet, 1e-3 * np.random.default_rng(3).standard_normal(5600), SR)
+        bad, good = (str(quiet), noise_wav) if floor_eps < 1.0 else (noise_wav, str(quiet))
+        rep = run_experiment([bad, good], models=("exponential",), floor_eps=floor_eps, seed=1)
+        assert [f["path"] for f in rep.files] == [good]
+        (failure,) = rep.provenance["failed_files"]
+        assert failure["path"] == bad
+        assert failure["error"].startswith(f"floor_eps {floor_eps:g} times the mean power")
+        assert "not a positive finite number" in failure["error"]
+        with pytest.raises(ValueError, match="all input files failed: .*floor_eps"):
+            run_experiment([bad], models=("exponential",), floor_eps=floor_eps)
+
     def test_silence_floored_not_crashing(self, tmp_path):
         # leading silence produces all-floored patches; they must be fitted
         # (flagged degenerate), not crash the run
