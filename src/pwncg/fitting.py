@@ -28,16 +28,16 @@ row's value and gradient never depend on which other rows share its
 evaluation (see special). fit_batches fits several models to many batches
 this way; fit_model is fit_batches with one model and one batch.
 
-A model fit takes one group (_Group): batches of one length, the rows of
-an (R, n) array. The work around the optimizer runs once per group, on
-(R, n) and (R,) arrays, not once per batch: the statistics every model
-shares (the means, and mean ln y, mean y, var y, sqrt y of the normalized
-batches y, and ln x) and the gamma fits, each computed once; each model's
-starts, lam = 0 test, wait rule and flags; and the reported
-log-likelihoods, one call per model of its row-batched density kernel in
-distributions, summed by row (Model.log_likelihoods). fit_batches alone
-groups batches by length, validates all of them before any fit runs, and
-puts each group's results back in batch order.
+A model fit takes one group (_Group): the batches of one fit_batches
+call, which must all have one length, as the rows of an (R, n) array.
+The work around the optimizer runs once per group, on (R, n) and (R,)
+arrays, not once per batch: the statistics every model shares (the
+means, and mean ln y, mean y, var y, sqrt y of the normalized batches y,
+and ln x) and the gamma fits, each computed once; each model's starts,
+lam = 0 test, wait rule and flags; and the reported log-likelihoods, one
+call per model of its row-batched density kernel in distributions,
+summed by row (Model.log_likelihoods). fit_batches validates every batch
+before any fit runs.
 The group also caches the powers (y / max y)^k, k = 1 .. 64, of each
 row (_Group.powers, R x 64 x n doubles, about 4 MB for the 129 patches
 of the 0.3 s speech clip). The noncentral-gamma objective's Bessel
@@ -55,7 +55,7 @@ of the batch alone gives.
 
 The noncentral-gamma and proposed fits draw three starts per batch up
 front, points in (ln alpha, ln beta, s), and run them in one lock-step
-pass over the batches of one length:
+pass over the batches of the group:
 - start 0 is the batch's gamma fit with lam at its floor;
 - start 1 is the seed, else the ceiling start, else the probed ridge
   point, else the gamma fit with lam at the model's start value, which
@@ -952,54 +952,39 @@ def _model_names(models) -> tuple[str, ...]:
 
 def fit_batches(models, batches, rngs=None) -> dict[str, list[FitResult]]:
     """Fit each of models to every batch: {model: [FitResult per batch]},
-    in the order given. This is the one place that groups batches: the
-    batches of one length form a _Group, and every batch of every group is
-    validated before any fit runs. Then batch i draws its restarts from
-    rngs[i] (default None), model after model in the order given; within
-    a model the groups draw one after another, so a generator shared by
-    batches of different lengths is drawn group by group, not in batch
-    order. Then, group after group, each model is fitted by MODELS[m].fit,
-    checked, and its results put back in batch order; a model that seeds
-    another's start 1 (Model.seeded_by) runs before the others. A group's
-    statistics and gamma fits, where the noncentral-gamma and proposed
-    searches start, are made once and shared by every model. A fit's rows
-    never depend on the other batches, so with a stream per batch each
-    result equals fit_batches with the same models on its batch alone.
-    That is fit_model, except for the noncentral gamma beside the
-    proposed law."""
+    in the order given. The batches, raveled, must all have one length:
+    they form one _Group, and every batch is validated before any fit
+    runs. Then batch i draws its restarts from rngs[i] (default None),
+    model after model in the order given, and each model is fitted by
+    MODELS[m].fit and checked; a model that seeds another's start 1
+    (Model.seeded_by) runs before the others. The group's statistics and
+    gamma fits, where the noncentral-gamma and proposed searches start,
+    are made once and shared by every model. A fit's rows never depend on
+    the other batches, so with a stream per batch each result equals
+    fit_batches with the same models on its batch alone. That is
+    fit_model, except for the noncentral gamma beside the proposed law."""
     models = _model_names(models)
     xs = [np.asarray(b, dtype=float).ravel() for b in batches]
-    by_length: dict[int, list[int]] = {}
-    for i, x in enumerate(xs):
-        by_length.setdefault(x.size, []).append(i)
-    groups = []
-    for idx in by_length.values():
-        x = np.stack([xs[i] for i in idx])
-        mean = _group_mean(x)
-        if mean is None:
-            for b in xs:
-                _validate_batch(b)  # raises the error of the first invalid batch
-        groups.append((idx, _Group(x, mean)))
+    if len(lengths := sorted({x.size for x in xs})) > 1:
+        raise ValueError(f"batches must have one length, not {lengths[0]} and {lengths[1]}")
     rngs = [None] * len(xs) if rngs is None else list(rngs)
     if len(rngs) != len(xs):
         raise ValueError("batches and rngs differ in length")
-    jitters = {
-        (m, j): _jitters([rngs[i] for i in idx])
-        for m in models
-        if MODELS[m].restarts
-        for j, (idx, _) in enumerate(groups)
-    }
+    if not xs:
+        return {m: [] for m in models}
+    x = np.stack(xs)
+    mean = _group_mean(x)
+    if mean is None:
+        for b in xs:
+            _validate_batch(b)  # raises the error of the first invalid batch
+    g = _Group(x, mean)
+    jitters = {m: _jitters(rngs) for m in models if MODELS[m].restarts}
     seeding = {MODELS[m].seeded_by for m in models}
-    results = {m: [None] * len(xs) for m in models}
-    for j, (idx, g) in enumerate(groups):
-        fits = {}
-        for m in sorted(models, key=lambda m: m not in seeding):
-            seed = fits.get(MODELS[m].seeded_by)
-            seeds = None if seed is None else seed.seeds
-            fits[m] = _checked(g, MODELS[m].fit(g, jitters.get((m, j)), seeds))
-            for i, result in zip(idx, _fit_results(m, g, fits[m])):
-                results[m][i] = result
-    return results
+    fits = {}
+    for m in sorted(models, key=lambda m: m not in seeding):
+        seeds = getattr(fits.get(MODELS[m].seeded_by), "seeds", None)
+        fits[m] = _checked(g, MODELS[m].fit(g, jitters.get(m), seeds))
+    return {m: _fit_results(m, g, fits[m]) for m in models}
 
 
 @dataclass(frozen=True)

@@ -266,7 +266,7 @@ class TestDensityGridCommand:
                 "--mu-re", "0.2", "--n", "11", "--out", str(out),
             ]
         )
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["re", "im", "density"]
         assert len(rows) == 1 + 121
         re, im, d = map(float, rows[5])
@@ -282,7 +282,7 @@ class TestDensityGridCommand:
                 "--out", str(out),
             ]
         )
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         x, d = map(float, rows[3])
         assert math.isclose(
             d, math.exp(log_pdf_power(x, PowerParams(0.8, 1.0, 1.0))), rel_tol=1e-10
@@ -312,7 +312,7 @@ class TestKurtosisSweepCommand:
     def test_columns_and_regimes(self, tmp_path):
         out = tmp_path / "k.csv"
         main(["kurtosis-sweep", "--steps", "11", "--out", str(out)])
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["lambda", "alpha", "gamma2_proposed", "gamma2_ncgamma"]
         assert len(rows) == 1 + 33
         for lam, alpha, gp, gn in (map(float, r) for r in rows[1:]):
@@ -337,7 +337,8 @@ class TestFitSpectraCommand:
         body = json.loads(report.read_text())
         assert body["config"]["models"] == ["exponential", "gamma"]
         assert body["files"][0]["n_patches"] == len(body["patches"])
-        assert len(list(csv.reader(table.open()))) == 1 + 2 * len(body["patches"])
+        rows = list(csv.reader(table.read_text().splitlines()))
+        assert len(rows) == 1 + 2 * len(body["patches"])
         lines = capsys.readouterr().out.splitlines()
         for m, line in zip(body["config"]["models"], lines):
             failed = sum(not p["fits"][m]["converged"] for p in body["patches"])

@@ -713,9 +713,13 @@ class TestStopDroppedRuns:
 
 # Small batches of positive values, derandomized: each property runs on a
 # fixed set of examples of 8 to 20 values.
-small_batches = st.lists(
-    st.floats(min_value=1e-3, max_value=1e3), min_size=8, max_size=20
-).map(np.array)
+def _positive_batches(min_size, max_size):
+    return st.lists(
+        st.floats(min_value=1e-3, max_value=1e3), min_size=min_size, max_size=max_size
+    ).map(np.array)
+
+
+small_batches = _positive_batches(8, 20)
 invariant = settings(max_examples=15, deadline=None, derandomize=True)
 
 
@@ -751,13 +755,15 @@ class TestFitInvariants:
 
     @invariant
     @given(
-        batches=st.lists(small_batches, min_size=2, max_size=5),
+        batches=st.integers(8, 20).flatmap(
+            lambda n: st.lists(_positive_batches(n, n), min_size=2, max_size=5)
+        ),
         seed=st.integers(0, 2**16),
         data=st.data(),
     )
     def test_batched_fits_equal_single_fits(self, batches, seed, data):
         # the lock-step fit of every model to a shuffled list of batches, of
-        # mixed lengths, equals fit_model on each batch alone, the models in
+        # one length, equals fit_model on each batch alone, the models in
         # order sharing the batch's stream; the noncentral gamma, whose
         # start 1 the proposed fit seeds, equals fit_batches with the same
         # models on the batch alone
@@ -788,11 +794,11 @@ class TestFitBatches:
 
         monkeypatch.setattr(fitting, "_fit_gamma", spy)
         rng = rng_stream(16)
-        batches = [random_batch(rng, size) for size in (60, 40, 60, 25)]
+        batches = [random_batch(rng) for _ in range(4)]
         together = fitting.fit_batches(
             FIT_MODELS, batches, [rng_stream(20 + i) for i in range(len(batches))]
         )
-        assert calls == [2, 1, 1]  # once per length group
+        assert calls == [4]  # once for all batches
         for i, batch in enumerate(batches):
             stream = rng_stream(20 + i)
             alone = fitting.fit_batches(FIT_MODELS, [batch], [rng_stream(20 + i)])
@@ -805,7 +811,7 @@ class TestFitBatches:
         # run fits no gamma
         calls.clear()
         later = fitting.fit_batches(("proposed", "gamma"), batches)
-        assert tuple(later) == ("proposed", "gamma") and calls == [2, 1, 1]
+        assert tuple(later) == ("proposed", "gamma") and calls == [4]
         assert later["gamma"] == together["gamma"]
         calls.clear()
         alone = fitting.fit_batches(("exponential",), batches)
@@ -872,21 +878,37 @@ class TestFitBatches:
                 assert fits[1][m][i] == fits[64][m][i] == fits[1000][m][i] == single
 
     def test_invalid_batch_in_a_later_group_raises_before_any_fit(self, monkeypatch):
-        # every batch of every length group is validated before the first
-        # search runs, and the error is that of the first invalid batch
+        # every batch is validated before the first search runs, and the
+        # error is that of the first invalid batch
         calls = []
         monkeypatch.setattr(fitting, "_lbfgsb", lambda *args: calls.append(args))
         rng = rng_stream(18)
-        ok_60, ok_40 = random_batch(rng, 60), random_batch(rng, 40)
+        ok_a, ok_b = random_batch(rng, 25), random_batch(rng, 25)
         not_finite = np.append(random_batch(rng, 24), math.nan)
-        not_positive = [1.0, 0.0, 2.0]
+        not_positive = np.append(random_batch(rng, 24), 0.0)
         with pytest.raises(ValueError, match="batch values must be finite"):
-            fitting.fit_batches(FIT_MODELS, [ok_60, ok_40, ok_60, not_finite])
+            fitting.fit_batches(FIT_MODELS, [ok_a, ok_b, ok_a, not_finite])
         with pytest.raises(ValueError, match="batch values must be finite"):
-            fitting.fit_batches(FIT_MODELS, [ok_60, not_finite, ok_40, not_positive])
+            fitting.fit_batches(FIT_MODELS, [ok_a, not_finite, ok_b, not_positive])
         with pytest.raises(ValueError, match="batch values must be positive"):
-            fitting.fit_batches(("gamma",), [ok_60, not_positive, ok_40, not_finite])
+            fitting.fit_batches(("gamma",), [ok_a, not_positive, ok_b, not_finite])
         assert calls == []
+
+    def test_batches_of_different_lengths_rejected_before_any_fit(self, monkeypatch):
+        # one call fits batches of one length: others are an error that
+        # names two lengths, raised before any value check or search; no
+        # batches give no fits
+        calls = []
+        monkeypatch.setattr(fitting, "_lbfgsb", lambda *args: calls.append(args))
+        rng = rng_stream(21)
+        ok_60, ok_40 = random_batch(rng, 60), random_batch(rng, 40)
+        not_finite = np.append(random_batch(rng, 59), math.nan)
+        for batches in ([ok_60, ok_40], [ok_40, ok_60, not_finite], [not_finite, ok_40]):
+            with pytest.raises(ValueError, match="must have one length, not 40 and 60$"):
+                fitting.fit_batches(FIT_MODELS, batches)
+        assert calls == []
+        assert fitting.fit_batches(FIT_MODELS, []) == {m: [] for m in FIT_MODELS}
+        assert fitting.fit_batches(("proposed", "gamma"), [], []) == {"proposed": [], "gamma": []}
 
     def test_repeated_or_unknown_model_rejected(self):
         batches = [rng_stream(17).gamma(1.0, 1.0, 30)]
@@ -1638,12 +1660,18 @@ class TestLogLikelihoodPass:
 
     def test_one_kernel_call_per_model_and_group(self, tmp_path, monkeypatch):
         # the 129 patches of the 0.3 s speech clip, every third cut to 40
-        # values, make two groups: each density kernel runs once per model
-        # and group, not once per batch, and no single-batch density or
-        # kernel runs at all
+        # values, fitted in one fit_batches call per length: each density
+        # kernel runs once per model and call, not once per batch, and no
+        # single-batch density or kernel runs at all
         batches = _speech_batches(tmp_path, 0.3)
-        batches = [b[:40] if i % 3 == 0 else b for i, b in enumerate(batches)]
         assert len(batches) == 129
+        streams = _patch_streams(len(batches))
+        cut = range(0, len(batches), 3)
+        kept = [i for i in range(len(batches)) if i % 3]
+        groups = [
+            ([batches[i][:40] for i in cut], [streams[i] for i in cut]),
+            ([batches[i] for i in kept], [streams[i] for i in kept]),
+        ]
         per_group = [
             (fitting, "_log_pdf_exponential_rows"),
             (fitting, "_log_pdf_gamma_rows"),
@@ -1677,12 +1705,12 @@ class TestLogLikelihoodPass:
 
         for key in calls:
             monkeypatch.setattr(*key, spy(key))
-        fits = fitting.fit_batches(FIT_MODELS, batches, _patch_streams(len(batches)))
+        fits = [fitting.fit_batches(FIT_MODELS, *group) for group in groups]
         assert calls == {**dict.fromkeys(per_group, 2), **dict.fromkeys(single, 0)}
-        for m in ("noncentral_gamma", "proposed"):
-            for lam_zero in (True, False):
-                rows = [i for i, f in enumerate(fits[m]) if (f.params["lambda"] == 0.0) == lam_zero]
-                assert {len(batches[i]) for i in rows} == {40, 60}
+        # each call's kernels take rows at lam = 0 and rows at lam > 0
+        for fit in fits:
+            for m in ("noncentral_gamma", "proposed"):
+                assert {f.params["lambda"] == 0.0 for f in fit[m]} == {True, False}
 
 
 class TestFitModelDispatch:
